@@ -10,13 +10,11 @@ from .codes import (
     code_i2,
     dual_code,
     enumerate_dihedral_codes,
-    product_code,
     standard_code,
     verify_code,
 )
-from .coxeter import BruhatPoset, CoxeterSystem, build_system, enumerate_group, product_system
+from .coxeter import BruhatPoset, CoxeterSystem, build_system
 from .intervals import (
-    analyze_interval,
     group_complex,
     interval_complex,
     interval_ideal,
@@ -26,7 +24,7 @@ from .intervals import (
     unimodal_set,
 )
 from .multicomplex import ChainProduct, OrderIdeal, ideal_from_points, is_m_sequence
-from .qpoly import IntPolynomial, is_palindromic, q_analog
+from .qpoly import IntPolynomial, q_analog
 from .simplicial import SimplicialComplex, build_box_complex, complex_of_ideal, verify_shelling
 
 __version__ = "0.1.0"

@@ -6,22 +6,21 @@
     coxlehmer classify --type H3 --what unimodal
     coxlehmer verify   catalan --n 5
 
-Exit status: 0 success, 1 verification failure, 2 usage or parse error.
-All JSON output uses exact integers.
+Exit status: 0 success, 1 verification failure, 2 usage or parse error or
+a group above the enumeration limit.  All JSON output uses exact integers.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from pathlib import Path
 
 from . import intervals
 from .codes import dual_code, shared_standard_code
-from .coxeter import CACHE_FORMAT, BruhatPoset, load_poset, save_poset, shared_poset
+from .coxeter import ENUMERATION_LIMIT, BruhatPoset, SizeLimitError, shared_poset
 from .verify import SUITES, run_suite
 
 
@@ -33,9 +32,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="coxlehmer",
         description="Lehmer codes, Bruhat intervals and their complexes "
-                    "for finite Coxeter groups of types A, B, D, H3, I2(m).")
-    p.add_argument("--cache", default=os.environ.get("COXLEHMER_CACHE"),
-                   help="directory for the on-disk poset cache (opt-in)")
+                    "for finite Coxeter groups of types A, B, D, H3, I2(m).",
+        epilog=f"Groups with more than {ENUMERATION_LIMIT} elements are refused "
+               f"with exit status 2.")
     sub = p.add_subparsers(dest="command", required=True)
 
     def add_system(sp, with_element=True):
@@ -45,11 +44,10 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--m", type=int, help="m for type I2(m)")
         sp.add_argument("--code", default="standard",
                         choices=["standard", "dual", "variant"])
-        sp.add_argument("--limit", type=int, default=10 ** 6,
-                        help="enumeration size limit")
         if with_element:
             sp.add_argument("--word", help='generator word like "s2 s1 s3 s2"; "" is e')
-            sp.add_argument("--perm", help="one-line element, e.g. 3412 or 2,-1,3")
+            sp.add_argument("--perm", help="one-line element, e.g. 3412 or 2,-1,3; "
+                                           "write --perm=-1,-2,3,4 when it starts with a minus")
 
     sp = sub.add_parser("code", help="print the code vector and length of an element")
     add_system(sp)
@@ -77,7 +75,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--max-rank", type=int, dest="max_rank",
                     help="only systems up to this rank")
     sp.add_argument("--seed", type=int, default=2024)
-    sp.add_argument("--jobs", type=int, default=1)
     sp.add_argument("--out", help="also write the JSON report to this file")
     sp.add_argument("--json", action="store_true")
     return p
@@ -89,21 +86,7 @@ def _get_poset(args) -> BruhatPoset:
         raise CLIError("type I2 needs --m")
     if label in ("A", "B", "D") and rank is None:
         raise CLIError(f"type {label} needs --rank")
-    if args.cache:
-        name = f"{label}{rank if rank is not None else ''}"
-        if m is not None:
-            name += f"m{m}"
-        path = Path(args.cache) / f"{name}-v{CACHE_FORMAT}.json"
-        if path.exists():
-            try:
-                return load_poset(path, limit=args.limit)
-            except ValueError:
-                pass  # stale or foreign; rebuild below
-        poset = shared_poset(label, rank, m, args.limit)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        save_poset(poset, path)
-        return poset
-    return shared_poset(label, rank, m, args.limit)
+    return shared_poset(label, rank, m)
 
 
 def _get_code(args):
@@ -248,7 +231,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    opts = {"seed": args.seed, "jobs": args.jobs, "max_rank": args.max_rank}
+    opts = {"seed": args.seed, "max_rank": args.max_rank}
     if args.n is not None:
         opts["n"] = args.n
     started = time.monotonic()
@@ -285,10 +268,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return COMMANDS[args.command](args)
-    except CLIError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (CLIError, SizeLimitError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 
-from .coxeter import BruhatPoset
+from .coxeter import BruhatPoset, shared_poset, system_key
 from .report import Report
 
 
@@ -184,12 +184,6 @@ def inversion_code(perm: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sum(1 for i in range(1, k) if pos[i] > pos[k]) for k in range(1, n + 1))
 
 
-def classic_lehmer_code(perm: tuple[int, ...]) -> tuple[int, ...]:
-    """Entry i counts the later positions holding a smaller value."""
-    n = len(perm)
-    return tuple(sum(1 for j in range(i + 1, n) if perm[j] < perm[i]) for i in range(n))
-
-
 # ---------------------------------------------------------------------------
 # chain-product codes (types D, H3)
 
@@ -265,12 +259,15 @@ def code_h3(poset: BruhatPoset) -> LehmerCode:
     return _make_code("LH3", poset, (1, 5, 9), vectors)
 
 
-@lru_cache(maxsize=None)
 def shared_standard_code(label: str, rank: int | None = None,
                          m: int | None = None, variant: bool = False) -> LehmerCode:
-    """Memoized standard code over the memoized poset of the named system."""
-    from .coxeter import shared_poset
+    """The process-wide standard (or type B variant) code over the shared
+    poset, built once per system however its arguments are spelled."""
+    return _shared_code(*system_key(label, rank, m), bool(variant))
 
+
+@lru_cache(maxsize=None)
+def _shared_code(label, rank, m, variant) -> LehmerCode:
     poset = shared_poset(label, rank, m)
     if variant:
         if label != "B":
@@ -304,25 +301,6 @@ def dual_code(code: LehmerCode) -> LehmerCode:
     poset = code.poset
     vectors = [code.vectors[poset.inverse[w]] for w in range(poset.size)]
     return _make_code(f"dual({code.name})", poset, code.bounds, vectors)
-
-
-def product_code(code1: LehmerCode, code2: LehmerCode,
-                 product_poset: BruhatPoset) -> LehmerCode:
-    """Concatenated code on a reducible system built by `product_system`."""
-    p1, p2 = code1.poset, code2.poset
-    vectors = []
-    for elem in product_poset.elements:
-        try:
-            a, b = elem
-            v1 = code1.vectors[p1.index[a]]
-            v2 = code2.vectors[p2.index[b]]
-        except (KeyError, TypeError, ValueError):
-            raise ValueError(
-                f"{product_poset.system.describe()} elements do not split over "
-                f"{code1.name} x {code2.name}") from None
-        vectors.append(v1 + v2)
-    return _make_code(f"{code1.name}x{code2.name}", product_poset,
-                      code1.bounds + code2.bounds, vectors)
 
 
 # ---------------------------------------------------------------------------

@@ -13,17 +13,16 @@ from reflections, and reachability bitsets answering u <= w in O(1).
 
 from __future__ import annotations
 
-import json
 from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
 from .qpoly import ONE, IntPolynomial
 
-CACHE_FORMAT = 2
+ENUMERATION_LIMIT = 10 ** 6
 
 
 class SizeLimitError(RuntimeError):
-    """Raised when a group exceeds the configured enumeration limit."""
+    """Raised when a group is larger than ENUMERATION_LIMIT."""
 
 
 # ---------------------------------------------------------------------------
@@ -79,18 +78,19 @@ def _mat3_compose(m1, m2):
     return tuple(out)
 
 
-def _mat3_det(m):
-    def minor(r, c):
-        rows = [i for i in range(3) if i != r]
-        cols = [j for j in range(3) if j != c]
-        p1 = _phi_mul(m[3 * rows[0] + cols[0]], m[3 * rows[1] + cols[1]])
-        p2 = _phi_mul(m[3 * rows[0] + cols[1]], m[3 * rows[1] + cols[0]])
-        return (p1[0] - p2[0], p1[1] - p2[1])
+def _mat3_minor(m, r, c):
+    # 2x2 determinant left after deleting row r and column c
+    rows = [i for i in range(3) if i != r]
+    cols = [j for j in range(3) if j != c]
+    p1 = _phi_mul(m[3 * rows[0] + cols[0]], m[3 * rows[1] + cols[1]])
+    p2 = _phi_mul(m[3 * rows[0] + cols[1]], m[3 * rows[1] + cols[0]])
+    return (p1[0] - p2[0], p1[1] - p2[1])
 
+
+def _mat3_det(m):
     det = (0, 0)
     for c in range(3):
-        mm = minor(0, c)
-        t = _phi_mul(m[c], mm)
+        t = _phi_mul(m[c], _mat3_minor(m, 0, c))
         if c == 1:
             t = (-t[0], -t[1])
         det = (det[0] + t[0], det[1] + t[1])
@@ -99,13 +99,6 @@ def _mat3_det(m):
 
 def _mat3_invert(m):
     # adjugate divided by determinant; group elements have det = +-1
-    def minor(r, c):
-        rows = [i for i in range(3) if i != r]
-        cols = [j for j in range(3) if j != c]
-        p1 = _phi_mul(m[3 * rows[0] + cols[0]], m[3 * rows[1] + cols[1]])
-        p2 = _phi_mul(m[3 * rows[0] + cols[1]], m[3 * rows[1] + cols[0]])
-        return (p1[0] - p2[0], p1[1] - p2[1])
-
     det = _mat3_det(m)
     if det not in ((1, 0), (-1, 0)):
         raise ArithmeticError(f"matrix determinant {det} is not a unit +-1")
@@ -113,7 +106,7 @@ def _mat3_invert(m):
     out = []
     for i in range(3):
         for j in range(3):
-            a, b = minor(j, i)
+            a, b = _mat3_minor(m, j, i)
             if (i + j) % 2:
                 a, b = -a, -b
             out.append((sign * a, sign * b))
@@ -310,31 +303,6 @@ def build_system(label: str, rank: int | None = None, m: int | None = None) -> C
     raise ValueError(f"unknown type {label!r}; valid: A, B, D, H3, I2")
 
 
-def product_system(s1: CoxeterSystem, s2: CoxeterSystem) -> CoxeterSystem:
-    """Reducible system W1 x W2 over pair canonical forms."""
-    rank = s1.rank + s2.rank
-    ident = (s1.identity, s2.identity)
-    gens = [(g, s2.identity) for g in s1.generators]
-    gens += [(s1.identity, g) for g in s2.generators]
-    mat = [[2] * rank for _ in range(rank)]
-    for i in range(s1.rank):
-        for j in range(s1.rank):
-            mat[i][j] = s1.coxeter_matrix[i][j]
-    for i in range(s2.rank):
-        for j in range(s2.rank):
-            mat[s1.rank + i][s1.rank + j] = s2.coxeter_matrix[i][j]
-
-    def compose(a, b, _c1=s1.compose, _c2=s2.compose):
-        return (_c1(a[0], b[0]), _c2(a[1], b[1]))
-
-    def invert(a, _i1=s1.invert, _i2=s2.invert):
-        return (_i1(a[0]), _i2(a[1]))
-
-    return CoxeterSystem("product", rank, tuple(tuple(r) for r in mat),
-                         range(1, rank + 1), ident, gens, compose, invert,
-                         s1.order * s2.order)
-
-
 def _render_perm(p):
     if all(v <= 9 for v in p):
         return "".join(str(v) for v in p)
@@ -364,11 +332,10 @@ class BruhatPoset:
     order, so comparisons and interval extraction are bit operations.
     """
 
-    def __init__(self, system: CoxeterSystem, limit: int = 10 ** 6,
-                 _cached_covers: list[list[int]] | None = None):
-        if system.order > limit:
-            raise SizeLimitError(
-                f"|{system.describe()}| = {system.order} exceeds enumeration limit {limit}")
+    def __init__(self, system: CoxeterSystem):
+        if system.order > ENUMERATION_LIMIT:
+            raise SizeLimitError(f"|{system.describe()}| = {system.order} exceeds "
+                                 f"the enumeration limit {ENUMERATION_LIMIT}")
         self.system = system
         compose = system.compose
         gens = system.generators
@@ -418,16 +385,13 @@ class BruhatPoset:
             raise AssertionError("longest element is not unique")
         self.w0 = tops[0]
 
-        if _cached_covers is None:
-            covers_down = [[] for _ in range(self.size)]
-            for t in self.reflections():
-                et = elements[t]
-                for u in range(self.size):
-                    w = index[compose(elements[u], et)]
-                    if length[w] == length[u] + 1:
-                        covers_down[w].append(u)
-        else:
-            covers_down = _cached_covers
+        covers_down = [[] for _ in range(self.size)]
+        for t in self.reflections():
+            et = elements[t]
+            for u in range(self.size):
+                w = index[compose(elements[u], et)]
+                if length[w] == length[u] + 1:
+                    covers_down[w].append(u)
         self.covers_down = covers_down
         self.covers_up = [[] for _ in range(self.size)]
         for w, lows in enumerate(covers_down):
@@ -582,14 +546,6 @@ class BruhatPoset:
                     frontier.append(v)
         return sorted(seen)
 
-    def max_parabolic_element(self, J: Iterable[int]) -> int:
-        elems = self.parabolic_elements(J)
-        tops = sorted(elems, key=self.length.__getitem__)
-        top = tops[-1]
-        if len(tops) > 1 and self.length[tops[-2]] == self.length[top]:
-            raise AssertionError("parabolic longest element is not unique")
-        return top
-
     def minimal_coset_reps(self, J: Iterable[int]) -> list[int]:
         """The quotient of W by W_J: elements with no left descent in J."""
         Jt = tuple(J)
@@ -667,70 +623,25 @@ def _factor_into_q_analogs(p: IntPolynomial, k: int, min_d: int = 2) -> list[int
     return None
 
 
-def enumerate_group(system: CoxeterSystem, limit: int = 10 ** 6) -> BruhatPoset:
-    return BruhatPoset(system, limit=limit)
+def system_key(label: str, rank: int | None = None,
+               m: int | None = None) -> tuple[str, int | None, int | None]:
+    """The canonical (label, rank, m) of a system, so that every spelling of
+    its arguments names one memo entry: rank only for A/B/D, m only for I2.
+    Invalid arguments pass through for build_system to reject."""
+    label = label.upper()
+    if label == "I2":
+        return label, None, m
+    if label == "H3" and rank == 3:
+        rank = None
+    return label, rank, None
+
+
+def shared_poset(label: str, rank: int | None = None, m: int | None = None) -> BruhatPoset:
+    """The process-wide enumerated group, built once per system; posets
+    are immutable, so sharing across callers is safe."""
+    return _shared_poset(*system_key(label, rank, m))
 
 
 @lru_cache(maxsize=None)
-def shared_poset(label: str, rank: int | None = None, m: int | None = None,
-                 limit: int = 10 ** 6) -> BruhatPoset:
-    """Process-wide memo of enumerated groups; they are immutable, so
-    sharing across callers is safe."""
-    return BruhatPoset(build_system(label, rank, m), limit=limit)
-
-
-# ---------------------------------------------------------------------------
-# optional on-disk cache
-
-
-def _serialize_element(label, e):
-    if label in ("A", "B", "D"):
-        return list(e)
-    if label == "I2":
-        return list(e)
-    if label == "H3":
-        return [list(x) for x in e]
-    raise ValueError(f"cannot cache elements of type {label}")
-
-
-def _deserialize_element(label, data):
-    if label in ("A", "B", "D", "I2"):
-        return tuple(data)
-    if label == "H3":
-        return tuple((x[0], x[1]) for x in data)
-    raise ValueError(f"cannot load elements of type {label}")
-
-
-def save_poset(poset: BruhatPoset, path) -> None:
-    sys = poset.system
-    doc = {
-        "format": CACHE_FORMAT,
-        "type": sys.label,
-        "rank": sys.rank,
-        "m": sys.dihedral_m,
-        "count": poset.size,
-        "lengths": poset.length,
-        "covers_down": poset.covers_down,
-        "canonical": [_serialize_element(sys.label, e) for e in poset.elements],
-    }
-    with open(path, "w") as fh:
-        json.dump(doc, fh)
-
-
-def load_poset(path, limit: int = 10 ** 6) -> BruhatPoset:
-    with open(path) as fh:
-        doc = json.load(fh)
-    if doc.get("format") != CACHE_FORMAT:
-        raise ValueError(f"cache format {doc.get('format')} != {CACHE_FORMAT}")
-    system = build_system(doc["type"], doc["rank"] if doc["type"] != "I2" else None,
-                          m=doc["m"])
-    if doc["count"] != system.order:
-        raise ValueError("cache element count does not match the system")
-    poset = BruhatPoset(system, limit=limit, _cached_covers=doc["covers_down"])
-    # the BFS is deterministic, so cached indices must agree
-    if poset.length != doc["lengths"]:
-        raise ValueError("cache lengths do not match a fresh enumeration")
-    first = _deserialize_element(system.label, doc["canonical"][1]) if poset.size > 1 else None
-    if first is not None and poset.elements[1] != first:
-        raise ValueError("cache canonical forms do not match a fresh enumeration")
-    return poset
+def _shared_poset(label, rank, m) -> BruhatPoset:
+    return BruhatPoset(build_system(label, rank, m))

@@ -11,14 +11,12 @@ lexicographically minimal in their coordinate orbit (unimodal).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .codes import LehmerCode
-from .coxeter import BruhatPoset
-from .multicomplex import ChainProduct, OrderIdeal, is_order_ideal, join, meet
+from .coxeter import BruhatPoset, _bits
+from .multicomplex import ChainProduct, OrderIdeal, is_order_ideal, meet
 from .qpoly import IntPolynomial, q_analog_product
-from .report import Report
 from .simplicial import SimplicialComplex, build_box_complex, complex_of_ideal, shelling_h_polynomial
 
 ROUTES = ("direct", "complex", "maxima")
@@ -26,13 +24,6 @@ ROUTES = ("direct", "complex", "maxima")
 
 class InvalidCodeImage(RuntimeError):
     """The image of an interval is not an order ideal: the code is broken."""
-
-
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 # ---------------------------------------------------------------------------
@@ -115,10 +106,6 @@ def code_meet(u: int, v: int, code: LehmerCode) -> int:
     return code.element(meet(code.of(u), code.of(v)))
 
 
-def code_join(u: int, v: int, code: LehmerCode) -> int:
-    return code.element(join(code.of(u), code.of(v)))
-
-
 def code_interval_size(w: int, code: LehmerCode) -> int:
     n = 1
     for x in code.of(w):
@@ -139,40 +126,12 @@ def principal_set(code: LehmerCode) -> list[int]:
     return [w for w in range(code.poset.size) if is_principal(w, code)]
 
 
-def verify_principal_lattice(code: LehmerCode, principal: list[int] | None = None) -> Report:
-    """Closure of the principal set under code meet and join, plus the
-    distributive laws on principal triples."""
-    rep = Report(f"principal lattice of {code.name}")
-    pr = principal_set(code) if principal is None else principal
-    pr_set = set(pr)
-    for a, b in itertools.combinations(pr, 2):
-        rep.check(code_meet(a, b, code) in pr_set,
-                  f"meet of {code.poset.render(a)}, {code.poset.render(b)} not principal")
-        rep.check(code_join(a, b, code) in pr_set,
-                  f"join of {code.poset.render(a)}, {code.poset.render(b)} not principal")
-    for a, b, c in itertools.combinations(pr, 3):
-        va, vb, vc = code.of(a), code.of(b), code.of(c)
-        rep.check(meet(va, join(vb, vc)) == join(meet(va, vb), meet(va, vc)),
-                  "distributivity fails")
-        rep.check(join(va, meet(vb, vc)) == meet(join(va, vb), join(va, vc)),
-                  "distributivity fails")
-    return rep
-
-
 def code_orbit(w: int, code: LehmerCode,
                principal_vectors: frozenset | None = None) -> set[tuple[int, ...]]:
     """Principal code vectors that are coordinate permutations of L(w)."""
     if principal_vectors is None:
         principal_vectors = frozenset(code.of(u) for u in principal_set(code))
     return set(itertools.permutations(code.of(w))) & set(principal_vectors)
-
-
-def is_unimodal_element(w: int, code: LehmerCode,
-                        principal_vectors: frozenset | None = None) -> bool:
-    """Whether a principal element's code is the lex minimum of its orbit."""
-    if not is_principal(w, code):
-        raise ValueError(f"{code.poset.render(w)} is not principal under {code.name}")
-    return code.of(w) == min(code_orbit(w, code, principal_vectors))
 
 
 def unimodal_set(code: LehmerCode) -> list[int]:
@@ -183,11 +142,6 @@ def unimodal_set(code: LehmerCode) -> list[int]:
 
 # ---------------------------------------------------------------------------
 # palindromic intervals
-
-
-def interval_is_palindromic(w: int, poset: BruhatPoset) -> bool:
-    cs = poset.interval_poincare_coeffs(w)
-    return cs == cs[::-1]
 
 
 def palindromic_intervals(poset: BruhatPoset) -> set[IntPolynomial]:
@@ -203,35 +157,3 @@ def palindromic_intervals(poset: BruhatPoset) -> set[IntPolynomial]:
 def interval_polynomials(poset: BruhatPoset, elements) -> set[IntPolynomial]:
     return {IntPolynomial(poset.interval_poincare_coeffs(w)) for w in elements}
 
-
-@dataclass
-class IntervalAnalysis:
-    element: int
-    code_name: str
-    ideal: OrderIdeal
-    maxima: set
-    h: IntPolynomial
-    principal: bool
-    unimodal: bool
-    palindromic: bool
-
-
-def analyze_interval(w: int, code: LehmerCode,
-                     principal_vectors: frozenset | None = None) -> IntervalAnalysis:
-    poset = code.poset
-    ideal = interval_ideal(w, code)
-    h = IntPolynomial(poset.interval_poincare_coeffs(w))
-    assert h(1) == len(ideal)
-    assert h.degree == poset.length[w]
-    principal = is_principal(w, code)
-    unimodal = principal and is_unimodal_element(w, code, principal_vectors)
-    return IntervalAnalysis(
-        element=w,
-        code_name=code.name,
-        ideal=ideal,
-        maxima=ideal.maxima(),
-        h=h,
-        principal=principal,
-        unimodal=unimodal,
-        palindromic=interval_is_palindromic(w, poset),
-    )

@@ -62,14 +62,6 @@ def meet(x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(map(min, x, y))
 
 
-def join(x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(map(max, x, y))
-
-
-def dominates(x, y) -> bool:
-    return all(a >= b for a, b in zip(x, y))
-
-
 class OrderIdeal:
     """A downward-closed set of points in a ChainProduct."""
 

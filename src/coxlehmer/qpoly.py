@@ -139,11 +139,3 @@ def q_analog_product(ns: Iterable[int]) -> IntPolynomial:
         p = p * q_analog(n)
     return p
 
-
-def is_palindromic(p: IntPolynomial, top_degree: int) -> bool:
-    """Whether coeff(i) == coeff(top_degree - i) for 0 <= i <= top_degree."""
-    if p.is_zero():
-        raise ValueError("palindromicity is undefined for the zero polynomial")
-    if top_degree < p.degree:
-        raise ValueError(f"top_degree {top_degree} below degree {p.degree}")
-    return all(p.coeff(i) == p.coeff(top_degree - i) for i in range(top_degree + 1))

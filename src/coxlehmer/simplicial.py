@@ -3,7 +3,7 @@
 Houses the complex built from a product of chains (one facet per box point,
 per the displayed union of punctured coordinate classes), shelling
 verification with restriction sets, the f/h transforms, and the recursive
-vertex-decomposability, flag, balanced and thin/subthin checks.
+vertex-decomposability and flag checks.
 
 Vertices of box complexes are (value, coordinate) pairs with values written
 one-based, matching the construction's indexing; order-ideal points arrive
@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from typing import Hashable, Iterable, Sequence
 
+from .coxeter import _bits
 from .multicomplex import ChainProduct, OrderIdeal
 from .qpoly import IntPolynomial
 
@@ -99,13 +100,6 @@ class SimplicialComplex:
         if self.labels is not None:
             doc["labels"] = [list(x) for x in self.labels]
         return doc
-
-
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def _maximalize(masks: list[int]) -> list[int]:
@@ -333,7 +327,7 @@ def is_vertex_decomposable(sc: SimplicialComplex, max_facets: int = 20) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# flag, balanced, thin
+# flagness
 
 
 def is_flag(sc: SimplicialComplex) -> bool:
@@ -386,50 +380,3 @@ def is_flag_ideal(ideal: OrderIdeal) -> bool:
                 return False
     return True
 
-
-def is_balanced(sc: SimplicialComplex, classes: Sequence[Iterable] | None = None,
-                type_a: Sequence[int] | None = None) -> bool:
-    """Whether every facet meets class i in exactly a_i vertices.
-
-    With no arguments, box complexes use their coordinate classes and type
-    (d_i - 1).
-    """
-    if classes is None:
-        if sc.dims is None:
-            raise ValueError("no classes given and the complex has no box structure")
-        classes = [[(v, i) for v in range(1, d + 1)]
-                   for i, d in enumerate(sc.dims, start=1)]
-        if type_a is None:
-            type_a = [d - 1 for d in sc.dims]
-    if type_a is None:
-        raise ValueError("balanced check needs the target type")
-    masks = []
-    for cls in classes:
-        m = 0
-        for v in cls:
-            m |= 1 << sc.vertex_index[v]
-        masks.append(m)
-    return all(all((f & m).bit_count() == a for m, a in zip(masks, type_a))
-               for f in sc.facets)
-
-
-def thin_or_subthin(sc: SimplicialComplex) -> str:
-    """Classify by how many facets contain each codimension-one face:
-    "thin" when always exactly two, "subthin" when at most two but not
-    thin, "neither" otherwise."""
-    if not sc.is_pure():
-        raise ValueError("thinness applies to pure complexes")
-    if sc.facet_count < 2:
-        raise ValueError("thinness trichotomy needs at least two facets")
-    counts = {}
-    for f in sc.facets:
-        for b in _bits(f):
-            counts.setdefault(f & ~(1 << b), 0)
-    for face in counts:
-        counts[face] = sum(1 for f in sc.facets if face & ~f == 0)
-    values = set(counts.values())
-    if values == {2}:
-        return "thin"
-    if max(values) <= 2:
-        return "subthin"
-    return "neither"

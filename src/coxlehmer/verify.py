@@ -5,8 +5,6 @@ acceptance tests call them directly.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-
 from . import codes as codes_mod
 from . import intervals, schubert
 from .coxeter import shared_poset
@@ -54,19 +52,14 @@ def _cap_rank(systems, max_rank):
             if (rank or (3 if label == "H3" else 2)) <= max_rank]
 
 
-def suite_codes(seed: int = 2024, jobs: int = 1, max_rank: int | None = None, **_) -> Report:
+def suite_codes(max_rank: int | None = None, **_) -> Report:
     """Validity of every shipped code and its dual, plus the dihedral count."""
     rep = Report("codes")
     systems = _cap_rank(CODE_SYSTEMS, max_rank)
-
-    def one(system_key):
-        label, rank, m = system_key
+    for label, rank, m in systems:
         code = codes_mod.shared_standard_code(label, rank, m)
         sub = codes_mod.verify_code(code)
         sub.merge(codes_mod.verify_code(codes_mod.dual_code(code)))
-        return sub
-
-    for sub in _pool_map(one, systems, jobs):
         rep.merge(sub)
     for m in (3, 4, 5):
         found = codes_mod.enumerate_dihedral_codes(shared_poset("I2", None, m))
@@ -157,7 +150,7 @@ ROUTE_SYSTEMS = (
 )
 
 
-def suite_routes(jobs: int = 1, max_rank: int | None = None, **_) -> Report:
+def suite_routes(max_rank: int | None = None, **_) -> Report:
     """The three interval Poincare routes agree everywhere, including the
     worked S4 example with its maxima and meets."""
     rep = Report("route agreement")
@@ -184,8 +177,7 @@ def suite_routes(jobs: int = 1, max_rank: int | None = None, **_) -> Report:
     rep.check(meets == {(2, 1, 3, 4), (1, 4, 2, 3), (3, 1, 2, 4), (1, 2, 3, 4)},
               f"3412 meets are {sorted(meets)}")
 
-    def one(system_key):
-        label, rank, m = system_key
+    for label, rank, m in systems:
         code = codes_mod.shared_standard_code(label, rank, m)
         sub = Report(f"routes {code.name}")
         for x in range(code.poset.size):
@@ -193,9 +185,6 @@ def suite_routes(jobs: int = 1, max_rank: int | None = None, **_) -> Report:
             for route in ("complex", "maxima"):
                 sub.check(intervals.interval_poincare(x, code, route) == direct,
                           f"{code.poset.render(x)}: {route} route differs")
-        return sub
-
-    for sub in _pool_map(one, systems, jobs):
         rep.merge(sub)
     return rep
 
@@ -344,13 +333,6 @@ SUITES = {
     "msequence": suite_msequence,
     "exponents": suite_exponents,
 }
-
-
-def _pool_map(fn, items, jobs: int):
-    if jobs and jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
 
 
 def run_suite(name: str, **opts) -> Report:

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from coxlehmer import cli
+from coxlehmer import cli, codes, coxeter
 from coxlehmer.report import Report
 
 
@@ -182,38 +182,12 @@ def test_usage_error_is_exit_2():
     assert exc.value.code == 2
 
 
-def test_cache_roundtrip(capsys, tmp_path):
-    cache = tmp_path / "cache"
-    code1, out1, _ = run(capsys, "--cache", str(cache), "code", "--type", "B",
-                         "--rank", "2", "--word", "s2 s1 s2")
-    assert code1 == 0
-    files = list(cache.glob("*.json"))
-    assert len(files) == 1
-    code2, out2, _ = run(capsys, "--cache", str(cache), "code", "--type", "B",
-                         "--rank", "2", "--word", "s2 s1 s2")
-    assert code2 == 0
-    assert out1 == out2
-
-
-def test_cache_env_var(capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv("COXLEHMER_CACHE", str(tmp_path / "envcache"))
-    code, _, _ = run(capsys, "code", "--type", "I2", "--m", "4", "--word", "s1")
-    assert code == 0
-    assert list((tmp_path / "envcache").glob("*.json"))
-
-
 def test_verify_max_rank_filters_systems(capsys):
     code, out, _ = run(capsys, "verify", "codes", "--max-rank", "3", "--json")
     assert code == 0
     doc = json.loads(out)
     assert doc["pass"] is True
     assert "14 systems" in " ".join(doc["notes"])  # A1-3, B2-3, H3, I2(3..10)
-
-
-def test_verify_jobs_flag(capsys):
-    code, out, _ = run(capsys, "verify", "exponents", "--jobs", "2", "--json")
-    assert code == 0
-    assert json.loads(out)["pass"] is True
 
 
 def test_hpoly_h3_top_element(capsys):
@@ -234,3 +208,38 @@ def test_rank_one_type_a(capsys):
     code, out, _ = run(capsys, "code", "--type", "A", "--rank", "1", "--perm", "21")
     assert code == 0
     assert "= (1)" in out
+
+
+def test_size_limit_is_exit_2(capsys):
+    code, out, err = run(capsys, "code", "--type", "B", "--rank", "9", "--word", "s1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "enumeration limit" in err and "Traceback" not in err
+
+
+def test_leading_minus_perm_d4(capsys):
+    code, out, _ = run(capsys, "hpoly", "--type", "D", "--rank", "4",
+                       "--perm=-1,-2,3,4", "--json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["element"] == "-1 -2 3 4"
+    assert all(v == [1, 2, 1] for v in doc["routes"].values())
+
+
+def test_cold_query_enumerates_once(capsys, monkeypatch):
+    coxeter._shared_poset.cache_clear()
+    codes._shared_code.cache_clear()
+    built = []
+    init = coxeter.BruhatPoset.__init__
+
+    def counting_init(self, system):
+        built.append(system.describe())
+        init(self, system)
+
+    monkeypatch.setattr(coxeter.BruhatPoset, "__init__", counting_init)
+    code, out, _ = run(capsys, "hpoly", "--type", "D", "--rank", "4",
+                       "--word", "s0 s1 s2", "--route", "direct", "--json")
+    assert code == 0
+    assert json.loads(out)["routes"]["direct"] == [1, 3, 3, 1]
+    assert built == ["D4"]

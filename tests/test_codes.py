@@ -1,11 +1,9 @@
-import itertools
-
 import pytest
 
 from coxlehmer.codes import (
     LehmerCode,
     chain_words,
-    classic_lehmer_code,
+    shared_standard_code,
     code_a,
     code_b,
     code_d,
@@ -14,45 +12,44 @@ from coxlehmer.codes import (
     dual_code,
     enumerate_dihedral_codes,
     inversion_code,
-    product_code,
     standard_code,
     verify_code,
     verify_d_factorization,
     verify_h3_quotients,
 )
-from coxlehmer.coxeter import build_system, enumerate_group, product_system
+from coxlehmer.coxeter import BruhatPoset, build_system, shared_poset
 
 
 @pytest.fixture(scope="module")
 def a3():
-    return enumerate_group(build_system("A", 3))
+    return BruhatPoset(build_system("A", 3))
 
 
 @pytest.fixture(scope="module")
 def a4():
-    return enumerate_group(build_system("A", 4))
+    return BruhatPoset(build_system("A", 4))
 
 
 @pytest.fixture(scope="module")
 def b3():
-    return enumerate_group(build_system("B", 3))
+    return BruhatPoset(build_system("B", 3))
 
 
 @pytest.fixture(scope="module")
 def d4():
-    return enumerate_group(build_system("D", 4))
+    return BruhatPoset(build_system("D", 4))
 
 
 @pytest.fixture(scope="module")
 def h3():
-    return enumerate_group(build_system("H3"))
+    return BruhatPoset(build_system("H3"))
 
 
 # -- dihedral
 
 
 def test_code_i2_basics():
-    p = enumerate_group(build_system("I2", m=4))
+    p = BruhatPoset(build_system("I2", m=4))
     code = code_i2(p)
     assert code.of(0) == (0, 0)
     assert code.of(p.w0) == (1, 3)
@@ -67,12 +64,12 @@ def test_code_i2_rejects_wrong_type(a3):
 
 @pytest.mark.parametrize("m,count", [(3, 4), (4, 8), (5, 16)])
 def test_enumerate_dihedral_codes_count(m, count):
-    p = enumerate_group(build_system("I2", m=m))
+    p = BruhatPoset(build_system("I2", m=m))
     assert len(enumerate_dihedral_codes(p)) == count
 
 
 def test_enumerate_dihedral_codes_limit():
-    p = enumerate_group(build_system("I2", m=9))
+    p = BruhatPoset(build_system("I2", m=9))
     with pytest.raises(ValueError, match="m <= 8"):
         enumerate_dihedral_codes(p)
 
@@ -80,7 +77,7 @@ def test_enumerate_dihedral_codes_limit():
 def test_dihedral_codes_are_automorphism_twists():
     # brute-force the rank-preserving poset automorphisms and compose
     for m in (3, 4, 5):
-        p = enumerate_group(build_system("I2", m=m))
+        p = BruhatPoset(build_system("I2", m=m))
         base = code_i2(p)
         levels = [[w for w in range(p.size) if p.length[w] == l] for l in range(m + 1)]
         autos = []
@@ -122,33 +119,10 @@ def test_inversion_code_examples():
 
 def test_inversion_code_matches_code_a_up_to_s6():
     for n in (5, 6):
-        p = enumerate_group(build_system("A", n - 1))
+        p = BruhatPoset(build_system("A", n - 1))
         code = code_a(p)
         for w, perm in enumerate(p.elements):
             assert inversion_code(perm) == (0,) + code.of(w)
-
-
-def test_classic_lehmer_examples():
-    assert classic_lehmer_code((1, 2, 3, 4)) == (0, 0, 0, 0)
-    assert classic_lehmer_code((4, 3, 2, 1)) == (3, 2, 1, 0)
-
-
-def test_classic_lehmer_conjugation_identity():
-    # classic(w)_i equals the value-indexed code of w0 w^{-1} w0, read backwards
-    def compose(a, b):
-        return tuple(a[v - 1] for v in b)
-
-    for n in (4, 5):
-        w0 = tuple(range(n, 0, -1))
-        for perm in itertools.permutations(range(1, n + 1)):
-            inv = tuple(perm.index(v) + 1 for v in range(1, n + 1))
-            winv = compose(compose(w0, inv), w0)
-            lhs = classic_lehmer_code(perm)
-            rhs = inversion_code(winv)
-            assert lhs == tuple(rhs[n - i - 1] for i in range(n))
-
-
-# -- type B
 
 
 def test_code_b_examples(b3):
@@ -159,7 +133,7 @@ def test_code_b_examples(b3):
 
 
 def test_code_b2_quotient_word():
-    p = enumerate_group(build_system("B", 2))
+    p = BruhatPoset(build_system("B", 2))
     code = code_b(p)
     w = p.apply_word([1, 0, 1])  # s2 s1 s2
     assert code.of(w) == (0, 3)
@@ -213,10 +187,10 @@ def test_code_d_valid(d4):
 
 
 def test_verify_d_factorization():
-    p4 = enumerate_group(build_system("D", 4))
+    p4 = BruhatPoset(build_system("D", 4))
     rep = verify_d_factorization(p4)
     assert rep.passed, rep.witnesses
-    p5 = enumerate_group(build_system("D", 5))
+    p5 = BruhatPoset(build_system("D", 5))
     rep5 = verify_d_factorization(p5)
     assert rep5.passed, rep5.witnesses
 
@@ -248,7 +222,7 @@ def test_verify_h3_quotients(h3):
     assert rep.passed, rep.witnesses
 
 
-# -- duals, products, dispatch
+# -- duals, dispatch, shared codes
 
 
 def test_dual_is_involution(a3):
@@ -267,39 +241,24 @@ def test_dual_fixes_longest_element(a3, b3, h3):
         assert dual_code(code).of(poset.w0) == code.of(poset.w0)
 
 
-def test_product_code():
-    sa2 = build_system("A", 2)
-    sa1 = build_system("A", 1)
-    pa2, pa1 = enumerate_group(sa2), enumerate_group(sa1)
-    prod = enumerate_group(product_system(sa2, sa1))
-    code = product_code(code_a(pa2), code_a(pa1), prod)
-    assert code.bounds == (1, 2, 1)
-    assert code.of(0) == (0, 0, 0)
-    assert verify_code(code).passed
-
-
-def test_product_code_a1_a1():
-    s = build_system("A", 1)
-    p = enumerate_group(s)
-    prod = enumerate_group(product_system(s, s))
-    code = product_code(code_a(p), code_a(p), prod)
-    assert code.bounds == (1, 1)
-    assert verify_code(code).passed
-
-
-def test_product_code_factor_mismatch(a3):
-    p1 = enumerate_group(build_system("A", 1))
-    with pytest.raises(ValueError, match="split"):
-        product_code(code_a(p1), code_a(p1), a3)
-
-
 def test_standard_code_dispatch(a3, b3, d4, h3):
     assert standard_code(a3).name == "LA3"
     assert standard_code(b3).name == "LB3"
     assert standard_code(d4).name == "LD4"
     assert standard_code(h3).name == "LH3"
-    p = enumerate_group(build_system("I2", m=5))
+    p = BruhatPoset(build_system("I2", m=5))
     assert standard_code(p).name == "LI2(5)"
+
+
+def test_one_shared_poset_and_code_per_system():
+    assert (shared_poset("A", 3) is shared_poset("A", 3, None)
+            is shared_poset("a", 3, 7) is shared_standard_code("A", 3).poset)
+    assert shared_standard_code("A", 3) is shared_standard_code("A", 3, None, variant=False)
+    assert (shared_poset("H3") is shared_poset("H3", None, None) is shared_poset("H3", 3)
+            is shared_standard_code("H3", 3).poset)
+    assert shared_poset("I2", None, 5) is shared_poset("I2", 2, 5)
+    assert shared_standard_code("B", 3, variant=True).poset is shared_poset("B", 3)
+    assert shared_standard_code("B", 3, variant=True) is not shared_standard_code("B", 3)
 
 
 # -- verification behaviour

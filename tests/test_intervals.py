@@ -4,8 +4,6 @@ from coxlehmer.codes import shared_standard_code
 from coxlehmer.coxeter import shared_poset
 from coxlehmer.intervals import (
     InvalidCodeImage,
-    analyze_interval,
-    code_join,
     code_leq,
     code_meet,
     group_complex,
@@ -14,11 +12,9 @@ from coxlehmer.intervals import (
     interval_poincare,
     interval_polynomials,
     is_principal,
-    is_unimodal_element,
     palindromic_intervals,
     principal_set,
     unimodal_set,
-    verify_principal_lattice,
 )
 from coxlehmer.qpoly import IntPolynomial, q_analog, q_analog_product
 
@@ -160,7 +156,6 @@ def test_code_meet_worked_example(a3, la3):
 def test_code_meet_idempotent_and_leq(a3, la3):
     for w in range(0, a3.size, 3):
         assert code_meet(w, w, la3) == w
-        assert code_join(w, w, la3) == w
         assert code_leq(0, w, la3)
 
 
@@ -181,27 +176,6 @@ def test_principal_h_factors(a3, la3):
     for w in principal_set(la3):
         expected = q_analog_product(x + 1 for x in la3.of(w))
         assert interval_poincare(w, la3, "direct") == expected
-
-
-def test_principal_lattice_a3(la3):
-    rep = verify_principal_lattice(la3)
-    assert rep.passed, rep.witnesses
-
-
-def test_principal_lattice_h3(lh3):
-    rep = verify_principal_lattice(lh3)
-    assert rep.passed, rep.witnesses
-
-
-def test_unimodal_identity(la3):
-    assert is_unimodal_element(0, la3)
-
-
-def test_unimodal_requires_principal(a3, la3):
-    w = a3.index[(3, 4, 1, 2)]  # not principal: 14 < 27
-    assert not is_principal(w, la3)
-    with pytest.raises(ValueError, match="principal"):
-        is_unimodal_element(w, la3)
 
 
 def test_h3_unimodal_triples(h3, lh3):
@@ -297,13 +271,3 @@ def test_full_morphism_not_just_covers(a3, la3, h3, lh3):
                 if all(a <= b for a, b in zip(cu, code.of(v))):
                     assert poset.leq(u, v)
 
-
-def test_analyze_interval(a3, la3):
-    w = a3.index[(3, 4, 1, 2)]
-    info = analyze_interval(w, la3)
-    assert info.h == IntPolynomial([1, 3, 5, 4, 1])
-    assert not info.principal
-    assert not info.unimodal
-    assert not info.palindromic
-    top = analyze_interval(a3.w0, la3)
-    assert top.principal and top.unimodal and top.palindromic

@@ -10,7 +10,6 @@ from coxlehmer.multicomplex import (
     is_linear_extension,
     is_m_sequence,
     is_order_ideal,
-    join,
     linear_extensions,
     meet,
     random_order_ideals,
@@ -60,7 +59,6 @@ def test_is_order_ideal():
 def test_meet_examples():
     assert meet((0, 2, 2), (2, 0, 2)) == (0, 0, 2)
     assert meet((1, 1), (1, 1)) == (1, 1)
-    assert join((0, 2), (1, 0)) == (1, 2)
 
 
 def test_meet_properties_inside_ideal():

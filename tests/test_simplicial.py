@@ -17,13 +17,11 @@ from coxlehmer.simplicial import (
     f_vector,
     facet_of,
     h_from_f,
-    is_balanced,
     is_flag,
     is_flag_ideal,
     is_vertex_decomposable,
     order_from_extension,
     shelling_h_polynomial,
-    thin_or_subthin,
     verify_shelling,
 )
 
@@ -202,40 +200,6 @@ def test_flag_equivalence_on_2_cubed():
     amb = ChainProduct((2, 2, 2))
     for j in all_order_ideals(amb):
         assert is_flag(complex_of_ideal(j)) == is_flag_ideal(j)
-
-
-def test_balanced_box_complex():
-    sc = build_box_complex((3, 3, 4))
-    assert is_balanced(sc)
-    assert is_balanced(sc, type_a=(2, 2, 3))
-    assert not is_balanced(sc, type_a=(3, 2, 2))
-
-
-def test_balanced_explicit_classes():
-    sc = SimplicialComplex([{1, 2}, {1, 3}])
-    assert is_balanced(sc, classes=[[1], [2, 3]], type_a=(1, 1))
-    assert not is_balanced(sc, classes=[[1, 2], [3]], type_a=(1, 1))
-
-
-def test_thin_full_box_subthin_proper():
-    for dims in [(2, 3), (2, 2, 2)]:
-        amb = ChainProduct(dims)
-        for j in all_order_ideals(amb):
-            if len(j) < 2:
-                continue
-            verdict = thin_or_subthin(complex_of_ideal(j))
-            assert verdict == ("thin" if j.is_full_box() else "subthin")
-
-
-def test_thin_guard_single_facet():
-    with pytest.raises(ValueError, match="two facets"):
-        thin_or_subthin(SimplicialComplex([{1, 2}]))
-
-
-def test_thin_neither_case():
-    # three edges through one codimension-1 face (a vertex in 3 edges)
-    sc = SimplicialComplex([{1, 2}, {1, 3}, {1, 4}])
-    assert thin_or_subthin(sc) == "neither"
 
 
 def test_json_export():
