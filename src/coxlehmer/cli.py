@@ -7,7 +7,8 @@
     coxlehmer verify   catalan --n 5
 
 Exit status: 0 success, 1 verification failure, 2 usage or parse error or
-a group above the enumeration limit.  All JSON output uses exact integers.
+a size limit (SizeLimitError) refusing the computation.  All JSON output
+uses exact integers.
 """
 
 from __future__ import annotations
@@ -34,7 +35,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Lehmer codes, Bruhat intervals and their complexes "
                     "for finite Coxeter groups of types A, B, D, H3, I2(m).",
         epilog=f"Groups with more than {ENUMERATION_LIMIT} elements are refused "
-               f"with exit status 2.")
+               f"with exit status 2, and so is the maxima route (also under "
+               f"--route all) on an element whose interval has more than "
+               f"{intervals.MAXIMA_LIMIT} maxima; --route direct and --route "
+               f"complex have no such bound.")
     sub = p.add_subparsers(dest="command", required=True)
 
     def add_system(sp, with_element=True):

@@ -7,8 +7,9 @@ ratio) for H3.  All arithmetic is exact; structural equality of canonical
 forms is group equality.
 
 Enumerating a system yields a BruhatPoset: every element indexed in BFS
-order, lengths, one-sided multiplication tables, Bruhat covers computed
-from reflections, and reachability bitsets answering u <= w in O(1).
+order, lengths, and the right multiplication table the BFS fills.  Inverses,
+left multiplication, products and Bruhat covers (by the lifting property)
+are all read off that table, and reachability bitsets answer u <= w in O(1).
 """
 
 from __future__ import annotations
@@ -22,7 +23,10 @@ ENUMERATION_LIMIT = 10 ** 6
 
 
 class SizeLimitError(RuntimeError):
-    """Raised when a group is larger than ENUMERATION_LIMIT."""
+    """A size bound refuses the computation instead of running it unbounded:
+    a group above ENUMERATION_LIMIT, an ideal with more maxima than the
+    inclusion-exclusion bound, or a complex too large for the
+    vertex-decomposability search."""
 
 
 # ---------------------------------------------------------------------------
@@ -34,33 +38,9 @@ def _perm_compose(a, b):
     return tuple(a[v - 1] for v in b)
 
 
-def _perm_invert(a):
-    inv = [0] * len(a)
-    for i, v in enumerate(a):
-        inv[v - 1] = i + 1
-    return tuple(inv)
-
-
 def _signed_compose(a, b):
     # windows over +-1..+-n with w(-i) = -w(i)
     return tuple(a[v - 1] if v > 0 else -a[-v - 1] for v in b)
-
-
-def _signed_invert(a):
-    inv = [0] * len(a)
-    for i, v in enumerate(a):
-        if v > 0:
-            inv[v - 1] = i + 1
-        else:
-            inv[-v - 1] = -(i + 1)
-    return tuple(inv)
-
-
-def _phi_mul(x, y):
-    # (a + b phi)(c + d phi) with phi^2 = phi + 1
-    a, b = x
-    c, d = y
-    return (a * c + b * d, a * d + b * c + b * d)
 
 
 def _mat3_compose(m1, m2):
@@ -75,41 +55,6 @@ def _mat3_compose(m1, m2):
                 s0 += a * c + b * d
                 s1 += a * d + b * c + b * d
             out.append((s0, s1))
-    return tuple(out)
-
-
-def _mat3_minor(m, r, c):
-    # 2x2 determinant left after deleting row r and column c
-    rows = [i for i in range(3) if i != r]
-    cols = [j for j in range(3) if j != c]
-    p1 = _phi_mul(m[3 * rows[0] + cols[0]], m[3 * rows[1] + cols[1]])
-    p2 = _phi_mul(m[3 * rows[0] + cols[1]], m[3 * rows[1] + cols[0]])
-    return (p1[0] - p2[0], p1[1] - p2[1])
-
-
-def _mat3_det(m):
-    det = (0, 0)
-    for c in range(3):
-        t = _phi_mul(m[c], _mat3_minor(m, 0, c))
-        if c == 1:
-            t = (-t[0], -t[1])
-        det = (det[0] + t[0], det[1] + t[1])
-    return det
-
-
-def _mat3_invert(m):
-    # adjugate divided by determinant; group elements have det = +-1
-    det = _mat3_det(m)
-    if det not in ((1, 0), (-1, 0)):
-        raise ArithmeticError(f"matrix determinant {det} is not a unit +-1")
-    sign = det[0]
-    out = []
-    for i in range(3):
-        for j in range(3):
-            a, b = _mat3_minor(m, j, i)
-            if (i + j) % 2:
-                a, b = -a, -b
-            out.append((sign * a, sign * b))
     return tuple(out)
 
 
@@ -138,7 +83,7 @@ class CoxeterSystem:
     """A finite Coxeter system with concrete, exactly-represented elements."""
 
     def __init__(self, label, rank, matrix, gen_subscripts, identity, generators,
-                 compose, invert, order, dihedral_m=None, render=None):
+                 compose, order, dihedral_m=None, render=None):
         self.label = label
         self.rank = rank
         self.coxeter_matrix = matrix
@@ -146,7 +91,6 @@ class CoxeterSystem:
         self.identity = identity
         self.generators = tuple(generators)
         self.compose: Callable = compose
-        self.invert: Callable = invert
         self.order = order
         self.dihedral_m = dihedral_m
         self._render = render
@@ -183,15 +127,6 @@ class CoxeterSystem:
         except ValueError:
             valid = ", ".join(f"s{s}" for s in self.gen_subscripts)
             raise ValueError(f"unknown generator s{subscript}; valid: {valid}") from None
-
-    def word_element(self, word: Iterable[int]):
-        """Product of generators given by position indices (empty word = e)."""
-        e = self.identity
-        for gi in word:
-            if not 0 <= gi < self.rank:
-                raise ValueError(f"generator index {gi} out of range 0..{self.rank - 1}")
-            e = self.compose(e, self.generators[gi])
-        return e
 
     def render_element(self, elem) -> str:
         if self._render is not None:
@@ -232,7 +167,7 @@ def build_system(label: str, rank: int | None = None, m: int | None = None) -> C
             order *= k
         mat = _chain_matrix(rank, {(i, i + 1): 3 for i in range(rank - 1)})
         return CoxeterSystem("A", rank, mat, range(1, rank + 1), ident, gens,
-                             _perm_compose, _perm_invert, order,
+                             _perm_compose, order,
                              render=_render_perm)
     if label == "B":
         if rank is None or rank < 2:
@@ -251,7 +186,7 @@ def build_system(label: str, rank: int | None = None, m: int | None = None) -> C
         bonds.update({(i, i + 1): 3 for i in range(1, n - 1)})
         mat = _chain_matrix(rank, bonds)
         return CoxeterSystem("B", rank, mat, range(1, rank + 1), ident, gens,
-                             _signed_compose, _signed_invert, order,
+                             _signed_compose, order,
                              render=_render_signed)
     if label == "D":
         if rank is None or rank < 4:
@@ -272,7 +207,7 @@ def build_system(label: str, rank: int | None = None, m: int | None = None) -> C
         bonds.update({(i, i + 1): 3 for i in range(2, n - 1)})
         mat = _chain_matrix(rank, bonds)
         return CoxeterSystem("D", rank, mat, range(0, rank), ident, gens,
-                             _signed_compose, _signed_invert, order,
+                             _signed_compose, order,
                              render=_render_signed)
     if label == "H3":
         if rank not in (None, 3):
@@ -281,7 +216,7 @@ def build_system(label: str, rank: int | None = None, m: int | None = None) -> C
         ident = tuple((1, 0) if i == j else (0, 0) for i in range(3) for j in range(3))
         gens = [_reflection_matrix(mat[i], i) for i in range(3)]
         return CoxeterSystem("H3", 3, mat, range(1, 4), ident, gens,
-                             _mat3_compose, _mat3_invert, 120)
+                             _mat3_compose, 120)
     if label == "I2":
         if m is None or m < 3:
             raise ValueError(f"type I2(m) requires m >= 3, got {m}")
@@ -293,13 +228,9 @@ def build_system(label: str, rank: int | None = None, m: int | None = None) -> C
             e2, c2 = b
             return (e1 * e2, (e1 * c2 + c1) % _m)
 
-        def invert(a, _m=m):
-            e1, c1 = a
-            return (e1, (-e1 * c1) % _m)
-
         mat = _chain_matrix(2, {(0, 1): m})
         return CoxeterSystem("I2", 2, mat, range(1, 3), ident, gens,
-                             compose, invert, 2 * m, dihedral_m=m)
+                             compose, 2 * m, dihedral_m=m)
     raise ValueError(f"unknown type {label!r}; valid: A, B, D, H3, I2")
 
 
@@ -324,6 +255,18 @@ def _bits(mask: int):
         mask ^= low
 
 
+def _downsets(covers_down: list[list[int]]) -> list[int]:
+    """Reachability bitsets of a cover relation on length-graded indices,
+    where every lower cover of w has a smaller index than w."""
+    down: list[int] = []
+    for w, lows in enumerate(covers_down):
+        m = 1 << w
+        for u in lows:
+            m |= down[u]
+        down.append(m)
+    return down
+
+
 class BruhatPoset:
     """A fully enumerated finite Coxeter group with its orders materialized.
 
@@ -340,26 +283,29 @@ class BruhatPoset:
         compose = system.compose
         gens = system.generators
 
+        # BFS by right multiplication, visiting indices in the order they are
+        # assigned, so right_mult gains its rows in index order and indices
+        # are length-graded.  Every other table is read off right_mult.
         elements = [system.identity]
         index = {system.identity: 0}
         length = [0]
         word: list[tuple[int, ...]] = [()]
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                eu = elements[u]
-                wu = word[u]
-                lu = length[u]
-                for gi, g in enumerate(gens):
-                    v = compose(eu, g)
-                    if v not in index:
-                        index[v] = len(elements)
-                        elements.append(v)
-                        length.append(lu + 1)
-                        word.append(wu + (gi,))
-                        nxt.append(index[v])
-            frontier = nxt
+        right_mult: list[list[int]] = []
+        u = 0
+        while u < len(elements):
+            eu, wu, lu = elements[u], word[u], length[u]
+            row = []
+            for gi, g in enumerate(gens):
+                v = compose(eu, g)
+                j = index.get(v)
+                if j is None:
+                    j = index[v] = len(elements)
+                    elements.append(v)
+                    length.append(lu + 1)
+                    word.append(wu + (gi,))
+                row.append(j)
+            right_mult.append(row)
+            u += 1
         if len(elements) != system.order:
             raise AssertionError(
                 f"enumerated {len(elements)} elements, classification says {system.order}")
@@ -369,11 +315,11 @@ class BruhatPoset:
         self.index = index
         self.length = length
         self.word = word
-        self.right_mult = [[index[compose(elements[u], g)] for g in gens]
-                           for u in range(self.size)]
-        self.left_mult = [[index[compose(g, elements[u])] for g in gens]
+        self.right_mult = right_mult
+        self.inverse = inverse = [self.apply_word(wd[::-1]) for wd in word]
+        # s u = (u^-1 s)^-1
+        self.left_mult = [[inverse[j] for j in right_mult[inverse[u]]]
                           for u in range(self.size)]
-        self.inverse = [index[system.invert(e)] for e in elements]
 
         max_len = max(length)
         self.max_length = max_len
@@ -385,32 +331,32 @@ class BruhatPoset:
             raise AssertionError("longest element is not unique")
         self.w0 = tops[0]
 
-        covers_down = [[] for _ in range(self.size)]
-        for t in self.reflections():
-            et = elements[t]
-            for u in range(self.size):
-                w = index[compose(elements[u], et)]
-                if length[w] == length[u] + 1:
-                    covers_down[w].append(u)
+        # Lifting property (Bjorner-Brenti, GTM 231, Prop. 2.2.7): if s is a
+        # right descent of w, the lower covers of w are ws together with
+        # every vs where v is a lower cover of ws and vs > v.  Take s the
+        # last letter of w's BFS word, so ws is its BFS parent and its
+        # covers are already known.
+        covers_down: list[list[int]] = [[]]
+        for w in range(1, self.size):
+            s = word[w][-1]
+            ws = right_mult[w][s]
+            lows = [ws]
+            for v in covers_down[ws]:
+                vs = right_mult[v][s]
+                if length[vs] > length[v]:
+                    lows.append(vs)
+            covers_down.append(lows)
         self.covers_down = covers_down
-        self.covers_up = [[] for _ in range(self.size)]
-        for w, lows in enumerate(covers_down):
-            for u in lows:
-                self.covers_up[u].append(w)
-
-        down = [0] * self.size
-        for w in sorted(range(self.size), key=length.__getitem__):
-            m = 1 << w
-            for u in covers_down[w]:
-                m |= down[u]
-            down[w] = m
-        self._down = down
+        self._down = _downsets(covers_down)
         self._weak_down = {"L": None, "R": None}
 
     # -- element arithmetic by index
 
     def mult(self, a: int, b: int) -> int:
-        return self.index[self.system.compose(self.elements[a], self.elements[b])]
+        right_mult = self.right_mult
+        for gi in self.word[b]:
+            a = right_mult[a][gi]
+        return a
 
     def inv(self, a: int) -> int:
         return self.inverse[a]
@@ -465,17 +411,10 @@ class BruhatPoset:
         table = self.left_mult if side == "L" else self.right_mult
         covers_down = [[] for _ in range(self.size)]
         for u in range(self.size):
-            for gi in range(self.system.rank):
-                w = table[u][gi]
+            for w in table[u]:
                 if self.length[w] == self.length[u] + 1:
                     covers_down[w].append(u)
-        down = [0] * self.size
-        for w in sorted(range(self.size), key=self.length.__getitem__):
-            m = 1 << w
-            for u in covers_down[w]:
-                m |= down[u]
-            down[w] = m
-        self._weak_down[side] = down
+        down = self._weak_down[side] = _downsets(covers_down)
         return down
 
     def weak_leq(self, u: int, w: int, side: str = "L") -> bool:

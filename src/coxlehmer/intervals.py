@@ -14,12 +14,13 @@ import itertools
 from functools import lru_cache
 
 from .codes import LehmerCode
-from .coxeter import BruhatPoset, _bits
+from .coxeter import BruhatPoset, SizeLimitError, _bits
 from .multicomplex import ChainProduct, OrderIdeal, is_order_ideal, meet
 from .qpoly import IntPolynomial, q_analog_product
 from .simplicial import SimplicialComplex, build_box_complex, complex_of_ideal, shelling_h_polynomial
 
 ROUTES = ("direct", "complex", "maxima")
+MAXIMA_LIMIT = 20
 
 
 class InvalidCodeImage(RuntimeError):
@@ -61,13 +62,14 @@ def _box_poly(dims: tuple[int, ...]) -> IntPolynomial:
 
 
 def interval_poincare(w: int, code: LehmerCode, route: str = "direct",
-                      max_maxima: int = 20) -> IntPolynomial:
+                      max_maxima: int = MAXIMA_LIMIT) -> IntPolynomial:
     """Rank generating function of {v : v <= w} by the chosen route.
 
     "direct" sums q^length over the interval; "complex" reads the h-vector
     off a shelling of the interval's complex; "maxima" runs
     inclusion-exclusion over subsets of the ideal's maximal points, with
-    meets taken componentwise.
+    meets taken componentwise; it raises SizeLimitError beyond
+    `max_maxima` maxima, since it runs 2^k - 1 terms.
     """
     if route == "direct":
         return IntPolynomial(code.poset.interval_poincare_coeffs(w))
@@ -76,8 +78,10 @@ def interval_poincare(w: int, code: LehmerCode, route: str = "direct",
     if route == "maxima":
         maxs = sorted(interval_ideal(w, code).maxima())
         if len(maxs) > max_maxima:
-            raise ValueError(
-                f"{len(maxs)} maxima exceeds the inclusion-exclusion bound {max_maxima}")
+            raise SizeLimitError(
+                f"{len(maxs)} maxima exceeds the inclusion-exclusion bound {max_maxima}; "
+                f"the direct and complex routes have no such bound "
+                f"(--route direct or --route complex)")
         total = IntPolynomial()
         k = len(maxs)
 
@@ -127,11 +131,9 @@ def principal_set(code: LehmerCode) -> list[int]:
 
 
 def code_orbit(w: int, code: LehmerCode,
-               principal_vectors: frozenset | None = None) -> set[tuple[int, ...]]:
+               principal_vectors: frozenset) -> set[tuple[int, ...]]:
     """Principal code vectors that are coordinate permutations of L(w)."""
-    if principal_vectors is None:
-        principal_vectors = frozenset(code.of(u) for u in principal_set(code))
-    return set(itertools.permutations(code.of(w))) & set(principal_vectors)
+    return set(itertools.permutations(code.of(w))) & principal_vectors
 
 
 def unimodal_set(code: LehmerCode) -> list[int]:

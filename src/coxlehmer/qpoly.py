@@ -34,9 +34,6 @@ class IntPolynomial:
         """Degree of the polynomial; the zero polynomial has degree -1."""
         return len(self.coeffs) - 1
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def coeff(self, i: int) -> int:
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
 
@@ -81,12 +78,6 @@ class IntPolynomial:
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
-
-    def shift(self, k: int) -> "IntPolynomial":
-        """Multiply by q^k."""
-        if not self.coeffs:
-            return self
-        return IntPolynomial((0,) * k + self.coeffs)
 
     def text(self) -> str:
         """Render like "1 + 3*q + 5*q^2 + 4*q^3 + q^4"."""

@@ -25,13 +25,6 @@ from .report import Report
 SMOOTH_PATTERNS = ((3, 4, 1, 2), (4, 2, 3, 1))
 
 
-def perm_inverse(w):
-    inv = [0] * len(w)
-    for i, v in enumerate(w):
-        inv[v - 1] = i + 1
-    return tuple(inv)
-
-
 def perm_length(w):
     return sum(1 for i in range(len(w)) for j in range(i + 1, len(w)) if w[i] > w[j])
 

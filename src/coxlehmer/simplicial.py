@@ -14,13 +14,9 @@ from __future__ import annotations
 
 from typing import Hashable, Iterable, Sequence
 
-from .coxeter import _bits
+from .coxeter import SizeLimitError, _bits
 from .multicomplex import ChainProduct, OrderIdeal
 from .qpoly import IntPolynomial
-
-
-class ComplexSizeError(RuntimeError):
-    """Raised instead of guessing when a check would exceed its size limit."""
 
 
 class SimplicialComplex:
@@ -70,15 +66,6 @@ class SimplicialComplex:
 
     def _unpack(self, mask: int) -> frozenset:
         return frozenset(self.vertices[b] for b in _bits(mask))
-
-    def is_face(self, vs: Iterable[Hashable]) -> bool:
-        m = 0
-        for v in vs:
-            i = self.vertex_index.get(v)
-            if i is None:
-                return False
-            m |= 1 << i
-        return any(m & ~f == 0 for f in self.facets)
 
     def label_index(self):
         if self.labels is None:
@@ -315,13 +302,13 @@ def _vd(facets: tuple[int, ...]) -> bool:
 def is_vertex_decomposable(sc: SimplicialComplex, max_facets: int = 20) -> bool:
     """Recursive shedding-vertex check with memoization.
 
-    Raises ComplexSizeError beyond `max_facets` rather than running an
+    Raises SizeLimitError beyond `max_facets` rather than running an
     unbounded search.
     """
     if not sc.is_pure():
         raise ValueError("vertex decomposability here applies to pure complexes")
     if sc.facet_count > max_facets:
-        raise ComplexSizeError(
+        raise SizeLimitError(
             f"{sc.facet_count} facets exceeds the limit {max_facets}; raise max_facets")
     return _vd(sc.facets)
 

@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -243,3 +245,66 @@ def test_cold_query_enumerates_once(capsys, monkeypatch):
     assert code == 0
     assert json.loads(out)["routes"]["direct"] == [1, 3, 3, 1]
     assert built == ["D4"]
+
+
+def test_maxima_bound_is_a_size_refusal(capsys):
+    # 30 maxima: the maxima route refuses with exit 2 and points at the
+    # routes that have no bound; the complex route answers
+    argv = ("hpoly", "--type", "D", "--rank", "5", "--perm=1,2,-4,3,-5")
+    code, out, err = run(capsys, *argv, "--route", "maxima")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: 30 maxima exceeds") and err.count("\n") == 1
+    assert "--route direct" in err and "--route complex" in err
+    assert "Traceback" not in err
+    code, out, _ = run(capsys, *argv, "--route", "complex")
+    assert code == 0
+    assert out.startswith("complex ")
+
+
+def readme_schemas() -> dict[str, list[str]]:
+    """Top-level keys of each `label`: `{...}` bullet under README's
+    "JSON schemas" heading."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text.split("## JSON schemas", 1)[1].split("\n## ", 1)[0]
+    schemas = {}
+    for bullet in section.split("\n- ")[1:]:
+        bullet = " ".join(bullet.split())
+        head = re.match(r"`([^`]+)`: `\{", bullet)
+        if head is None:
+            continue
+        depth, keys = 0, []
+        for tok in re.finditer(r'[{}]|"([\w-]+)"', bullet[head.end():]):
+            if tok.group() == "{":
+                depth += 1
+            elif tok.group() == "}":
+                if depth == 0:
+                    break
+                depth -= 1
+            elif depth == 0:
+                keys.append(tok.group(1))
+        schemas[head.group(1)] = keys
+    return schemas
+
+
+A3 = ("--type", "A", "--rank", "3")
+README_RUNS = {
+    "code --json": [("code", *A3, "--perm", "3412", "--json")],
+    "hpoly --json": [("hpoly", *A3, "--perm", "3412", "--json")],
+    "complex": [("complex", *A3), ("complex", *A3, "--perm", "3412")],
+    "classify --what principal|unimodal": [("classify", *A3, "--what", "principal"),
+                                           ("classify", *A3, "--what", "unimodal")],
+    "classify --what smooth|pal": [("classify", *A3, "--what", "smooth"),
+                                   ("classify", *A3, "--what", "pal")],
+    "verify --json": [("verify", "catalan", "--n", "4", "--json")],
+}
+
+
+def test_readme_json_schemas_match_output(capsys):
+    schemas = readme_schemas()
+    assert set(schemas) == set(README_RUNS)
+    for label, runs in README_RUNS.items():
+        for argv in runs:
+            code, out, _ = run(capsys, *argv)
+            assert code == 0, argv
+            assert sorted(json.loads(out)) == sorted(schemas[label]), argv

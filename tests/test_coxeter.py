@@ -376,3 +376,41 @@ def test_exponents_failure_is_loud(a3, monkeypatch):
                         lambda self: IntPolynomial([1, 1, 2]))
     with pytest.raises(ArithmeticError, match="factor"):
         a3.exponents()
+
+
+ORACLE_GROUPS = ([("A", r, None) for r in range(1, 6)]
+                 + [("B", r, None) for r in range(2, 6)]
+                 + [("D", 4, None), ("D", 5, None), ("H3", None, None)]
+                 + [("I2", None, m) for m in range(3, 11)])
+
+
+@pytest.mark.parametrize("label,rank,m", ORACLE_GROUPS,
+                         ids=[build_system(*g).describe() for g in ORACLE_GROUPS])
+def test_tables_match_compose_oracle(label, rank, m):
+    # slow reference: covers from every reflection times every element,
+    # products and left multiplication through system.compose on
+    # canonical elements
+    import random
+
+    p = BruhatPoset(build_system(label, rank, m))
+    compose, elements, index = p.system.compose, p.elements, p.index
+    covers = [set() for _ in range(p.size)]
+    for t in p.reflections():
+        for u in range(p.size):
+            w = index[compose(elements[u], elements[t])]
+            if p.length[w] == p.length[u] + 1:
+                covers[w].add(u)
+    assert [set(c) for c in p.covers_down] == covers
+    assert all(len(c) == len(set(c)) for c in p.covers_down)
+    assert p.left_mult == [[index[compose(g, e)] for g in p.system.generators]
+                           for e in elements]
+    if p.size <= 120:
+        pairs = [(a, b) for a in range(p.size) for b in range(p.size)]
+    else:
+        rng = random.Random(p.size)
+        pairs = [(rng.randrange(p.size), rng.randrange(p.size)) for _ in range(5000)]
+    for a, b in pairs:
+        assert p.mult(a, b) == index[compose(elements[a], elements[b])]
+    for w in range(p.size):
+        assert p.mult(w, p.inverse[w]) == p.mult(p.inverse[w], w) == 0
+        assert compose(elements[w], elements[p.inverse[w]]) == p.system.identity

@@ -1,7 +1,7 @@
 import pytest
 
 from coxlehmer.codes import shared_standard_code
-from coxlehmer.coxeter import shared_poset
+from coxlehmer.coxeter import SizeLimitError, shared_poset
 from coxlehmer.intervals import (
     InvalidCodeImage,
     code_leq,
@@ -133,7 +133,7 @@ def test_route_agreement_everywhere_a3(a3, la3):
 
 def test_maxima_route_bound(a3, la3):
     w = a3.index[(3, 4, 1, 2)]
-    with pytest.raises(ValueError, match="exceeds"):
+    with pytest.raises(SizeLimitError, match="exceeds"):
         interval_poincare(w, la3, "maxima", max_maxima=2)
 
 

@@ -1,5 +1,6 @@
 import pytest
 
+from coxlehmer.coxeter import SizeLimitError
 from coxlehmer.multicomplex import (
     ChainProduct,
     all_order_ideals,
@@ -9,7 +10,6 @@ from coxlehmer.multicomplex import (
 )
 from coxlehmer.qpoly import IntPolynomial, q_analog
 from coxlehmer.simplicial import (
-    ComplexSizeError,
     SimplicialComplex,
     build_box_complex,
     complex_of_ideal,
@@ -174,7 +174,7 @@ def test_vd_triangle_boundary_and_path():
 
 def test_vd_size_limit():
     sc = build_box_complex((2, 3))
-    with pytest.raises(ComplexSizeError, match="facets"):
+    with pytest.raises(SizeLimitError, match="facets"):
         is_vertex_decomposable(sc, max_facets=3)
 
 
