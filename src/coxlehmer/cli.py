@@ -14,6 +14,7 @@ uses exact integers.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 import time
@@ -119,13 +120,11 @@ def _parse_perm(poset: BruhatPoset, text: str) -> int:
     if label not in ("A", "B", "D"):
         raise CLIError(f"--perm applies to types A, B, D; use --word for {label}")
     text = text.strip()
-    if any(c in text for c in ", -"):
-        try:
-            vals = tuple(int(t) for t in text.replace(",", " ").split())
-        except ValueError:
-            raise CLIError(f"cannot read one-line element {text!r}") from None
-    else:
-        vals = tuple(int(c) for c in text)
+    tokens = text.replace(",", " ").split() if any(c in text for c in ", -") else text
+    try:
+        vals = tuple(int(t) for t in tokens)
+    except ValueError:
+        raise CLIError(f"cannot read one-line element {text!r}") from None
     if vals not in poset.index:
         n = poset.system.rank + 1 if label == "A" else poset.system.rank
         raise CLIError(f"{vals} is not an element of {poset.system.describe()} "
@@ -237,14 +236,22 @@ def cmd_classify(args) -> int:
 def cmd_verify(args) -> int:
     opts = {"seed": args.seed, "max_rank": args.max_rank}
     if args.n is not None:
+        fn = SUITES.get(args.suite)
+        if fn is not None and "n" not in inspect.signature(fn).parameters:
+            raise CLIError(f"suite {args.suite} takes no --n")
         opts["n"] = args.n
     started = time.monotonic()
     report = run_suite(args.suite, **opts)
     seconds = round(time.monotonic() - started, 3)
+    if not report.instances:
+        raise CLIError(f"suite {args.suite} ran 0 checks, so it verified nothing")
     doc = report.to_json()
     doc.update({"suite": args.suite, "seconds": seconds, "seed": args.seed})
     if args.out:
-        Path(args.out).write_text(json.dumps(doc, indent=1))
+        try:
+            Path(args.out).write_text(json.dumps(doc, indent=1))
+        except OSError as exc:
+            raise CLIError(f"cannot write the report to {args.out}: {exc.strerror or exc}") from None
     if args.json:
         print(json.dumps(doc))
     else:

@@ -3,14 +3,16 @@
 Points are stored zero-based, so the rank of a point is the plain sum of its
 entries; the one-based view used by the facet construction shifts at that
 boundary only.  Includes the Macaulay growth test characterizing f-vectors
-of multicomplexes, and exhaustive or seeded-random linear extensions.
+of multicomplexes, and exhaustive, counted or seeded-random linear
+extensions, all driven by one `Frontier`: the sorted minimal points of what
+is left of an ideal, kept by counting each point's untaken lower covers.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, insort
 from dataclasses import dataclass
-from functools import lru_cache
 from math import comb
 from typing import Iterable, Iterator
 
@@ -183,62 +185,105 @@ def is_m_sequence(coeffs: Iterable[int]) -> bool:
 # linear extensions
 
 
-def _minimal_points(remaining: set) -> list[tuple[int, ...]]:
-    # valid while the removed prefix is downward closed
-    return sorted(p for p in remaining
-                  if not any(q in remaining for q in lower_covers(p)))
+class Frontier:
+    """The minimal points of an ideal once a prefix of it has been taken.
+
+    `minimal` stays sorted (`bisect.insort`), and `_waiting[p]` counts the
+    lower covers of p not yet taken, so p is minimal exactly when it is
+    untaken and its count is zero.  `take` accepts only minimal points, so
+    the taken prefix is always an order ideal; `give_back` undoes the last
+    `take` still standing, which makes depth-first walks exact.
+    """
+
+    __slots__ = ("minimal", "_above", "_waiting")
+
+    def __init__(self, ideal: OrderIdeal):
+        pts = ideal.points
+        dims = ideal.ambient.dims
+        self._above = {p: [q for q in upper_covers(p, dims) if q in pts] for p in pts}
+        # one lower cover per nonzero coordinate, and all lie in the ideal
+        self._waiting = {p: sum(1 for x in p if x) for p in pts}
+        self.minimal = sorted(p for p, k in self._waiting.items() if not k)
+
+    def take(self, p: tuple[int, ...]) -> None:
+        minimal = self.minimal
+        i = bisect_left(minimal, p)
+        if i == len(minimal) or minimal[i] != p:
+            raise ValueError(f"point {p} is not minimal among the untaken points")
+        del minimal[i]
+        waiting = self._waiting
+        for q in self._above[p]:
+            waiting[q] -= 1
+            if not waiting[q]:
+                insort(minimal, q)
+
+    def give_back(self, p: tuple[int, ...]) -> None:
+        minimal = self.minimal
+        waiting = self._waiting
+        for q in self._above[p]:
+            if not waiting[q]:
+                del minimal[bisect_left(minimal, q)]
+            waiting[q] += 1
+        insort(minimal, p)
 
 
 def linear_extensions(ideal: OrderIdeal) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """Exhaustively generate every linear extension."""
-    remaining = set(ideal.points)
-    acc: list = []
+    """Exhaustively generate every linear extension, in lexicographic order."""
+    yield from _extensions(Frontier(ideal), [])
 
-    def rec():
-        if not remaining:
-            yield tuple(acc)
-            return
-        for p in _minimal_points(remaining):
-            remaining.remove(p)
-            acc.append(p)
-            yield from rec()
-            acc.pop()
-            remaining.add(p)
 
-    yield from rec()
+def _extensions(frontier: Frontier, acc: list) -> Iterator[tuple[tuple[int, ...], ...]]:
+    minimal = frontier.minimal
+    if not minimal:
+        yield tuple(acc)
+        return
+    # the frontier is restored after each child, so positions are stable
+    for i in range(len(minimal)):
+        p = minimal[i]
+        frontier.take(p)
+        acc.append(p)
+        yield from _extensions(frontier, acc)
+        acc.pop()
+        frontier.give_back(p)
 
 
 def count_linear_extensions(ideal: OrderIdeal, cap: int | None = None) -> int:
     """Number of linear extensions; stops early once `cap` is exceeded."""
+    return _count(Frontier(ideal), frozenset(ideal.points), cap, {})
 
-    @lru_cache(maxsize=None)
-    def count(remaining: frozenset) -> int:
-        if not remaining:
-            return 1
-        total = 0
-        rem = set(remaining)
-        for p in _minimal_points(rem):
-            total += count(remaining - {p})
-            if cap is not None and total > cap:
-                return total
-        return total
 
-    result = count(frozenset(ideal.points))
-    count.cache_clear()
-    return result
+def _count(frontier: Frontier, remaining: frozenset, cap: int | None, memo: dict) -> int:
+    if not remaining:
+        return 1
+    hit = memo.get(remaining)
+    if hit is not None:
+        return hit
+    total = 0
+    minimal = frontier.minimal
+    for i in range(len(minimal)):
+        p = minimal[i]
+        frontier.take(p)
+        total += _count(frontier, remaining - {p}, cap, memo)
+        frontier.give_back(p)
+        if cap is not None and total > cap:
+            break
+    memo[remaining] = total
+    return total
 
 
 def sample_linear_extensions(ideal: OrderIdeal, count: int,
                              seed: int) -> Iterator[tuple[tuple[int, ...], ...]]:
     """Seeded random topological shuffles (uniform choice among minima)."""
     rng = random.Random(seed)
+    frontier = Frontier(ideal)
     for _ in range(count):
-        remaining = set(ideal.points)
         out = []
-        while remaining:
-            p = rng.choice(_minimal_points(remaining))
-            remaining.remove(p)
+        while frontier.minimal:
+            p = rng.choice(frontier.minimal)
+            frontier.take(p)
             out.append(p)
+        for p in reversed(out):
+            frontier.give_back(p)
         yield tuple(out)
 
 

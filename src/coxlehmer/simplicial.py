@@ -2,7 +2,9 @@
 
 Houses the complex built from a product of chains (one facet per box point,
 per the displayed union of punctured coordinate classes), shelling
-verification with restriction sets, the f/h transforms, and the recursive
+verification with restriction sets for any facet order, the incremental
+`ShellingState` that checks box complexes one facet at a time along linear
+extensions of an order ideal, the f/h transforms, and the recursive
 vertex-decomposability and flag checks.
 
 Vertices of box complexes are (value, coordinate) pairs with values written
@@ -15,7 +17,7 @@ from __future__ import annotations
 from typing import Hashable, Iterable, Sequence
 
 from .coxeter import SizeLimitError, _bits
-from .multicomplex import ChainProduct, OrderIdeal
+from .multicomplex import ChainProduct, OrderIdeal, lower_covers
 from .qpoly import IntPolynomial
 
 
@@ -201,6 +203,123 @@ def verify_shelling(sc: SimplicialComplex, order: Sequence[int]) -> ShellingResu
                           h_vector=tuple(h_vector))
 
 
+class ShellingState:
+    """The shelling condition checked one facet at a time along a growing
+    order ideal of a box complex, with exact undo.
+
+    `push(point)` appends the facet of a zero-based box point and returns
+    whether the order so far still shells; `pop()` undoes the last push.
+    The state keeps the multiset of codim-1 subfaces seen, the h-vector
+    counts, and the prefix both as a set and in push order (`order`).
+    Restriction sets are computed but never unpacked.
+
+    The question "is G_j inside an earlier facet" takes O(d): a facet
+    contains G_j iff in every coordinate class its missing vertex avoids
+    G_j, so the facets containing G_j are those of a product set of box
+    points, and its least point x lies in the prefix iff some point of the
+    set does, because the prefix is an order ideal.  `push` enforces that
+    premise, and the constructor checks the box structure it rests on.
+    """
+
+    def __init__(self, sc: SimplicialComplex):
+        dims = sc.dims
+        if sc.labels is None or dims is None:
+            raise ValueError("incremental shelling needs a labeled box complex")
+        try:
+            classes = [sum(1 << sc.vertex_index[(v, i)] for v in range(1, d + 1))
+                       for i, d in enumerate(dims, start=1)]
+        except KeyError:
+            raise ValueError(f"vertices are not the coordinate classes of {dims}") from None
+        if sum(m.bit_count() for m in classes) != len(sc.vertices):
+            raise ValueError(f"vertices are not the coordinate classes of {dims}")
+        # _missing[i][x] is the vertex of class i that facets with x_i = x omit
+        self._missing = [[None] * d for d in dims]
+        self._facet = {}
+        for label, facet in zip(sc.labels, sc.facets):
+            if len(label) != len(dims) or any(not 1 <= x <= d for x, d in zip(label, dims)):
+                raise ValueError(f"label {label} is not a point of the box {dims}")
+            point = tuple(x - 1 for x in label)
+            for i, cls in enumerate(classes):
+                gone = cls & ~facet
+                if gone.bit_count() != 1:
+                    raise ValueError(f"facet {label} does not miss exactly one "
+                                     f"vertex of coordinate class {i + 1}")
+                if self._missing[i][point[i]] not in (None, gone):
+                    raise ValueError(f"the vertex of class {i + 1} missing from facet "
+                                     f"{label} depends on more than coordinate {i + 1}")
+                self._missing[i][point[i]] = gone
+            # (codim-1 subface, the vertex it drops) for each vertex of the facet
+            self._facet[point] = ([(facet ^ 1 << b, 1 << b) for b in _bits(facet)],
+                                  tuple(lower_covers(point)))
+        self._subfaces: dict[int, int] = {}
+        self._h = [0] * (sc.facets[0].bit_count() + 1)
+        self.prefix: set[tuple[int, ...]] = set()
+        self.order: list[tuple[int, ...]] = []
+        self._restrictions: list[int] = []
+        self.violation = None
+
+    @property
+    def h_vector(self) -> tuple[int, ...]:
+        return tuple(self._h)
+
+    def push(self, point: tuple[int, ...]) -> bool:
+        """Append the facet of `point`.  On failure the state is unchanged
+        and `violation` names the earlier point whose facet contains G_j."""
+        try:
+            subfaces, below = self._facet[point]
+        except KeyError:
+            raise ValueError(f"point {point} has no facet in this complex") from None
+        prefix = self.prefix
+        if point in prefix or not prefix.issuperset(below):
+            raise ValueError(f"point {point} is not minimal outside the prefix")
+        seen = self._subfaces
+        gj = 0
+        for sub, vertex in subfaces:
+            if sub in seen:
+                gj |= vertex
+        least = self.least_container(gj)
+        if least in prefix:
+            self.violation = (least, point)
+            return False
+        for sub, _ in subfaces:
+            seen[sub] = seen.get(sub, 0) + 1
+        self._h[gj.bit_count()] += 1
+        prefix.add(point)
+        self.order.append(point)
+        self._restrictions.append(gj)
+        return True
+
+    def least_container(self, face: int) -> tuple[int, ...] | None:
+        """The least zero-based point, among coordinates some facet
+        carries, whose facet contains the face mask; None if there is none.
+
+        Per class it is the least coordinate whose missing vertex avoids
+        `face`, since containment is decided class by class.
+        """
+        least = []
+        for missing in self._missing:
+            for x, gone in enumerate(missing):
+                if gone is not None and not gone & face:
+                    least.append(x)
+                    break
+            else:
+                return None
+        return tuple(least)
+
+    def pop(self) -> tuple[int, ...]:
+        """Undo the last successful push and return its point."""
+        point = self.order.pop()
+        seen = self._subfaces
+        for sub, _ in self._facet[point][0]:
+            if seen[sub] == 1:
+                del seen[sub]
+            else:
+                seen[sub] -= 1
+        self._h[self._restrictions.pop().bit_count()] -= 1
+        self.prefix.remove(point)
+        return point
+
+
 def order_from_extension(sc: SimplicialComplex,
                          extension: Sequence[tuple[int, ...]]) -> list[int]:
     """Facet order induced by a linear extension of zero-based ideal points."""
@@ -361,8 +480,6 @@ def is_flag_ideal(ideal: OrderIdeal) -> bool:
         return True
     for p in ideal.ambient.points():
         if p not in ideal:
-            from .multicomplex import lower_covers
-
             if all(q in ideal for q in lower_covers(p)) and sum(p) > 2:
                 return False
     return True

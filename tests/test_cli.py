@@ -146,6 +146,27 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     assert "synthetic" in out
 
 
+def test_verify_out_unwritable_is_exit_2(capsys, tmp_path):
+    target = tmp_path / "missing" / "x.json"
+    code, _, err = run(capsys, "verify", "exponents", "--out", str(target))
+    assert code == 2
+    assert err.startswith("error: cannot write the report to")
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["catalan", "--n", "1"], "ran 0 checks"),
+    (["catalan", "--n", "-3"], "ran 0 checks"),
+    (["shellings", "--n", "3"], "takes no --n"),
+])
+def test_verify_never_passes_vacuously(capsys, argv, message):
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 2
+    assert "PASS" not in out
+    assert err.startswith("error:") and message in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_unknown_suite_lists_names(capsys):
     code, _, err = run(capsys, "verify", "nope")
     assert code == 2
@@ -164,6 +185,12 @@ def test_bad_perm(capsys):
                        "--perm", "3413")
     assert code == 2
     assert "not an element" in err
+
+
+def test_unreadable_perm(capsys):
+    code, _, err = run(capsys, "code", "--type", "A", "--rank", "2", "--perm", "3x2")
+    assert code == 2
+    assert err.strip() == "error: cannot read one-line element '3x2'"
 
 
 def test_missing_element(capsys):

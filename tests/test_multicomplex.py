@@ -1,7 +1,11 @@
+import random
+from functools import lru_cache
+
 import pytest
 
 from coxlehmer.multicomplex import (
     ChainProduct,
+    Frontier,
     OrderIdeal,
     all_order_ideals,
     count_linear_extensions,
@@ -11,6 +15,7 @@ from coxlehmer.multicomplex import (
     is_m_sequence,
     is_order_ideal,
     linear_extensions,
+    lower_covers,
     meet,
     random_order_ideals,
     sample_linear_extensions,
@@ -154,6 +159,98 @@ def test_sampled_extensions_are_extensions_and_deterministic():
     for ext in a:
         assert is_linear_extension(j, ext)
     assert list(sample_linear_extensions(j, 10, seed=43)) != a
+
+
+# The generators as they were before the frontier: the minimal points are
+# re-scanned from the remaining set at every step.  Kept as the oracle.
+
+
+def _old_minimal_points(remaining):
+    return sorted(p for p in remaining
+                  if not any(q in remaining for q in lower_covers(p)))
+
+
+def _old_linear_extensions(ideal):
+    remaining = set(ideal.points)
+    acc = []
+
+    def rec():
+        if not remaining:
+            yield tuple(acc)
+            return
+        for p in _old_minimal_points(remaining):
+            remaining.remove(p)
+            acc.append(p)
+            yield from rec()
+            acc.pop()
+            remaining.add(p)
+
+    yield from rec()
+
+
+def _old_count_linear_extensions(ideal, cap=None):
+    @lru_cache(maxsize=None)
+    def count(remaining):
+        if not remaining:
+            return 1
+        total = 0
+        for p in _old_minimal_points(set(remaining)):
+            total += count(remaining - {p})
+            if cap is not None and total > cap:
+                return total
+        return total
+
+    return count(frozenset(ideal.points))
+
+
+def _old_sample_linear_extensions(ideal, count, seed):
+    rng = random.Random(seed)
+    for _ in range(count):
+        remaining = set(ideal.points)
+        out = []
+        while remaining:
+            p = rng.choice(_old_minimal_points(remaining))
+            remaining.remove(p)
+            out.append(p)
+        yield tuple(out)
+
+
+@pytest.mark.parametrize("dims", [(2, 3), (2, 2, 2), (2, 2, 3), (3, 3)])
+def test_frontier_generators_match_rescanning_oracle(dims):
+    for j in all_order_ideals(ChainProduct(dims)):
+        assert list(linear_extensions(j)) == list(_old_linear_extensions(j))
+        assert count_linear_extensions(j) == _old_count_linear_extensions(j)
+        assert count_linear_extensions(j, cap=3) == _old_count_linear_extensions(j, cap=3)
+        total = count_linear_extensions(j)
+        for cap in range(total + 1):  # a capped count exceeds the cap iff the count does
+            assert (count_linear_extensions(j, cap=cap) > cap) == (total > cap)
+        assert (list(sample_linear_extensions(j, 5, seed=7))
+                == list(_old_sample_linear_extensions(j, 5, seed=7)))
+
+
+def test_frontier_generators_match_oracle_on_seeded_3x3x4_ideals():
+    for k, j in enumerate(random_order_ideals(ChainProduct((3, 3, 4)), 20, seed=11)):
+        capped = count_linear_extensions(j, cap=500)
+        assert capped == _old_count_linear_extensions(j, cap=500)
+        if capped <= 500:
+            assert list(linear_extensions(j)) == list(_old_linear_extensions(j))
+        assert (list(sample_linear_extensions(j, 10, seed=k))
+                == list(_old_sample_linear_extensions(j, 10, seed=k)))
+
+
+def test_frontier_take_and_give_back():
+    j = full_ideal(ChainProduct((2, 2)))
+    f = Frontier(j)
+    assert f.minimal == [(0, 0)]
+    with pytest.raises(ValueError, match="not minimal"):
+        f.take((1, 0))
+    f.take((0, 0))
+    assert f.minimal == [(0, 1), (1, 0)]
+    f.take((1, 0))
+    assert f.minimal == [(0, 1)]
+    f.give_back((1, 0))
+    f.give_back((0, 0))
+    assert f.minimal == [(0, 0)]
 
 
 def test_all_order_ideals_counts():

@@ -1,0 +1,82 @@
+"""Property tests: the incremental shelling state and the generic shelling
+check against each other and against the definition, on drawn boxes,
+ideals and facet orders."""
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from coxlehmer.multicomplex import (  # noqa: E402
+    ChainProduct,
+    Frontier,
+    ideal_from_points,
+    is_linear_extension,
+)
+from coxlehmer.simplicial import (  # noqa: E402
+    ShellingState,
+    complex_of_ideal,
+    order_from_extension,
+    verify_shelling,
+)
+from test_fuzz import brute_shelling_ok  # noqa: E402
+
+PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True,
+                             database=None)
+
+
+@st.composite
+def ideals_and_orders(draw):
+    """A box with sides 2 or 3 and volume at most 12, the ideal below one to
+    three points other than the origin, and an order of the ideal's points:
+    half the time a linear extension, else any permutation."""
+    dims = tuple(draw(st.lists(st.integers(2, 3), min_size=1, max_size=3)))
+    amb = ChainProduct(dims)
+    if amb.size() > 12:
+        dims = dims[:2]
+        amb = ChainProduct(dims)
+    box = sorted(amb.points())
+    gens = draw(st.lists(st.sampled_from(box[1:]), min_size=1, max_size=3))
+    ideal = ideal_from_points(amb, gens)
+    if not draw(st.booleans()):
+        return ideal, list(draw(st.permutations(sorted(ideal.points))))
+    frontier = Frontier(ideal)
+    order = []
+    while frontier.minimal:
+        p = draw(st.sampled_from(tuple(frontier.minimal)))
+        frontier.take(p)
+        order.append(p)
+    return ideal, order
+
+
+@PROPERTY_SETTINGS
+@given(ideals_and_orders())
+def test_state_agrees_with_verify_shelling_on_linear_extensions(case):
+    ideal, order = case
+    sc = complex_of_ideal(ideal)
+    expected = verify_shelling(sc, order_from_extension(sc, order))
+    state = ShellingState(sc)
+    if not is_linear_extension(ideal, order):
+        # the state refuses a point whose lower covers are not all pushed
+        with pytest.raises(ValueError, match="not minimal"):
+            for p in order:
+                assert state.push(p)
+        return
+    ok = all(state.push(p) for p in order)
+    assert ok == expected.ok
+    if ok:
+        assert state.h_vector == expected.h_vector
+        for _ in order:
+            state.pop()
+        assert not state.order and not state.prefix and not any(state.h_vector)
+
+
+@PROPERTY_SETTINGS
+@given(ideals_and_orders())
+def test_verify_shelling_agrees_with_the_definition(case):
+    ideal, order = case
+    sc = complex_of_ideal(ideal)
+    facet_order = order_from_extension(sc, order)
+    facets = [set(sc.facet_vertices(i)) for i in range(sc.facet_count)]
+    assert verify_shelling(sc, facet_order).ok == brute_shelling_ok(facets, facet_order)

@@ -1,15 +1,19 @@
 import pytest
 
 from coxlehmer.coxeter import SizeLimitError
+from coxlehmer import verify
 from coxlehmer.multicomplex import (
     ChainProduct,
+    Frontier,
     all_order_ideals,
     full_ideal,
     ideal_from_points,
     linear_extensions,
+    random_order_ideals,
 )
 from coxlehmer.qpoly import IntPolynomial, q_analog
 from coxlehmer.simplicial import (
+    ShellingState,
     SimplicialComplex,
     build_box_complex,
     complex_of_ideal,
@@ -121,6 +125,125 @@ def test_verify_shelling_rejects_partial_order():
     sc = build_box_complex((2, 2))
     with pytest.raises(ValueError, match="every facet"):
         verify_shelling(sc, [0, 1])
+
+
+def _walked(ideal):
+    """(extension, ok, h-vector) for each leaf of the depth-first walk."""
+    state = ShellingState(complex_of_ideal(ideal))
+    out = []
+    assert verify._walk_extensions(
+        Frontier(ideal), state, lambda: out.append((tuple(state.order), True, state.h_vector)))
+    assert not state.order and not state.prefix
+    return out
+
+
+def _oracle(ideal):
+    sc = complex_of_ideal(ideal)
+    out = []
+    for ext in linear_extensions(ideal):
+        res = verify_shelling(sc, order_from_extension(sc, ext))
+        out.append((ext, res.ok, res.h_vector))
+    return out
+
+
+@pytest.mark.parametrize("dims", [(2, 3), (2, 2, 2), (2, 2, 3), (3, 3)])
+def test_walk_matches_verify_shelling_on_every_ideal(dims):
+    for ideal in all_order_ideals(ChainProduct(dims)):
+        assert _walked(ideal) == _oracle(ideal)
+
+
+def test_walk_matches_verify_shelling_on_seeded_3x3x4_ideals():
+    checked = 0
+    for ideal in random_order_ideals(ChainProduct((3, 3, 4)), 40, seed=5):
+        if len(ideal) <= 9:
+            assert _walked(ideal) == _oracle(ideal)
+            checked += 1
+        # pushing a sampled-size ideal point by point agrees too
+        sc = complex_of_ideal(ideal)
+        state = ShellingState(sc)
+        ext = next(linear_extensions(ideal))
+        assert all(state.push(p) for p in ext)
+        assert state.h_vector == verify_shelling(sc, order_from_extension(sc, ext)).h_vector
+    assert checked >= 5
+
+
+def test_push_refuses_a_point_outside_the_frontier():
+    state = ShellingState(build_box_complex((2, 3)))
+    with pytest.raises(ValueError, match="not minimal"):
+        state.push((0, 1))
+    assert state.push((0, 0))
+    with pytest.raises(ValueError, match="not minimal"):
+        state.push((0, 0))
+    with pytest.raises(ValueError, match="not minimal"):
+        state.push((1, 1))
+    with pytest.raises(ValueError, match="no facet"):
+        state.push((2, 0))
+    assert state.push((1, 0)) and state.push((0, 1))
+    assert state.order == [(0, 0), (1, 0), (0, 1)]
+    assert state.pop() == (0, 1)
+    assert state.h_vector == (1, 1, 0, 0)
+
+
+def test_least_container_matches_brute_force():
+    for dims in [(2, 3), (2, 2, 2), (3, 3), (1, 3)]:
+        sc = build_box_complex(dims)
+        state = ShellingState(sc)
+        points = [tuple(x - 1 for x in lab) for lab in sc.labels]
+        for facet in sc.facets:
+            face = facet
+            while True:  # every subset of the facet
+                holders = [p for p, f in zip(points, sc.facets) if face & ~f == 0]
+                least = tuple(map(min, zip(*holders)))
+                assert least in holders
+                assert state.least_container(face) == least
+                if not face:
+                    break
+                face = (face - 1) & facet
+
+
+def _box_vertices(dims):
+    return [(v, i) for i, d in enumerate(dims, start=1) for v in range(1, d + 1)]
+
+
+def test_shelling_state_refuses_non_box_complexes():
+    with pytest.raises(ValueError, match="labeled box complex"):
+        ShellingState(SimplicialComplex([{1, 2}, {2, 3}]))
+    with pytest.raises(ValueError, match="coordinate classes"):
+        ShellingState(SimplicialComplex([{1, 2}, {2, 3}], labels=[(1,), (2,)], dims=(2,)))
+    dims = (2, 2)
+    # the facet at (1, 1) misses both vertices of class 1
+    with pytest.raises(ValueError, match="exactly one"):
+        ShellingState(SimplicialComplex([{(1, 2)}], universe=_box_vertices(dims),
+                                        labels=[(1, 1)], dims=dims))
+    # x_1 = 1 in both labels, but the class-1 vertex they miss differs
+    with pytest.raises(ValueError, match="depends on more than coordinate 1"):
+        ShellingState(SimplicialComplex([{(1, 1), (1, 2)}, {(2, 1), (2, 2)}],
+                                        universe=_box_vertices(dims),
+                                        labels=[(1, 1), (1, 2)], dims=dims))
+    with pytest.raises(ValueError, match="not a point of the box"):
+        ShellingState(SimplicialComplex([{(1, 1), (1, 2)}], universe=_box_vertices(dims),
+                                        labels=[(3, 1)], dims=dims))
+
+
+def test_planted_push_failure_is_reported(monkeypatch):
+    push = ShellingState.push
+
+    def failing_push(self, point):
+        if len(self.order) == 3:
+            self.violation = ((0, 0, 0), point)
+            return False
+        return push(self, point)
+
+    monkeypatch.setattr(ShellingState, "push", failing_push)
+    monkeypatch.setattr(verify, "RANDOM_IDEAL_COUNT", 5)  # 1 walked, 4 sampled
+    rep = verify.suite_shellings(seed=2024)
+    assert not rep.passed
+    assert rep.failures >= 1
+    assert any("extension fails at points" in w for w in rep.witnesses)
+    # one failure per ideal with at least four points, then the ideal stops
+    ideals = [*all_order_ideals(ChainProduct((2, 3))), *all_order_ideals(ChainProduct((2, 2, 2))),
+              *random_order_ideals(ChainProduct((3, 3, 4)), 5, 2024)]
+    assert rep.failures == sum(len(j) >= 4 for j in ideals)
 
 
 def test_f_vector_trivial_complex():
