@@ -14,7 +14,6 @@ uses exact integers.
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import sys
 import time
@@ -23,7 +22,7 @@ from pathlib import Path
 from . import intervals
 from .codes import dual_code, shared_standard_code
 from .coxeter import ENUMERATION_LIMIT, BruhatPoset, SizeLimitError, shared_poset
-from .verify import SUITES, run_suite
+from .verify import SUITES, check_n, run_suite
 
 
 class CLIError(Exception):
@@ -87,6 +86,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _get_poset(args) -> BruhatPoset:
     label, rank, m = args.label, args.rank, args.m
+    if label != "I2" and m is not None:
+        raise CLIError(f"--m applies to type I2 only, not {label}")
+    if label == "I2" and rank is not None:
+        raise CLIError("type I2 takes --m, not --rank")
     if label == "I2" and m is None:
         raise CLIError("type I2 needs --m")
     if label in ("A", "B", "D") and rank is None:
@@ -236,9 +239,7 @@ def cmd_classify(args) -> int:
 def cmd_verify(args) -> int:
     opts = {"seed": args.seed, "max_rank": args.max_rank}
     if args.n is not None:
-        fn = SUITES.get(args.suite)
-        if fn is not None and "n" not in inspect.signature(fn).parameters:
-            raise CLIError(f"suite {args.suite} takes no --n")
+        check_n(args.suite, args.n, args.max_rank)
         opts["n"] = args.n
     started = time.monotonic()
     report = run_suite(args.suite, **opts)

@@ -16,6 +16,7 @@ import json
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
+from math import prod
 
 from .coxeter import BruhatPoset, shared_poset, system_key
 from .report import Report
@@ -46,10 +47,7 @@ class LehmerCode:
         return self.lookup[vec]
 
     def box_size(self) -> int:
-        n = 1
-        for b in self.bounds:
-            n *= b + 1
-        return n
+        return prod(b + 1 for b in self.bounds)
 
     def box_points(self):
         return itertools.product(*(range(b + 1) for b in self.bounds))

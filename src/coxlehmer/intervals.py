@@ -2,7 +2,8 @@
 
 A valid code turns the interval below w into an order ideal of the product
 of chains.  This module computes the interval's rank generating function
-three independent ways (direct summation, shelling of the attached complex,
+three independent ways (direct summation, shelling of the attached complex
+by pushing the ideal's rank-then-lex order through `ShellingState`,
 inclusion-exclusion over the ideal's maxima with meets of code vectors),
 and classifies elements whose intervals are full boxes (principal) or
 lexicographically minimal in their coordinate orbit (unimodal).
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
+from math import prod
 
 from .codes import LehmerCode
 from .coxeter import BruhatPoset, SizeLimitError, _bits
@@ -74,7 +76,7 @@ def interval_poincare(w: int, code: LehmerCode, route: str = "direct",
     if route == "direct":
         return IntPolynomial(code.poset.interval_poincare_coeffs(w))
     if route == "complex":
-        return shelling_h_polynomial(interval_complex(w, code))
+        return shelling_h_polynomial(interval_ideal(w, code))
     if route == "maxima":
         maxs = sorted(interval_ideal(w, code).maxima())
         if len(maxs) > max_maxima:
@@ -111,10 +113,7 @@ def code_meet(u: int, v: int, code: LehmerCode) -> int:
 
 
 def code_interval_size(w: int, code: LehmerCode) -> int:
-    n = 1
-    for x in code.of(w):
-        n *= x + 1
-    return n
+    return prod(x + 1 for x in code.of(w))
 
 
 # ---------------------------------------------------------------------------

@@ -10,10 +10,11 @@ is left of an ideal, kept by counting each point's untaken lower covers.
 
 from __future__ import annotations
 
+import itertools
 import random
 from bisect import bisect_left, insort
 from dataclasses import dataclass
-from math import comb
+from math import comb, prod
 from typing import Iterable, Iterator
 
 
@@ -32,19 +33,11 @@ class ChainProduct:
                 and all(0 <= x < d for x, d in zip(point, self.dims)))
 
     def points(self) -> Iterator[tuple[int, ...]]:
-        def rec(prefix, rest):
-            if not rest:
-                yield prefix
-                return
-            for x in range(rest[0]):
-                yield from rec(prefix + (x,), rest[1:])
-        yield from rec((), self.dims)
+        """Every point, in lexicographic order."""
+        return itertools.product(*map(range, self.dims))
 
     def size(self) -> int:
-        n = 1
-        for d in self.dims:
-            n *= d
-        return n
+        return prod(self.dims)
 
 
 def lower_covers(point):

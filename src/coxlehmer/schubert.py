@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from math import comb
+from math import comb, prod
 
 from .codes import inversion_code
 from .coxeter import shared_poset
@@ -259,9 +259,7 @@ def _interval_poly(poset, perm) -> IntPolynomial:
 
 
 def _principal_in(poset, perm, code_vec) -> bool:
-    size = 1
-    for x in code_vec:
-        size *= x + 1
+    size = prod(x + 1 for x in code_vec)
     return poset.downset(poset.index[perm]).bit_count() == size
 
 

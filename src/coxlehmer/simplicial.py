@@ -1,10 +1,14 @@
 """Pure simplicial complexes with bitset facets.
 
-Houses the complex built from a product of chains (one facet per box point,
-per the displayed union of punctured coordinate classes), shelling
-verification with restriction sets for any facet order, the incremental
-`ShellingState` that checks box complexes one facet at a time along linear
-extensions of an order ideal, the f/h transforms, and the recursive
+A `SimplicialComplex` is given its distinct maximal faces and keeps them in
+the order given.  Houses the complex of an order ideal of a product of
+chains (`complex_of_ideal`, one facet per point, per the displayed union of
+punctured coordinate classes; the full box's complex is the full ideal's),
+the generic shelling check with restriction sets for any facet order
+(`verify_shelling`, the reference the tests compare against), the
+incremental `ShellingState` that takes an ideal and checks its complex one
+facet at a time along linear extensions (it serves both the shellings suite
+and the `complex` Poincare route), the f/h transforms, and the recursive
 vertex-decomposability and flag checks.
 
 Vertices of box complexes are (value, coordinate) pairs with values written
@@ -17,12 +21,16 @@ from __future__ import annotations
 from typing import Hashable, Iterable, Sequence
 
 from .coxeter import SizeLimitError, _bits
-from .multicomplex import ChainProduct, OrderIdeal, lower_covers
+from .multicomplex import ChainProduct, OrderIdeal, full_ideal, lower_covers
 from .qpoly import IntPolynomial
 
 
 class SimplicialComplex:
-    """A complex stored by its facets over a fixed vertex universe."""
+    """A complex stored by its facets over a fixed vertex universe.
+
+    The facets given must be the complex's distinct maximal faces; they are
+    kept as bitmasks in the order given, and nothing is dropped or merged.
+    """
 
     def __init__(self, facets: Iterable[Iterable[Hashable]], universe=None,
                  labels: Sequence | None = None, dims: tuple[int, ...] | None = None):
@@ -34,16 +42,7 @@ class SimplicialComplex:
             universe = sorted(seen)
         self.vertices = tuple(universe)
         self.vertex_index = {v: i for i, v in enumerate(self.vertices)}
-        masks = []
-        for f in facet_sets:
-            m = 0
-            for v in f:
-                m |= 1 << self.vertex_index[v]
-            masks.append(m)
-        keep = _maximalize(masks)
-        if labels is not None and len(keep) != len(masks):
-            raise ValueError("labels supplied but some facets were not maximal")
-        self.facets = tuple(keep)
+        self.facets = tuple(sum(1 << self.vertex_index[v] for v in f) for f in facet_sets)
         self.labels = tuple(labels) if labels is not None else None
         self.dims = dims
         if not self.facets:
@@ -60,19 +59,13 @@ class SimplicialComplex:
         return max(m.bit_count() for m in self.facets) - 1
 
     def is_pure(self) -> bool:
-        sizes = {m.bit_count() for m in self.facets}
-        return len(sizes) == 1
+        return _pure(self.facets)
 
     def facet_vertices(self, i: int) -> frozenset:
         return self._unpack(self.facets[i])
 
     def _unpack(self, mask: int) -> frozenset:
         return frozenset(self.vertices[b] for b in _bits(mask))
-
-    def label_index(self):
-        if self.labels is None:
-            raise ValueError("complex carries no facet labels")
-        return {lab: i for i, lab in enumerate(self.labels)}
 
     def active_vertex_mask(self) -> int:
         m = 0
@@ -92,19 +85,18 @@ class SimplicialComplex:
 
 
 def _maximalize(masks: list[int]) -> list[int]:
+    """The distinct maximal masks, largest first."""
     out = []
     for m in sorted(set(masks), key=int.bit_count, reverse=True):
         if not any(m & ~k == 0 for k in out):
             out.append(m)
-    # keep first-seen order of the survivors
-    surv = set(out)
-    seen = set()
-    ordered = []
-    for m in masks:
-        if m in surv and m not in seen:
-            seen.add(m)
-            ordered.append(m)
-    return ordered
+    return out
+
+
+def _pure(masks) -> bool:
+    it = iter(masks)
+    first = next(it).bit_count()
+    return all(m.bit_count() == first for m in it)
 
 
 # ---------------------------------------------------------------------------
@@ -123,27 +115,21 @@ def facet_of(x: tuple[int, ...], dims: tuple[int, ...]) -> frozenset:
     return frozenset(out)
 
 
-def _box_universe(dims):
-    return [(v, i) for i, d in enumerate(dims, start=1) for v in range(1, d + 1)]
-
-
 def build_box_complex(dims: Sequence[int]) -> SimplicialComplex:
     """The pure complex with one facet per point of the full box."""
-    dims = tuple(dims)
-    amb = ChainProduct(dims)
-    pts = [tuple(x + 1 for x in p) for p in sorted(amb.points(), key=lambda p: (sum(p), p))]
-    return SimplicialComplex([facet_of(x, dims) for x in pts],
-                             universe=_box_universe(dims), labels=pts, dims=dims)
+    return complex_of_ideal(full_ideal(ChainProduct(tuple(dims))))
 
 
 def complex_of_ideal(ideal: OrderIdeal) -> SimplicialComplex:
-    """The subcomplex of the box complex with facets at the ideal's points."""
+    """The subcomplex of the box complex with facets at the ideal's points,
+    labeled by the one-based points in rank-then-lex order."""
     if not len(ideal):
         raise ValueError("the empty ideal has no complex")
     dims = ideal.ambient.dims
     pts = [tuple(x + 1 for x in p) for p in sorted(ideal.points, key=lambda p: (sum(p), p))]
+    universe = [(v, i) for i, d in enumerate(dims, start=1) for v in range(1, d + 1)]
     return SimplicialComplex([facet_of(x, dims) for x in pts],
-                             universe=_box_universe(dims), labels=pts, dims=dims)
+                             universe=universe, labels=pts, dims=dims)
 
 
 # ---------------------------------------------------------------------------
@@ -207,49 +193,36 @@ class ShellingState:
     """The shelling condition checked one facet at a time along a growing
     order ideal of a box complex, with exact undo.
 
-    `push(point)` appends the facet of a zero-based box point and returns
-    whether the order so far still shells; `pop()` undoes the last push.
-    The state keeps the multiset of codim-1 subfaces seen, the h-vector
-    counts, and the prefix both as a set and in push order (`order`).
-    Restriction sets are computed but never unpacked.
+    `ShellingState(ideal)` builds the ideal's complex (`complex`).
+    `push(point)` appends the facet of a zero-based point of the ideal and
+    returns whether the order so far still shells; `pop()` undoes the last
+    push.  The state keeps the multiset of codim-1 subfaces seen, the
+    h-vector counts, and the prefix both as a set and in push order
+    (`order`).  Restriction sets are computed but never unpacked.
 
     The question "is G_j inside an earlier facet" takes O(d): a facet
     contains G_j iff in every coordinate class its missing vertex avoids
     G_j, so the facets containing G_j are those of a product set of box
     points, and its least point x lies in the prefix iff some point of the
     set does, because the prefix is an order ideal.  `push` enforces that
-    premise, and the constructor checks the box structure it rests on.
+    premise by refusing a point whose lower covers are not all pushed.
     """
 
-    def __init__(self, sc: SimplicialComplex):
-        dims = sc.dims
-        if sc.labels is None or dims is None:
-            raise ValueError("incremental shelling needs a labeled box complex")
-        try:
-            classes = [sum(1 << sc.vertex_index[(v, i)] for v in range(1, d + 1))
-                       for i, d in enumerate(dims, start=1)]
-        except KeyError:
-            raise ValueError(f"vertices are not the coordinate classes of {dims}") from None
-        if sum(m.bit_count() for m in classes) != len(sc.vertices):
-            raise ValueError(f"vertices are not the coordinate classes of {dims}")
-        # _missing[i][x] is the vertex of class i that facets with x_i = x omit
-        self._missing = [[None] * d for d in dims]
+    def __init__(self, ideal: OrderIdeal):
+        self.complex = sc = complex_of_ideal(ideal)
+        classes = [sum(1 << sc.vertex_index[(v, i)] for v in range(1, d + 1))
+                   for i, d in enumerate(sc.dims, start=1)]
+        # _missing[i][x] is the vertex of class i that facets with x_i = x
+        # omit, read off the facets so that `facet_of` stays the only rule
+        self._missing = [[None] * d for d in sc.dims]
         self._facet = {}
+        vertex_bits = [1 << b for b in range(len(sc.vertices))]
         for label, facet in zip(sc.labels, sc.facets):
-            if len(label) != len(dims) or any(not 1 <= x <= d for x, d in zip(label, dims)):
-                raise ValueError(f"label {label} is not a point of the box {dims}")
             point = tuple(x - 1 for x in label)
-            for i, cls in enumerate(classes):
-                gone = cls & ~facet
-                if gone.bit_count() != 1:
-                    raise ValueError(f"facet {label} does not miss exactly one "
-                                     f"vertex of coordinate class {i + 1}")
-                if self._missing[i][point[i]] not in (None, gone):
-                    raise ValueError(f"the vertex of class {i + 1} missing from facet "
-                                     f"{label} depends on more than coordinate {i + 1}")
-                self._missing[i][point[i]] = gone
+            for missing, x, cls in zip(self._missing, point, classes):
+                missing[x] = cls & ~facet
             # (codim-1 subface, the vertex it drops) for each vertex of the facet
-            self._facet[point] = ([(facet ^ 1 << b, 1 << b) for b in _bits(facet)],
+            self._facet[point] = ([(facet ^ bit, bit) for bit in vertex_bits if facet & bit],
                                   tuple(lower_covers(point)))
         self._subfaces: dict[int, int] = {}
         self._h = [0] * (sc.facets[0].bit_count() + 1)
@@ -323,18 +296,19 @@ class ShellingState:
 def order_from_extension(sc: SimplicialComplex,
                          extension: Sequence[tuple[int, ...]]) -> list[int]:
     """Facet order induced by a linear extension of zero-based ideal points."""
-    idx = sc.label_index()
+    idx = {lab: i for i, lab in enumerate(sc.labels)}
     return [idx[tuple(x + 1 for x in p)] for p in extension]
 
 
-def shelling_h_polynomial(sc: SimplicialComplex) -> IntPolynomial:
-    """h-polynomial via the rank-then-lex shelling of a labeled box complex."""
-    pts = sorted(sc.labels, key=lambda p: (sum(p), p))
-    idx = sc.label_index()
-    res = verify_shelling(sc, [idx[p] for p in pts])
-    if not res.ok:
-        raise AssertionError(f"rank order failed to shell the complex at {res.violation}")
-    return IntPolynomial(res.h_vector)
+def shelling_h_polynomial(ideal: OrderIdeal) -> IntPolynomial:
+    """h-polynomial of the ideal's complex via its rank-then-lex shelling,
+    which is a linear extension of the ideal."""
+    state = ShellingState(ideal)
+    for p in sorted(ideal.points, key=lambda p: (sum(p), p)):
+        if not state.push(p):
+            raise AssertionError(
+                f"rank order failed to shell the complex at points {state.violation}")
+    return IntPolynomial(state.h_vector)
 
 
 # ---------------------------------------------------------------------------
@@ -386,12 +360,6 @@ def f_from_h(h: Sequence[int], dim: int) -> tuple[int, ...]:
 
 
 _VD_CACHE: dict[tuple[int, ...], bool] = {}
-
-
-def _pure(masks) -> bool:
-    it = iter(masks)
-    first = next(it).bit_count()
-    return all(m.bit_count() == first for m in it)
 
 
 def _vd(facets: tuple[int, ...]) -> bool:

@@ -5,6 +5,8 @@ acceptance tests call them directly.
 
 from __future__ import annotations
 
+import inspect
+
 from . import codes as codes_mod
 from . import intervals, schubert
 from .coxeter import shared_poset
@@ -102,12 +104,12 @@ def _check_ideal_shellings(rep: Report, ideal, extensions=None) -> None:
     """Check that each extension shells the ideal's complex with h-vector the
     ideal's rank counts, two checks per extension, stopping at the first
     failure.  `extensions=None` walks every linear extension."""
-    sc = complex_of_ideal(ideal)
+    state = ShellingState(ideal)
+    sc = state.complex
     expected = ideal.f_polynomial()
     transform = tuple(h_from_f(f_vector(sc), sc.dimension))
     rep.check(IntPolynomial(transform) == expected,
               f"{ideal.to_json()}: f/h transform disagrees with the ideal ranks")
-    state = ShellingState(sc)
     # h_vector has a slot for every restriction size; coeffs drops trailing zeros
     ranks = expected.coeffs + (0,) * (len(state.h_vector) - len(expected.coeffs))
 
@@ -236,9 +238,13 @@ def suite_routes(max_rank: int | None = None, **_) -> Report:
     return rep
 
 
+def _capped_n(n: int, max_rank: int | None) -> int:
+    """The size bound a type-A suite runs at: n, lowered to max_rank + 1."""
+    return n if max_rank is None else min(n, max_rank + 1)
+
+
 def suite_catalan(n: int = 7, max_rank: int | None = None, **_) -> Report:
-    if max_rank is not None:
-        n = min(n, max_rank + 1)
+    n = _capped_n(n, max_rank)
     rep = Report("catalan classification")
     for k in range(2, n + 1):
         rep.merge(schubert.verify_catalan_equivalence(k))
@@ -246,8 +252,7 @@ def suite_catalan(n: int = 7, max_rank: int | None = None, **_) -> Report:
 
 
 def suite_unimodal(n: int = 5, max_rank: int | None = None, **_) -> Report:
-    if max_rank is not None:
-        n = min(n, max_rank + 1)
+    n = _capped_n(n, max_rank)
     rep = Report("unimodal classification")
     for k in range(2, n + 1):
         rep.merge(schubert.verify_unimodal_equivalence(k))
@@ -257,8 +262,7 @@ def suite_unimodal(n: int = 5, max_rank: int | None = None, **_) -> Report:
 
 
 def suite_smooth(n: int = 6, max_rank: int | None = None, **_) -> Report:
-    if max_rank is not None:
-        n = min(n, max_rank + 1)
+    n = _capped_n(n, max_rank)
     rep = Report("smooth classification")
     for k in range(3, n + 1):
         rep.merge(schubert.verify_smooth_classification(k))
@@ -380,6 +384,34 @@ SUITES = {
     "msequence": suite_msequence,
     "exponents": suite_exponents,
 }
+
+
+def _max_n(verifier) -> int:
+    return inspect.signature(verifier).parameters["max_n"].default
+
+
+# (least, greatest) n each suite taking one runs at without an error, the
+# greatest read off the schubert verifier it calls; catalan below 2 runs
+# nothing, which the CLI refuses as a report with 0 checks
+N_RANGES = {
+    "catalan": (None, _max_n(schubert.verify_catalan_equivalence)),
+    "unimodal": (0, _max_n(schubert.verify_unimodal_equivalence)),
+    "smooth": (2, _max_n(schubert.verify_smooth_classification)),
+}
+
+
+def check_n(name: str, n: int, max_rank: int | None = None) -> None:
+    """Refuse, before any suite runs, an n that suite `name` does not take or
+    that a suite it reaches cannot run at; "all" reaches each of N_RANGES."""
+    if name in SUITES and name not in N_RANGES:
+        raise ValueError(f"suite {name} takes no --n")
+    got = _capped_n(n, max_rank)
+    for key in N_RANGES if name == "all" else N_RANGES.keys() & {name}:
+        lo, hi = N_RANGES[key]
+        if got > hi or lo is not None and got < lo:
+            span = f"up to {hi}" if lo is None else f"from {lo} to {hi}"
+            capped = f" (--n {n} capped by --max-rank {max_rank})" if got != n else ""
+            raise ValueError(f"suite {key} takes --n {span}, got {got}{capped}")
 
 
 def run_suite(name: str, **opts) -> Report:

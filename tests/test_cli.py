@@ -167,6 +167,52 @@ def test_verify_never_passes_vacuously(capsys, argv, message):
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["catalan", "--n", "12"], "suite catalan takes --n up to 8, got 12"),
+    (["unimodal", "--n", "99"], "suite unimodal takes --n from 0 to 8, got 99"),
+    (["smooth", "--n", "1"], "suite smooth takes --n from 2 to 6, got 1"),
+    (["all", "--n", "1"], "suite smooth takes --n from 2 to 6, got 1"),
+    (["all", "--n", "9"], "suite catalan takes --n up to 8, got 9"),
+    (["smooth", "--n", "6", "--max-rank", "0"],
+     "suite smooth takes --n from 2 to 6, got 1 (--n 6 capped by --max-rank 0)"),
+])
+def test_out_of_range_n_is_refused_before_any_suite_runs(capsys, monkeypatch, argv, message):
+    ran = []
+    for key in list(cli.SUITES):
+        monkeypatch.setitem(cli.SUITES, key, lambda key=key, **_: ran.append(key) or Report(key))
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 2 and out == "" and ran == []
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["unimodal", "--n", "1"],
+    ["smooth", "--n", "2"],
+    ["catalan", "--n", "12", "--max-rank", "2"],  # runs at n = 3
+])
+def test_in_range_n_still_runs(capsys, argv):
+    code, out, _ = run(capsys, "verify", *argv)
+    assert code == 0 and ": PASS (" in out
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["code", "--type", "A", "--rank", "3", "--m", "7", "--word", "s1"],
+     "--m applies to type I2 only, not A"),
+    (["classify", "--type", "H3", "--m", "5"], "--m applies to type I2 only, not H3"),
+    (["hpoly", "--type", "I2", "--m", "4", "--rank", "9", "--word", "s1"],
+     "type I2 takes --m, not --rank"),
+])
+def test_stray_system_option_is_refused(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_h3_accepts_its_rank(capsys):
+    code, out, _ = run(capsys, "code", "--type", "H3", "--rank", "3", "--word", "s1")
+    assert code == 0 and "= (1, 0, 0)" in out
+
+
 def test_unknown_suite_lists_names(capsys):
     code, _, err = run(capsys, "verify", "nope")
     assert code == 2

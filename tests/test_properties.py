@@ -1,5 +1,6 @@
 """Property tests: the incremental shelling state and the generic shelling
-check against each other and against the definition, on drawn boxes,
+check against each other and against the definition, and the `complex`
+route's h-polynomial against the ideal's rank counts, on drawn boxes,
 ideals and facet orders."""
 
 import pytest
@@ -14,10 +15,12 @@ from coxlehmer.multicomplex import (  # noqa: E402
     ideal_from_points,
     is_linear_extension,
 )
+from coxlehmer.qpoly import IntPolynomial  # noqa: E402
 from coxlehmer.simplicial import (  # noqa: E402
     ShellingState,
     complex_of_ideal,
     order_from_extension,
+    shelling_h_polynomial,
     verify_shelling,
 )
 from test_fuzz import brute_shelling_ok  # noqa: E402
@@ -56,7 +59,7 @@ def test_state_agrees_with_verify_shelling_on_linear_extensions(case):
     ideal, order = case
     sc = complex_of_ideal(ideal)
     expected = verify_shelling(sc, order_from_extension(sc, order))
-    state = ShellingState(sc)
+    state = ShellingState(ideal)
     if not is_linear_extension(ideal, order):
         # the state refuses a point whose lower covers are not all pushed
         with pytest.raises(ValueError, match="not minimal"):
@@ -80,3 +83,15 @@ def test_verify_shelling_agrees_with_the_definition(case):
     facet_order = order_from_extension(sc, order)
     facets = [set(sc.facet_vertices(i)) for i in range(sc.facet_count)]
     assert verify_shelling(sc, facet_order).ok == brute_shelling_ok(facets, facet_order)
+
+
+@PROPERTY_SETTINGS
+@given(ideals_and_orders())
+def test_shelling_h_polynomial_is_the_rank_count(case):
+    ideal, _ = case
+    sc = complex_of_ideal(ideal)
+    rank_lex = sorted(ideal.points, key=lambda p: (sum(p), p))
+    generic = verify_shelling(sc, order_from_extension(sc, rank_lex))
+    assert generic.ok
+    got = shelling_h_polynomial(ideal)
+    assert got == ideal.f_polynomial() == IntPolynomial(generic.h_vector)

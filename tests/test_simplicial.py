@@ -15,6 +15,7 @@ from coxlehmer.qpoly import IntPolynomial, q_analog
 from coxlehmer.simplicial import (
     ShellingState,
     SimplicialComplex,
+    _maximalize,
     build_box_complex,
     complex_of_ideal,
     f_from_h,
@@ -129,7 +130,7 @@ def test_verify_shelling_rejects_partial_order():
 
 def _walked(ideal):
     """(extension, ok, h-vector) for each leaf of the depth-first walk."""
-    state = ShellingState(complex_of_ideal(ideal))
+    state = ShellingState(ideal)
     out = []
     assert verify._walk_extensions(
         Frontier(ideal), state, lambda: out.append((tuple(state.order), True, state.h_vector)))
@@ -137,8 +138,14 @@ def _walked(ideal):
     return out
 
 
+def _assert_maximal(sc):
+    """The facets are the distinct maximal faces the constructor trusts."""
+    assert sorted(_maximalize(list(sc.facets))) == sorted(sc.facets)
+
+
 def _oracle(ideal):
     sc = complex_of_ideal(ideal)
+    _assert_maximal(sc)
     out = []
     for ext in linear_extensions(ideal):
         res = verify_shelling(sc, order_from_extension(sc, ext))
@@ -148,6 +155,7 @@ def _oracle(ideal):
 
 @pytest.mark.parametrize("dims", [(2, 3), (2, 2, 2), (2, 2, 3), (3, 3)])
 def test_walk_matches_verify_shelling_on_every_ideal(dims):
+    _assert_maximal(build_box_complex(dims))
     for ideal in all_order_ideals(ChainProduct(dims)):
         assert _walked(ideal) == _oracle(ideal)
 
@@ -160,7 +168,7 @@ def test_walk_matches_verify_shelling_on_seeded_3x3x4_ideals():
             checked += 1
         # pushing a sampled-size ideal point by point agrees too
         sc = complex_of_ideal(ideal)
-        state = ShellingState(sc)
+        state = ShellingState(ideal)
         ext = next(linear_extensions(ideal))
         assert all(state.push(p) for p in ext)
         assert state.h_vector == verify_shelling(sc, order_from_extension(sc, ext)).h_vector
@@ -168,7 +176,7 @@ def test_walk_matches_verify_shelling_on_seeded_3x3x4_ideals():
 
 
 def test_push_refuses_a_point_outside_the_frontier():
-    state = ShellingState(build_box_complex((2, 3)))
+    state = ShellingState(full_ideal(ChainProduct((2, 3))))
     with pytest.raises(ValueError, match="not minimal"):
         state.push((0, 1))
     assert state.push((0, 0))
@@ -186,8 +194,8 @@ def test_push_refuses_a_point_outside_the_frontier():
 
 def test_least_container_matches_brute_force():
     for dims in [(2, 3), (2, 2, 2), (3, 3), (1, 3)]:
-        sc = build_box_complex(dims)
-        state = ShellingState(sc)
+        state = ShellingState(full_ideal(ChainProduct(dims)))
+        sc = state.complex
         points = [tuple(x - 1 for x in lab) for lab in sc.labels]
         for facet in sc.facets:
             face = facet
@@ -199,30 +207,6 @@ def test_least_container_matches_brute_force():
                 if not face:
                     break
                 face = (face - 1) & facet
-
-
-def _box_vertices(dims):
-    return [(v, i) for i, d in enumerate(dims, start=1) for v in range(1, d + 1)]
-
-
-def test_shelling_state_refuses_non_box_complexes():
-    with pytest.raises(ValueError, match="labeled box complex"):
-        ShellingState(SimplicialComplex([{1, 2}, {2, 3}]))
-    with pytest.raises(ValueError, match="coordinate classes"):
-        ShellingState(SimplicialComplex([{1, 2}, {2, 3}], labels=[(1,), (2,)], dims=(2,)))
-    dims = (2, 2)
-    # the facet at (1, 1) misses both vertices of class 1
-    with pytest.raises(ValueError, match="exactly one"):
-        ShellingState(SimplicialComplex([{(1, 2)}], universe=_box_vertices(dims),
-                                        labels=[(1, 1)], dims=dims))
-    # x_1 = 1 in both labels, but the class-1 vertex they miss differs
-    with pytest.raises(ValueError, match="depends on more than coordinate 1"):
-        ShellingState(SimplicialComplex([{(1, 1), (1, 2)}, {(2, 1), (2, 2)}],
-                                        universe=_box_vertices(dims),
-                                        labels=[(1, 1), (1, 2)], dims=dims))
-    with pytest.raises(ValueError, match="not a point of the box"):
-        ShellingState(SimplicialComplex([{(1, 1), (1, 2)}], universe=_box_vertices(dims),
-                                        labels=[(3, 1)], dims=dims))
 
 
 def test_planted_push_failure_is_reported(monkeypatch):
@@ -264,7 +248,7 @@ def test_h_from_f_matches_shelling_on_2x3():
     assert f == (1, 5, 9, 6)
     h = h_from_f(f, sc.dimension)
     assert h == (1, 2, 2, 1)
-    assert IntPolynomial(h) == shelling_h_polynomial(sc)
+    assert IntPolynomial(h) == shelling_h_polynomial(full_ideal(ChainProduct((2, 3))))
 
 
 def test_f_h_round_trip():
