@@ -25,6 +25,6 @@ from .intervals import (
 )
 from .multicomplex import ChainProduct, OrderIdeal, ideal_from_points, is_m_sequence
 from .qpoly import IntPolynomial, q_analog
-from .simplicial import SimplicialComplex, build_box_complex, complex_of_ideal, verify_shelling
+from .simplicial import SimplicialComplex, build_box_complex, complex_of_ideal
 
 __version__ = "0.1.0"

@@ -229,12 +229,8 @@ def _h3_chains(poset: BruhatPoset):
     Z = _words_to_elements(poset, raw["Z"], "LH3: Z")
     _assert_saturated_chain(poset, X, "LH3: X")
     _assert_saturated_chain(poset, Y, "LH3: Y")
-    for k, w in enumerate(Z):
-        if poset.length[w] != k + 1:
-            raise ChainVerificationError(f"LH3: Z element {poset.render(w)} has wrong length")
-    for a, b in zip(Z, Z[1:]):
-        if not poset.leq(a, b):
-            raise ChainVerificationError(f"LH3: Z is not a chain at {poset.render(b)}")
+    # Z starts at length 1; e lies below its first element
+    _assert_saturated_chain(poset, [0, *Z], "LH3: Z")
     return X, Y, Z
 
 
@@ -409,7 +405,7 @@ def verify_h3_quotients(poset: BruhatPoset) -> Report:
     yz = set(Y) | set(Z)
     rep.check(len(yz) == 12, f"|Y + Z| = {len(yz)}")
 
-    weak = set(poset.weak_left_interval(0, z0))
+    weak = set(poset.weak_left_interval(z0))
     rep.check(yz == weak, "Y + Z is not the left weak interval below max Z")
 
     par = poset.parabolic_elements((0, 1))

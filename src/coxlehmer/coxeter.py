@@ -322,7 +322,6 @@ class BruhatPoset:
                           for u in range(self.size)]
 
         max_len = max(length)
-        self.max_length = max_len
         self.by_length = [0] * (max_len + 1)
         for i, l in enumerate(length):
             self.by_length[l] |= 1 << i
@@ -348,7 +347,7 @@ class BruhatPoset:
             covers_down.append(lows)
         self.covers_down = covers_down
         self._down = _downsets(covers_down)
-        self._weak_down = {"L": None, "R": None}
+        self._weak_left_down = None
 
     # -- element arithmetic by index
 
@@ -358,9 +357,6 @@ class BruhatPoset:
             a = right_mult[a][gi]
         return a
 
-    def inv(self, a: int) -> int:
-        return self.inverse[a]
-
     def apply_word(self, word: Sequence[int]) -> int:
         w = 0
         for gi in word:
@@ -368,9 +364,6 @@ class BruhatPoset:
                 raise ValueError(f"generator index {gi} out of range 0..{self.system.rank - 1}")
             w = self.right_mult[w][gi]
         return w
-
-    def reduced_word(self, w: int) -> tuple[int, ...]:
-        return self.word[w]
 
     def render(self, w: int) -> str:
         sys = self.system
@@ -381,19 +374,7 @@ class BruhatPoset:
         subs = sys.gen_subscripts
         return " ".join(f"s{subs[gi]}" for gi in self.word[w])
 
-    # -- reflections and orders
-
-    def reflections(self) -> list[int]:
-        seen = set(self.index[g] for g in self.system.generators)
-        frontier = list(seen)
-        while frontier:
-            t = frontier.pop()
-            for gi in range(self.system.rank):
-                u = self.left_mult[self.right_mult[t][gi]][gi]
-                if u not in seen:
-                    seen.add(u)
-                    frontier.append(u)
-        return sorted(seen)
+    # -- orders
 
     def downset(self, w: int) -> int:
         return self._down[w]
@@ -401,28 +382,16 @@ class BruhatPoset:
     def leq(self, u: int, w: int) -> bool:
         return bool(self._down[w] >> u & 1)
 
-    def interval(self, u: int, w: int) -> list[int]:
-        return [z for z in _bits(self._down[w]) if self._down[z] >> u & 1]
-
-    def _weak_downsets(self, side: str) -> list[int]:
-        cached = self._weak_down[side]
-        if cached is not None:
-            return cached
-        table = self.left_mult if side == "L" else self.right_mult
-        covers_down = [[] for _ in range(self.size)]
-        for u in range(self.size):
-            for w in table[u]:
-                if self.length[w] == self.length[u] + 1:
-                    covers_down[w].append(u)
-        down = self._weak_down[side] = _downsets(covers_down)
-        return down
-
-    def weak_leq(self, u: int, w: int, side: str = "L") -> bool:
-        return bool(self._weak_downsets(side)[w] >> u & 1)
-
-    def weak_left_interval(self, u: int, w: int) -> list[int]:
-        down = self._weak_downsets("L")
-        return [z for z in _bits(down[w]) if down[z] >> u & 1]
+    def weak_left_interval(self, w: int) -> list[int]:
+        """The left weak interval [e, w], in index order."""
+        if self._weak_left_down is None:
+            covers_down = [[] for _ in range(self.size)]
+            for u in range(self.size):
+                for v in self.left_mult[u]:
+                    if self.length[v] == self.length[u] + 1:
+                        covers_down[v].append(u)
+            self._weak_left_down = _downsets(covers_down)
+        return list(_bits(self._weak_left_down[w]))
 
     # -- descents and parabolic machinery
 
@@ -430,11 +399,6 @@ class BruhatPoset:
         lw = self.length[w]
         return frozenset(gi for gi in range(self.system.rank)
                          if self.length[self.left_mult[w][gi]] < lw)
-
-    def descents_right(self, w: int) -> frozenset[int]:
-        lw = self.length[w]
-        return frozenset(gi for gi in range(self.system.rank)
-                         if self.length[self.right_mult[w][gi]] < lw)
 
     def parabolic_decompose(self, w: int, J: Iterable[int]) -> tuple[int, int]:
         """Split w = w_J * u with u the minimal coset representative.
@@ -505,12 +469,6 @@ class BruhatPoset:
         return out
 
     # -- generating functions
-
-    def poincare(self, X: Iterable[int]) -> IntPolynomial:
-        coeffs = [0] * (self.max_length + 1)
-        for x in X:
-            coeffs[self.length[x]] += 1
-        return IntPolynomial(coeffs)
 
     def group_poincare(self) -> IntPolynomial:
         return IntPolynomial([m.bit_count() for m in self.by_length])

@@ -63,15 +63,14 @@ def _box_poly(dims: tuple[int, ...]) -> IntPolynomial:
     return q_analog_product(dims)
 
 
-def interval_poincare(w: int, code: LehmerCode, route: str = "direct",
-                      max_maxima: int = MAXIMA_LIMIT) -> IntPolynomial:
+def interval_poincare(w: int, code: LehmerCode, route: str = "direct") -> IntPolynomial:
     """Rank generating function of {v : v <= w} by the chosen route.
 
     "direct" sums q^length over the interval; "complex" reads the h-vector
     off a shelling of the interval's complex; "maxima" runs
     inclusion-exclusion over subsets of the ideal's maximal points, with
     meets taken componentwise; it raises SizeLimitError beyond
-    `max_maxima` maxima, since it runs 2^k - 1 terms.
+    MAXIMA_LIMIT maxima, since it runs 2^k - 1 terms.
     """
     if route == "direct":
         return IntPolynomial(code.poset.interval_poincare_coeffs(w))
@@ -79,9 +78,9 @@ def interval_poincare(w: int, code: LehmerCode, route: str = "direct",
         return shelling_h_polynomial(interval_ideal(w, code))
     if route == "maxima":
         maxs = sorted(interval_ideal(w, code).maxima())
-        if len(maxs) > max_maxima:
+        if len(maxs) > MAXIMA_LIMIT:
             raise SizeLimitError(
-                f"{len(maxs)} maxima exceeds the inclusion-exclusion bound {max_maxima}; "
+                f"{len(maxs)} maxima exceeds the inclusion-exclusion bound {MAXIMA_LIMIT}; "
                 f"the direct and complex routes have no such bound "
                 f"(--route direct or --route complex)")
         total = IntPolynomial()
@@ -101,11 +100,7 @@ def interval_poincare(w: int, code: LehmerCode, route: str = "direct",
 
 
 # ---------------------------------------------------------------------------
-# the code order on the group
-
-
-def code_leq(u: int, v: int, code: LehmerCode) -> bool:
-    return all(a <= b for a, b in zip(code.of(u), code.of(v)))
+# code meets and boxes
 
 
 def code_meet(u: int, v: int, code: LehmerCode) -> int:

@@ -280,15 +280,6 @@ def sample_linear_extensions(ideal: OrderIdeal, count: int,
         yield tuple(out)
 
 
-def is_linear_extension(ideal: OrderIdeal, order) -> bool:
-    seen = set()
-    for p in order:
-        if any(q not in seen for q in lower_covers(p)):
-            return False
-        seen.add(p)
-    return seen == set(ideal.points)
-
-
 # ---------------------------------------------------------------------------
 # ideal enumeration
 

@@ -17,7 +17,8 @@ import random
 from dataclasses import dataclass
 from math import comb, prod
 
-from .codes import inversion_code
+from . import intervals
+from .codes import inversion_code, shared_standard_code
 from .coxeter import shared_poset
 from .qpoly import IntPolynomial, q_analog_product
 from .report import Report
@@ -185,22 +186,6 @@ def is_lazy_fubini_word(x) -> bool:
     return bool(x) and x[0] == 0 and all(b - a <= 1 for a, b in zip(x, x[1:])) and min(x) >= 0
 
 
-def lazy_fubini_words(k: int) -> set[tuple[int, ...]]:
-    out = set()
-
-    def rec(word):
-        if len(word) == k:
-            out.add(tuple(word))
-            return
-        for v in range(0, word[-1] + 2) if word else (0,):
-            word.append(v)
-            rec(word)
-            word.pop()
-
-    rec([])
-    return out
-
-
 def catalan(n: int) -> int:
     return comb(2 * n, n) // (n + 1)
 
@@ -291,20 +276,17 @@ def verify_unimodal_equivalence(n: int, max_n: int = 8) -> Report:
     if not 2 <= n <= max_n:
         raise ValueError(f"supported range is 2..{max_n}, got {n}")
     rep = Report(f"unimodal classification in S_{n}")
-    poset = shared_poset("A", n - 1)
-    perms = list(itertools.permutations(range(1, n + 1)))
-    codes = {perm: inversion_code(perm) for perm in perms}
-    principal_vecs = {codes[p] for p in perms if _principal_in(poset, p, codes[p])}
+    code = shared_standard_code("A", n - 1)
+    poset = code.poset
+    lexmins = set(intervals.unimodal_set(code))
     count = 0
-    for perm in perms:
-        code = codes[perm]
-        if code in principal_vecs:
-            orbit = set(itertools.permutations(code)) & principal_vecs
-            lexmin = code == min(orbit)
-        else:
-            lexmin = False
-        increasing_fubini = (is_fubini_word(code)
-                             and all(a <= b for a, b in zip(code, code[1:])))
+    for perm in itertools.permutations(range(1, n + 1)):
+        w = poset.index[perm]
+        lexmin = w in lexmins
+        # the inversion code of perm: a leading 0, then the type A code
+        vec = (0,) + code.of(w)
+        increasing_fubini = (is_fubini_word(vec)
+                             and all(a <= b for a, b in zip(vec, vec[1:])))
         unimodal = is_unimodal_permutation(perm)
         rep.check(lexmin == increasing_fubini == unimodal,
                   f"{perm}: lexmin={lexmin} incr-fubini={increasing_fubini} "
@@ -322,6 +304,8 @@ def check_tail_partition(u) -> Report:
     lam = unimodal_to_partition(u)
     rep.check(lam == chain_partition(u),
               f"tail partition {lam} != chain partition {chain_partition(u)}")
+    rep.check(partition_to_unimodal(lam, n) == u,
+              f"partition {lam} maps back to {partition_to_unimodal(lam, n)}")
     code = inversion_code(u)
     if lam == (0,):
         rep.check(code == (0,) * n, f"identity code {code} not all zero")
@@ -351,11 +335,10 @@ def verify_smooth_classification(n: int, max_n: int = 6) -> Report:
         raise ValueError(f"supported range is 2..{max_n}, got {n}")
     rep = Report(f"smooth Poincare classification in S_{n}")
     poset = shared_poset("A", n - 1)
-    smooth_polys = set()
-    for perm in itertools.permutations(range(1, n + 1)):
-        if is_smooth(perm):
-            smooth_polys.add(_interval_poly(poset, perm))
-    unimodal_polys = {_interval_poly(poset, u) for u in unimodal_permutations(n)}
+    smooth_polys = intervals.interval_polynomials(
+        poset, (poset.index[p] for p in smooth_permutations(n)))
+    unimodal_polys = intervals.interval_polynomials(
+        poset, (poset.index[u] for u in unimodal_permutations(n)))
     rep.check(smooth_polys == unimodal_polys,
               f"{len(smooth_polys)} smooth vs {len(unimodal_polys)} unimodal polynomials")
     rep.check(len(smooth_polys) == 2 ** (n - 1),

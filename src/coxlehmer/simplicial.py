@@ -61,9 +61,6 @@ class SimplicialComplex:
     def is_pure(self) -> bool:
         return _pure(self.facets)
 
-    def facet_vertices(self, i: int) -> frozenset:
-        return self._unpack(self.facets[i])
-
     def _unpack(self, mask: int) -> frozenset:
         return frozenset(self.vertices[b] for b in _bits(mask))
 
@@ -291,13 +288,6 @@ class ShellingState:
         self._h[self._restrictions.pop().bit_count()] -= 1
         self.prefix.remove(point)
         return point
-
-
-def order_from_extension(sc: SimplicialComplex,
-                         extension: Sequence[tuple[int, ...]]) -> list[int]:
-    """Facet order induced by a linear extension of zero-based ideal points."""
-    idx = {lab: i for i, lab in enumerate(sc.labels)}
-    return [idx[tuple(x + 1 for x in p)] for p in extension]
 
 
 def shelling_h_polynomial(ideal: OrderIdeal) -> IntPolynomial:

@@ -62,11 +62,13 @@ def suite_codes(max_rank: int | None = None, **_) -> Report:
         sub = codes_mod.verify_code(code)
         sub.merge(codes_mod.verify_code(codes_mod.dual_code(code)))
         rep.merge(sub)
-    for m in (3, 4, 5):
+    dihedral = _cap_rank([("I2", None, m) for m in (3, 4, 5)], max_rank)
+    for _, _, m in dihedral:
         found = codes_mod.enumerate_dihedral_codes(shared_poset("I2", None, m))
         rep.check(len(found) == 2 ** (m - 1),
                   f"I2({m}): found {len(found)} codes, expected {2 ** (m - 1)}")
-    rep.note(f"{len(systems)} systems with duals; dihedral counts at m=3,4,5")
+    counts = "; dihedral counts at m=3,4,5" if dihedral else ""
+    rep.note(f"{len(systems)} systems with duals{counts}")
     return rep
 
 

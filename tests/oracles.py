@@ -1,0 +1,47 @@
+"""Reference implementations the tests compare the library against.
+
+Nothing in `coxlehmer` calls these; each is the slow or definitional
+version of something the library does another way.
+"""
+
+from coxlehmer.multicomplex import lower_covers
+
+
+def reflections(poset) -> list[int]:
+    """Every conjugate of a simple reflection, closed under s t s."""
+    seen = set(poset.index[g] for g in poset.system.generators)
+    frontier = list(seen)
+    while frontier:
+        t = frontier.pop()
+        for gi in range(poset.system.rank):
+            u = poset.left_mult[poset.right_mult[t][gi]][gi]
+            if u not in seen:
+                seen.add(u)
+                frontier.append(u)
+    return sorted(seen)
+
+
+def code_leq(u: int, v: int, code) -> bool:
+    """The componentwise order on code vectors, pulled back to the group."""
+    return all(a <= b for a, b in zip(code.of(u), code.of(v)))
+
+
+def is_linear_extension(ideal, order) -> bool:
+    """Whether `order` lists the ideal's points, each after its lower covers."""
+    seen = set()
+    for p in order:
+        if any(q not in seen for q in lower_covers(p)):
+            return False
+        seen.add(p)
+    return seen == set(ideal.points)
+
+
+def order_from_extension(sc, extension) -> list[int]:
+    """Facet order induced by a linear extension of zero-based ideal points."""
+    idx = {lab: i for i, lab in enumerate(sc.labels)}
+    return [idx[tuple(x + 1 for x in p)] for p in extension]
+
+
+def facet_vertices(sc, i: int) -> frozenset:
+    """The vertices of facet i, unpacked from its bitmask."""
+    return frozenset(v for b, v in enumerate(sc.vertices) if sc.facets[i] >> b & 1)

@@ -175,6 +175,10 @@ def test_verify_never_passes_vacuously(capsys, argv, message):
     (["all", "--n", "9"], "suite catalan takes --n up to 8, got 9"),
     (["smooth", "--n", "6", "--max-rank", "0"],
      "suite smooth takes --n from 2 to 6, got 1 (--n 6 capped by --max-rank 0)"),
+    (["unimodal", "--max-rank", "-3"], "--max-rank takes a rank of at least 1, got -3"),
+    (["smooth", "--max-rank", "0"], "--max-rank takes a rank of at least 1, got 0"),
+    (["all", "--max-rank", "0"], "--max-rank takes a rank of at least 1, got 0"),
+    (["codes", "--max-rank", "-1"], "--max-rank takes a rank of at least 1, got -1"),
 ])
 def test_out_of_range_n_is_refused_before_any_suite_runs(capsys, monkeypatch, argv, message):
     ran = []
@@ -193,6 +197,17 @@ def test_out_of_range_n_is_refused_before_any_suite_runs(capsys, monkeypatch, ar
 def test_in_range_n_still_runs(capsys, argv):
     code, out, _ = run(capsys, "verify", *argv)
     assert code == 0 and ": PASS (" in out
+
+
+def test_codes_below_rank_two_skips_the_dihedral_counts(capsys, monkeypatch):
+    def refuse(poset):
+        raise AssertionError(f"counted the codes of {poset.system.describe()}")
+
+    monkeypatch.setattr(codes, "enumerate_dihedral_codes", refuse)
+    code, out, _ = run(capsys, "verify", "codes", "--max-rank", "1", "--json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["pass"] is True and doc["notes"] == ["1 systems with duals"]
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -271,7 +286,7 @@ def test_hpoly_h3_top_element(capsys):
 
     poset = shared_poset("H3")
     word = " ".join(f"s{poset.system.gen_subscripts[g]}"
-                    for g in poset.reduced_word(poset.w0))
+                    for g in poset.word[poset.w0])
     code, out, _ = run(capsys, "hpoly", "--type", "H3", "--word", word, "--json")
     assert code == 0
     doc = json.loads(out)

@@ -1,7 +1,8 @@
 import pytest
 
 from coxlehmer.coxeter import BruhatPoset, SizeLimitError, build_system
-from coxlehmer.qpoly import IntPolynomial, q_analog, q_analog_product
+from coxlehmer.qpoly import q_analog, q_analog_product
+from oracles import reflections
 
 
 def inversions(perm):
@@ -125,14 +126,14 @@ def test_bruhat_s3_example():
 
 def test_interval_size_3412(a3):
     w = a3.index[(3, 4, 1, 2)]
-    assert len(a3.interval(0, w)) == 14
     assert a3.downset(w).bit_count() == 14
 
 
 def test_interval_poincare_3412(a3):
     w = a3.index[(3, 4, 1, 2)]
     assert a3.interval_poincare_coeffs(w) == (1, 3, 5, 4, 1)
-    assert a3.poincare(a3.interval(0, w)) == IntPolynomial([1, 3, 5, 4, 1])
+    lengths = [a3.length[z] for z in range(a3.size) if a3.leq(z, w)]
+    assert [lengths.count(k) for k in range(5)] == [1, 3, 5, 4, 1]
 
 
 def test_subword_property_oracle(a3):
@@ -140,7 +141,7 @@ def test_subword_property_oracle(a3):
     gens = [a3.index[g] for g in a3.system.generators]
     for w in range(a3.size):
         reachable = {0}
-        for gi in a3.reduced_word(w):
+        for gi in a3.word[w]:
             reachable |= {a3.right_mult[u][gi] for u in reachable}
         for u in range(a3.size):
             assert a3.leq(u, w) == (u in reachable), (u, w)
@@ -152,7 +153,8 @@ def test_gradedness_of_covers(b3):
     for w in range(b3.size):
         for u in b3.covers_down[w]:
             assert b3.length[w] == b3.length[u] + 1
-            assert b3.interval(u, w) == sorted([u, w]) or len(b3.interval(u, w)) == 2
+            between = [z for z in range(b3.size) if b3.leq(u, z) and b3.leq(z, w)]
+            assert between == [u, w]
 
 
 def test_poincare_whole_dihedral_group():
@@ -179,10 +181,11 @@ def test_poincare_product_of_q_analogs(a3, b3, h3):
 def test_descents(a3):
     assert a3.descents_left(0) == frozenset()
     assert a3.descents_left(a3.w0) == frozenset(range(3))
-    assert a3.descents_right(a3.w0) == frozenset(range(3))
+    # right descents of w are the left descents of its inverse
+    assert a3.descents_left(a3.inverse[a3.w0]) == frozenset(range(3))
     w = a3.index[(3, 4, 1, 2)]
     # 3412: right descent at position 2 only (3<4, 4>1, 1<2)
-    assert a3.descents_right(w) == frozenset({1})
+    assert a3.descents_left(a3.inverse[w]) == frozenset({1})
 
 
 def test_parabolic_decompose_trivial_cases(a3):
@@ -242,27 +245,27 @@ def test_generalized_quotient_trivial(a3):
 def test_weak_left_interval():
     p = BruhatPoset(build_system("A", 2))
     w = p.index[(3, 1, 2)]  # s2 s1
-    got = sorted(p.elements[z] for z in p.weak_left_interval(0, w))
+    got = sorted(p.elements[z] for z in p.weak_left_interval(w))
     assert got == [(1, 2, 3), (2, 1, 3), (3, 1, 2)]
-    assert p.weak_leq(p.index[(2, 1, 3)], w, "L")
-    assert not p.weak_leq(p.index[(1, 3, 2)], w, "L")
+    assert p.index[(2, 1, 3)] in p.weak_left_interval(w)
+    assert p.index[(1, 3, 2)] not in p.weak_left_interval(w)
 
 
 def test_weak_order_below_bruhat(b3):
     for w in range(0, b3.size, 7):
-        for u in b3.weak_left_interval(0, w):
+        for u in b3.weak_left_interval(w):
             assert b3.leq(u, w)
 
 
 def test_inverse_table(h3):
     for w in range(0, h3.size, 3):
-        assert h3.mult(w, h3.inv(w)) == 0
-        assert h3.length[h3.inv(w)] == h3.length[w]
+        assert h3.mult(w, h3.inverse[w]) == 0
+        assert h3.length[h3.inverse[w]] == h3.length[w]
 
 
 def test_reflection_count_equals_longest_length(a3, b3, h3):
     for p in (a3, b3, h3):
-        assert len(p.reflections()) == p.length[p.w0]
+        assert len(reflections(p)) == p.length[p.w0]
 
 
 def test_render(a3, h3):
@@ -344,8 +347,8 @@ def test_bruhat_dominance_oracle(a3):
 
 
 def test_weak_order_inversion_set_oracle(a3):
-    # right weak order is containment of inversion sets; left follows by
-    # inverting both sides
+    # right weak order is containment of inversion sets, so left weak order
+    # is containment of the inverses' inversion sets
     def inv_set(p):
         pos = {v: i for i, v in enumerate(p)}
         n = len(p)
@@ -353,17 +356,16 @@ def test_weak_order_inversion_set_oracle(a3):
                 if pos[a] > pos[b]}
 
     invs = [inv_set(p) for p in a3.elements]
-    for u in range(a3.size):
-        for w in range(a3.size):
-            assert a3.weak_leq(u, w, "R") == (invs[u] <= invs[w])
-            assert a3.weak_leq(u, w, "L") == (
-                invs[a3.inv(u)] <= invs[a3.inv(w)])
+    for w in range(a3.size):
+        below = set(a3.weak_left_interval(w))
+        for u in range(a3.size):
+            assert (u in below) == (invs[a3.inverse[u]] <= invs[a3.inverse[w]])
 
 
 def test_subword_property_oracle_b3(b3):
     for w in range(b3.size):
         reachable = {0}
-        for gi in b3.reduced_word(w):
+        for gi in b3.word[w]:
             reachable |= {b3.right_mult[x][gi] for x in reachable}
         down = {u for u in range(b3.size) if b3.leq(u, w)}
         assert down == reachable
@@ -395,7 +397,7 @@ def test_tables_match_compose_oracle(label, rank, m):
     p = BruhatPoset(build_system(label, rank, m))
     compose, elements, index = p.system.compose, p.elements, p.index
     covers = [set() for _ in range(p.size)]
-    for t in p.reflections():
+    for t in reflections(p):
         for u in range(p.size):
             w = index[compose(elements[u], elements[t])]
             if p.length[w] == p.length[u] + 1:

@@ -1,11 +1,10 @@
 import pytest
 
-from coxlehmer import simplicial
+from coxlehmer import intervals, simplicial
 from coxlehmer.codes import shared_standard_code
 from coxlehmer.coxeter import SizeLimitError, shared_poset
 from coxlehmer.intervals import (
     InvalidCodeImage,
-    code_leq,
     code_meet,
     group_complex,
     interval_complex,
@@ -18,6 +17,7 @@ from coxlehmer.intervals import (
     unimodal_set,
 )
 from coxlehmer.qpoly import IntPolynomial, q_analog, q_analog_product
+from oracles import code_leq
 
 H3_UNIMODAL_TRIPLES = {
     (1, 5, 9), (1, 5, 4), (1, 4, 4), (1, 3, 4), (1, 2, 4), (1, 1, 4), (1, 2, 3),
@@ -136,10 +136,11 @@ def test_route_agreement_everywhere_a3(a3, la3):
         assert interval_poincare(w, la3, "maxima") == d
 
 
-def test_maxima_route_bound(a3, la3):
+def test_maxima_route_bound(a3, la3, monkeypatch):
+    monkeypatch.setattr(intervals, "MAXIMA_LIMIT", 2)
     w = a3.index[(3, 4, 1, 2)]
     with pytest.raises(SizeLimitError, match="exceeds"):
-        interval_poincare(w, la3, "maxima", max_maxima=2)
+        interval_poincare(w, la3, "maxima")
 
 
 def test_unknown_route(la3):

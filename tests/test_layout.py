@@ -1,0 +1,81 @@
+"""The library keeps only what something in it reaches: every function,
+class and method defined in src/coxlehmer is named somewhere else in
+src/coxlehmer.  Reference implementations the tests need live in
+tests/oracles.py instead."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "coxlehmer"
+
+# perfbench/tracing.py wraps these by name to time the layers; they stay
+# until its shelling and extension spans move to the code paths that run
+EXEMPT = {
+    "verify_shelling",  # perfbench/tracing.py: span simplicial.shelling
+    "f_from_h",  # perfbench/tracing.py: span simplicial.fh
+    "linear_extensions",  # perfbench/tracing.py: span multicomplex.extensions
+}
+
+
+def _definitions(tree):
+    """(name, node) of each module-level function and class, and each method."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if isinstance(sub, ast.FunctionDef):
+                    yield sub.name, sub
+
+
+def _exempt(name, exempt):
+    return (name in exempt or name.startswith(("cmd_", "suite_"))
+            or name.startswith("__") and name.endswith("__"))
+
+
+def unreached_names(src=SRC, exempt=EXEMPT):
+    """"module.name" for every definition no other line of src refers to.
+
+    A reference is a bare name or an attribute; imports are not references,
+    and neither is a definition's use of itself inside its own body."""
+    trees = {p.name: ast.parse(p.read_text()) for p in sorted(src.glob("*.py"))}
+    uses = {}
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                uses.setdefault(node.id, []).append((module, node.lineno))
+            elif isinstance(node, ast.Attribute):
+                uses.setdefault(node.attr, []).append((module, node.lineno))
+    out = []
+    for module, tree in trees.items():
+        for name, node in _definitions(tree):
+            if _exempt(name, exempt):
+                continue
+            if not any(m != module or not node.lineno <= line <= node.end_lineno
+                       for m, line in uses.get(name, ())):
+                out.append(f"{module[:-3]}.{name}")
+    return out
+
+
+def test_every_definition_in_src_is_reached():
+    assert unreached_names() == []
+
+
+def test_exemptions_are_still_needed():
+    # an exemption whose name gained a caller, was deleted or is no longer
+    # wrapped by the tracer is stale
+    unexempted = unreached_names(exempt=frozenset())
+    assert sorted(name.split(".")[1] for name in unexempted) == sorted(EXEMPT)
+    tracing = (SRC.parent.parent / "perfbench" / "tracing.py").read_text()
+    for name in EXEMPT:
+        assert f'"{name}"' in tracing, name
+
+
+def test_scan_sees_an_unreached_definition(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "def used():\n    return 1\n\n\n"
+        "def unused():\n    return unused()\n\n\n"
+        "class K:\n    def method(self):\n        return used()\n\n"
+        "    def __len__(self):\n        return 0\n")
+    (tmp_path / "b.py").write_text("from .a import K, unused\n\nk = K()\n")
+    assert unreached_names(tmp_path) == ["a.unused", "a.method"]

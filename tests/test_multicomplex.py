@@ -11,7 +11,6 @@ from coxlehmer.multicomplex import (
     count_linear_extensions,
     full_ideal,
     ideal_from_points,
-    is_linear_extension,
     is_m_sequence,
     is_order_ideal,
     linear_extensions,
@@ -21,6 +20,7 @@ from coxlehmer.multicomplex import (
     sample_linear_extensions,
 )
 from coxlehmer.qpoly import IntPolynomial, q_analog
+from oracles import is_linear_extension
 
 
 def test_ambient_validation():

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from coxlehmer import intervals, schubert
 from coxlehmer.codes import inversion_code
 from coxlehmer.coxeter import shared_poset
 from coxlehmer.qpoly import IntPolynomial, q_analog_product
@@ -18,7 +19,6 @@ from coxlehmer.schubert import (
     is_lazy_fubini_word,
     is_smooth,
     is_unimodal_permutation,
-    lazy_fubini_words,
     partition_to_unimodal,
     perm_length,
     permutation_poset,
@@ -143,6 +143,10 @@ def test_dual_partition_multiplicity_rule():
             assert dual.count(k) == padded[r - k + 1] - padded[r - k]
 
 
+def lazy_fubini_words(k):
+    return {x for x in itertools.product(range(k), repeat=k) if is_lazy_fubini_word(x)}
+
+
 def test_fubini_examples():
     assert lazy_fubini_words(3) == {(0, 0, 0), (0, 1, 0), (0, 0, 1), (0, 1, 1), (0, 1, 2)}
     f4 = lazy_fubini_words(4)
@@ -203,6 +207,13 @@ def test_tail_partition_checks():
         assert rep.passed, rep.witnesses
 
 
+def test_tail_partition_checks_the_round_trip(monkeypatch):
+    monkeypatch.setattr(schubert, "partition_to_unimodal", lambda lam, n: identity_perm(n))
+    rep = check_tail_partition((3, 4, 2, 1))
+    assert rep.failures == 1
+    assert rep.witnesses == ["partition (2, 3) maps back to (1, 2, 3, 4)"]
+
+
 def test_catalan_equivalence():
     for n in (3, 4, 5):
         rep = verify_catalan_equivalence(n)
@@ -215,6 +226,14 @@ def test_unimodal_equivalence():
     for n in (3, 4, 5):
         rep = verify_unimodal_equivalence(n)
         assert rep.passed, rep.witnesses
+
+
+def test_unimodal_equivalence_reads_the_shared_unimodal_set(monkeypatch):
+    # the lex-minimal side is intervals.unimodal_set, the rule classify runs
+    monkeypatch.setattr(intervals, "unimodal_set", lambda code: [])
+    rep = verify_unimodal_equivalence(4)
+    assert not rep.passed
+    assert rep.failures == 8  # each unimodal permutation loses its lexmin side
 
 
 def test_smooth_classification_small():

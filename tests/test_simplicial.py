@@ -25,10 +25,10 @@ from coxlehmer.simplicial import (
     is_flag,
     is_flag_ideal,
     is_vertex_decomposable,
-    order_from_extension,
     shelling_h_polynomial,
     verify_shelling,
 )
+from oracles import order_from_extension
 
 
 def test_facet_of_worked_example():
