@@ -1,25 +1,28 @@
 """Lehmer codes: rank-compatible bijections from a finite Coxeter group onto
 a product of chains whose inverse is monotone into Bruhat order.
 
-Explicit codes are built for every implemented type.  Types A, B and I2(m)
-use the lengths of the quotient factorization along the generator chain;
-type D multiplies out a family of saturated Bruhat chains; H3 combines a
-generalized quotient with one long chain.  Codes are materialized as full
-two-way lookup tables, and `verify_code` re-checks bijectivity, rank
-compatibility and the cover-morphism property from the tables alone.
+Every standard code multiplies out one saturated Bruhat chain per factor
+and reads the code vector off the factors: types A, B and I2(m) use the
+one-step parabolic quotients along the generator chain; type D uses the
+chains X_1, ..., X_{n-1}, Y_n generated by rule; H3 combines a generalized
+quotient with one long chain.  Codes are materialized as full two-way
+lookup tables, and `verify_code` re-checks bijectivity, rank compatibility
+and the cover-morphism property from the tables alone.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from functools import lru_cache
-from importlib import resources
 from math import prod
 
 from .coxeter import BruhatPoset, shared_poset, system_key
+from .multicomplex import ChainProduct, lower_covers
 from .report import Report
+
+# the exhaustive dihedral search tries 2^(m-1) level choices
+DIHEDRAL_MAX_M = 8
 
 
 class ChainVerificationError(RuntimeError):
@@ -49,9 +52,6 @@ class LehmerCode:
     def box_size(self) -> int:
         return prod(b + 1 for b in self.bounds)
 
-    def box_points(self):
-        return itertools.product(*(range(b + 1) for b in self.bounds))
-
     def to_json(self) -> dict:
         return {self.poset.render(w): list(v) for w, v in enumerate(self.vectors)}
 
@@ -71,6 +71,43 @@ def _make_code(name: str, poset: BruhatPoset, bounds, vectors) -> LehmerCode:
     return code
 
 
+def _product_code(name: str, poset: BruhatPoset, factors) -> LehmerCode:
+    """The code that multiplies out one element from each factor, in order.
+
+    A factor lists (coordinates, element) pairs; the code vector of a
+    product is the concatenation of its factors' coordinates, and each
+    bound is the largest value its coordinate takes.  The build aborts
+    unless lengths add along every product and every element comes out
+    exactly once, since neither is assumed.
+    """
+    length = poset.length
+    vectors = [None] * poset.size
+    for combo in itertools.product(*factors):
+        w = total = 0
+        vec = ()
+        for coords, x in combo:
+            w = poset.mult(w, x)
+            total += length[x]
+            vec += coords
+        if total != length[w]:
+            raise CodeBuildError(f"{name}: factor lengths do not add up for "
+                                 f"{poset.render(w)}")
+        if vectors[w] is not None:
+            raise CodeBuildError(f"{name}: {poset.render(w)} factors twice")
+        vectors[w] = vec
+    if None in vectors:
+        raise CodeBuildError(f"{name}: no product reaches "
+                             f"{poset.render(vectors.index(None))}")
+    bounds = [max(column) for factor in factors
+              for column in zip(*(coords for coords, _ in factor))]
+    return _make_code(name, poset, bounds, vectors)
+
+
+def _length_factor(poset: BruhatPoset, chain) -> list:
+    """A chain as a one-coordinate factor: each element with its length."""
+    return [((poset.length[x],), x) for x in chain]
+
+
 # ---------------------------------------------------------------------------
 # chains
 
@@ -87,17 +124,24 @@ def _assert_saturated_chain(poset: BruhatPoset, elems, what: str) -> None:
                 f"{what}: {poset.render(a)} not below {poset.render(b)}")
 
 
-@lru_cache(maxsize=1)
-def _chain_data() -> dict:
-    return json.loads(resources.files("coxlehmer").joinpath("chains.json").read_text())
+def d_chain_words(n: int) -> list[list[tuple[int, ...]]]:
+    """Generator-subscript words of the type D chains X_1, ..., X_{n-1}, Y_n.
 
-
-def chain_words(key: str) -> dict:
-    """Raw generator-subscript words of the stored chains for D4..D6 and H3."""
-    data = _chain_data()
-    if key not in data:
-        raise KeyError(f"no stored chains for {key}; have {sorted(data)}")
-    return data[key]
+    X_k holds the prefixes of s_k ... s_1, then s_k ... s_3 s_0 s_2 s_1, then
+    that word extended by s_3, ..., s_k one letter at a time (2k words);
+    Y_n holds the prefixes of s_0 s_2 s_3 ... s_{n-1} (n words).
+    """
+    chains = []
+    for k in range(1, n):
+        down = tuple(range(k, 0, -1))
+        words = [down[:i] for i in range(k + 1)]
+        if k >= 2:
+            bent = tuple(range(k, 2, -1)) + (0, 2, 1)
+            words += [bent + tuple(range(3, j)) for j in range(3, k + 2)]
+        chains.append(words)
+    y = (0, *range(2, n))
+    chains.append([y[:i] for i in range(n)])
+    return chains
 
 
 def _words_to_elements(poset: BruhatPoset, words, what: str):
@@ -115,36 +159,35 @@ def _words_to_elements(poset: BruhatPoset, words, what: str):
 # quotient-factorization codes (types I2, A, B)
 
 
-def quotient_chain_code(poset: BruhatPoset, gen_order=None, name: str = "L") -> LehmerCode:
+def quotient_chain_code(poset: BruhatPoset, order, name: str) -> LehmerCode:
     """Code w -> lengths of the factors along a chain of parabolics.
 
-    Valid whenever every one-step parabolic quotient is a Bruhat chain;
-    each quotient is verified during construction.
+    Factor i is the quotient of W_{J_i} by W_{J_{i-1}}, J_i the first i
+    generators of `order`.  Valid whenever every such quotient is a Bruhat
+    chain; each is verified during construction.
     """
-    order = tuple(gen_order) if gen_order is not None else tuple(range(poset.system.rank))
-    bounds = []
+    factors = []
     for i in range(1, len(order) + 1):
         prev = frozenset(order[: i - 1])
         par = poset.parabolic_elements(order[:i])
         quot = [w for w in par if not (poset.descents_left(w) & prev)]
         quot.sort(key=poset.length.__getitem__)
         _assert_saturated_chain(poset, quot, f"{name}: quotient step {i}")
-        bounds.append(len(quot) - 1)
-    vectors = [tuple(poset.length[x] for x in poset.quotient_factorization(w, order))
-               for w in range(poset.size)]
-    return _make_code(name, poset, bounds, vectors)
+        factors.append(_length_factor(poset, quot))
+    return _product_code(name, poset, factors)
 
 
 def code_i2(poset: BruhatPoset) -> LehmerCode:
     if poset.system.label != "I2":
         raise ValueError(f"expected a dihedral system, got {poset.system.describe()}")
-    return quotient_chain_code(poset, name=f"LI2({poset.system.dihedral_m})")
+    return quotient_chain_code(poset, (0, 1), f"LI2({poset.system.dihedral_m})")
 
 
 def code_a(poset: BruhatPoset) -> LehmerCode:
     if poset.system.label != "A":
         raise ValueError(f"expected type A, got {poset.system.describe()}")
-    return quotient_chain_code(poset, name=f"LA{poset.system.rank}")
+    n = poset.system.rank
+    return quotient_chain_code(poset, tuple(range(n)), f"LA{n}")
 
 
 def code_b(poset: BruhatPoset, variant: bool = False) -> LehmerCode:
@@ -156,10 +199,9 @@ def code_b(poset: BruhatPoset, variant: bool = False) -> LehmerCode:
         raise ValueError(f"expected type B, got {poset.system.describe()}")
     n = poset.system.rank
     if variant:
-        order = (1, 0) + tuple(range(2, n))
-        code = quotient_chain_code(poset, order, name=f"LB{n}~")
+        code = quotient_chain_code(poset, (1, 0, *range(2, n)), f"LB{n}~")
     else:
-        code = quotient_chain_code(poset, name=f"LB{n}")
+        code = quotient_chain_code(poset, tuple(range(n)), f"LB{n}")
     if code.bounds[-1] != 2 * n - 1:
         raise ChainVerificationError(
             f"{code.name}: maximal quotient has {code.bounds[-1] + 1} elements, expected {2 * n}")
@@ -186,18 +228,12 @@ def inversion_code(perm: tuple[int, ...]) -> tuple[int, ...]:
 # chain-product codes (types D, H3)
 
 
-def code_d(poset: BruhatPoset) -> LehmerCode:
-    """Type D code from the stored factorization chains X_1..X_{n-1}, Y_n.
-
-    The factorization is multiplied out in full; the build aborts unless it
-    is bijective with additive lengths, since neither is assumed.
-    """
-    if poset.system.label != "D":
-        raise ValueError(f"expected type D, got {poset.system.describe()}")
+def _d_chains(poset: BruhatPoset):
+    """The elements of X_1, ..., X_{n-1}, Y_n, checked to be saturated
+    chains of sizes 2, 4, ..., 2(n-1) and n."""
     n = poset.system.rank
-    raw = chain_words(f"D{n}")["chains"]
     chains = [_words_to_elements(poset, words, f"LD{n} chain {k}")
-              for k, words in enumerate(raw)]
+              for k, words in enumerate(d_chain_words(n))]
     for k, chain in enumerate(chains[:-1], start=1):
         if len(chain) != 2 * k:
             raise ChainVerificationError(f"LD{n}: |X_{k}| = {len(chain)}, expected {2 * k}")
@@ -205,28 +241,26 @@ def code_d(poset: BruhatPoset) -> LehmerCode:
     if len(chains[-1]) != n:
         raise ChainVerificationError(f"LD{n}: |Y_{n}| = {len(chains[-1])}, expected {n}")
     _assert_saturated_chain(poset, chains[-1], f"LD{n}: Y_{n}")
+    return chains
 
-    vectors = [None] * poset.size
-    for combo in itertools.product(*chains):
-        w = 0
-        for x in combo:
-            w = poset.mult(w, x)
-        vec = tuple(poset.length[x] for x in combo)
-        if sum(vec) != poset.length[w]:
-            raise CodeBuildError(f"LD{n}: factor lengths {vec} do not add up for "
-                                 f"{poset.render(w)}")
-        if vectors[w] is not None:
-            raise CodeBuildError(f"LD{n}: {poset.render(w)} factors twice")
-        vectors[w] = vec
-    bounds = tuple(len(c) - 1 for c in chains)
-    return _make_code(f"LD{n}", poset, bounds, vectors)
+
+def code_d(poset: BruhatPoset) -> LehmerCode:
+    """Type D code: w = x_1 ... x_{n-1} y with x_k in X_k and y in Y_n,
+    coded by the lengths of the factors."""
+    if poset.system.label != "D":
+        raise ValueError(f"expected type D, got {poset.system.describe()}")
+    factors = [_length_factor(poset, chain) for chain in _d_chains(poset)]
+    return _product_code(f"LD{poset.system.rank}", poset, factors)
 
 
 def _h3_chains(poset: BruhatPoset):
-    raw = chain_words("H3")
-    X = _words_to_elements(poset, raw["X"], "LH3: X")
-    Y = _words_to_elements(poset, raw["Y"], "LH3: Y")
-    Z = _words_to_elements(poset, raw["Z"], "LH3: Z")
+    # Y and Z split the generalized quotient by X
+    x_word = (3, 2, 3, 2, 1, 2, 3, 2, 3)
+    X = _words_to_elements(poset, [x_word[:i] for i in range(len(x_word) + 1)], "LH3: X")
+    Y = _words_to_elements(poset, [(), (2,), (2, 1), (3, 2, 1), (2, 3, 2, 1),
+                                   (1, 2, 3, 2, 1)], "LH3: Y")
+    Z = _words_to_elements(poset, [(1,), (1, 2), (1, 2, 1), (1, 3, 2, 1),
+                                   (2, 1, 3, 2, 1), (1, 2, 1, 3, 2, 1)], "LH3: Z")
     _assert_saturated_chain(poset, X, "LH3: X")
     _assert_saturated_chain(poset, Y, "LH3: Y")
     # Z starts at length 1; e lies below its first element
@@ -234,23 +268,18 @@ def _h3_chains(poset: BruhatPoset):
     return X, Y, Z
 
 
+def _h3_factors(poset: BruhatPoset, X, Y, Z) -> list:
+    head = ([((0, poset.length[y]), y) for y in Y]
+            + [((1, poset.length[z] - 1), z) for z in Z])
+    return [head, _length_factor(poset, X)]
+
+
 def code_h3(poset: BruhatPoset) -> LehmerCode:
     """The H3 code: factor w = u x with x in the long chain X and u in the
     twelve-element generalized quotient Y + Z."""
     if poset.system.label != "H3":
         raise ValueError(f"expected type H3, got {poset.system.describe()}")
-    X, Y, Z = _h3_chains(poset)
-    vectors = [None] * poset.size
-    for u in Y + Z:
-        head = ((0, poset.length[u]) if u in Y else (1, poset.length[u] - 1))
-        for x in X:
-            w = poset.mult(u, x)
-            if poset.length[w] != poset.length[u] + poset.length[x]:
-                raise CodeBuildError(f"LH3: lengths do not add at {poset.render(w)}")
-            if vectors[w] is not None:
-                raise CodeBuildError(f"LH3: {poset.render(w)} factors twice")
-            vectors[w] = head + (poset.length[x],)
-    return _make_code("LH3", poset, (1, 5, 9), vectors)
+    return _product_code("LH3", poset, _h3_factors(poset, *_h3_chains(poset)))
 
 
 def shared_standard_code(label: str, rank: int | None = None,
@@ -328,26 +357,24 @@ def verify_code(code: LehmerCode) -> Report:
 
     if rep.passed:
         lookup = {v: w for w, v in enumerate(code.vectors)}
-        for y in code.box_points():
+        for y in ChainProduct(tuple(b + 1 for b in code.bounds)).points():
             wy = lookup[y]
-            for i, yi in enumerate(y):
-                if yi:
-                    x = y[:i] + (yi - 1,) + y[i + 1 :]
-                    rep.check(poset.leq(lookup[x], wy),
-                              f"cover {x} -> {y} maps to incomparable "
-                              f"{poset.render(lookup[x])}, {poset.render(wy)}")
+            for x in lower_covers(y):
+                rep.check(poset.leq(lookup[x], wy),
+                          f"cover {x} -> {y} maps to incomparable "
+                          f"{poset.render(lookup[x])}, {poset.render(wy)}")
     return rep
 
 
-def enumerate_dihedral_codes(poset: BruhatPoset, max_m: int = 8) -> list[LehmerCode]:
+def enumerate_dihedral_codes(poset: BruhatPoset) -> list[LehmerCode]:
     """All rank-compatible bijections onto {0,1} x {0..m-1} whose inverse is
     a poset morphism, found by exhausting the per-level choices."""
     sys = poset.system
     if sys.label != "I2":
         raise ValueError(f"expected a dihedral system, got {sys.describe()}")
     m = sys.dihedral_m
-    if m > max_m:
-        raise ValueError(f"exhaustive search supports m <= {max_m}, got {m}")
+    if m > DIHEDRAL_MAX_M:
+        raise ValueError(f"exhaustive search supports m <= {DIHEDRAL_MAX_M}, got {m}")
     levels = [sorted(w for w in range(poset.size) if poset.length[w] == l)
               for l in range(m + 1)]
     found = []
@@ -376,9 +403,7 @@ def verify_d_factorization(poset: BruhatPoset) -> Report:
     into the maximal quotient gives exactly X_{n-1} Y_n."""
     n = poset.system.rank
     rep = Report(f"D{n} quotient recursion")
-    raw = chain_words(f"D{n}")["chains"]
-    x_last = _words_to_elements(poset, raw[n - 2], "X_{n-1}")
-    y_n = _words_to_elements(poset, raw[n - 1], "Y_n")
+    *_, x_last, y_n = _d_chains(poset)
     y_prev = y_n[: n - 1]
     quot = poset.minimal_coset_reps(range(n - 1))
     rep.check(len(quot) == 2 * n, f"maximal quotient has {len(quot)} elements")
@@ -425,15 +450,11 @@ def verify_h3_quotients(poset: BruhatPoset) -> Report:
 
     rep.check(poset.mult(z0, x0) == poset.w0, "max Z times max X is not the top element")
 
-    products = {}
-    additive = True
-    for u in yz:
-        for x in X:
-            w = poset.mult(u, x)
-            additive &= poset.length[w] == poset.length[u] + poset.length[x]
-            products.setdefault(w, 0)
-            products[w] += 1
-    rep.check(additive, "lengths do not add in (Y+Z) X")
-    rep.check(len(products) == poset.size and all(c == 1 for c in products.values()),
-              "(Y+Z) X does not factor the group bijectively")
+    rep.check(len(yz) * len(X) == poset.size, f"|Y + Z| |X| = {len(yz) * len(X)}")
+    try:
+        _product_code("LH3", poset, _h3_factors(poset, X, Y, Z))
+        failure = None
+    except CodeBuildError as err:
+        failure = err
+    rep.check(failure is None, f"(Y+Z) X does not factor the group: {failure}")
     return rep

@@ -19,7 +19,11 @@ from typing import Callable, Iterable, Sequence
 
 from .qpoly import ONE, IntPolynomial
 
-ENUMERATION_LIMIT = 10 ** 6
+# every enumerated group materializes its downset bitsets, |W|^2 / 16 bytes:
+# 33 MB for D6 (23,040 elements), but 6.5 GB for D7 and 8.2 GB for A8.  The
+# limit keeps A7, B6 and D6; it can rise again once point queries stop
+# materializing every downset (ROADMAP.md, item 1).
+ENUMERATION_LIMIT = 10 ** 5
 
 
 class SizeLimitError(RuntimeError):
@@ -61,8 +65,9 @@ def _mat3_compose(m1, m2):
 _BOND_VALUES = {2: (0, 0), 3: (1, 0), 5: (0, 1)}
 
 
-def _reflection_matrix(matrix_row, i, rank=3):
+def _reflection_matrix(matrix_row, i):
     # sigma_i maps alpha_j to alpha_j + 2cos(pi/m(i,j)) alpha_i, alpha_i to -alpha_i
+    rank = len(matrix_row)
     cols = []
     for j in range(rank):
         col = [(0, 0)] * rank
@@ -399,42 +404,6 @@ class BruhatPoset:
         lw = self.length[w]
         return frozenset(gi for gi in range(self.system.rank)
                          if self.length[self.left_mult[w][gi]] < lw)
-
-    def parabolic_decompose(self, w: int, J: Iterable[int]) -> tuple[int, int]:
-        """Split w = w_J * u with u the minimal coset representative.
-
-        u has no left descent in J and lengths add.
-        """
-        Jt = tuple(J)
-        u = w
-        moved = True
-        while moved:
-            moved = False
-            for gi in Jt:
-                v = self.left_mult[u][gi]
-                if self.length[v] < self.length[u]:
-                    u = v
-                    moved = True
-        wj = self.mult(w, self.inverse[u])
-        assert self.length[wj] + self.length[u] == self.length[w]
-        return wj, u
-
-    def quotient_factorization(self, w: int,
-                               gen_order: Sequence[int] | None = None) -> tuple[int, ...]:
-        """Factor w = w(1) w(2) ... w(n) along a chain of parabolics.
-
-        Factor i lies in the quotient of W_{J_i} by W_{J_{i-1}} where J_i is
-        the set of the first i generators of `gen_order`; lengths add.
-        """
-        order = tuple(gen_order) if gen_order is not None else tuple(range(self.system.rank))
-        n = len(order)
-        factors = [0] * n
-        cur = w
-        for i in range(n - 1, -1, -1):
-            cur, jw = self.parabolic_decompose(cur, order[:i])
-            factors[i] = jw
-        assert cur == 0
-        return tuple(factors)
 
     def parabolic_elements(self, J: Iterable[int]) -> list[int]:
         Jt = tuple(J)

@@ -238,6 +238,12 @@ def partition_to_unimodal(lam, n) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 # exhaustive verifications against the Bruhat order
 
+# the largest n each exhaustive verifier accepts; S_9 (362,880 elements)
+# lies above coxeter.ENUMERATION_LIMIT
+CATALAN_MAX_N = 8
+UNIMODAL_MAX_N = 8
+SMOOTH_MAX_N = 6
+
 
 def _interval_poly(poset, perm) -> IntPolynomial:
     return IntPolynomial(poset.interval_poincare_coeffs(poset.index[perm]))
@@ -248,10 +254,10 @@ def _principal_in(poset, perm, code_vec) -> bool:
     return poset.downset(poset.index[perm]).bit_count() == size
 
 
-def verify_catalan_equivalence(n: int, max_n: int = 8) -> Report:
+def verify_catalan_equivalence(n: int) -> Report:
     """Principal = lazy-Fubini code = 312-avoiding, element by element."""
-    if not 2 <= n <= max_n:
-        raise ValueError(f"supported range is 2..{max_n}, got {n}")
+    if not 2 <= n <= CATALAN_MAX_N:
+        raise ValueError(f"supported range is 2..{CATALAN_MAX_N}, got {n}")
     rep = Report(f"catalan classification in S_{n}")
     poset = shared_poset("A", n - 1)
     count = 0
@@ -271,10 +277,10 @@ def verify_catalan_equivalence(n: int, max_n: int = 8) -> Report:
     return rep
 
 
-def verify_unimodal_equivalence(n: int, max_n: int = 8) -> Report:
+def verify_unimodal_equivalence(n: int) -> Report:
     """Lex-minimal principal = weakly increasing Fubini code = unimodal."""
-    if not 2 <= n <= max_n:
-        raise ValueError(f"supported range is 2..{max_n}, got {n}")
+    if not 2 <= n <= UNIMODAL_MAX_N:
+        raise ValueError(f"supported range is 2..{UNIMODAL_MAX_N}, got {n}")
     rep = Report(f"unimodal classification in S_{n}")
     code = shared_standard_code("A", n - 1)
     poset = code.poset
@@ -328,11 +334,11 @@ EXPECTED_SMOOTH_POLYS_S4 = (
 )
 
 
-def verify_smooth_classification(n: int, max_n: int = 6) -> Report:
+def verify_smooth_classification(n: int) -> Report:
     """Poincare polynomials of smooth and of unimodal permutations coincide
     as sets of cardinality 2^(n-1)."""
-    if not 2 <= n <= max_n:
-        raise ValueError(f"supported range is 2..{max_n}, got {n}")
+    if not 2 <= n <= SMOOTH_MAX_N:
+        raise ValueError(f"supported range is 2..{SMOOTH_MAX_N}, got {n}")
     rep = Report(f"smooth Poincare classification in S_{n}")
     poset = shared_poset("A", n - 1)
     smooth_polys = intervals.interval_polynomials(
@@ -397,7 +403,10 @@ def random_forest_covers(size: int, rng: random.Random) -> dict:
     return covers
 
 
-def verify_forest_chain_counts(n: int, samples: int = 50, seed: int = 2024) -> Report:
+FOREST_SAMPLES = 50
+
+
+def verify_forest_chain_counts(n: int, seed: int = 2024) -> Report:
     """Strict decrease of chain counts: every smooth permutation's poset,
     plus seeded random rooted forests."""
     rep = Report("forest chain counts decrease strictly")
@@ -411,7 +420,7 @@ def verify_forest_chain_counts(n: int, samples: int = 50, seed: int = 2024) -> R
         rep.check(all(rho[i] > rho[i + 1] for i in range(len(rho) - 1)),
                   f"{perm}: counts {rho} not strictly decreasing")
     rng = random.Random(seed)
-    for _ in range(samples):
+    for _ in range(FOREST_SAMPLES):
         size = rng.randint(2, 12)
         covers = random_forest_covers(size, rng)
         rho = chain_counts_from_covers(size, covers)

@@ -5,8 +5,6 @@ acceptance tests call them directly.
 
 from __future__ import annotations
 
-import inspect
-
 from . import codes as codes_mod
 from . import intervals, schubert
 from .coxeter import shared_poset
@@ -253,13 +251,14 @@ def suite_catalan(n: int = 7, max_rank: int | None = None, **_) -> Report:
     return rep
 
 
-def suite_unimodal(n: int = 5, max_rank: int | None = None, **_) -> Report:
+def suite_unimodal(n: int = 5, max_rank: int | None = None, seed: int = 2024,
+                   **_) -> Report:
     n = _capped_n(n, max_rank)
     rep = Report("unimodal classification")
     for k in range(2, n + 1):
         rep.merge(schubert.verify_unimodal_equivalence(k))
     rep.merge(schubert.verify_tail_partitions(min(n + 1, 6)))
-    rep.merge(schubert.verify_forest_chain_counts(min(n, 5)))
+    rep.merge(schubert.verify_forest_chain_counts(min(n, 5), seed))
     return rep
 
 
@@ -300,7 +299,7 @@ def suite_d_factorization(**_) -> Report:
         rep.merge(codes_mod.verify_d_factorization(poset))
         code = codes_mod.shared_standard_code("D", n)  # build aborts on failure
         rep.check(code.box_size() == poset.size, f"D{n} code table size")
-        chains = codes_mod.chain_words(f"D{n}")["chains"]
+        chains = codes_mod.d_chain_words(n)
         sizes = [len(c) for c in chains]
         rep.check(sizes == [2 * i for i in range(1, n)] + [n],
                   f"D{n} chain sizes are {sizes}")
@@ -388,17 +387,13 @@ SUITES = {
 }
 
 
-def _max_n(verifier) -> int:
-    return inspect.signature(verifier).parameters["max_n"].default
-
-
 # (least, greatest) n each suite taking one runs at without an error, the
-# greatest read off the schubert verifier it calls; catalan below 2 runs
+# greatest the bound of the schubert verifier it calls; catalan below 2 runs
 # nothing, which the CLI refuses as a report with 0 checks
 N_RANGES = {
-    "catalan": (None, _max_n(schubert.verify_catalan_equivalence)),
-    "unimodal": (0, _max_n(schubert.verify_unimodal_equivalence)),
-    "smooth": (2, _max_n(schubert.verify_smooth_classification)),
+    "catalan": (None, schubert.CATALAN_MAX_N),
+    "unimodal": (0, schubert.UNIMODAL_MAX_N),
+    "smooth": (2, schubert.SMOOTH_MAX_N),
 }
 
 

@@ -45,3 +45,37 @@ def order_from_extension(sc, extension) -> list[int]:
 def facet_vertices(sc, i: int) -> frozenset:
     """The vertices of facet i, unpacked from its bitmask."""
     return frozenset(v for b, v in enumerate(sc.vertices) if sc.facets[i] >> b & 1)
+
+
+def parabolic_decompose(poset, w: int, J) -> tuple[int, int]:
+    """Split w = w_J * u with u the minimal coset representative: u has no
+    left descent in J and lengths add."""
+    Jt = tuple(J)
+    u = w
+    moved = True
+    while moved:
+        moved = False
+        for gi in Jt:
+            v = poset.left_mult[u][gi]
+            if poset.length[v] < poset.length[u]:
+                u = v
+                moved = True
+    wj = poset.mult(w, poset.inverse[u])
+    assert poset.length[wj] + poset.length[u] == poset.length[w]
+    return wj, u
+
+
+def quotient_factorization(poset, w: int, gen_order=None) -> tuple[int, ...]:
+    """Factor w = w(1) w(2) ... w(n) along a chain of parabolics, peeling
+    one parabolic decomposition at a time from the top.
+
+    Factor i lies in the quotient of W_{J_i} by W_{J_{i-1}} where J_i is
+    the set of the first i generators of `gen_order`; lengths add.
+    """
+    order = tuple(gen_order) if gen_order is not None else tuple(range(poset.system.rank))
+    factors = [0] * len(order)
+    cur = w
+    for i in range(len(order) - 1, -1, -1):
+        cur, factors[i] = parabolic_decompose(poset, cur, order[:i])
+    assert cur == 0
+    return tuple(factors)

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from coxlehmer import cli, codes, coxeter
+from coxlehmer import cli, codes, coxeter, schubert
 from coxlehmer.report import Report
 
 
@@ -306,6 +306,45 @@ def test_size_limit_is_exit_2(capsys):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "enumeration limit" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("label, rank", [("D", 7), ("A", 8)])
+def test_groups_above_the_limit_are_refused_before_enumeration(
+        capsys, monkeypatch, label, rank):
+    # their downsets alone would take 6.5 GB (D7) and 8.2 GB (A8)
+    composed = []
+    init = coxeter.BruhatPoset.__init__
+
+    def guarded_init(self, system):
+        def compose(a, b):
+            composed.append(system.describe())
+            raise AssertionError(f"{system.describe()} is being enumerated")
+
+        system.compose = compose
+        init(self, system)
+
+    monkeypatch.setattr(coxeter.BruhatPoset, "__init__", guarded_init)
+    code, out, err = run(capsys, "code", "--type", label, "--rank", str(rank),
+                         "--word", "s1")
+    assert composed == []
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "enumeration limit" in err
+
+
+def test_seed_reaches_the_forest_samples(capsys, monkeypatch):
+    seeds = []
+
+    def recorder(n, seed=None):
+        seeds.append(seed)
+        rep = Report("forest chain counts")
+        rep.check(True)
+        return rep
+
+    monkeypatch.setattr(schubert, "verify_forest_chain_counts", recorder)
+    code, _, _ = run(capsys, "verify", "unimodal", "--n", "3", "--seed", "7")
+    assert code == 0
+    assert seeds == [7]
 
 
 def test_leading_minus_perm_d4(capsys):

@@ -2,7 +2,7 @@ import pytest
 
 from coxlehmer.codes import (
     LehmerCode,
-    chain_words,
+    d_chain_words,
     shared_standard_code,
     code_a,
     code_b,
@@ -18,6 +18,7 @@ from coxlehmer.codes import (
     verify_h3_quotients,
 )
 from coxlehmer.coxeter import BruhatPoset, build_system, shared_poset
+from oracles import quotient_factorization
 
 
 @pytest.fixture(scope="module")
@@ -147,6 +148,23 @@ def test_code_b_max_quotient_is_chain(b3):
     assert lens == list(range(6))
 
 
+@pytest.mark.parametrize("label,rank,m",
+                         [("A", n, None) for n in range(1, 7)]
+                         + [("B", n, None) for n in range(2, 6)]
+                         + [("I2", None, m) for m in range(3, 11)])
+def test_quotient_codes_match_the_factorization_oracle(label, rank, m):
+    # the product builder against peeling parabolic decompositions off w
+    poset = shared_poset(label, rank, m)
+    builds = [(standard_code(poset), None)]
+    if label == "B":
+        builds.append((code_b(poset, variant=True), (1, 0, *range(2, rank))))
+    for code, order in builds:
+        for w in range(poset.size):
+            lengths = tuple(poset.length[x]
+                            for x in quotient_factorization(poset, w, order))
+            assert code.of(w) == lengths, (code.name, poset.render(w))
+
+
 def test_code_b_variant(b3):
     code = code_b(b3, variant=True)
     assert code.name.endswith("~")
@@ -158,17 +176,41 @@ def test_code_b_variant(b3):
 # -- type D
 
 
+# the generator-subscript words the D4-D6 chains were stored as before the
+# rule generated them, "e" the empty word
+STORED_D_CHAINS = {
+    4: ["e 1", "e 2 21 021", "e 3 32 321 3021 30213", "e 0 02 023"],
+    5: ["e 1", "e 2 21 021", "e 3 32 321 3021 30213",
+        "e 4 43 432 4321 43021 430213 4302134", "e 0 02 023 0234"],
+    6: ["e 1", "e 2 21 021", "e 3 32 321 3021 30213",
+        "e 4 43 432 4321 43021 430213 4302134",
+        "e 5 54 543 5432 54321 543021 5430213 54302134 543021345",
+        "e 0 02 023 0234 02345"],
+}
+
+
+def test_d_chain_rule_reproduces_the_stored_words():
+    for n, chains in STORED_D_CHAINS.items():
+        stored = [[tuple(map(int, w.lstrip("e"))) for w in chain.split()]
+                  for chain in chains]
+        assert d_chain_words(n) == stored, n
+
+
 def test_chain_data_shapes():
-    for n in (4, 5, 6):
-        chains = chain_words(f"D{n}")["chains"]
+    # D7 and D8 lie above the enumeration limit; their words need no poset
+    for n in range(4, 9):
+        chains = d_chain_words(n)
         assert [len(c) for c in chains[:-1]] == [2 * i for i in range(1, n)]
         assert len(chains[-1]) == n
+        for chain in chains:
+            assert [len(w) for w in chain] == list(range(len(chain)))
+            assert all(set(w) <= set(range(n)) for w in chain)
 
 
 def test_chain_first_parts_are_parabolic_quotients(d4):
     # the low half of each X_i is the one-step parabolic quotient
     n = 4
-    chains = chain_words("D4")["chains"]
+    chains = d_chain_words(n)
     for i in range(2, n):
         words = chains[i - 1][: i + 1]
         got = {d4.apply_word([d4.system.gen_index(s) for s in w]) for w in words}
@@ -276,6 +318,12 @@ def test_verify_code_negative_control(a3):
     assert not rep.passed
     assert rep.failures > 0
     assert rep.witnesses
+
+
+def test_verify_code_checks_every_box_cover(a3):
+    # three table-wide checks, two per element, and one per cover of the
+    # box {0,1} x {0,1,2} x {0,...,3}: 1*3*4 + 2*2*4 + 3*2*3 = 46
+    assert verify_code(code_a(a3)).instances == 3 + 2 * a3.size + 46
 
 
 def test_sum_of_code_is_length_everywhere(a4, b3, d4, h3):

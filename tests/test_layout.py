@@ -4,9 +4,11 @@ src/coxlehmer.  Reference implementations the tests need live in
 tests/oracles.py instead."""
 
 import ast
+import re
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "coxlehmer"
+README = SRC.parent.parent / "README.md"
 
 # perfbench/tracing.py wraps these by name to time the layers; they stay
 # until its shelling and extension spans move to the code paths that run
@@ -79,3 +81,10 @@ def test_scan_sees_an_unreached_definition(tmp_path):
         "    def __len__(self):\n        return 0\n")
     (tmp_path / "b.py").write_text("from .a import K, unused\n\nk = K()\n")
     assert unreached_names(tmp_path) == ["a.unused", "a.method"]
+
+
+def test_readme_layout_lists_src():
+    block = README.read_text().split("```text\nsrc/coxlehmer/\n", 1)[1].split("```", 1)[0]
+    listed = re.findall(r"^  (\S+)", block, re.MULTILINE)
+    on_disk = [p.name for p in SRC.iterdir() if p.is_file()]
+    assert sorted(listed) == sorted(on_disk)
