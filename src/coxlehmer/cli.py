@@ -35,10 +35,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Lehmer codes, Bruhat intervals and their complexes "
                     "for finite Coxeter groups of types A, B, D, H3, I2(m).",
         epilog=f"Groups with more than {ENUMERATION_LIMIT} elements are refused "
-               f"with exit status 2, and so is the maxima route (also under "
-               f"--route all) on an element whose interval has more than "
-               f"{intervals.MAXIMA_LIMIT} maxima; --route direct and --route "
-               f"complex have no such bound.")
+               f"with exit status 2.")
     sub = p.add_subparsers(dest="command", required=True)
 
     def add_system(sp, with_element=True):
@@ -130,9 +127,11 @@ def _parse_perm(poset: BruhatPoset, text: str) -> int:
         raise CLIError(f"cannot read one-line element {text!r}") from None
     if vals not in poset.index:
         n = poset.system.rank + 1 if label == "A" else poset.system.rank
+        need = f"a {'signed ' if label != 'A' else ''}permutation of 1..{n}"
+        if label == "D" and sorted(map(abs, vals)) == list(range(1, n + 1)):
+            need = "an even number of minus signs"
         raise CLIError(f"{vals} is not an element of {poset.system.describe()} "
-                       f"(need a {'signed ' if label != 'A' else ''}permutation "
-                       f"of 1..{n})")
+                       f"(need {need})")
     return poset.index[vals]
 
 
@@ -147,6 +146,8 @@ def _parse_element(poset: BruhatPoset, args) -> int | None:
 
 
 def cmd_code(args) -> int:
+    if args.dump_table and (args.word is not None or args.perm is not None):
+        raise CLIError("--dump-table prints the whole code; give no --word or --perm")
     poset = _get_poset(args)
     code = _get_code(args)
     if args.dump_table:

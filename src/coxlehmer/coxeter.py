@@ -28,8 +28,7 @@ ENUMERATION_LIMIT = 10 ** 5
 
 class SizeLimitError(RuntimeError):
     """A size bound refuses the computation instead of running it unbounded:
-    a group above ENUMERATION_LIMIT, an ideal with more maxima than the
-    inclusion-exclusion bound, or a complex too large for the
+    a group above ENUMERATION_LIMIT, or a complex too large for the
     vertex-decomposability search."""
 
 
@@ -352,7 +351,6 @@ class BruhatPoset:
             covers_down.append(lows)
         self.covers_down = covers_down
         self._down = _downsets(covers_down)
-        self._weak_left_down = None
 
     # -- element arithmetic by index
 
@@ -388,15 +386,17 @@ class BruhatPoset:
         return bool(self._down[w] >> u & 1)
 
     def weak_left_interval(self, w: int) -> list[int]:
-        """The left weak interval [e, w], in index order."""
-        if self._weak_left_down is None:
-            covers_down = [[] for _ in range(self.size)]
-            for u in range(self.size):
-                for v in self.left_mult[u]:
-                    if self.length[v] == self.length[u] + 1:
-                        covers_down[v].append(u)
-            self._weak_left_down = _downsets(covers_down)
-        return list(_bits(self._weak_left_down[w]))
+        """The left weak interval [e, w], in index order: a search from w
+        down the left weak covers, u to g u whenever that is shorter."""
+        seen = {w}
+        stack = [w]
+        while stack:
+            u = stack.pop()
+            for v in self.left_mult[u]:
+                if self.length[v] < self.length[u] and v not in seen:
+                    seen.add(v)
+                    stack.append(v)
+        return sorted(seen)
 
     # -- descents and parabolic machinery
 

@@ -4,7 +4,8 @@ A valid code turns the interval below w into an order ideal of the product
 of chains.  This module computes the interval's rank generating function
 three independent ways (direct summation, shelling of the attached complex
 by pushing the ideal's rank-then-lex order through `ShellingState`,
-inclusion-exclusion over the ideal's maxima with meets of code vectors),
+inclusion-exclusion over the ideal's maxima with its terms grouped by the
+meets of their code vectors),
 and classifies elements whose intervals are full boxes (principal) or
 lexicographically minimal in their coordinate orbit (unimodal).
 """
@@ -16,13 +17,12 @@ from functools import lru_cache
 from math import prod
 
 from .codes import LehmerCode
-from .coxeter import BruhatPoset, SizeLimitError, _bits
+from .coxeter import BruhatPoset, _bits
 from .multicomplex import ChainProduct, OrderIdeal, is_order_ideal, meet
 from .qpoly import IntPolynomial, q_analog_product
 from .simplicial import SimplicialComplex, build_box_complex, complex_of_ideal, shelling_h_polynomial
 
 ROUTES = ("direct", "complex", "maxima")
-MAXIMA_LIMIT = 20
 
 
 class InvalidCodeImage(RuntimeError):
@@ -63,39 +63,38 @@ def _box_poly(dims: tuple[int, ...]) -> IntPolynomial:
     return q_analog_product(dims)
 
 
+def _maxima_polynomial(ideal: OrderIdeal) -> IntPolynomial:
+    """The ideal's rank generating function by inclusion-exclusion over its
+    maxima, terms of equal meet collected (Mobius inversion on the
+    meet-semilattice the maxima generate).  `table` holds the coefficient c
+    of each meet m in the indicator of the union of the boxes so far, sum of
+    c [box below m]; adding the box below x subtracts its intersection with
+    that union, the same sum over the meets of m and x.  The work is k
+    times the number of distinct meets, at most k |ideal| for k maxima."""
+    table: dict[tuple[int, ...], int] = {}
+    for x in ideal.maxima():
+        for m, c in list(table.items()):
+            y = meet(m, x)
+            table[y] = table.get(y, 0) - c
+        table[x] = table.get(x, 0) + 1
+    return sum((c * _box_poly(tuple(v + 1 for v in m)) for m, c in table.items() if c),
+               IntPolynomial())
+
+
 def interval_poincare(w: int, code: LehmerCode, route: str = "direct") -> IntPolynomial:
     """Rank generating function of {v : v <= w} by the chosen route.
 
     "direct" sums q^length over the interval; "complex" reads the h-vector
     off a shelling of the interval's complex; "maxima" runs
-    inclusion-exclusion over subsets of the ideal's maximal points, with
-    meets taken componentwise; it raises SizeLimitError beyond
-    MAXIMA_LIMIT maxima, since it runs 2^k - 1 terms.
+    inclusion-exclusion over the ideal's maximal points, with meets taken
+    componentwise and the terms grouped by meet (`_maxima_polynomial`).
     """
     if route == "direct":
         return IntPolynomial(code.poset.interval_poincare_coeffs(w))
     if route == "complex":
         return shelling_h_polynomial(interval_ideal(w, code))
     if route == "maxima":
-        maxs = sorted(interval_ideal(w, code).maxima())
-        if len(maxs) > MAXIMA_LIMIT:
-            raise SizeLimitError(
-                f"{len(maxs)} maxima exceeds the inclusion-exclusion bound {MAXIMA_LIMIT}; "
-                f"the direct and complex routes have no such bound "
-                f"(--route direct or --route complex)")
-        total = IntPolynomial()
-        k = len(maxs)
-
-        def rec(start, current, size):
-            nonlocal total
-            for j in range(start, k):
-                m = meet(current, maxs[j]) if size else maxs[j]
-                term = _box_poly(tuple(x + 1 for x in m))
-                total = total + (term if size % 2 == 0 else -term)
-                rec(j + 1, m, size + 1)
-
-        rec(0, None, 0)
-        return total
+        return _maxima_polynomial(interval_ideal(w, code))
     raise ValueError(f"unknown route {route!r}; valid: {', '.join(ROUTES)}")
 
 

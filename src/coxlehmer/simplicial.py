@@ -18,7 +18,7 @@ zero-based and are shifted here, at the boundary.
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .coxeter import SizeLimitError, _bits
 from .multicomplex import ChainProduct, OrderIdeal, full_ideal, lower_covers
@@ -26,23 +26,17 @@ from .qpoly import IntPolynomial
 
 
 class SimplicialComplex:
-    """A complex stored by its facets over a fixed vertex universe.
+    """A complex stored by its facets, bitmasks over the vertex tuple
+    `vertices` (bit b is vertices[b]).
 
     The facets given must be the complex's distinct maximal faces; they are
-    kept as bitmasks in the order given, and nothing is dropped or merged.
+    kept in the order given, and nothing is dropped or merged.
     """
 
-    def __init__(self, facets: Iterable[Iterable[Hashable]], universe=None,
+    def __init__(self, facets: Iterable[int], vertices: Sequence,
                  labels: Sequence | None = None, dims: tuple[int, ...] | None = None):
-        facet_sets = [frozenset(f) for f in facets]
-        if universe is None:
-            seen = set()
-            for f in facet_sets:
-                seen |= f
-            universe = sorted(seen)
-        self.vertices = tuple(universe)
-        self.vertex_index = {v: i for i, v in enumerate(self.vertices)}
-        self.facets = tuple(sum(1 << self.vertex_index[v] for v in f) for f in facet_sets)
+        self.vertices = tuple(vertices)
+        self.facets = tuple(facets)
         self.labels = tuple(labels) if labels is not None else None
         self.dims = dims
         if not self.facets:
@@ -100,16 +94,23 @@ def _pure(masks) -> bool:
 # the box complex
 
 
-def facet_of(x: tuple[int, ...], dims: tuple[int, ...]) -> frozenset:
-    """The facet attached to a one-based box point: coordinate class i minus
-    its value d_i + 1 - x_i."""
-    if len(x) != len(dims) or any(not 1 <= xi <= d for xi, d in zip(x, dims)):
-        raise ValueError(f"point {x} outside the box {dims}")
-    out = []
-    for i, (xi, d) in enumerate(zip(x, dims), start=1):
-        missing = d + 1 - xi
-        out.extend((v, i) for v in range(1, d + 1) if v != missing)
-    return frozenset(out)
+def _omitted_bits(dims: tuple[int, ...]) -> list[list[int]]:
+    """The box complex's one facet rule.  Vertex (v, i), v one-based, is bit
+    offset_i + v - 1 with offset_i = d_1 + ... + d_{i-1}; the facet of a
+    zero-based point x is every vertex but (d_i - x_i, i) in each class i.
+    Entry [i][x] is the bit of the vertex class i omits at x_i = x."""
+    out, offset = [], 0
+    for d in dims:
+        out.append([1 << (offset + d - x - 1) for x in range(d)])
+        offset += d
+    return out
+
+
+def _facet_masks(dims: tuple[int, ...], points) -> list[int]:
+    """The facet mask of each zero-based point: all vertices but the omitted."""
+    omitted = _omitted_bits(dims)
+    full = (1 << sum(dims)) - 1
+    return [full ^ sum(bits[x] for bits, x in zip(omitted, p)) for p in points]
 
 
 def build_box_complex(dims: Sequence[int]) -> SimplicialComplex:
@@ -123,10 +124,10 @@ def complex_of_ideal(ideal: OrderIdeal) -> SimplicialComplex:
     if not len(ideal):
         raise ValueError("the empty ideal has no complex")
     dims = ideal.ambient.dims
-    pts = [tuple(x + 1 for x in p) for p in sorted(ideal.points, key=lambda p: (sum(p), p))]
-    universe = [(v, i) for i, d in enumerate(dims, start=1) for v in range(1, d + 1)]
-    return SimplicialComplex([facet_of(x, dims) for x in pts],
-                             universe=universe, labels=pts, dims=dims)
+    pts = sorted(ideal.points, key=lambda p: (sum(p), p))
+    vertices = [(v, i) for i, d in enumerate(dims, start=1) for v in range(1, d + 1)]
+    return SimplicialComplex(_facet_masks(dims, pts), vertices,
+                             labels=[tuple(x + 1 for x in p) for p in pts], dims=dims)
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +191,8 @@ class ShellingState:
     """The shelling condition checked one facet at a time along a growing
     order ideal of a box complex, with exact undo.
 
-    `ShellingState(ideal)` builds the ideal's complex (`complex`).
+    `ShellingState(ideal)` reads the facets of the ideal's points straight
+    off the box rule (`_facet_masks`) and builds no complex.
     `push(point)` appends the facet of a zero-based point of the ideal and
     returns whether the order so far still shells; `pop()` undoes the last
     push.  The state keeps the multiset of codim-1 subfaces seen, the
@@ -198,7 +200,7 @@ class ShellingState:
     (`order`).  Restriction sets are computed but never unpacked.
 
     The question "is G_j inside an earlier facet" takes O(d): a facet
-    contains G_j iff in every coordinate class its missing vertex avoids
+    contains G_j iff in every coordinate class its omitted vertex avoids
     G_j, so the facets containing G_j are those of a product set of box
     points, and its least point x lies in the prefix iff some point of the
     set does, because the prefix is an order ideal.  `push` enforces that
@@ -206,23 +208,17 @@ class ShellingState:
     """
 
     def __init__(self, ideal: OrderIdeal):
-        self.complex = sc = complex_of_ideal(ideal)
-        classes = [sum(1 << sc.vertex_index[(v, i)] for v in range(1, d + 1))
-                   for i, d in enumerate(sc.dims, start=1)]
-        # _missing[i][x] is the vertex of class i that facets with x_i = x
-        # omit, read off the facets so that `facet_of` stays the only rule
-        self._missing = [[None] * d for d in sc.dims]
+        dims = ideal.ambient.dims
+        self._omitted = _omitted_bits(dims)
+        vertex_bits = [1 << b for b in range(sum(dims))]
+        points = list(ideal.points)
         self._facet = {}
-        vertex_bits = [1 << b for b in range(len(sc.vertices))]
-        for label, facet in zip(sc.labels, sc.facets):
-            point = tuple(x - 1 for x in label)
-            for missing, x, cls in zip(self._missing, point, classes):
-                missing[x] = cls & ~facet
+        for point, facet in zip(points, _facet_masks(dims, points)):
             # (codim-1 subface, the vertex it drops) for each vertex of the facet
             self._facet[point] = ([(facet ^ bit, bit) for bit in vertex_bits if facet & bit],
                                   tuple(lower_covers(point)))
         self._subfaces: dict[int, int] = {}
-        self._h = [0] * (sc.facets[0].bit_count() + 1)
+        self._h = [0] * (sum(dims) - len(dims) + 1)
         self.prefix: set[tuple[int, ...]] = set()
         self.order: list[tuple[int, ...]] = []
         self._restrictions: list[int] = []
@@ -259,21 +255,20 @@ class ShellingState:
         self._restrictions.append(gj)
         return True
 
-    def least_container(self, face: int) -> tuple[int, ...] | None:
-        """The least zero-based point, among coordinates some facet
-        carries, whose facet contains the face mask; None if there is none.
+    def least_container(self, face: int) -> tuple[int, ...]:
+        """The least zero-based box point whose facet contains the face
+        mask, a face of some box facet.
 
-        Per class it is the least coordinate whose missing vertex avoids
-        `face`, since containment is decided class by class.
+        Per class it is the least coordinate whose omitted vertex avoids
+        `face`, since containment is decided class by class.  It may lie
+        outside the ideal; then no point of the prefix holds the face.
         """
         least = []
-        for missing in self._missing:
-            for x, gone in enumerate(missing):
-                if gone is not None and not gone & face:
-                    least.append(x)
-                    break
-            else:
-                return None
+        for bits in self._omitted:
+            x = 0
+            while bits[x] & face:
+                x += 1
+            least.append(x)
         return tuple(least)
 
     def pop(self) -> tuple[int, ...]:

@@ -75,6 +75,8 @@ def suite_codes(max_rank: int | None = None, **_) -> Report:
 EXTENSION_CAP = 10 ** 4
 SAMPLE_SIZE = 100
 RANDOM_IDEAL_COUNT = 100
+# the vd suite checks every ideal of each box up to this volume
+VD_MAX_VOLUME = 16
 
 
 def _walk_extensions(frontier: Frontier, state: ShellingState, leaf) -> bool:
@@ -105,7 +107,7 @@ def _check_ideal_shellings(rep: Report, ideal, extensions=None) -> None:
     ideal's rank counts, two checks per extension, stopping at the first
     failure.  `extensions=None` walks every linear extension."""
     state = ShellingState(ideal)
-    sc = state.complex
+    sc = complex_of_ideal(ideal)
     expected = ideal.f_polynomial()
     transform = tuple(h_from_f(f_vector(sc), sc.dimension))
     rep.check(IntPolynomial(transform) == expected,
@@ -165,20 +167,20 @@ def _boxes_up_to(volume: int) -> list[tuple[int, ...]]:
     return sorted(out)
 
 
-def suite_vd(max_volume: int = 16, **_) -> Report:
+def suite_vd(**_) -> Report:
     """Vertex decomposability of every ideal complex in small boxes and of
     every interval complex in S4."""
     rep = Report("vertex decomposability")
-    boxes = _boxes_up_to(max_volume)
+    boxes = _boxes_up_to(VD_MAX_VOLUME)
     for dims in boxes:
         for ideal in all_order_ideals(ChainProduct(dims)):
-            rep.check(is_vertex_decomposable(complex_of_ideal(ideal), max_facets=max_volume),
+            rep.check(is_vertex_decomposable(complex_of_ideal(ideal), max_facets=VD_MAX_VOLUME),
                       f"box {dims}: ideal {ideal.to_json()} not vertex decomposable")
     code = codes_mod.shared_standard_code("A", 3)
     for w in range(code.poset.size):
         rep.check(is_vertex_decomposable(intervals.interval_complex(w, code), max_facets=64),
                   f"S4 interval below {code.poset.render(w)} not vertex decomposable")
-    rep.note(f"{len(boxes)} boxes up to volume {max_volume}, plus 24 S4 intervals")
+    rep.note(f"{len(boxes)} boxes up to volume {VD_MAX_VOLUME}, plus 24 S4 intervals")
     return rep
 
 

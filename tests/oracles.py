@@ -4,7 +4,9 @@ Nothing in `coxlehmer` calls these; each is the slow or definitional
 version of something the library does another way.
 """
 
-from coxlehmer.multicomplex import lower_covers
+from coxlehmer.multicomplex import lower_covers, meet
+from coxlehmer.qpoly import IntPolynomial, q_analog_product
+from coxlehmer.simplicial import SimplicialComplex
 
 
 def reflections(poset) -> list[int]:
@@ -40,6 +42,50 @@ def order_from_extension(sc, extension) -> list[int]:
     """Facet order induced by a linear extension of zero-based ideal points."""
     idx = {lab: i for i, lab in enumerate(sc.labels)}
     return [idx[tuple(x + 1 for x in p)] for p in extension]
+
+
+def facet_of(x: tuple[int, ...], dims: tuple[int, ...]) -> frozenset:
+    """The facet attached to a one-based box point: coordinate class i minus
+    its value d_i + 1 - x_i."""
+    if len(x) != len(dims) or any(not 1 <= xi <= d for xi, d in zip(x, dims)):
+        raise ValueError(f"point {x} outside the box {dims}")
+    out = []
+    for i, (xi, d) in enumerate(zip(x, dims), start=1):
+        missing = d + 1 - xi
+        out.extend((v, i) for v in range(1, d + 1) if v != missing)
+    return frozenset(out)
+
+
+def complex_from_sets(facets, universe=None) -> SimplicialComplex:
+    """A complex from its facets as vertex sets, over `universe` or else the
+    sorted union of the facets."""
+    facet_sets = [frozenset(f) for f in facets]
+    if universe is None:
+        universe = sorted(frozenset().union(*facet_sets))
+    index = {v: b for b, v in enumerate(universe)}
+    return SimplicialComplex([sum(1 << index[v] for v in f) for f in facet_sets], universe)
+
+
+def maxima_by_subsets(ideal) -> IntPolynomial:
+    """Inclusion-exclusion over every nonempty subset of the ideal's maxima,
+    2^k - 1 terms, each the signed box below the subset's meet.  The signs
+    are summed per meet before the q-analog products are taken, which keeps
+    the 65,535 subsets of a 16-maxima ideal cheap."""
+    maxs = sorted(ideal.maxima())
+    k = len(maxs)
+    signs = {}
+
+    def rec(start, current, size):
+        for j in range(start, k):
+            m = meet(current, maxs[j]) if size else maxs[j]
+            signs[m] = signs.get(m, 0) + (1 if size % 2 == 0 else -1)
+            rec(j + 1, m, size + 1)
+
+    rec(0, None, 0)
+    total = IntPolynomial()
+    for m, c in signs.items():
+        total = total + c * q_analog_product(x + 1 for x in m)
+    return total
 
 
 def facet_vertices(sc, i: int) -> frozenset:

@@ -18,6 +18,7 @@ from coxlehmer.qpoly import IntPolynomial
 from coxlehmer.schubert import catalan
 from coxlehmer.verify import (
     CODE_SYSTEMS,
+    VD_MAX_VOLUME,
     suite_catalan,
     suite_d_factorization,
     suite_exponents,
@@ -113,7 +114,8 @@ def test_criterion_07_shellings():
 
 def test_criterion_08_vertex_decomposability():
     with _Stopwatch(8, "ideal complexes in boxes up to volume 16 and S4 intervals"):
-        rep = suite_vd(max_volume=16)
+        assert VD_MAX_VOLUME == 16
+        rep = suite_vd()
         assert rep.passed, rep.witnesses
         assert rep.failures == 0
 

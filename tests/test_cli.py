@@ -52,6 +52,13 @@ def test_code_dump_table(capsys):
     assert len(table) == 6
 
 
+@pytest.mark.parametrize("element", [("--word", "s1"), ("--word", ""), ("--perm", "21")])
+def test_dump_table_refuses_an_element(capsys, element):
+    code, out, err = run(capsys, "code", "--type", "A", "--rank", "2", "--dump-table", *element)
+    assert code == 2 and out == ""
+    assert err == "error: --dump-table prints the whole code; give no --word or --perm\n"
+
+
 def test_hpoly_all_routes(capsys):
     code, out, _ = run(capsys, "hpoly", "--type", "A", "--rank", "3",
                        "--perm", "3412", "--json")
@@ -248,6 +255,16 @@ def test_bad_perm(capsys):
     assert "not an element" in err
 
 
+def test_bad_perm_d4_names_the_sign_rule(capsys):
+    # a signed permutation of 1..4, but with an odd number of minus signs
+    code, out, err = run(capsys, "code", "--type", "D", "--rank", "4", "--perm=-1,2,3,4")
+    assert code == 2 and out == ""
+    assert err == ("error: (-1, 2, 3, 4) is not an element of D4 "
+                   "(need an even number of minus signs)\n")
+    code, _, err = run(capsys, "code", "--type", "D", "--rank", "4", "--perm=1,2,3,5")
+    assert code == 2 and "need a signed permutation of 1..4" in err
+
+
 def test_unreadable_perm(capsys):
     code, _, err = run(capsys, "code", "--type", "A", "--rank", "2", "--perm", "3x2")
     assert code == 2
@@ -374,19 +391,15 @@ def test_cold_query_enumerates_once(capsys, monkeypatch):
     assert built == ["D4"]
 
 
-def test_maxima_bound_is_a_size_refusal(capsys):
-    # 30 maxima: the maxima route refuses with exit 2 and points at the
-    # routes that have no bound; the complex route answers
-    argv = ("hpoly", "--type", "D", "--rank", "5", "--perm=1,2,-4,3,-5")
-    code, out, err = run(capsys, *argv, "--route", "maxima")
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: 30 maxima exceeds") and err.count("\n") == 1
-    assert "--route direct" in err and "--route complex" in err
-    assert "Traceback" not in err
-    code, out, _ = run(capsys, *argv, "--route", "complex")
-    assert code == 0
-    assert out.startswith("complex ")
+def test_maxima_route_answers_past_twenty_maxima(capsys):
+    # 30 maxima: the meet table answers where 2^30 subsets could not, and
+    # every route agrees
+    code, out, err = run(capsys, "hpoly", "--type", "D", "--rank", "5",
+                         "--perm=1,2,-4,3,-5", "--route", "all", "--json")
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    assert doc["agree"] is True
+    assert set(doc["routes"]) == {"direct", "complex", "maxima"}
 
 
 def readme_schemas() -> dict[str, list[str]]:

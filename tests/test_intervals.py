@@ -2,9 +2,10 @@ import pytest
 
 from coxlehmer import intervals, simplicial
 from coxlehmer.codes import shared_standard_code
-from coxlehmer.coxeter import SizeLimitError, shared_poset
+from coxlehmer.coxeter import _bits, shared_poset
 from coxlehmer.intervals import (
     InvalidCodeImage,
+    _maxima_polynomial,
     code_meet,
     group_complex,
     interval_complex,
@@ -16,8 +17,9 @@ from coxlehmer.intervals import (
     principal_set,
     unimodal_set,
 )
+from coxlehmer.multicomplex import upper_covers
 from coxlehmer.qpoly import IntPolynomial, q_analog, q_analog_product
-from oracles import code_leq
+from oracles import code_leq, maxima_by_subsets
 
 H3_UNIMODAL_TRIPLES = {
     (1, 5, 9), (1, 5, 4), (1, 4, 4), (1, 3, 4), (1, 2, 4), (1, 1, 4), (1, 2, 3),
@@ -136,11 +138,42 @@ def test_route_agreement_everywhere_a3(a3, la3):
         assert interval_poincare(w, la3, "maxima") == d
 
 
-def test_maxima_route_bound(a3, la3, monkeypatch):
-    monkeypatch.setattr(intervals, "MAXIMA_LIMIT", 2)
-    w = a3.index[(3, 4, 1, 2)]
-    with pytest.raises(SizeLimitError, match="exceeds"):
-        interval_poincare(w, la3, "maxima")
+MAXIMA_SYSTEMS = (
+    [("A", n, None) for n in range(1, 6)]
+    + [("B", n, None) for n in range(2, 5)]
+    + [("D", 4, None), ("H3", None, None)]
+    + [("I2", None, m) for m in range(3, 11)]
+)
+
+
+@pytest.mark.parametrize("label,rank,m", MAXIMA_SYSTEMS)
+def test_maxima_table_matches_the_subset_oracle(label, rank, m):
+    code = shared_standard_code(label, rank, m)
+    for w in range(code.poset.size):
+        ideal = interval_ideal(w, code)
+        assert _maxima_polynomial(ideal) == maxima_by_subsets(ideal), code.poset.render(w)
+
+
+def test_maxima_route_past_twenty_maxima_matches_direct():
+    # the 51 elements of D5 whose ideals have more than 20 maxima, which
+    # the 2^k subset expansion could not reach.  The code is a bijection
+    # onto its box, so code(v) is a maximum of the ideal below w iff no box
+    # cover above it is the code of an element below w
+    code = shared_standard_code("D", 5)
+    poset = code.poset
+    dims = tuple(b + 1 for b in code.bounds)
+    above = [[code.element(q) for q in upper_covers(code.of(v), dims)]
+             for v in range(poset.size)]
+
+    def maxima_count(w):
+        below = poset.downset(w)
+        return sum(not any(below >> u & 1 for u in above[v]) for v in _bits(below))
+
+    wide = [w for w in range(poset.size) if maxima_count(w) > 20]
+    assert len(wide) == 51
+    for w in wide:
+        assert len(interval_ideal(w, code).maxima()) == maxima_count(w)
+        assert interval_poincare(w, code, "maxima") == interval_poincare(w, code, "direct")
 
 
 def test_unknown_route(la3):

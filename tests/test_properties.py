@@ -1,7 +1,7 @@
 """Property tests: the incremental shelling state and the generic shelling
 check against each other and against the definition, and the `complex`
-route's h-polynomial against the ideal's rank counts, on drawn boxes,
-ideals and facet orders."""
+and `maxima` routes' polynomials against the ideal's rank counts, on drawn
+boxes, ideals and facet orders."""
 
 import pytest
 
@@ -9,6 +9,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from coxlehmer.intervals import _maxima_polynomial  # noqa: E402
 from coxlehmer.multicomplex import (  # noqa: E402
     ChainProduct,
     Frontier,
@@ -94,3 +95,10 @@ def test_shelling_h_polynomial_is_the_rank_count(case):
     assert generic.ok
     got = shelling_h_polynomial(ideal)
     assert got == ideal.f_polynomial() == IntPolynomial(generic.h_vector)
+
+
+@PROPERTY_SETTINGS
+@given(ideals_and_orders())
+def test_maxima_table_is_the_rank_count(case):
+    ideal, _ = case
+    assert _maxima_polynomial(ideal) == ideal.f_polynomial()

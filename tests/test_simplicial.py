@@ -14,13 +14,12 @@ from coxlehmer.multicomplex import (
 from coxlehmer.qpoly import IntPolynomial, q_analog
 from coxlehmer.simplicial import (
     ShellingState,
-    SimplicialComplex,
     _maximalize,
+    _omitted_bits,
     build_box_complex,
     complex_of_ideal,
     f_from_h,
     f_vector,
-    facet_of,
     h_from_f,
     is_flag,
     is_flag_ideal,
@@ -28,7 +27,7 @@ from coxlehmer.simplicial import (
     shelling_h_polynomial,
     verify_shelling,
 )
-from oracles import order_from_extension
+from oracles import complex_from_sets, facet_of, facet_vertices, order_from_extension
 
 
 def test_facet_of_worked_example():
@@ -44,6 +43,21 @@ def test_facet_of_single_coordinate():
 def test_facet_of_range_check():
     with pytest.raises(ValueError, match="outside"):
         facet_of((0, 1), (2, 2))
+
+
+@pytest.mark.parametrize("dims", [(2, 3), (2, 2, 2), (3, 3, 4), (1, 3)])
+def test_facet_rule_masks_unpack_to_facet_of(dims):
+    # every point of the box: the rule's mask, read through the vertex
+    # tuple, is the facet the definition gives; bits follow the tuple order
+    sc = build_box_complex(dims)
+    assert sc.vertices == tuple((v, i) for i, d in enumerate(dims, start=1)
+                                for v in range(1, d + 1))
+    assert sc.facet_count == ChainProduct(dims).size()
+    for k, label in enumerate(sc.labels):
+        assert facet_vertices(sc, k) == facet_of(label, dims)
+    omitted = _omitted_bits(dims)
+    assert [len(bits) for bits in omitted] == list(dims)
+    assert sum(b for bits in omitted for b in bits) == (1 << sum(dims)) - 1
 
 
 def test_facets_distinct_on_2x2():
@@ -102,7 +116,7 @@ def test_every_extension_shells_the_2x3_box():
 
 def test_bad_order_is_rejected():
     # two disjoint edges can never be shelled
-    sc = SimplicialComplex([{1, 2}, {3, 4}])
+    sc = complex_from_sets([{1, 2}, {3, 4}])
     res = verify_shelling(sc, [0, 1])
     assert not res.ok
     assert res.violation == (0, 1)
@@ -110,14 +124,14 @@ def test_bad_order_is_rejected():
 
 def test_non_shelling_order_on_shellable_complex():
     # a path of three edges ordered ends-first fails in the middle
-    sc = SimplicialComplex([{1, 2}, {2, 3}, {3, 4}])
+    sc = complex_from_sets([{1, 2}, {2, 3}, {3, 4}])
     assert verify_shelling(sc, [0, 1, 2]).ok
     res = verify_shelling(sc, [0, 2, 1])
     assert not res.ok
 
 
 def test_verify_shelling_rejects_non_pure():
-    sc = SimplicialComplex([{1, 2}, {3}])
+    sc = complex_from_sets([{1, 2}, {3}])
     with pytest.raises(ValueError, match="pure"):
         verify_shelling(sc, [0, 1])
 
@@ -195,7 +209,7 @@ def test_push_refuses_a_point_outside_the_frontier():
 def test_least_container_matches_brute_force():
     for dims in [(2, 3), (2, 2, 2), (3, 3), (1, 3)]:
         state = ShellingState(full_ideal(ChainProduct(dims)))
-        sc = state.complex
+        sc = complex_of_ideal(full_ideal(ChainProduct(dims)))
         points = [tuple(x - 1 for x in lab) for lab in sc.labels]
         for facet in sc.facets:
             face = facet
@@ -237,7 +251,7 @@ def test_f_vector_trivial_complex():
 
 
 def test_f_vector_triangle_boundary():
-    sc = SimplicialComplex([{1, 2}, {1, 3}, {2, 3}])
+    sc = complex_from_sets([{1, 2}, {1, 3}, {2, 3}])
     assert f_vector(sc) == (1, 3, 3)
     assert h_from_f((1, 3, 3), 1) == (1, 1, 1)
 
@@ -261,7 +275,7 @@ def test_f_h_round_trip():
 
 
 def test_vd_simplex_and_trivial():
-    assert is_vertex_decomposable(SimplicialComplex([{1, 2, 3}]))
+    assert is_vertex_decomposable(complex_from_sets([{1, 2, 3}]))
     assert is_vertex_decomposable(build_box_complex((1, 1)))
 
 
@@ -271,12 +285,12 @@ def test_vd_all_ideals_of_2x2():
 
 
 def test_vd_rejects_disjoint_edges():
-    assert not is_vertex_decomposable(SimplicialComplex([{1, 2}, {3, 4}]))
+    assert not is_vertex_decomposable(complex_from_sets([{1, 2}, {3, 4}]))
 
 
 def test_vd_triangle_boundary_and_path():
-    assert is_vertex_decomposable(SimplicialComplex([{1, 2}, {1, 3}, {2, 3}]))
-    assert is_vertex_decomposable(SimplicialComplex([{1, 2}, {2, 3}, {3, 4}]))
+    assert is_vertex_decomposable(complex_from_sets([{1, 2}, {1, 3}, {2, 3}]))
+    assert is_vertex_decomposable(complex_from_sets([{1, 2}, {2, 3}, {3, 4}]))
 
 
 def test_vd_size_limit():
@@ -287,15 +301,15 @@ def test_vd_size_limit():
 
 def test_vd_rejects_non_pure():
     with pytest.raises(ValueError):
-        is_vertex_decomposable(SimplicialComplex([{1, 2}, {3}]))
+        is_vertex_decomposable(complex_from_sets([{1, 2}, {3}]))
 
 
 def test_flag_full_simplex():
-    assert is_flag(SimplicialComplex([{1, 2, 3}]))
+    assert is_flag(complex_from_sets([{1, 2, 3}]))
 
 
 def test_flag_triangle_boundary_is_not():
-    assert not is_flag(SimplicialComplex([{1, 2}, {1, 3}, {2, 3}]))
+    assert not is_flag(complex_from_sets([{1, 2}, {1, 3}, {2, 3}]))
 
 
 def test_flag_ideal_requires_01_box():
