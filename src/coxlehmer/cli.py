@@ -6,9 +6,9 @@
     coxlehmer classify --type H3 --what unimodal
     coxlehmer verify   catalan --n 5
 
-Exit status: 0 success, 1 verification failure, 2 usage or parse error or
-a size limit (SizeLimitError) refusing the computation.  All JSON output
-uses exact integers.
+Exit status: 0 success, 1 verification failure (an InvalidCodeImage too),
+2 usage or parse error or a size limit (SizeLimitError) refusing the
+computation.  All JSON output uses exact integers.
 """
 
 from __future__ import annotations
@@ -283,9 +283,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return COMMANDS[args.command](args)
-    except (CLIError, SizeLimitError, ValueError) as exc:
+    except (CLIError, SizeLimitError, ValueError, intervals.InvalidCodeImage) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, intervals.InvalidCodeImage) else 2
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ from math import prod
 
 from .codes import LehmerCode
 from .coxeter import BruhatPoset, _bits
-from .multicomplex import ChainProduct, OrderIdeal, is_order_ideal, meet
+from .multicomplex import ChainProduct, OrderIdeal, meet
 from .qpoly import IntPolynomial, q_analog_product
 from .simplicial import SimplicialComplex, build_box_complex, complex_of_ideal, shelling_h_polynomial
 
@@ -34,15 +34,15 @@ class InvalidCodeImage(RuntimeError):
 
 
 def interval_ideal(w: int, code: LehmerCode) -> OrderIdeal:
-    """The code image of {v : v <= w}, checked to be downward closed."""
+    """The code image of {v : v <= w}, checked once to be an ideal of the box."""
     poset = code.poset
-    pts = {code.of(v) for v in _bits(poset.downset(w))}
     amb = ChainProduct(tuple(b + 1 for b in code.bounds))
-    if not is_order_ideal(amb, pts):
+    try:
+        return OrderIdeal(amb, (code.of(v) for v in _bits(poset.downset(w))))
+    except ValueError:
         raise InvalidCodeImage(
             f"{code.name}: image of the interval below {poset.render(w)} "
-            f"is not an order ideal")
-    return OrderIdeal(amb, pts, _trusted=True)
+            f"is not an order ideal") from None
 
 
 def group_complex(poset: BruhatPoset) -> SimplicialComplex:

@@ -2,10 +2,11 @@
 
 Points are stored zero-based, so the rank of a point is the plain sum of its
 entries; the one-based view used by the facet construction shifts at that
-boundary only.  Includes the Macaulay growth test characterizing f-vectors
-of multicomplexes, and exhaustive, counted or seeded-random linear
-extensions, all driven by one `Frontier`: the sorted minimal points of what
-is left of an ideal, kept by counting each point's untaken lower covers.
+boundary only.  Covers and facet masks come from one `box_table` per box.
+Includes the Macaulay growth test for f-vectors of multicomplexes, and
+exhaustive, counted or seeded-random linear extensions, all driven by one
+`Frontier`: the sorted minimal points of what is left of an ideal, kept by
+counting each point's untaken lower covers.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import itertools
 import random
 from bisect import bisect_left, insort
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb, prod
 from typing import Iterable, Iterator
 
@@ -27,10 +29,6 @@ class ChainProduct:
     def __post_init__(self):
         if not self.dims or any(d < 1 for d in self.dims):
             raise ValueError(f"chain sizes must be >= 1, got {self.dims}")
-
-    def __contains__(self, point) -> bool:
-        return (len(point) == len(self.dims)
-                and all(0 <= x < d for x, d in zip(point, self.dims)))
 
     def points(self) -> Iterator[tuple[int, ...]]:
         """Every point, in lexicographic order."""
@@ -57,6 +55,31 @@ def meet(x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(map(min, x, y))
 
 
+class _BoxTable(dict):
+    """point -> (lower covers, upper covers, facet mask) in the box `dims`,
+    built at the point's first lookup (ValueError outside the box).  Cover
+    tuples hold the table's own point objects, interned in `_keys`."""
+
+    def __init__(self, dims: tuple[int, ...]):
+        self.dims, self._keys = dims, {}
+
+    def __missing__(self, p):
+        from .simplicial import _facet_masks  # simplicial imports this module
+
+        dims = self.dims
+        if len(p) != len(dims) or not all(0 <= x < d for x, d in zip(p, dims)):
+            raise ValueError(f"point {p} outside ambient {dims}")
+        key = self._keys.setdefault
+        p = key(p, p)
+        entry = self[p] = (tuple(key(q, q) for q in lower_covers(p)),
+                           tuple(key(q, q) for q in upper_covers(p, dims)),
+                           _facet_masks(dims, (p,))[0])
+        return entry
+
+
+box_table = lru_cache(maxsize=None)(_BoxTable)  # one shared table per box dims
+
+
 class OrderIdeal:
     """A downward-closed set of points in a ChainProduct."""
 
@@ -66,11 +89,10 @@ class OrderIdeal:
                  _trusted: bool = False):
         self.ambient = ambient
         pts = frozenset(tuple(p) for p in points)
-        for p in pts:
-            if p not in ambient:
-                raise ValueError(f"point {p} outside ambient {ambient.dims}")
-        if not _trusted and not _closed(pts):
-            raise ValueError("point set is not downward closed")
+        if not _trusted:  # one box check and one closure check per point
+            table = box_table(ambient.dims)  # ValueError outside the box
+            if not all(q in pts for p in pts for q in table[p][0]):
+                raise ValueError("point set is not downward closed")
         self.points = pts
 
     def __contains__(self, point) -> bool:
@@ -90,8 +112,8 @@ class OrderIdeal:
         return hash((self.ambient, self.points))
 
     def maxima(self) -> set[tuple[int, ...]]:
-        return {p for p in self.points
-                if not any(q in self.points for q in upper_covers(p, self.ambient.dims))}
+        pts, table = self.points, box_table(self.ambient.dims)
+        return {p for p in pts if not any(q in pts for q in table[p][1])}
 
     def f_polynomial(self):
         from .qpoly import IntPolynomial
@@ -110,25 +132,13 @@ class OrderIdeal:
         return [list(p) for p in sorted(self.points)]
 
 
-def _closed(points: frozenset) -> bool:
-    return all(q in points for p in points for q in lower_covers(p))
-
-
-def is_order_ideal(ambient: ChainProduct, points: Iterable[tuple[int, ...]]) -> bool:
-    pts = frozenset(tuple(p) for p in points)
-    return all(p in ambient for p in pts) and _closed(pts)
-
-
 def ideal_from_points(ambient: ChainProduct, points: Iterable[tuple[int, ...]]) -> OrderIdeal:
     """Downward closure of the given points."""
+    table = box_table(ambient.dims)
     todo = [tuple(p) for p in points]
-    for p in todo:
-        if p not in ambient:
-            raise ValueError(f"point {p} outside ambient {ambient.dims}")
     seen = set(todo)
     while todo:
-        p = todo.pop()
-        for q in lower_covers(p):
+        for q in table[todo.pop()][0]:  # ValueError outside the box
             if q not in seen:
                 seen.add(q)
                 todo.append(q)
@@ -191,11 +201,10 @@ class Frontier:
     __slots__ = ("minimal", "_above", "_waiting")
 
     def __init__(self, ideal: OrderIdeal):
-        pts = ideal.points
-        dims = ideal.ambient.dims
-        self._above = {p: [q for q in upper_covers(p, dims) if q in pts] for p in pts}
-        # one lower cover per nonzero coordinate, and all lie in the ideal
-        self._waiting = {p: sum(1 for x in p if x) for p in pts}
+        pts, table = ideal.points, box_table(ideal.ambient.dims)
+        self._above = {p: [q for q in table[p][1] if q in pts] for p in pts}
+        # every lower cover of an ideal point lies in the ideal
+        self._waiting = {p: len(table[p][0]) for p in pts}
         self.minimal = sorted(p for p, k in self._waiting.items() if not k)
 
     def take(self, p: tuple[int, ...]) -> None:

@@ -18,10 +18,11 @@ zero-based and are shifted here, at the boundary.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .coxeter import SizeLimitError, _bits
-from .multicomplex import ChainProduct, OrderIdeal, full_ideal, lower_covers
+from .multicomplex import ChainProduct, OrderIdeal, box_table, full_ideal, lower_covers
 from .qpoly import IntPolynomial
 
 
@@ -94,16 +95,17 @@ def _pure(masks) -> bool:
 # the box complex
 
 
-def _omitted_bits(dims: tuple[int, ...]) -> list[list[int]]:
+@lru_cache(maxsize=None)
+def _omitted_bits(dims: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     """The box complex's one facet rule.  Vertex (v, i), v one-based, is bit
     offset_i + v - 1 with offset_i = d_1 + ... + d_{i-1}; the facet of a
     zero-based point x is every vertex but (d_i - x_i, i) in each class i.
     Entry [i][x] is the bit of the vertex class i omits at x_i = x."""
     out, offset = [], 0
     for d in dims:
-        out.append([1 << (offset + d - x - 1) for x in range(d)])
+        out.append(tuple(1 << (offset + d - x - 1) for x in range(d)))
         offset += d
-    return out
+    return tuple(out)
 
 
 def _facet_masks(dims: tuple[int, ...], points) -> list[int]:
@@ -191,8 +193,8 @@ class ShellingState:
     """The shelling condition checked one facet at a time along a growing
     order ideal of a box complex, with exact undo.
 
-    `ShellingState(ideal)` reads the facets of the ideal's points straight
-    off the box rule (`_facet_masks`) and builds no complex.
+    `ShellingState(ideal)` reads covers and facet masks from `box_table`
+    and builds a point's codim-1 subfaces at its first push.
     `push(point)` appends the facet of a zero-based point of the ideal and
     returns whether the order so far still shells; `pop()` undoes the last
     push.  The state keeps the multiset of codim-1 subfaces seen, the
@@ -210,14 +212,11 @@ class ShellingState:
     def __init__(self, ideal: OrderIdeal):
         dims = ideal.ambient.dims
         self._omitted = _omitted_bits(dims)
-        vertex_bits = [1 << b for b in range(sum(dims))]
-        points = list(ideal.points)
-        self._facet = {}
-        for point, facet in zip(points, _facet_masks(dims, points)):
-            # (codim-1 subface, the vertex it drops) for each vertex of the facet
-            self._facet[point] = ([(facet ^ bit, bit) for bit in vertex_bits if facet & bit],
-                                  tuple(lower_covers(point)))
-        self._subfaces: dict[int, int] = {}
+        self._vertex_bits = [bit for bits in self._omitted for bit in bits]
+        self._table = box_table(dims)
+        self._points = ideal.points
+        self._subfaces_of: dict[tuple[int, ...], list[int]] = {}
+        self._seen: dict[int, int] = {}  # multiset of the subfaces pushed
         self._h = [0] * (sum(dims) - len(dims) + 1)
         self.prefix: set[tuple[int, ...]] = set()
         self.order: list[tuple[int, ...]] = []
@@ -231,23 +230,27 @@ class ShellingState:
     def push(self, point: tuple[int, ...]) -> bool:
         """Append the facet of `point`.  On failure the state is unchanged
         and `violation` names the earlier point whose facet contains G_j."""
-        try:
-            subfaces, below = self._facet[point]
-        except KeyError:
-            raise ValueError(f"point {point} has no facet in this complex") from None
+        if point not in self._points:
+            raise ValueError(f"point {point} has no facet in this complex")
+        below, _, facet = self._table[point]
         prefix = self.prefix
         if point in prefix or not prefix.issuperset(below):
             raise ValueError(f"point {point} is not minimal outside the prefix")
-        seen = self._subfaces
+        subfaces = self._subfaces_of.get(point)
+        if subfaces is None:  # one codim-1 subface per vertex, dropping facet ^ sub
+            # a list: freed tuples of this length linger on CPython's free lists
+            subfaces = self._subfaces_of[point] = [
+                facet ^ bit for bit in self._vertex_bits if facet & bit]
+        seen = self._seen
         gj = 0
-        for sub, vertex in subfaces:
+        for sub in subfaces:
             if sub in seen:
-                gj |= vertex
+                gj |= facet ^ sub
         least = self.least_container(gj)
         if least in prefix:
             self.violation = (least, point)
             return False
-        for sub, _ in subfaces:
+        for sub in subfaces:
             seen[sub] = seen.get(sub, 0) + 1
         self._h[gj.bit_count()] += 1
         prefix.add(point)
@@ -274,8 +277,8 @@ class ShellingState:
     def pop(self) -> tuple[int, ...]:
         """Undo the last successful push and return its point."""
         point = self.order.pop()
-        seen = self._subfaces
-        for sub, _ in self._facet[point][0]:
+        seen = self._seen
+        for sub in self._subfaces_of[point]:
             if seen[sub] == 1:
                 del seen[sub]
             else:

@@ -28,6 +28,14 @@ def code_leq(u: int, v: int, code) -> bool:
     return all(a <= b for a, b in zip(code.of(u), code.of(v)))
 
 
+def is_order_ideal(ambient, points) -> bool:
+    """Whether the points lie in the box and hold each other's lower covers."""
+    pts = frozenset(tuple(p) for p in points)
+    dims = ambient.dims
+    return (all(len(p) == len(dims) and all(0 <= x < d for x, d in zip(p, dims)) for p in pts)
+            and all(q in pts for p in pts for q in lower_covers(p)))
+
+
 def is_linear_extension(ideal, order) -> bool:
     """Whether `order` lists the ideal's points, each after its lower covers."""
     seen = set()

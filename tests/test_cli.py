@@ -76,6 +76,21 @@ def test_hpoly_identity(capsys):
     assert out.strip().endswith("1")
 
 
+@pytest.mark.parametrize("verb", [("hpoly", "--route", "complex"), ("complex",)])
+def test_invalid_code_image_is_a_verification_failure(capsys, monkeypatch, verb):
+    from coxlehmer import intervals
+
+    def broken(w, code):
+        raise intervals.InvalidCodeImage(f"{code.name}: image is not an order ideal")
+
+    monkeypatch.setattr(intervals, "interval_ideal", broken)
+    code, out, err = run(capsys, verb[0], "--type", "A", "--rank", "3", "--perm", "3412",
+                         *verb[1:])
+    assert code == 1
+    assert out == ""
+    assert err == "error: LA3: image is not an order ideal\n"
+
+
 def test_complex_json_roundtrip(capsys):
     code, out, _ = run(capsys, "complex", "--type", "A", "--rank", "2")
     assert code == 0

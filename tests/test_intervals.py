@@ -17,9 +17,9 @@ from coxlehmer.intervals import (
     principal_set,
     unimodal_set,
 )
-from coxlehmer.multicomplex import upper_covers
+from coxlehmer.multicomplex import ChainProduct, upper_covers
 from coxlehmer.qpoly import IntPolynomial, q_analog, q_analog_product
-from oracles import code_leq, maxima_by_subsets
+from oracles import code_leq, is_order_ideal, maxima_by_subsets
 
 H3_UNIMODAL_TRIPLES = {
     (1, 5, 9), (1, 5, 4), (1, 4, 4), (1, 3, 4), (1, 2, 4), (1, 1, 4), (1, 2, 3),
@@ -80,6 +80,44 @@ def test_interval_ideal_detects_corruption(a3, la3):
     w = a3.index[(2, 3, 1, 4)]  # s1 s2: its interval sees only one swapped element
     with pytest.raises(InvalidCodeImage):
         interval_ideal(w, bad)
+
+
+@pytest.mark.parametrize("label,rank", [("A", 4), ("B", 3), ("D", 4), ("H3", None)])
+def test_interval_ideal_matches_the_oracle(label, rank):
+    # the single box-and-closure check gives the image the oracle accepts
+    code = shared_standard_code(label, rank)
+    amb = ChainProduct(tuple(b + 1 for b in code.bounds))
+    for w in range(code.poset.size):
+        pts = {code.of(v) for v in _bits(code.poset.downset(w))}
+        assert is_order_ideal(amb, pts), code.poset.render(w)
+        assert interval_ideal(w, code).points == pts
+
+
+def test_every_equal_length_swap_is_caught(a3, la3):
+    # swapping the vectors of two elements of equal length keeps every rank
+    # count, so only the closure check can see it; in LA3 each of the 41
+    # swaps breaks some interval, and interval_ideal raises exactly there
+    from coxlehmer.codes import LehmerCode
+
+    amb = ChainProduct(tuple(b + 1 for b in la3.bounds))
+    swaps = [(u, v) for u in range(a3.size) for v in range(u + 1, a3.size)
+             if a3.length[u] == a3.length[v]]
+    assert len(swaps) == 41
+    for u, v in swaps:
+        vectors = list(la3.vectors)
+        vectors[u], vectors[v] = vectors[v], vectors[u]
+        bad = LehmerCode("bad", a3, la3.bounds, vectors,
+                         {x: w for w, x in enumerate(vectors)})
+        caught = 0
+        for w in range(a3.size):
+            pts = {bad.of(x) for x in _bits(a3.downset(w))}
+            if is_order_ideal(amb, pts):
+                assert interval_ideal(w, bad).points == pts
+            else:
+                with pytest.raises(InvalidCodeImage):
+                    interval_ideal(w, bad)
+                caught += 1
+        assert caught, (a3.render(u), a3.render(v))
 
 
 def test_group_complex_shapes(a3, h3):

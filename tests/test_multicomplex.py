@@ -8,19 +8,21 @@ from coxlehmer.multicomplex import (
     Frontier,
     OrderIdeal,
     all_order_ideals,
+    box_table,
     count_linear_extensions,
     full_ideal,
     ideal_from_points,
     is_m_sequence,
-    is_order_ideal,
     linear_extensions,
     lower_covers,
     meet,
     random_order_ideals,
     sample_linear_extensions,
+    upper_covers,
 )
 from coxlehmer.qpoly import IntPolynomial, q_analog
-from oracles import is_linear_extension
+from coxlehmer.simplicial import _facet_masks
+from oracles import is_linear_extension, is_order_ideal
 
 
 def test_ambient_validation():
@@ -28,6 +30,25 @@ def test_ambient_validation():
         ChainProduct((2, 0))
     with pytest.raises(ValueError):
         ChainProduct(())
+
+
+@pytest.mark.parametrize("dims", [(1,), (2, 3), (2, 2, 2), (3, 3, 4), (2, 3, 4, 5, 6)])
+def test_box_table_matches_the_generators(dims):
+    table = box_table(dims)
+    points = list(ChainProduct(dims).points())
+    for p, mask in zip(points, _facet_masks(dims, points)):
+        assert table[p] == (tuple(lower_covers(p)), tuple(upper_covers(p, dims)), mask)
+    assert len(table) == len(points)
+    # covers are the table's own key objects, not fresh tuples
+    keys = {p: p for p in table}
+    assert all(keys[q] is q for lower, upper, _ in table.values() for q in lower + upper)
+
+
+def test_order_ideal_refuses_points_off_the_box():
+    amb = ChainProduct((2, 3))
+    for bad in [(2, 0), (0, 3), (0, -1), (0, 0, 0), (0,)]:
+        with pytest.raises(ValueError, match="outside"):
+            OrderIdeal(amb, [(0, 0), bad])
 
 
 def test_closure_of_origin():

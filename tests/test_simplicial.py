@@ -6,6 +6,7 @@ from coxlehmer.multicomplex import (
     ChainProduct,
     Frontier,
     all_order_ideals,
+    box_table,
     full_ideal,
     ideal_from_points,
     linear_extensions,
@@ -204,6 +205,17 @@ def test_push_refuses_a_point_outside_the_frontier():
     assert state.order == [(0, 0), (1, 0), (0, 1)]
     assert state.pop() == (0, 1)
     assert state.h_vector == (1, 1, 0, 0)
+
+
+def test_push_refuses_a_box_point_outside_the_ideal():
+    # (1, 1) is in the box and its lower covers are all pushed, but it is
+    # not in the ideal; the shared box table already has its entry
+    box_table((2, 3))[(1, 1)]
+    state = ShellingState(ideal_from_points(ChainProduct((2, 3)), [(1, 0), (0, 1)]))
+    assert all(state.push(p) for p in [(0, 0), (1, 0), (0, 1)])
+    with pytest.raises(ValueError, match="no facet"):
+        state.push((1, 1))
+    assert state.order == [(0, 0), (1, 0), (0, 1)]
 
 
 def test_least_container_matches_brute_force():
