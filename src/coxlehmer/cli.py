@@ -9,6 +9,10 @@
 Exit status: 0 success, 1 verification failure (an InvalidCodeImage too),
 2 usage or parse error or a size limit (SizeLimitError) refusing the
 computation.  All JSON output uses exact integers.
+
+`main` may be called any number of times in one process: the argument
+parser is built by the first call and reused, since parse_args keeps no
+state between calls (each gets a fresh namespace and the defaults).
 """
 
 from __future__ import annotations
@@ -173,8 +177,8 @@ def cmd_hpoly(args) -> int:
     w = _parse_element(poset, args)
     if w is None:
         raise CLIError("hpoly needs an element: --word or --perm")
-    routes = intervals.ROUTES if args.route == "all" else (args.route,)
-    polys = {route: intervals.interval_poincare(w, code, route) for route in routes}
+    polys = (intervals.interval_poincare_all(w, code) if args.route == "all"
+             else {args.route: intervals.interval_poincare(w, code, args.route)})
     agree = len({p for p in polys.values()}) == 1
     if args.json:
         print(json.dumps({"system": poset.system.describe(),
@@ -278,9 +282,14 @@ COMMANDS = {
 }
 
 
+_parser: argparse.ArgumentParser | None = None  # built by the first main() call
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         return COMMANDS[args.command](args)
     except (CLIError, SizeLimitError, ValueError, intervals.InvalidCodeImage) as exc:

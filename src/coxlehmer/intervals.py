@@ -98,6 +98,15 @@ def interval_poincare(w: int, code: LehmerCode, route: str = "direct") -> IntPol
     raise ValueError(f"unknown route {route!r}; valid: {', '.join(ROUTES)}")
 
 
+def interval_poincare_all(w: int, code: LehmerCode) -> dict[str, IntPolynomial]:
+    """`interval_poincare` on every route, keyed in ROUTES order, with the
+    interval ideal that the complex and maxima routes read built once."""
+    direct = interval_poincare(w, code, "direct")
+    ideal = interval_ideal(w, code)
+    return {"direct": direct, "complex": shelling_h_polynomial(ideal),
+            "maxima": _maxima_polynomial(ideal)}
+
+
 # ---------------------------------------------------------------------------
 # code meets and boxes
 
@@ -140,9 +149,18 @@ def unimodal_set(code: LehmerCode) -> list[int]:
 
 
 def palindromic_intervals(poset: BruhatPoset) -> set[IntPolynomial]:
-    """Distinct palindromic rank generating functions of lower intervals."""
+    """Distinct palindromic rank generating functions of lower intervals.
+
+    Rank 1 of [e, w] holds the generators in w's support (subword property)
+    and rank l(w) - 1 its lower covers, so an element whose two counts
+    differ is skipped before its downset is read.  Below length 2 the two
+    counts agree, and every survivor still has all its coefficients checked.
+    """
     out = set()
+    word, covers_down = poset.word, poset.covers_down
     for w in range(poset.size):
+        if len(set(word[w])) != len(covers_down[w]):
+            continue
         cs = poset.interval_poincare_coeffs(w)
         if cs == cs[::-1]:
             out.add(IntPolynomial(cs))

@@ -133,3 +133,14 @@ def quotient_factorization(poset, w: int, gen_order=None) -> tuple[int, ...]:
         cur, factors[i] = parabolic_decompose(poset, cur, order[:i])
     assert cur == 0
     return tuple(factors)
+
+
+def palindromic_intervals_unfiltered(poset) -> set:
+    """Every element's interval polynomial read off its downset, the
+    palindromic ones kept: the scan without the rank-1/corank-1 pre-filter."""
+    out = set()
+    for w in range(poset.size):
+        cs = poset.interval_poincare_coeffs(w)
+        if cs == cs[::-1]:
+            out.add(IntPolynomial(cs))
+    return out

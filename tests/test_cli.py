@@ -135,14 +135,6 @@ def test_classify_smooth_needs_type_a(capsys):
     assert "type A" in err
 
 
-def test_classify_pal(capsys):
-    code, out, _ = run(capsys, "classify", "--type", "A", "--rank", "3",
-                       "--what", "pal")
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["count"] == 8  # 2^3
-
-
 def test_verify_catalan(capsys, tmp_path):
     out_file = tmp_path / "report.json"
     code, out, _ = run(capsys, "verify", "catalan", "--n", "5",
@@ -463,3 +455,77 @@ def test_readme_json_schemas_match_output(capsys):
             code, out, _ = run(capsys, *argv)
             assert code == 0, argv
             assert sorted(json.loads(out)) == sorted(schemas[label]), argv
+
+
+def test_hpoly_route_all_builds_the_interval_ideal_once(capsys, monkeypatch):
+    from coxlehmer import intervals
+
+    calls = []
+    real = intervals.interval_ideal
+
+    def counted(w, code):
+        calls.append(w)
+        return real(w, code)
+
+    monkeypatch.setattr(intervals, "interval_ideal", counted)
+    code, out, _ = run(capsys, "hpoly", *A3, "--perm", "3412", "--route", "all", "--json")
+    assert code == 0
+    doc = json.loads(out)
+    assert list(doc["routes"]) == list(intervals.ROUTES) and doc["agree"] is True
+    assert len(calls) == 1
+
+
+# distinct palindromic interval polynomials; 2^n in type A_n
+PAL_COUNTS = {"A3": 8, "A4": 16, "A5": 32, "A6": 64, "B3": 13, "B4": 31, "B5": 70,
+              "D4": 16, "D5": 37, "D6": 85, "H3": 17, "I2(5)": 6}
+
+
+def _system_args(name):
+    if name == "H3":
+        return ("--type", "H3")
+    if name.startswith("I2("):
+        return ("--type", "I2", "--m", name[3:-1])
+    return ("--type", name[0], "--rank", name[1:])
+
+
+@pytest.mark.parametrize("name", PAL_COUNTS)
+def test_classify_pal(capsys, name):
+    code, out, _ = run(capsys, "classify", *_system_args(name), "--what", "pal")
+    assert code == 0
+    assert json.loads(out)["count"] == PAL_COUNTS[name]
+
+
+PARSER_RUNS = [
+    ("hpoly", *A3, "--perm", "3412", "--route", "complex"),
+    ("hpoly", *A3, "--perm", "3412"),
+    ("hpoly", *A3, "--perm", "3412", "--route", "fast"),
+    ("code", *A3, "--perm", "3412", "--json"),
+]
+
+
+def _outcome(capsys, argv):
+    try:
+        status = cli.main(list(argv))
+    except SystemExit as exc:
+        status = f"SystemExit {exc.code}"
+    out = capsys.readouterr()
+    return status, out.out, out.err
+
+
+def test_main_builds_one_parser_that_keeps_no_state(capsys, monkeypatch):
+    fresh = []
+    for argv in PARSER_RUNS:
+        monkeypatch.setattr(cli, "_parser", None)
+        fresh.append(_outcome(capsys, argv))
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    monkeypatch.setattr(cli, "_parser", None)
+    warm = [_outcome(capsys, argv) for argv in PARSER_RUNS]
+    assert len(built) == 1
+    assert warm == fresh
+    # --route complex does not stick, and the usage error leaves the parser working
+    assert [line.split()[0] for line in warm[0][1].splitlines()] == ["complex"]
+    assert [line.split()[0] for line in warm[1][1].splitlines()] == ["direct", "complex", "maxima"]
+    assert warm[2][0] == "SystemExit 2" and "invalid choice" in warm[2][2]
+    assert warm[3][0] == 0 and json.loads(warm[3][1])["code"] == [0, 2, 2]

@@ -19,7 +19,7 @@ from coxlehmer.intervals import (
 )
 from coxlehmer.multicomplex import ChainProduct, upper_covers
 from coxlehmer.qpoly import IntPolynomial, q_analog, q_analog_product
-from oracles import code_leq, is_order_ideal, maxima_by_subsets
+from oracles import code_leq, is_order_ideal, maxima_by_subsets, palindromic_intervals_unfiltered
 
 H3_UNIMODAL_TRIPLES = {
     (1, 5, 9), (1, 5, 4), (1, 4, 4), (1, 3, 4), (1, 2, 4), (1, 1, 4), (1, 2, 3),
@@ -313,6 +313,28 @@ def test_pal_a_n_counts():
     for n in (1, 2, 3, 4, 5):
         poset = shared_poset("A", n)
         assert len(palindromic_intervals(poset)) == 2 ** n
+
+
+PAL_GROUPS = ([("A", n, None) for n in range(1, 7)] + [("B", n, None) for n in range(2, 6)]
+              + [("D", n, None) for n in (4, 5, 6)] + [("H3", None, None)]
+              + [("I2", None, m) for m in range(3, 11)])
+
+
+@pytest.mark.parametrize("label, rank, m", PAL_GROUPS)
+def test_palindromic_scan_matches_the_unfiltered_oracle(label, rank, m):
+    poset = shared_poset(label, rank, m)
+    assert palindromic_intervals(poset) == palindromic_intervals_unfiltered(poset)
+
+
+@pytest.mark.parametrize("label, rank, m", PAL_GROUPS)
+def test_rank_one_and_corank_one_counts(label, rank, m):
+    # the two counts the palindromic pre-filter compares: the atoms of
+    # [e, w] are the generators in w's support, its coatoms w's lower covers
+    poset = shared_poset(label, rank, m)
+    for w in range(1, poset.size):
+        cs = poset.interval_poincare_coeffs(w)
+        assert cs[1] == len(set(poset.word[w]))
+        assert cs[poset.length[w] - 1] == len(poset.covers_down[w])
 
 
 def test_unimodal_polys_inside_pal(a3, la3):
