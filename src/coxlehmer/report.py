@@ -16,8 +16,9 @@ class Report:
     witnesses: list[str] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
 
-    def check(self, ok: bool, witness: str = "") -> bool:
-        self.instances += 1
+    def check(self, ok: bool, witness: str = "", instances: int = 1) -> bool:
+        """One verdict covering `instances` checks, one failure if not ok."""
+        self.instances += instances
         if not ok:
             self.failures += 1
             self.passed = False

@@ -5,10 +5,11 @@ the order given.  Houses the complex of an order ideal of a product of
 chains (`complex_of_ideal`, one facet per point, per the displayed union of
 punctured coordinate classes; the full box's complex is the full ideal's),
 the generic shelling check with restriction sets for any facet order
-(`verify_shelling`, the reference the tests compare against), the
-incremental `ShellingState` that takes an ideal and checks its complex one
-facet at a time along linear extensions (it serves both the shellings suite
-and the `complex` Poincare route), the f/h transforms, and the recursive
+(`verify_shelling`, the reference the tests compare against), one shelling
+step rule for ideal complexes (`_shelling_step`) shared by `ShellingState`,
+which pushes one linear extension (the `complex` route), and
+`shelling_lattice`, which checks every linear extension at once (the
+shellings suite), the f/h transforms, and the recursive
 vertex-decomposability and flag checks.
 
 Vertices of box complexes are (value, coordinate) pairs with values written
@@ -189,25 +190,48 @@ def verify_shelling(sc: SimplicialComplex, order: Sequence[int]) -> ShellingResu
                           h_vector=tuple(h_vector))
 
 
+def least_container(omitted, face: int) -> tuple[int, ...]:
+    """The least zero-based box point whose facet contains the face mask,
+    for `omitted` the box's `_omitted_bits`: per class, containment being
+    decided class by class, the least coordinate whose omitted vertex
+    avoids `face`."""
+    least = []
+    for bits in omitted:
+        x = 0
+        while bits[x] & face:
+            x += 1
+        least.append(x)
+    return tuple(least)
+
+
+def _shelling_step(omitted, facet: int, subfaces, earlier) -> tuple[int, tuple[int, ...]]:
+    """The shelling rule for appending a facet of a box complex after a set
+    of earlier facets, whatever order they came in.
+
+    G is the set of vertices v of `facet` whose codim-1 subface facet - v,
+    one of `subfaces`, is in `earlier`, the subfaces of the earlier facets.
+    The step shells iff no earlier facet contains G.  The facets containing
+    G are those of a product set of box points, so if the earlier points
+    form an order ideal, one does iff the least of them, returned with G,
+    is earlier.
+    """
+    g = 0
+    for sub in subfaces:
+        if sub in earlier:
+            g |= facet ^ sub
+    return g, least_container(omitted, g)
+
+
 class ShellingState:
     """The shelling condition checked one facet at a time along a growing
-    order ideal of a box complex, with exact undo.
+    order ideal of a box complex.
 
-    `ShellingState(ideal)` reads covers and facet masks from `box_table`
-    and builds a point's codim-1 subfaces at its first push.
+    `ShellingState(ideal)` reads covers and facet masks from `box_table`.
     `push(point)` appends the facet of a zero-based point of the ideal and
-    returns whether the order so far still shells; `pop()` undoes the last
-    push.  The state keeps the multiset of codim-1 subfaces seen, the
-    h-vector counts, and the prefix both as a set and in push order
-    (`order`).  Restriction sets are computed but never unpacked.
-
-    The question "is G_j inside an earlier facet" takes O(d): a facet
-    contains G_j iff in every coordinate class its omitted vertex avoids
-    G_j, so the facets containing G_j are those of a product set of box
-    points, and its least point x lies in the prefix iff some point of the
-    set does, because the prefix is an order ideal.  `push` enforces that
-    premise by refusing a point whose lower covers are not all pushed.
-    """
+    returns whether the order so far still shells, by `_shelling_step`; it
+    refuses a point whose lower covers are not all pushed, so the prefix
+    stays an order ideal.  The state keeps the prefix, the set of codim-1
+    subfaces seen and the h-vector counts."""
 
     def __init__(self, ideal: OrderIdeal):
         dims = ideal.ambient.dims
@@ -215,12 +239,9 @@ class ShellingState:
         self._vertex_bits = [bit for bits in self._omitted for bit in bits]
         self._table = box_table(dims)
         self._points = ideal.points
-        self._subfaces_of: dict[tuple[int, ...], list[int]] = {}
-        self._seen: dict[int, int] = {}  # multiset of the subfaces pushed
+        self._seen: set[int] = set()  # the codim-1 subfaces of the facets pushed
         self._h = [0] * (sum(dims) - len(dims) + 1)
         self.prefix: set[tuple[int, ...]] = set()
-        self.order: list[tuple[int, ...]] = []
-        self._restrictions: list[int] = []
         self.violation = None
 
     @property
@@ -229,63 +250,22 @@ class ShellingState:
 
     def push(self, point: tuple[int, ...]) -> bool:
         """Append the facet of `point`.  On failure the state is unchanged
-        and `violation` names the earlier point whose facet contains G_j."""
+        and `violation` names the earlier point whose facet contains G."""
         if point not in self._points:
             raise ValueError(f"point {point} has no facet in this complex")
         below, _, facet = self._table[point]
         prefix = self.prefix
         if point in prefix or not prefix.issuperset(below):
             raise ValueError(f"point {point} is not minimal outside the prefix")
-        subfaces = self._subfaces_of.get(point)
-        if subfaces is None:  # one codim-1 subface per vertex, dropping facet ^ sub
-            # a list: freed tuples of this length linger on CPython's free lists
-            subfaces = self._subfaces_of[point] = [
-                facet ^ bit for bit in self._vertex_bits if facet & bit]
-        seen = self._seen
-        gj = 0
-        for sub in subfaces:
-            if sub in seen:
-                gj |= facet ^ sub
-        least = self.least_container(gj)
+        subfaces = [facet ^ bit for bit in self._vertex_bits if facet & bit]
+        gj, least = _shelling_step(self._omitted, facet, subfaces, self._seen)
         if least in prefix:
             self.violation = (least, point)
             return False
-        for sub in subfaces:
-            seen[sub] = seen.get(sub, 0) + 1
+        self._seen.update(subfaces)
         self._h[gj.bit_count()] += 1
         prefix.add(point)
-        self.order.append(point)
-        self._restrictions.append(gj)
         return True
-
-    def least_container(self, face: int) -> tuple[int, ...]:
-        """The least zero-based box point whose facet contains the face
-        mask, a face of some box facet.
-
-        Per class it is the least coordinate whose omitted vertex avoids
-        `face`, since containment is decided class by class.  It may lie
-        outside the ideal; then no point of the prefix holds the face.
-        """
-        least = []
-        for bits in self._omitted:
-            x = 0
-            while bits[x] & face:
-                x += 1
-            least.append(x)
-        return tuple(least)
-
-    def pop(self) -> tuple[int, ...]:
-        """Undo the last successful push and return its point."""
-        point = self.order.pop()
-        seen = self._seen
-        for sub in self._subfaces_of[point]:
-            if seen[sub] == 1:
-                del seen[sub]
-            else:
-                seen[sub] -= 1
-        self._h[self._restrictions.pop().bit_count()] -= 1
-        self.prefix.remove(point)
-        return point
 
 
 def shelling_h_polynomial(ideal: OrderIdeal) -> IntPolynomial:
@@ -297,6 +277,81 @@ def shelling_h_polynomial(ideal: OrderIdeal) -> IntPolynomial:
             raise AssertionError(
                 f"rank order failed to shell the complex at points {state.violation}")
     return IntPolynomial(state.h_vector)
+
+
+class LatticeShellings:
+    """What `shelling_lattice` found for one ideal: whether every edge
+    passed, else (the earlier point whose facet contains G, the new point)
+    at the first failing edge; on success the set of h-vectors of all linear
+    extensions and their number; and the sub-ideals and edges visited."""
+
+    def __init__(self, ok, violation, h_vectors, extensions, sub_ideals, edges):
+        self.ok, self.violation, self.h_vectors = ok, violation, h_vectors
+        self.extensions, self.sub_ideals, self.edges = extensions, sub_ideals, edges
+
+
+def shelling_lattice(ideal: OrderIdeal) -> LatticeShellings:
+    """Check every linear extension of the ideal's complex at once.
+
+    The shelling condition at a step depends only on the set of earlier
+    facets and the new one, so an extension shells iff each of its steps,
+    an edge (I, x) of the lattice of sub-ideals with x minimal outside I,
+    passes `_shelling_step` (Bjorner & Wachs, Trans. AMS 348 (1996)).  The
+    pass goes level by level over the sub-ideals, bitmasks over the points
+    in rank-then-lex order, checks each edge once and stops at the first
+    failure.  It carries to each sub-ideal the number of its extensions and
+    the set of their h-vectors, packed one count per `width` bits."""
+    dims = ideal.ambient.dims
+    omitted, table = _omitted_bits(dims), box_table(dims)
+    pts = sorted(ideal.points, key=lambda p: (sum(p), p))
+    index = {p: i for i, p in enumerate(pts)}
+    below = [sum(1 << index[q] for q in table[p][0]) for p in pts]
+    above = [[index[q] for q in table[p][1] if q in index] for p in pts]
+    facets = _facet_masks(dims, pts)
+    subfaces = [[f ^ 1 << b for b in _bits(f)] for f in facets]
+    # G(I, x) reads I only through the facets holding a codim-1 subface of F_x
+    rim = facets[0].bit_count() - 1
+    near = [sum(1 << j for j, e in enumerate(facets) if (f & e).bit_count() >= rim)
+            for f in facets]
+    steps: list[dict[int, tuple[int, int]]] = [{} for _ in pts]
+    width = len(pts).bit_length()
+    # sub-ideal -> [extensions of it, packed h-vectors, its minimal outside points]
+    level = {0: [1, {0}, sum(1 << i for i, m in enumerate(below) if not m)]}
+    sub_ideals = edges = 0
+    for _ in pts:
+        sub_ideals += len(level)
+        nxt: dict[int, list] = {}
+        for done, (paths, hs, minimal) in level.items():
+            for x in _bits(minimal):
+                bit = 1 << x
+                edges += 1
+                key = done & near[x]
+                step = steps[x].get(key)
+                if step is None:
+                    earlier = {sub for j in _bits(key) for sub in subfaces[j]}
+                    g, least = _shelling_step(omitted, facets[x], subfaces[x], earlier)
+                    step = steps[x][key] = (1 << width * g.bit_count(), 1 << index[least])
+                inc, least_bit = step
+                if done & least_bit:
+                    violation = (pts[least_bit.bit_length() - 1], pts[x])
+                    return LatticeShellings(False, violation, None, None, sub_ideals, edges)
+                grown = done | bit
+                entry = nxt.get(grown)
+                if entry is None:
+                    outside = minimal ^ bit
+                    for y in above[x]:
+                        if not below[y] & ~grown:
+                            outside |= 1 << y
+                    nxt[grown] = [paths, {h + inc for h in hs}, outside]
+                else:
+                    entry[0] += paths
+                    entry[1].update([h + inc for h in hs])
+        level = nxt
+    ((paths, hs, _),) = level.values()
+    mask = (1 << width) - 1
+    h_vectors = {tuple(h >> width * k & mask for k in range(facets[0].bit_count() + 1))
+                 for h in hs}
+    return LatticeShellings(True, None, h_vectors, paths, sub_ideals + 1, edges)
 
 
 # ---------------------------------------------------------------------------

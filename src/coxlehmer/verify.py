@@ -8,25 +8,17 @@ from __future__ import annotations
 from . import codes as codes_mod
 from . import intervals, schubert
 from .coxeter import shared_poset
-from .multicomplex import (
-    ChainProduct,
-    Frontier,
-    all_order_ideals,
-    count_linear_extensions,
-    is_m_sequence,
-    random_order_ideals,
-    sample_linear_extensions,
-)
+from .multicomplex import ChainProduct, all_order_ideals, is_m_sequence, random_order_ideals
 from .qpoly import IntPolynomial, q_analog_product
 from .report import Report
 from .simplicial import (
-    ShellingState,
     complex_of_ideal,
     f_vector,
     h_from_f,
     is_flag,
     is_flag_ideal,
     is_vertex_decomposable,
+    shelling_lattice,
 )
 
 H3_UNIMODAL_TRIPLES = frozenset({
@@ -70,85 +62,36 @@ def suite_codes(max_rank: int | None = None, **_) -> Report:
     return rep
 
 
-# the shellings suite's size knobs: ideals with at most EXTENSION_CAP linear
-# extensions are walked exhaustively, larger ones get SAMPLE_SIZE samples
-EXTENSION_CAP = 10 ** 4
-SAMPLE_SIZE = 100
 RANDOM_IDEAL_COUNT = 100
 # the vd suite checks every ideal of each box up to this volume
 VD_MAX_VOLUME = 16
 
 
-def _walk_extensions(frontier: Frontier, state: ShellingState, leaf) -> bool:
-    """Push every linear extension of the frontier's untaken points onto
-    `state` depth-first, in lexicographic order and each prefix once,
-    calling `leaf()` at each full extension.  Returns False at the first
-    push that fails, leaving that push's prefix on the state."""
-    minimal = frontier.minimal
-    if not minimal:
-        leaf()
-        return True
-    # the frontier is restored after each child, so positions are stable
-    for i in range(len(minimal)):
-        p = minimal[i]
-        if not state.push(p):
-            return False
-        frontier.take(p)
-        ok = _walk_extensions(frontier, state, leaf)
-        frontier.give_back(p)
-        if not ok:
-            return False
-        state.pop()
-    return True
-
-
-def _check_ideal_shellings(rep: Report, ideal, extensions=None) -> None:
-    """Check that each extension shells the ideal's complex with h-vector the
-    ideal's rank counts, two checks per extension, stopping at the first
-    failure.  `extensions=None` walks every linear extension."""
-    state = ShellingState(ideal)
-    sc = complex_of_ideal(ideal)
-    expected = ideal.f_polynomial()
-    transform = tuple(h_from_f(f_vector(sc), sc.dimension))
-    rep.check(IntPolynomial(transform) == expected,
-              f"{ideal.to_json()}: f/h transform disagrees with the ideal ranks")
-    # h_vector has a slot for every restriction size; coeffs drops trailing zeros
-    ranks = expected.coeffs + (0,) * (len(state.h_vector) - len(expected.coeffs))
-
-    def leaf() -> None:
-        rep.check(True)
-        rep.check(state.h_vector == ranks,
-                  f"{ideal.to_json()}: shelling h-vector differs from ideal ranks")
-
-    if extensions is None:
-        ok = _walk_extensions(Frontier(ideal), state, leaf)
-    else:
-        ok = True
-        for ext in extensions:
-            ok = all(map(state.push, ext))
-            if not ok:
-                break
-            leaf()
-            for _ in ext:
-                state.pop()
-    if not ok:
-        rep.check(False, f"{ideal.to_json()}: extension fails at points {state.violation}")
-
-
 def suite_shellings(seed: int = 2024, **_) -> Report:
     """Every linear extension of an ideal shells its complex, and the
-    h-vector matches the ideal's rank counts both ways."""
+    h-vector matches the ideal's rank counts both ways.  Each ideal's
+    lattice of sub-ideals is walked once, one check per edge; the seed
+    draws only the random ideals."""
     rep = Report("shellings")
-    for dims in [(2, 3), (2, 2, 2)]:
-        for ideal in all_order_ideals(ChainProduct(dims)):
-            _check_ideal_shellings(rep, ideal)
-    big = ChainProduct((3, 3, 4))
-    for k, ideal in enumerate(random_order_ideals(big, RANDOM_IDEAL_COUNT, seed)):
-        if count_linear_extensions(ideal, cap=EXTENSION_CAP) <= EXTENSION_CAP:
-            _check_ideal_shellings(rep, ideal)
-        else:
-            _check_ideal_shellings(
-                rep, ideal, sample_linear_extensions(ideal, SAMPLE_SIZE, seed + k))
+    ideals = [*all_order_ideals(ChainProduct((2, 3))), *all_order_ideals(ChainProduct((2, 2, 2))),
+              *random_order_ideals(ChainProduct((3, 3, 4)), RANDOM_IDEAL_COUNT, seed)]
+    sub_ideals = edges = extensions = 0
+    for ideal in ideals:
+        sc = complex_of_ideal(ideal)
+        expected = ideal.f_polynomial()
+        rep.check(IntPolynomial(h_from_f(f_vector(sc), sc.dimension)) == expected,
+                  f"{ideal.to_json()}: f/h transform disagrees with the ideal ranks")
+        found = shelling_lattice(ideal)
+        sub_ideals += found.sub_ideals
+        edges += found.edges
+        if rep.check(found.ok, f"{ideal.to_json()}: extension fails at points "
+                               f"{found.violation}", instances=found.edges):
+            extensions += found.extensions
+            rep.check({IntPolynomial(h) for h in found.h_vectors} == {expected},
+                      f"{ideal.to_json()}: shelling h-vectors {sorted(found.h_vectors)} "
+                      f"differ from ideal ranks")
+    rep.note(f"{len(ideals)} ideals, {sub_ideals} sub-ideals, {edges} edges: "
+             f"{extensions} linear extensions certified")
     return rep
 
 

@@ -4,9 +4,9 @@ Nothing in `coxlehmer` calls these; each is the slow or definitional
 version of something the library does another way.
 """
 
-from coxlehmer.multicomplex import lower_covers, meet
+from coxlehmer.multicomplex import linear_extensions, lower_covers, meet
 from coxlehmer.qpoly import IntPolynomial, q_analog_product
-from coxlehmer.simplicial import SimplicialComplex
+from coxlehmer.simplicial import SimplicialComplex, complex_of_ideal
 
 
 def reflections(poset) -> list[int]:
@@ -50,6 +50,63 @@ def order_from_extension(sc, extension) -> list[int]:
     """Facet order induced by a linear extension of zero-based ideal points."""
     idx = {lab: i for i, lab in enumerate(sc.labels)}
     return [idx[tuple(x + 1 for x in p)] for p in extension]
+
+
+def extension_shellings(ideal):
+    """(extension, shells, h-vector or None) for every linear extension of
+    the ideal, in `linear_extensions` order.
+
+    The check is `verify_shelling`'s: G_j holds the vertices v of F_j with
+    F_j - v inside an earlier facet, and no earlier facet may contain G_j.
+    Each extension replays only the steps after its common prefix with the
+    last prefix that shelled, so the walk costs one step per trie node."""
+    sc = complex_of_ideal(ideal)
+    facet = {tuple(x - 1 for x in lab): m for lab, m in zip(sc.labels, sc.facets)}
+    size = sc.dimension + 2
+    done = []  # (point, facet, codim-1 subfaces, |G_j|) of the prefix that shelled
+    seen = {}  # subface -> how many prefix facets hold it
+    for ext in linear_extensions(ideal):
+        k = 0
+        while k < len(done) and done[k][0] == ext[k]:
+            k += 1
+        for _, _, subs, _ in done[k:]:
+            for sub in subs:
+                seen[sub] -= 1
+        del done[k:]
+        ok = True
+        for p in ext[k:]:
+            fj = facet[p]
+            subs = [fj ^ 1 << b for b in range(fj.bit_length()) if fj >> b & 1]
+            gj = 0
+            for sub in subs:
+                if seen.get(sub):
+                    gj |= fj ^ sub
+            if any(gj & ~fi == 0 for _, fi, _, _ in done):
+                ok = False
+                break
+            for sub in subs:
+                seen[sub] = seen.get(sub, 0) + 1
+            done.append((p, fj, subs, gj.bit_count()))
+        h = None
+        if ok:
+            h = [0] * size
+            for *_, g in done:
+                h[g] += 1
+            h = tuple(h)
+        yield ext, ok, h
+
+
+def shellings_by_extension(ideal):
+    """(True, the set of h-vectors, the number of extensions) if every
+    extension shells, else (False, None, None), from `extension_shellings`:
+    what `shelling_lattice` must find."""
+    h_vectors, count = set(), 0
+    for _, shells, h in extension_shellings(ideal):
+        if not shells:
+            return False, None, None
+        h_vectors.add(h)
+        count += 1
+    return True, h_vectors, count
 
 
 def facet_of(x: tuple[int, ...], dims: tuple[int, ...]) -> frozenset:

@@ -16,6 +16,8 @@ EXEMPT = {
     "verify_shelling",  # perfbench/tracing.py: span simplicial.shelling
     "f_from_h",  # perfbench/tracing.py: span simplicial.fh
     "linear_extensions",  # perfbench/tracing.py: span multicomplex.extensions
+    "sample_linear_extensions",  # perfbench/tracing.py: span multicomplex.extensions
+    "count_linear_extensions",  # perfbench/tracing.py: span multicomplex.count_extensions
 }
 
 

@@ -2,11 +2,12 @@ import pytest
 
 from coxlehmer.coxeter import SizeLimitError
 from coxlehmer import verify
+from coxlehmer import simplicial
 from coxlehmer.multicomplex import (
     ChainProduct,
-    Frontier,
     all_order_ideals,
     box_table,
+    count_linear_extensions,
     full_ideal,
     ideal_from_points,
     linear_extensions,
@@ -25,10 +26,19 @@ from coxlehmer.simplicial import (
     is_flag,
     is_flag_ideal,
     is_vertex_decomposable,
+    least_container,
     shelling_h_polynomial,
+    shelling_lattice,
     verify_shelling,
 )
-from oracles import complex_from_sets, facet_of, facet_vertices, order_from_extension
+from oracles import (
+    complex_from_sets,
+    extension_shellings,
+    facet_of,
+    facet_vertices,
+    order_from_extension,
+    shellings_by_extension,
+)
 
 
 def test_facet_of_worked_example():
@@ -144,13 +154,8 @@ def test_verify_shelling_rejects_partial_order():
 
 
 def _walked(ideal):
-    """(extension, ok, h-vector) for each leaf of the depth-first walk."""
-    state = ShellingState(ideal)
-    out = []
-    assert verify._walk_extensions(
-        Frontier(ideal), state, lambda: out.append((tuple(state.order), True, state.h_vector)))
-    assert not state.order and not state.prefix
-    return out
+    """(extension, ok, h-vector) for each extension of the oracle's walk."""
+    return list(extension_shellings(ideal))
 
 
 def _assert_maximal(sc):
@@ -190,6 +195,61 @@ def test_walk_matches_verify_shelling_on_seeded_3x3x4_ideals():
     assert checked >= 5
 
 
+def _lattice(ideal):
+    found = shelling_lattice(ideal)
+    return found.ok, found.h_vectors, found.extensions
+
+
+@pytest.mark.parametrize("dims", [(2, 3), (2, 2, 2), (2, 2, 3), (3, 3)])
+def test_lattice_matches_the_extension_walk_on_every_ideal(dims):
+    for ideal in all_order_ideals(ChainProduct(dims)):
+        assert _lattice(ideal) == shellings_by_extension(ideal)
+
+
+def test_lattice_matches_the_extension_walk_on_seeded_3x3x4_ideals():
+    # the shellings suite's random ideals; the walk takes those it can
+    walked = 0
+    for ideal in random_order_ideals(ChainProduct((3, 3, 4)), verify.RANDOM_IDEAL_COUNT, 2024):
+        if count_linear_extensions(ideal, cap=10 ** 4) <= 10 ** 4:
+            assert _lattice(ideal) == shellings_by_extension(ideal)
+            walked += 1
+        else:
+            found = shelling_lattice(ideal)
+            assert found.ok and found.extensions == count_linear_extensions(ideal)
+    assert walked == 38
+
+
+def test_lattice_counts_on_the_2x3_box():
+    # the 2x3 grid: 10 sub-ideals, 12 cover edges, 5 linear extensions
+    found = shelling_lattice(full_ideal(ChainProduct((2, 3))))
+    assert (found.sub_ideals, found.edges, found.extensions) == (10, 12, 5)
+    assert found.h_vectors == {(1, 2, 2, 1)}
+
+
+_facet_masks = simplicial._facet_masks
+
+
+def _one_facet_per_column(dims, points):
+    """A corrupted facet rule: every point gets the facet of its column's
+    lowest point, so points differing in the first coordinate share one."""
+    return _facet_masks(dims, [(0, *p[1:]) for p in points])
+
+
+def test_corrupted_facet_rule_fails_both(monkeypatch):
+    ideals = list(all_order_ideals(ChainProduct((2, 3))))
+    monkeypatch.setattr(simplicial, "_facet_masks", _one_facet_per_column)
+    lattice = [shelling_lattice(ideal) for ideal in ideals]
+    oracle = [shellings_by_extension(ideal) for ideal in ideals]
+    assert [(f.ok, f.h_vectors, f.extensions) for f in lattice] == oracle
+    # an ideal reaching the second row holds two points with one facet
+    assert [ok for ok, _, _ in oracle] == [all(p[0] == 0 for p in j) for j in ideals]
+    assert not all(ok for ok, _, _ in oracle)
+    for found in lattice:
+        if not found.ok:
+            least, point = found.violation
+            assert least == (0, point[1]) and point[0] == 1
+
+
 def test_push_refuses_a_point_outside_the_frontier():
     state = ShellingState(full_ideal(ChainProduct((2, 3))))
     with pytest.raises(ValueError, match="not minimal"):
@@ -202,9 +262,8 @@ def test_push_refuses_a_point_outside_the_frontier():
     with pytest.raises(ValueError, match="no facet"):
         state.push((2, 0))
     assert state.push((1, 0)) and state.push((0, 1))
-    assert state.order == [(0, 0), (1, 0), (0, 1)]
-    assert state.pop() == (0, 1)
-    assert state.h_vector == (1, 1, 0, 0)
+    assert state.prefix == {(0, 0), (1, 0), (0, 1)}
+    assert state.h_vector == (1, 2, 0, 0)
 
 
 def test_push_refuses_a_box_point_outside_the_ideal():
@@ -215,12 +274,12 @@ def test_push_refuses_a_box_point_outside_the_ideal():
     assert all(state.push(p) for p in [(0, 0), (1, 0), (0, 1)])
     with pytest.raises(ValueError, match="no facet"):
         state.push((1, 1))
-    assert state.order == [(0, 0), (1, 0), (0, 1)]
+    assert state.prefix == {(0, 0), (1, 0), (0, 1)}
 
 
 def test_least_container_matches_brute_force():
     for dims in [(2, 3), (2, 2, 2), (3, 3), (1, 3)]:
-        state = ShellingState(full_ideal(ChainProduct(dims)))
+        omitted = _omitted_bits(dims)
         sc = complex_of_ideal(full_ideal(ChainProduct(dims)))
         points = [tuple(x - 1 for x in lab) for lab in sc.labels]
         for facet in sc.facets:
@@ -229,31 +288,30 @@ def test_least_container_matches_brute_force():
                 holders = [p for p, f in zip(points, sc.facets) if face & ~f == 0]
                 least = tuple(map(min, zip(*holders)))
                 assert least in holders
-                assert state.least_container(face) == least
+                assert least_container(omitted, face) == least
                 if not face:
                     break
                 face = (face - 1) & facet
 
 
-def test_planted_push_failure_is_reported(monkeypatch):
-    push = ShellingState.push
+def test_planted_step_failure_is_reported(monkeypatch):
+    # a shelling rule that always names the origin as G's least container:
+    # every step after the first fails, in the suite and in push alike
+    def failing_step(omitted, *_):
+        return 0, (0,) * len(omitted)
 
-    def failing_push(self, point):
-        if len(self.order) == 3:
-            self.violation = ((0, 0, 0), point)
-            return False
-        return push(self, point)
-
-    monkeypatch.setattr(ShellingState, "push", failing_push)
-    monkeypatch.setattr(verify, "RANDOM_IDEAL_COUNT", 5)  # 1 walked, 4 sampled
+    monkeypatch.setattr(simplicial, "_shelling_step", failing_step)
+    monkeypatch.setattr(verify, "RANDOM_IDEAL_COUNT", 5)
     rep = verify.suite_shellings(seed=2024)
     assert not rep.passed
-    assert rep.failures >= 1
-    assert any("extension fails at points" in w for w in rep.witnesses)
-    # one failure per ideal with at least four points, then the ideal stops
+    assert any("extension fails at points ((0, 0" in w for w in rep.witnesses)
+    # one failure per ideal with at least two points, then the ideal stops
     ideals = [*all_order_ideals(ChainProduct((2, 3))), *all_order_ideals(ChainProduct((2, 2, 2))),
               *random_order_ideals(ChainProduct((3, 3, 4)), 5, 2024)]
-    assert rep.failures == sum(len(j) >= 4 for j in ideals)
+    assert rep.failures == sum(len(j) >= 2 for j in ideals)
+    state = ShellingState(full_ideal(ChainProduct((2, 3))))
+    assert state.push((0, 0)) and not state.push((1, 0))
+    assert state.violation == ((0, 0), (1, 0)) and state.prefix == {(0, 0)}
 
 
 def test_f_vector_trivial_complex():
