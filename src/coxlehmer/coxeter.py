@@ -1,10 +1,11 @@
 """Finite Coxeter systems: exact element arithmetic and Bruhat combinatorics.
 
-Systems of types A_n, B_n, D_n, H3 and I2(m) are realized over type-specific
-canonical forms: one-line permutations, signed permutations, affine maps of
-Z_m for the dihedral groups, and 3x3 matrices over Z[phi] (phi the golden
-ratio) for H3.  All arithmetic is exact; structural equality of canonical
-forms is group equality.
+Every system is realized by one-line permutations composed by `_perm_compose`:
+type A permutes 1..n, types B and D are signed permutations of 1..n, and H3
+and I2(m) permute their root systems (the 30 roots of H3, with coefficients
+in Z[phi] for phi the golden ratio, and the 2m roots of the 2m-gon), on which
+every finite Coxeter group acts faithfully.  All arithmetic is exact; equal
+tuples are equal group elements.
 
 Enumerating a system yields a BruhatPoset: every element indexed in BFS
 order, lengths, and the right multiplication table the BFS fills.  Inverses,
@@ -46,37 +47,39 @@ def _signed_compose(a, b):
     return tuple(a[v - 1] if v > 0 else -a[-v - 1] for v in b)
 
 
-def _mat3_compose(m1, m2):
-    out = []
-    for i in (0, 3, 6):
-        row = m1[i : i + 3]
-        for j in range(3):
-            s0 = s1 = 0
-            for k in range(3):
-                a, b = row[k]
-                c, d = m2[3 * k + j]
-                s0 += a * c + b * d
-                s1 += a * d + b * c + b * d
-            out.append((s0, s1))
-    return tuple(out)
+# 2B(alpha_i, alpha_j) = -2cos(pi/m(i,j)) as a + b phi in Z[phi]
+_PAIRING = {1: (2, 0), 2: (0, 0), 3: (-1, 0), 5: (0, -1)}
 
 
-_BOND_VALUES = {2: (0, 0), 3: (1, 0), 5: (0, 1)}
+def _root_permutations(matrix):
+    """The roots of a Coxeter matrix with bonds in {2, 3, 5}, and its simple
+    reflections as one-line permutations of them.
 
+    Roots are coefficient vectors over the simple roots with entries a + b phi
+    stored as (a, b): the orbit of the simple roots under
+    s_i(beta) = beta - 2B(beta, alpha_i) alpha_i (Humphreys, Reflection Groups
+    and Coxeter Groups, 5.4).  W acts faithfully on them, and the length of w
+    is the number of positive roots it makes negative."""
+    rank = len(matrix)
+    pairing = [[_PAIRING[m] for m in row] for row in matrix]
 
-def _reflection_matrix(matrix_row, i):
-    # sigma_i maps alpha_j to alpha_j + 2cos(pi/m(i,j)) alpha_i, alpha_i to -alpha_i
-    rank = len(matrix_row)
-    cols = []
-    for j in range(rank):
-        col = [(0, 0)] * rank
-        if j == i:
-            col[i] = (-1, 0)
-        else:
-            col[j] = (1, 0)
-            col[i] = _BOND_VALUES[matrix_row[j]]
-        cols.append(col)
-    return tuple(cols[j][i] for i in range(rank) for j in range(rank))
+    def reflect(beta, i):
+        c0 = c1 = 0
+        for (a, b), (p, q) in zip(beta, pairing[i]):
+            c0 += a * p + b * q
+            c1 += a * q + b * p + b * q
+        a, b = beta[i]
+        return beta[:i] + ((a - c0, b - c1),) + beta[i + 1:]
+
+    roots = [tuple((1, 0) if j == i else (0, 0) for j in range(rank)) for i in range(rank)]
+    index = {r: k for k, r in enumerate(roots)}
+    for beta in roots:  # grows as new roots are found
+        for i in range(rank):
+            r = reflect(beta, i)
+            if r not in index:
+                index[r] = len(roots)
+                roots.append(r)
+    return roots, [tuple(index[reflect(beta, i)] + 1 for beta in roots) for i in range(rank)]
 
 
 # ---------------------------------------------------------------------------
@@ -97,7 +100,7 @@ class CoxeterSystem:
         self.compose: Callable = compose
         self.order = order
         self.dihedral_m = dihedral_m
-        self._render = render
+        self.render = render
         self._check_relations()
 
     def _check_relations(self):
@@ -131,11 +134,6 @@ class CoxeterSystem:
         except ValueError:
             valid = ", ".join(f"s{s}" for s in self.gen_subscripts)
             raise ValueError(f"unknown generator s{subscript}; valid: {valid}") from None
-
-    def render_element(self, elem) -> str:
-        if self._render is not None:
-            return self._render(elem)
-        return str(elem)
 
 
 def _chain_matrix(rank, bonds):
@@ -217,24 +215,19 @@ def build_system(label: str, rank: int | None = None, m: int | None = None) -> C
         if rank not in (None, 3):
             raise ValueError(f"type H3 has rank 3, got {rank}")
         mat = _chain_matrix(3, {(0, 1): 3, (1, 2): 5})
-        ident = tuple((1, 0) if i == j else (0, 0) for i in range(3) for j in range(3))
-        gens = [_reflection_matrix(mat[i], i) for i in range(3)]
-        return CoxeterSystem("H3", 3, mat, range(1, 4), ident, gens,
-                             _mat3_compose, 120)
+        roots, gens = _root_permutations(mat)
+        return CoxeterSystem("H3", 3, mat, range(1, 4), tuple(range(1, len(roots) + 1)),
+                             gens, _perm_compose, 120)
     if label == "I2":
         if m is None or m < 3:
             raise ValueError(f"type I2(m) requires m >= 3, got {m}")
-        ident = (1, 0)
-        gens = [(-1, 0), (-1, 1)]
-
-        def compose(a, b, _m=m):
-            e1, c1 = a
-            e2, c2 = b
-            return (e1 * e2, (e1 * c2 + c1) % _m)
-
+        # the 2m roots of the 2m-gon, root k at angle k pi / m: s1 and s2
+        # reflect in the simple roots 0 and m - 1, sending root k to
+        # m - k and m - 2 - k (mod 2m); roots 0..m-1 are the positive ones
+        gens = [tuple((c - k) % (2 * m) + 1 for k in range(2 * m)) for c in (m, m - 2)]
         mat = _chain_matrix(2, {(0, 1): m})
-        return CoxeterSystem("I2", 2, mat, range(1, 3), ident, gens,
-                             compose, 2 * m, dihedral_m=m)
+        return CoxeterSystem("I2", 2, mat, range(1, 3), tuple(range(1, 2 * m + 1)), gens,
+                             _perm_compose, 2 * m, dihedral_m=m)
     raise ValueError(f"unknown type {label!r}; valid: A, B, D, H3, I2")
 
 
@@ -369,12 +362,11 @@ class BruhatPoset:
         return w
 
     def render(self, w: int) -> str:
-        sys = self.system
-        if sys.label in ("A", "B", "D"):
-            return sys.render_element(self.elements[w])
+        if self.system.render is not None:
+            return self.system.render(self.elements[w])
         if w == 0:
             return "e"
-        subs = sys.gen_subscripts
+        subs = self.system.gen_subscripts
         return " ".join(f"s{subs[gi]}" for gi in self.word[w])
 
     # -- orders

@@ -204,21 +204,26 @@ def least_container(omitted, face: int) -> tuple[int, ...]:
     return tuple(least)
 
 
-def _shelling_step(omitted, facet: int, subfaces, earlier) -> tuple[int, tuple[int, ...]]:
-    """The shelling rule for appending a facet of a box complex after a set
+def _shelling_step(omitted, point, facet: int, earlier) -> tuple[int, tuple[int, ...]]:
+    """The shelling rule for appending the facet of a box point after a set
     of earlier facets, whatever order they came in.
 
-    G is the set of vertices v of `facet` whose codim-1 subface facet - v,
-    one of `subfaces`, is in `earlier`, the subfaces of the earlier facets.
-    The step shells iff no earlier facet contains G.  The facets containing
-    G are those of a product set of box points, so if the earlier points
-    form an order ideal, one does iff the least of them, returned with G,
-    is earlier.
+    G is the set of vertices v of `facet` whose codim-1 subface facet - v
+    lies in an earlier facet.  The facet omits one vertex h_i of each class
+    i, and for v in class i, facet - v lies in one other facet of the box:
+    facet - v + h_i, that of the point moved in coordinate i to where class
+    i omits v.  So v is in G iff that facet is in `earlier`, the set of
+    earlier facet masks.  The step shells iff no earlier facet contains G.
+    The facets containing G are those of a product set of box points, so if
+    the earlier points form an order ideal, one does iff the least of them,
+    returned with G, is earlier.
     """
     g = 0
-    for sub in subfaces:
-        if sub in earlier:
-            g |= facet ^ sub
+    for bits, x in zip(omitted, point):
+        hole = bits[x]
+        for v in bits:
+            if v != hole and facet ^ v ^ hole in earlier:
+                g |= v
     return g, least_container(omitted, g)
 
 
@@ -230,16 +235,15 @@ class ShellingState:
     `push(point)` appends the facet of a zero-based point of the ideal and
     returns whether the order so far still shells, by `_shelling_step`; it
     refuses a point whose lower covers are not all pushed, so the prefix
-    stays an order ideal.  The state keeps the prefix, the set of codim-1
-    subfaces seen and the h-vector counts."""
+    stays an order ideal.  The state keeps the prefix, the set of facet
+    masks pushed and the h-vector counts."""
 
     def __init__(self, ideal: OrderIdeal):
         dims = ideal.ambient.dims
         self._omitted = _omitted_bits(dims)
-        self._vertex_bits = [bit for bits in self._omitted for bit in bits]
         self._table = box_table(dims)
         self._points = ideal.points
-        self._seen: set[int] = set()  # the codim-1 subfaces of the facets pushed
+        self._facets: set[int] = set()
         self._h = [0] * (sum(dims) - len(dims) + 1)
         self.prefix: set[tuple[int, ...]] = set()
         self.violation = None
@@ -257,12 +261,11 @@ class ShellingState:
         prefix = self.prefix
         if point in prefix or not prefix.issuperset(below):
             raise ValueError(f"point {point} is not minimal outside the prefix")
-        subfaces = [facet ^ bit for bit in self._vertex_bits if facet & bit]
-        gj, least = _shelling_step(self._omitted, facet, subfaces, self._seen)
+        gj, least = _shelling_step(self._omitted, point, facet, self._facets)
         if least in prefix:
             self.violation = (least, point)
             return False
-        self._seen.update(subfaces)
+        self._facets.add(facet)
         self._h[gj.bit_count()] += 1
         prefix.add(point)
         return True
@@ -308,7 +311,6 @@ def shelling_lattice(ideal: OrderIdeal) -> LatticeShellings:
     below = [sum(1 << index[q] for q in table[p][0]) for p in pts]
     above = [[index[q] for q in table[p][1] if q in index] for p in pts]
     facets = _facet_masks(dims, pts)
-    subfaces = [[f ^ 1 << b for b in _bits(f)] for f in facets]
     # G(I, x) reads I only through the facets holding a codim-1 subface of F_x
     rim = facets[0].bit_count() - 1
     near = [sum(1 << j for j, e in enumerate(facets) if (f & e).bit_count() >= rim)
@@ -328,8 +330,8 @@ def shelling_lattice(ideal: OrderIdeal) -> LatticeShellings:
                 key = done & near[x]
                 step = steps[x].get(key)
                 if step is None:
-                    earlier = {sub for j in _bits(key) for sub in subfaces[j]}
-                    g, least = _shelling_step(omitted, facets[x], subfaces[x], earlier)
+                    earlier = {facets[j] for j in _bits(key)}
+                    g, least = _shelling_step(omitted, pts[x], facets[x], earlier)
                     step = steps[x][key] = (1 << width * g.bit_count(), 1 << index[least])
                 inc, least_bit = step
                 if done & least_bit:

@@ -4,6 +4,7 @@ Nothing in `coxlehmer` calls these; each is the slow or definitional
 version of something the library does another way.
 """
 
+from coxlehmer.coxeter import CoxeterSystem, build_system
 from coxlehmer.multicomplex import linear_extensions, lower_covers, meet
 from coxlehmer.qpoly import IntPolynomial, q_analog_product
 from coxlehmer.simplicial import SimplicialComplex, complex_of_ideal
@@ -201,3 +202,62 @@ def palindromic_intervals_unfiltered(poset) -> set:
         if cs == cs[::-1]:
             out.add(IntPolynomial(cs))
     return out
+
+
+# The element kernels H3 and I2(m) had before they permuted their roots:
+# the geometric representation of H3 as 3x3 matrices over Z[phi], entries
+# a + b phi stored as (a, b), and I2(m) as the affine maps x -> e x + c of Z_m.
+
+
+def mat3_compose(m1, m2):
+    out = []
+    for i in (0, 3, 6):
+        row = m1[i : i + 3]
+        for j in range(3):
+            s0 = s1 = 0
+            for k in range(3):
+                a, b = row[k]
+                c, d = m2[3 * k + j]
+                s0 += a * c + b * d
+                s1 += a * d + b * c + b * d
+            out.append((s0, s1))
+    return tuple(out)
+
+
+BOND_VALUES = {2: (0, 0), 3: (1, 0), 5: (0, 1)}
+
+
+def reflection_matrix(matrix_row, i):
+    # sigma_i maps alpha_j to alpha_j + 2cos(pi/m(i,j)) alpha_i, alpha_i to -alpha_i
+    rank = len(matrix_row)
+    cols = []
+    for j in range(rank):
+        col = [(0, 0)] * rank
+        if j == i:
+            col[i] = (-1, 0)
+        else:
+            col[j] = (1, 0)
+            col[i] = BOND_VALUES[matrix_row[j]]
+        cols.append(col)
+    return tuple(cols[j][i] for i in range(rank) for j in range(rank))
+
+
+def matrix_h3_system() -> CoxeterSystem:
+    """H3 with 3x3 matrices over Z[phi] for elements."""
+    mat = build_system("H3").coxeter_matrix
+    ident = tuple((1, 0) if i == j else (0, 0) for i in range(3) for j in range(3))
+    gens = [reflection_matrix(mat[i], i) for i in range(3)]
+    return CoxeterSystem("H3", 3, mat, range(1, 4), ident, gens, mat3_compose, 120)
+
+
+def affine_dihedral_system(m: int) -> CoxeterSystem:
+    """I2(m) with affine maps (e, c): x -> e x + c of Z_m for elements."""
+
+    def compose(a, b):
+        e1, c1 = a
+        e2, c2 = b
+        return (e1 * e2, (e1 * c2 + c1) % m)
+
+    mat = build_system("I2", m=m).coxeter_matrix
+    return CoxeterSystem("I2", 2, mat, range(1, 3), (1, 0), [(-1, 0), (-1, 1)],
+                         compose, 2 * m, dihedral_m=m)

@@ -1,8 +1,16 @@
+import cmath
+
 import pytest
 
-from coxlehmer.coxeter import BruhatPoset, SizeLimitError, build_system
+from coxlehmer.coxeter import BruhatPoset, SizeLimitError, _root_permutations, build_system
 from coxlehmer.qpoly import q_analog, q_analog_product
-from oracles import parabolic_decompose, quotient_factorization, reflections
+from oracles import (
+    affine_dihedral_system,
+    matrix_h3_system,
+    parabolic_decompose,
+    quotient_factorization,
+    reflections,
+)
 
 
 def inversions(perm):
@@ -296,8 +304,10 @@ def test_d_length_closed_form():
         assert d4.length[i] == signed_inversions(w) + negp
 
 
-def test_h3_matrices_preserve_the_form(h3):
-    # the geometric representation fixes the doubled bilinear form exactly
+def test_h3_matrices_preserve_the_form():
+    # the oracle's geometric representation fixes the doubled bilinear form
+    # exactly, so its matrices are a faithful H3 to check the roots against
+    h3 = BruhatPoset(matrix_h3_system())
     phi = (0, 1)
 
     def mul(x, y):
@@ -318,6 +328,52 @@ def test_h3_matrices_preserve_the_form(h3):
                         t = mul(mul(M[3 * k + i], G[k][l]), M[3 * l + j])
                         acc = (acc[0] + t[0], acc[1] + t[1])
                 assert acc == G[i][j]
+
+
+ROOT_GROUPS = [("H3", None)] + [("I2", m) for m in range(3, 11)]
+ROOT_IDS = ["H3"] + [f"I2({m})" for m in range(3, 11)]
+
+
+@pytest.mark.parametrize("label,m", ROOT_GROUPS, ids=ROOT_IDS)
+def test_root_permutations_match_the_old_kernels(label, m):
+    # BFS indices depend only on the group and its generator order, so the
+    # Z[phi] matrices and the affine dihedral maps give the same tables
+    new = BruhatPoset(build_system(label, m=m))
+    old = BruhatPoset(matrix_h3_system() if label == "H3" else affine_dihedral_system(m))
+    for table in ("length", "word", "right_mult", "left_mult", "inverse",
+                  "covers_down", "by_length", "w0", "_down"):
+        assert getattr(new, table) == getattr(old, table), table
+
+
+def _dihedral_positive(m):
+    # root k of the 2m-gon sits at angle k pi / m; it is positive when it is
+    # a nonnegative combination of the simple roots at angles 0, (m-1) pi / m
+    a2 = cmath.exp(1j * cmath.pi * (m - 1) / m)
+    out = []
+    for k in range(2 * m):
+        r = cmath.exp(1j * cmath.pi * k / m)
+        y = r.imag / a2.imag
+        out.append(y > -1e-9 and r.real - y * a2.real > -1e-9)
+    return out
+
+
+@pytest.mark.parametrize("label,m", ROOT_GROUPS, ids=ROOT_IDS)
+def test_length_counts_positive_roots_made_negative(label, m):
+    # l(w) = #{beta > 0 : w beta < 0} (Humphreys, Reflection Groups and
+    # Coxeter Groups, 1.6-1.7 and 5.4), against the lengths the BFS assigns
+    p = BruhatPoset(build_system(label, m=m))
+    if label == "H3":
+        roots, _ = _root_permutations(p.system.coxeter_matrix)
+        # a + b phi >= 0 for every coefficient, or <= 0 for every one
+        positive = [all(a >= 0 and b >= 0 for a, b in r) for r in roots]
+        negative = [all(a <= 0 and b <= 0 for a, b in r) for r in roots]
+        assert all(x != y for x, y in zip(positive, negative))
+    else:
+        positive = _dihedral_positive(m)
+    assert sum(positive) == p.length[p.w0] == len(positive) // 2
+    for w, perm in enumerate(p.elements):
+        made_negative = sum(1 for k, x in enumerate(perm) if positive[k] and not positive[x - 1])
+        assert made_negative == p.length[w]
 
 
 def test_dihedral_bruhat_is_by_length():

@@ -294,6 +294,22 @@ def test_least_container_matches_brute_force():
                 face = (face - 1) & facet
 
 
+def test_a_subface_lies_in_its_facet_and_one_neighbour():
+    # _shelling_step looks facet - v up in one other facet only: the one
+    # that trades v for the vertex the facet omits in v's class
+    for dims in [(2, 3), (2, 2, 2), (3, 3), (1, 3), (3, 3, 4)]:
+        omitted = _omitted_bits(dims)
+        points = sorted(full_ideal(ChainProduct(dims)).points)
+        facets = dict(zip(points, _facet_masks(dims, points)))
+        for x, f in facets.items():
+            for i, (bits, xi) in enumerate(zip(omitted, x)):
+                for y, v in enumerate(bits):
+                    if y != xi:
+                        moved = x[:i] + (y,) + x[i + 1:]
+                        assert {p for p, e in facets.items() if (f ^ v) & ~e == 0} == {x, moved}
+                        assert facets[moved] == f ^ v ^ bits[xi]
+
+
 def test_planted_step_failure_is_reported(monkeypatch):
     # a shelling rule that always names the origin as G's least container:
     # every step after the first fails, in the suite and in push alike
