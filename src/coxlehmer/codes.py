@@ -12,7 +12,6 @@ and the cover-morphism property from the tables alone.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from math import prod
@@ -79,22 +78,29 @@ def _product_code(name: str, poset: BruhatPoset, factors) -> LehmerCode:
     bound is the largest value its coordinate takes.  The build aborts
     unless lengths add along every product and every element comes out
     exactly once, since neither is assumed.
+
+    Products come in itertools.product order, depth first: a prefix over
+    the factors but the last is multiplied out once and meets every
+    element of the last factor.
     """
-    length = poset.length
+    length, mult = poset.length, poset.mult
+    *head, last = factors
     vectors = [None] * poset.size
-    for combo in itertools.product(*factors):
-        w = total = 0
-        vec = ()
-        for coords, x in combo:
-            w = poset.mult(w, x)
-            total += length[x]
-            vec += coords
-        if total != length[w]:
-            raise CodeBuildError(f"{name}: factor lengths do not add up for "
-                                 f"{poset.render(w)}")
-        if vectors[w] is not None:
-            raise CodeBuildError(f"{name}: {poset.render(w)} factors twice")
-        vectors[w] = vec
+    stack = [(0, 0, 0, ())]  # (factors used, prefix, its length sum, its coordinates)
+    while stack:
+        k, u, before, vec = stack.pop()
+        if k < len(head):  # pushed in reverse, so they pop in factor order
+            stack.extend((k + 1, mult(u, x), before + length[x], vec + coords)
+                         for coords, x in reversed(head[k]))
+            continue
+        for coords, x in last:
+            w = mult(u, x)
+            if before + length[x] != length[w]:
+                raise CodeBuildError(f"{name}: factor lengths do not add up for "
+                                     f"{poset.render(w)}")
+            if vectors[w] is not None:
+                raise CodeBuildError(f"{name}: {poset.render(w)} factors twice")
+            vectors[w] = vec + coords
     if None in vectors:
         raise CodeBuildError(f"{name}: no product reaches "
                              f"{poset.render(vectors.index(None))}")

@@ -1,21 +1,25 @@
 """Finite Coxeter systems: exact element arithmetic and Bruhat combinatorics.
 
-Every system is realized by one-line permutations composed by `_perm_compose`:
-type A permutes 1..n, types B and D are signed permutations of 1..n, and H3
-and I2(m) permute their root systems (the 30 roots of H3, with coefficients
-in Z[phi] for phi the golden ratio, and the 2m roots of the 2m-gon), on which
-every finite Coxeter group acts faithfully.  All arithmetic is exact; equal
-tuples are equal group elements.
+Every system is realized by one-line signed permutations composed by
+`_compose`: type A permutes 1..n, types B and D are signed permutations of
+1..n, and H3 and I2(m) permute their root systems (the 30 roots of H3, with
+coefficients in Z[phi] for phi the golden ratio, and the 2m roots of the
+2m-gon), on which every finite Coxeter group acts faithfully.  All
+arithmetic is exact; equal tuples are equal group elements.
 
 Enumerating a system yields a BruhatPoset: every element indexed in BFS
-order, lengths, and the right multiplication table the BFS fills.  Inverses,
-left multiplication, products and Bruhat covers (by the lifting property)
-are all read off that table, and reachability bitsets answer u <= w in O(1).
+order, lengths, and the right multiplication table the BFS fills, moving
+entries by one position map per generator.  Inverses, left multiplication
+(both built on first use), products and Bruhat covers (by the lifting
+property) are all read off that table, and reachability bitsets answer
+u <= w in O(1).
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from bisect import bisect_left
+from functools import cached_property, lru_cache
+from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
 from .qpoly import ONE, IntPolynomial
@@ -37,14 +41,37 @@ class SizeLimitError(RuntimeError):
 # type-specific element kernels
 
 
-def _perm_compose(a, b):
-    # (a . b)(x) = a(b(x)), one-line tuples over 1..n
-    return tuple(a[v - 1] for v in b)
-
-
-def _signed_compose(a, b):
-    # windows over +-1..+-n with w(-i) = -w(i)
+def _compose(a, b):
+    # (a . b)(x) = a(b(x)), one-line tuples over +-1..+-n with w(-i) = -w(i)
     return tuple(a[v - 1] if v > 0 else -a[-v - 1] for v in b)
+
+
+def _right_actions(system) -> list[Callable]:
+    """e -> e g for each generator g.  Under `_compose` that moves the
+    entries of e to the positions |g(x)| names and negates the slots where
+    g is negative (Bjorner-Brenti, GTM 231, 8.1-8.2): one itemgetter call,
+    and a sign flip only for B's s1 and D's s0.  Any other kernel keeps
+    compose(e, g)."""
+    compose = system.compose
+    if compose is not _compose:
+        return [lambda e, g=g: compose(e, g) for g in system.generators]
+    actions = []
+    for g in system.generators:
+        # itemgetter of a single index returns the entry, not a tuple
+        assert len(g) >= 2, g
+        take = itemgetter(*[abs(v) - 1 for v in g])
+        negated = [k for k, v in enumerate(g) if v < 0]
+        actions.append(_negating(take, negated) if negated else take)
+    return actions
+
+
+def _negating(take, negated):
+    def act(e):
+        out = list(take(e))
+        for k in negated:
+            out[k] = -out[k]
+        return tuple(out)
+    return act
 
 
 # 2B(alpha_i, alpha_j) = -2cos(pi/m(i,j)) as a + b phi in Z[phi]
@@ -169,7 +196,7 @@ def build_system(label: str, rank: int | None = None, m: int | None = None) -> C
             order *= k
         mat = _chain_matrix(rank, {(i, i + 1): 3 for i in range(rank - 1)})
         return CoxeterSystem("A", rank, mat, range(1, rank + 1), ident, gens,
-                             _perm_compose, order,
+                             _compose, order,
                              render=_render_perm)
     if label == "B":
         if rank is None or rank < 2:
@@ -188,7 +215,7 @@ def build_system(label: str, rank: int | None = None, m: int | None = None) -> C
         bonds.update({(i, i + 1): 3 for i in range(1, n - 1)})
         mat = _chain_matrix(rank, bonds)
         return CoxeterSystem("B", rank, mat, range(1, rank + 1), ident, gens,
-                             _signed_compose, order,
+                             _compose, order,
                              render=_render_signed)
     if label == "D":
         if rank is None or rank < 4:
@@ -209,7 +236,7 @@ def build_system(label: str, rank: int | None = None, m: int | None = None) -> C
         bonds.update({(i, i + 1): 3 for i in range(2, n - 1)})
         mat = _chain_matrix(rank, bonds)
         return CoxeterSystem("D", rank, mat, range(0, rank), ident, gens,
-                             _signed_compose, order,
+                             _compose, order,
                              render=_render_signed)
     if label == "H3":
         if rank not in (None, 3):
@@ -217,7 +244,7 @@ def build_system(label: str, rank: int | None = None, m: int | None = None) -> C
         mat = _chain_matrix(3, {(0, 1): 3, (1, 2): 5})
         roots, gens = _root_permutations(mat)
         return CoxeterSystem("H3", 3, mat, range(1, 4), tuple(range(1, len(roots) + 1)),
-                             gens, _perm_compose, 120)
+                             gens, _compose, 120)
     if label == "I2":
         if m is None or m < 3:
             raise ValueError(f"type I2(m) requires m >= 3, got {m}")
@@ -227,7 +254,7 @@ def build_system(label: str, rank: int | None = None, m: int | None = None) -> C
         gens = [tuple((c - k) % (2 * m) + 1 for k in range(2 * m)) for c in (m, m - 2)]
         mat = _chain_matrix(2, {(0, 1): m})
         return CoxeterSystem("I2", 2, mat, range(1, 3), tuple(range(1, 2 * m + 1)), gens,
-                             _perm_compose, 2 * m, dihedral_m=m)
+                             _compose, 2 * m, dihedral_m=m)
     raise ValueError(f"unknown type {label!r}; valid: A, B, D, H3, I2")
 
 
@@ -267,7 +294,10 @@ def _downsets(covers_down: list[list[int]]) -> list[int]:
 class BruhatPoset:
     """A fully enumerated finite Coxeter group with its orders materialized.
 
-    Elements are referred to by their BFS index; index 0 is the identity.
+    Elements are referred to by their BFS index; index 0 is the identity,
+    and indices are length-graded.  `__init__` builds the element list,
+    lengths, BFS words, the right multiplication table, Bruhat covers and
+    the downset bitsets; `inverse` and `left_mult` are built on first use.
     `downset(w)` is a bitset over indices encoding {v : v <= w} in Bruhat
     order, so comparisons and interval extraction are bit operations.
     """
@@ -277,8 +307,7 @@ class BruhatPoset:
             raise SizeLimitError(f"|{system.describe()}| = {system.order} exceeds "
                                  f"the enumeration limit {ENUMERATION_LIMIT}")
         self.system = system
-        compose = system.compose
-        gens = system.generators
+        actions = list(enumerate(_right_actions(system)))
 
         # BFS by right multiplication, visiting indices in the order they are
         # assigned, so right_mult gains its rows in index order and indices
@@ -288,21 +317,18 @@ class BruhatPoset:
         length = [0]
         word: list[tuple[int, ...]] = [()]
         right_mult: list[list[int]] = []
-        u = 0
-        while u < len(elements):
-            eu, wu, lu = elements[u], word[u], length[u]
+        for u, eu in enumerate(elements):  # grows as new elements are found
             row = []
-            for gi, g in enumerate(gens):
-                v = compose(eu, g)
+            for gi, act in actions:
+                v = act(eu)
                 j = index.get(v)
                 if j is None:
                     j = index[v] = len(elements)
                     elements.append(v)
-                    length.append(lu + 1)
-                    word.append(wu + (gi,))
+                    length.append(length[u] + 1)
+                    word.append(word[u] + (gi,))
                 row.append(j)
             right_mult.append(row)
-            u += 1
         if len(elements) != system.order:
             raise AssertionError(
                 f"enumerated {len(elements)} elements, classification says {system.order}")
@@ -313,19 +339,14 @@ class BruhatPoset:
         self.length = length
         self.word = word
         self.right_mult = right_mult
-        self.inverse = inverse = [self.apply_word(wd[::-1]) for wd in word]
-        # s u = (u^-1 s)^-1
-        self.left_mult = [[inverse[j] for j in right_mult[inverse[u]]]
-                          for u in range(self.size)]
 
-        max_len = max(length)
-        self.by_length = [0] * (max_len + 1)
-        for i, l in enumerate(length):
-            self.by_length[l] |= 1 << i
-        tops = [i for i in range(self.size) if length[i] == max_len]
-        if len(tops) != 1:
+        # level l is the index range starts[l] .. starts[l + 1] - 1
+        max_len = length[-1]
+        starts = [bisect_left(length, l) for l in range(max_len + 2)]
+        self.by_length = [(1 << end) - (1 << start) for start, end in zip(starts, starts[1:])]
+        if starts[-2] != self.size - 1:
             raise AssertionError("longest element is not unique")
-        self.w0 = tops[0]
+        self.w0 = self.size - 1
 
         # Lifting property (Bjorner-Brenti, GTM 231, Prop. 2.2.7): if s is a
         # right descent of w, the lower covers of w are ws together with
@@ -344,6 +365,16 @@ class BruhatPoset:
             covers_down.append(lows)
         self.covers_down = covers_down
         self._down = _downsets(covers_down)
+
+    @cached_property
+    def inverse(self) -> list[int]:
+        return [self.apply_word(wd[::-1]) for wd in self.word]
+
+    @cached_property
+    def left_mult(self) -> list[list[int]]:
+        # s u = (u^-1 s)^-1
+        inverse = self.inverse
+        return [[inverse[j] for j in self.right_mult[inverse[u]]] for u in range(self.size)]
 
     # -- element arithmetic by index
 

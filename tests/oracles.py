@@ -4,6 +4,9 @@ Nothing in `coxlehmer` calls these; each is the slow or definitional
 version of something the library does another way.
 """
 
+import itertools
+
+from coxlehmer.codes import CodeBuildError, _make_code
 from coxlehmer.coxeter import CoxeterSystem, build_system
 from coxlehmer.multicomplex import linear_extensions, lower_covers, meet
 from coxlehmer.qpoly import IntPolynomial, q_analog_product
@@ -22,6 +25,33 @@ def reflections(poset) -> list[int]:
                 seen.add(u)
                 frontier.append(u)
     return sorted(seen)
+
+
+def product_code_by_combinations(name, poset, factors):
+    """`codes._product_code` one itertools.product combination at a time,
+    each product multiplied out from the identity, with the same checks
+    and messages."""
+    length = poset.length
+    vectors = [None] * poset.size
+    for combo in itertools.product(*factors):
+        w = total = 0
+        vec = ()
+        for coords, x in combo:
+            w = poset.mult(w, x)
+            total += length[x]
+            vec += coords
+        if total != length[w]:
+            raise CodeBuildError(f"{name}: factor lengths do not add up for "
+                                 f"{poset.render(w)}")
+        if vectors[w] is not None:
+            raise CodeBuildError(f"{name}: {poset.render(w)} factors twice")
+        vectors[w] = vec
+    if None in vectors:
+        raise CodeBuildError(f"{name}: no product reaches "
+                             f"{poset.render(vectors.index(None))}")
+    bounds = [max(column) for factor in factors
+              for column in zip(*(coords for coords, _ in factor))]
+    return _make_code(name, poset, bounds, vectors)
 
 
 def code_leq(u: int, v: int, code) -> bool:

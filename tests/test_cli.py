@@ -335,22 +335,21 @@ def test_size_limit_is_exit_2(capsys):
 @pytest.mark.parametrize("label, rank", [("D", 7), ("A", 8)])
 def test_groups_above_the_limit_are_refused_before_enumeration(
         capsys, monkeypatch, label, rank):
-    # their downsets alone would take 6.5 GB (D7) and 8.2 GB (A8)
-    composed = []
-    init = coxeter.BruhatPoset.__init__
+    # their downsets alone would take 6.5 GB (D7) and 8.2 GB (A8); the BFS
+    # reaches every element through the per-generator actions
+    acted = []
 
-    def guarded_init(self, system):
-        def compose(a, b):
-            composed.append(system.describe())
+    def guarded_actions(system):
+        def act(e):
+            acted.append(system.describe())
             raise AssertionError(f"{system.describe()} is being enumerated")
 
-        system.compose = compose
-        init(self, system)
+        return [act] * system.rank
 
-    monkeypatch.setattr(coxeter.BruhatPoset, "__init__", guarded_init)
+    monkeypatch.setattr(coxeter, "_right_actions", guarded_actions)
     code, out, err = run(capsys, "code", "--type", label, "--rank", str(rank),
                          "--word", "s1")
-    assert composed == []
+    assert acted == []
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "enumeration limit" in err

@@ -1,6 +1,8 @@
 import pytest
 
+from coxlehmer import codes as codes_mod
 from coxlehmer.codes import (
+    CodeBuildError,
     LehmerCode,
     d_chain_words,
     shared_standard_code,
@@ -18,7 +20,7 @@ from coxlehmer.codes import (
     verify_h3_quotients,
 )
 from coxlehmer.coxeter import BruhatPoset, build_system, shared_poset
-from oracles import quotient_factorization
+from oracles import product_code_by_combinations, quotient_factorization
 
 
 @pytest.fixture(scope="module")
@@ -163,6 +165,61 @@ def test_quotient_codes_match_the_factorization_oracle(label, rank, m):
             lengths = tuple(poset.length[x]
                             for x in quotient_factorization(poset, w, order))
             assert code.of(w) == lengths, (code.name, poset.render(w))
+
+
+PRODUCT_GROUPS = ([("A", n, None) for n in range(1, 6)]
+                  + [("B", n, None) for n in range(2, 6)]
+                  + [("D", 4, None), ("D", 5, None), ("H3", None, None)]
+                  + [("I2", None, m) for m in range(3, 11)])
+
+
+@pytest.mark.parametrize("label,rank,m", PRODUCT_GROUPS)
+def test_product_code_matches_the_combination_oracle(monkeypatch, label, rank, m):
+    # shared prefixes against multiplying out every combination from e
+    poset = shared_poset(label, rank, m)
+
+    def build():
+        built = [standard_code(poset)]
+        if label == "B":
+            built.append(code_b(poset, variant=True))
+        return built + [dual_code(code) for code in built]
+
+    fast = build()
+    calls = []
+
+    def oracle(*args):
+        calls.append(args[0])
+        return product_code_by_combinations(*args)
+
+    monkeypatch.setattr(codes_mod, "_product_code", oracle)
+    slow = build()
+    assert len(calls) == (2 if label == "B" else 1)
+    for a, b in zip(fast, slow, strict=True):
+        assert (a.name, a.bounds, a.vectors) == (b.name, b.bounds, b.vectors)
+
+
+def _corrupted(poset, factors, how):
+    first, second, *rest = factors
+    if how == "factors twice":  # the first element of the last factor, again
+        return factors[:-1] + [factors[-1] + factors[-1][:1]]
+    if how == "do not add up":  # s s = e, first among the products
+        s = ((1,), poset.apply_word([0]))
+        return [[s] + first, [s] + second] + rest
+    if how == "no product reaches":  # the longest element of the last factor dropped
+        return factors[:-1] + [factors[-1][:-1]]
+    raise ValueError(how)
+
+
+@pytest.mark.parametrize("how", ["factors twice", "do not add up", "no product reaches"])
+def test_product_code_errors_match_the_combination_oracle(d4, how):
+    factors = _corrupted(d4, [codes_mod._length_factor(d4, chain)
+                              for chain in codes_mod._d_chains(d4)], how)
+    messages = []
+    for build in (codes_mod._product_code, product_code_by_combinations):
+        with pytest.raises(CodeBuildError, match=how) as err:
+            build("LD4", d4, factors)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
 
 
 def test_code_b_variant(b3):

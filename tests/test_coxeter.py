@@ -2,7 +2,13 @@ import cmath
 
 import pytest
 
-from coxlehmer.coxeter import BruhatPoset, SizeLimitError, _root_permutations, build_system
+from coxlehmer.coxeter import (
+    BruhatPoset,
+    SizeLimitError,
+    _right_actions,
+    _root_permutations,
+    build_system,
+)
 from coxlehmer.qpoly import q_analog, q_analog_product
 from oracles import (
     affine_dihedral_system,
@@ -440,10 +446,24 @@ ORACLE_GROUPS = ([("A", r, None) for r in range(1, 6)]
                  + [("B", r, None) for r in range(2, 6)]
                  + [("D", 4, None), ("D", 5, None), ("H3", None, None)]
                  + [("I2", None, m) for m in range(3, 11)])
+# from the tuples, not build_system, so a kernel mistake fails named tests
+# instead of the collection of this module
+ORACLE_IDS = [f"I2({m})" if label == "I2" else "H3" if label == "H3" else f"{label}{rank}"
+              for label, rank, m in ORACLE_GROUPS]
 
 
-@pytest.mark.parametrize("label,rank,m", ORACLE_GROUPS,
-                         ids=[build_system(*g).describe() for g in ORACLE_GROUPS])
+@pytest.mark.parametrize("label,rank,m", ORACLE_GROUPS, ids=ORACLE_IDS)
+def test_right_actions_match_compose(label, rank, m):
+    # the BFS's position maps against the composition kernel itself
+    p = BruhatPoset(build_system(label, rank, m))
+    compose, gens = p.system.compose, p.system.generators
+    actions = _right_actions(p.system)
+    assert len(actions) == len(gens)
+    for e in p.elements:
+        assert [act(e) for act in actions] == [compose(e, g) for g in gens]
+
+
+@pytest.mark.parametrize("label,rank,m", ORACLE_GROUPS, ids=ORACLE_IDS)
 def test_tables_match_compose_oracle(label, rank, m):
     # slow reference: covers from every reflection times every element,
     # products and left multiplication through system.compose on
