@@ -13,11 +13,11 @@ and the cover-morphism property from the tables alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import prod
 
 from .coxeter import BruhatPoset, shared_poset, system_key
-from .multicomplex import ChainProduct, lower_covers
+from .multicomplex import ChainProduct, box_table, lower_covers
 from .report import Report
 
 # the exhaustive dihedral search tries 2^(m-1) level choices
@@ -50,6 +50,14 @@ class LehmerCode:
 
     def box_size(self) -> int:
         return prod(b + 1 for b in self.bounds)
+
+    @cached_property
+    def box_index(self) -> list[int]:
+        """Element -> lex position of its vector in the box's table, built on
+        first use; a vector off the box gets the box size, one past the end."""
+        table = box_table(tuple(b + 1 for b in self.bounds))
+        off = len(table.points)
+        return [table.index.get(v, off) for v in self.vectors]
 
     def to_json(self) -> dict:
         return {self.poset.render(w): list(v) for w, v in enumerate(self.vectors)}
@@ -356,9 +364,9 @@ def verify_code(code: LehmerCode) -> Report:
               and all(0 <= x <= b for x, b in zip(v, code.bounds))
               and v not in seen)
         seen.add(v)
-        rep.check(ok, f"bijectivity fails at {poset.render(w)} -> {v}")
+        rep.check(ok, lambda: f"bijectivity fails at {poset.render(w)} -> {v}")
         rep.check(sum(v) == poset.length[w],
-                  f"rank mismatch at {poset.render(w)}: {v} vs length {poset.length[w]}")
+                  lambda: f"rank mismatch at {poset.render(w)}: {v} vs length {poset.length[w]}")
     rep.check(len(seen) == code.box_size(), "table does not cover the codomain")
 
     if rep.passed:
@@ -367,8 +375,8 @@ def verify_code(code: LehmerCode) -> Report:
             wy = lookup[y]
             for x in lower_covers(y):
                 rep.check(poset.leq(lookup[x], wy),
-                          f"cover {x} -> {y} maps to incomparable "
-                          f"{poset.render(lookup[x])}, {poset.render(wy)}")
+                          lambda: f"cover {x} -> {y} maps to incomparable "
+                                  f"{poset.render(lookup[x])}, {poset.render(wy)}")
     return rep
 
 

@@ -1,13 +1,14 @@
 """Lower Bruhat intervals through a Lehmer code.
 
 A valid code turns the interval below w into an order ideal of the product
-of chains.  This module computes the interval's rank generating function
-three independent ways (direct summation, shelling of the attached complex
-by pushing the ideal's rank-then-lex order through `ShellingState`,
-inclusion-exclusion over the ideal's maxima with its terms grouped by the
-meets of their code vectors),
-and classifies elements whose intervals are full boxes (principal) or
-lexicographically minimal in their coordinate orbit (unimodal).
+of chains, a bitmask over the box built through the code's `box_index` and
+checked once for closure.  This module computes the interval's rank
+generating function three independent ways (direct summation, shelling of
+the attached complex by pushing the ideal's rank-then-lex order through
+`ShellingState`, inclusion-exclusion over the ideal's maxima with its terms
+grouped by the meets of their code vectors), and classifies elements whose
+intervals are full boxes (principal) or lexicographically minimal in their
+coordinate orbit (unimodal).
 """
 
 from __future__ import annotations
@@ -34,11 +35,15 @@ class InvalidCodeImage(RuntimeError):
 
 
 def interval_ideal(w: int, code: LehmerCode) -> OrderIdeal:
-    """The code image of {v : v <= w}, checked once to be an ideal of the box."""
+    """The code image of {v : v <= w}, as a mask over the box through the
+    code's `box_index`, checked once to be an ideal of the box."""
     poset = code.poset
     amb = ChainProduct(tuple(b + 1 for b in code.bounds))
+    position, mask = code.box_index, 0
+    for v in _bits(poset.downset(w)):
+        mask |= 1 << position[v]
     try:
-        return OrderIdeal(amb, (code.of(v) for v in _bits(poset.downset(w))))
+        return OrderIdeal.from_mask(amb, mask)
     except ValueError:
         raise InvalidCodeImage(
             f"{code.name}: image of the interval below {poset.render(w)} "
@@ -70,15 +75,20 @@ def _maxima_polynomial(ideal: OrderIdeal) -> IntPolynomial:
     of each meet m in the indicator of the union of the boxes so far, sum of
     c [box below m]; adding the box below x subtracts its intersection with
     that union, the same sum over the meets of m and x.  The work is k
-    times the number of distinct meets, at most k |ideal| for k maxima."""
+    times the number of distinct meets, at most k |ideal| for k maxima.
+    The boxes' q-analog products are added into one coefficient list."""
     table: dict[tuple[int, ...], int] = {}
     for x in ideal.maxima():
         for m, c in list(table.items()):
             y = meet(m, x)
             table[y] = table.get(y, 0) - c
         table[x] = table.get(x, 0) + 1
-    return sum((c * _box_poly(tuple(v + 1 for v in m)) for m, c in table.items() if c),
-               IntPolynomial())
+    coeffs = [0] * (sum(ideal.ambient.dims) - len(ideal.ambient.dims) + 1)
+    for m, c in table.items():
+        if c:
+            for r, a in enumerate(_box_poly(tuple(v + 1 for v in m)).coeffs):
+                coeffs[r] += c * a
+    return IntPolynomial(coeffs)
 
 
 def interval_poincare(w: int, code: LehmerCode, route: str = "direct") -> IntPolynomial:

@@ -2,8 +2,12 @@
 
 Points are stored zero-based, so the rank of a point is the plain sum of its
 entries; the one-based view used by the facet construction shifts at that
-boundary only.  Covers and facet masks come from one `box_table` per box.
-Includes the Macaulay growth test for f-vectors of multicomplexes, and
+boundary only.  One `box_table` per box numbers its points in lex
+(mixed-radix) order, so an `OrderIdeal` is a bitmask over the box: its
+closure check and its maxima are one shifted AND per coordinate class, and
+rank-then-lex order reads the box's rank masks.  The table also holds
+the facet masks.  Includes the Macaulay growth test for f-vectors
+of multicomplexes, and
 exhaustive, counted or seeded-random linear extensions, all driven by one
 `Frontier`: the sorted minimal points of what is left of an ideal, kept by
 counting each point's untaken lower covers.
@@ -15,9 +19,11 @@ import itertools
 import random
 from bisect import bisect_left, insort
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb, prod
 from typing import Iterable, Iterator
+
+from .coxeter import _bits
 
 
 @dataclass(frozen=True)
@@ -55,98 +61,146 @@ def meet(x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(map(min, x, y))
 
 
-class _BoxTable(dict):
-    """point -> (lower covers, upper covers, facet mask) in the box `dims`,
-    built at the point's first lookup (ValueError outside the box).  Cover
-    tuples hold the table's own point objects, interned in `_keys`."""
+class _BoxTable:
+    """The shared table of the box `dims`, which numbers its points in lex
+    (mixed-radix) order so that a set of points is a bitmask.
+
+    Bit j is `points[j]`, and `index` inverts that.  A step down in
+    coordinate i moves `strides[i]` bits, `nonzero[i]` marks the points whose
+    coordinate i is positive and `levels[r]` those of rank r.  `facets[j]`,
+    the facet mask of points[j], is built on first use.  Nothing here holds
+    a mask per point, which would take |box|^2 bits."""
 
     def __init__(self, dims: tuple[int, ...]):
-        self.dims, self._keys = dims, {}
+        self.dims = dims
+        self.points = list(itertools.product(*map(range, dims)))
+        self.index = {p: j for j, p in enumerate(self.points)}
+        self.full = (1 << len(self.points)) - 1
+        self.strides = tuple(prod(dims[i + 1:]) for i in range(len(dims)))
+        # coordinate i is 0 on the first stride bits of every period d * stride
+        self.nonzero = tuple(self.full ^ ((1 << s) - 1) * (self.full // ((1 << d * s) - 1))
+                             for d, s in zip(dims, self.strides))
+        levels, block = [1], 1  # rank masks of the box dims[i:], built from the last class
+        for d in reversed(dims):
+            grown = [0] * (len(levels) + d - 1)
+            for x in range(d):
+                for r, m in enumerate(levels):
+                    grown[r + x] |= m << x * block
+            levels, block = grown, block * d
+        self.levels = levels
 
-    def __missing__(self, p):
-        from .simplicial import _facet_masks  # simplicial imports this module
+    @cached_property
+    def facets(self) -> list[int]:
+        from . import simplicial  # simplicial imports this module
 
-        dims = self.dims
-        if len(p) != len(dims) or not all(0 <= x < d for x, d in zip(p, dims)):
-            raise ValueError(f"point {p} outside ambient {dims}")
-        key = self._keys.setdefault
-        p = key(p, p)
-        entry = self[p] = (tuple(key(q, q) for q in lower_covers(p)),
-                           tuple(key(q, q) for q in upper_covers(p, dims)),
-                           _facet_masks(dims, (p,))[0])
-        return entry
+        return simplicial._facet_masks(self.dims, self.points)
+
+    def mask_of(self, points: Iterable[tuple[int, ...]]) -> int:
+        """The mask of the given points (ValueError outside the box)."""
+        index, mask = self.index, 0
+        for p in points:
+            j = index.get(tuple(p))
+            if j is None:
+                raise ValueError(f"point {tuple(p)} outside ambient {self.dims}")
+            mask |= 1 << j
+        return mask
 
 
 box_table = lru_cache(maxsize=None)(_BoxTable)  # one shared table per box dims
 
 
 class OrderIdeal:
-    """A downward-closed set of points in a ChainProduct."""
+    """A downward-closed set of points in a ChainProduct, held as `mask`, a
+    bitmask over its box table's points; `points` is the tuple view."""
 
-    __slots__ = ("ambient", "points")
+    __slots__ = ("ambient", "mask", "_table", "_points")
 
-    def __init__(self, ambient: ChainProduct, points: Iterable[tuple[int, ...]], *,
-                 _trusted: bool = False):
-        self.ambient = ambient
-        pts = frozenset(tuple(p) for p in points)
-        if not _trusted:  # one box check and one closure check per point
-            table = box_table(ambient.dims)  # ValueError outside the box
-            if not all(q in pts for p in pts for q in table[p][0]):
-                raise ValueError("point set is not downward closed")
-        self.points = pts
+    def __init__(self, ambient: ChainProduct, points: Iterable[tuple[int, ...]]):
+        table = box_table(ambient.dims)
+        self._adopt(ambient, table, table.mask_of(points))
+
+    @classmethod
+    def from_mask(cls, ambient: ChainProduct, mask: int) -> "OrderIdeal":
+        self = cls.__new__(cls)
+        self._adopt(ambient, box_table(ambient.dims), mask)
+        return self
+
+    def _adopt(self, ambient, table, mask: int) -> None:
+        """Keep `mask` once it lies in the box and holds the lower covers
+        of its points: per class, (mask & nonzero_i) >> stride_i."""
+        if mask & ~table.full:
+            raise ValueError(f"mask has points outside ambient {ambient.dims}")
+        if any((mask & z) >> s & ~mask for z, s in zip(table.nonzero, table.strides)):
+            raise ValueError("point set is not downward closed")
+        self.ambient, self.mask, self._table, self._points = ambient, mask, table, None
+
+    @property
+    def points(self) -> frozenset:
+        if self._points is None:
+            pts = self._table.points
+            self._points = frozenset(pts[j] for j in _bits(self.mask))
+        return self._points
 
     def __contains__(self, point) -> bool:
-        return tuple(point) in self.points
+        j = self._table.index.get(tuple(point))
+        return j is not None and bool(self.mask >> j & 1)
 
     def __len__(self) -> int:
-        return len(self.points)
+        return self.mask.bit_count()
 
     def __iter__(self):
-        return iter(self.points)
+        pts = self._table.points
+        return (pts[j] for j in _bits(self.mask))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, OrderIdeal) and self.ambient == other.ambient
-                and self.points == other.points)
+                and self.mask == other.mask)
 
     def __hash__(self):
-        return hash((self.ambient, self.points))
+        return hash((self.ambient, self.mask))
 
     def maxima(self) -> set[tuple[int, ...]]:
-        pts, table = self.points, box_table(self.ambient.dims)
-        return {p for p in pts if not any(q in pts for q in table[p][1])}
+        """The points with no upper cover in the ideal: the mask minus every
+        point that some point of it covers, OR_i (mask & nonzero_i) >> stride_i."""
+        mask, table = self.mask, self._table
+        covered = 0
+        for z, s in zip(table.nonzero, table.strides):
+            covered |= (mask & z) >> s
+        pts = table.points
+        return {pts[j] for j in _bits(mask & ~covered)}
+
+    def rank_order(self) -> list[int]:
+        """The mask's bit positions in rank-then-lex order of their points,
+        a linear extension."""
+        mask = self.mask
+        return [j for level in self._table.levels for j in _bits(mask & level)]
 
     def f_polynomial(self):
         from .qpoly import IntPolynomial
 
-        if not self.points:
+        if not self.mask:
             raise ValueError("the empty ideal has no rank generating function")
-        coeffs = [0] * (sum(d - 1 for d in self.ambient.dims) + 1)
-        for p in self.points:
-            coeffs[sum(p)] += 1
-        return IntPolynomial(coeffs)
+        return IntPolynomial([(self.mask & level).bit_count() for level in self._table.levels])
 
     def is_full_box(self) -> bool:
-        return len(self.points) == self.ambient.size()
+        return self.mask == self._table.full
 
     def to_json(self) -> list[list[int]]:
-        return [list(p) for p in sorted(self.points)]
+        return [list(p) for p in self]
 
 
 def ideal_from_points(ambient: ChainProduct, points: Iterable[tuple[int, ...]]) -> OrderIdeal:
-    """Downward closure of the given points."""
+    """Downward closure of the given points, closed one class at a time."""
     table = box_table(ambient.dims)
-    todo = [tuple(p) for p in points]
-    seen = set(todo)
-    while todo:
-        for q in table[todo.pop()][0]:  # ValueError outside the box
-            if q not in seen:
-                seen.add(q)
-                todo.append(q)
-    return OrderIdeal(ambient, seen, _trusted=True)
+    mask = table.mask_of(points)  # ValueError outside the box
+    for d, z, s in zip(ambient.dims, table.nonzero, table.strides):
+        for _ in range(d - 1):
+            mask |= (mask & z) >> s
+    return OrderIdeal.from_mask(ambient, mask)
 
 
 def full_ideal(ambient: ChainProduct) -> OrderIdeal:
-    return OrderIdeal(ambient, ambient.points(), _trusted=True)
+    return OrderIdeal.from_mask(ambient, box_table(ambient.dims).full)
 
 
 # ---------------------------------------------------------------------------
@@ -201,10 +255,10 @@ class Frontier:
     __slots__ = ("minimal", "_above", "_waiting")
 
     def __init__(self, ideal: OrderIdeal):
-        pts, table = ideal.points, box_table(ideal.ambient.dims)
-        self._above = {p: [q for q in table[p][1] if q in pts] for p in pts}
+        pts, dims = ideal.points, ideal.ambient.dims
+        self._above = {p: [q for q in upper_covers(p, dims) if q in pts] for p in pts}
         # every lower cover of an ideal point lies in the ideal
-        self._waiting = {p: len(table[p][0]) for p in pts}
+        self._waiting = {p: sum(1 for x in p if x) for p in pts}
         self.minimal = sorted(p for p, k in self._waiting.items() if not k)
 
     def take(self, p: tuple[int, ...]) -> None:
@@ -295,22 +349,22 @@ def sample_linear_extensions(ideal: OrderIdeal, count: int,
 
 def all_order_ideals(ambient: ChainProduct) -> Iterator[OrderIdeal]:
     """Every nonempty order ideal of the box."""
-    box = sorted(ambient.points(), key=lambda p: (sum(p), p))
-    chosen: set = set()
+    table = box_table(ambient.dims)
+    box = [j for level in table.levels for j in _bits(level)]  # rank-then-lex
+    below = [sum(1 << j - s for x, s in zip(p, table.strides) if x)
+             for j, p in enumerate(table.points)]
 
-    def rec(i):
+    def rec(i, chosen):
         if i == len(box):
             if chosen:
-                yield OrderIdeal(ambient, frozenset(chosen), _trusted=True)
+                yield OrderIdeal.from_mask(ambient, chosen)
             return
-        p = box[i]
-        if all(q in chosen for q in lower_covers(p)):
-            chosen.add(p)
-            yield from rec(i + 1)
-            chosen.remove(p)
-        yield from rec(i + 1)
+        j = box[i]
+        if not below[j] & ~chosen:
+            yield from rec(i + 1, chosen | 1 << j)
+        yield from rec(i + 1, chosen)
 
-    yield from rec(0)
+    yield from rec(0, 0)
 
 
 def random_order_ideals(ambient: ChainProduct, count: int, seed: int) -> list[OrderIdeal]:

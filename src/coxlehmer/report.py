@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 MAX_WITNESSES = 10
 
@@ -16,14 +17,16 @@ class Report:
     witnesses: list[str] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
 
-    def check(self, ok: bool, witness: str = "", instances: int = 1) -> bool:
-        """One verdict covering `instances` checks, one failure if not ok."""
+    def check(self, ok: bool, witness: str | Callable[[], str] = "",
+              instances: int = 1) -> bool:
+        """One verdict covering `instances` checks, one failure if not ok.
+        A callable witness is called only on a failure that is recorded."""
         self.instances += instances
         if not ok:
             self.failures += 1
             self.passed = False
             if witness and len(self.witnesses) < MAX_WITNESSES:
-                self.witnesses.append(witness)
+                self.witnesses.append(witness() if callable(witness) else witness)
         return ok
 
     def note(self, text: str) -> None:

@@ -267,11 +267,11 @@ def verify_catalan_equivalence(n: int) -> Report:
         lazy = is_lazy_fubini_word(code)
         av312 = avoids(perm, (3, 1, 2))
         rep.check(principal == lazy == av312,
-                  f"{perm}: principal={principal} lazy={lazy} 312-avoiding={av312}")
+                  lambda: f"{perm}: principal={principal} lazy={lazy} 312-avoiding={av312}")
         if principal:
             count += 1
             rep.check(_interval_poly(poset, perm) == q_analog_product(x + 1 for x in code),
-                      f"{perm}: interval does not factor over its code")
+                      lambda: f"{perm}: interval does not factor over its code")
     rep.check(count == catalan(n), f"found {count} principal elements, expected C_{n}")
     rep.note(f"{count} principal elements")
     return rep

@@ -6,7 +6,8 @@ chains (`complex_of_ideal`, one facet per point, per the displayed union of
 punctured coordinate classes; the full box's complex is the full ideal's),
 the generic shelling check with restriction sets for any facet order
 (`verify_shelling`, the reference the tests compare against), one shelling
-step rule for ideal complexes (`_shelling_step`) shared by `ShellingState`,
+step rule for ideal complexes (`_shelling_step`, which reads the earlier
+facets by coordinate line, O(rank) per step) shared by `ShellingState`,
 which pushes one linear extension (the `complex` route), and
 `shelling_lattice`, which checks every linear extension at once (the
 shellings suite), the f/h transforms, and the recursive
@@ -127,7 +128,8 @@ def complex_of_ideal(ideal: OrderIdeal) -> SimplicialComplex:
     if not len(ideal):
         raise ValueError("the empty ideal has no complex")
     dims = ideal.ambient.dims
-    pts = sorted(ideal.points, key=lambda p: (sum(p), p))
+    table = box_table(dims)
+    pts = [table.points[j] for j in ideal.rank_order()]
     vertices = [(v, i) for i, d in enumerate(dims, start=1) for v in range(1, d + 1)]
     return SimplicialComplex(_facet_masks(dims, pts), vertices,
                              labels=[tuple(x + 1 for x in p) for p in pts], dims=dims)
@@ -190,93 +192,108 @@ def verify_shelling(sc: SimplicialComplex, order: Sequence[int]) -> ShellingResu
                           h_vector=tuple(h_vector))
 
 
-def least_container(omitted, face: int) -> tuple[int, ...]:
-    """The least zero-based box point whose facet contains the face mask,
-    for `omitted` the box's `_omitted_bits`: per class, containment being
-    decided class by class, the least coordinate whose omitted vertex
-    avoids `face`."""
-    least = []
-    for bits in omitted:
-        x = 0
-        while bits[x] & face:
-            x += 1
-        least.append(x)
-    return tuple(least)
+@lru_cache(maxsize=None)
+def _classes(dims: tuple[int, ...]) -> tuple[tuple[int, int, int], ...]:
+    """Per coordinate class i: (its vertex mask, offset_i + d_i, the box
+    table's stride of coordinate i)."""
+    out, offset = [], 0
+    for d, stride in zip(dims, box_table(dims).strides):
+        out.append((((1 << d) - 1) << offset, offset + d, stride))
+        offset += d
+    return tuple(out)
 
 
-def _shelling_step(omitted, point, facet: int, earlier) -> tuple[int, tuple[int, ...]]:
-    """The shelling rule for appending the facet of a box point after a set
-    of earlier facets, whatever order they came in.
+def _shelling_step(classes, lines: dict[int, int], facet: int) -> tuple[int, int]:
+    """The shelling rule for appending a facet of a box complex after a set
+    of earlier facets, whatever order they came in, read off `lines`.
 
     G is the set of vertices v of `facet` whose codim-1 subface facet - v
-    lies in an earlier facet.  The facet omits one vertex h_i of each class
-    i, and for v in class i, facet - v lies in one other facet of the box:
-    facet - v + h_i, that of the point moved in coordinate i to where class
-    i omits v.  So v is in G iff that facet is in `earlier`, the set of
-    earlier facet masks.  The step shells iff no earlier facet contains G.
-    The facets containing G are those of a product set of box points, so if
-    the earlier points form an order ideal, one does iff the least of them,
-    returned with G, is earlier.
-    """
-    g = 0
-    for bits, x in zip(omitted, point):
-        hole = bits[x]
-        for v in bits:
-            if v != hole and facet ^ v ^ hole in earlier:
-                g |= v
-    return g, least_container(omitted, g)
+    lies in an earlier facet.  The facet omits one vertex of each class i,
+    and for v in class i, facet - v lies in one other facet of the box: the
+    one that omits v instead, on the same class-i line (the points equal
+    off coordinate i).  The facets on a class-i line share `facet | cm_i`,
+    for cm_i the class's vertex mask, and no two classes share such a key,
+    since every facet misses a vertex of each class.  So `lines` maps that
+    key to the OR of the class-i vertices the earlier facets on the line
+    omit (`_put_on_lines`), and G_i = lines[facet | cm_i] & facet.
+
+    The step shells iff no earlier facet contains G.  The facets containing
+    G are those of a product set of box points, least in class i at the x
+    whose omitted vertex, bit top_i - 1 - x, is the highest class-i bit
+    outside G; so if the earlier points form an order ideal, one does iff
+    that least point, returned as its lex position with G, is earlier."""
+    g = least = 0
+    get = lines.get
+    for cm, top, stride in classes:
+        gi = get(facet | cm, 0) & facet
+        g |= gi
+        least += (top - (cm & ~gi).bit_length()) * stride
+    return g, least
+
+
+def _put_on_lines(classes, lines: dict[int, int], facet: int) -> None:
+    """Record `facet` as earlier on its line of every class."""
+    for cm, _, _ in classes:
+        key = facet | cm
+        lines[key] = lines.get(key, 0) | cm & ~facet
 
 
 class ShellingState:
     """The shelling condition checked one facet at a time along a growing
     order ideal of a box complex.
 
-    `ShellingState(ideal)` reads covers and facet masks from `box_table`.
+    `ShellingState(ideal)` reads strides and facet masks from `box_table`.
     `push(point)` appends the facet of a zero-based point of the ideal and
     returns whether the order so far still shells, by `_shelling_step`; it
     refuses a point whose lower covers are not all pushed, so the prefix
-    stays an order ideal.  The state keeps the prefix, the set of facet
-    masks pushed and the h-vector counts."""
+    stays an order ideal.  The state keeps the prefix as one flag per box
+    point, the facets pushed by line and the h-vector counts."""
 
     def __init__(self, ideal: OrderIdeal):
         dims = ideal.ambient.dims
-        self._omitted = _omitted_bits(dims)
         self._table = box_table(dims)
-        self._points = ideal.points
-        self._facets: set[int] = set()
+        self._classes = _classes(dims)
+        self._lines: dict[int, int] = {}
+        self._mask = ideal.mask
+        self._done = bytearray(len(self._table.points))
         self._h = [0] * (sum(dims) - len(dims) + 1)
-        self.prefix: set[tuple[int, ...]] = set()
         self.violation = None
 
     @property
     def h_vector(self) -> tuple[int, ...]:
         return tuple(self._h)
 
+    @property
+    def prefix(self) -> set[tuple[int, ...]]:
+        pts = self._table.points
+        return {pts[j] for j, done in enumerate(self._done) if done}
+
     def push(self, point: tuple[int, ...]) -> bool:
         """Append the facet of `point`.  On failure the state is unchanged
         and `violation` names the earlier point whose facet contains G."""
-        if point not in self._points:
+        table, done = self._table, self._done
+        j = table.index.get(point)
+        if j is None or not self._mask >> j & 1:
             raise ValueError(f"point {point} has no facet in this complex")
-        below, _, facet = self._table[point]
-        prefix = self.prefix
-        if point in prefix or not prefix.issuperset(below):
+        if done[j] or not all(done[j - s] for x, s in zip(point, table.strides) if x):
             raise ValueError(f"point {point} is not minimal outside the prefix")
-        gj, least = _shelling_step(self._omitted, point, facet, self._facets)
-        if least in prefix:
-            self.violation = (least, point)
+        facet = table.facets[j]
+        g, least = _shelling_step(self._classes, self._lines, facet)
+        if done[least]:
+            self.violation = (table.points[least], point)
             return False
-        self._facets.add(facet)
-        self._h[gj.bit_count()] += 1
-        prefix.add(point)
+        _put_on_lines(self._classes, self._lines, facet)
+        self._h[g.bit_count()] += 1
+        done[j] = 1
         return True
 
 
 def shelling_h_polynomial(ideal: OrderIdeal) -> IntPolynomial:
     """h-polynomial of the ideal's complex via its rank-then-lex shelling,
     which is a linear extension of the ideal."""
-    state = ShellingState(ideal)
-    for p in sorted(ideal.points, key=lambda p: (sum(p), p)):
-        if not state.push(p):
+    state, pts = ShellingState(ideal), box_table(ideal.ambient.dims).points
+    for j in ideal.rank_order():
+        if not state.push(pts[j]):
             raise AssertionError(
                 f"rank order failed to shell the complex at points {state.violation}")
     return IntPolynomial(state.h_vector)
@@ -305,12 +322,16 @@ def shelling_lattice(ideal: OrderIdeal) -> LatticeShellings:
     failure.  It carries to each sub-ideal the number of its extensions and
     the set of their h-vectors, packed one count per `width` bits."""
     dims = ideal.ambient.dims
-    omitted, table = _omitted_bits(dims), box_table(dims)
-    pts = sorted(ideal.points, key=lambda p: (sum(p), p))
-    index = {p: i for i, p in enumerate(pts)}
-    below = [sum(1 << index[q] for q in table[p][0]) for p in pts]
-    above = [[index[q] for q in table[p][1] if q in index] for p in pts]
-    facets = _facet_masks(dims, pts)
+    table, classes = box_table(dims), _classes(dims)
+    lex = ideal.rank_order()
+    pts = [table.points[j] for j in lex]
+    index = {j: i for i, j in enumerate(lex)}  # lex index -> position in pts
+    below = [sum(1 << index[table.index[q]] for q in lower_covers(p)) for p in pts]
+    above: list[list[int]] = [[] for _ in pts]
+    for y, m in enumerate(below):
+        for x in _bits(m):
+            above[x].append(y)
+    facets = [table.facets[j] for j in lex]
     # G(I, x) reads I only through the facets holding a codim-1 subface of F_x
     rim = facets[0].bit_count() - 1
     near = [sum(1 << j for j, e in enumerate(facets) if (f & e).bit_count() >= rim)
@@ -330,8 +351,10 @@ def shelling_lattice(ideal: OrderIdeal) -> LatticeShellings:
                 key = done & near[x]
                 step = steps[x].get(key)
                 if step is None:
-                    earlier = {facets[j] for j in _bits(key)}
-                    g, least = _shelling_step(omitted, pts[x], facets[x], earlier)
+                    lines: dict[int, int] = {}
+                    for j in _bits(key):
+                        _put_on_lines(classes, lines, facets[j])
+                    g, least = _shelling_step(classes, lines, facets[x])
                     step = steps[x][key] = (1 << width * g.bit_count(), 1 << index[least])
                 inc, least_bit = step
                 if done & least_bit:

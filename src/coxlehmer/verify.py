@@ -122,7 +122,7 @@ def suite_vd(**_) -> Report:
     code = codes_mod.shared_standard_code("A", 3)
     for w in range(code.poset.size):
         rep.check(is_vertex_decomposable(intervals.interval_complex(w, code), max_facets=64),
-                  f"S4 interval below {code.poset.render(w)} not vertex decomposable")
+                  lambda: f"S4 interval below {code.poset.render(w)} not vertex decomposable")
     rep.note(f"{len(boxes)} boxes up to volume {VD_MAX_VOLUME}, plus 24 S4 intervals")
     return rep
 
@@ -178,7 +178,7 @@ def suite_routes(max_rank: int | None = None, **_) -> Report:
             direct = intervals.interval_poincare(x, code, "direct")
             for route in ("complex", "maxima"):
                 sub.check(intervals.interval_poincare(x, code, route) == direct,
-                          f"{code.poset.render(x)}: {route} route differs")
+                          lambda: f"{code.poset.render(x)}: {route} route differs")
         rep.merge(sub)
     return rep
 
@@ -290,7 +290,7 @@ def suite_msequence(**_) -> Report:
         poset = shared_poset(label, rank, m)
         for w in range(poset.size):
             rep.check(is_m_sequence(poset.interval_poincare_coeffs(w)),
-                      f"{poset.system.describe()}: interval below {poset.render(w)}")
+                      lambda: f"{poset.system.describe()}: interval below {poset.render(w)}")
     return rep
 
 

@@ -5,12 +5,14 @@ version of something the library does another way.
 """
 
 import itertools
+from contextlib import contextmanager
 
+from coxlehmer import simplicial
 from coxlehmer.codes import CodeBuildError, _make_code
 from coxlehmer.coxeter import CoxeterSystem, build_system
-from coxlehmer.multicomplex import linear_extensions, lower_covers, meet
+from coxlehmer.multicomplex import box_table, linear_extensions, lower_covers, meet, upper_covers
 from coxlehmer.qpoly import IntPolynomial, q_analog_product
-from coxlehmer.simplicial import SimplicialComplex, complex_of_ideal
+from coxlehmer.simplicial import SimplicialComplex, _omitted_bits, complex_of_ideal
 
 
 def reflections(poset) -> list[int]:
@@ -291,3 +293,128 @@ def affine_dihedral_system(m: int) -> CoxeterSystem:
     mat = build_system("I2", m=m).coxeter_matrix
     return CoxeterSystem("I2", 2, mat, range(1, 3), (1, 0), [(-1, 0), (-1, 1)],
                          compose, 2 * m, dihedral_m=m)
+
+
+# The tuple paths that order ideals and shelling states took before they
+# became bitmasks over the box table: maxima by upper-cover lookups, the
+# maxima polynomial as a sum of IntPolynomials, and the shelling step that
+# looks each codim-1 subface of the new facet up among the earlier facets.
+# `is_order_ideal` above is the tuple closure check.
+
+
+def maxima_by_covers(ideal) -> set:
+    """The points of the ideal none of whose upper covers is in it."""
+    pts, dims = ideal.points, ideal.ambient.dims
+    return {p for p in pts if not any(q in pts for q in upper_covers(p, dims))}
+
+
+def maxima_polynomial_by_sums(ideal) -> IntPolynomial:
+    """`intervals._maxima_polynomial` over `maxima_by_covers`, the boxes'
+    q-analog products summed as IntPolynomials."""
+    table = {}
+    for x in maxima_by_covers(ideal):
+        for m, c in list(table.items()):
+            y = meet(m, x)
+            table[y] = table.get(y, 0) - c
+        table[x] = table.get(x, 0) + 1
+    return sum((c * q_analog_product(v + 1 for v in m) for m, c in table.items() if c),
+               IntPolynomial())
+
+
+def least_container(omitted, face: int) -> tuple[int, ...]:
+    """The least zero-based box point whose facet contains the face mask,
+    for `omitted` the box's `_omitted_bits`: per class, the least
+    coordinate whose omitted vertex avoids `face`."""
+    least = []
+    for bits in omitted:
+        x = 0
+        while bits[x] & face:
+            x += 1
+        least.append(x)
+    return tuple(least)
+
+
+def shelling_step_by_lookups(omitted, point, facet: int, earlier) -> tuple[int, tuple[int, ...]]:
+    """G and its least container for appending the facet of `point` after
+    the set `earlier` of facet masks: v of class i is in G iff the facet
+    that trades v for the vertex `facet` omits in class i is earlier."""
+    g = 0
+    for bits, x in zip(omitted, point):
+        hole = bits[x]
+        for v in bits:
+            if v != hole and facet ^ v ^ hole in earlier:
+                g |= v
+    return g, least_container(omitted, g)
+
+
+class LookupShellingState:
+    """`simplicial.ShellingState` with the prefix as a set of points and the
+    earlier facets as a set of masks; facets from `box_table`."""
+
+    def __init__(self, ideal):
+        dims = ideal.ambient.dims
+        self._omitted = _omitted_bits(dims)
+        self._table = box_table(dims)
+        self._points = ideal.points
+        self._facets = set()
+        self._h = [0] * (sum(dims) - len(dims) + 1)
+        self.prefix = set()
+        self.violation = None
+
+    @property
+    def h_vector(self):
+        return tuple(self._h)
+
+    def push(self, point) -> bool:
+        if point not in self._points:
+            raise ValueError(f"point {point} has no facet in this complex")
+        facet = self._table.facets[self._table.index[point]]
+        if point in self.prefix or not self.prefix.issuperset(lower_covers(point)):
+            raise ValueError(f"point {point} is not minimal outside the prefix")
+        g, least = shelling_step_by_lookups(self._omitted, point, facet, self._facets)
+        if least in self.prefix:
+            self.violation = (least, point)
+            return False
+        self._facets.add(facet)
+        self._h[g.bit_count()] += 1
+        self.prefix.add(point)
+        return True
+
+
+def rank_lex(ideal) -> list:
+    """The ideal's points sorted by rank, then lexicographically."""
+    return sorted(ideal.points, key=lambda p: (sum(p), p))
+
+
+def push_all(state, order):
+    """Push `order` until a step fails: (steps that passed, the violation)."""
+    passed = 0
+    for p in order:
+        if not state.push(p):
+            break
+        passed += 1
+    return passed, state.violation
+
+
+def one_facet_per_column(dims, points):
+    """A corrupted facet rule: every point gets the facet of its column's
+    lowest point, so points differing in the first coordinate share one."""
+    return _true_facet_masks(dims, [(0, *p[1:]) for p in points])
+
+
+_true_facet_masks = simplicial._facet_masks
+
+
+@contextmanager
+def facet_rule(rule):
+    """Run with `rule` as the box complex's facet rule.  Box tables read
+    facets on first use, so the block starts from fresh tables, and the
+    tables built under `rule` are dropped when it ends."""
+    saved = simplicial._facet_masks
+    simplicial._facet_masks = rule
+    box_table.cache_clear()
+    try:
+        yield
+    finally:
+        simplicial._facet_masks = saved
+        box_table.cache_clear()

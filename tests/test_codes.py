@@ -377,6 +377,21 @@ def test_verify_code_negative_control(a3):
     assert rep.witnesses
 
 
+def test_verify_code_renders_its_witnesses_on_failure(a3):
+    # e <-> s1 breaks the rank check at both; s1 <-> s3 (equal lengths)
+    # passes it and breaks a box cover, whose witness names both elements
+    code = code_a(a3)
+    e, s1, s3 = 0, a3.index[(2, 1, 3, 4)], a3.index[(1, 2, 4, 3)]
+    for a, b, expected in [(e, s1, "rank mismatch at 2134: (0, 0, 0) vs length 1"),
+                           (s1, s3, "maps to incomparable")]:
+        vectors = list(code.vectors)
+        vectors[a], vectors[b] = vectors[b], vectors[a]
+        bad = LehmerCode("corrupted", a3, code.bounds, vectors,
+                         {v: w for w, v in enumerate(vectors)})
+        rep = verify_code(bad)
+        assert any(expected in w for w in rep.witnesses), rep.witnesses
+
+
 def test_verify_code_checks_every_box_cover(a3):
     # three table-wide checks, two per element, and one per cover of the
     # box {0,1} x {0,1,2} x {0,...,3}: 1*3*4 + 2*2*4 + 3*2*3 = 46

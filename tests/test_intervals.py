@@ -1,6 +1,8 @@
+import random
+
 import pytest
 
-from coxlehmer import intervals, simplicial
+from coxlehmer import intervals, simplicial, verify
 from coxlehmer.codes import shared_standard_code
 from coxlehmer.coxeter import _bits, shared_poset
 from coxlehmer.intervals import (
@@ -19,7 +21,20 @@ from coxlehmer.intervals import (
 )
 from coxlehmer.multicomplex import ChainProduct, upper_covers
 from coxlehmer.qpoly import IntPolynomial, q_analog, q_analog_product
-from oracles import code_leq, is_order_ideal, maxima_by_subsets, palindromic_intervals_unfiltered
+from coxlehmer.simplicial import ShellingState, shelling_h_polynomial
+from oracles import (
+    LookupShellingState,
+    code_leq,
+    facet_rule,
+    is_order_ideal,
+    maxima_by_covers,
+    maxima_by_subsets,
+    maxima_polynomial_by_sums,
+    one_facet_per_column,
+    palindromic_intervals_unfiltered,
+    push_all,
+    rank_lex,
+)
 
 H3_UNIMODAL_TRIPLES = {
     (1, 5, 9), (1, 5, 4), (1, 4, 4), (1, 3, 4), (1, 2, 4), (1, 1, 4), (1, 2, 3),
@@ -370,3 +385,75 @@ def test_full_morphism_not_just_covers(a3, la3, h3, lh3):
                 if all(a <= b for a, b in zip(cu, code.of(v))):
                     assert poset.leq(u, v)
 
+
+
+# -- the bitmask paths against the tuple paths they replaced
+
+
+def _agrees_with_the_tuple_paths(code, w):
+    """The interval's ideal, maxima, maxima polynomial and rank-lex
+    shelling, each computed by the bitmask path and the tuple path."""
+    ideal = interval_ideal(w, code)
+    pts = {code.of(v) for v in _bits(code.poset.downset(w))}
+    assert is_order_ideal(ideal.ambient, pts) and ideal.points == pts
+    assert ideal.maxima() == maxima_by_covers(ideal)
+    direct = interval_poincare(w, code, "direct")
+    assert _maxima_polynomial(ideal) == maxima_polynomial_by_sums(ideal) == direct
+    new, old = ShellingState(ideal), LookupShellingState(ideal)
+    order = rank_lex(ideal)
+    assert push_all(new, order) == push_all(old, order) == (len(ideal), None)
+    assert new.h_vector == old.h_vector and new.prefix == old.prefix
+    assert shelling_h_polynomial(ideal) == IntPolynomial(new.h_vector) == direct
+
+
+@pytest.mark.parametrize("label,rank,m", verify.ROUTE_SYSTEMS)
+def test_bitmask_paths_match_the_tuple_paths_on_route_systems(label, rank, m):
+    code = shared_standard_code(label, rank, m)
+    for w in range(code.poset.size):
+        _agrees_with_the_tuple_paths(code, w)
+
+
+SAMPLED_SYSTEMS = [("A", 5, None), ("B", 4, None), ("D", 5, None)]
+
+
+def _sample(label, rank, m, count=40, seed=21):
+    code = shared_standard_code(label, rank, m)
+    rng = random.Random(f"{seed} {label}{rank}")
+    return code, [code.poset.w0] + rng.sample(range(code.poset.size), count)
+
+
+@pytest.mark.parametrize("label,rank,m", SAMPLED_SYSTEMS)
+def test_bitmask_paths_match_the_tuple_paths_on_sampled_elements(label, rank, m):
+    code, sample = _sample(label, rank, m)
+    for w in sample:
+        _agrees_with_the_tuple_paths(code, w)
+
+
+@pytest.mark.parametrize("label,rank,m", SAMPLED_SYSTEMS)
+def test_corrupted_facet_rule_fails_both_states_on_sampled_intervals(label, rank, m):
+    # under a facet rule that merges the facets of each first-coordinate
+    # column, both states stop at the same step, with the same violation
+    code, sample = _sample(label, rank, m)
+    failed = 0
+    with facet_rule(one_facet_per_column):
+        for w in sample:
+            ideal = interval_ideal(w, code)
+            new, old = ShellingState(ideal), LookupShellingState(ideal)
+            found = push_all(new, rank_lex(ideal))
+            assert found == push_all(old, rank_lex(ideal))
+            assert new.h_vector == old.h_vector
+            failed += found[1] is not None
+    assert failed > len(sample) // 2
+
+
+def test_interval_ideal_refuses_a_code_vector_off_the_box(a3, la3):
+    from coxlehmer.codes import LehmerCode
+
+    s2 = a3.index[(1, 3, 2, 4)]
+    vectors = list(la3.vectors)
+    vectors[s2] = (0, 3, 0)  # coordinate 1 of LA3 runs 0..2
+    bad = LehmerCode("bad", a3, la3.bounds, vectors, {v: w for w, v in enumerate(vectors)})
+    assert bad.box_index[s2] == 24
+    with pytest.raises(InvalidCodeImage):
+        interval_ideal(s2, bad)
+    assert interval_ideal(a3.index[(2, 1, 3, 4)], bad).points == {(0, 0, 0), (1, 0, 0)}

@@ -22,7 +22,7 @@ from coxlehmer.multicomplex import (
 )
 from coxlehmer.qpoly import IntPolynomial, q_analog
 from coxlehmer.simplicial import _facet_masks
-from oracles import is_linear_extension, is_order_ideal
+from oracles import is_linear_extension, is_order_ideal, maxima_by_covers, rank_lex
 
 
 def test_ambient_validation():
@@ -36,12 +36,55 @@ def test_ambient_validation():
 def test_box_table_matches_the_generators(dims):
     table = box_table(dims)
     points = list(ChainProduct(dims).points())
-    for p, mask in zip(points, _facet_masks(dims, points)):
-        assert table[p] == (tuple(lower_covers(p)), tuple(upper_covers(p, dims)), mask)
-    assert len(table) == len(points)
-    # covers are the table's own key objects, not fresh tuples
-    keys = {p: p for p in table}
-    assert all(keys[q] is q for lower, upper, _ in table.values() for q in lower + upper)
+    assert table.points == points and table.full == (1 << len(points)) - 1
+    assert all(table.index[p] == j for j, p in enumerate(points))
+    assert table.facets == _facet_masks(dims, points)
+    bit = {p: 1 << j for j, p in enumerate(points)}
+    for i, stride in enumerate(table.strides):
+        assert table.nonzero[i] == sum(bit[p] for p in points if p[i])
+        # a step down in coordinate i is a shift by its stride, both ways
+        for p in points:
+            for q in upper_covers(p, dims):
+                if q[i] != p[i]:
+                    assert bit[q] >> stride == bit[p]
+    assert table.levels == [sum(bit[p] for p in points if sum(p) == r)
+                            for r in range(sum(dims) - len(dims) + 1)]
+
+
+@pytest.mark.parametrize("dims,ideals", [((2, 3), 10), ((2, 2, 2), 20)])
+def test_closure_check_matches_the_tuple_oracle_on_every_subset(dims, ideals):
+    amb = ChainProduct(dims)
+    box = list(amb.points())
+    accepted = 0
+    for mask in range(1 << len(box)):
+        pts = [p for j, p in enumerate(box) if mask >> j & 1]
+        expected = is_order_ideal(amb, pts)
+        for build in (lambda: OrderIdeal(amb, pts), lambda: OrderIdeal.from_mask(amb, mask)):
+            try:
+                ideal = build()
+            except ValueError as err:
+                assert not expected and "downward closed" in str(err)
+            else:
+                assert expected and ideal.mask == mask and ideal.points == set(pts)
+        accepted += expected
+    assert accepted == ideals  # the empty set included
+    with pytest.raises(ValueError, match="outside"):
+        OrderIdeal.from_mask(amb, 1 << len(box) | 1)
+
+
+@pytest.mark.parametrize("dims", [(2, 3), (2, 2, 2), (3, 3), (1, 3), (2, 2, 3)])
+def test_ideal_views_match_the_tuple_definitions(dims):
+    amb = ChainProduct(dims)
+    points = box_table(dims).points
+    for j in all_order_ideals(amb):
+        assert j.maxima() == maxima_by_covers(j)
+        assert [points[x] for x in j.rank_order()] == rank_lex(j)
+        assert j.to_json() == [list(p) for p in sorted(j.points)]
+        assert j.f_polynomial() == IntPolynomial(
+            [sum(1 for p in j.points if sum(p) == r) for r in range(sum(dims))])
+        assert len(j) == len(j.points) and set(j) == j.points
+        assert all(p in j for p in j.points) and (-1,) * len(dims) not in j
+        assert j == OrderIdeal(amb, j.points) and hash(j) == hash(OrderIdeal(amb, j.points))
 
 
 def test_order_ideal_refuses_points_off_the_box():

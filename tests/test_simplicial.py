@@ -26,17 +26,22 @@ from coxlehmer.simplicial import (
     is_flag,
     is_flag_ideal,
     is_vertex_decomposable,
-    least_container,
     shelling_h_polynomial,
     shelling_lattice,
     verify_shelling,
 )
 from oracles import (
+    LookupShellingState,
     complex_from_sets,
     extension_shellings,
     facet_of,
+    facet_rule,
     facet_vertices,
+    least_container,
+    one_facet_per_column,
     order_from_extension,
+    push_all,
+    rank_lex,
     shellings_by_extension,
 )
 
@@ -229,25 +234,39 @@ def test_lattice_counts_on_the_2x3_box():
 _facet_masks = simplicial._facet_masks
 
 
-def _one_facet_per_column(dims, points):
-    """A corrupted facet rule: every point gets the facet of its column's
-    lowest point, so points differing in the first coordinate share one."""
-    return _facet_masks(dims, [(0, *p[1:]) for p in points])
-
-
-def test_corrupted_facet_rule_fails_both(monkeypatch):
+def test_corrupted_facet_rule_fails_both():
     ideals = list(all_order_ideals(ChainProduct((2, 3))))
-    monkeypatch.setattr(simplicial, "_facet_masks", _one_facet_per_column)
-    lattice = [shelling_lattice(ideal) for ideal in ideals]
-    oracle = [shellings_by_extension(ideal) for ideal in ideals]
+    with facet_rule(one_facet_per_column):
+        lattice = [shelling_lattice(ideal) for ideal in ideals]
+        oracle = [shellings_by_extension(ideal) for ideal in ideals]
+        # the complex route's state, pushing rank-lex order
+        pushed = [push_all(ShellingState(ideal), rank_lex(ideal)) for ideal in ideals]
     assert [(f.ok, f.h_vectors, f.extensions) for f in lattice] == oracle
     # an ideal reaching the second row holds two points with one facet
     assert [ok for ok, _, _ in oracle] == [all(p[0] == 0 for p in j) for j in ideals]
     assert not all(ok for ok, _, _ in oracle)
-    for found in lattice:
+    for found, (passed, violation), ideal in zip(lattice, pushed, ideals):
+        assert violation == found.violation
+        assert (passed == len(ideal)) == found.ok
         if not found.ok:
             least, point = found.violation
             assert least == (0, point[1]) and point[0] == 1
+    # the tables built under the corrupted rule are gone
+    assert box_table((2, 3)).facets == _facet_masks((2, 3), box_table((2, 3)).points)
+
+
+@pytest.mark.parametrize("dims,count", [((2, 3), 9), ((3, 3), 19), ((2, 2, 2), 19),
+                                        ((3, 2, 2), 49)])
+def test_corrupted_facet_rule_fails_the_lookup_state_alike(dims, count):
+    # the line-indexed state and the old set-of-facets state stop at the
+    # same step with the same (least, point), and agree where both shell
+    ideals = list(all_order_ideals(ChainProduct(dims)))
+    with facet_rule(one_facet_per_column):
+        for ideal in ideals:
+            new, old = ShellingState(ideal), LookupShellingState(ideal)
+            assert push_all(new, rank_lex(ideal)) == push_all(old, rank_lex(ideal))
+            assert new.h_vector == old.h_vector and new.prefix == old.prefix
+    assert len(ideals) == count
 
 
 def test_push_refuses_a_point_outside_the_frontier():
@@ -268,8 +287,8 @@ def test_push_refuses_a_point_outside_the_frontier():
 
 def test_push_refuses_a_box_point_outside_the_ideal():
     # (1, 1) is in the box and its lower covers are all pushed, but it is
-    # not in the ideal; the shared box table already has its entry
-    box_table((2, 3))[(1, 1)]
+    # not in the ideal; the shared box table numbers it
+    assert (1, 1) in box_table((2, 3)).index
     state = ShellingState(ideal_from_points(ChainProduct((2, 3)), [(1, 0), (0, 1)]))
     assert all(state.push(p) for p in [(0, 0), (1, 0), (0, 1)])
     with pytest.raises(ValueError, match="no facet"):
@@ -295,8 +314,9 @@ def test_least_container_matches_brute_force():
 
 
 def test_a_subface_lies_in_its_facet_and_one_neighbour():
-    # _shelling_step looks facet - v up in one other facet only: the one
-    # that trades v for the vertex the facet omits in v's class
+    # the shelling step finds facet - v in one other facet only: the one
+    # that trades v for the vertex the facet omits in v's class, which lies
+    # on the facet's line of that class
     for dims in [(2, 3), (2, 2, 2), (3, 3), (1, 3), (3, 3, 4)]:
         omitted = _omitted_bits(dims)
         points = sorted(full_ideal(ChainProduct(dims)).points)
@@ -313,8 +333,8 @@ def test_a_subface_lies_in_its_facet_and_one_neighbour():
 def test_planted_step_failure_is_reported(monkeypatch):
     # a shelling rule that always names the origin as G's least container:
     # every step after the first fails, in the suite and in push alike
-    def failing_step(omitted, *_):
-        return 0, (0,) * len(omitted)
+    def failing_step(*_):
+        return 0, 0  # G empty, the least container at lex position 0
 
     monkeypatch.setattr(simplicial, "_shelling_step", failing_step)
     monkeypatch.setattr(verify, "RANDOM_IDEAL_COUNT", 5)
