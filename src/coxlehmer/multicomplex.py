@@ -349,22 +349,22 @@ def sample_linear_extensions(ideal: OrderIdeal, count: int,
 
 def all_order_ideals(ambient: ChainProduct) -> Iterator[OrderIdeal]:
     """Every nonempty order ideal of the box."""
-    table = box_table(ambient.dims)
-    box = [j for level in table.levels for j in _bits(level)]  # rank-then-lex
-    below = [sum(1 << j - s for x, s in zip(p, table.strides) if x)
-             for j, p in enumerate(table.points)]
+    box = sorted(ambient.points(), key=lambda p: (sum(p), p))
+    chosen: set = set()
 
-    def rec(i, chosen):
+    def rec(i):
         if i == len(box):
             if chosen:
-                yield OrderIdeal.from_mask(ambient, chosen)
+                yield OrderIdeal(ambient, chosen)
             return
-        j = box[i]
-        if not below[j] & ~chosen:
-            yield from rec(i + 1, chosen | 1 << j)
-        yield from rec(i + 1, chosen)
+        p = box[i]
+        if all(q in chosen for q in lower_covers(p)):
+            chosen.add(p)
+            yield from rec(i + 1)
+            chosen.remove(p)
+        yield from rec(i + 1)
 
-    yield from rec(0, 0)
+    yield from rec(0)
 
 
 def random_order_ideals(ambient: ChainProduct, count: int, seed: int) -> list[OrderIdeal]:

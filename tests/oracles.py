@@ -396,13 +396,13 @@ def push_all(state, order):
     return passed, state.violation
 
 
+_true_facet_masks = simplicial._facet_masks
+
+
 def one_facet_per_column(dims, points):
     """A corrupted facet rule: every point gets the facet of its column's
     lowest point, so points differing in the first coordinate share one."""
     return _true_facet_masks(dims, [(0, *p[1:]) for p in points])
-
-
-_true_facet_masks = simplicial._facet_masks
 
 
 @contextmanager
