@@ -9,8 +9,9 @@ the generic shelling check with restriction sets for any facet order
 step rule for ideal complexes (`_shelling_step`, which reads the earlier
 facets by coordinate line, O(rank) per step) shared by `ShellingState`,
 which pushes one linear extension (the `complex` route), and
-`shelling_lattice`, which checks every linear extension at once (the
-shellings suite), the f/h transforms, and the recursive
+`box_shelling_steps`, which walks a full box once and reports each
+point's step, the same for every order ideal that the point is minimal
+outside (the shellings suite), the f/h transforms, and the recursive
 vertex-decomposability and flag checks.
 
 Vertices of box complexes are (value, coordinate) pairs with values written
@@ -263,11 +264,6 @@ class ShellingState:
     def h_vector(self) -> tuple[int, ...]:
         return tuple(self._h)
 
-    @property
-    def prefix(self) -> set[tuple[int, ...]]:
-        pts = self._table.points
-        return {pts[j] for j, done in enumerate(self._done) if done}
-
     def push(self, point: tuple[int, ...]) -> bool:
         """Append the facet of `point`.  On failure the state is unchanged
         and `violation` names the earlier point whose facet contains G."""
@@ -299,84 +295,26 @@ def shelling_h_polynomial(ideal: OrderIdeal) -> IntPolynomial:
     return IntPolynomial(state.h_vector)
 
 
-class LatticeShellings:
-    """What `shelling_lattice` found for one ideal: whether every edge
-    passed, else (the earlier point whose facet contains G, the new point)
-    at the first failing edge; on success the set of h-vectors of all linear
-    extensions and their number; and the sub-ideals and edges visited."""
+def box_shelling_steps(dims: tuple[int, ...]):
+    """Yield (x, whether l(G(x)) = x, |G(x)|) for each zero-based point x of
+    the box, in rank-then-lex order, by `_shelling_step` over the earlier
+    points.
 
-    def __init__(self, ok, violation, h_vectors, extensions, sub_ideals, edges):
-        self.ok, self.violation, self.h_vectors = ok, violation, h_vectors
-        self.extensions, self.sub_ideals, self.edges = extensions, sub_ideals, edges
-
-
-def shelling_lattice(ideal: OrderIdeal) -> LatticeShellings:
-    """Check every linear extension of the ideal's complex at once.
-
-    The shelling condition at a step depends only on the set of earlier
-    facets and the new one, so an extension shells iff each of its steps,
-    an edge (I, x) of the lattice of sub-ideals with x minimal outside I,
-    passes `_shelling_step` (Bjorner & Wachs, Trans. AMS 348 (1996)).  The
-    pass goes level by level over the sub-ideals, bitmasks over the points
-    in rank-then-lex order, checks each edge once and stops at the first
-    failure.  It carries to each sub-ideal the number of its extensions and
-    the set of their h-vectors, packed one count per `width` bits."""
-    dims = ideal.ambient.dims
+    For v in class i, F_x - v lies only in F_x and in the facet of the
+    point y that moves x along its class-i line.  If x is minimal outside
+    an order ideal I, y is in I iff y < x, so G(I, x) = G(x) for every such
+    I.  F_x contains G(x), so its least container l(G(x)) is at most x, and
+    the step shells iff l(G(x)) = x.  So every linear extension of every
+    order ideal of the box shells iff each point passes, with the ideal's
+    rank counts for h-vector iff |G(x)| = |x| at each point (Bjorner &
+    Wachs, Trans. AMS 348 (1996))."""
     table, classes = box_table(dims), _classes(dims)
-    lex = ideal.rank_order()
-    pts = [table.points[j] for j in lex]
-    index = {j: i for i, j in enumerate(lex)}  # lex index -> position in pts
-    below = [sum(1 << index[table.index[q]] for q in lower_covers(p)) for p in pts]
-    above: list[list[int]] = [[] for _ in pts]
-    for y, m in enumerate(below):
-        for x in _bits(m):
-            above[x].append(y)
-    facets = [table.facets[j] for j in lex]
-    # G(I, x) reads I only through the facets holding a codim-1 subface of F_x
-    rim = facets[0].bit_count() - 1
-    near = [sum(1 << j for j, e in enumerate(facets) if (f & e).bit_count() >= rim)
-            for f in facets]
-    steps: list[dict[int, tuple[int, int]]] = [{} for _ in pts]
-    width = len(pts).bit_length()
-    # sub-ideal -> [extensions of it, packed h-vectors, its minimal outside points]
-    level = {0: [1, {0}, sum(1 << i for i, m in enumerate(below) if not m)]}
-    sub_ideals = edges = 0
-    for _ in pts:
-        sub_ideals += len(level)
-        nxt: dict[int, list] = {}
-        for done, (paths, hs, minimal) in level.items():
-            for x in _bits(minimal):
-                bit = 1 << x
-                edges += 1
-                key = done & near[x]
-                step = steps[x].get(key)
-                if step is None:
-                    lines: dict[int, int] = {}
-                    for j in _bits(key):
-                        _put_on_lines(classes, lines, facets[j])
-                    g, least = _shelling_step(classes, lines, facets[x])
-                    step = steps[x][key] = (1 << width * g.bit_count(), 1 << index[least])
-                inc, least_bit = step
-                if done & least_bit:
-                    violation = (pts[least_bit.bit_length() - 1], pts[x])
-                    return LatticeShellings(False, violation, None, None, sub_ideals, edges)
-                grown = done | bit
-                entry = nxt.get(grown)
-                if entry is None:
-                    outside = minimal ^ bit
-                    for y in above[x]:
-                        if not below[y] & ~grown:
-                            outside |= 1 << y
-                    nxt[grown] = [paths, {h + inc for h in hs}, outside]
-                else:
-                    entry[0] += paths
-                    entry[1].update([h + inc for h in hs])
-        level = nxt
-    ((paths, hs, _),) = level.values()
-    mask = (1 << width) - 1
-    h_vectors = {tuple(h >> width * k & mask for k in range(facets[0].bit_count() + 1))
-                 for h in hs}
-    return LatticeShellings(True, None, h_vectors, paths, sub_ideals + 1, edges)
+    lines: dict[int, int] = {}
+    for j in full_ideal(ChainProduct(dims)).rank_order():
+        facet = table.facets[j]
+        g, least = _shelling_step(classes, lines, facet)
+        _put_on_lines(classes, lines, facet)
+        yield table.points[j], least == j, g.bit_count()
 
 
 # ---------------------------------------------------------------------------

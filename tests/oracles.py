@@ -9,10 +9,17 @@ from contextlib import contextmanager
 
 from coxlehmer import simplicial
 from coxlehmer.codes import CodeBuildError, _make_code
-from coxlehmer.coxeter import CoxeterSystem, build_system
+from coxlehmer.coxeter import CoxeterSystem, _bits, build_system
 from coxlehmer.multicomplex import box_table, linear_extensions, lower_covers, meet, upper_covers
 from coxlehmer.qpoly import IntPolynomial, q_analog_product
-from coxlehmer.simplicial import SimplicialComplex, _omitted_bits, complex_of_ideal
+from coxlehmer.simplicial import (
+    SimplicialComplex,
+    _classes,
+    _omitted_bits,
+    _put_on_lines,
+    _shelling_step,
+    complex_of_ideal,
+)
 
 
 def reflections(poset) -> list[int]:
@@ -140,6 +147,87 @@ def shellings_by_extension(ideal):
         h_vectors.add(h)
         count += 1
     return True, h_vectors, count
+
+
+class LatticeShellings:
+    """What `shelling_lattice` found for one ideal: whether every edge
+    passed, else (the earlier point whose facet contains G, the new point)
+    at the first failing edge; on success the set of h-vectors of all linear
+    extensions and their number; and the sub-ideals and edges visited."""
+
+    def __init__(self, ok, violation, h_vectors, extensions, sub_ideals, edges):
+        self.ok, self.violation, self.h_vectors = ok, violation, h_vectors
+        self.extensions, self.sub_ideals, self.edges = extensions, sub_ideals, edges
+
+
+def shelling_lattice(ideal) -> LatticeShellings:
+    """Check every linear extension of the ideal's complex at once, without
+    the per-point lemma that `simplicial.box_shelling_steps` rests on.
+
+    The shelling condition at a step depends only on the set of earlier
+    facets and the new one, so an extension shells iff each of its steps,
+    an edge (I, x) of the lattice of sub-ideals with x minimal outside I,
+    passes `_shelling_step` (Bjorner & Wachs, Trans. AMS 348 (1996)).  The
+    pass goes level by level over the sub-ideals, bitmasks over the points
+    in rank-then-lex order, checks each edge once and stops at the first
+    failure.  It carries to each sub-ideal the number of its extensions and
+    the set of their h-vectors, packed one count per `width` bits."""
+    dims = ideal.ambient.dims
+    table, classes = box_table(dims), _classes(dims)
+    lex = ideal.rank_order()
+    pts = [table.points[j] for j in lex]
+    index = {j: i for i, j in enumerate(lex)}  # lex index -> position in pts
+    below = [sum(1 << index[table.index[q]] for q in lower_covers(p)) for p in pts]
+    above: list[list[int]] = [[] for _ in pts]
+    for y, m in enumerate(below):
+        for x in _bits(m):
+            above[x].append(y)
+    facets = [table.facets[j] for j in lex]
+    # G(I, x) reads I only through the facets holding a codim-1 subface of F_x
+    rim = facets[0].bit_count() - 1
+    near = [sum(1 << j for j, e in enumerate(facets) if (f & e).bit_count() >= rim)
+            for f in facets]
+    steps: list[dict[int, tuple[int, int]]] = [{} for _ in pts]
+    width = len(pts).bit_length()
+    # sub-ideal -> [extensions of it, packed h-vectors, its minimal outside points]
+    level = {0: [1, {0}, sum(1 << i for i, m in enumerate(below) if not m)]}
+    sub_ideals = edges = 0
+    for _ in pts:
+        sub_ideals += len(level)
+        nxt: dict[int, list] = {}
+        for done, (paths, hs, minimal) in level.items():
+            for x in _bits(minimal):
+                bit = 1 << x
+                edges += 1
+                key = done & near[x]
+                step = steps[x].get(key)
+                if step is None:
+                    lines: dict[int, int] = {}
+                    for j in _bits(key):
+                        _put_on_lines(classes, lines, facets[j])
+                    g, least = _shelling_step(classes, lines, facets[x])
+                    step = steps[x][key] = (1 << width * g.bit_count(), 1 << index[least])
+                inc, least_bit = step
+                if done & least_bit:
+                    violation = (pts[least_bit.bit_length() - 1], pts[x])
+                    return LatticeShellings(False, violation, None, None, sub_ideals, edges)
+                grown = done | bit
+                entry = nxt.get(grown)
+                if entry is None:
+                    outside = minimal ^ bit
+                    for y in above[x]:
+                        if not below[y] & ~grown:
+                            outside |= 1 << y
+                    nxt[grown] = [paths, {h + inc for h in hs}, outside]
+                else:
+                    entry[0] += paths
+                    entry[1].update([h + inc for h in hs])
+        level = nxt
+    ((paths, hs, _),) = level.values()
+    mask = (1 << width) - 1
+    h_vectors = {tuple(h >> width * k & mask for k in range(facets[0].bit_count() + 1))
+                 for h in hs}
+    return LatticeShellings(True, None, h_vectors, paths, sub_ideals + 1, edges)
 
 
 def facet_of(x: tuple[int, ...], dims: tuple[int, ...]) -> frozenset:
@@ -379,6 +467,12 @@ class LookupShellingState:
         self._h[g.bit_count()] += 1
         self.prefix.add(point)
         return True
+
+
+def pushed(state) -> set:
+    """The points a `simplicial.ShellingState` has pushed so far."""
+    pts = state._table.points
+    return {pts[j] for j, done in enumerate(state._done) if done}
 
 
 def rank_lex(ideal) -> list:

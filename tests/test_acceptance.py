@@ -106,15 +106,19 @@ def test_criterion_06_h3_unimodal():
 
 
 def test_criterion_07_shellings():
-    with _Stopwatch(7, "every linear extension shells; h equals ideal ranks"):
+    with _Stopwatch(7, "per-point shelling lemma on every code box; f/h on 128 ideals"):
         rep = suite_shellings(seed=2024)
         assert rep.passed, rep.witnesses
         assert rep.failures == 0
-        # every linear extension of all 128 ideals, through their lattices of
-        # sub-ideals: one check per edge, plus two per ideal
-        assert rep.notes == ["128 ideals, 66561 sub-ideals, 245616 edges: "
-                             "212353187465900024418 linear extensions certified"]
-        assert rep.instances == 245616 + 2 * 128 == 245872
+        # one check per point of the 19 distinct boxes of the standard codes
+        # and the suite's own boxes, which by the per-point lemma certifies
+        # every linear extension of every ideal of them, plus one f/h check
+        # per ideal
+        assert rep.notes == ["G(I, x) = G(x) whenever x is minimal outside I, so "
+                             "l(G(x)) = x and |G(x)| = |x| at 3678 points of 19 boxes "
+                             "certify every linear extension of every ideal of them; "
+                             "f/h on 128 ideals"]
+        assert rep.instances == 3678 + 128 == 3806
 
 
 def test_criterion_08_vertex_decomposability():

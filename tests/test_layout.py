@@ -22,14 +22,15 @@ EXEMPT = {
 
 
 def _definitions(tree):
-    """(name, node) of each module-level function and class, and each method."""
+    """(name, node, whether it is a method) of each module-level function
+    and class, and each method."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            yield node.name, node
+            yield node.name, node, False
         if isinstance(node, ast.ClassDef):
             for sub in node.body:
                 if isinstance(sub, ast.FunctionDef):
-                    yield sub.name, sub
+                    yield sub.name, sub, True
 
 
 def _exempt(name, exempt):
@@ -40,23 +41,26 @@ def _exempt(name, exempt):
 def unreached_names(src=SRC, exempt=EXEMPT):
     """"module.name" for every definition no other line of src refers to.
 
-    A reference is a bare name or an attribute; imports are not references,
-    and neither is a definition's use of itself inside its own body."""
+    A reference is a bare name or an attribute, and a method or property is
+    reached only through an attribute: a bare name is a local or a module
+    name.  Imports are not references, and neither is a definition's use of
+    itself inside its own body."""
     trees = {p.name: ast.parse(p.read_text()) for p in sorted(src.glob("*.py"))}
-    uses = {}
+    names, attrs = {}, {}
     for module, tree in trees.items():
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
-                uses.setdefault(node.id, []).append((module, node.lineno))
+                names.setdefault(node.id, []).append((module, node.lineno))
             elif isinstance(node, ast.Attribute):
-                uses.setdefault(node.attr, []).append((module, node.lineno))
+                attrs.setdefault(node.attr, []).append((module, node.lineno))
     out = []
     for module, tree in trees.items():
-        for name, node in _definitions(tree):
+        for name, node, method in _definitions(tree):
             if _exempt(name, exempt):
                 continue
+            uses = attrs.get(name, []) + ([] if method else names.get(name, []))
             if not any(m != module or not node.lineno <= line <= node.end_lineno
-                       for m, line in uses.get(name, ())):
+                       for m, line in uses):
                 out.append(f"{module[:-3]}.{name}")
     return out
 
@@ -81,7 +85,9 @@ def test_scan_sees_an_unreached_definition(tmp_path):
         "def unused():\n    return unused()\n\n\n"
         "class K:\n    def method(self):\n        return used()\n\n"
         "    def __len__(self):\n        return 0\n")
-    (tmp_path / "b.py").write_text("from .a import K, unused\n\nk = K()\n")
+    # a bare name `method` is a parameter, not a use of K.method
+    (tmp_path / "b.py").write_text("from .a import K, unused\n\n\n"
+                                   "def f(method):\n    return method\n\n\nk = f(K())\n")
     assert unreached_names(tmp_path) == ["a.unused", "a.method"]
 
 

@@ -20,10 +20,14 @@ from coxlehmer.simplicial import (  # noqa: E402
     ShellingState,
     complex_of_ideal,
     shelling_h_polynomial,
-    shelling_lattice,
     verify_shelling,
 )
-from oracles import facet_vertices, is_linear_extension, order_from_extension  # noqa: E402
+from oracles import (  # noqa: E402
+    facet_vertices,
+    is_linear_extension,
+    order_from_extension,
+    shelling_lattice,
+)
 from test_fuzz import brute_shelling_ok  # noqa: E402
 
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True,

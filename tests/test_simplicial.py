@@ -1,8 +1,10 @@
 import pytest
 
+from coxlehmer.codes import shared_standard_code
 from coxlehmer.coxeter import SizeLimitError
 from coxlehmer import verify
 from coxlehmer import simplicial
+from coxlehmer.intervals import interval_ideal
 from coxlehmer.multicomplex import (
     ChainProduct,
     all_order_ideals,
@@ -14,10 +16,12 @@ from coxlehmer.multicomplex import (
     random_order_ideals,
 )
 from coxlehmer.qpoly import IntPolynomial, q_analog
+from coxlehmer.report import MAX_WITNESSES
 from coxlehmer.simplicial import (
     ShellingState,
     _maximalize,
     _omitted_bits,
+    box_shelling_steps,
     build_box_complex,
     complex_of_ideal,
     f_from_h,
@@ -27,7 +31,6 @@ from coxlehmer.simplicial import (
     is_flag_ideal,
     is_vertex_decomposable,
     shelling_h_polynomial,
-    shelling_lattice,
     verify_shelling,
 )
 from oracles import (
@@ -41,7 +44,9 @@ from oracles import (
     one_facet_per_column,
     order_from_extension,
     push_all,
+    pushed,
     rank_lex,
+    shelling_lattice,
     shellings_by_extension,
 )
 
@@ -200,28 +205,52 @@ def test_walk_matches_verify_shelling_on_seeded_3x3x4_ideals():
     assert checked >= 5
 
 
-def _lattice(ideal):
+# (sub-ideals, edges, extensions) the lattice pass visits over the shellings
+# suite's f/h ideals: every ideal of (2, 3) and of (2, 2, 2), and the 100
+# seed-2024 ideals of (3, 3, 4)
+SUITE_LATTICE_TOTALS = {(2, 3): (49, 50, 21), (2, 2, 2): (167, 227, 190),
+                        (3, 3, 4): (66345, 245339, 212353187465900024207)}
+
+
+def _lattice(ideal, visited):
+    """The lattice pass's verdict in `shellings_by_extension`'s form; its
+    (sub-ideals, edges, extensions) go on the list `visited`."""
     found = shelling_lattice(ideal)
+    visited.append((found.sub_ideals, found.edges, found.extensions))
     return found.ok, found.h_vectors, found.extensions
+
+
+def _sums(visited):
+    return tuple(map(sum, zip(*visited)))
+
+
+def test_suite_lattice_totals_add_up():
+    # what the suite certified when it walked each ideal's lattice: one check
+    # per edge, every linear extension of the 128 ideals
+    assert _sums(SUITE_LATTICE_TOTALS.values()) == (66561, 245616, 212353187465900024418)
 
 
 @pytest.mark.parametrize("dims", [(2, 3), (2, 2, 2), (2, 2, 3), (3, 3)])
 def test_lattice_matches_the_extension_walk_on_every_ideal(dims):
+    visited = []
     for ideal in all_order_ideals(ChainProduct(dims)):
-        assert _lattice(ideal) == shellings_by_extension(ideal)
+        assert _lattice(ideal, visited) == shellings_by_extension(ideal)
+    if dims in SUITE_LATTICE_TOTALS:
+        assert _sums(visited) == SUITE_LATTICE_TOTALS[dims]
 
 
 def test_lattice_matches_the_extension_walk_on_seeded_3x3x4_ideals():
     # the shellings suite's random ideals; the walk takes those it can
-    walked = 0
+    walked, visited = 0, []
     for ideal in random_order_ideals(ChainProduct((3, 3, 4)), verify.RANDOM_IDEAL_COUNT, 2024):
         if count_linear_extensions(ideal, cap=10 ** 4) <= 10 ** 4:
-            assert _lattice(ideal) == shellings_by_extension(ideal)
+            assert _lattice(ideal, visited) == shellings_by_extension(ideal)
             walked += 1
         else:
-            found = shelling_lattice(ideal)
-            assert found.ok and found.extensions == count_linear_extensions(ideal)
+            ok, _, extensions = _lattice(ideal, visited)
+            assert ok and extensions == count_linear_extensions(ideal)
     assert walked == 38
+    assert _sums(visited) == SUITE_LATTICE_TOTALS[(3, 3, 4)]
 
 
 def test_lattice_counts_on_the_2x3_box():
@@ -240,19 +269,63 @@ def test_corrupted_facet_rule_fails_both():
         lattice = [shelling_lattice(ideal) for ideal in ideals]
         oracle = [shellings_by_extension(ideal) for ideal in ideals]
         # the complex route's state, pushing rank-lex order
-        pushed = [push_all(ShellingState(ideal), rank_lex(ideal)) for ideal in ideals]
+        states = [push_all(ShellingState(ideal), rank_lex(ideal)) for ideal in ideals]
+        # the shellings suite's per-point check
+        steps = list(box_shelling_steps((2, 3)))
+        rep = verify.suite_shellings(seed=2024)
     assert [(f.ok, f.h_vectors, f.extensions) for f in lattice] == oracle
     # an ideal reaching the second row holds two points with one facet
     assert [ok for ok, _, _ in oracle] == [all(p[0] == 0 for p in j) for j in ideals]
     assert not all(ok for ok, _, _ in oracle)
-    for found, (passed, violation), ideal in zip(lattice, pushed, ideals):
+    for found, (passed, violation), ideal in zip(lattice, states, ideals):
         assert violation == found.violation
         assert (passed == len(ideal)) == found.ok
         if not found.ok:
             least, point = found.violation
             assert least == (0, point[1]) and point[0] == 1
+    # the first point whose step fails is (1, 0), and the suite stops there
+    assert [x for x, ok, _ in steps if not ok][0] == (1, 0)
+    assert "box (2, 3): point (1, 0) has l(G(x)) < x" in rep.witnesses
     # the tables built under the corrupted rule are gone
     assert box_table((2, 3)).facets == _facet_masks((2, 3), box_table((2, 3)).points)
+
+
+LEMMA_BOXES = [(2, 3), (2, 2, 2), (2, 2, 3), (3, 3), (3, 2, 2), (2, 4)]
+
+
+def _lemma_ideals():
+    """Every ideal of LEMMA_BOXES, every A3 interval ideal and the B3
+    interval ideals of at most 24 points."""
+    ideals = [j for dims in LEMMA_BOXES for j in all_order_ideals(ChainProduct(dims))]
+    assert len(ideals) == 159
+    a3, b3 = shared_standard_code("A", 3), shared_standard_code("B", 3)
+    ideals += [interval_ideal(w, a3) for w in range(a3.poset.size)]
+    ideals += [j for j in (interval_ideal(w, b3) for w in range(b3.poset.size)) if len(j) <= 24]
+    return ideals
+
+
+@pytest.mark.parametrize("rule", [_facet_masks, one_facet_per_column],
+                         ids=["true_rule", "one_facet_per_column"])
+def test_lattice_verdict_is_the_per_point_verdict(rule):
+    # every extension of an ideal shells iff no point of it fails
+    # l(G(x)) = x, and then all of them have the h-vector of the |G(x)|
+    ideals = _lemma_ideals()
+    failed = 0
+    with facet_rule(rule):
+        steps = {}
+        for ideal in ideals:
+            dims = ideal.ambient.dims
+            if dims not in steps:
+                steps[dims] = {x: (ok, g) for x, ok, g in box_shelling_steps(dims)}
+            found = shelling_lattice(ideal)
+            assert found.ok == all(steps[dims][x][0] for x in ideal.points)
+            failed += not found.ok
+            if found.ok:
+                h = [0] * (sum(dims) - len(dims) + 1)
+                for x in ideal.points:
+                    h[steps[dims][x][1]] += 1
+                assert found.h_vectors == {tuple(h)}
+    assert (failed == 0) == (rule is _facet_masks)
 
 
 @pytest.mark.parametrize("dims,count", [((2, 3), 9), ((3, 3), 19), ((2, 2, 2), 19),
@@ -265,7 +338,7 @@ def test_corrupted_facet_rule_fails_the_lookup_state_alike(dims, count):
         for ideal in ideals:
             new, old = ShellingState(ideal), LookupShellingState(ideal)
             assert push_all(new, rank_lex(ideal)) == push_all(old, rank_lex(ideal))
-            assert new.h_vector == old.h_vector and new.prefix == old.prefix
+            assert new.h_vector == old.h_vector and pushed(new) == old.prefix
     assert len(ideals) == count
 
 
@@ -281,7 +354,7 @@ def test_push_refuses_a_point_outside_the_frontier():
     with pytest.raises(ValueError, match="no facet"):
         state.push((2, 0))
     assert state.push((1, 0)) and state.push((0, 1))
-    assert state.prefix == {(0, 0), (1, 0), (0, 1)}
+    assert pushed(state) == {(0, 0), (1, 0), (0, 1)}
     assert state.h_vector == (1, 2, 0, 0)
 
 
@@ -293,7 +366,7 @@ def test_push_refuses_a_box_point_outside_the_ideal():
     assert all(state.push(p) for p in [(0, 0), (1, 0), (0, 1)])
     with pytest.raises(ValueError, match="no facet"):
         state.push((1, 1))
-    assert state.prefix == {(0, 0), (1, 0), (0, 1)}
+    assert pushed(state) == {(0, 0), (1, 0), (0, 1)}
 
 
 def test_least_container_matches_brute_force():
@@ -337,17 +410,20 @@ def test_planted_step_failure_is_reported(monkeypatch):
         return 0, 0  # G empty, the least container at lex position 0
 
     monkeypatch.setattr(simplicial, "_shelling_step", failing_step)
-    monkeypatch.setattr(verify, "RANDOM_IDEAL_COUNT", 5)
     rep = verify.suite_shellings(seed=2024)
     assert not rep.passed
-    assert any("extension fails at points ((0, 0" in w for w in rep.witnesses)
-    # one failure per ideal with at least two points, then the ideal stops
-    ideals = [*all_order_ideals(ChainProduct((2, 3))), *all_order_ideals(ChainProduct((2, 2, 2))),
-              *random_order_ideals(ChainProduct((3, 3, 4)), 5, 2024)]
-    assert rep.failures == sum(len(j) >= 2 for j in ideals)
+    # one failure per box with at least two points, at its second point in
+    # rank-lex order, then the box stops; the f/h checks all pass
+    boxes = sorted({tuple(b + 1 for b in shared_standard_code(*system).bounds)
+                    for system in verify.CODE_SYSTEMS} | {(2, 3), (2, 2, 2), (3, 3, 4)})
+    failing = [dims for dims in boxes if len(box_table(dims).points) >= 2]
+    assert rep.failures == len(failing) == 19
+    assert rep.instances == 2 * len(failing) + verify.RANDOM_IDEAL_COUNT + 28
+    assert rep.witnesses == [f"box {dims}: point {(0,) * (len(dims) - 1) + (1,)} has l(G(x)) < x"
+                             for dims in failing][:MAX_WITNESSES]
     state = ShellingState(full_ideal(ChainProduct((2, 3))))
     assert state.push((0, 0)) and not state.push((1, 0))
-    assert state.violation == ((0, 0), (1, 0)) and state.prefix == {(0, 0)}
+    assert state.violation == ((0, 0), (1, 0)) and pushed(state) == {(0, 0)}
 
 
 def test_f_vector_trivial_complex():
