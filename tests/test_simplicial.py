@@ -426,6 +426,24 @@ def test_planted_step_failure_is_reported(monkeypatch):
     assert state.violation == ((0, 0), (1, 0)) and pushed(state) == {(0, 0)}
 
 
+def test_planted_g_size_failure_is_reported(monkeypatch):
+    # a rule with the true least container but one vertex too many in G:
+    # |G(x)| = |x| fails at each box's origin, and the box stops there
+    step = simplicial._shelling_step
+
+    def grown_step(classes, lines, facet):
+        g, least = step(classes, lines, facet)
+        return g | 1 << facet.bit_length(), least
+
+    monkeypatch.setattr(simplicial, "_shelling_step", grown_step)
+    rep = verify.suite_shellings(seed=2024)
+    assert rep.failures == 19
+    assert rep.instances == 19 + verify.RANDOM_IDEAL_COUNT + 28
+    assert rep.witnesses[:3] == ["box (2,): point (0,) has |G(x)| = 1, not 0",
+                                 "box (2, 2, 2): point (0, 0, 0) has |G(x)| = 1, not 0",
+                                 "box (2, 3): point (0, 0) has |G(x)| = 1, not 0"]
+
+
 def test_f_vector_trivial_complex():
     sc = build_box_complex((1, 1))
     assert f_vector(sc) == (1,)
