@@ -33,8 +33,7 @@ ENUMERATION_LIMIT = 10 ** 5
 
 class SizeLimitError(RuntimeError):
     """A size bound refuses the computation instead of running it unbounded:
-    a group above ENUMERATION_LIMIT, or a complex too large for the
-    vertex-decomposability search."""
+    a group above ENUMERATION_LIMIT."""
 
 
 # ---------------------------------------------------------------------------

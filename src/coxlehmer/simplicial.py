@@ -11,8 +11,8 @@ facets by coordinate line, O(rank) per step) shared by `ShellingState`,
 which pushes one linear extension (the `complex` route), and
 `box_shelling_steps`, which walks a full box once and reports each
 point's step, the same for every order ideal that the point is minimal
-outside (the shellings suite), the f/h transforms, and the recursive
-vertex-decomposability and flag checks.
+outside (the shellings suite), the f/h transforms, the flag check, and
+the shedding-lemma certificate of vertex decomposability (the vd suite).
 
 Vertices of box complexes are (value, coordinate) pairs with values written
 one-based, matching the construction's indexing; order-ideal points arrive
@@ -22,10 +22,11 @@ zero-based and are shifted here, at the boundary.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import prod
 from typing import Iterable, Sequence
 
-from .coxeter import SizeLimitError, _bits
-from .multicomplex import ChainProduct, OrderIdeal, box_table, full_ideal, lower_covers
+from .coxeter import _bits
+from .multicomplex import ChainProduct, OrderIdeal, _BoxTable, box_table, full_ideal, lower_covers
 from .qpoly import IntPolynomial
 
 
@@ -57,7 +58,7 @@ class SimplicialComplex:
         return max(m.bit_count() for m in self.facets) - 1
 
     def is_pure(self) -> bool:
-        return _pure(self.facets)
+        return len({m.bit_count() for m in self.facets}) == 1
 
     def _unpack(self, mask: int) -> frozenset:
         return frozenset(self.vertices[b] for b in _bits(mask))
@@ -77,21 +78,6 @@ class SimplicialComplex:
         if self.labels is not None:
             doc["labels"] = [list(x) for x in self.labels]
         return doc
-
-
-def _maximalize(masks: list[int]) -> list[int]:
-    """The distinct maximal masks, largest first."""
-    out = []
-    for m in sorted(set(masks), key=int.bit_count, reverse=True):
-        if not any(m & ~k == 0 for k in out):
-            out.append(m)
-    return out
-
-
-def _pure(masks) -> bool:
-    it = iter(masks)
-    first = next(it).bit_count()
-    return all(m.bit_count() == first for m in it)
 
 
 # ---------------------------------------------------------------------------
@@ -196,10 +182,10 @@ def verify_shelling(sc: SimplicialComplex, order: Sequence[int]) -> ShellingResu
 @lru_cache(maxsize=None)
 def _classes(dims: tuple[int, ...]) -> tuple[tuple[int, int, int], ...]:
     """Per coordinate class i: (its vertex mask, offset_i + d_i, the box
-    table's stride of coordinate i)."""
+    table's stride of coordinate i, d_{i+1} ... d_n)."""
     out, offset = [], 0
-    for d, stride in zip(dims, box_table(dims).strides):
-        out.append((((1 << d) - 1) << offset, offset + d, stride))
+    for i, d in enumerate(dims):
+        out.append((((1 << d) - 1) << offset, offset + d, prod(dims[i + 1:])))
         offset += d
     return tuple(out)
 
@@ -308,9 +294,9 @@ def box_shelling_steps(dims: tuple[int, ...]):
     order ideal of the box shells iff each point passes, with the ideal's
     rank counts for h-vector iff |G(x)| = |x| at each point (Bjorner &
     Wachs, Trans. AMS 348 (1996))."""
-    table, classes = box_table(dims), _classes(dims)
+    table, classes = _BoxTable(dims), _classes(dims)  # not box_table's: freed after the walk
     lines: dict[int, int] = {}
-    for j in full_ideal(ChainProduct(dims)).rank_order():
+    for j in (j for level in table.levels for j in _bits(level)):
         facet = table.facets[j]
         g, least = _shelling_step(classes, lines, facet)
         _put_on_lines(classes, lines, facet)
@@ -365,45 +351,54 @@ def f_from_h(h: Sequence[int], dim: int) -> tuple[int, ...]:
 # vertex decomposability
 
 
-_VD_CACHE: dict[tuple[int, ...], bool] = {}
+def _shedding_vertex(dims: tuple[int, ...], i: int) -> int:
+    """The bit of (d_i, i), the class-i vertex the facets at x_i = 0 omit."""
+    return _omitted_bits(dims)[i][0]
 
 
-def _vd(facets: tuple[int, ...]) -> bool:
-    if len(facets) == 1:
-        return True  # a simplex, possibly {0}
-    key = tuple(sorted(facets))
-    hit = _VD_CACHE.get(key)
-    if hit is not None:
-        return hit
-    verts = 0
-    for m in facets:
-        verts |= m
-    result = False
-    for b in reversed(list(_bits(verts))):
-        bit = 1 << b
-        deletion = _maximalize([m & ~bit for m in facets])
-        if not _pure(deletion):
-            continue  # not a shedding vertex
-        link = _maximalize([m & ~bit for m in facets if m & bit])
-        if _vd(tuple(link)) and _vd(tuple(deletion)):
-            result = True
-            break
-    _VD_CACHE[key] = result
-    return result
+def is_vertex_decomposable(ideal: OrderIdeal, memo: dict | None = None) -> bool:
+    """Certify that a nonempty ideal's complex is vertex decomposable by the
+    shedding lemma (Provan & Billera, Math. Oper. Res. 5 (1980); Bjorner &
+    Wachs, Trans. AMS 348 (1996), 11): if I moves in class i, (d_i, i)
+    sheds, with deletion the complex of {x in I : x_i = 0} and link that of
+    {x - e_i : x_i >= 1} in the box d - e_i.  Share `memo` across calls."""
+    if not ideal.mask:
+        raise ValueError("the empty ideal has no complex")
+    return _shed(ideal.ambient.dims, ideal.mask, {} if memo is None else memo)
 
 
-def is_vertex_decomposable(sc: SimplicialComplex, max_facets: int = 20) -> bool:
-    """Recursive shedding-vertex check with memoization.
+def _shed(dims: tuple[int, ...], mask: int, memo: dict) -> bool:
+    """The certificate at the point set `mask` of the box `dims`, for i the
+    first class it moves in: it holds x - e_i for each x with x_i >= 1, the
+    link and the deletion pass, and no point of it is `_failing`.
+    `memo` maps dims to the box's own table (not `box_table`'s, so it is
+    freed with the memo), its verdicts by mask and `_failing` by class."""
+    # the origin alone, mask 1, is a simplex
+    table, verdicts, bad = memo.get(dims) or memo.setdefault(dims, (_BoxTable(dims), {1: True}, {}))
+    if mask in verdicts:
+        return verdicts[mask]
+    i = next(i for i, z in enumerate(table.nonzero) if mask & z)
+    z, s, sub = table.nonzero[i], table.strides[i], dims[:i] + (dims[i] - 1,) + dims[i + 1:]
+    ok = (not (mask & z) >> s & ~mask and _shed(sub, mask >> s, memo)
+          and _shed(dims, mask & (1 << s) - 1, memo))
+    if ok and i not in bad:  # the link's call made the entry of its box
+        bad[i] = _failing(table, i, memo[sub][0].facets)
+    verdicts[mask] = ok = ok and not mask & bad[i]
+    return ok
 
-    Raises SizeLimitError beyond `max_facets` rather than running an
-    unbounded search.
-    """
-    if not sc.is_pure():
-        raise ValueError("vertex decomposability here applies to pure complexes")
-    if sc.facet_count > max_facets:
-        raise SizeLimitError(
-            f"{sc.facet_count} facets exceeds the limit {max_facets}; raise max_facets")
-    return _vd(sc.facets)
+
+def _failing(table: _BoxTable, i: int, sub_facets: list[int]) -> int:
+    """The points x with x_k = 0 for k < i (bits j < d_i stride) where the
+    lemma fails for v = (d_i, i): v in F_x iff x_i >= 1, and then F_x - v in
+    F_y, y = x - x_i e_i (bit j % stride), |F_y| = |F_x|, and F_x - v, bits
+    above v shifted down, is the facet of x - e_i (bit j - stride) in d - e_i."""
+    v, s, facets, out = _shedding_vertex(table.dims, i), table.strides[i], table.facets, 0
+    for j in range(table.dims[i] * s):
+        f, g = facets[j], facets[j % s]
+        holds = (f & v and not f & ~v & ~g and (g & ~f).bit_count() == 1
+                 and f & v - 1 | f >> 1 & ~(v - 1) == sub_facets[j - s]) if j >= s else not f & v
+        out |= (not holds) << j
+    return out
 
 
 # ---------------------------------------------------------------------------

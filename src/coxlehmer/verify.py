@@ -115,20 +115,26 @@ def _boxes_up_to(volume: int) -> list[tuple[int, ...]]:
     return sorted(out)
 
 
-def suite_vd(**_) -> Report:
-    """Vertex decomposability of every ideal complex in small boxes and of
-    every interval complex in S4."""
-    rep = Report("vertex decomposability")
+def suite_vd(max_rank: int | None = None, **_) -> Report:
+    """The shedding-lemma certificate, with one memo, on every ideal of the
+    boxes up to VD_MAX_VOLUME and every lower interval of the route systems."""
+    rep, memo = Report("vertex decomposability"), {}
     boxes = _boxes_up_to(VD_MAX_VOLUME)
     for dims in boxes:
         for ideal in all_order_ideals(ChainProduct(dims)):
-            rep.check(is_vertex_decomposable(complex_of_ideal(ideal), max_facets=VD_MAX_VOLUME),
-                      f"box {dims}: ideal {ideal.to_json()} not vertex decomposable")
-    code = codes_mod.shared_standard_code("A", 3)
-    for w in range(code.poset.size):
-        rep.check(is_vertex_decomposable(intervals.interval_complex(w, code), max_facets=64),
-                  lambda: f"S4 interval below {code.poset.render(w)} not vertex decomposable")
-    rep.note(f"{len(boxes)} boxes up to volume {VD_MAX_VOLUME}, plus 24 S4 intervals")
+            rep.check(is_vertex_decomposable(ideal, memo),
+                      lambda: f"box {dims}: ideal {ideal.to_json()} not vertex decomposable")
+    box_ideals, systems = rep.instances, _cap_rank(ROUTE_SYSTEMS, max_rank)
+    for label, rank, m in systems:
+        code = codes_mod.shared_standard_code(label, rank, m)
+        for w in range(code.poset.size):
+            rep.check(is_vertex_decomposable(intervals.interval_ideal(w, code), memo),
+                      lambda: f"{code.poset.system.describe()}: interval below "
+                              f"{code.poset.render(w)} not vertex decomposable")
+    rep.note(f"(d_i, i) sheds from an ideal that moves in class i, leaving the ideals {{x_i = 0}} "
+             f"and {{x - e_i : x_i >= 1}}: checked at every node for {box_ideals} ideals of "
+             f"{len(boxes)} boxes up to volume {VD_MAX_VOLUME} and "
+             f"{rep.instances - box_ideals} lower intervals of {len(systems)} systems")
     return rep
 
 

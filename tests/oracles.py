@@ -9,7 +9,7 @@ from contextlib import contextmanager
 
 from coxlehmer import simplicial
 from coxlehmer.codes import CodeBuildError, _make_code
-from coxlehmer.coxeter import CoxeterSystem, _bits, build_system
+from coxlehmer.coxeter import CoxeterSystem, SizeLimitError, _bits, build_system
 from coxlehmer.multicomplex import box_table, linear_extensions, lower_covers, meet, upper_covers
 from coxlehmer.qpoly import IntPolynomial, q_analog_product
 from coxlehmer.simplicial import (
@@ -228,6 +228,66 @@ def shelling_lattice(ideal) -> LatticeShellings:
     h_vectors = {tuple(h >> width * k & mask for k in range(facets[0].bit_count() + 1))
                  for h in hs}
     return LatticeShellings(True, None, h_vectors, paths, sub_ideals + 1, edges)
+
+
+# The generic vertex-decomposability search the library ran before it
+# certified ideal complexes by the shedding lemma: any pure complex, every
+# vertex tried as a shedding vertex, the verdicts kept in one process-wide
+# cache, and a facet limit in place of a bound on the search.
+
+_VD_CACHE: dict[tuple[int, ...], bool] = {}
+
+
+def maximalize(masks) -> list[int]:
+    """The distinct maximal masks, largest first."""
+    out = []
+    for m in sorted(set(masks), key=int.bit_count, reverse=True):
+        if not any(m & ~k == 0 for k in out):
+            out.append(m)
+    return out
+
+
+def pure(masks) -> bool:
+    """Whether the masks all have one size."""
+    it = iter(masks)
+    first = next(it).bit_count()
+    return all(m.bit_count() == first for m in it)
+
+
+def _vd(facets: tuple[int, ...]) -> bool:
+    if len(facets) == 1:
+        return True  # a simplex, possibly {0}
+    key = tuple(sorted(facets))
+    hit = _VD_CACHE.get(key)
+    if hit is not None:
+        return hit
+    verts = 0
+    for m in facets:
+        verts |= m
+    result = False
+    for b in reversed(list(_bits(verts))):
+        bit = 1 << b
+        deletion = maximalize([m & ~bit for m in facets])
+        if not pure(deletion):
+            continue  # not a shedding vertex
+        link = maximalize([m & ~bit for m in facets if m & bit])
+        if _vd(tuple(link)) and _vd(tuple(deletion)):
+            result = True
+            break
+    _VD_CACHE[key] = result
+    return result
+
+
+def vertex_decomposable_by_search(sc, max_facets: int = 20) -> bool:
+    """Recursive shedding-vertex search over a pure complex's facets, with
+    memoization.  Raises SizeLimitError beyond `max_facets` rather than
+    running an unbounded search."""
+    if not sc.is_pure():
+        raise ValueError("vertex decomposability here applies to pure complexes")
+    if sc.facet_count > max_facets:
+        raise SizeLimitError(
+            f"{sc.facet_count} facets exceeds the limit {max_facets}; raise max_facets")
+    return _vd(sc.facets)
 
 
 def facet_of(x: tuple[int, ...], dims: tuple[int, ...]) -> frozenset:

@@ -304,6 +304,16 @@ def test_verify_max_rank_filters_systems(capsys):
     assert "14 systems" in " ".join(doc["notes"])  # A1-3, B2-3, H3, I2(3..10)
 
 
+def test_verify_vd_max_rank_keeps_the_boxes_and_caps_the_intervals(capsys):
+    code, out, _ = run(capsys, "verify", "vd", "--max-rank", "1", "--json")
+    assert code == 0
+    doc = json.loads(out)
+    # the 805 box ideals do not depend on a rank; of the systems only A1 is left
+    assert doc["pass"] is True and doc["instances"] == 805 + 2
+    assert doc["notes"][0].endswith("805 ideals of 30 boxes up to volume 16 "
+                                    "and 2 lower intervals of 1 systems")
+
+
 def test_hpoly_h3_top_element(capsys):
     from coxlehmer.coxeter import shared_poset
     from coxlehmer.qpoly import q_analog_product

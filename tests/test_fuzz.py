@@ -8,8 +8,13 @@ from coxlehmer.coxeter import _factor_into_q_analogs
 from coxlehmer.intervals import _maxima_polynomial
 from coxlehmer.multicomplex import ChainProduct, random_order_ideals
 from coxlehmer.qpoly import IntPolynomial, q_analog_product
-from coxlehmer.simplicial import is_vertex_decomposable, verify_shelling
-from oracles import complex_from_sets, facet_vertices, maxima_by_subsets
+from coxlehmer.simplicial import verify_shelling
+from oracles import (
+    complex_from_sets,
+    facet_vertices,
+    maxima_by_subsets,
+    vertex_decomposable_by_search,
+)
 
 
 def brute_shelling_ok(facets, order):
@@ -70,7 +75,7 @@ def test_vertex_decomposable_implies_shellable():
         r = sc.facet_count
         some_shelling = any(verify_shelling(sc, list(order)).ok
                             for order in itertools.permutations(range(r)))
-        if is_vertex_decomposable(sc):
+        if vertex_decomposable_by_search(sc):
             assert some_shelling, facets
 
 

@@ -19,9 +19,9 @@ from coxlehmer.intervals import (
     principal_set,
     unimodal_set,
 )
-from coxlehmer.multicomplex import ChainProduct, upper_covers
+from coxlehmer.multicomplex import ChainProduct, full_ideal, upper_covers
 from coxlehmer.qpoly import IntPolynomial, q_analog, q_analog_product
-from coxlehmer.simplicial import ShellingState, shelling_h_polynomial
+from coxlehmer.simplicial import ShellingState, is_vertex_decomposable, shelling_h_polynomial
 from oracles import (
     LookupShellingState,
     code_leq,
@@ -35,6 +35,7 @@ from oracles import (
     push_all,
     pushed,
     rank_lex,
+    vertex_decomposable_by_search,
 )
 
 H3_UNIMODAL_TRIPLES = {
@@ -371,10 +372,11 @@ def test_strict_inclusion_b3():
 
 
 def test_group_complexes_are_vertex_decomposable(h3):
-    from coxlehmer.simplicial import is_vertex_decomposable
-
-    assert is_vertex_decomposable(group_complex(shared_poset("A", 4)), max_facets=200)
-    assert is_vertex_decomposable(group_complex(h3), max_facets=200)
+    for poset in shared_poset("A", 4), h3:
+        box = ChainProduct(tuple(e + 1 for e in poset.exponents()))
+        assert box.dims == group_complex(poset).dims
+        assert is_vertex_decomposable(full_ideal(box))
+        assert vertex_decomposable_by_search(group_complex(poset), max_facets=200)
 
 
 def test_full_morphism_not_just_covers(a3, la3, h3, lh3):

@@ -1,3 +1,5 @@
+from math import prod
+
 import pytest
 
 from coxlehmer.codes import shared_standard_code
@@ -19,7 +21,7 @@ from coxlehmer.qpoly import IntPolynomial, q_analog
 from coxlehmer.report import MAX_WITNESSES
 from coxlehmer.simplicial import (
     ShellingState,
-    _maximalize,
+    SimplicialComplex,
     _omitted_bits,
     box_shelling_steps,
     build_box_complex,
@@ -41,6 +43,7 @@ from oracles import (
     facet_rule,
     facet_vertices,
     least_container,
+    maximalize,
     one_facet_per_column,
     order_from_extension,
     push_all,
@@ -48,6 +51,7 @@ from oracles import (
     rank_lex,
     shelling_lattice,
     shellings_by_extension,
+    vertex_decomposable_by_search,
 )
 
 
@@ -170,7 +174,7 @@ def _walked(ideal):
 
 def _assert_maximal(sc):
     """The facets are the distinct maximal faces the constructor trusts."""
-    assert sorted(_maximalize(list(sc.facets))) == sorted(sc.facets)
+    assert sorted(maximalize(list(sc.facets))) == sorted(sc.facets)
 
 
 def _oracle(ideal):
@@ -475,33 +479,143 @@ def test_f_h_round_trip():
 
 
 def test_vd_simplex_and_trivial():
-    assert is_vertex_decomposable(complex_from_sets([{1, 2, 3}]))
-    assert is_vertex_decomposable(build_box_complex((1, 1)))
+    assert vertex_decomposable_by_search(complex_from_sets([{1, 2, 3}]))
+    assert vertex_decomposable_by_search(build_box_complex((1, 1)))
+    assert is_vertex_decomposable(full_ideal(ChainProduct((1, 1))))
+    assert is_vertex_decomposable(ideal_from_points(ChainProduct((3, 4)), [(0, 0)]))
 
 
 def test_vd_all_ideals_of_2x2():
     for j in all_order_ideals(ChainProduct((2, 2))):
-        assert is_vertex_decomposable(complex_of_ideal(j))
+        assert is_vertex_decomposable(j)
+
+
+def test_vd_refuses_the_empty_ideal():
+    with pytest.raises(ValueError, match="empty ideal"):
+        is_vertex_decomposable(ideal_from_points(ChainProduct((2, 2)), []))
 
 
 def test_vd_rejects_disjoint_edges():
-    assert not is_vertex_decomposable(complex_from_sets([{1, 2}, {3, 4}]))
+    assert not vertex_decomposable_by_search(complex_from_sets([{1, 2}, {3, 4}]))
 
 
 def test_vd_triangle_boundary_and_path():
-    assert is_vertex_decomposable(complex_from_sets([{1, 2}, {1, 3}, {2, 3}]))
-    assert is_vertex_decomposable(complex_from_sets([{1, 2}, {2, 3}, {3, 4}]))
+    assert vertex_decomposable_by_search(complex_from_sets([{1, 2}, {1, 3}, {2, 3}]))
+    assert vertex_decomposable_by_search(complex_from_sets([{1, 2}, {2, 3}, {3, 4}]))
 
 
 def test_vd_size_limit():
     sc = build_box_complex((2, 3))
     with pytest.raises(SizeLimitError, match="facets"):
-        is_vertex_decomposable(sc, max_facets=3)
+        vertex_decomposable_by_search(sc, max_facets=3)
 
 
 def test_vd_rejects_non_pure():
     with pytest.raises(ValueError):
-        is_vertex_decomposable(complex_from_sets([{1, 2}, {3}]))
+        vertex_decomposable_by_search(complex_from_sets([{1, 2}, {3}]))
+
+
+def _vd_ideals():
+    """Every ideal of the suite's boxes and every A3 and B3 interval ideal."""
+    ideals = [j for dims in verify._boxes_up_to(verify.VD_MAX_VOLUME)
+              for j in all_order_ideals(ChainProduct(dims))]
+    assert len(ideals) == 805
+    for code in shared_standard_code("A", 3), shared_standard_code("B", 3):
+        ideals += [interval_ideal(w, code) for w in range(code.poset.size)]
+    return ideals
+
+
+def test_vd_certificate_matches_the_search():
+    # one memo across the ideals, as in the suite, and a fresh one per ideal
+    ideals, memo = _vd_ideals(), {}
+    expected = [vertex_decomposable_by_search(complex_of_ideal(j), max_facets=64) for j in ideals]
+    assert all(expected) and len(expected) == 805 + 24 + 48
+    assert [is_vertex_decomposable(j, memo) for j in ideals] == expected
+    assert [is_vertex_decomposable(j) for j in ideals[::7]] == expected[::7]
+    # the memo holds the link boxes' tables, apart from box_table's
+    assert (1, 3, 4) in memo and memo[(1, 3, 4)][0] is not box_table((1, 3, 4))
+
+
+def test_corrupted_facet_rule_fails_the_vd_certificate():
+    # one facet per column gives (0, 0) and (1, 0) the same facet, which
+    # misses (2, 1), the vertex shed at the first node of every (2, 3)
+    # ideal that reaches the second row
+    ideals = list(all_order_ideals(ChainProduct((2, 3))))
+    with facet_rule(one_facet_per_column):
+        verdicts = [is_vertex_decomposable(j) for j in ideals]
+        named = is_vertex_decomposable(ideal_from_points(ChainProduct((2, 3)), [(1, 0)]))
+        rejected = sum(not is_vertex_decomposable(j) for j in _vd_ideals()[:805])
+    assert not named
+    assert verdicts == [all(p[0] == 0 for p in j) for j in ideals]
+    assert rejected == 692
+
+
+def _one_facet_changed(box, point, change):
+    """The true facet rule but for the facet of `point` in `box`."""
+    def rule(dims, points):
+        return [change(m) if dims == box and p == point else m
+                for p, m in zip(points, _facet_masks(dims, points))]
+    return rule
+
+
+@pytest.mark.parametrize("box, point, change", [
+    ((2, 3), (0, 0), lambda m: m | 1 << 4),  # F_y gains (3, 2): |F_y| > |F_x|
+    ((2, 3), (0, 0), lambda m: m | 1 << 1),  # F_y gains v
+    ((2, 3), (1, 0), lambda m: m & ~(1 << 1)),  # F_x loses v
+    ((2, 3), (0, 0), lambda m: m & ~(1 << 3)),  # F_y loses (2, 2), in F_x - v
+    ((1, 3), (0, 0), lambda m: m ^ 0b1100),  # the link's facet trades (2, 2) for (3, 2)
+], ids=["size", "v_in_deletion", "v_not_in_facet", "not_inside", "link"])
+def test_each_shedding_identity_is_checked(box, point, change):
+    # {(0, 0), (1, 0)} in (2, 3) sheds v = (2, 1): F_y = {(1, 1), (1, 2), (2, 2)}
+    # at y = (0, 0), F_x = {(2, 1), (1, 2), (2, 2)} at x = (1, 0), and the link
+    # is the facet {(1, 2), (2, 2)} of the origin of (1, 3); one change to one
+    # facet breaks one identity, and the certificate refuses
+    ideal = ideal_from_points(ChainProduct((2, 3)), [(1, 0)])
+    assert is_vertex_decomposable(ideal)
+    with facet_rule(_one_facet_changed(box, point, change)):
+        ideal = ideal_from_points(ChainProduct((2, 3)), [(1, 0)])
+        assert not is_vertex_decomposable(ideal)
+        # a change in (2, 3) leaves facets of two sizes
+        assert complex_of_ideal(ideal).is_pure() == (box == (1, 3))
+
+
+def test_vd_certificate_and_box_walk_leave_no_cached_table():
+    ideal = full_ideal(ChainProduct((2, 2, 7)))
+    before = box_table.cache_info().currsize
+    assert is_vertex_decomposable(ideal)
+    assert len(list(box_shelling_steps((3, 2, 7)))) == 42
+    assert box_table.cache_info().currsize == before
+
+
+def test_vd_certificate_needs_the_points_below():
+    # (0, 0) and (1, 1) are no ideal: their triangles share one vertex, so
+    # the search rejects them, and the certificate misses (0, 1) below (1, 1)
+    table, points = box_table((2, 3)), [(0, 0), (1, 1)]
+    sc = SimplicialComplex([table.facets[table.index[p]] for p in points], range(5))
+    assert not vertex_decomposable_by_search(sc)
+    assert simplicial._shed((2, 3), table.mask_of(points), {}) is False
+
+
+def test_planted_shedding_failure_is_reported(monkeypatch):
+    # a rule that sheds (1, i), the vertex the facets at x_i = d_i - 1
+    # omit, in place of (d_i, i): every ideal but a single point fails
+    bits = simplicial._omitted_bits
+    monkeypatch.setattr(simplicial, "_shedding_vertex", lambda dims, i: bits(dims)[i][-1])
+    rep = verify.suite_vd()
+    boxes = verify._boxes_up_to(verify.VD_MAX_VOLUME)
+    assert rep.instances == 1383
+    assert rep.failures == 1383 - len(boxes) - len(verify.ROUTE_SYSTEMS) == 1340
+    assert rep.witnesses[:2] == ["box (2,): ideal [[0], [1]] not vertex decomposable",
+                                 "box (2, 2): ideal [[0, 0], [0, 1], [1, 0], [1, 1]] "
+                                 "not vertex decomposable"]
+    # planted only in boxes above the suite's volume bound, the failures
+    # are the intervals of A3, A4, B3, D4 and H3 but the identity's
+    monkeypatch.setattr(simplicial, "_shedding_vertex", lambda dims, i: bits(dims)[i][
+        -1 if prod(dims) > verify.VD_MAX_VOLUME else 0])
+    rep = verify.suite_vd()
+    assert rep.failures == 23 + 119 + 47 + 191 + 119
+    assert rep.witnesses[:2] == ["A3: interval below 2134 not vertex decomposable",
+                                 "A3: interval below 1324 not vertex decomposable"]
 
 
 def test_flag_full_simplex():
