@@ -6,9 +6,10 @@
     coxlehmer classify --type H3 --what unimodal
     coxlehmer verify   catalan --n 5
 
-Exit status: 0 success, 1 verification failure (an InvalidCodeImage too),
-2 usage or parse error or a size limit (SizeLimitError) refusing the
-computation.  All JSON output uses exact integers.
+Exit status: 0 success, 1 verification failure (InvalidCodeImage and
+ShellingFailure too) or a stdout closed early, as by `| head`, 2 usage or
+parse error or a size limit (SizeLimitError) refusing the computation.
+All JSON output uses exact integers.
 
 `main` may be called any number of times in one process: the argument
 parser is built by the first call and reused, since parse_args keeps no
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -26,6 +28,7 @@ from pathlib import Path
 from . import intervals
 from .codes import dual_code, shared_standard_code
 from .coxeter import ENUMERATION_LIMIT, BruhatPoset, SizeLimitError, shared_poset
+from .simplicial import ShellingFailure
 from .verify import SUITES, check_n, run_suite
 
 
@@ -283,6 +286,7 @@ COMMANDS = {
 
 
 _parser: argparse.ArgumentParser | None = None  # built by the first main() call
+FAILURES = (intervals.InvalidCodeImage, ShellingFailure)  # exit status 1
 
 
 def main(argv=None) -> int:
@@ -291,10 +295,15 @@ def main(argv=None) -> int:
         _parser = build_parser()
     args = _parser.parse_args(argv)
     try:
-        return COMMANDS[args.command](args)
-    except (CLIError, SizeLimitError, ValueError, intervals.InvalidCodeImage) as exc:
+        status = COMMANDS[args.command](args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return status
+    except (CLIError, SizeLimitError, ValueError, *FAILURES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1 if isinstance(exc, intervals.InvalidCodeImage) else 2
+        return 1 if isinstance(exc, FAILURES) else 2
+    except BrokenPipeError:  # the reader left: what is still buffered goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

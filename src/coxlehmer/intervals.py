@@ -3,12 +3,12 @@
 A valid code turns the interval below w into an order ideal of the product
 of chains, a bitmask over the box built through the code's `box_index` and
 checked once for closure.  This module computes the interval's rank
-generating function three independent ways (direct summation, shelling of
-the attached complex by pushing the ideal's rank-then-lex order through
-`ShellingState`, inclusion-exclusion over the ideal's maxima with its terms
-grouped by the meets of their code vectors), and classifies elements whose
-intervals are full boxes (principal) or lexicographically minimal in their
-coordinate orbit (unimodal).
+generating function three independent ways (direct summation, the h-vector
+of the attached complex's rank-then-lex shelling read off the box table's
+memo of shelling steps, inclusion-exclusion over the ideal's maxima with
+its terms grouped by the meets of their code vectors), and classifies
+elements whose intervals are full boxes (principal) or lexicographically
+minimal in their coordinate orbit (unimodal).
 """
 
 from __future__ import annotations

@@ -68,8 +68,11 @@ class _BoxTable:
     Bit j is `points[j]`, and `index` inverts that.  A step down in
     coordinate i moves `strides[i]` bits, `nonzero[i]` marks the points whose
     coordinate i is positive and `levels[r]` those of rank r.  `facets[j]`,
-    the facet mask of points[j], is built on first use.  Nothing here holds
-    a mask per point, which would take |box|^2 bits."""
+    the facet mask of points[j], is built on first use.  The memo of the
+    shelling steps grows as `simplicial._walk` walks ideals: `lines` (as
+    `_shelling_step` reads it), the masks of the points `walked` and of the
+    `failing` ones, l(G(x)) != x, and `by_size[k]`, those with |G(x)| = k.
+    Nothing here holds a mask per point, which would take |box|^2 bits."""
 
     def __init__(self, dims: tuple[int, ...]):
         self.dims = dims
@@ -88,6 +91,7 @@ class _BoxTable:
                     grown[r + x] |= m << x * block
             levels, block = grown, block * d
         self.levels = levels
+        self.lines, self.walked, self.failing, self.by_size = {}, 0, 0, {}
 
     @cached_property
     def facets(self) -> list[int]:

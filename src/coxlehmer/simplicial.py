@@ -7,12 +7,13 @@ punctured coordinate classes; the full box's complex is the full ideal's),
 the generic shelling check with restriction sets for any facet order
 (`verify_shelling`, the reference the tests compare against), one shelling
 step rule for ideal complexes (`_shelling_step`, which reads the earlier
-facets by coordinate line, O(rank) per step) shared by `ShellingState`,
-which pushes one linear extension (the `complex` route), and
-`box_shelling_steps`, which walks a full box once and reports each
-point's step, the same for every order ideal that the point is minimal
-outside (the shellings suite), the f/h transforms, the flag check, and
-the shedding-lemma certificate of vertex decomposability (the vd suite).
+facets by coordinate line, O(rank) per step), one walk that runs it over
+the points of an order ideal not yet walked and keeps each point's step in
+a memo on the box table (`_walk`; a point's step is the same for every
+order ideal that it is minimal outside), read by the `complex` route
+(`shelling_h_polynomial`) and, over a whole uncached box, by the shellings
+suite (`box_shelling_steps`), the f/h transforms, the flag check, and the
+shedding-lemma certificate of vertex decomposability (the vd suite).
 
 Vertices of box complexes are (value, coordinate) pairs with values written
 one-based, matching the construction's indexing; order-ideal points arrive
@@ -208,7 +209,10 @@ def _shelling_step(classes, lines: dict[int, int], facet: int) -> tuple[int, int
     G are those of a product set of box points, least in class i at the x
     whose omitted vertex, bit top_i - 1 - x, is the highest class-i bit
     outside G; so if the earlier points form an order ideal, one does iff
-    that least point, returned as its lex position with G, is earlier."""
+    that least point, returned as its lex position with G, is earlier.
+    When the facet's point x is minimal outside them, that least point is
+    at most x and every point below x is earlier, so the step shells iff
+    it is x: the test `_walk` records."""
     g = least = 0
     get = lines.get
     for cm, top, stride in classes:
@@ -225,66 +229,54 @@ def _put_on_lines(classes, lines: dict[int, int], facet: int) -> None:
         lines[key] = lines.get(key, 0) | cm & ~facet
 
 
-class ShellingState:
-    """The shelling condition checked one facet at a time along a growing
-    order ideal of a box complex.
+class ShellingFailure(RuntimeError):
+    """A box complex's rank-then-lex order failed a shelling step."""
 
-    `ShellingState(ideal)` reads strides and facet masks from `box_table`.
-    `push(point)` appends the facet of a zero-based point of the ideal and
-    returns whether the order so far still shells, by `_shelling_step`; it
-    refuses a point whose lower covers are not all pushed, so the prefix
-    stays an order ideal.  The state keeps the prefix as one flag per box
-    point, the facets pushed by line and the h-vector counts."""
 
-    def __init__(self, ideal: OrderIdeal):
-        dims = ideal.ambient.dims
-        self._table = box_table(dims)
-        self._classes = _classes(dims)
-        self._lines: dict[int, int] = {}
-        self._mask = ideal.mask
-        self._done = bytearray(len(self._table.points))
-        self._h = [0] * (sum(dims) - len(dims) + 1)
-        self.violation = None
-
-    @property
-    def h_vector(self) -> tuple[int, ...]:
-        return tuple(self._h)
-
-    def push(self, point: tuple[int, ...]) -> bool:
-        """Append the facet of `point`.  On failure the state is unchanged
-        and `violation` names the earlier point whose facet contains G."""
-        table, done = self._table, self._done
-        j = table.index.get(point)
-        if j is None or not self._mask >> j & 1:
-            raise ValueError(f"point {point} has no facet in this complex")
-        if done[j] or not all(done[j - s] for x, s in zip(point, table.strides) if x):
-            raise ValueError(f"point {point} is not minimal outside the prefix")
-        facet = table.facets[j]
-        g, least = _shelling_step(self._classes, self._lines, facet)
-        if done[least]:
-            self.violation = (table.points[least], point)
-            return False
-        _put_on_lines(self._classes, self._lines, facet)
-        self._h[g.bit_count()] += 1
-        done[j] = 1
-        return True
+def _walk(table: _BoxTable, mask: int) -> None:
+    """Extend the table's step memo to the order ideal `mask`: its points
+    not yet walked, and only their facets, go through `_shelling_step` in
+    rank-then-lex order.
+    The walked set is a union of ideals, so an ideal.  For a new point x,
+    the points below x on its lines are walked or come earlier in this
+    pass, and none above x is walked, or x would be.  So `lines` at x
+    holds the facets a rank-lex push of any ideal x is minimal outside
+    holds, and the step is that push's (`box_shelling_steps`)."""
+    new = mask & ~table.walked
+    if not new:
+        return
+    order = [j for level in table.levels for j in _bits(new & level)]
+    classes, lines, by_size = _classes(table.dims), table.lines, table.by_size
+    failing = 0
+    for j, facet in zip(order, _facet_masks(table.dims, map(table.points.__getitem__, order))):
+        g, least = _shelling_step(classes, lines, facet)
+        _put_on_lines(classes, lines, facet)
+        bit, k = 1 << j, g.bit_count()
+        by_size[k] = by_size.get(k, 0) | bit
+        if least != j:
+            failing |= bit
+    table.walked |= new
+    table.failing |= failing
 
 
 def shelling_h_polynomial(ideal: OrderIdeal) -> IntPolynomial:
     """h-polynomial of the ideal's complex via its rank-then-lex shelling,
-    which is a linear extension of the ideal."""
-    state, pts = ShellingState(ideal), box_table(ideal.ambient.dims).points
-    for j in ideal.rank_order():
-        if not state.push(pts[j]):
-            raise AssertionError(
-                f"rank order failed to shell the complex at points {state.violation}")
-    return IntPolynomial(state.h_vector)
+    which is a linear extension of the ideal, read off the step memo of
+    its box table: h_k counts the ideal's points with |G(x)| = k.  Raises
+    ShellingFailure at the first point in that order with l(G(x)) != x."""
+    table, mask = box_table(ideal.ambient.dims), ideal.mask
+    _walk(table, mask)
+    if bad := mask & table.failing:
+        j = next(j for level in table.levels for j in _bits(bad & level))
+        raise ShellingFailure(f"rank order failed to shell the complex at point {table.points[j]}")
+    by_size = table.by_size
+    return IntPolynomial([(mask & by_size.get(k, 0)).bit_count()
+                          for k in range(max(by_size, default=-1) + 1)])
 
 
 def box_shelling_steps(dims: tuple[int, ...]):
     """Yield (x, whether l(G(x)) = x, |G(x)|) for each zero-based point x of
-    the box, in rank-then-lex order, by `_shelling_step` over the earlier
-    points.
+    the box, in rank-then-lex order, from `_walk` over the whole box.
 
     For v in class i, F_x - v lies only in F_x and in the facet of the
     point y that moves x along its class-i line.  If x is minimal outside
@@ -294,13 +286,11 @@ def box_shelling_steps(dims: tuple[int, ...]):
     order ideal of the box shells iff each point passes, with the ideal's
     rank counts for h-vector iff |G(x)| = |x| at each point (Bjorner &
     Wachs, Trans. AMS 348 (1996))."""
-    table, classes = _BoxTable(dims), _classes(dims)  # not box_table's: freed after the walk
-    lines: dict[int, int] = {}
+    table = _BoxTable(dims)  # not box_table's: freed after the walk
+    _walk(table, table.full)
+    size = {j: k for k, m in table.by_size.items() for j in _bits(m)}
     for j in (j for level in table.levels for j in _bits(level)):
-        facet = table.facets[j]
-        g, least = _shelling_step(classes, lines, facet)
-        _put_on_lines(classes, lines, facet)
-        yield table.points[j], least == j, g.bit_count()
+        yield table.points[j], not table.failing >> j & 1, size[j]
 
 
 # ---------------------------------------------------------------------------
@@ -324,27 +314,22 @@ def f_vector(sc: SimplicialComplex) -> tuple[int, ...]:
 
 
 def h_from_f(f: Sequence[int], dim: int) -> tuple[int, ...]:
-    """h-vector from the f-vector through the defining polynomial identity."""
-    d1 = dim + 1
-    xm1 = IntPolynomial([-1, 1])
-    total = IntPolynomial([])
-    power = IntPolynomial([1])
-    # accumulate f_i (x-1)^(d+1-i) from the top down
-    for i in range(d1, -1, -1):
-        total = total + power * (f[i] if i < len(f) else 0)
-        power = power * xm1
-    return tuple(total.coeff(d1 - j) for j in range(d1 + 1))
+    """h-vector from the f-vector through the defining polynomial identity,
+    sum_j h_j x^(d+1-j) = sum_i f_i (x - 1)^(d+1-i)."""
+    return _transform(f, dim, -1)
 
 
 def f_from_h(h: Sequence[int], dim: int) -> tuple[int, ...]:
-    d1 = dim + 1
-    xp1 = IntPolynomial([1, 1])
-    total = IntPolynomial([])
-    power = IntPolynomial([1])
-    for j in range(d1, -1, -1):
-        total = total + power * (h[j] if j < len(h) else 0)
-        power = power * xp1
-    return tuple(total.coeff(d1 - i) for i in range(d1 + 1))
+    return _transform(h, dim, 1)
+
+
+def _transform(v: Sequence[int], dim: int, c: int) -> tuple[int, ...]:
+    """The coefficients of sum_i v_i (x + c)^(d+1-i), from x^(d+1) down."""
+    d1, total, power = dim + 1, IntPolynomial([]), IntPolynomial([1])
+    for i in range(d1, -1, -1):  # from the top down
+        total = total + power * (v[i] if i < len(v) else 0)
+        power = power * IntPolynomial([c, 1])
+    return tuple(total.coeff(d1 - j) for j in range(d1 + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -411,17 +396,12 @@ def is_flag(sc: SimplicialComplex) -> bool:
     Equivalently every clique of the edge graph is a face; the search walks
     cliques and stops at the first one that fails.
     """
-    active = list(_bits(sc.active_vertex_mask()))
-    adj = {}
-    for a in active:
-        m = 0
-        for b in active:
-            if a != b and any((1 << a | 1 << b) & ~f == 0 for f in sc.facets):
-                m |= 1 << b
-        adj[a] = m
-
     def is_face_mask(m):
         return any(m & ~f == 0 for f in sc.facets)
+
+    active = list(_bits(sc.active_vertex_mask()))
+    adj = {a: sum(1 << b for b in active if b != a and is_face_mask(1 << a | 1 << b))
+           for a in active}
 
     def rec(clique: int, cand: int) -> bool:
         for b in _bits(cand):
@@ -433,10 +413,7 @@ def is_flag(sc: SimplicialComplex) -> bool:
                 return False
         return True
 
-    allm = 0
-    for a in active:
-        allm |= 1 << a
-    return rec(0, allm)
+    return rec(0, sc.active_vertex_mask())
 
 
 def is_flag_ideal(ideal: OrderIdeal) -> bool:

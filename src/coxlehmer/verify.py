@@ -12,6 +12,7 @@ from .multicomplex import ChainProduct, all_order_ideals, is_m_sequence, random_
 from .qpoly import IntPolynomial, q_analog_product
 from .report import Report
 from .simplicial import (
+    ShellingFailure,
     box_shelling_steps,
     complex_of_ideal,
     f_vector,
@@ -166,8 +167,7 @@ def suite_routes(max_rank: int | None = None, **_) -> Report:
     w = a3.index[(3, 4, 1, 2)]
     expected = IntPolynomial([1, 3, 5, 4, 1])
     for route in intervals.ROUTES:
-        rep.check(intervals.interval_poincare(w, la3, route) == expected,
-                  f"3412 {route} route")
+        _check_route(rep, w, la3, route, expected)
     ideal = intervals.interval_ideal(w, la3)
     maxima_elems = {a3.elements[la3.element(v)] for v in ideal.maxima()}
     rep.check(maxima_elems == {(2, 4, 1, 3), (3, 2, 1, 4), (3, 4, 1, 2)},
@@ -188,10 +188,20 @@ def suite_routes(max_rank: int | None = None, **_) -> Report:
         for x in range(code.poset.size):
             direct = intervals.interval_poincare(x, code, "direct")
             for route in ("complex", "maxima"):
-                sub.check(intervals.interval_poincare(x, code, route) == direct,
-                          lambda: f"{code.poset.render(x)}: {route} route differs")
+                _check_route(sub, x, code, route, direct)
         rep.merge(sub)
     return rep
+
+
+def _check_route(rep: Report, w: int, code, route: str, expected: IntPolynomial) -> None:
+    """One check that a route gives `expected`; a failed shelling fails it
+    with a witness naming the system and the element."""
+    try:
+        got, why = intervals.interval_poincare(w, code, route), "differs"
+    except ShellingFailure as exc:
+        got, why = None, f"failed: {exc}"
+    rep.check(got == expected, lambda: f"{code.poset.system.describe()} {code.poset.render(w)}: "
+                                       f"{route} route {why}")
 
 
 def _capped_n(n: int, max_rank: int | None) -> int:

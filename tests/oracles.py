@@ -495,9 +495,56 @@ def shelling_step_by_lookups(omitted, point, facet: int, earlier) -> tuple[int, 
     return g, least_container(omitted, g)
 
 
+class ShellingState:
+    """The shelling condition checked one facet at a time along a growing
+    order ideal of a box complex: the complex route before its steps were
+    kept per box, the reference its step memo is compared against.
+
+    `ShellingState(ideal)` reads strides and facet masks from `box_table`.
+    `push(point)` appends the facet of a zero-based point of the ideal and
+    returns whether the order so far still shells, by
+    `simplicial._shelling_step` (looked up at each push, so a planted rule
+    reaches it); it refuses a point whose lower covers are not all pushed,
+    so the prefix stays an order ideal.  The state keeps the prefix as one
+    flag per box point, the facets pushed by line and the h-vector counts."""
+
+    def __init__(self, ideal):
+        dims = ideal.ambient.dims
+        self._table = box_table(dims)
+        self._classes = _classes(dims)
+        self._lines = {}
+        self._mask = ideal.mask
+        self._done = bytearray(len(self._table.points))
+        self._h = [0] * (sum(dims) - len(dims) + 1)
+        self.violation = None
+
+    @property
+    def h_vector(self):
+        return tuple(self._h)
+
+    def push(self, point) -> bool:
+        """Append the facet of `point`.  On failure the state is unchanged
+        and `violation` names the earlier point whose facet contains G."""
+        table, done = self._table, self._done
+        j = table.index.get(point)
+        if j is None or not self._mask >> j & 1:
+            raise ValueError(f"point {point} has no facet in this complex")
+        if done[j] or not all(done[j - s] for x, s in zip(point, table.strides) if x):
+            raise ValueError(f"point {point} is not minimal outside the prefix")
+        facet = table.facets[j]
+        g, least = simplicial._shelling_step(self._classes, self._lines, facet)
+        if done[least]:
+            self.violation = (table.points[least], point)
+            return False
+        simplicial._put_on_lines(self._classes, self._lines, facet)
+        self._h[g.bit_count()] += 1
+        done[j] = 1
+        return True
+
+
 class LookupShellingState:
-    """`simplicial.ShellingState` with the prefix as a set of points and the
-    earlier facets as a set of masks; facets from `box_table`."""
+    """`ShellingState` with the prefix as a set of points and the earlier
+    facets as a set of masks; facets from `box_table`."""
 
     def __init__(self, ideal):
         dims = ideal.ambient.dims
@@ -530,7 +577,7 @@ class LookupShellingState:
 
 
 def pushed(state) -> set:
-    """The points a `simplicial.ShellingState` has pushed so far."""
+    """The points a `ShellingState` has pushed so far."""
     pts = state._table.points
     return {pts[j] for j, done in enumerate(state._done) if done}
 
@@ -571,4 +618,19 @@ def facet_rule(rule):
         yield
     finally:
         simplicial._facet_masks = saved
+        box_table.cache_clear()
+
+
+@contextmanager
+def step_rule(rule):
+    """Run with `rule` as the box complex's shelling step rule.  Box tables
+    keep the steps the complex route walks, so the block starts from fresh
+    tables, and the tables whose steps `rule` gave are dropped when it ends."""
+    saved = simplicial._shelling_step
+    simplicial._shelling_step = rule
+    box_table.cache_clear()
+    try:
+        yield
+    finally:
+        simplicial._shelling_step = saved
         box_table.cache_clear()

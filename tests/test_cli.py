@@ -1,5 +1,8 @@
+import io
 import json
+import os
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -145,6 +148,51 @@ def test_verify_catalan(capsys, tmp_path):
     assert doc["suite"] == "catalan"
     assert doc["seed"] == 2024
     assert json.loads(out_file.read_text())["pass"] is True
+
+
+@pytest.mark.parametrize("route", ["complex", "all"])
+def test_failed_shelling_is_a_verification_failure(capsys, route):
+    from oracles import step_rule
+
+    def origin_only(*_):
+        return 0, 0  # G empty, the least container at the origin
+
+    with step_rule(origin_only):
+        code, out, err = run(capsys, "hpoly", "--type", "A", "--rank", "3", "--perm", "3412",
+                             "--route", route)
+    assert code == 1
+    assert out == ""
+    assert err == "error: rank order failed to shell the complex at point (0, 0, 1)\n"
+
+
+class _ClosedPipe(io.TextIOBase):
+    """A stdout whose reader has gone: `write`, or with `buffered` only
+    `flush`, raises BrokenPipeError, as a block-buffered pipe does."""
+
+    def __init__(self, fd, buffered):
+        self._fd, self._buffered = fd, buffered
+
+    def write(self, text):
+        if not self._buffered:
+            raise BrokenPipeError(32, "Broken pipe")
+        return len(text)
+
+    def flush(self):
+        if self._buffered:
+            raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self):
+        return self._fd
+
+
+@pytest.mark.parametrize("buffered", [False, True], ids=["on_write", "on_flush"])
+def test_a_closed_pipe_ends_the_run_without_a_traceback(capsys, monkeypatch, tmp_path, buffered):
+    with open(tmp_path / "stdout", "w") as target:
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe(target.fileno(), buffered))
+        assert cli.main(["verify", "codes", "--max-rank", "1"]) == 1
+        # what is still buffered goes to the null device, not the pipe
+        assert os.path.samestat(os.fstat(target.fileno()), os.stat(os.devnull))
+    assert capsys.readouterr().err == ""
 
 
 def test_verify_failure_exit_code(capsys, monkeypatch):

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -19,11 +20,12 @@ from coxlehmer.intervals import (
     principal_set,
     unimodal_set,
 )
-from coxlehmer.multicomplex import ChainProduct, full_ideal, upper_covers
+from coxlehmer.multicomplex import ChainProduct, box_table, full_ideal, upper_covers
 from coxlehmer.qpoly import IntPolynomial, q_analog, q_analog_product
-from coxlehmer.simplicial import ShellingState, is_vertex_decomposable, shelling_h_polynomial
+from coxlehmer.simplicial import ShellingFailure, is_vertex_decomposable, shelling_h_polynomial
 from oracles import (
     LookupShellingState,
+    ShellingState,
     code_leq,
     facet_rule,
     is_order_ideal,
@@ -35,6 +37,7 @@ from oracles import (
     push_all,
     pushed,
     rank_lex,
+    step_rule,
     vertex_decomposable_by_search,
 )
 
@@ -163,7 +166,7 @@ def test_routes_identity(la3):
 
 def test_routes_3412(a3, la3, monkeypatch):
     def generic_check(*_):
-        raise AssertionError("the complex route shells through ShellingState")
+        raise AssertionError("the complex route reads the box table's step memo")
 
     monkeypatch.setattr(simplicial, "verify_shelling", generic_check)
     w = a3.index[(3, 4, 1, 2)]
@@ -435,9 +438,10 @@ def test_bitmask_paths_match_the_tuple_paths_on_sampled_elements(label, rank, m)
 @pytest.mark.parametrize("label,rank,m", SAMPLED_SYSTEMS)
 def test_corrupted_facet_rule_fails_both_states_on_sampled_intervals(label, rank, m):
     # under a facet rule that merges the facets of each first-coordinate
-    # column, both states stop at the same step, with the same violation
+    # column, both states stop at the same step, with the same violation,
+    # and the complex route fails on exactly those ideals, naming the point
     code, sample = _sample(label, rank, m)
-    failed = 0
+    failed, violations = 0, {}
     with facet_rule(one_facet_per_column):
         for w in sample:
             ideal = interval_ideal(w, code)
@@ -446,7 +450,92 @@ def test_corrupted_facet_rule_fails_both_states_on_sampled_intervals(label, rank
             assert found == push_all(old, rank_lex(ideal))
             assert new.h_vector == old.h_vector
             failed += found[1] is not None
+            violations[w] = found[1]
+        # the route in another order, so that its memo grows step by step
+        for w in random.Random(7).sample(sample, len(sample)):
+            if violations[w] is None:
+                assert shelling_h_polynomial(interval_ideal(w, code)) == interval_poincare(w, code)
+            else:
+                with pytest.raises(ShellingFailure, match=re.escape(f"at point {violations[w][1]}")):
+                    shelling_h_polynomial(interval_ideal(w, code))
     assert failed > len(sample) // 2
+    # the memo walked under the corrupted rule is gone with its tables
+    for w in sample:
+        assert interval_poincare(w, code, "complex") == interval_poincare(w, code)
+
+
+def _state_h_vectors(code, elements):
+    """Each element's rank-lex h-vector by `oracles.ShellingState`."""
+    out = {}
+    for w in elements:
+        ideal = interval_ideal(w, code)
+        state = ShellingState(ideal)
+        assert push_all(state, rank_lex(ideal)) == (len(ideal), None)
+        out[w] = IntPolynomial(state.h_vector)
+    return out
+
+
+@pytest.mark.parametrize("label,rank,m", [*verify.ROUTE_SYSTEMS, *SAMPLED_SYSTEMS])
+def test_step_memo_matches_the_state_in_any_call_order(label, rank, m):
+    # w0 first walks the whole box at once; a seeded shuffle grows the memo
+    # one interval at a time; a fresh table per element walks each alone
+    if (label, rank, m) in SAMPLED_SYSTEMS:
+        code, elements = _sample(label, rank, m)
+    else:
+        code = shared_standard_code(label, rank, m)
+        elements = [code.poset.w0, *(w for w in range(code.poset.size) if w != code.poset.w0)]
+    expected = _state_h_vectors(code, elements)
+    shuffled = random.Random(f"memo {label}{rank}{m}").sample(elements, len(elements))
+    for order, fresh in ((elements, False), (shuffled, False), (elements, True)):
+        box_table.cache_clear()
+        for w in order:
+            if fresh:
+                box_table.cache_clear()
+            assert shelling_h_polynomial(interval_ideal(w, code)) == expected[w]
+
+
+def test_step_memo_walks_each_point_once(a3, la3, monkeypatch):
+    # a point's step is computed on the first interval that holds it, and
+    # no walk goes past the interval it serves
+    steps, step = [], simplicial._shelling_step
+
+    def counted(classes, lines, facet):
+        steps.append(facet)
+        return step(classes, lines, facet)
+
+    with step_rule(counted):
+        table = box_table(tuple(b + 1 for b in la3.bounds))
+        w = a3.index[(3, 4, 1, 2)]
+        first = interval_ideal(w, la3)
+        shelling_h_polynomial(first)
+        assert table.walked == first.mask and len(steps) == len(first) == 14
+        shelling_h_polynomial(first)
+        assert len(steps) == 14
+        for w in range(a3.size):
+            interval_poincare(w, la3, "complex")
+        assert table.walked == table.full and len(steps) == len(set(steps)) == 24
+
+
+def _origin_only(*_):
+    """A step rule whose G is empty and whose least container is the
+    origin: every step but the origin's fails."""
+    return 0, 0
+
+
+def test_planted_step_failure_is_a_failed_route_check():
+    with step_rule(_origin_only):
+        rep = verify.suite_routes(max_rank=2)
+    assert not rep.passed
+    # the complex route fails on every interval but {e}: 3412 and the
+    # non-identity elements of A1, A2 and I2(3..8)
+    assert rep.failures == 1 + 1 + 5 + sum(2 * m - 1 for m in range(3, 9))
+    assert rep.witnesses[:3] == [
+        "A3 3412: complex route failed: rank order failed to shell the complex at point (0, 0, 1)",
+        "routes LA1: A1 21: complex route failed: rank order failed to shell the complex at point (1,)",
+        "routes LA2: A2 213: complex route failed: rank order failed to shell the complex at point (1, 0)",
+    ]
+    # the tables walked under the planted rule are gone with it
+    assert verify.suite_routes(max_rank=2).passed
 
 
 def test_interval_ideal_refuses_a_code_vector_off_the_box(a3, la3):

@@ -17,12 +17,12 @@ from coxlehmer.multicomplex import (  # noqa: E402
 )
 from coxlehmer.qpoly import IntPolynomial  # noqa: E402
 from coxlehmer.simplicial import (  # noqa: E402
-    ShellingState,
     complex_of_ideal,
     shelling_h_polynomial,
     verify_shelling,
 )
 from oracles import (  # noqa: E402
+    ShellingState,
     facet_vertices,
     is_linear_extension,
     order_from_extension,

@@ -1,3 +1,5 @@
+import random
+import re
 from math import prod
 
 import pytest
@@ -20,7 +22,7 @@ from coxlehmer.multicomplex import (
 from coxlehmer.qpoly import IntPolynomial, q_analog
 from coxlehmer.report import MAX_WITNESSES
 from coxlehmer.simplicial import (
-    ShellingState,
+    ShellingFailure,
     SimplicialComplex,
     _omitted_bits,
     box_shelling_steps,
@@ -37,6 +39,7 @@ from coxlehmer.simplicial import (
 )
 from oracles import (
     LookupShellingState,
+    ShellingState,
     complex_from_sets,
     extension_shellings,
     facet_of,
@@ -344,6 +347,29 @@ def test_corrupted_facet_rule_fails_the_lookup_state_alike(dims, count):
             assert push_all(new, rank_lex(ideal)) == push_all(old, rank_lex(ideal))
             assert new.h_vector == old.h_vector and pushed(new) == old.prefix
     assert len(ideals) == count
+
+
+@pytest.mark.parametrize("rule", [_facet_masks, one_facet_per_column],
+                         ids=["true_rule", "one_facet_per_column"])
+@pytest.mark.parametrize("dims", [(2, 3), (3, 3), (2, 2, 2), (3, 2, 2), (2, 2, 3)])
+def test_step_memo_route_fails_where_the_state_fails(dims, rule):
+    # every ideal of the box, in a seeded order that grows the memo one
+    # ideal at a time: the route's h-vector is the state's, or both fail
+    # at the same point
+    ideals = list(all_order_ideals(ChainProduct(dims)))
+    random.Random(f"memo {dims}").shuffle(ideals)
+    failed = 0
+    with facet_rule(rule):
+        for ideal in ideals:
+            state = ShellingState(ideal)
+            _, violation = push_all(state, rank_lex(ideal))
+            if violation is None:
+                assert shelling_h_polynomial(ideal) == IntPolynomial(state.h_vector)
+            else:
+                failed += 1
+                with pytest.raises(ShellingFailure, match=re.escape(f"at point {violation[1]}")):
+                    shelling_h_polynomial(ideal)
+    assert (failed == 0) == (rule is _facet_masks)
 
 
 def test_push_refuses_a_point_outside_the_frontier():
