@@ -27,7 +27,7 @@ from .qpoly import ONE, IntPolynomial
 # every enumerated group materializes its downset bitsets, |W|^2 / 16 bytes:
 # 33 MB for D6 (23,040 elements), but 6.5 GB for D7 and 8.2 GB for A8.  The
 # limit keeps A7, B6 and D6; it can rise again once point queries stop
-# materializing every downset (ROADMAP.md, item 1).
+# materializing every downset.
 ENUMERATION_LIMIT = 10 ** 5
 
 

@@ -5,12 +5,11 @@ entries; the one-based view used by the facet construction shifts at that
 boundary only.  One `box_table` per box numbers its points in lex
 (mixed-radix) order, so an `OrderIdeal` is a bitmask over the box: its
 closure check and its maxima are one shifted AND per coordinate class, and
-rank-then-lex order reads the box's rank masks.  The table also holds
-the facet masks.  Includes the Macaulay growth test for f-vectors
-of multicomplexes, and
-exhaustive, counted or seeded-random linear extensions, all driven by one
-`Frontier`: the sorted minimal points of what is left of an ideal, kept by
-counting each point's untaken lower covers.
+rank-then-lex order reads the box's rank masks; the table also keeps the
+memo of shelling steps.  Includes the Macaulay growth test for f-vectors of
+multicomplexes, and exhaustive, counted or seeded-random linear
+extensions, all driven by one `Frontier`: the sorted minimal points of what
+is left of an ideal, kept by counting each point's untaken lower covers.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ import itertools
 import random
 from bisect import bisect_left, insort
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import comb, prod
 from typing import Iterable, Iterator
 
@@ -67,12 +66,11 @@ class _BoxTable:
 
     Bit j is `points[j]`, and `index` inverts that.  A step down in
     coordinate i moves `strides[i]` bits, `nonzero[i]` marks the points whose
-    coordinate i is positive and `levels[r]` those of rank r.  `facets[j]`,
-    the facet mask of points[j], is built on first use.  The memo of the
-    shelling steps grows as `simplicial._walk` walks ideals: `lines` (as
-    `_shelling_step` reads it), the masks of the points `walked` and of the
-    `failing` ones, l(G(x)) != x, and `by_size[k]`, those with |G(x)| = k.
-    Nothing here holds a mask per point, which would take |box|^2 bits."""
+    coordinate i is positive and `levels[r]` those of rank r.  It keeps
+    steps, not facets: the memo grows as `simplicial._walk` walks ideals,
+    `lines` (as `_shelling_step` reads it), the masks of the points `walked`
+    and of the `failing` ones, l(G(x)) != x, and `by_size[k]`, those with
+    |G(x)| = k.  Nothing here holds a mask per point (|box|^2 bits)."""
 
     def __init__(self, dims: tuple[int, ...]):
         self.dims = dims
@@ -92,12 +90,6 @@ class _BoxTable:
             levels, block = grown, block * d
         self.levels = levels
         self.lines, self.walked, self.failing, self.by_size = {}, 0, 0, {}
-
-    @cached_property
-    def facets(self) -> list[int]:
-        from . import simplicial  # simplicial imports this module
-
-        return simplicial._facet_masks(self.dims, self.points)
 
     def mask_of(self, points: Iterable[tuple[int, ...]]) -> int:
         """The mask of the given points (ValueError outside the box)."""

@@ -13,7 +13,8 @@ a memo on the box table (`_walk`; a point's step is the same for every
 order ideal that it is minimal outside), read by the `complex` route
 (`shelling_h_polynomial`) and, over a whole uncached box, by the shellings
 suite (`box_shelling_steps`), the f/h transforms, the flag check, and the
-shedding-lemma certificate of vertex decomposability (the vd suite).
+vertex-decomposability certificate (`join_certificate`, one check per point
+that its facet is the join of one chain facet per class, the vd suite).
 
 Vertices of box complexes are (value, coordinate) pairs with values written
 one-based, matching the construction's indexing; order-ideal points arrive
@@ -336,54 +337,53 @@ def _transform(v: Sequence[int], dim: int, c: int) -> tuple[int, ...]:
 # vertex decomposability
 
 
-def _shedding_vertex(dims: tuple[int, ...], i: int) -> int:
-    """The bit of (d_i, i), the class-i vertex the facets at x_i = 0 omit."""
-    return _omitted_bits(dims)[i][0]
+def _class_facet(d: int, a: int) -> int:
+    """Facet a of one chain of d vertices, vertex v at bit v - 1, by the
+    class rule: every vertex but d - a."""
+    return (1 << d) - 1 ^ 1 << d - a - 1
 
 
-def is_vertex_decomposable(ideal: OrderIdeal, memo: dict | None = None) -> bool:
-    """Certify that a nonempty ideal's complex is vertex decomposable by the
-    shedding lemma (Provan & Billera, Math. Oper. Res. 5 (1980); Bjorner &
-    Wachs, Trans. AMS 348 (1996), 11): if I moves in class i, (d_i, i)
-    sheds, with deletion the complex of {x in I : x_i = 0} and link that of
-    {x - e_i : x_i >= 1} in the box d - e_i.  Share `memo` across calls."""
+def _sheds(d: int, v: int) -> bool:
+    """Whether the vertex bit v sheds from one chain of d vertices as the
+    join lemma uses it: facet 0 misses v, and each facet a >= 1 holds v,
+    lies in facet 0 without it and, its bits above v shifted down, is facet
+    a - 1 of the chain of d - 1 vertices."""
+    top = _class_facet(d, 0)
+    if top & v:
+        return False
+    for a in range(1, d):
+        f = _class_facet(d, a)
+        if not f & v or f & ~v & ~top or f & v - 1 | f >> 1 & ~(v - 1) != _class_facet(d - 1, a - 1):
+            return False
+    return True
+
+
+def join_certificate(dims: tuple[int, ...], points: Sequence[tuple[int, ...]]) -> list[bool]:
+    """Per zero-based point x of the box, whether `_facet_masks` gives it the
+    join of the class facets x_i and, in each class i, the top vertex sheds
+    (`_sheds`) from the chain of every length d with d_i - x_i < d <= d_i.
+
+    If an order ideal I moves in class i, the chain facts at d_i make
+    (d_i, i) shed from its complex, with deletion the complex of
+    {x in I : x_i = 0} and link the class-rule complex of {x - e_i : x_i >= 1}
+    in the box d - e_i (Provan & Billera, Math. Oper. Res. 5 (1980); Bjorner
+    & Wachs, Trans. AMS 348 (1996), 11).  So the complex is vertex
+    decomposable if every point of I passes."""
+    classes, offset = [], 0
+    for d in dims:
+        classes.append([_class_facet(d, a) << offset for a in range(d)])
+        offset += d
+    bad = [k for k in range(2, max(dims) + 1) if not _sheds(k, 1 << k - 1)]
+    return [facet == sum(c[xi] for c, xi in zip(classes, x))
+            and not any(d - xi < k <= d for k in bad for d, xi in zip(dims, x))
+            for x, facet in zip(points, _facet_masks(dims, points))]
+
+
+def is_vertex_decomposable(ideal: OrderIdeal) -> bool:
+    """Whether `join_certificate` passes at every point of a nonempty ideal."""
     if not ideal.mask:
         raise ValueError("the empty ideal has no complex")
-    return _shed(ideal.ambient.dims, ideal.mask, {} if memo is None else memo)
-
-
-def _shed(dims: tuple[int, ...], mask: int, memo: dict) -> bool:
-    """The certificate at the point set `mask` of the box `dims`, for i the
-    first class it moves in: it holds x - e_i for each x with x_i >= 1, the
-    link and the deletion pass, and no point of it is `_failing`.
-    `memo` maps dims to the box's own table (not `box_table`'s, so it is
-    freed with the memo), its verdicts by mask and `_failing` by class."""
-    # the origin alone, mask 1, is a simplex
-    table, verdicts, bad = memo.get(dims) or memo.setdefault(dims, (_BoxTable(dims), {1: True}, {}))
-    if mask in verdicts:
-        return verdicts[mask]
-    i = next(i for i, z in enumerate(table.nonzero) if mask & z)
-    z, s, sub = table.nonzero[i], table.strides[i], dims[:i] + (dims[i] - 1,) + dims[i + 1:]
-    ok = (not (mask & z) >> s & ~mask and _shed(sub, mask >> s, memo)
-          and _shed(dims, mask & (1 << s) - 1, memo))
-    if ok and i not in bad:  # the link's call made the entry of its box
-        bad[i] = _failing(table, i, memo[sub][0].facets)
-    verdicts[mask] = ok = ok and not mask & bad[i]
-    return ok
-
-
-def _failing(table: _BoxTable, i: int, sub_facets: list[int]) -> int:
-    """The points x with x_k = 0 for k < i (bits j < d_i stride) where the
-    lemma fails for v = (d_i, i): v in F_x iff x_i >= 1, and then F_x - v in
-    F_y, y = x - x_i e_i (bit j % stride), |F_y| = |F_x|, and F_x - v, bits
-    above v shifted down, is the facet of x - e_i (bit j - stride) in d - e_i."""
-    v, s, facets, out = _shedding_vertex(table.dims, i), table.strides[i], table.facets, 0
-    for j in range(table.dims[i] * s):
-        f, g = facets[j], facets[j % s]
-        holds = (f & v and not f & ~v & ~g and (g & ~f).bit_count() == 1
-                 and f & v - 1 | f >> 1 & ~(v - 1) == sub_facets[j - s]) if j >= s else not f & v
-        out |= (not holds) << j
-    return out
+    return all(join_certificate(ideal.ambient.dims, list(ideal)))
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,14 @@ from contextlib import contextmanager
 from coxlehmer import simplicial
 from coxlehmer.codes import CodeBuildError, _make_code
 from coxlehmer.coxeter import CoxeterSystem, SizeLimitError, _bits, build_system
-from coxlehmer.multicomplex import box_table, linear_extensions, lower_covers, meet, upper_covers
+from coxlehmer.multicomplex import (
+    _BoxTable,
+    box_table,
+    linear_extensions,
+    lower_covers,
+    meet,
+    upper_covers,
+)
 from coxlehmer.qpoly import IntPolynomial, q_analog_product
 from coxlehmer.simplicial import (
     SimplicialComplex,
@@ -182,7 +189,7 @@ def shelling_lattice(ideal) -> LatticeShellings:
     for y, m in enumerate(below):
         for x in _bits(m):
             above[x].append(y)
-    facets = [table.facets[j] for j in lex]
+    facets = simplicial._facet_masks(dims, pts)
     # G(I, x) reads I only through the facets holding a codim-1 subface of F_x
     rim = facets[0].bit_count() - 1
     near = [sum(1 << j for j, e in enumerate(facets) if (f & e).bit_count() >= rim)
@@ -288,6 +295,63 @@ def vertex_decomposable_by_search(sc, max_facets: int = 20) -> bool:
         raise SizeLimitError(
             f"{sc.facet_count} facets exceeds the limit {max_facets}; raise max_facets")
     return _vd(sc.facets)
+
+
+# The vertex-decomposability certificate the library ran before it checked
+# the join lemma at each box point: the shedding lemma's recursion over the
+# ideal's deletions and links, with the facet identities checked per box and
+# class at every node.
+
+
+def vertex_decomposable_by_shedding(ideal, memo: dict | None = None) -> bool:
+    """Certify that a nonempty ideal's complex is vertex decomposable by the
+    shedding lemma (Provan & Billera, Math. Oper. Res. 5 (1980); Bjorner &
+    Wachs, Trans. AMS 348 (1996), 11): if I moves in class i, (d_i, i)
+    sheds, with deletion the complex of {x in I : x_i = 0} and link that of
+    {x - e_i : x_i >= 1} in the box d - e_i.  Share `memo` across calls."""
+    if not ideal.mask:
+        raise ValueError("the empty ideal has no complex")
+    return _shed(ideal.ambient.dims, ideal.mask, {} if memo is None else memo)
+
+
+def _shed(dims: tuple[int, ...], mask: int, memo: dict) -> bool:
+    """The certificate at the point set `mask` of the box `dims`, for i the
+    first class it moves in: it holds x - e_i for each x with x_i >= 1, the
+    link and the deletion pass, and no point of it is `_failing`.
+    `memo` maps dims to the box's own table (not `box_table`'s, so it is
+    freed with the memo), its facets from `simplicial._facet_masks`, its
+    verdicts by mask and `_failing` by class."""
+    # the origin alone, mask 1, is a simplex
+    entry = memo.get(dims)
+    if entry is None:
+        table = _BoxTable(dims)
+        entry = memo[dims] = (table, simplicial._facet_masks(dims, table.points), {1: True}, {})
+    table, facets, verdicts, bad = entry
+    if mask in verdicts:
+        return verdicts[mask]
+    i = next(i for i, z in enumerate(table.nonzero) if mask & z)
+    z, s, sub = table.nonzero[i], table.strides[i], dims[:i] + (dims[i] - 1,) + dims[i + 1:]
+    ok = (not (mask & z) >> s & ~mask and _shed(sub, mask >> s, memo)
+          and _shed(dims, mask & (1 << s) - 1, memo))
+    if ok and i not in bad:  # the link's call made the entry of its box
+        bad[i] = _failing(table, facets, i, memo[sub][1])
+    verdicts[mask] = ok = ok and not mask & bad[i]
+    return ok
+
+
+def _failing(table, facets: list[int], i: int, sub_facets: list[int]) -> int:
+    """The points x with x_k = 0 for k < i (bits j < d_i stride) where the
+    lemma fails for v = (d_i, i), the class-i vertex the facets at x_i = 0
+    omit: v in F_x iff x_i >= 1, and then F_x - v in F_y, y = x - x_i e_i
+    (bit j % stride), |F_y| = |F_x|, and F_x - v, bits above v shifted down,
+    is the facet of x - e_i (bit j - stride) in d - e_i."""
+    v, s, out = _omitted_bits(table.dims)[i][0], table.strides[i], 0
+    for j in range(table.dims[i] * s):
+        f, g = facets[j], facets[j % s]
+        holds = (f & v and not f & ~v & ~g and (g & ~f).bit_count() == 1
+                 and f & v - 1 | f >> 1 & ~(v - 1) == sub_facets[j - s]) if j >= s else not f & v
+        out |= (not holds) << j
+    return out
 
 
 def facet_of(x: tuple[int, ...], dims: tuple[int, ...]) -> frozenset:
@@ -500,7 +564,8 @@ class ShellingState:
     order ideal of a box complex: the complex route before its steps were
     kept per box, the reference its step memo is compared against.
 
-    `ShellingState(ideal)` reads strides and facet masks from `box_table`.
+    `ShellingState(ideal)` reads strides from `box_table` and each pushed
+    point's facet mask from `simplicial._facet_masks`.
     `push(point)` appends the facet of a zero-based point of the ideal and
     returns whether the order so far still shells, by
     `simplicial._shelling_step` (looked up at each push, so a planted rule
@@ -531,7 +596,7 @@ class ShellingState:
             raise ValueError(f"point {point} has no facet in this complex")
         if done[j] or not all(done[j - s] for x, s in zip(point, table.strides) if x):
             raise ValueError(f"point {point} is not minimal outside the prefix")
-        facet = table.facets[j]
+        facet = simplicial._facet_masks(table.dims, [point])[0]
         g, least = simplicial._shelling_step(self._classes, self._lines, facet)
         if done[least]:
             self.violation = (table.points[least], point)
@@ -544,7 +609,7 @@ class ShellingState:
 
 class LookupShellingState:
     """`ShellingState` with the prefix as a set of points and the earlier
-    facets as a set of masks; facets from `box_table`."""
+    facets as a set of masks; facets from `simplicial._facet_masks`."""
 
     def __init__(self, ideal):
         dims = ideal.ambient.dims
@@ -563,7 +628,7 @@ class LookupShellingState:
     def push(self, point) -> bool:
         if point not in self._points:
             raise ValueError(f"point {point} has no facet in this complex")
-        facet = self._table.facets[self._table.index[point]]
+        facet = simplicial._facet_masks(self._table.dims, [point])[0]
         if point in self.prefix or not self.prefix.issuperset(lower_covers(point)):
             raise ValueError(f"point {point} is not minimal outside the prefix")
         g, least = shelling_step_by_lookups(self._omitted, point, facet, self._facets)
@@ -608,9 +673,10 @@ def one_facet_per_column(dims, points):
 
 @contextmanager
 def facet_rule(rule):
-    """Run with `rule` as the box complex's facet rule.  Box tables read
-    facets on first use, so the block starts from fresh tables, and the
-    tables built under `rule` are dropped when it ends."""
+    """Run with `rule` as the box complex's facet rule.  Box tables keep
+    the shelling steps walked from the facets, not the facets, so the block
+    starts from fresh tables, and the tables whose steps `rule` gave are
+    dropped when it ends."""
     saved = simplicial._facet_masks
     simplicial._facet_masks = rule
     box_table.cache_clear()

@@ -122,18 +122,20 @@ def test_criterion_07_shellings():
 
 
 def test_criterion_08_vertex_decomposability():
-    with _Stopwatch(8, "shedding lemma on box ideals up to volume 16 and 578 intervals"):
+    with _Stopwatch(8, "join lemma on box ideals up to volume 16 and every code box point"):
         assert VD_MAX_VOLUME == 16
         rep = suite_vd()
         assert rep.passed, rep.witnesses
         assert rep.failures == 0
-        # one certificate per ideal of the 30 boxes up to volume 16 and per
-        # lower interval of A1-A4, B3, D4, H3 and I2(3..8)
-        assert rep.notes == ["(d_i, i) sheds from an ideal that moves in class i, leaving "
-                             "the ideals {x_i = 0} and {x - e_i : x_i >= 1}: checked at "
-                             "every node for 805 ideals of 30 boxes up to volume 16 and "
-                             "578 lower intervals of 13 systems"]
-        assert rep.instances == 805 + 578 == 1383
+        # one certificate per ideal of the 30 boxes up to volume 16 and one
+        # per point of the 17 distinct boxes of the standard codes, whose
+        # lower intervals are order ideals of them: every interval of A1-A5,
+        # B2-B4, D4-D5, H3 and I2(3..10)
+        assert rep.notes == ["each facet is the join of one chain facet per class, and each "
+                             "chain's top vertex sheds: certified at every point of 805 ideals "
+                             "of 30 boxes up to volume 16 and at the 3634 points of the 17 "
+                             "boxes of 19 code systems, which hold every lower interval of them"]
+        assert rep.instances == 805 + 3634 == 4439
 
 
 def test_criterion_09_flag_equivalence():

@@ -356,10 +356,12 @@ def test_verify_vd_max_rank_keeps_the_boxes_and_caps_the_intervals(capsys):
     code, out, _ = run(capsys, "verify", "vd", "--max-rank", "1", "--json")
     assert code == 0
     doc = json.loads(out)
-    # the 805 box ideals do not depend on a rank; of the systems only A1 is left
+    # the 805 box ideals do not depend on a rank; of the code systems only
+    # A1 is left, whose box (2,) has 2 points
     assert doc["pass"] is True and doc["instances"] == 805 + 2
-    assert doc["notes"][0].endswith("805 ideals of 30 boxes up to volume 16 "
-                                    "and 2 lower intervals of 1 systems")
+    assert doc["notes"][0].endswith("805 ideals of 30 boxes up to volume 16 and at the 2 points "
+                                    "of the 1 boxes of 1 code systems, which hold every lower "
+                                    "interval of them")
 
 
 def test_hpoly_h3_top_element(capsys):

@@ -21,7 +21,6 @@ from coxlehmer.multicomplex import (
     upper_covers,
 )
 from coxlehmer.qpoly import IntPolynomial, q_analog
-from coxlehmer.simplicial import _facet_masks
 from oracles import is_linear_extension, is_order_ideal, maxima_by_covers, rank_lex
 
 
@@ -38,7 +37,6 @@ def test_box_table_matches_the_generators(dims):
     points = list(ChainProduct(dims).points())
     assert table.points == points and table.full == (1 << len(points)) - 1
     assert all(table.index[p] == j for j, p in enumerate(points))
-    assert table.facets == _facet_masks(dims, points)
     bit = {p: 1 << j for j, p in enumerate(points)}
     for i, stride in enumerate(table.strides):
         assert table.nonzero[i] == sum(bit[p] for p in points if p[i])

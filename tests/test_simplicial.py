@@ -1,3 +1,4 @@
+import itertools
 import random
 import re
 from math import prod
@@ -11,6 +12,7 @@ from coxlehmer import simplicial
 from coxlehmer.intervals import interval_ideal
 from coxlehmer.multicomplex import (
     ChainProduct,
+    OrderIdeal,
     all_order_ideals,
     box_table,
     count_linear_extensions,
@@ -40,6 +42,7 @@ from coxlehmer.simplicial import (
 from oracles import (
     LookupShellingState,
     ShellingState,
+    _shed,
     complex_from_sets,
     extension_shellings,
     facet_of,
@@ -55,6 +58,7 @@ from oracles import (
     shelling_lattice,
     shellings_by_extension,
     vertex_decomposable_by_search,
+    vertex_decomposable_by_shedding,
 )
 
 
@@ -293,8 +297,9 @@ def test_corrupted_facet_rule_fails_both():
     # the first point whose step fails is (1, 0), and the suite stops there
     assert [x for x, ok, _ in steps if not ok][0] == (1, 0)
     assert "box (2, 3): point (1, 0) has l(G(x)) < x" in rep.witnesses
-    # the tables built under the corrupted rule are gone
-    assert box_table((2, 3)).facets == _facet_masks((2, 3), box_table((2, 3)).points)
+    # the true rule is back
+    points = box_table((2, 3)).points
+    assert simplicial._facet_masks((2, 3), points) == _facet_masks((2, 3), points)
 
 
 LEMMA_BOXES = [(2, 3), (2, 2, 2), (2, 2, 3), (3, 3), (3, 2, 2), (2, 4)]
@@ -552,28 +557,47 @@ def _vd_ideals():
 
 
 def test_vd_certificate_matches_the_search():
-    # one memo across the ideals, as in the suite, and a fresh one per ideal
-    ideals, memo = _vd_ideals(), {}
+    ideals = _vd_ideals()
     expected = [vertex_decomposable_by_search(complex_of_ideal(j), max_facets=64) for j in ideals]
     assert all(expected) and len(expected) == 805 + 24 + 48
-    assert [is_vertex_decomposable(j, memo) for j in ideals] == expected
-    assert [is_vertex_decomposable(j) for j in ideals[::7]] == expected[::7]
-    # the memo holds the link boxes' tables, apart from box_table's
+    assert [is_vertex_decomposable(j) for j in ideals] == expected
+
+
+def test_vd_certificate_matches_the_shedding_recursion():
+    # the 805 box ideals and the 578 lower intervals of the route systems,
+    # one memo across them as the recursion's suite kept it
+    ideals = _vd_ideals()[:805]
+    for label, rank, m in verify.ROUTE_SYSTEMS:
+        code = shared_standard_code(label, rank, m)
+        ideals += [interval_ideal(w, code) for w in range(code.poset.size)]
+    assert len(ideals) == 805 + 578
+    memo = {}
+    expected = [vertex_decomposable_by_shedding(j, memo) for j in ideals]
+    assert all(expected)
+    assert [is_vertex_decomposable(j) for j in ideals] == expected
+    # the recursion's memo holds the link boxes' tables, apart from box_table's
     assert (1, 3, 4) in memo and memo[(1, 3, 4)][0] is not box_table((1, 3, 4))
 
 
 def test_corrupted_facet_rule_fails_the_vd_certificate():
     # one facet per column gives (0, 0) and (1, 0) the same facet, which
-    # misses (2, 1), the vertex shed at the first node of every (2, 3)
-    # ideal that reaches the second row
+    # misses (2, 1): the recursion's first shedding vertex in every (2, 3)
+    # ideal that reaches the second row, and not the class join at (1, 0)
     ideals = list(all_order_ideals(ChainProduct((2, 3))))
     with facet_rule(one_facet_per_column):
         verdicts = [is_vertex_decomposable(j) for j in ideals]
-        named = is_vertex_decomposable(ideal_from_points(ChainProduct((2, 3)), [(1, 0)]))
-        rejected = sum(not is_vertex_decomposable(j) for j in _vd_ideals()[:805])
-    assert not named
+        named = ideal_from_points(ChainProduct((2, 3)), [(1, 0)])
+        named = is_vertex_decomposable(named), vertex_decomposable_by_shedding(named)
+        box_ideals = _vd_ideals()[:805]
+        rejected = [not is_vertex_decomposable(j) for j in box_ideals]
+        recursion = [not vertex_decomposable_by_shedding(j) for j in box_ideals]
+        code_box = list(itertools.product(range(2), range(3), range(4)))
+        points = simplicial.join_certificate((2, 3, 4), code_box)
+    assert named == (False, False)
     assert verdicts == [all(p[0] == 0 for p in j) for j in ideals]
-    assert rejected == 692
+    assert rejected == recursion and sum(rejected) == 692
+    # in a box, exactly the points off the first column fail
+    assert points == [p[0] == 0 for p in code_box]
 
 
 def _one_facet_changed(box, point, change):
@@ -595,12 +619,17 @@ def test_each_shedding_identity_is_checked(box, point, change):
     # {(0, 0), (1, 0)} in (2, 3) sheds v = (2, 1): F_y = {(1, 1), (1, 2), (2, 2)}
     # at y = (0, 0), F_x = {(2, 1), (1, 2), (2, 2)} at x = (1, 0), and the link
     # is the facet {(1, 2), (2, 2)} of the origin of (1, 3); one change to one
-    # facet breaks one identity, and the certificate refuses
+    # facet breaks one identity of the recursion, and the changed facet is
+    # no class join, so the certificate refuses the ideal below it
     ideal = ideal_from_points(ChainProduct((2, 3)), [(1, 0)])
-    assert is_vertex_decomposable(ideal)
+    assert is_vertex_decomposable(ideal) and vertex_decomposable_by_shedding(ideal)
     with facet_rule(_one_facet_changed(box, point, change)):
         ideal = ideal_from_points(ChainProduct((2, 3)), [(1, 0)])
-        assert not is_vertex_decomposable(ideal)
+        assert not vertex_decomposable_by_shedding(ideal)
+        assert not is_vertex_decomposable(ideal_from_points(ChainProduct(box), [point]))
+        # the certificate reads the facets of the ideal's own box only: the
+        # link's box (1, 3) enters through the class rule
+        assert is_vertex_decomposable(ideal) == (box == (1, 3))
         # a change in (2, 3) leaves facets of two sizes
         assert complex_of_ideal(ideal).is_pure() == (box == (1, 3))
 
@@ -615,33 +644,57 @@ def test_vd_certificate_and_box_walk_leave_no_cached_table():
 
 def test_vd_certificate_needs_the_points_below():
     # (0, 0) and (1, 1) are no ideal: their triangles share one vertex, so
-    # the search rejects them, and the certificate misses (0, 1) below (1, 1)
+    # the search rejects them, the recursion misses (0, 1) below (1, 1), and
+    # an OrderIdeal refuses them, so the certificate never sees them
     table, points = box_table((2, 3)), [(0, 0), (1, 1)]
-    sc = SimplicialComplex([table.facets[table.index[p]] for p in points], range(5))
+    sc = SimplicialComplex(simplicial._facet_masks((2, 3), points), range(5))
     assert not vertex_decomposable_by_search(sc)
-    assert simplicial._shed((2, 3), table.mask_of(points), {}) is False
+    assert _shed((2, 3), table.mask_of(points), {}) is False
+    with pytest.raises(ValueError, match="not downward closed"):
+        OrderIdeal(ChainProduct((2, 3)), points)
 
 
 def test_planted_shedding_failure_is_reported(monkeypatch):
-    # a rule that sheds (1, i), the vertex the facets at x_i = d_i - 1
-    # omit, in place of (d_i, i): every ideal but a single point fails
-    bits = simplicial._omitted_bits
-    monkeypatch.setattr(simplicial, "_shedding_vertex", lambda dims, i: bits(dims)[i][-1])
+    # a chain check that sheds vertex 1, which the facet at x_i = d_i - 1
+    # omits, in place of d: it fails on every chain of 2 or more vertices,
+    # so every point off the origin fails, and so every ideal but the origin
+    sheds = simplicial._sheds
+    assert all(sheds(d, 1 << d - 1) for d in range(1, 12))
+    assert not any(sheds(d, 1) for d in range(2, 12))
+    monkeypatch.setattr(simplicial, "_sheds", lambda d, v: sheds(d, 1))
     rep = verify.suite_vd()
     boxes = verify._boxes_up_to(verify.VD_MAX_VOLUME)
-    assert rep.instances == 1383
-    assert rep.failures == 1383 - len(boxes) - len(verify.ROUTE_SYSTEMS) == 1340
+    assert rep.instances == 4439
+    assert rep.failures == 4439 - len(boxes) - 17 == 4392
     assert rep.witnesses[:2] == ["box (2,): ideal [[0], [1]] not vertex decomposable",
                                  "box (2, 2): ideal [[0, 0], [0, 1], [1, 0], [1, 1]] "
                                  "not vertex decomposable"]
-    # planted only in boxes above the suite's volume bound, the failures
-    # are the intervals of A3, A4, B3, D4 and H3 but the identity's
-    monkeypatch.setattr(simplicial, "_shedding_vertex", lambda dims, i: bits(dims)[i][
-        -1 if prod(dims) > verify.VD_MAX_VOLUME else 0])
+    # planted only on chains of more than 8 vertices, a point fails if it
+    # reaches one: the ideals of (9,) ... (16,) but the origin, and the code
+    # box points with x_i >= 1 in a class of 9 or 10 vertices, in the boxes
+    # (2, 6, 10) of H3, (2, 9) of I2(9) and (2, 10) of I2(10)
+    monkeypatch.setattr(simplicial, "_sheds", lambda d, v: sheds(d, 1 if d > 8 else v))
     rep = verify.suite_vd()
-    assert rep.failures == 23 + 119 + 47 + 191 + 119
-    assert rep.witnesses[:2] == ["A3: interval below 2134 not vertex decomposable",
-                                 "A3: interval below 1324 not vertex decomposable"]
+    assert rep.failures == sum(range(8, 16)) + 2 * 6 * 9 + 2 * 8 + 2 * 9 == 92 + 142
+    assert rep.witnesses[0] == ("box (9,): ideal [[0], [1], [2], [3], [4], [5], [6], [7], [8]] "
+                                "not vertex decomposable")
+
+
+def test_changed_code_box_facet_is_reported():
+    # one facet of the H3 box changed, no box up to volume 16 touched: the
+    # one failure is that point's
+    with facet_rule(_one_facet_changed((2, 6, 10), (1, 2, 3), lambda m: m ^ 1)):
+        rep = verify.suite_vd()
+    assert (rep.instances, rep.failures) == (4439, 1)
+    assert rep.witnesses == ["box (2, 6, 10): point (1, 2, 3) fails the join lemma"]
+
+
+def test_join_certificate_passes_every_point_of_the_a6_b5_and_d6_boxes():
+    # the boxes of A6, B5 and D6, the exponents plus one, with no group
+    # enumerated: 5,040, 3,840 and 23,040 points
+    for dims in (2, 3, 4, 5, 6, 7), (2, 4, 6, 8, 10), (2, 4, 6, 8, 10, 6):
+        points = list(itertools.product(*map(range, dims)))
+        assert len(points) == prod(dims) and all(simplicial.join_certificate(dims, points))
 
 
 def test_flag_full_simplex():
