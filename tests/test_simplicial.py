@@ -586,8 +586,8 @@ def test_corrupted_facet_rule_fails_the_vd_certificate():
     ideals = list(all_order_ideals(ChainProduct((2, 3))))
     with facet_rule(one_facet_per_column):
         verdicts = [is_vertex_decomposable(j) for j in ideals]
-        named = ideal_from_points(ChainProduct((2, 3)), [(1, 0)])
-        named = is_vertex_decomposable(named), vertex_decomposable_by_shedding(named)
+        ideal = ideal_from_points(ChainProduct((2, 3)), [(1, 0)])
+        named = is_vertex_decomposable(ideal), vertex_decomposable_by_shedding(ideal)
         box_ideals = _vd_ideals()[:805]
         rejected = [not is_vertex_decomposable(j) for j in box_ideals]
         recursion = [not vertex_decomposable_by_shedding(j) for j in box_ideals]
