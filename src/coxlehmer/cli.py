@@ -245,12 +245,12 @@ def cmd_classify(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.max_rank is not None and args.max_rank < 1:
+        raise CLIError(f"--max-rank takes a rank of at least 1, got {args.max_rank}")
     opts = {"seed": args.seed, "max_rank": args.max_rank}
     if args.n is not None:
         check_n(args.suite, args.n, args.max_rank)
         opts["n"] = args.n
-    if args.max_rank is not None and args.max_rank < 1:
-        raise CLIError(f"--max-rank takes a rank of at least 1, got {args.max_rank}")
     started = time.monotonic()
     report = run_suite(args.suite, **opts)
     seconds = round(time.monotonic() - started, 3)

@@ -7,16 +7,15 @@ boundary only.  One `box_table` per box numbers its points in lex
 closure check and its maxima are one shifted AND per coordinate class, and
 rank-then-lex order reads the box's rank masks; the table also keeps the
 memo of shelling steps.  Includes the Macaulay growth test for f-vectors of
-multicomplexes, and exhaustive, counted or seeded-random linear
-extensions, all driven by one `Frontier`: the sorted minimal points of what
-is left of an ideal, kept by counting each point's untaken lower covers.
+multicomplexes, the enumeration of a box's ideals, and exhaustive, counted
+or seeded-random linear extensions, which walk the mask of what is left of
+an ideal and read its minimal points off it by one shifted AND per class.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from bisect import bisect_left, insort
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, prod
@@ -39,20 +38,11 @@ class ChainProduct:
         """Every point, in lexicographic order."""
         return itertools.product(*map(range, self.dims))
 
-    def size(self) -> int:
-        return prod(self.dims)
-
 
 def lower_covers(point):
     for i, x in enumerate(point):
         if x:
             yield point[:i] + (x - 1,) + point[i + 1 :]
-
-
-def upper_covers(point, dims):
-    for i, x in enumerate(point):
-        if x + 1 < dims[i]:
-            yield point[:i] + (x + 1,) + point[i + 1 :]
 
 
 def meet(x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...]:
@@ -101,15 +91,27 @@ class _BoxTable:
             mask |= 1 << j
         return mask
 
+    def minimal(self, mask: int) -> int:
+        """The points of `mask` none of whose lower covers is in it: the
+        mask minus OR_i (mask << stride_i) & nonzero_i."""
+        covering = 0
+        for z, s in zip(self.nonzero, self.strides):
+            covering |= mask << s & z
+        return mask & ~covering
+
+    def rank_order(self, mask: int) -> list[int]:
+        """The mask's bit positions in rank-then-lex order of their points."""
+        return [j for level in self.levels for j in _bits(mask & level)]
+
 
 box_table = lru_cache(maxsize=None)(_BoxTable)  # one shared table per box dims
 
 
 class OrderIdeal:
     """A downward-closed set of points in a ChainProduct, held as `mask`, a
-    bitmask over its box table's points; `points` is the tuple view."""
+    bitmask over its box table's points; iterating gives the points."""
 
-    __slots__ = ("ambient", "mask", "_table", "_points")
+    __slots__ = ("ambient", "mask", "_table")
 
     def __init__(self, ambient: ChainProduct, points: Iterable[tuple[int, ...]]):
         table = box_table(ambient.dims)
@@ -128,14 +130,7 @@ class OrderIdeal:
             raise ValueError(f"mask has points outside ambient {ambient.dims}")
         if any((mask & z) >> s & ~mask for z, s in zip(table.nonzero, table.strides)):
             raise ValueError("point set is not downward closed")
-        self.ambient, self.mask, self._table, self._points = ambient, mask, table, None
-
-    @property
-    def points(self) -> frozenset:
-        if self._points is None:
-            pts = self._table.points
-            self._points = frozenset(pts[j] for j in _bits(self.mask))
-        return self._points
+        self.ambient, self.mask, self._table = ambient, mask, table
 
     def __contains__(self, point) -> bool:
         j = self._table.index.get(tuple(point))
@@ -168,8 +163,7 @@ class OrderIdeal:
     def rank_order(self) -> list[int]:
         """The mask's bit positions in rank-then-lex order of their points,
         a linear extension."""
-        mask = self.mask
-        return [j for level in self._table.levels for j in _bits(mask & level)]
+        return self._table.rank_order(self.mask)
 
     def f_polynomial(self):
         from .qpoly import IntPolynomial
@@ -177,9 +171,6 @@ class OrderIdeal:
         if not self.mask:
             raise ValueError("the empty ideal has no rank generating function")
         return IntPolynomial([(self.mask & level).bit_count() for level in self._table.levels])
-
-    def is_full_box(self) -> bool:
-        return self.mask == self._table.full
 
     def to_json(self) -> list[list[int]]:
         return [list(p) for p in self]
@@ -238,104 +229,46 @@ def is_m_sequence(coeffs: Iterable[int]) -> bool:
 # linear extensions
 
 
-class Frontier:
-    """The minimal points of an ideal once a prefix of it has been taken.
-
-    `minimal` stays sorted (`bisect.insort`), and `_waiting[p]` counts the
-    lower covers of p not yet taken, so p is minimal exactly when it is
-    untaken and its count is zero.  `take` accepts only minimal points, so
-    the taken prefix is always an order ideal; `give_back` undoes the last
-    `take` still standing, which makes depth-first walks exact.
-    """
-
-    __slots__ = ("minimal", "_above", "_waiting")
-
-    def __init__(self, ideal: OrderIdeal):
-        pts, dims = ideal.points, ideal.ambient.dims
-        self._above = {p: [q for q in upper_covers(p, dims) if q in pts] for p in pts}
-        # every lower cover of an ideal point lies in the ideal
-        self._waiting = {p: sum(1 for x in p if x) for p in pts}
-        self.minimal = sorted(p for p, k in self._waiting.items() if not k)
-
-    def take(self, p: tuple[int, ...]) -> None:
-        minimal = self.minimal
-        i = bisect_left(minimal, p)
-        if i == len(minimal) or minimal[i] != p:
-            raise ValueError(f"point {p} is not minimal among the untaken points")
-        del minimal[i]
-        waiting = self._waiting
-        for q in self._above[p]:
-            waiting[q] -= 1
-            if not waiting[q]:
-                insort(minimal, q)
-
-    def give_back(self, p: tuple[int, ...]) -> None:
-        minimal = self.minimal
-        waiting = self._waiting
-        for q in self._above[p]:
-            if not waiting[q]:
-                del minimal[bisect_left(minimal, q)]
-            waiting[q] += 1
-        insort(minimal, p)
-
-
 def linear_extensions(ideal: OrderIdeal) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """Exhaustively generate every linear extension, in lexicographic order."""
-    yield from _extensions(Frontier(ideal), [])
+    """Exhaustively generate every linear extension, in lexicographic order:
+    each step takes a minimal point of what is left, in ascending bit order."""
+    table, acc = ideal._table, []
+
+    def rec(left):
+        if not left:
+            yield tuple(acc)
+            return
+        for j in _bits(table.minimal(left)):
+            acc.append(table.points[j])
+            yield from rec(left ^ 1 << j)
+            acc.pop()
+
+    yield from rec(ideal.mask)
 
 
-def _extensions(frontier: Frontier, acc: list) -> Iterator[tuple[tuple[int, ...], ...]]:
-    minimal = frontier.minimal
-    if not minimal:
-        yield tuple(acc)
-        return
-    # the frontier is restored after each child, so positions are stable
-    for i in range(len(minimal)):
-        p = minimal[i]
-        frontier.take(p)
-        acc.append(p)
-        yield from _extensions(frontier, acc)
-        acc.pop()
-        frontier.give_back(p)
+def count_linear_extensions(ideal: OrderIdeal) -> int:
+    """Number of linear extensions, memoised on the mask of what is left."""
+    table, memo = ideal._table, {0: 1}
 
-
-def count_linear_extensions(ideal: OrderIdeal, cap: int | None = None) -> int:
-    """Number of linear extensions; stops early once `cap` is exceeded."""
-    return _count(Frontier(ideal), frozenset(ideal.points), cap, {})
-
-
-def _count(frontier: Frontier, remaining: frozenset, cap: int | None, memo: dict) -> int:
-    if not remaining:
-        return 1
-    hit = memo.get(remaining)
-    if hit is not None:
+    def count(left):
+        hit = memo.get(left)
+        if hit is None:
+            hit = memo[left] = sum(count(left ^ 1 << j) for j in _bits(table.minimal(left)))
         return hit
-    total = 0
-    minimal = frontier.minimal
-    for i in range(len(minimal)):
-        p = minimal[i]
-        frontier.take(p)
-        total += _count(frontier, remaining - {p}, cap, memo)
-        frontier.give_back(p)
-        if cap is not None and total > cap:
-            break
-    memo[remaining] = total
-    return total
+
+    return count(ideal.mask)
 
 
 def sample_linear_extensions(ideal: OrderIdeal, count: int,
                              seed: int) -> Iterator[tuple[tuple[int, ...], ...]]:
     """Seeded random topological shuffles (uniform choice among minima)."""
-    rng = random.Random(seed)
-    frontier = Frontier(ideal)
+    rng, table = random.Random(seed), ideal._table
     for _ in range(count):
-        out = []
-        while frontier.minimal:
-            p = rng.choice(frontier.minimal)
-            frontier.take(p)
-            out.append(p)
-        for p in reversed(out):
-            frontier.give_back(p)
+        left, out = ideal.mask, []
+        while left:
+            j = rng.choice(list(_bits(table.minimal(left))))
+            left ^= 1 << j
+            out.append(table.points[j])
         yield tuple(out)
 
 
@@ -344,23 +277,24 @@ def sample_linear_extensions(ideal: OrderIdeal, count: int,
 
 
 def all_order_ideals(ambient: ChainProduct) -> Iterator[OrderIdeal]:
-    """Every nonempty order ideal of the box."""
-    box = sorted(ambient.points(), key=lambda p: (sum(p), p))
-    chosen: set = set()
+    """Every nonempty order ideal of the box: each point in rank-then-lex
+    order is taken (first) or left, and taken only over its lower covers."""
+    table = box_table(ambient.dims)
+    box = table.rank_order(table.full)
+    below = [sum(1 << j - s for x, s in zip(p, table.strides) if x)
+             for j, p in enumerate(table.points)]
 
-    def rec(i):
+    def rec(i, chosen):
         if i == len(box):
             if chosen:
-                yield OrderIdeal(ambient, chosen)
+                yield OrderIdeal.from_mask(ambient, chosen)
             return
-        p = box[i]
-        if all(q in chosen for q in lower_covers(p)):
-            chosen.add(p)
-            yield from rec(i + 1)
-            chosen.remove(p)
-        yield from rec(i + 1)
+        j = box[i]
+        if not below[j] & ~chosen:
+            yield from rec(i + 1, chosen | 1 << j)
+        yield from rec(i + 1, chosen)
 
-    yield from rec(0)
+    yield from rec(0, 0)
 
 
 def random_order_ideals(ambient: ChainProduct, count: int, seed: int) -> list[OrderIdeal]:

@@ -12,7 +12,9 @@ the points of an order ideal not yet walked and keeps each point's step in
 a memo on the box table (`_walk`; a point's step is the same for every
 order ideal that it is minimal outside), read by the `complex` route
 (`shelling_h_polynomial`) and, over a whole uncached box, by the shellings
-suite (`box_shelling_steps`), the f/h transforms, the flag check, and the
+suite (`box_shelling_steps`), the f/h transforms, the flag checks (a
+clique search for any complex; for an ideal of a 0/1 box, the ranks of the
+box table's minimal points outside it, `is_flag_ideal`), and the
 vertex-decomposability certificate (`join_certificate`, one check per point
 that its facet is the join of one chain facet per class, the vd suite).
 
@@ -28,7 +30,7 @@ from math import prod
 from typing import Iterable, Sequence
 
 from .coxeter import _bits
-from .multicomplex import ChainProduct, OrderIdeal, _BoxTable, box_table, full_ideal, lower_covers
+from .multicomplex import ChainProduct, OrderIdeal, _BoxTable, box_table, full_ideal
 from .qpoly import IntPolynomial
 
 
@@ -246,7 +248,7 @@ def _walk(table: _BoxTable, mask: int) -> None:
     new = mask & ~table.walked
     if not new:
         return
-    order = [j for level in table.levels for j in _bits(new & level)]
+    order = table.rank_order(new)
     classes, lines, by_size = _classes(table.dims), table.lines, table.by_size
     failing = 0
     for j, facet in zip(order, _facet_masks(table.dims, map(table.points.__getitem__, order))):
@@ -268,7 +270,7 @@ def shelling_h_polynomial(ideal: OrderIdeal) -> IntPolynomial:
     table, mask = box_table(ideal.ambient.dims), ideal.mask
     _walk(table, mask)
     if bad := mask & table.failing:
-        j = next(j for level in table.levels for j in _bits(bad & level))
+        j = table.rank_order(bad)[0]
         raise ShellingFailure(f"rank order failed to shell the complex at point {table.points[j]}")
     by_size = table.by_size
     return IntPolynomial([(mask & by_size.get(k, 0)).bit_count()
@@ -290,7 +292,7 @@ def box_shelling_steps(dims: tuple[int, ...]):
     table = _BoxTable(dims)  # not box_table's: freed after the walk
     _walk(table, table.full)
     size = {j: k for k, m in table.by_size.items() for j in _bits(m)}
-    for j in (j for level in table.levels for j in _bits(level)):
+    for j in table.rank_order(table.full):
         yield table.points[j], not table.failing >> j & 1, size[j]
 
 
@@ -418,15 +420,10 @@ def is_flag(sc: SimplicialComplex) -> bool:
 
 def is_flag_ideal(ideal: OrderIdeal) -> bool:
     """Flagness of an ideal of a 0/1 box, read as a simplicial complex:
-    the full box, or every minimal missing point has rank at most two."""
+    every minimal point of the box outside it has rank at most two."""
     dims = ideal.ambient.dims
     if any(d != 2 for d in dims):
         raise ValueError(f"flag ideals live in products of 2-chains, got {dims}")
-    if ideal.is_full_box():
-        return True
-    for p in ideal.ambient.points():
-        if p not in ideal:
-            if all(q in ideal for q in lower_covers(p)) and sum(p) > 2:
-                return False
-    return True
+    table = box_table(dims)
+    return not table.minimal(table.full & ~ideal.mask) & sum(table.levels[3:])
 

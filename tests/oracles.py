@@ -11,12 +11,12 @@ from coxlehmer import simplicial
 from coxlehmer.codes import CodeBuildError, _make_code
 from coxlehmer.coxeter import CoxeterSystem, SizeLimitError, _bits, build_system
 from coxlehmer.multicomplex import (
+    OrderIdeal,
     _BoxTable,
     box_table,
     linear_extensions,
     lower_covers,
     meet,
-    upper_covers,
 )
 from coxlehmer.qpoly import IntPolynomial, q_analog_product
 from coxlehmer.simplicial import (
@@ -90,7 +90,7 @@ def is_linear_extension(ideal, order) -> bool:
         if any(q not in seen for q in lower_covers(p)):
             return False
         seen.add(p)
-    return seen == set(ideal.points)
+    return seen == set(ideal)
 
 
 def order_from_extension(sc, extension) -> list[int]:
@@ -509,15 +509,57 @@ def affine_dihedral_system(m: int) -> CoxeterSystem:
 
 # The tuple paths that order ideals and shelling states took before they
 # became bitmasks over the box table: maxima by upper-cover lookups, the
-# maxima polynomial as a sum of IntPolynomials, and the shelling step that
-# looks each codim-1 subface of the new facet up among the earlier facets.
-# `is_order_ideal` above is the tuple closure check.
+# enumeration of a box's ideals and the flag test of a 0/1-box ideal over
+# point sets, the maxima polynomial as a sum of IntPolynomials, and the
+# shelling step that looks each codim-1 subface of the new facet up among
+# the earlier facets.  `is_order_ideal` above is the tuple closure check.
+
+
+def upper_covers(point, dims):
+    for i, x in enumerate(point):
+        if x + 1 < dims[i]:
+            yield point[:i] + (x + 1,) + point[i + 1 :]
 
 
 def maxima_by_covers(ideal) -> set:
     """The points of the ideal none of whose upper covers is in it."""
-    pts, dims = ideal.points, ideal.ambient.dims
+    pts, dims = set(ideal), ideal.ambient.dims
     return {p for p in pts if not any(q in pts for q in upper_covers(p, dims))}
+
+
+def all_order_ideals_by_sets(ambient):
+    """Every nonempty order ideal of the box, as `all_order_ideals` gives
+    them: each point in rank-then-lex order is taken (first) or left, and
+    taken only if the chosen set holds its lower covers."""
+    box = sorted(ambient.points(), key=lambda p: (sum(p), p))
+    chosen: set = set()
+
+    def rec(i):
+        if i == len(box):
+            if chosen:
+                yield OrderIdeal(ambient, chosen)
+            return
+        p = box[i]
+        if all(q in chosen for q in lower_covers(p)):
+            chosen.add(p)
+            yield from rec(i + 1)
+            chosen.remove(p)
+        yield from rec(i + 1)
+
+    yield from rec(0)
+
+
+def is_flag_ideal_by_scan(ideal) -> bool:
+    """`simplicial.is_flag_ideal` one box point at a time: no point outside
+    the ideal with all its lower covers inside has rank above two."""
+    dims = ideal.ambient.dims
+    if any(d != 2 for d in dims):
+        raise ValueError(f"flag ideals live in products of 2-chains, got {dims}")
+    for p in ideal.ambient.points():
+        if p not in ideal:
+            if all(q in ideal for q in lower_covers(p)) and sum(p) > 2:
+                return False
+    return True
 
 
 def maxima_polynomial_by_sums(ideal) -> IntPolynomial:
@@ -615,7 +657,7 @@ class LookupShellingState:
         dims = ideal.ambient.dims
         self._omitted = _omitted_bits(dims)
         self._table = box_table(dims)
-        self._points = ideal.points
+        self._points = set(ideal)
         self._facets = set()
         self._h = [0] * (sum(dims) - len(dims) + 1)
         self.prefix = set()
@@ -649,7 +691,7 @@ def pushed(state) -> set:
 
 def rank_lex(ideal) -> list:
     """The ideal's points sorted by rank, then lexicographically."""
-    return sorted(ideal.points, key=lambda p: (sum(p), p))
+    return sorted(ideal, key=lambda p: (sum(p), p))
 
 
 def push_all(state, order):

@@ -235,12 +235,14 @@ def test_verify_never_passes_vacuously(capsys, argv, message):
     (["smooth", "--n", "1"], "suite smooth takes --n from 2 to 6, got 1"),
     (["all", "--n", "1"], "suite smooth takes --n from 2 to 6, got 1"),
     (["all", "--n", "9"], "suite catalan takes --n up to 8, got 9"),
-    (["smooth", "--n", "6", "--max-rank", "0"],
-     "suite smooth takes --n from 2 to 6, got 1 (--n 6 capped by --max-rank 0)"),
+    (["smooth", "--n", "9", "--max-rank", "7"],
+     "suite smooth takes --n from 2 to 6, got 8 (--n 9 capped by --max-rank 7)"),
     (["unimodal", "--max-rank", "-3"], "--max-rank takes a rank of at least 1, got -3"),
     (["smooth", "--max-rank", "0"], "--max-rank takes a rank of at least 1, got 0"),
     (["all", "--max-rank", "0"], "--max-rank takes a rank of at least 1, got 0"),
     (["codes", "--max-rank", "-1"], "--max-rank takes a rank of at least 1, got -1"),
+    # --max-rank is checked before it caps --n
+    (["smooth", "--n", "5", "--max-rank", "0"], "--max-rank takes a rank of at least 1, got 0"),
 ])
 def test_out_of_range_n_is_refused_before_any_suite_runs(capsys, monkeypatch, argv, message):
     ran = []

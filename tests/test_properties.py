@@ -3,18 +3,17 @@ generic shelling check against each other and against the definition, and
 the `complex` and `maxima` routes' polynomials against the ideal's rank
 counts, on drawn boxes, ideals and facet orders."""
 
+from math import prod
+
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from coxlehmer.coxeter import _bits  # noqa: E402
 from coxlehmer.intervals import _maxima_polynomial  # noqa: E402
-from coxlehmer.multicomplex import (  # noqa: E402
-    ChainProduct,
-    Frontier,
-    ideal_from_points,
-)
+from coxlehmer.multicomplex import ChainProduct, box_table, ideal_from_points  # noqa: E402
 from coxlehmer.qpoly import IntPolynomial  # noqa: E402
 from coxlehmer.simplicial import (  # noqa: E402
     complex_of_ideal,
@@ -40,21 +39,19 @@ def ideals_and_orders(draw):
     three points other than the origin, and an order of the ideal's points:
     half the time a linear extension, else any permutation."""
     dims = tuple(draw(st.lists(st.integers(2, 3), min_size=1, max_size=3)))
-    amb = ChainProduct(dims)
-    if amb.size() > 12:
+    if prod(dims) > 12:
         dims = dims[:2]
-        amb = ChainProduct(dims)
+    amb = ChainProduct(dims)
     box = sorted(amb.points())
     gens = draw(st.lists(st.sampled_from(box[1:]), min_size=1, max_size=3))
     ideal = ideal_from_points(amb, gens)
     if not draw(st.booleans()):
-        return ideal, list(draw(st.permutations(sorted(ideal.points))))
-    frontier = Frontier(ideal)
-    order = []
-    while frontier.minimal:
-        p = draw(st.sampled_from(tuple(frontier.minimal)))
-        frontier.take(p)
-        order.append(p)
+        return ideal, list(draw(st.permutations(sorted(ideal))))
+    table, left, order = box_table(dims), ideal.mask, []
+    while left:  # draw each next point among the minimal ones left, in lex order
+        j = draw(st.sampled_from(tuple(_bits(table.minimal(left)))))
+        left ^= 1 << j
+        order.append(table.points[j])
     return ideal, order
 
 
@@ -95,7 +92,7 @@ def test_verify_shelling_agrees_with_the_definition(case):
 def test_shelling_h_polynomial_is_the_rank_count(case):
     ideal, _ = case
     sc = complex_of_ideal(ideal)
-    rank_lex = sorted(ideal.points, key=lambda p: (sum(p), p))
+    rank_lex = sorted(ideal, key=lambda p: (sum(p), p))
     generic = verify_shelling(sc, order_from_extension(sc, rank_lex))
     assert generic.ok
     got = shelling_h_polynomial(ideal)

@@ -48,6 +48,7 @@ from oracles import (
     facet_of,
     facet_rule,
     facet_vertices,
+    is_flag_ideal_by_scan,
     least_container,
     maximalize,
     one_facet_per_column,
@@ -84,7 +85,7 @@ def test_facet_rule_masks_unpack_to_facet_of(dims):
     sc = build_box_complex(dims)
     assert sc.vertices == tuple((v, i) for i, d in enumerate(dims, start=1)
                                 for v in range(1, d + 1))
-    assert sc.facet_count == ChainProduct(dims).size()
+    assert sc.facet_count == prod(dims)
     for k, label in enumerate(sc.labels):
         assert facet_vertices(sc, k) == facet_of(label, dims)
     omitted = _omitted_bits(dims)
@@ -254,12 +255,13 @@ def test_lattice_matches_the_extension_walk_on_seeded_3x3x4_ideals():
     # the shellings suite's random ideals; the walk takes those it can
     walked, visited = 0, []
     for ideal in random_order_ideals(ChainProduct((3, 3, 4)), verify.RANDOM_IDEAL_COUNT, 2024):
-        if count_linear_extensions(ideal, cap=10 ** 4) <= 10 ** 4:
+        total = count_linear_extensions(ideal)
+        if total <= 10 ** 4:
             assert _lattice(ideal, visited) == shellings_by_extension(ideal)
             walked += 1
         else:
             ok, _, extensions = _lattice(ideal, visited)
-            assert ok and extensions == count_linear_extensions(ideal)
+            assert ok and extensions == total
     assert walked == 38
     assert _sums(visited) == SUITE_LATTICE_TOTALS[(3, 3, 4)]
 
@@ -330,11 +332,11 @@ def test_lattice_verdict_is_the_per_point_verdict(rule):
             if dims not in steps:
                 steps[dims] = {x: (ok, g) for x, ok, g in box_shelling_steps(dims)}
             found = shelling_lattice(ideal)
-            assert found.ok == all(steps[dims][x][0] for x in ideal.points)
+            assert found.ok == all(steps[dims][x][0] for x in ideal)
             failed += not found.ok
             if found.ok:
                 h = [0] * (sum(dims) - len(dims) + 1)
-                for x in ideal.points:
+                for x in ideal:
                     h[steps[dims][x][1]] += 1
                 assert found.h_vectors == {tuple(h)}
     assert (failed == 0) == (rule is _facet_masks)
@@ -427,7 +429,7 @@ def test_a_subface_lies_in_its_facet_and_one_neighbour():
     # on the facet's line of that class
     for dims in [(2, 3), (2, 2, 2), (3, 3), (1, 3), (3, 3, 4)]:
         omitted = _omitted_bits(dims)
-        points = sorted(full_ideal(ChainProduct(dims)).points)
+        points = list(full_ideal(ChainProduct(dims)))
         facets = dict(zip(points, _facet_masks(dims, points)))
         for x, f in facets.items():
             for i, (bits, xi) in enumerate(zip(omitted, x)):
@@ -706,8 +708,17 @@ def test_flag_triangle_boundary_is_not():
 
 
 def test_flag_ideal_requires_01_box():
-    with pytest.raises(ValueError, match="2-chains"):
-        is_flag_ideal(full_ideal(ChainProduct((2, 3))))
+    for check in is_flag_ideal, is_flag_ideal_by_scan:
+        with pytest.raises(ValueError, match="2-chains"):
+            check(full_ideal(ChainProduct((2, 3))))
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 2), (2, 2, 2, 2)])
+def test_flag_ideal_matches_the_point_scan_on_every_ideal(dims):
+    ideals = list(all_order_ideals(ChainProduct(dims)))
+    verdicts = [is_flag_ideal(j) for j in ideals]
+    assert verdicts == [is_flag_ideal_by_scan(j) for j in ideals]
+    assert True in verdicts and False in verdicts
 
 
 def test_flag_equivalence_on_2_cubed():
