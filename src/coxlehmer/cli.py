@@ -213,33 +213,26 @@ def cmd_complex(args) -> int:
 def cmd_classify(args) -> int:
     poset = _get_poset(args)
     code = _get_code(args)
+    doc = {"system": poset.system.describe()}
     if args.what == "pal":
-        polys = sorted(intervals.palindromic_intervals(poset),
-                       key=lambda p: (p.degree, p.coeffs))
-        doc = {"system": poset.system.describe(), "class": "pal",
-               "count": len(polys), "polynomials": [p.to_json() for p in polys]}
+        polys = intervals.palindromic_intervals(poset)
+        doc.update({"class": "pal", "count": len(polys)})
     elif args.what == "smooth":
         if poset.system.label != "A":
             raise CLIError("--what smooth applies to type A only")
         from .schubert import smooth_permutations
 
         perms = smooth_permutations(poset.system.rank + 1)
-        polys = sorted(intervals.interval_polynomials(
-            poset, (poset.index[p] for p in perms)),
-            key=lambda p: (p.degree, p.coeffs))
-        doc = {"system": poset.system.describe(), "class": "smooth",
-               "count": len(perms),
-               "polynomials": [p.to_json() for p in polys]}
+        polys = intervals.interval_polynomials(poset, (poset.index[p] for p in perms))
+        doc.update({"class": "smooth", "count": len(perms)})
     else:
         elems = (intervals.principal_set(code) if args.what == "principal"
                  else intervals.unimodal_set(code))
-        polys = sorted(intervals.interval_polynomials(poset, elems),
-                       key=lambda p: (p.degree, p.coeffs))
-        doc = {"system": poset.system.describe(), "code_name": code.name,
-               "class": args.what, "count": len(elems),
-               "elements": [poset.render(w) for w in elems],
-               "codes": [list(code.of(w)) for w in elems],
-               "polynomials": [p.to_json() for p in polys]}
+        polys = intervals.interval_polynomials(poset, elems)
+        doc.update({"code_name": code.name, "class": args.what, "count": len(elems),
+                    "elements": [poset.render(w) for w in elems],
+                    "codes": [list(code.of(w)) for w in elems]})
+    doc["polynomials"] = [p.to_json() for p in sorted(polys, key=lambda p: (p.degree, p.coeffs))]
     print(json.dumps(doc))
     return 0
 

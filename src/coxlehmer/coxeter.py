@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from functools import cached_property, lru_cache
+from math import factorial
 from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
@@ -190,12 +191,9 @@ def build_system(label: str, rank: int | None = None, m: int | None = None) -> C
             g = list(ident)
             g[i], g[i + 1] = g[i + 1], g[i]
             gens.append(tuple(g))
-        order = 1
-        for k in range(2, n + 1):
-            order *= k
         mat = _chain_matrix(rank, {(i, i + 1): 3 for i in range(rank - 1)})
         return CoxeterSystem("A", rank, mat, range(1, rank + 1), ident, gens,
-                             _compose, order,
+                             _compose, factorial(n),
                              render=_render_perm)
     if label == "B":
         if rank is None or rank < 2:
@@ -207,14 +205,11 @@ def build_system(label: str, rank: int | None = None, m: int | None = None) -> C
             g = list(ident)
             g[i - 1], g[i] = g[i], g[i - 1]
             gens.append(tuple(g))
-        order = 2 ** n
-        for k in range(2, n + 1):
-            order *= k
         bonds = {(0, 1): 4}
         bonds.update({(i, i + 1): 3 for i in range(1, n - 1)})
         mat = _chain_matrix(rank, bonds)
         return CoxeterSystem("B", rank, mat, range(1, rank + 1), ident, gens,
-                             _compose, order,
+                             _compose, 2 ** n * factorial(n),
                              render=_render_signed)
     if label == "D":
         if rank is None or rank < 4:
@@ -228,14 +223,11 @@ def build_system(label: str, rank: int | None = None, m: int | None = None) -> C
             g = list(ident)
             g[i - 1], g[i] = g[i], g[i - 1]
             gens.append(tuple(g))
-        order = 2 ** (n - 1)
-        for k in range(2, n + 1):
-            order *= k
         bonds = {(0, 2): 3, (1, 2): 3}
         bonds.update({(i, i + 1): 3 for i in range(2, n - 1)})
         mat = _chain_matrix(rank, bonds)
         return CoxeterSystem("D", rank, mat, range(0, rank), ident, gens,
-                             _compose, order,
+                             _compose, 2 ** (n - 1) * factorial(n),
                              render=_render_signed)
     if label == "H3":
         if rank not in (None, 3):

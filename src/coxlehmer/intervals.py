@@ -13,7 +13,6 @@ minimal in their coordinate orbit (unimodal).
 
 from __future__ import annotations
 
-import itertools
 from functools import lru_cache
 from math import prod
 
@@ -118,40 +117,40 @@ def interval_poincare_all(w: int, code: LehmerCode) -> dict[str, IntPolynomial]:
 
 
 # ---------------------------------------------------------------------------
-# code meets and boxes
+# code meets
 
 
 def code_meet(u: int, v: int, code: LehmerCode) -> int:
     return code.element(meet(code.of(u), code.of(v)))
 
 
-def code_interval_size(w: int, code: LehmerCode) -> int:
-    return prod(x + 1 for x in code.of(w))
-
-
 # ---------------------------------------------------------------------------
 # principal and unimodal elements
 
 
-def is_principal(w: int, code: LehmerCode) -> bool:
-    """Whether the interval below w is exactly the box below its code."""
-    return code.poset.downset(w).bit_count() == code_interval_size(w, code)
+def is_principal(poset: BruhatPoset, w: int, vec: tuple[int, ...]) -> bool:
+    """Whether the interval below w has as many elements as the box below
+    the code vector `vec`, which for a code image inside that box means the
+    interval is the whole box."""
+    return poset.downset(w).bit_count() == prod(x + 1 for x in vec)
 
 
 def principal_set(code: LehmerCode) -> list[int]:
-    return [w for w in range(code.poset.size) if is_principal(w, code)]
-
-
-def code_orbit(w: int, code: LehmerCode,
-               principal_vectors: frozenset) -> set[tuple[int, ...]]:
-    """Principal code vectors that are coordinate permutations of L(w)."""
-    return set(itertools.permutations(code.of(w))) & principal_vectors
+    poset = code.poset
+    return [w for w in range(poset.size) if is_principal(poset, w, code.of(w))]
 
 
 def unimodal_set(code: LehmerCode) -> list[int]:
+    """Principal elements whose code is lexicographically least in its
+    coordinate orbit among principal codes.  That orbit is exactly the
+    principal codes with the same multiset of entries, so the least code
+    per sorted entry tuple is kept."""
     pr = principal_set(code)
-    pr_vecs = frozenset(code.of(u) for u in pr)
-    return [w for w in pr if code.of(w) == min(code_orbit(w, code, pr_vecs))]
+    least: dict[tuple[int, ...], tuple[int, ...]] = {}
+    for vec in sorted(code.of(w) for w in pr):
+        least.setdefault(tuple(sorted(vec)), vec)
+    keep = set(least.values())
+    return [w for w in pr if code.of(w) in keep]
 
 
 # ---------------------------------------------------------------------------

@@ -17,11 +17,10 @@ class Report:
     witnesses: list[str] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
 
-    def check(self, ok: bool, witness: str | Callable[[], str] = "",
-              instances: int = 1) -> bool:
-        """One verdict covering `instances` checks, one failure if not ok.
-        A callable witness is called only on a failure that is recorded."""
-        self.instances += instances
+    def check(self, ok: bool, witness: str | Callable[[], str] = "") -> bool:
+        """One check, one failure if not ok.  A callable witness is called
+        only on a failure that is recorded."""
+        self.instances += 1
         if not ok:
             self.failures += 1
             self.passed = False

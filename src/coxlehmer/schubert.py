@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from math import comb, prod
+from math import comb
 
 from . import intervals
 from .codes import inversion_code, shared_standard_code
@@ -34,21 +34,16 @@ def identity_perm(n):
     return tuple(range(1, n + 1))
 
 
-def _standardize(vals):
-    order = sorted(vals)
-    return tuple(order.index(v) + 1 for v in vals)
+def _argsort(seq) -> list[int]:
+    return sorted(range(len(seq)), key=seq.__getitem__)
 
 
 def avoids(w, pattern) -> bool:
-    """Whether no subsequence of w is order-isomorphic to the pattern."""
-    k = len(pattern)
-    if k > len(w):
-        return True
-    pattern = tuple(pattern)
-    for idx in itertools.combinations(range(len(w)), k):
-        if _standardize([w[i] for i in idx]) == pattern:
-            return False
-    return True
+    """Whether no subsequence of w is order-isomorphic to the pattern: no
+    k values of w, taken in w's order, sort by the pattern's argsort."""
+    order = _argsort(pattern)
+    return not any(_argsort(sub) == order
+                   for sub in itertools.combinations(w, len(pattern)))
 
 
 def is_smooth(w) -> bool:
@@ -249,11 +244,6 @@ def _interval_poly(poset, perm) -> IntPolynomial:
     return IntPolynomial(poset.interval_poincare_coeffs(poset.index[perm]))
 
 
-def _principal_in(poset, perm, code_vec) -> bool:
-    size = prod(x + 1 for x in code_vec)
-    return poset.downset(poset.index[perm]).bit_count() == size
-
-
 def verify_catalan_equivalence(n: int) -> Report:
     """Principal = lazy-Fubini code = 312-avoiding, element by element."""
     if not 2 <= n <= CATALAN_MAX_N:
@@ -263,7 +253,7 @@ def verify_catalan_equivalence(n: int) -> Report:
     count = 0
     for perm in itertools.permutations(range(1, n + 1)):
         code = inversion_code(perm)
-        principal = _principal_in(poset, perm, code)
+        principal = intervals.is_principal(poset, poset.index[perm], code)
         lazy = is_lazy_fubini_word(code)
         av312 = avoids(perm, (3, 1, 2))
         rep.check(principal == lazy == av312,

@@ -288,7 +288,9 @@ def box_shelling_steps(dims: tuple[int, ...]):
     the step shells iff l(G(x)) = x.  So every linear extension of every
     order ideal of the box shells iff each point passes, with the ideal's
     rank counts for h-vector iff |G(x)| = |x| at each point (Bjorner &
-    Wachs, Trans. AMS 348 (1996))."""
+    Wachs, Trans. AMS 348 (1996)).  Passing both pins G(x) to the closed
+    form, the top x_i vertices of each class i: l(G(x)) = x needs each of
+    them in G(x), and |G(x)| = |x| leaves room for nothing else."""
     table = _BoxTable(dims)  # not box_table's: freed after the walk
     _walk(table, table.full)
     size = {j: k for k, m in table.by_size.items() for j in _bits(m)}

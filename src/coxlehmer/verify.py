@@ -80,10 +80,13 @@ def suite_shellings(seed: int = 2024, max_rank: int | None = None, **_) -> Repor
     complex, with the ideal's rank counts for h-vector, and the f/h
     transform agrees.  The step at a point x minimal outside an ideal does
     not depend on the ideal (`box_shelling_steps`), so one check per point
-    certifies both: l(G(x)) = x and |G(x)| = |x|.  That runs on each
-    distinct box of the standard codes, whose lower intervals are order
-    ideals of it, and on the boxes of the f/h ideals, stopping at a box's
-    first failing point; the seed draws only the random ideals."""
+    certifies both: l(G(x)) = x and |G(x)| = |x|.  The two facts pin G(x)
+    to its closed form, the top x_i vertices of each class i: l(G(x)) = x
+    puts those in G(x), and |G(x)| = |x| leaves room for nothing else.
+    That runs on each distinct box of the standard codes, whose lower
+    intervals are order ideals of it, and on the boxes of the f/h ideals,
+    stopping at a box's first failing point; the seed draws only the
+    random ideals."""
     rep = Report("shellings")
     boxes = _code_boxes(max_rank) | {(2, 3), (2, 2, 2), (3, 3, 4)}
     points = 0

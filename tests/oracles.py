@@ -6,6 +6,7 @@ version of something the library does another way.
 
 import itertools
 from contextlib import contextmanager
+from math import prod
 
 from coxlehmer import simplicial
 from coxlehmer.codes import CodeBuildError, _make_code
@@ -446,6 +447,30 @@ def palindromic_intervals_unfiltered(poset) -> set:
         if cs == cs[::-1]:
             out.add(IntPolynomial(cs))
     return out
+
+
+def unimodal_set_by_orbits(code) -> list[int]:
+    """Principal elements whose code is the least of its coordinate orbit's
+    principal codes, the orbit built from all n! permutations of L(w)."""
+    poset = code.poset
+    pr = [w for w in range(poset.size)
+          if poset.downset(w).bit_count() == prod(x + 1 for x in code.of(w))]
+    pr_vecs = frozenset(code.of(u) for u in pr)
+    return [w for w in pr
+            if code.of(w) == min(set(itertools.permutations(code.of(w))) & pr_vecs)]
+
+
+def avoids_by_standardizing(w, pattern) -> bool:
+    """Pattern avoidance by standardizing the values at every index subset."""
+    k = len(pattern)
+    if k > len(w):
+        return True
+    for idx in itertools.combinations(range(len(w)), k):
+        vals = [w[i] for i in idx]
+        order = sorted(vals)
+        if tuple(order.index(v) + 1 for v in vals) == tuple(pattern):
+            return False
+    return True
 
 
 # The element kernels H3 and I2(m) had before they permuted their roots:

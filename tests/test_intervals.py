@@ -4,7 +4,7 @@ import re
 import pytest
 
 from coxlehmer import intervals, simplicial, verify
-from coxlehmer.codes import shared_standard_code
+from coxlehmer.codes import dual_code, shared_standard_code
 from coxlehmer.coxeter import _bits, shared_poset
 from coxlehmer.intervals import (
     InvalidCodeImage,
@@ -38,6 +38,7 @@ from oracles import (
     pushed,
     rank_lex,
     step_rule,
+    unimodal_set_by_orbits,
     upper_covers,
     vertex_decomposable_by_search,
 )
@@ -265,8 +266,8 @@ def test_code_order_refines_bruhat(a3, la3):
 
 
 def test_principal_basics(a3, la3):
-    assert is_principal(0, la3)
-    assert is_principal(a3.w0, la3)
+    assert is_principal(a3, 0, la3.of(0))
+    assert is_principal(a3, a3.w0, la3.of(a3.w0))
     assert len(principal_set(la3)) == 14  # Catalan number C_4
 
 
@@ -364,6 +365,18 @@ def test_unimodal_polys_inside_pal(a3, la3):
     pr_polys = interval_polynomials(a3, principal_set(la3))
     assert uni_polys == pr_polys
     assert uni_polys <= pal
+
+
+UNIMODAL_CODES = ([(label, rank, m, False) for label, rank, m in verify.CODE_SYSTEMS]
+                  + [("B", 3, None, True), ("B", 4, None, True), ("D", 6, None, False)])
+
+
+@pytest.mark.parametrize("label, rank, m, variant", UNIMODAL_CODES)
+def test_unimodal_set_matches_the_orbit_oracle(label, rank, m, variant):
+    # the least principal code per entry multiset is the least of its orbit
+    code = shared_standard_code(label, rank, m, variant=variant)
+    for c in (code, dual_code(code)):
+        assert unimodal_set(c) == unimodal_set_by_orbits(c)
 
 
 def test_strict_inclusion_b3():

@@ -279,7 +279,7 @@ def _old_sample_linear_extensions(ideal, count, seed):
 
 
 @pytest.mark.parametrize("dims", [(2, 3), (2, 2, 2), (2, 2, 3), (3, 3)])
-def test_frontier_generators_match_rescanning_oracle(dims):
+def test_mask_generators_match_rescanning_oracle(dims):
     for j in all_order_ideals(ChainProduct(dims)):
         assert list(linear_extensions(j)) == list(_old_linear_extensions(j))
         assert count_linear_extensions(j) == _old_count_linear_extensions(j)
@@ -287,7 +287,7 @@ def test_frontier_generators_match_rescanning_oracle(dims):
                 == list(_old_sample_linear_extensions(j, 5, seed=7)))
 
 
-def test_frontier_generators_match_oracle_on_seeded_3x3x4_ideals():
+def test_mask_generators_match_oracle_on_seeded_3x3x4_ideals():
     for k, j in enumerate(random_order_ideals(ChainProduct((3, 3, 4)), 20, seed=11)):
         total = count_linear_extensions(j)
         assert total == _old_count_linear_extensions(j)

@@ -11,11 +11,11 @@ def test_a_callable_witness_is_called_only_for_a_recorded_failure():
     assert rep.check(True, witness(0))
     assert calls == [] and rep.passed
     for k in range(1, MAX_WITNESSES + 3):
-        assert not rep.check(False, witness(k), instances=2)
+        assert not rep.check(False, witness(k))
     # past the cap a failure still counts, but its witness is never built
     assert calls == list(range(1, MAX_WITNESSES + 1))
     assert rep.witnesses == [f"case {k}" for k in range(1, MAX_WITNESSES + 1)]
-    assert (rep.instances, rep.failures, rep.passed) == (1 + 2 * (MAX_WITNESSES + 2),
+    assert (rep.instances, rep.failures, rep.passed) == (1 + MAX_WITNESSES + 2,
                                                          MAX_WITNESSES + 2, False)
 
 

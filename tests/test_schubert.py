@@ -33,6 +33,7 @@ from coxlehmer.schubert import (
     verify_tail_partitions,
     verify_unimodal_equivalence,
 )
+from oracles import avoids_by_standardizing
 
 
 def test_avoids_basics():
@@ -51,6 +52,15 @@ def test_avoids_by_brute_subsequences():
         hit = any(w[i] > max(w[j], w[k]) and w[j] < w[k]
                   for i, j, k in itertools.combinations(range(5), 3))
         assert avoids(w, pat) == (not hit)
+
+
+@pytest.mark.parametrize("pattern", [(1, 2), (2, 1), (3, 1, 2), (3, 4, 1, 2), (4, 2, 3, 1),
+                                     (2, 5, 3, 1, 4)])
+def test_avoids_matches_the_standardizing_oracle(pattern):
+    # S_0 .. S_7, so every pattern also meets permutations shorter than it
+    for n in range(8):
+        for w in itertools.permutations(range(1, n + 1)):
+            assert avoids(w, pattern) == avoids_by_standardizing(w, pattern)
 
 
 def test_smooth_counts():
