@@ -1,28 +1,31 @@
 """Lower Bruhat intervals through a Lehmer code.
 
 A valid code turns the interval below w into an order ideal of the product
-of chains, a bitmask over the box built through the code's `box_index` and
-checked once for closure.  This module computes the interval's rank
-generating function three independent ways (direct summation, the h-vector
-of the attached complex's rank-then-lex shelling read off the box table's
-memo of shelling steps, inclusion-exclusion over the ideal's maxima with
-its terms grouped by the meets of their code vectors), and classifies
-elements whose intervals are full boxes (principal) or lexicographically
-minimal in their coordinate orbit (unimodal).
+of chains, a bitmask over the box written by one scatter of the downset
+through the code's `box_index` and checked once for closure.  This module
+computes the interval's rank generating function three independent ways
+(direct summation, the h-vector of the attached complex's rank-then-lex
+shelling read off the box table's memo of shelling steps, inclusion-
+exclusion over the ideal's maxima with its terms grouped by the meets of
+their code vectors), and classifies elements whose intervals are full boxes
+(principal) or lexicographically minimal in their coordinate orbit
+(unimodal).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import compress
 from math import prod
 
 from .codes import LehmerCode
-from .coxeter import BruhatPoset, _bits
-from .multicomplex import ChainProduct, OrderIdeal, meet
+from .coxeter import BruhatPoset
+from .multicomplex import ChainProduct, OrderIdeal, box_table, meet
 from .qpoly import IntPolynomial, q_analog_product
 from .simplicial import SimplicialComplex, build_box_complex, complex_of_ideal, shelling_h_polynomial
 
 ROUTES = ("direct", "complex", "maxima")
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")  # a binary string's digits as 0/1 bytes
 
 
 class InvalidCodeImage(RuntimeError):
@@ -34,15 +37,18 @@ class InvalidCodeImage(RuntimeError):
 
 
 def interval_ideal(w: int, code: LehmerCode) -> OrderIdeal:
-    """The code image of {v : v <= w}, as a mask over the box through the
-    code's `box_index`, checked once to be an ideal of the box."""
+    """The code image of {v : v <= w}: the downset's bits select box
+    positions through the code's `box_index` (`compress`), each set to "1"
+    in a string of "0"s read in base 2 and checked once to be an ideal of
+    the box, which a "1" in the slot past it (an off-box vector) fails."""
     poset = code.poset
     amb = ChainProduct(tuple(b + 1 for b in code.bounds))
-    position, mask = code.box_index, 0
-    for v in _bits(poset.downset(w)):
-        mask |= 1 << position[v]
+    members = bin(poset.downset(w))[:1:-1].encode().translate(_BIT_BYTES)
+    buf = bytearray(b"0") * (len(box_table(amb.dims).points) + 1)
+    for j in compress(code.box_index, members):
+        buf[j] = 49  # ord("1")
     try:
-        return OrderIdeal.from_mask(amb, mask)
+        return OrderIdeal.from_mask(amb, int(buf[::-1], 2))
     except ValueError:
         raise InvalidCodeImage(
             f"{code.name}: image of the interval below {poset.render(w)} "
@@ -64,6 +70,7 @@ def interval_complex(w: int, code: LehmerCode) -> SimplicialComplex:
 
 @lru_cache(maxsize=None)
 def _box_poly(dims: tuple[int, ...]) -> IntPolynomial:
+    """prod [d]_q over `dims`, the box's f-polynomial, once per sorted dims."""
     return q_analog_product(dims)
 
 
@@ -75,15 +82,20 @@ def _maxima_polynomial(ideal: OrderIdeal) -> IntPolynomial:
     c [box below m]; adding the box below x subtracts its intersection with
     that union, the same sum over the meets of m and x.  The work is k
     times the number of distinct meets, at most k |ideal| for k maxima.
-    The boxes' q-analog products are added into one coefficient list."""
+    Box products, symmetric in m, are read per sorted m into one list."""
     table: dict[tuple[int, ...], int] = {}
+    get = table.get
     for x in ideal.maxima():
         for m, c in list(table.items()):
             y = meet(m, x)
-            table[y] = table.get(y, 0) - c
-        table[x] = table.get(x, 0) + 1
-    coeffs = [0] * (sum(ideal.ambient.dims) - len(ideal.ambient.dims) + 1)
+            table[y] = get(y, 0) - c
+        table[x] = get(x, 0) + 1
+    shapes: dict[tuple[int, ...], int] = {}
     for m, c in table.items():
+        key = tuple(sorted(m))
+        shapes[key] = shapes.get(key, 0) + c
+    coeffs = [0] * (sum(ideal.ambient.dims) - len(ideal.ambient.dims) + 1)
+    for m, c in shapes.items():
         if c:
             for r, a in enumerate(_box_poly(tuple(v + 1 for v in m)).coeffs):
                 coeffs[r] += c * a

@@ -8,6 +8,8 @@ Poincare polynomials of intervals, f- and h-polynomials.
 
 from __future__ import annotations
 
+from itertools import accumulate
+from operator import sub
 from typing import Iterable
 
 
@@ -107,10 +109,6 @@ class IntPolynomial:
         return f"IntPolynomial({self.text()!r})"
 
 
-ZERO = IntPolynomial()
-ONE = IntPolynomial([1])
-
-
 def q_analog(n: int) -> IntPolynomial:
     """The q-analog of n, the sum 1 + q + ... + q^(n-1).
 
@@ -119,14 +117,19 @@ def q_analog(n: int) -> IntPolynomial:
     >>> q_analog(4).coeffs
     (1, 1, 1, 1)
     """
-    if n < 1:
-        raise ValueError(f"q-analog is defined for n >= 1, got {n}")
-    return IntPolynomial([1] * n)
+    return q_analog_product((n,))
 
 
 def q_analog_product(ns: Iterable[int]) -> IntPolynomial:
-    p = ONE
+    """prod [n]_q over ns (ONE if empty).  Times [n]_q, coefficient i is
+    c_(i-n+1) + ... + c_i, a running sum of c_i - c_(i-n): O(degree)."""
+    coeffs = [1]
     for n in ns:
-        p = p * q_analog(n)
-    return p
+        if n < 1:
+            raise ValueError(f"q-analog is defined for n >= 1, got {n}")
+        coeffs = list(accumulate(map(sub, coeffs + [0] * (n - 1), [0] * n + coeffs)))
+    return IntPolynomial(coeffs)
 
+
+ZERO = IntPolynomial()
+ONE = q_analog(1)

@@ -11,7 +11,9 @@ from math import prod
 from coxlehmer import simplicial
 from coxlehmer.codes import CodeBuildError, _make_code
 from coxlehmer.coxeter import CoxeterSystem, SizeLimitError, _bits, build_system
+from coxlehmer.intervals import InvalidCodeImage
 from coxlehmer.multicomplex import (
+    ChainProduct,
     OrderIdeal,
     _BoxTable,
     box_table,
@@ -19,7 +21,7 @@ from coxlehmer.multicomplex import (
     lower_covers,
     meet,
 )
-from coxlehmer.qpoly import IntPolynomial, q_analog_product
+from coxlehmer.qpoly import IntPolynomial
 from coxlehmer.simplicial import (
     SimplicialComplex,
     _classes,
@@ -377,6 +379,32 @@ def complex_from_sets(facets, universe=None) -> SimplicialComplex:
     return SimplicialComplex([sum(1 << index[v] for v in f) for f in facet_sets], universe)
 
 
+def interval_ideal_by_walk(w: int, code) -> OrderIdeal:
+    """`intervals.interval_ideal` by walking the downset bit by bit and
+    OR-ing in each element's box position, quadratic in the mask's size."""
+    poset = code.poset
+    amb = ChainProduct(tuple(b + 1 for b in code.bounds))
+    position, mask = code.box_index, 0
+    for v in _bits(poset.downset(w)):
+        mask |= 1 << position[v]
+    try:
+        return OrderIdeal.from_mask(amb, mask)
+    except ValueError:
+        raise InvalidCodeImage(f"{code.name}: image of the interval below "
+                               f"{poset.render(w)} is not an order ideal") from None
+
+
+def q_analog_product_by_multiplying(ns) -> IntPolynomial:
+    """`qpoly.q_analog_product` as repeated IntPolynomial products with
+    [n]_q = 1 + q + ... + q^(n-1), one polynomial per factor."""
+    p = IntPolynomial([1])
+    for n in ns:
+        if n < 1:
+            raise ValueError(f"q-analog is defined for n >= 1, got {n}")
+        p = p * IntPolynomial([1] * n)
+    return p
+
+
 def maxima_by_subsets(ideal) -> IntPolynomial:
     """Inclusion-exclusion over every nonempty subset of the ideal's maxima,
     2^k - 1 terms, each the signed box below the subset's meet.  The signs
@@ -395,7 +423,7 @@ def maxima_by_subsets(ideal) -> IntPolynomial:
     rec(0, None, 0)
     total = IntPolynomial()
     for m, c in signs.items():
-        total = total + c * q_analog_product(x + 1 for x in m)
+        total = total + c * q_analog_product_by_multiplying(x + 1 for x in m)
     return total
 
 
@@ -589,14 +617,15 @@ def is_flag_ideal_by_scan(ideal) -> bool:
 
 def maxima_polynomial_by_sums(ideal) -> IntPolynomial:
     """`intervals._maxima_polynomial` over `maxima_by_covers`, the boxes'
-    q-analog products summed as IntPolynomials."""
+    q-analog products multiplied out and summed as IntPolynomials."""
     table = {}
     for x in maxima_by_covers(ideal):
         for m, c in list(table.items()):
             y = meet(m, x)
             table[y] = table.get(y, 0) - c
         table[x] = table.get(x, 0) + 1
-    return sum((c * q_analog_product(v + 1 for v in m) for m, c in table.items() if c),
+    return sum((c * q_analog_product_by_multiplying(v + 1 for v in m)
+                for m, c in table.items() if c),
                IntPolynomial())
 
 

@@ -28,6 +28,7 @@ from oracles import (
     ShellingState,
     code_leq,
     facet_rule,
+    interval_ideal_by_walk,
     is_order_ideal,
     maxima_by_covers,
     maxima_by_subsets,
@@ -115,6 +116,42 @@ def test_interval_ideal_matches_the_oracle(label, rank):
         assert set(interval_ideal(w, code)) == pts
 
 
+def _matches_the_walk(w, code):
+    """Whether the scatter's ideal is the walk's, mask for mask, or both
+    raise InvalidCodeImage; returns whether the image was an ideal."""
+    try:
+        want = interval_ideal_by_walk(w, code)
+    except InvalidCodeImage:
+        with pytest.raises(InvalidCodeImage):
+            interval_ideal(w, code)
+        return False
+    got = interval_ideal(w, code)
+    assert (got.ambient.dims, got.mask) == (want.ambient.dims, want.mask), code.poset.render(w)
+    return True
+
+
+@pytest.mark.parametrize("label,rank,m", verify.CODE_SYSTEMS)
+def test_interval_ideal_matches_the_walk_on_every_element(label, rank, m):
+    code = shared_standard_code(label, rank, m)
+    for c in (code, dual_code(code)):
+        assert all([_matches_the_walk(w, c) for w in range(c.poset.size)])
+
+
+def test_interval_ideal_in_a_box_larger_than_the_group(a3, la3):
+    # LA3's vectors in the box (2,3,5), with w0 sent to the corner (1,2,4):
+    # box position 29, past a buffer sized by |W| = 24, and without (1,2,3)
+    # below it, so [e, w0] alone is not an ideal
+    from coxlehmer.codes import LehmerCode
+
+    vectors = list(la3.vectors)
+    vectors[a3.w0] = (1, 2, 4)
+    big = LehmerCode("big", a3, (1, 2, 4), vectors, {v: w for w, v in enumerate(vectors)})
+    assert big.box_index[a3.w0] == 29
+    ok = [_matches_the_walk(w, big) for w in range(a3.size)]
+    assert ok.count(False) == 1 and not ok[a3.w0]
+    assert interval_ideal(0, big).ambient.dims == (2, 3, 5)
+
+
 def test_every_equal_length_swap_is_caught(a3, la3):
     # swapping the vectors of two elements of equal length keeps every rank
     # count, so only the closure check can see it; in LA3 each of the 41
@@ -133,6 +170,7 @@ def test_every_equal_length_swap_is_caught(a3, la3):
         caught = 0
         for w in range(a3.size):
             pts = {bad.of(x) for x in _bits(a3.downset(w))}
+            assert _matches_the_walk(w, bad) == is_order_ideal(amb, pts)
             if is_order_ideal(amb, pts):
                 assert set(interval_ideal(w, bad)) == pts
             else:
@@ -212,6 +250,18 @@ def test_maxima_table_matches_the_subset_oracle(label, rank, m):
     for w in range(code.poset.size):
         ideal = interval_ideal(w, code)
         assert _maxima_polynomial(ideal) == maxima_by_subsets(ideal), code.poset.render(w)
+
+
+SWEEP_SYSTEMS = [("A", 5, None), ("B", 4, None), ("D", 4, None), ("H3", None, None)]
+
+
+@pytest.mark.parametrize("label,rank,m", SWEEP_SYSTEMS)
+def test_maxima_route_matches_direct_on_the_sweep_systems(label, rank, m):
+    # the 720 + 384 + 192 + 120 = 1,416 elements the routes benchmark sweeps
+    code = shared_standard_code(label, rank, m)
+    for w in range(code.poset.size):
+        assert (interval_poincare(w, code, "maxima")
+                == interval_poincare(w, code, "direct")), code.poset.render(w)
 
 
 def test_maxima_route_past_twenty_maxima_matches_direct():
@@ -562,4 +612,6 @@ def test_interval_ideal_refuses_a_code_vector_off_the_box(a3, la3):
     assert bad.box_index[s2] == 24
     with pytest.raises(InvalidCodeImage):
         interval_ideal(s2, bad)
+    ok = [_matches_the_walk(w, bad) for w in range(a3.size)]
+    assert not ok[s2] and ok[a3.index[(2, 1, 3, 4)]]
     assert set(interval_ideal(a3.index[(2, 1, 3, 4)], bad)) == {(0, 0, 0), (1, 0, 0)}

@@ -8,13 +8,13 @@ from math import prod
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from coxlehmer.coxeter import _bits  # noqa: E402
 from coxlehmer.intervals import _maxima_polynomial  # noqa: E402
 from coxlehmer.multicomplex import ChainProduct, box_table, ideal_from_points  # noqa: E402
-from coxlehmer.qpoly import IntPolynomial  # noqa: E402
+from coxlehmer.qpoly import ONE, IntPolynomial, q_analog_product  # noqa: E402
 from coxlehmer.simplicial import (  # noqa: E402
     complex_of_ideal,
     shelling_h_polynomial,
@@ -25,6 +25,7 @@ from oracles import (  # noqa: E402
     facet_vertices,
     is_linear_extension,
     order_from_extension,
+    q_analog_product_by_multiplying,
     shelling_lattice,
 )
 from test_fuzz import brute_shelling_ok  # noqa: E402
@@ -104,3 +105,25 @@ def test_shelling_h_polynomial_is_the_rank_count(case):
 def test_maxima_table_is_the_rank_count(case):
     ideal, _ = case
     assert _maxima_polynomial(ideal) == ideal.f_polynomial()
+
+
+def _product_or_error(product, ns):
+    try:
+        return product(ns)
+    except ValueError as err:
+        return str(err)
+
+
+@PROPERTY_SETTINGS
+@given(st.lists(st.integers(min_value=-3, max_value=9), max_size=6))
+@example([])
+@example([0])
+@example([4, -1, 2])
+def test_running_sums_match_repeated_products(ns):
+    # the same polynomial, or the same ValueError at the first n < 1
+    got = _product_or_error(q_analog_product, ns)
+    assert got == _product_or_error(q_analog_product_by_multiplying, ns)
+    if not ns:
+        assert got == ONE
+    if any(n < 1 for n in ns):
+        assert got == f"q-analog is defined for n >= 1, got {next(n for n in ns if n < 1)}"
