@@ -41,8 +41,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="coxlehmer",
         description="Lehmer codes, Bruhat intervals and their complexes "
                     "for finite Coxeter groups of types A, B, D, H3, I2(m).",
-        epilog=f"Groups with more than {ENUMERATION_LIMIT} elements are refused "
-               f"with exit status 2.")
+        epilog=f"Groups whose Bruhat downsets and elements would take more than "
+               f"{ENUMERATION_LIMIT:,} bytes (|W|^2/16 plus 8 per one-line entry) are "
+               f"refused with exit status 2.")
     sub = p.add_subparsers(dest="command", required=True)
 
     def add_system(sp, with_element=True):
@@ -143,11 +144,11 @@ def _parse_perm(poset: BruhatPoset, text: str) -> int:
 
 
 def _parse_element(poset: BruhatPoset, args) -> int | None:
-    if getattr(args, "word", None) is not None and getattr(args, "perm", None) is not None:
+    if args.word is not None and args.perm is not None:
         raise CLIError("give --word or --perm, not both")
-    if getattr(args, "word", None) is not None:
+    if args.word is not None:
         return _parse_word(poset, args.word)
-    if getattr(args, "perm", None) is not None:
+    if args.perm is not None:
         return _parse_perm(poset, args.perm)
     return None
 
@@ -180,8 +181,8 @@ def cmd_hpoly(args) -> int:
     w = _parse_element(poset, args)
     if w is None:
         raise CLIError("hpoly needs an element: --word or --perm")
-    polys = (intervals.interval_poincare_all(w, code) if args.route == "all"
-             else {args.route: intervals.interval_poincare(w, code, args.route)})
+    routes = intervals.ROUTES if args.route == "all" else (args.route,)
+    polys = {r: intervals.interval_poincare(w, code, r) for r in routes}
     agree = len({p for p in polys.values()}) == 1
     if args.json:
         print(json.dumps({"system": poset.system.describe(),

@@ -25,16 +25,19 @@ from typing import Callable, Iterable, Sequence
 
 from .qpoly import ONE, IntPolynomial
 
-# every enumerated group materializes its downset bitsets, |W|^2 / 16 bytes:
-# 33 MB for D6 (23,040 elements), but 6.5 GB for D7 and 8.2 GB for A8.  The
-# limit keeps A7, B6 and D6; it can rise again once point queries stop
-# materializing every downset.
-ENUMERATION_LIMIT = 10 ** 5
+# the bytes an enumerated group may store: its downset bitsets, |W|^2 / 16,
+# and its one-line elements, 8 bytes per entry.  That is 34 MB for D6
+# (23,040 elements) but 6.5 GB for D7 and 8.3 GB for A8, and 32.25 m^2 for
+# I2(m), whose elements have 2m entries.  The limit keeps A7, B6, D6 and
+# I2(m) up to m = 2,885; it can rise once point queries stop materializing
+# every downset.
+ENUMERATION_LIMIT = 2 ** 28
 
 
 class SizeLimitError(RuntimeError):
     """A size bound refuses the computation instead of running it unbounded:
-    a group above ENUMERATION_LIMIT."""
+    a group whose enumeration would store more than ENUMERATION_LIMIT
+    bytes."""
 
 
 # ---------------------------------------------------------------------------
@@ -128,6 +131,10 @@ class CoxeterSystem:
         self.order = order
         self.dihedral_m = dihedral_m
         self.render = render
+        need = order * order // 16 + 8 * order * len(identity)
+        if need > ENUMERATION_LIMIT:  # before the relations, quadratic in m for I2(m)
+            raise SizeLimitError(f"|{self.describe()}| = {order} needs {need:,} bytes, which "
+                                 f"exceeds the enumeration limit of {ENUMERATION_LIMIT:,} bytes")
         self._check_relations()
 
     def _check_relations(self):
@@ -294,9 +301,6 @@ class BruhatPoset:
     """
 
     def __init__(self, system: CoxeterSystem):
-        if system.order > ENUMERATION_LIMIT:
-            raise SizeLimitError(f"|{system.describe()}| = {system.order} exceeds "
-                                 f"the enumeration limit {ENUMERATION_LIMIT}")
         self.system = system
         actions = list(enumerate(_right_actions(system)))
 

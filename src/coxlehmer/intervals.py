@@ -119,15 +119,6 @@ def interval_poincare(w: int, code: LehmerCode, route: str = "direct") -> IntPol
     raise ValueError(f"unknown route {route!r}; valid: {', '.join(ROUTES)}")
 
 
-def interval_poincare_all(w: int, code: LehmerCode) -> dict[str, IntPolynomial]:
-    """`interval_poincare` on every route, keyed in ROUTES order, with the
-    interval ideal that the complex and maxima routes read built once."""
-    direct = interval_poincare(w, code, "direct")
-    ideal = interval_ideal(w, code)
-    return {"direct": direct, "complex": shelling_h_polynomial(ideal),
-            "maxima": _maxima_polynomial(ideal)}
-
-
 # ---------------------------------------------------------------------------
 # code meets
 

@@ -22,6 +22,7 @@ from math import comb, prod
 from typing import Iterable, Iterator
 
 from .coxeter import _bits
+from .qpoly import IntPolynomial
 
 
 @dataclass(frozen=True)
@@ -165,9 +166,7 @@ class OrderIdeal:
         a linear extension."""
         return self._table.rank_order(self.mask)
 
-    def f_polynomial(self):
-        from .qpoly import IntPolynomial
-
+    def f_polynomial(self) -> IntPolynomial:
         if not self.mask:
             raise ValueError("the empty ideal has no rank generating function")
         return IntPolynomial([(self.mask & level).bit_count() for level in self._table.levels])

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from math import comb
 
 from . import intervals
@@ -55,39 +54,25 @@ def smooth_permutations(n):
 
 
 # ---------------------------------------------------------------------------
-# the permutation poset and its chain statistics
+# the permutation poset's Hasse covers and their chain statistics
 
 
-@dataclass(frozen=True)
-class PermPoset:
-    """Poset on [n]: i below j when i < j but j comes first in w."""
-
-    n: int
-    relation: frozenset
-    hasse: tuple
-
-    def covers_up(self):
-        out = {i: [] for i in range(1, self.n + 1)}
-        for a, b in self.hasse:
-            out[a].append(b)
-        return out
-
-
-def permutation_poset(w) -> PermPoset:
+def hasse_covers(w) -> dict[int, list[int]]:
+    """Upper covers of the poset on [n] where i is below j when i < j but j
+    comes first in w: j covers i when no value i < z < j sits between
+    them in w."""
     n = len(w)
     pos = [0] * (n + 1)
     for i, v in enumerate(w):
         pos[v] = i
-    rel = frozenset((i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)
-                    if pos[j] < pos[i])
-    hasse = tuple((i, j) for (i, j) in sorted(rel)
-                  if not any((i, z) in rel and (z, j) in rel for z in range(i + 1, j)))
-    return PermPoset(n, rel, hasse)
+    return {i: [j for j in range(i + 1, n + 1) if pos[j] < pos[i]
+                and not any(pos[j] < pos[z] < pos[i] for z in range(i + 1, j))]
+            for i in range(1, n + 1)}
 
 
-def hasse_is_forest(poset: PermPoset) -> bool:
+def hasse_is_forest(covers: dict) -> bool:
     """Whether the underlying undirected Hasse graph is acyclic."""
-    parent = list(range(poset.n + 1))
+    parent = list(range(len(covers) + 1))
 
     def find(x):
         while parent[x] != x:
@@ -95,24 +80,26 @@ def hasse_is_forest(poset: PermPoset) -> bool:
             x = parent[x]
         return x
 
-    for a, b in poset.hasse:
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            return False
-        parent[ra] = rb
+    for a, ups in covers.items():
+        for b in ups:
+            ra, rb = find(a), find(b)
+            if ra == rb:
+                return False
+            parent[ra] = rb
     return True
 
 
-def chain_counts_from_covers(n: int, covers_up: dict) -> tuple[int, ...]:
-    """Counts of saturated chains by rank: entry r counts chains of r+1
-    elements walking cover edges; entry 0 is the number of elements."""
+def chain_counts(covers: dict) -> tuple[int, ...]:
+    """Counts of saturated chains by rank in the poset on 1..n with these
+    upper covers: entry r counts chains of r+1 elements walking cover
+    edges; entry 0 is the number of elements."""
     memo: dict = {}
 
     def paths_from(x):
         got = memo.get(x)
         if got is None:
             got = [1]
-            for y in covers_up.get(x, ()):
+            for y in covers[x]:
                 sub = paths_from(y)
                 while len(got) < len(sub) + 1:
                     got.append(0)
@@ -122,16 +109,12 @@ def chain_counts_from_covers(n: int, covers_up: dict) -> tuple[int, ...]:
         return got
 
     total: list[int] = []
-    for x in range(1, n + 1):
+    for x in covers:
         for r, c in enumerate(paths_from(x)):
             while len(total) < r + 1:
                 total.append(0)
             total[r] += c
     return tuple(total)
-
-
-def chain_counts(poset: PermPoset) -> tuple[int, ...]:
-    return chain_counts_from_covers(poset.n, poset.covers_up())
 
 
 def chain_partition(w) -> tuple[int, ...]:
@@ -141,7 +124,7 @@ def chain_partition(w) -> tuple[int, ...]:
         raise ValueError(f"{w} contains 3412 or 4231; the chain partition needs smoothness")
     if w == identity_perm(len(w)):
         return (0,)
-    rho = chain_counts(permutation_poset(w))
+    rho = chain_counts(hasse_covers(w))
     lam = tuple(rho[r] for r in range(len(rho) - 1, 0, -1))
     if any(a > b for a, b in zip(lam, lam[1:])):
         raise AssertionError(f"chain counts of {w} are not strictly decreasing: {rho}")
@@ -203,7 +186,7 @@ def unimodal_permutations(n) -> list[tuple[int, ...]]:
         tail = [values[i] for i in range(n - 1) if mask >> i & 1]
         head = [v for v in values if v not in tail]
         out.append(tuple(head + [n] + sorted(tail, reverse=True)))
-    return sorted(set(out))
+    return sorted(out)
 
 
 def unimodal_to_partition(u) -> tuple[int, ...]:
@@ -351,9 +334,7 @@ def verify_smooth_factorization(n: int) -> Report:
     exponents from the chain partition."""
     rep = Report(f"smooth interval factorization in S_{n}")
     poset = shared_poset("A", n - 1)
-    for perm in itertools.permutations(range(1, n + 1)):
-        if not is_smooth(perm):
-            continue
+    for perm in smooth_permutations(n):
         exps = smooth_exponents(perm)
         expected = (IntPolynomial([1]) if exps == (0,)
                     else q_analog_product(e + 1 for e in exps))
@@ -400,20 +381,18 @@ def verify_forest_chain_counts(n: int, seed: int = 2024) -> Report:
     """Strict decrease of chain counts: every smooth permutation's poset,
     plus seeded random rooted forests."""
     rep = Report("forest chain counts decrease strictly")
-    for perm in itertools.permutations(range(1, n + 1)):
-        if not is_smooth(perm):
+    for perm in smooth_permutations(n):
+        covers = hasse_covers(perm)
+        if not rep.check(hasse_is_forest(covers), f"{perm}: Hasse diagram is not a forest"):
             continue
-        P = permutation_poset(perm)
-        if not rep.check(hasse_is_forest(P), f"{perm}: Hasse diagram is not a forest"):
-            continue
-        rho = chain_counts(P)
+        rho = chain_counts(covers)
         rep.check(all(rho[i] > rho[i + 1] for i in range(len(rho) - 1)),
                   f"{perm}: counts {rho} not strictly decreasing")
     rng = random.Random(seed)
     for _ in range(FOREST_SAMPLES):
         size = rng.randint(2, 12)
         covers = random_forest_covers(size, rng)
-        rho = chain_counts_from_covers(size, covers)
+        rho = chain_counts(covers)
         rep.check(all(rho[i] > rho[i + 1] for i in range(len(rho) - 1)),
                   f"random rooted forest {covers}: counts {rho}")
     return rep

@@ -43,11 +43,10 @@ class SimplicialComplex:
     """
 
     def __init__(self, facets: Iterable[int], vertices: Sequence,
-                 labels: Sequence | None = None, dims: tuple[int, ...] | None = None):
+                 labels: Sequence | None = None):
         self.vertices = tuple(vertices)
         self.facets = tuple(facets)
         self.labels = tuple(labels) if labels is not None else None
-        self.dims = dims
         if not self.facets:
             raise ValueError("a simplicial complex needs at least one facet")
 
@@ -123,7 +122,7 @@ def complex_of_ideal(ideal: OrderIdeal) -> SimplicialComplex:
     pts = [table.points[j] for j in ideal.rank_order()]
     vertices = [(v, i) for i, d in enumerate(dims, start=1) for v in range(1, d + 1)]
     return SimplicialComplex(_facet_masks(dims, pts), vertices,
-                             labels=[tuple(x + 1 for x in p) for p in pts], dims=dims)
+                             labels=[tuple(x + 1 for x in p) for p in pts])
 
 
 # ---------------------------------------------------------------------------

@@ -394,11 +394,15 @@ def test_size_limit_is_exit_2(capsys):
     assert "enumeration limit" in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("label, rank", [("D", 7), ("A", 8)])
+@pytest.mark.parametrize("label, flag, size", [("D", "--rank", "7"), ("A", "--rank", "8"),
+                                               ("I2", "--m", "60000")],
+                         ids=["D-7", "A-8", "I2-60000"])
 def test_groups_above_the_limit_are_refused_before_enumeration(
-        capsys, monkeypatch, label, rank):
-    # their downsets alone would take 6.5 GB (D7) and 8.2 GB (A8); the BFS
-    # reaches every element through the per-generator actions
+        capsys, monkeypatch, label, flag, size):
+    # their downsets alone would take 6.5 GB (D7) and 8.2 GB (A8), and
+    # I2(60000)'s 120,000 elements of 120,000 entries each 116 GB; the BFS
+    # reaches every element through the per-generator actions, and the
+    # relation check composes s1 s2 m times, quadratic in m
     acted = []
 
     def guarded_actions(system):
@@ -408,9 +412,13 @@ def test_groups_above_the_limit_are_refused_before_enumeration(
 
         return [act] * system.rank
 
+    def guarded_relations(system):
+        acted.append(f"{system.describe()} relations")
+        raise AssertionError(f"{system.describe()}'s relations are being checked")
+
     monkeypatch.setattr(coxeter, "_right_actions", guarded_actions)
-    code, out, err = run(capsys, "code", "--type", label, "--rank", str(rank),
-                         "--word", "s1")
+    monkeypatch.setattr(coxeter.CoxeterSystem, "_check_relations", guarded_relations)
+    code, out, err = run(capsys, "code", "--type", label, flag, size, "--word", "s1")
     assert acted == []
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
@@ -518,22 +526,13 @@ def test_readme_json_schemas_match_output(capsys):
             assert sorted(json.loads(out)) == sorted(schemas[label]), argv
 
 
-def test_hpoly_route_all_builds_the_interval_ideal_once(capsys, monkeypatch):
+def test_hpoly_route_all_runs_every_route_in_order(capsys):
     from coxlehmer import intervals
 
-    calls = []
-    real = intervals.interval_ideal
-
-    def counted(w, code):
-        calls.append(w)
-        return real(w, code)
-
-    monkeypatch.setattr(intervals, "interval_ideal", counted)
     code, out, _ = run(capsys, "hpoly", *A3, "--perm", "3412", "--route", "all", "--json")
     assert code == 0
     doc = json.loads(out)
     assert list(doc["routes"]) == list(intervals.ROUTES) and doc["agree"] is True
-    assert len(calls) == 1
 
 
 # distinct palindromic interval polynomials; 2^n in type A_n

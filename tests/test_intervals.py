@@ -182,12 +182,13 @@ def test_every_equal_length_swap_is_caught(a3, la3):
 
 def test_group_complex_shapes(a3, h3):
     a2 = shared_poset("A", 2)
+    # the last label is the box's top point, one-based: the box itself
     sc = group_complex(a2)
-    assert sc.dims == (2, 3)
+    assert sc.labels[-1] == (2, 3)
     i25 = shared_poset("I2", m=5)
-    assert group_complex(i25).dims == (2, 5)
+    assert group_complex(i25).labels[-1] == (2, 5)
     sch = group_complex(h3)
-    assert sch.dims == (2, 6, 10)
+    assert sch.labels[-1] == (2, 6, 10)
     assert sch.facet_count == 120
 
 
@@ -441,7 +442,7 @@ def test_strict_inclusion_b3():
 def test_group_complexes_are_vertex_decomposable(h3):
     for poset in shared_poset("A", 4), h3:
         box = ChainProduct(tuple(e + 1 for e in poset.exponents()))
-        assert box.dims == group_complex(poset).dims
+        assert box.dims == group_complex(poset).labels[-1]
         assert is_vertex_decomposable(full_ideal(box))
         assert vertex_decomposable_by_search(group_complex(poset), max_facets=200)
 

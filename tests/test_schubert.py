@@ -13,6 +13,7 @@ from coxlehmer.schubert import (
     chain_partition,
     check_tail_partition,
     dual_partition,
+    hasse_covers,
     hasse_is_forest,
     identity_perm,
     is_fubini_word,
@@ -21,7 +22,6 @@ from coxlehmer.schubert import (
     is_unimodal_permutation,
     partition_to_unimodal,
     perm_length,
-    permutation_poset,
     smooth_exponents,
     smooth_permutations,
     unimodal_permutations,
@@ -72,37 +72,39 @@ def test_smooth_counts():
 
 
 def test_permutation_poset_identity():
-    P = permutation_poset((1, 2, 3, 4))
-    assert not P.relation
-    assert chain_counts(P) == (4,)
+    covers = hasse_covers((1, 2, 3, 4))
+    assert covers == {1: [], 2: [], 3: [], 4: []}
+    assert chain_counts(covers) == (4,)
 
 
 def test_permutation_poset_longest():
-    P = permutation_poset((3, 2, 1))
-    assert P.relation == {(1, 2), (1, 3), (2, 3)}
-    assert P.hasse == ((1, 2), (2, 3))
-    assert chain_counts(P) == (3, 2, 1)
+    covers = hasse_covers((3, 2, 1))
+    assert covers == {1: [2], 2: [3], 3: []}
+    assert chain_counts(covers) == (3, 2, 1)
 
 
 def test_chain_counts_against_brute_force():
     # oracle: count totally ordered subsets that are saturated, straight
-    # from the relation
+    # from the relation, which is read off w: i below j when i < j but j
+    # comes first in w
     for w in itertools.permutations(range(1, 6)):
-        P = permutation_poset(w)
-        rel = P.relation
+        n = len(w)
+        rel = {(i, j) for i in w for j in w if i < j and w.index(j) < w.index(i)}
 
         def is_cover(a, b):
             return (a, b) in rel and not any(
-                (a, z) in rel and (z, b) in rel for z in range(1, P.n + 1))
+                (a, z) in rel and (z, b) in rel for z in range(1, n + 1))
 
+        assert hasse_covers(w) == {a: [b for b in range(1, n + 1) if is_cover(a, b)]
+                                   for a in range(1, n + 1)}
         counts = {}
-        for size in range(1, P.n + 1):
-            for sub in itertools.combinations(range(1, P.n + 1), size):
+        for size in range(1, n + 1):
+            for sub in itertools.combinations(range(1, n + 1), size):
                 # order candidates bottom-up: more elements above means lower
                 chain = sorted(sub, key=lambda x: -sum((x, y) in rel for y in sub))
                 if all(is_cover(chain[i], chain[i + 1]) for i in range(len(chain) - 1)):
                     counts[size - 1] = counts.get(size - 1, 0) + 1
-        got = chain_counts(P)
+        got = chain_counts(hasse_covers(w))
         assert got == tuple(counts.get(r, 0) for r in range(len(got)))
 
 
@@ -280,16 +282,15 @@ def test_padded_dual_is_fubini():
 def test_forest_chain_counts():
     rep = verify_forest_chain_counts(5)
     assert rep.passed, rep.witnesses
-    assert hasse_is_forest(permutation_poset((2, 1, 4, 3)))
+    assert hasse_is_forest(hasse_covers((2, 1, 4, 3)))
+    assert not hasse_is_forest(hasse_covers((3, 4, 1, 2)))
 
 
 def test_mixed_orientation_star_breaks_monotonicity():
     # why random_forest_covers roots its components: a node with three
     # lower and three upper covers has more rank-2 chains than edges
-    from coxlehmer.schubert import chain_counts_from_covers
-
     covers = {1: [7], 2: [7], 3: [7], 7: [4, 5, 6], 4: [], 5: [], 6: []}
-    rho = chain_counts_from_covers(7, covers)
+    rho = chain_counts(covers)
     assert rho == (7, 6, 9)
     assert not all(rho[i] > rho[i + 1] for i in range(len(rho) - 1))
 
