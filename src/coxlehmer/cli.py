@@ -41,9 +41,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="coxlehmer",
         description="Lehmer codes, Bruhat intervals and their complexes "
                     "for finite Coxeter groups of types A, B, D, H3, I2(m).",
-        epilog=f"Groups whose Bruhat downsets and elements would take more than "
-               f"{ENUMERATION_LIMIT:,} bytes (|W|^2/16 plus 8 per one-line entry) are "
-               f"refused with exit status 2.")
+        epilog=f"Groups whose Bruhat downsets, elements and words would take more than "
+               f"{ENUMERATION_LIMIT:,} bytes (|W|^2/16, plus 8 per one-line entry and per "
+               f"BFS word letter) are refused with exit status 2.")
     sub = p.add_subparsers(dest="command", required=True)
 
     def add_system(sp, with_element=True):

@@ -17,6 +17,7 @@ u <= w in O(1).
 
 from __future__ import annotations
 
+import gc
 from bisect import bisect_left
 from functools import cached_property, lru_cache
 from math import factorial
@@ -26,11 +27,12 @@ from typing import Callable, Iterable, Sequence
 from .qpoly import ONE, IntPolynomial
 
 # the bytes an enumerated group may store: its downset bitsets, |W|^2 / 16,
-# and its one-line elements, 8 bytes per entry.  That is 34 MB for D6
-# (23,040 elements) but 6.5 GB for D7 and 8.3 GB for A8, and 32.25 m^2 for
-# I2(m), whose elements have 2m entries.  The limit keeps A7, B6, D6 and
-# I2(m) up to m = 2,885; it can rise once point queries stop materializing
-# every downset.
+# its one-line elements, 8 bytes per entry, and its BFS words, 8 bytes per
+# letter at N / 2 letters a word, N = l(w0) the number of reflections.  That
+# is 37 MB for D6 (23,040 elements) but 6.5 GB for D7 and 8.3 GB for A8, and
+# 40.25 m^2 for I2(m), whose elements have 2m entries and N = m.  The limit
+# keeps A7, B6, D6 and I2(m) up to m = 2,582; it can rise once point queries
+# stop materializing every downset.
 ENUMERATION_LIMIT = 2 ** 28
 
 
@@ -120,7 +122,7 @@ class CoxeterSystem:
     """A finite Coxeter system with concrete, exactly-represented elements."""
 
     def __init__(self, label, rank, matrix, gen_subscripts, identity, generators,
-                 compose, order, dihedral_m=None, render=None):
+                 compose, order, reflections, dihedral_m=None, render=None):
         self.label = label
         self.rank = rank
         self.coxeter_matrix = matrix
@@ -129,9 +131,10 @@ class CoxeterSystem:
         self.generators = tuple(generators)
         self.compose: Callable = compose
         self.order = order
+        self.reflections = reflections
         self.dihedral_m = dihedral_m
         self.render = render
-        need = order * order // 16 + 8 * order * len(identity)
+        need = order * order // 16 + 8 * order * len(identity) + 4 * order * reflections
         if need > ENUMERATION_LIMIT:  # before the relations, quadratic in m for I2(m)
             raise SizeLimitError(f"|{self.describe()}| = {order} needs {need:,} bytes, which "
                                  f"exceeds the enumeration limit of {ENUMERATION_LIMIT:,} bytes")
@@ -200,7 +203,7 @@ def build_system(label: str, rank: int | None = None, m: int | None = None) -> C
             gens.append(tuple(g))
         mat = _chain_matrix(rank, {(i, i + 1): 3 for i in range(rank - 1)})
         return CoxeterSystem("A", rank, mat, range(1, rank + 1), ident, gens,
-                             _compose, factorial(n),
+                             _compose, factorial(n), n * rank // 2,
                              render=_render_perm)
     if label == "B":
         if rank is None or rank < 2:
@@ -216,7 +219,7 @@ def build_system(label: str, rank: int | None = None, m: int | None = None) -> C
         bonds.update({(i, i + 1): 3 for i in range(1, n - 1)})
         mat = _chain_matrix(rank, bonds)
         return CoxeterSystem("B", rank, mat, range(1, rank + 1), ident, gens,
-                             _compose, 2 ** n * factorial(n),
+                             _compose, 2 ** n * factorial(n), n * n,
                              render=_render_signed)
     if label == "D":
         if rank is None or rank < 4:
@@ -234,7 +237,7 @@ def build_system(label: str, rank: int | None = None, m: int | None = None) -> C
         bonds.update({(i, i + 1): 3 for i in range(2, n - 1)})
         mat = _chain_matrix(rank, bonds)
         return CoxeterSystem("D", rank, mat, range(0, rank), ident, gens,
-                             _compose, 2 ** (n - 1) * factorial(n),
+                             _compose, 2 ** (n - 1) * factorial(n), n * (n - 1),
                              render=_render_signed)
     if label == "H3":
         if rank not in (None, 3):
@@ -242,7 +245,7 @@ def build_system(label: str, rank: int | None = None, m: int | None = None) -> C
         mat = _chain_matrix(3, {(0, 1): 3, (1, 2): 5})
         roots, gens = _root_permutations(mat)
         return CoxeterSystem("H3", 3, mat, range(1, 4), tuple(range(1, len(roots) + 1)),
-                             gens, _compose, 120)
+                             gens, _compose, 120, 15)
     if label == "I2":
         if m is None or m < 3:
             raise ValueError(f"type I2(m) requires m >= 3, got {m}")
@@ -252,7 +255,7 @@ def build_system(label: str, rank: int | None = None, m: int | None = None) -> C
         gens = [tuple((c - k) % (2 * m) + 1 for k in range(2 * m)) for c in (m, m - 2)]
         mat = _chain_matrix(2, {(0, 1): m})
         return CoxeterSystem("I2", 2, mat, range(1, 3), tuple(range(1, 2 * m + 1)), gens,
-                             _compose, 2 * m, dihedral_m=m)
+                             _compose, 2 * m, m, dihedral_m=m)
     raise ValueError(f"unknown type {label!r}; valid: A, B, D, H3, I2")
 
 
@@ -301,6 +304,16 @@ class BruhatPoset:
     """
 
     def __init__(self, system: CoxeterSystem):
+        # the build allocates many tuples and lists but no cycles: pause the gc
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            self._build(system)
+        finally:
+            if enabled:
+                gc.enable()
+
+    def _build(self, system: CoxeterSystem):
         self.system = system
         actions = list(enumerate(_right_actions(system)))
 

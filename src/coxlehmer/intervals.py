@@ -132,15 +132,22 @@ def code_meet(u: int, v: int, code: LehmerCode) -> int:
 
 
 def is_principal(poset: BruhatPoset, w: int, vec: tuple[int, ...]) -> bool:
-    """Whether the interval below w has as many elements as the box below
-    the code vector `vec`, which for a code image inside that box means the
-    interval is the whole box."""
-    return poset.downset(w).bit_count() == prod(x + 1 for x in vec)
+    """Whether [e, w] is the whole box below its code vector `vec`.
+
+    A valid code's inverse is order preserving, so the box below `vec` lies
+    inside the image of [e, w], and the two are equal exactly when [e, w]
+    has the box's volume.  A box's coatoms are its nonzero coordinates and
+    the code sends length to coordinate sum, so a principal w has as many
+    lower covers as `vec` has nonzero entries: only elements whose counts
+    agree pay the popcount of their downset.
+    """
+    return (len(poset.covers_down[w]) == len(vec) - vec.count(0)
+            and poset.downset(w).bit_count() == prod(x + 1 for x in vec))
 
 
 def principal_set(code: LehmerCode) -> list[int]:
     poset = code.poset
-    return [w for w in range(poset.size) if is_principal(poset, w, code.of(w))]
+    return [w for w, vec in enumerate(code.vectors) if is_principal(poset, w, vec)]
 
 
 def unimodal_set(code: LehmerCode) -> list[int]:
@@ -163,15 +170,15 @@ def unimodal_set(code: LehmerCode) -> list[int]:
 def palindromic_intervals(poset: BruhatPoset) -> set[IntPolynomial]:
     """Distinct palindromic rank generating functions of lower intervals.
 
-    Rank 1 of [e, w] holds the generators in w's support (subword property)
-    and rank l(w) - 1 its lower covers, so an element whose two counts
-    differ is skipped before its downset is read.  Below length 2 the two
-    counts agree, and every survivor still has all its coefficients checked.
+    Rank 1 of [e, w] holds its atoms, the generators in w's support, read off
+    the downset by an O(1) AND with the small mask of the length-1 indices;
+    rank l(w) - 1 holds w's lower covers.  An element whose two counts differ
+    is skipped, and every survivor has all its coefficients checked.
     """
     out = set()
-    word, covers_down = poset.word, poset.covers_down
+    atoms, covers_down = poset.by_length[1], poset.covers_down
     for w in range(poset.size):
-        if len(set(word[w])) != len(covers_down[w]):
+        if (poset.downset(w) & atoms).bit_count() != len(covers_down[w]):
             continue
         cs = poset.interval_poincare_coeffs(w)
         if cs == cs[::-1]:

@@ -477,12 +477,18 @@ def palindromic_intervals_unfiltered(poset) -> set:
     return out
 
 
+def principal_set_by_popcount(code) -> list[int]:
+    """Every element whose downset has its code box's volume: the principal
+    scan that popcounts every downset, without the lower-cover pre-filter."""
+    poset = code.poset
+    return [w for w in range(poset.size)
+            if poset.downset(w).bit_count() == prod(x + 1 for x in code.of(w))]
+
+
 def unimodal_set_by_orbits(code) -> list[int]:
     """Principal elements whose code is the least of its coordinate orbit's
     principal codes, the orbit built from all n! permutations of L(w)."""
-    poset = code.poset
-    pr = [w for w in range(poset.size)
-          if poset.downset(w).bit_count() == prod(x + 1 for x in code.of(w))]
+    pr = principal_set_by_popcount(code)
     pr_vecs = frozenset(code.of(u) for u in pr)
     return [w for w in pr
             if code.of(w) == min(set(itertools.permutations(code.of(w))) & pr_vecs)]
@@ -544,7 +550,7 @@ def matrix_h3_system() -> CoxeterSystem:
     mat = build_system("H3").coxeter_matrix
     ident = tuple((1, 0) if i == j else (0, 0) for i in range(3) for j in range(3))
     gens = [reflection_matrix(mat[i], i) for i in range(3)]
-    return CoxeterSystem("H3", 3, mat, range(1, 4), ident, gens, mat3_compose, 120)
+    return CoxeterSystem("H3", 3, mat, range(1, 4), ident, gens, mat3_compose, 120, 15)
 
 
 def affine_dihedral_system(m: int) -> CoxeterSystem:
@@ -557,7 +563,7 @@ def affine_dihedral_system(m: int) -> CoxeterSystem:
 
     mat = build_system("I2", m=m).coxeter_matrix
     return CoxeterSystem("I2", 2, mat, range(1, 3), (1, 0), [(-1, 0), (-1, 1)],
-                         compose, 2 * m, dihedral_m=m)
+                         compose, 2 * m, m, dihedral_m=m)
 
 
 # The tuple paths that order ideals and shelling states took before they

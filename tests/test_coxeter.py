@@ -8,6 +8,7 @@ from coxlehmer.coxeter import (
     _right_actions,
     _root_permutations,
     build_system,
+    shared_poset,
 )
 from coxlehmer.qpoly import q_analog, q_analog_product
 from oracles import (
@@ -279,7 +280,17 @@ def test_inverse_table(h3):
 
 def test_reflection_count_equals_longest_length(a3, b3, h3):
     for p in (a3, b3, h3):
-        assert len(reflections(p)) == p.length[p.w0]
+        assert len(reflections(p)) == p.length[p.w0] == p.system.reflections
+
+
+@pytest.mark.parametrize("label, rank, m", [
+    ("A", 1, None), ("A", 5, None), ("B", 2, None), ("B", 4, None), ("D", 4, None),
+    ("D", 5, None), ("H3", None, None), ("I2", None, 3), ("I2", None, 8)])
+def test_size_model_counts_the_bfs_word_letters(label, rank, m):
+    # the enumeration limit budgets |W| N / 2 word letters for N = l(w0)
+    poset = shared_poset(label, rank, m)
+    assert poset.system.reflections == poset.length[poset.w0]
+    assert 2 * sum(map(len, poset.word)) == poset.size * poset.system.reflections
 
 
 def test_render(a3, h3):

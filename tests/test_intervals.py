@@ -1,10 +1,12 @@
+import itertools
 import random
 import re
+from math import prod
 
 import pytest
 
 from coxlehmer import intervals, simplicial, verify
-from coxlehmer.codes import dual_code, shared_standard_code
+from coxlehmer.codes import dual_code, inversion_code, shared_standard_code
 from coxlehmer.coxeter import _bits, shared_poset
 from coxlehmer.intervals import (
     InvalidCodeImage,
@@ -35,6 +37,7 @@ from oracles import (
     maxima_polynomial_by_sums,
     one_facet_per_column,
     palindromic_intervals_unfiltered,
+    principal_set_by_popcount,
     push_all,
     pushed,
     rank_lex,
@@ -403,10 +406,13 @@ def test_palindromic_scan_matches_the_unfiltered_oracle(label, rank, m):
 def test_rank_one_and_corank_one_counts(label, rank, m):
     # the two counts the palindromic pre-filter compares: the atoms of
     # [e, w] are the generators in w's support, its coatoms w's lower covers
+    # the scan reads the first as the atoms in w's downset
     poset = shared_poset(label, rank, m)
+    atoms = sum(1 << poset.index[g] for g in poset.system.generators)
+    assert atoms == poset.by_length[1]
     for w in range(1, poset.size):
         cs = poset.interval_poincare_coeffs(w)
-        assert cs[1] == len(set(poset.word[w]))
+        assert cs[1] == len(set(poset.word[w])) == (poset.downset(w) & atoms).bit_count()
         assert cs[poset.length[w] - 1] == len(poset.covers_down[w])
 
 
@@ -428,6 +434,49 @@ def test_unimodal_set_matches_the_orbit_oracle(label, rank, m, variant):
     code = shared_standard_code(label, rank, m, variant=variant)
     for c in (code, dual_code(code)):
         assert unimodal_set(c) == unimodal_set_by_orbits(c)
+
+
+@pytest.mark.parametrize("label, rank, m, variant", UNIMODAL_CODES)
+def test_principal_set_matches_the_popcount_oracle(label, rank, m, variant):
+    code = shared_standard_code(label, rank, m, variant=variant)
+    for c in (code, dual_code(code)):
+        assert principal_set(c) == principal_set_by_popcount(c)
+
+
+def _box_coatoms_and_atoms(poset, w, vec):
+    # a principal w's lower covers and atoms against vec's nonzero entries
+    atoms = sum(1 << poset.index[g] for g in poset.system.generators)
+    return (len(poset.covers_down[w]), (poset.downset(w) & atoms).bit_count(),
+            len(vec) - vec.count(0))
+
+
+@pytest.mark.parametrize("label, rank, m, variant", UNIMODAL_CODES)
+def test_principal_elements_have_a_coatom_and_an_atom_per_nonzero_entry(label, rank, m, variant):
+    # the implication the principal pre-filter rests on: [e, w] is the box
+    # below L(w), whose coatoms and atoms are its nonzero coordinates
+    code = shared_standard_code(label, rank, m, variant=variant)
+    for c in (code, dual_code(code)):
+        principal = principal_set_by_popcount(c)
+        assert principal
+        for w in principal:
+            coatoms, atoms, nonzero = _box_coatoms_and_atoms(c.poset, w, c.of(w))
+            assert coatoms == atoms == nonzero
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_catalan_principal_elements_have_a_coatom_and_an_atom_per_nonzero_entry(n):
+    # the catalan suite calls is_principal with the inversion code of S_n
+    poset = shared_poset("A", n - 1)
+    principal = 0
+    for perm in itertools.permutations(range(1, n + 1)):
+        w, vec = poset.index[perm], inversion_code(perm)
+        by_popcount = poset.downset(w).bit_count() == prod(x + 1 for x in vec)
+        assert is_principal(poset, w, vec) == by_popcount
+        if by_popcount:
+            principal += 1
+            coatoms, atoms, nonzero = _box_coatoms_and_atoms(poset, w, vec)
+            assert coatoms == atoms == nonzero
+    assert principal == [2, 5, 14, 42, 132, 429][n - 2]  # Catalan numbers C_2..C_7
 
 
 def test_strict_inclusion_b3():
