@@ -23,7 +23,7 @@ from .intervals import (
     principal_set,
     unimodal_set,
 )
-from .multicomplex import ChainProduct, OrderIdeal, ideal_from_points, is_m_sequence
+from .multicomplex import OrderIdeal, box_table, ideal_from_points, is_m_sequence
 from .qpoly import IntPolynomial, q_analog
 from .simplicial import SimplicialComplex, build_box_complex, complex_of_ideal
 

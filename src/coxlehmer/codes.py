@@ -14,10 +14,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import product
 from math import prod
 
 from .coxeter import BruhatPoset, shared_poset, system_key
-from .multicomplex import ChainProduct, box_table, lower_covers
+from .multicomplex import box_table, lower_covers
 from .report import Report
 
 # the exhaustive dihedral search tries 2^(m-1) level choices
@@ -371,7 +372,7 @@ def verify_code(code: LehmerCode) -> Report:
 
     if rep.passed:
         lookup = {v: w for w, v in enumerate(code.vectors)}
-        for y in ChainProduct(tuple(b + 1 for b in code.bounds)).points():
+        for y in product(*(range(b + 1) for b in code.bounds)):
             wy = lookup[y]
             for x in lower_covers(y):
                 rep.check(poset.leq(lookup[x], wy),

@@ -20,7 +20,7 @@ from math import prod
 
 from .codes import LehmerCode
 from .coxeter import BruhatPoset
-from .multicomplex import ChainProduct, OrderIdeal, box_table, meet
+from .multicomplex import OrderIdeal, box_table, meet
 from .qpoly import IntPolynomial, q_analog_product
 from .simplicial import SimplicialComplex, build_box_complex, complex_of_ideal, shelling_h_polynomial
 
@@ -42,13 +42,13 @@ def interval_ideal(w: int, code: LehmerCode) -> OrderIdeal:
     in a string of "0"s read in base 2 and checked once to be an ideal of
     the box, which a "1" in the slot past it (an off-box vector) fails."""
     poset = code.poset
-    amb = ChainProduct(tuple(b + 1 for b in code.bounds))
+    box = box_table(tuple(b + 1 for b in code.bounds))
     members = bin(poset.downset(w))[:1:-1].encode().translate(_BIT_BYTES)
-    buf = bytearray(b"0") * (len(box_table(amb.dims).points) + 1)
+    buf = bytearray(b"0") * (len(box.points) + 1)
     for j in compress(code.box_index, members):
         buf[j] = 49  # ord("1")
     try:
-        return OrderIdeal.from_mask(amb, int(buf[::-1], 2))
+        return OrderIdeal(box, int(buf[::-1], 2))
     except ValueError:
         raise InvalidCodeImage(
             f"{code.name}: image of the interval below {poset.render(w)} "
@@ -94,7 +94,7 @@ def _maxima_polynomial(ideal: OrderIdeal) -> IntPolynomial:
     for m, c in table.items():
         key = tuple(sorted(m))
         shapes[key] = shapes.get(key, 0) + c
-    coeffs = [0] * (sum(ideal.ambient.dims) - len(ideal.ambient.dims) + 1)
+    coeffs = [0] * (sum(ideal.box.dims) - len(ideal.box.dims) + 1)
     for m, c in shapes.items():
         if c:
             for r, a in enumerate(_box_poly(tuple(v + 1 for v in m)).coeffs):

@@ -2,42 +2,28 @@
 
 Points are stored zero-based, so the rank of a point is the plain sum of its
 entries; the one-based view used by the facet construction shifts at that
-boundary only.  One `box_table` per box numbers its points in lex
-(mixed-radix) order, so an `OrderIdeal` is a bitmask over the box: its
-closure check and its maxima are one shifted AND per coordinate class, and
-rank-then-lex order reads the box's rank masks; the table also keeps the
-memo of shelling steps.  Includes the Macaulay growth test for f-vectors of
-multicomplexes, the enumeration of a box's ideals, and exhaustive, counted
-or seeded-random linear extensions, which walk the mask of what is left of
-an ideal and read its minimal points off it by one shifted AND per class.
+boundary only.  A box, the product of chains of sizes `dims`, is one
+`box_table(dims)`, shared per dims, which numbers its points in lex
+(mixed-radix) order.  An `OrderIdeal` is that table and a bitmask over it:
+the table's `covered` shift, one per coordinate class, gives its closure
+check, its maxima and the closure of a point set, and rank-then-lex order
+reads the box's rank masks; the table also keeps the memo of shelling
+steps.  Includes the Macaulay growth test for f-vectors of multicomplexes,
+the enumeration of a box's ideals, and exhaustive, counted or seeded-random
+linear extensions, which walk the mask of what is left of an ideal and read
+its minimal points off it by one shifted AND per class.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, prod
 from typing import Iterable, Iterator
 
 from .coxeter import _bits
 from .qpoly import IntPolynomial
-
-
-@dataclass(frozen=True)
-class ChainProduct:
-    """Ambient box: the product of chains of sizes dims[i] (points 0..d_i-1)."""
-
-    dims: tuple[int, ...]
-
-    def __post_init__(self):
-        if not self.dims or any(d < 1 for d in self.dims):
-            raise ValueError(f"chain sizes must be >= 1, got {self.dims}")
-
-    def points(self) -> Iterator[tuple[int, ...]]:
-        """Every point, in lexicographic order."""
-        return itertools.product(*map(range, self.dims))
 
 
 def lower_covers(point):
@@ -52,8 +38,9 @@ def meet(x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...]:
 
 
 class _BoxTable:
-    """The shared table of the box `dims`, which numbers its points in lex
-    (mixed-radix) order so that a set of points is a bitmask.
+    """The table of the box `dims`, the product of chains of sizes dims[i]
+    (points 0..d_i - 1), which numbers its points in lex (mixed-radix)
+    order so that a set of points is a bitmask.
 
     Bit j is `points[j]`, and `index` inverts that.  A step down in
     coordinate i moves `strides[i]` bits, `nonzero[i]` marks the points whose
@@ -64,6 +51,8 @@ class _BoxTable:
     |G(x)| = k.  Nothing here holds a mask per point (|box|^2 bits)."""
 
     def __init__(self, dims: tuple[int, ...]):
+        if not dims or any(d < 1 for d in dims):
+            raise ValueError(f"chain sizes must be >= 1, got {dims}")
         self.dims = dims
         self.points = list(itertools.product(*map(range, dims)))
         self.index = {p: j for j, p in enumerate(self.points)}
@@ -100,6 +89,14 @@ class _BoxTable:
             covering |= mask << s & z
         return mask & ~covering
 
+    def covered(self, mask: int) -> int:
+        """The points some point of `mask` covers, OR_i (mask & nonzero_i)
+        >> stride_i: the dual of `minimal`."""
+        out = 0
+        for z, s in zip(self.nonzero, self.strides):
+            out |= (mask & z) >> s
+        return out
+
     def rank_order(self, mask: int) -> list[int]:
         """The mask's bit positions in rank-then-lex order of their points."""
         return [j for level in self.levels for j in _bits(mask & level)]
@@ -109,84 +106,67 @@ box_table = lru_cache(maxsize=None)(_BoxTable)  # one shared table per box dims
 
 
 class OrderIdeal:
-    """A downward-closed set of points in a ChainProduct, held as `mask`, a
-    bitmask over its box table's points; iterating gives the points."""
+    """A downward-closed set of points of a box, held as `mask`, a bitmask
+    over the box table `box`'s points; iterating gives the points."""
 
-    __slots__ = ("ambient", "mask", "_table")
+    __slots__ = ("box", "mask")
 
-    def __init__(self, ambient: ChainProduct, points: Iterable[tuple[int, ...]]):
-        table = box_table(ambient.dims)
-        self._adopt(ambient, table, table.mask_of(points))
-
-    @classmethod
-    def from_mask(cls, ambient: ChainProduct, mask: int) -> "OrderIdeal":
-        self = cls.__new__(cls)
-        self._adopt(ambient, box_table(ambient.dims), mask)
-        return self
-
-    def _adopt(self, ambient, table, mask: int) -> None:
-        """Keep `mask` once it lies in the box and holds the lower covers
-        of its points: per class, (mask & nonzero_i) >> stride_i."""
-        if mask & ~table.full:
-            raise ValueError(f"mask has points outside ambient {ambient.dims}")
-        if any((mask & z) >> s & ~mask for z, s in zip(table.nonzero, table.strides)):
+    def __init__(self, box: _BoxTable, mask: int):
+        if mask & ~box.full:
+            raise ValueError(f"mask has points outside ambient {box.dims}")
+        if box.covered(mask) & ~mask:
             raise ValueError("point set is not downward closed")
-        self.ambient, self.mask, self._table = ambient, mask, table
+        self.box, self.mask = box, mask
 
     def __contains__(self, point) -> bool:
-        j = self._table.index.get(tuple(point))
+        j = self.box.index.get(tuple(point))
         return j is not None and bool(self.mask >> j & 1)
 
     def __len__(self) -> int:
         return self.mask.bit_count()
 
     def __iter__(self):
-        pts = self._table.points
+        pts = self.box.points
         return (pts[j] for j in _bits(self.mask))
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, OrderIdeal) and self.ambient == other.ambient
+        return (isinstance(other, OrderIdeal) and self.box.dims == other.box.dims
                 and self.mask == other.mask)
 
     def __hash__(self):
-        return hash((self.ambient, self.mask))
+        return hash((self.box.dims, self.mask))
 
     def maxima(self) -> set[tuple[int, ...]]:
-        """The points with no upper cover in the ideal: the mask minus every
-        point that some point of it covers, OR_i (mask & nonzero_i) >> stride_i."""
-        mask, table = self.mask, self._table
-        covered = 0
-        for z, s in zip(table.nonzero, table.strides):
-            covered |= (mask & z) >> s
-        pts = table.points
-        return {pts[j] for j in _bits(mask & ~covered)}
+        """The points with no upper cover in the ideal: the mask minus
+        every point that some point of it covers."""
+        mask, pts = self.mask, self.box.points
+        return {pts[j] for j in _bits(mask & ~self.box.covered(mask))}
 
     def rank_order(self) -> list[int]:
         """The mask's bit positions in rank-then-lex order of their points,
         a linear extension."""
-        return self._table.rank_order(self.mask)
+        return self.box.rank_order(self.mask)
 
     def f_polynomial(self) -> IntPolynomial:
         if not self.mask:
             raise ValueError("the empty ideal has no rank generating function")
-        return IntPolynomial([(self.mask & level).bit_count() for level in self._table.levels])
+        return IntPolynomial([(self.mask & level).bit_count() for level in self.box.levels])
 
     def to_json(self) -> list[list[int]]:
         return [list(p) for p in self]
 
 
-def ideal_from_points(ambient: ChainProduct, points: Iterable[tuple[int, ...]]) -> OrderIdeal:
-    """Downward closure of the given points, closed one class at a time."""
-    table = box_table(ambient.dims)
-    mask = table.mask_of(points)  # ValueError outside the box
-    for d, z, s in zip(ambient.dims, table.nonzero, table.strides):
-        for _ in range(d - 1):
-            mask |= (mask & z) >> s
-    return OrderIdeal.from_mask(ambient, mask)
+def ideal_from_points(box: _BoxTable, points: Iterable[tuple[int, ...]]) -> OrderIdeal:
+    """Downward closure of the given points: `covered` ORed in until the
+    mask stops growing."""
+    mask = box.mask_of(points)  # ValueError outside the box
+    while (grown := mask | box.covered(mask)) != mask:
+        mask = grown
+    return OrderIdeal(box, mask)
 
 
-def full_ideal(ambient: ChainProduct) -> OrderIdeal:
-    return OrderIdeal.from_mask(ambient, box_table(ambient.dims).full)
+def full_ideal(box: _BoxTable) -> OrderIdeal:
+    return OrderIdeal(box, box.full)
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +211,7 @@ def is_m_sequence(coeffs: Iterable[int]) -> bool:
 def linear_extensions(ideal: OrderIdeal) -> Iterator[tuple[tuple[int, ...], ...]]:
     """Exhaustively generate every linear extension, in lexicographic order:
     each step takes a minimal point of what is left, in ascending bit order."""
-    table, acc = ideal._table, []
+    table, acc = ideal.box, []
 
     def rec(left):
         if not left:
@@ -247,7 +227,7 @@ def linear_extensions(ideal: OrderIdeal) -> Iterator[tuple[tuple[int, ...], ...]
 
 def count_linear_extensions(ideal: OrderIdeal) -> int:
     """Number of linear extensions, memoised on the mask of what is left."""
-    table, memo = ideal._table, {0: 1}
+    table, memo = ideal.box, {0: 1}
 
     def count(left):
         hit = memo.get(left)
@@ -261,7 +241,7 @@ def count_linear_extensions(ideal: OrderIdeal) -> int:
 def sample_linear_extensions(ideal: OrderIdeal, count: int,
                              seed: int) -> Iterator[tuple[tuple[int, ...], ...]]:
     """Seeded random topological shuffles (uniform choice among minima)."""
-    rng, table = random.Random(seed), ideal._table
+    rng, table = random.Random(seed), ideal.box
     for _ in range(count):
         left, out = ideal.mask, []
         while left:
@@ -275,20 +255,19 @@ def sample_linear_extensions(ideal: OrderIdeal, count: int,
 # ideal enumeration
 
 
-def all_order_ideals(ambient: ChainProduct) -> Iterator[OrderIdeal]:
+def all_order_ideals(box: _BoxTable) -> Iterator[OrderIdeal]:
     """Every nonempty order ideal of the box: each point in rank-then-lex
     order is taken (first) or left, and taken only over its lower covers."""
-    table = box_table(ambient.dims)
-    box = table.rank_order(table.full)
-    below = [sum(1 << j - s for x, s in zip(p, table.strides) if x)
-             for j, p in enumerate(table.points)]
+    order = box.rank_order(box.full)
+    below = [sum(1 << j - s for x, s in zip(p, box.strides) if x)
+             for j, p in enumerate(box.points)]
 
     def rec(i, chosen):
-        if i == len(box):
+        if i == len(order):
             if chosen:
-                yield OrderIdeal.from_mask(ambient, chosen)
+                yield OrderIdeal(box, chosen)
             return
-        j = box[i]
+        j = order[i]
         if not below[j] & ~chosen:
             yield from rec(i + 1, chosen | 1 << j)
         yield from rec(i + 1, chosen)
@@ -296,13 +275,12 @@ def all_order_ideals(ambient: ChainProduct) -> Iterator[OrderIdeal]:
     yield from rec(0, 0)
 
 
-def random_order_ideals(ambient: ChainProduct, count: int, seed: int) -> list[OrderIdeal]:
+def random_order_ideals(box: _BoxTable, count: int, seed: int) -> list[OrderIdeal]:
     """Seeded random ideals: downward closures of a few random points."""
-    rng = random.Random(seed)
-    box = sorted(ambient.points())
+    rng, points = random.Random(seed), box.points
     out = []
     for _ in range(count):
         k = rng.randint(1, 4)
-        gens = [box[rng.randrange(len(box))] for _ in range(k)]
-        out.append(ideal_from_points(ambient, gens))
+        gens = [points[rng.randrange(len(points))] for _ in range(k)]
+        out.append(ideal_from_points(box, gens))
     return out

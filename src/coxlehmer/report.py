@@ -11,11 +11,14 @@ MAX_WITNESSES = 10
 @dataclass
 class Report:
     name: str
-    passed: bool = True
     instances: int = 0
     failures: int = 0
     witnesses: list[str] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
+
+    @property
+    def passed(self) -> bool:
+        return self.failures == 0
 
     def check(self, ok: bool, witness: str | Callable[[], str] = "") -> bool:
         """One check, one failure if not ok.  A callable witness is called
@@ -23,7 +26,6 @@ class Report:
         self.instances += 1
         if not ok:
             self.failures += 1
-            self.passed = False
             if witness and len(self.witnesses) < MAX_WITNESSES:
                 self.witnesses.append(witness() if callable(witness) else witness)
         return ok
@@ -34,7 +36,6 @@ class Report:
     def merge(self, other: "Report") -> None:
         self.instances += other.instances
         self.failures += other.failures
-        self.passed = self.passed and other.passed
         for w in other.witnesses:
             if len(self.witnesses) < MAX_WITNESSES:
                 self.witnesses.append(f"{other.name}: {w}")

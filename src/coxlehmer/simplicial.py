@@ -30,7 +30,7 @@ from math import prod
 from typing import Iterable, Sequence
 
 from .coxeter import _bits
-from .multicomplex import ChainProduct, OrderIdeal, _BoxTable, box_table, full_ideal
+from .multicomplex import OrderIdeal, _BoxTable, box_table, full_ideal
 from .qpoly import IntPolynomial
 
 
@@ -109,7 +109,7 @@ def _facet_masks(dims: tuple[int, ...], points) -> list[int]:
 
 def build_box_complex(dims: Sequence[int]) -> SimplicialComplex:
     """The pure complex with one facet per point of the full box."""
-    return complex_of_ideal(full_ideal(ChainProduct(tuple(dims))))
+    return complex_of_ideal(full_ideal(box_table(tuple(dims))))
 
 
 def complex_of_ideal(ideal: OrderIdeal) -> SimplicialComplex:
@@ -117,9 +117,8 @@ def complex_of_ideal(ideal: OrderIdeal) -> SimplicialComplex:
     labeled by the one-based points in rank-then-lex order."""
     if not len(ideal):
         raise ValueError("the empty ideal has no complex")
-    dims = ideal.ambient.dims
-    table = box_table(dims)
-    pts = [table.points[j] for j in ideal.rank_order()]
+    dims, points = ideal.box.dims, ideal.box.points
+    pts = [points[j] for j in ideal.rank_order()]
     vertices = [(v, i) for i, d in enumerate(dims, start=1) for v in range(1, d + 1)]
     return SimplicialComplex(_facet_masks(dims, pts), vertices,
                              labels=[tuple(x + 1 for x in p) for p in pts])
@@ -266,7 +265,7 @@ def shelling_h_polynomial(ideal: OrderIdeal) -> IntPolynomial:
     which is a linear extension of the ideal, read off the step memo of
     its box table: h_k counts the ideal's points with |G(x)| = k.  Raises
     ShellingFailure at the first point in that order with l(G(x)) != x."""
-    table, mask = box_table(ideal.ambient.dims), ideal.mask
+    table, mask = ideal.box, ideal.mask
     _walk(table, mask)
     if bad := mask & table.failing:
         j = table.rank_order(bad)[0]
@@ -386,7 +385,7 @@ def is_vertex_decomposable(ideal: OrderIdeal) -> bool:
     """Whether `join_certificate` passes at every point of a nonempty ideal."""
     if not ideal.mask:
         raise ValueError("the empty ideal has no complex")
-    return all(join_certificate(ideal.ambient.dims, list(ideal)))
+    return all(join_certificate(ideal.box.dims, list(ideal)))
 
 
 # ---------------------------------------------------------------------------
@@ -422,9 +421,8 @@ def is_flag(sc: SimplicialComplex) -> bool:
 def is_flag_ideal(ideal: OrderIdeal) -> bool:
     """Flagness of an ideal of a 0/1 box, read as a simplicial complex:
     every minimal point of the box outside it has rank at most two."""
-    dims = ideal.ambient.dims
-    if any(d != 2 for d in dims):
-        raise ValueError(f"flag ideals live in products of 2-chains, got {dims}")
-    table = box_table(dims)
+    table = ideal.box
+    if any(d != 2 for d in table.dims):
+        raise ValueError(f"flag ideals live in products of 2-chains, got {table.dims}")
     return not table.minimal(table.full & ~ideal.mask) & sum(table.levels[3:])
 

@@ -5,10 +5,13 @@ acceptance tests call them directly.
 
 from __future__ import annotations
 
+from itertools import combinations_with_replacement, product
+from math import prod
+
 from . import codes as codes_mod
 from . import intervals, schubert
 from .coxeter import shared_poset
-from .multicomplex import ChainProduct, all_order_ideals, is_m_sequence, random_order_ideals
+from .multicomplex import all_order_ideals, box_table, is_m_sequence, random_order_ideals
 from .qpoly import IntPolynomial, q_analog_product
 from .report import Report
 from .simplicial import (
@@ -28,6 +31,8 @@ H3_UNIMODAL_TRIPLES = frozenset({
     (0, 1, 4), (1, 1, 3), (1, 2, 2), (0, 1, 3), (1, 1, 2), (0, 1, 2), (1, 1, 1),
     (0, 1, 1), (0, 0, 1), (0, 0, 0),
 })
+
+H3_SYSTEMS = [("H3", None, None)]
 
 CODE_SYSTEMS = (
     [("A", n, None) for n in range(1, 6)]
@@ -97,8 +102,8 @@ def suite_shellings(seed: int = 2024, max_rank: int | None = None, **_) -> Repor
                              lambda: f"box {dims}: point {x} has " + (
                                  f"|G(x)| = {g}, not {sum(x)}" if least_is_x else "l(G(x)) < x")):
                 break
-    ideals = [*all_order_ideals(ChainProduct((2, 3))), *all_order_ideals(ChainProduct((2, 2, 2))),
-              *random_order_ideals(ChainProduct((3, 3, 4)), RANDOM_IDEAL_COUNT, seed)]
+    ideals = [*all_order_ideals(box_table((2, 3))), *all_order_ideals(box_table((2, 2, 2))),
+              *random_order_ideals(box_table((3, 3, 4)), RANDOM_IDEAL_COUNT, seed)]
     for ideal in ideals:
         sc = complex_of_ideal(ideal)
         rep.check(IntPolynomial(h_from_f(f_vector(sc), sc.dimension)) == ideal.f_polynomial(),
@@ -110,18 +115,10 @@ def suite_shellings(seed: int = 2024, max_rank: int | None = None, **_) -> Repor
 
 
 def _boxes_up_to(volume: int) -> list[tuple[int, ...]]:
-    out = []
-
-    def rec(prefix, minimum, vol):
-        if prefix:
-            out.append(tuple(prefix))
-        d = minimum
-        while vol * d <= volume:
-            rec(prefix + [d], d, vol * d)
-            d += 1
-
-    rec([], 2, 1)
-    return sorted(out)
+    """Every box with sides of at least 2, as sorted dims, up to `volume`."""
+    return sorted(b for k in range(1, volume.bit_length())
+                  for b in combinations_with_replacement(range(2, volume + 1), k)
+                  if prod(b) <= volume)
 
 
 def suite_vd(max_rank: int | None = None, **_) -> Report:
@@ -131,13 +128,13 @@ def suite_vd(max_rank: int | None = None, **_) -> Report:
     rep = Report("vertex decomposability")
     boxes = _boxes_up_to(VD_MAX_VOLUME)
     for dims in boxes:
-        for ideal in all_order_ideals(ChainProduct(dims)):
+        for ideal in all_order_ideals(box_table(dims)):
             rep.check(is_vertex_decomposable(ideal),
                       lambda: f"box {dims}: ideal {ideal.to_json()} not vertex decomposable")
     box_ideals, systems = rep.instances, _cap_rank(CODE_SYSTEMS, max_rank)
     code_boxes = sorted(_code_boxes(max_rank))
     for dims in code_boxes:
-        points = list(ChainProduct(dims).points())
+        points = list(product(*map(range, dims)))
         for x, ok in zip(points, join_certificate(dims, points)):
             rep.check(ok, lambda: f"box {dims}: point {x} fails the join lemma")
     rep.note(f"each facet is the join of one chain facet per class, and each chain's top vertex "
@@ -152,7 +149,7 @@ def suite_flag(**_) -> Report:
     """Flagness of the complex matches flagness of the ideal on 0/1 boxes."""
     rep = Report("flag equivalence")
     for dims in [(2, 2, 2), (2, 2, 2, 2)]:
-        for ideal in all_order_ideals(ChainProduct(dims)):
+        for ideal in all_order_ideals(box_table(dims)):
             rep.check(is_flag(complex_of_ideal(ideal)) == is_flag_ideal(ideal),
                       f"box {dims}: ideal {ideal.to_json()} breaks the equivalence")
     return rep
@@ -167,29 +164,30 @@ ROUTE_SYSTEMS = (
 
 def suite_routes(max_rank: int | None = None, **_) -> Report:
     """The three interval Poincare routes agree everywhere, including the
-    worked S4 example with its maxima and meets."""
+    worked S4 example with its maxima and meets when rank 3 is in reach."""
     rep = Report("route agreement")
     systems = _cap_rank(ROUTE_SYSTEMS, max_rank)
 
-    a3 = shared_poset("A", 3)
-    la3 = codes_mod.shared_standard_code("A", 3)
-    w = a3.index[(3, 4, 1, 2)]
-    expected = IntPolynomial([1, 3, 5, 4, 1])
-    for route in intervals.ROUTES:
-        _check_route(rep, w, la3, route, expected)
-    ideal = intervals.interval_ideal(w, la3)
-    maxima_elems = {a3.elements[la3.element(v)] for v in ideal.maxima()}
-    rep.check(maxima_elems == {(2, 4, 1, 3), (3, 2, 1, 4), (3, 4, 1, 2)},
-              f"3412 maxima are {sorted(maxima_elems)}")
-    u, v = a3.index[(2, 4, 1, 3)], a3.index[(3, 2, 1, 4)]
-    meets = {
-        a3.elements[intervals.code_meet(u, v, la3)],
-        a3.elements[intervals.code_meet(u, w, la3)],
-        a3.elements[intervals.code_meet(v, w, la3)],
-        a3.elements[intervals.code_meet(intervals.code_meet(u, v, la3), w, la3)],
-    }
-    rep.check(meets == {(2, 1, 3, 4), (1, 4, 2, 3), (3, 1, 2, 4), (1, 2, 3, 4)},
-              f"3412 meets are {sorted(meets)}")
+    if _cap_rank([("A", 3, None)], max_rank):  # the worked S4 example
+        a3 = shared_poset("A", 3)
+        la3 = codes_mod.shared_standard_code("A", 3)
+        w = a3.index[(3, 4, 1, 2)]
+        expected = IntPolynomial([1, 3, 5, 4, 1])
+        for route in intervals.ROUTES:
+            _check_route(rep, w, la3, route, expected)
+        ideal = intervals.interval_ideal(w, la3)
+        maxima_elems = {a3.elements[la3.element(v)] for v in ideal.maxima()}
+        rep.check(maxima_elems == {(2, 4, 1, 3), (3, 2, 1, 4), (3, 4, 1, 2)},
+                  f"3412 maxima are {sorted(maxima_elems)}")
+        u, v = a3.index[(2, 4, 1, 3)], a3.index[(3, 2, 1, 4)]
+        meets = {
+            a3.elements[intervals.code_meet(u, v, la3)],
+            a3.elements[intervals.code_meet(u, w, la3)],
+            a3.elements[intervals.code_meet(v, w, la3)],
+            a3.elements[intervals.code_meet(intervals.code_meet(u, v, la3), w, la3)],
+        }
+        rep.check(meets == {(2, 1, 3, 4), (1, 4, 2, 3), (3, 1, 2, 4), (1, 2, 3, 4)},
+                  f"3412 meets are {sorted(meets)}")
 
     for label, rank, m in systems:
         code = codes_mod.shared_standard_code(label, rank, m)
@@ -246,9 +244,11 @@ def suite_smooth(n: int = 6, max_rank: int | None = None, **_) -> Report:
     return rep
 
 
-def suite_h3_unimodal(**_) -> Report:
+def suite_h3_unimodal(max_rank: int | None = None, **_) -> Report:
     """The 17 unimodal code triples and the palindromic classification."""
     rep = Report("H3 unimodal classification")
+    if not _cap_rank(H3_SYSTEMS, max_rank):
+        return rep
     poset = shared_poset("H3")
     code = codes_mod.shared_standard_code("H3")
     uni = intervals.unimodal_set(code)
@@ -266,10 +266,10 @@ def suite_h3_unimodal(**_) -> Report:
     return rep
 
 
-def suite_d_factorization(**_) -> Report:
+def suite_d_factorization(max_rank: int | None = None, **_) -> Report:
     """Type D chain structure: quotient recursion and bijective factorization."""
     rep = Report("D factorization")
-    for n in (4, 5):
+    for _, n, _ in _cap_rank([("D", 4, None), ("D", 5, None)], max_rank):
         poset = shared_poset("D", n)
         rep.merge(codes_mod.verify_d_factorization(poset))
         code = codes_mod.shared_standard_code("D", n)  # build aborts on failure
@@ -281,31 +281,33 @@ def suite_d_factorization(**_) -> Report:
     return rep
 
 
-def suite_h3_quotients(**_) -> Report:
+def suite_h3_quotients(max_rank: int | None = None, **_) -> Report:
+    if not _cap_rank(H3_SYSTEMS, max_rank):
+        return Report("H3 quotients")
     return codes_mod.verify_h3_quotients(shared_poset("H3"))
 
 
-def suite_strict_inclusions(**_) -> Report:
-    """Palindromic counts against unimodal counts for both B codes and D."""
+# (type, rank, whether the type B variant code is used, whether |Pal| > |U|
+# or |Pal| = |U| is expected)
+STRICT_INCLUSIONS = (("B", 3, False, True), ("B", 3, True, False), ("B", 4, True, True),
+                     ("D", 4, False, False), ("D", 5, False, True))
+
+
+def suite_strict_inclusions(max_rank: int | None = None, **_) -> Report:
+    """Palindromic counts against unimodal counts for both B codes and D;
+    a check runs only if its system is within `max_rank`."""
     rep = Report("palindromic strict inclusions")
-
-    def pal_count(label, rank):
-        return len(intervals.palindromic_intervals(shared_poset(label, rank)))
-
-    def uni_count(label, rank, variant=False):
-        return len(intervals.unimodal_set(
+    pal: dict[tuple[str, int], int] = {}
+    for label, rank, variant, strict in STRICT_INCLUSIONS:
+        if not _cap_rank([(label, rank, None)], max_rank):
+            continue
+        if (label, rank) not in pal:
+            pal[label, rank] = len(intervals.palindromic_intervals(shared_poset(label, rank)))
+        got, uni = pal[label, rank], len(intervals.unimodal_set(
             codes_mod.shared_standard_code(label, rank, variant=variant)))
-
-    pal_b3 = pal_count("B", 3)
-    rep.check(pal_b3 > uni_count("B", 3), "expected |Pal(B3)| > |U(LB3)|")
-    rep.check(pal_b3 == uni_count("B", 3, variant=True),
-              "expected |Pal(B3)| = |U(LB3~)|")
-    rep.check(pal_count("B", 4) > uni_count("B", 4, variant=True),
-              "expected |Pal(B4)| > |U(LB4~)|")
-    rep.check(pal_count("D", 4) == uni_count("D", 4),
-              "expected |Pal(D4)| = |U(LD4)|")
-    rep.check(pal_count("D", 5) > uni_count("D", 5),
-              "expected |Pal(D5)| > |U(LD5)|")
+        rep.check(got > uni if strict else got == uni,
+                  f"expected |Pal({label}{rank})| {'>' if strict else '='} "
+                  f"|U(L{label}{rank}{'~' if variant else ''})|")
     return rep
 
 
@@ -313,10 +315,10 @@ MSEQUENCE_SYSTEMS = (("A", 4, None), ("B", 3, None), ("D", 4, None),
                      ("H3", None, None), ("I2", None, 8))
 
 
-def suite_msequence(**_) -> Report:
+def suite_msequence(max_rank: int | None = None, **_) -> Report:
     """Interval rank counts satisfy the Macaulay growth bound everywhere."""
     rep = Report("interval M-sequences")
-    for label, rank, m in MSEQUENCE_SYSTEMS:
+    for label, rank, m in _cap_rank(MSEQUENCE_SYSTEMS, max_rank):
         poset = shared_poset(label, rank, m)
         for w in range(poset.size):
             rep.check(is_m_sequence(poset.interval_poincare_coeffs(w)),
@@ -324,7 +326,7 @@ def suite_msequence(**_) -> Report:
     return rep
 
 
-def suite_exponents(**_) -> Report:
+def suite_exponents(max_rank: int | None = None, **_) -> Report:
     """The group Poincare polynomial factors over the exponents exactly."""
     rep = Report("exponent products")
     expected = {
@@ -335,7 +337,8 @@ def suite_exponents(**_) -> Report:
         ("H3", None, None): (1, 5, 9),
     }
     expected.update({("I2", None, m): (1, m - 1) for m in range(3, 11)})
-    for (label, rank, m), exps in expected.items():
+    for label, rank, m in _cap_rank(expected, max_rank):
+        exps = expected[label, rank, m]
         poset = shared_poset(label, rank, m)
         got = poset.exponents()
         rep.check(got == exps, f"{poset.system.describe()}: exponents {got} != {exps}")

@@ -13,7 +13,6 @@ from coxlehmer.codes import CodeBuildError, _make_code
 from coxlehmer.coxeter import CoxeterSystem, SizeLimitError, _bits, build_system
 from coxlehmer.intervals import InvalidCodeImage
 from coxlehmer.multicomplex import (
-    ChainProduct,
     OrderIdeal,
     _BoxTable,
     box_table,
@@ -78,10 +77,10 @@ def code_leq(u: int, v: int, code) -> bool:
     return all(a <= b for a, b in zip(code.of(u), code.of(v)))
 
 
-def is_order_ideal(ambient, points) -> bool:
+def is_order_ideal(box, points) -> bool:
     """Whether the points lie in the box and hold each other's lower covers."""
     pts = frozenset(tuple(p) for p in points)
-    dims = ambient.dims
+    dims = box.dims
     return (all(len(p) == len(dims) and all(0 <= x < d for x, d in zip(p, dims)) for p in pts)
             and all(q in pts for p in pts for q in lower_covers(p)))
 
@@ -182,8 +181,8 @@ def shelling_lattice(ideal) -> LatticeShellings:
     in rank-then-lex order, checks each edge once and stops at the first
     failure.  It carries to each sub-ideal the number of its extensions and
     the set of their h-vectors, packed one count per `width` bits."""
-    dims = ideal.ambient.dims
-    table, classes = box_table(dims), _classes(dims)
+    table = ideal.box
+    dims, classes = table.dims, _classes(table.dims)
     lex = ideal.rank_order()
     pts = [table.points[j] for j in lex]
     index = {j: i for i, j in enumerate(lex)}  # lex index -> position in pts
@@ -314,7 +313,7 @@ def vertex_decomposable_by_shedding(ideal, memo: dict | None = None) -> bool:
     {x - e_i : x_i >= 1} in the box d - e_i.  Share `memo` across calls."""
     if not ideal.mask:
         raise ValueError("the empty ideal has no complex")
-    return _shed(ideal.ambient.dims, ideal.mask, {} if memo is None else memo)
+    return _shed(ideal.box.dims, ideal.mask, {} if memo is None else memo)
 
 
 def _shed(dims: tuple[int, ...], mask: int, memo: dict) -> bool:
@@ -383,12 +382,12 @@ def interval_ideal_by_walk(w: int, code) -> OrderIdeal:
     """`intervals.interval_ideal` by walking the downset bit by bit and
     OR-ing in each element's box position, quadratic in the mask's size."""
     poset = code.poset
-    amb = ChainProduct(tuple(b + 1 for b in code.bounds))
+    box = box_table(tuple(b + 1 for b in code.bounds))
     position, mask = code.box_index, 0
     for v in _bits(poset.downset(w)):
         mask |= 1 << position[v]
     try:
-        return OrderIdeal.from_mask(amb, mask)
+        return OrderIdeal(box, mask)
     except ValueError:
         raise InvalidCodeImage(f"{code.name}: image of the interval below "
                                f"{poset.render(w)} is not an order ideal") from None
@@ -582,23 +581,23 @@ def upper_covers(point, dims):
 
 def maxima_by_covers(ideal) -> set:
     """The points of the ideal none of whose upper covers is in it."""
-    pts, dims = set(ideal), ideal.ambient.dims
+    pts, dims = set(ideal), ideal.box.dims
     return {p for p in pts if not any(q in pts for q in upper_covers(p, dims))}
 
 
-def all_order_ideals_by_sets(ambient):
+def all_order_ideals_by_sets(box):
     """Every nonempty order ideal of the box, as `all_order_ideals` gives
     them: each point in rank-then-lex order is taken (first) or left, and
     taken only if the chosen set holds its lower covers."""
-    box = sorted(ambient.points(), key=lambda p: (sum(p), p))
+    order = sorted(box.points, key=lambda p: (sum(p), p))
     chosen: set = set()
 
     def rec(i):
-        if i == len(box):
+        if i == len(order):
             if chosen:
-                yield OrderIdeal(ambient, chosen)
+                yield OrderIdeal(box, box.mask_of(chosen))
             return
-        p = box[i]
+        p = order[i]
         if all(q in chosen for q in lower_covers(p)):
             chosen.add(p)
             yield from rec(i + 1)
@@ -611,10 +610,10 @@ def all_order_ideals_by_sets(ambient):
 def is_flag_ideal_by_scan(ideal) -> bool:
     """`simplicial.is_flag_ideal` one box point at a time: no point outside
     the ideal with all its lower covers inside has rank above two."""
-    dims = ideal.ambient.dims
+    dims = ideal.box.dims
     if any(d != 2 for d in dims):
         raise ValueError(f"flag ideals live in products of 2-chains, got {dims}")
-    for p in ideal.ambient.points():
+    for p in ideal.box.points:
         if p not in ideal:
             if all(q in ideal for q in lower_covers(p)) and sum(p) > 2:
                 return False
@@ -666,7 +665,7 @@ class ShellingState:
     order ideal of a box complex: the complex route before its steps were
     kept per box, the reference its step memo is compared against.
 
-    `ShellingState(ideal)` reads strides from `box_table` and each pushed
+    `ShellingState(ideal)` reads strides from the ideal's box table and each pushed
     point's facet mask from `simplicial._facet_masks`.
     `push(point)` appends the facet of a zero-based point of the ideal and
     returns whether the order so far still shells, by
@@ -676,8 +675,8 @@ class ShellingState:
     flag per box point, the facets pushed by line and the h-vector counts."""
 
     def __init__(self, ideal):
-        dims = ideal.ambient.dims
-        self._table = box_table(dims)
+        self._table = ideal.box
+        dims = self._table.dims
         self._classes = _classes(dims)
         self._lines = {}
         self._mask = ideal.mask
@@ -714,9 +713,9 @@ class LookupShellingState:
     facets as a set of masks; facets from `simplicial._facet_masks`."""
 
     def __init__(self, ideal):
-        dims = ideal.ambient.dims
+        self._table = ideal.box
+        dims = self._table.dims
         self._omitted = _omitted_bits(dims)
-        self._table = box_table(dims)
         self._points = set(ideal)
         self._facets = set()
         self._h = [0] * (sum(dims) - len(dims) + 1)

@@ -366,6 +366,44 @@ def test_verify_vd_max_rank_keeps_the_boxes_and_caps_the_intervals(capsys):
                                     "interval of them")
 
 
+@pytest.mark.parametrize("suite, max_rank, checks", [
+    ("d-factorization", 3, 0), ("d-factorization", 4, 6),
+    ("h3-quotients", 2, 0), ("h3-quotients", 3, 11),
+    ("h3-unimodal", 2, 0), ("h3-unimodal", 3, 4),
+    # B3 has two checks, then B4 and D4 one each
+    ("strict-inclusions", 2, 0), ("strict-inclusions", 3, 2), ("strict-inclusions", 4, 4),
+    # one check per element: I2(8) has 16, B3 48 and H3 120
+    ("msequence", 2, 16), ("msequence", 3, 16 + 48 + 120),
+    # two per system: A1, A2, B2 and I2(3..10), then A3, B3 and H3
+    ("exponents", 2, 2 * 11), ("exponents", 3, 2 * 14),
+    # two per element of A1, A2 and I2(3..8); the worked S4 example's 5
+    # checks only from rank 3
+    ("routes", 2, 2 * (2 + 6 + 66)), ("routes", 3, 537),
+])
+def test_verify_max_rank_caps_the_fixed_system_suites(capsys, suite, max_rank, checks):
+    code, out, err = run(capsys, "verify", suite, "--max-rank", str(max_rank), "--json")
+    if checks:
+        assert code == 0 and json.loads(out)["instances"] == checks
+    else:
+        assert code == 2 and f"suite {suite} ran 0 checks, so it verified nothing" in err
+
+
+def test_verify_all_max_rank_builds_no_system_above_it(capsys, monkeypatch):
+    coxeter._shared_poset.cache_clear()
+    codes._shared_code.cache_clear()
+    ranks, build = [], coxeter.build_system
+
+    def recording(*args):
+        system = build(*args)
+        ranks.append(system.rank)
+        return system
+
+    monkeypatch.setattr(coxeter, "build_system", recording)
+    code, out, _ = run(capsys, "verify", "all", "--max-rank", "2", "--json")
+    assert code == 0 and json.loads(out)["pass"] is True
+    assert sorted(set(ranks)) == [1, 2]
+
+
 def test_hpoly_h3_top_element(capsys):
     from coxlehmer.coxeter import shared_poset
     from coxlehmer.qpoly import q_analog_product

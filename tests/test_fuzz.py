@@ -6,7 +6,7 @@ import random
 
 from coxlehmer.coxeter import _factor_into_q_analogs
 from coxlehmer.intervals import _maxima_polynomial
-from coxlehmer.multicomplex import ChainProduct, random_order_ideals
+from coxlehmer.multicomplex import box_table, random_order_ideals
 from coxlehmer.qpoly import IntPolynomial, q_analog_product
 from coxlehmer.simplicial import verify_shelling
 from oracles import (
@@ -84,7 +84,7 @@ def test_inclusion_exclusion_over_maxima_on_arbitrary_ideals():
     # images of Bruhat intervals; skip wide ideals to keep 2^|maxima| small
     checked = 0
     for seed in (5, 6, 7):
-        for ideal in random_order_ideals(ChainProduct((3, 3, 4)), 25, seed):
+        for ideal in random_order_ideals(box_table((3, 3, 4)), 25, seed):
             if len(ideal.maxima()) > 7:
                 continue
             checked += 1

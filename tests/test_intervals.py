@@ -22,7 +22,7 @@ from coxlehmer.intervals import (
     principal_set,
     unimodal_set,
 )
-from coxlehmer.multicomplex import ChainProduct, box_table, full_ideal
+from coxlehmer.multicomplex import box_table, full_ideal
 from coxlehmer.qpoly import IntPolynomial, q_analog, q_analog_product
 from coxlehmer.simplicial import ShellingFailure, is_vertex_decomposable, shelling_h_polynomial
 from oracles import (
@@ -91,7 +91,7 @@ def test_interval_ideal_3412(a3, la3):
 
 def test_interval_ideal_of_top_is_box(a3, la3):
     j = interval_ideal(a3.w0, la3)
-    assert j == full_ideal(ChainProduct(tuple(b + 1 for b in la3.bounds)))
+    assert j == full_ideal(box_table(tuple(b + 1 for b in la3.bounds)))
 
 
 def test_interval_ideal_detects_corruption(a3, la3):
@@ -112,10 +112,10 @@ def test_interval_ideal_detects_corruption(a3, la3):
 def test_interval_ideal_matches_the_oracle(label, rank):
     # the single box-and-closure check gives the image the oracle accepts
     code = shared_standard_code(label, rank)
-    amb = ChainProduct(tuple(b + 1 for b in code.bounds))
+    box = box_table(tuple(b + 1 for b in code.bounds))
     for w in range(code.poset.size):
         pts = {code.of(v) for v in _bits(code.poset.downset(w))}
-        assert is_order_ideal(amb, pts), code.poset.render(w)
+        assert is_order_ideal(box, pts), code.poset.render(w)
         assert set(interval_ideal(w, code)) == pts
 
 
@@ -129,7 +129,7 @@ def _matches_the_walk(w, code):
             interval_ideal(w, code)
         return False
     got = interval_ideal(w, code)
-    assert (got.ambient.dims, got.mask) == (want.ambient.dims, want.mask), code.poset.render(w)
+    assert (got.box.dims, got.mask) == (want.box.dims, want.mask), code.poset.render(w)
     return True
 
 
@@ -152,7 +152,7 @@ def test_interval_ideal_in_a_box_larger_than_the_group(a3, la3):
     assert big.box_index[a3.w0] == 29
     ok = [_matches_the_walk(w, big) for w in range(a3.size)]
     assert ok.count(False) == 1 and not ok[a3.w0]
-    assert interval_ideal(0, big).ambient.dims == (2, 3, 5)
+    assert interval_ideal(0, big).box.dims == (2, 3, 5)
 
 
 def test_every_equal_length_swap_is_caught(a3, la3):
@@ -161,7 +161,7 @@ def test_every_equal_length_swap_is_caught(a3, la3):
     # swaps breaks some interval, and interval_ideal raises exactly there
     from coxlehmer.codes import LehmerCode
 
-    amb = ChainProduct(tuple(b + 1 for b in la3.bounds))
+    box = box_table(tuple(b + 1 for b in la3.bounds))
     swaps = [(u, v) for u in range(a3.size) for v in range(u + 1, a3.size)
              if a3.length[u] == a3.length[v]]
     assert len(swaps) == 41
@@ -173,8 +173,8 @@ def test_every_equal_length_swap_is_caught(a3, la3):
         caught = 0
         for w in range(a3.size):
             pts = {bad.of(x) for x in _bits(a3.downset(w))}
-            assert _matches_the_walk(w, bad) == is_order_ideal(amb, pts)
-            if is_order_ideal(amb, pts):
+            assert _matches_the_walk(w, bad) == is_order_ideal(box, pts)
+            if is_order_ideal(box, pts):
                 assert set(interval_ideal(w, bad)) == pts
             else:
                 with pytest.raises(InvalidCodeImage):
@@ -490,7 +490,7 @@ def test_strict_inclusion_b3():
 
 def test_group_complexes_are_vertex_decomposable(h3):
     for poset in shared_poset("A", 4), h3:
-        box = ChainProduct(tuple(e + 1 for e in poset.exponents()))
+        box = box_table(tuple(e + 1 for e in poset.exponents()))
         assert box.dims == group_complex(poset).labels[-1]
         assert is_vertex_decomposable(full_ideal(box))
         assert vertex_decomposable_by_search(group_complex(poset), max_facets=200)
@@ -515,7 +515,7 @@ def _agrees_with_the_tuple_paths(code, w):
     shelling, each computed by the bitmask path and the tuple path."""
     ideal = interval_ideal(w, code)
     pts = {code.of(v) for v in _bits(code.poset.downset(w))}
-    assert is_order_ideal(ideal.ambient, pts) and set(ideal) == pts
+    assert is_order_ideal(ideal.box, pts) and set(ideal) == pts
     assert ideal.maxima() == maxima_by_covers(ideal)
     direct = interval_poincare(w, code, "direct")
     assert _maxima_polynomial(ideal) == maxima_polynomial_by_sums(ideal) == direct
@@ -638,18 +638,19 @@ def _origin_only(*_):
 
 def test_planted_step_failure_is_a_failed_route_check():
     with step_rule(_origin_only):
-        rep = verify.suite_routes(max_rank=2)
+        rep = verify.suite_routes(max_rank=3)
     assert not rep.passed
     # the complex route fails on every interval but {e}: 3412 and the
-    # non-identity elements of A1, A2 and I2(3..8)
-    assert rep.failures == 1 + 1 + 5 + sum(2 * m - 1 for m in range(3, 9))
+    # non-identity elements of A1, A2, A3, B3, H3 and I2(3..8); the worked
+    # S4 example runs from rank 3
+    assert rep.failures == 1 + 1 + 5 + 23 + 47 + 119 + sum(2 * m - 1 for m in range(3, 9))
     assert rep.witnesses[:3] == [
         "A3 3412: complex route failed: rank order failed to shell the complex at point (0, 0, 1)",
         "routes LA1: A1 21: complex route failed: rank order failed to shell the complex at point (1,)",
         "routes LA2: A2 213: complex route failed: rank order failed to shell the complex at point (1, 0)",
     ]
     # the tables walked under the planted rule are gone with it
-    assert verify.suite_routes(max_rank=2).passed
+    assert verify.suite_routes(max_rank=3).passed
 
 
 def test_interval_ideal_refuses_a_code_vector_off_the_box(a3, la3):

@@ -96,3 +96,31 @@ def test_readme_layout_lists_src():
     listed = re.findall(r"^  (\S+)", block, re.MULTILINE)
     on_disk = [p.name for p in SRC.iterdir() if p.is_file()]
     assert sorted(listed) == sorted(on_disk)
+
+
+def newer_syntax(roots, version):
+    """The .py files under `roots` that the grammar of Python `version`
+    does not parse."""
+    out = []
+    for root in roots:
+        for path in sorted(root.rglob("*.py")):
+            try:
+                ast.parse(path.read_text(), feature_version=version)
+            except SyntaxError:
+                out.append(path)
+    return out
+
+
+def test_sources_parse_with_the_declared_python_floor():
+    root = SRC.parent.parent
+    floor = re.search(r'requires-python = ">=(\d+)\.(\d+)"', (root / "pyproject.toml").read_text())
+    version = tuple(map(int, floor.groups()))
+    assert version == (3, 10)
+    assert newer_syntax([root / "src", root / "tests", root / "perfbench"], version) == []
+
+
+def test_floor_check_sees_newer_syntax(tmp_path):
+    (tmp_path / "match.py").write_text("match 1:\n    case 1:\n        pass\n")
+    (tmp_path / "groups.py").write_text("try:\n    pass\nexcept* ValueError:\n    pass\n")
+    assert newer_syntax([tmp_path], (3, 10)) == [tmp_path / "groups.py"]
+    assert newer_syntax([tmp_path], (3, 11)) == []

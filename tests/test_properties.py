@@ -13,7 +13,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from coxlehmer.coxeter import _bits  # noqa: E402
 from coxlehmer.intervals import _maxima_polynomial  # noqa: E402
-from coxlehmer.multicomplex import ChainProduct, box_table, ideal_from_points  # noqa: E402
+from coxlehmer.multicomplex import box_table, ideal_from_points  # noqa: E402
 from coxlehmer.qpoly import ONE, IntPolynomial, q_analog_product  # noqa: E402
 from coxlehmer.simplicial import (  # noqa: E402
     complex_of_ideal,
@@ -42,13 +42,12 @@ def ideals_and_orders(draw):
     dims = tuple(draw(st.lists(st.integers(2, 3), min_size=1, max_size=3)))
     if prod(dims) > 12:
         dims = dims[:2]
-    amb = ChainProduct(dims)
-    box = sorted(amb.points())
-    gens = draw(st.lists(st.sampled_from(box[1:]), min_size=1, max_size=3))
-    ideal = ideal_from_points(amb, gens)
+    table = box_table(dims)
+    gens = draw(st.lists(st.sampled_from(table.points[1:]), min_size=1, max_size=3))
+    ideal = ideal_from_points(table, gens)
     if not draw(st.booleans()):
         return ideal, list(draw(st.permutations(sorted(ideal))))
-    table, left, order = box_table(dims), ideal.mask, []
+    left, order = ideal.mask, []
     while left:  # draw each next point among the minimal ones left, in lex order
         j = draw(st.sampled_from(tuple(_bits(table.minimal(left)))))
         left ^= 1 << j

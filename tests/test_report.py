@@ -24,3 +24,13 @@ def test_string_and_callable_witnesses_read_alike():
     eager.check(False, "at 2134")
     lazy.check(False, lambda: "at 2134")
     assert eager.to_json()["witnesses"] == lazy.to_json()["witnesses"] == ["at 2134"]
+
+
+def test_passed_reads_the_failure_count():
+    total, failing = Report("all"), Report("one")
+    total.merge(Report("empty"))
+    assert total.passed and total.to_json()["pass"] is True
+    failing.check(False, "at 2134")
+    total.merge(failing)
+    assert (total.failures, total.passed, total.to_json()["pass"]) == (1, False, False)
+    assert list(total.to_json()) == ["check", "pass", "instances", "failures", "witnesses", "notes"]

@@ -11,7 +11,6 @@ from coxlehmer import verify
 from coxlehmer import simplicial
 from coxlehmer.intervals import interval_ideal
 from coxlehmer.multicomplex import (
-    ChainProduct,
     OrderIdeal,
     all_order_ideals,
     box_table,
@@ -120,8 +119,8 @@ def test_box_complex_3x3x4():
 
 
 def test_complex_of_ideal_counts():
-    amb = ChainProduct((2, 3))
-    j = ideal_from_points(amb, [(1, 1)])
+    box = box_table((2, 3))
+    j = ideal_from_points(box, [(1, 1)])
     sc = complex_of_ideal(j)
     assert sc.facet_count == len(j) == 4
     assert sc.is_pure()
@@ -137,7 +136,7 @@ def test_shelling_single_facet():
 
 def test_every_extension_shells_the_2x3_box():
     sc = build_box_complex((2, 3))
-    j = full_ideal(ChainProduct((2, 3)))
+    j = full_ideal(box_table((2, 3)))
     count = 0
     for ext in linear_extensions(j):
         res = verify_shelling(sc, order_from_extension(sc, ext))
@@ -198,13 +197,13 @@ def _oracle(ideal):
 @pytest.mark.parametrize("dims", [(2, 3), (2, 2, 2), (2, 2, 3), (3, 3)])
 def test_walk_matches_verify_shelling_on_every_ideal(dims):
     _assert_maximal(build_box_complex(dims))
-    for ideal in all_order_ideals(ChainProduct(dims)):
+    for ideal in all_order_ideals(box_table(dims)):
         assert _walked(ideal) == _oracle(ideal)
 
 
 def test_walk_matches_verify_shelling_on_seeded_3x3x4_ideals():
     checked = 0
-    for ideal in random_order_ideals(ChainProduct((3, 3, 4)), 40, seed=5):
+    for ideal in random_order_ideals(box_table((3, 3, 4)), 40, seed=5):
         if len(ideal) <= 9:
             assert _walked(ideal) == _oracle(ideal)
             checked += 1
@@ -245,7 +244,7 @@ def test_suite_lattice_totals_add_up():
 @pytest.mark.parametrize("dims", [(2, 3), (2, 2, 2), (2, 2, 3), (3, 3)])
 def test_lattice_matches_the_extension_walk_on_every_ideal(dims):
     visited = []
-    for ideal in all_order_ideals(ChainProduct(dims)):
+    for ideal in all_order_ideals(box_table(dims)):
         assert _lattice(ideal, visited) == shellings_by_extension(ideal)
     if dims in SUITE_LATTICE_TOTALS:
         assert _sums(visited) == SUITE_LATTICE_TOTALS[dims]
@@ -254,7 +253,7 @@ def test_lattice_matches_the_extension_walk_on_every_ideal(dims):
 def test_lattice_matches_the_extension_walk_on_seeded_3x3x4_ideals():
     # the shellings suite's random ideals; the walk takes those it can
     walked, visited = 0, []
-    for ideal in random_order_ideals(ChainProduct((3, 3, 4)), verify.RANDOM_IDEAL_COUNT, 2024):
+    for ideal in random_order_ideals(box_table((3, 3, 4)), verify.RANDOM_IDEAL_COUNT, 2024):
         total = count_linear_extensions(ideal)
         if total <= 10 ** 4:
             assert _lattice(ideal, visited) == shellings_by_extension(ideal)
@@ -268,7 +267,7 @@ def test_lattice_matches_the_extension_walk_on_seeded_3x3x4_ideals():
 
 def test_lattice_counts_on_the_2x3_box():
     # the 2x3 grid: 10 sub-ideals, 12 cover edges, 5 linear extensions
-    found = shelling_lattice(full_ideal(ChainProduct((2, 3))))
+    found = shelling_lattice(full_ideal(box_table((2, 3))))
     assert (found.sub_ideals, found.edges, found.extensions) == (10, 12, 5)
     assert found.h_vectors == {(1, 2, 2, 1)}
 
@@ -277,7 +276,7 @@ _facet_masks = simplicial._facet_masks
 
 
 def test_corrupted_facet_rule_fails_both():
-    ideals = list(all_order_ideals(ChainProduct((2, 3))))
+    ideals = list(all_order_ideals(box_table((2, 3))))
     with facet_rule(one_facet_per_column):
         lattice = [shelling_lattice(ideal) for ideal in ideals]
         oracle = [shellings_by_extension(ideal) for ideal in ideals]
@@ -310,7 +309,7 @@ LEMMA_BOXES = [(2, 3), (2, 2, 2), (2, 2, 3), (3, 3), (3, 2, 2), (2, 4)]
 def _lemma_ideals():
     """Every ideal of LEMMA_BOXES, every A3 interval ideal and the B3
     interval ideals of at most 24 points."""
-    ideals = [j for dims in LEMMA_BOXES for j in all_order_ideals(ChainProduct(dims))]
+    ideals = [j for dims in LEMMA_BOXES for j in all_order_ideals(box_table(dims))]
     assert len(ideals) == 159
     a3, b3 = shared_standard_code("A", 3), shared_standard_code("B", 3)
     ideals += [interval_ideal(w, a3) for w in range(a3.poset.size)]
@@ -328,7 +327,7 @@ def test_lattice_verdict_is_the_per_point_verdict(rule):
     with facet_rule(rule):
         steps = {}
         for ideal in ideals:
-            dims = ideal.ambient.dims
+            dims = ideal.box.dims
             if dims not in steps:
                 steps[dims] = {x: (ok, g) for x, ok, g in box_shelling_steps(dims)}
             found = shelling_lattice(ideal)
@@ -347,7 +346,7 @@ def test_lattice_verdict_is_the_per_point_verdict(rule):
 def test_corrupted_facet_rule_fails_the_lookup_state_alike(dims, count):
     # the line-indexed state and the old set-of-facets state stop at the
     # same step with the same (least, point), and agree where both shell
-    ideals = list(all_order_ideals(ChainProduct(dims)))
+    ideals = list(all_order_ideals(box_table(dims)))
     with facet_rule(one_facet_per_column):
         for ideal in ideals:
             new, old = ShellingState(ideal), LookupShellingState(ideal)
@@ -363,7 +362,7 @@ def test_step_memo_route_fails_where_the_state_fails(dims, rule):
     # every ideal of the box, in a seeded order that grows the memo one
     # ideal at a time: the route's h-vector is the state's, or both fail
     # at the same point
-    ideals = list(all_order_ideals(ChainProduct(dims)))
+    ideals = list(all_order_ideals(box_table(dims)))
     random.Random(f"memo {dims}").shuffle(ideals)
     failed = 0
     with facet_rule(rule):
@@ -380,7 +379,7 @@ def test_step_memo_route_fails_where_the_state_fails(dims, rule):
 
 
 def test_push_refuses_a_point_outside_the_frontier():
-    state = ShellingState(full_ideal(ChainProduct((2, 3))))
+    state = ShellingState(full_ideal(box_table((2, 3))))
     with pytest.raises(ValueError, match="not minimal"):
         state.push((0, 1))
     assert state.push((0, 0))
@@ -399,7 +398,7 @@ def test_push_refuses_a_box_point_outside_the_ideal():
     # (1, 1) is in the box and its lower covers are all pushed, but it is
     # not in the ideal; the shared box table numbers it
     assert (1, 1) in box_table((2, 3)).index
-    state = ShellingState(ideal_from_points(ChainProduct((2, 3)), [(1, 0), (0, 1)]))
+    state = ShellingState(ideal_from_points(box_table((2, 3)), [(1, 0), (0, 1)]))
     assert all(state.push(p) for p in [(0, 0), (1, 0), (0, 1)])
     with pytest.raises(ValueError, match="no facet"):
         state.push((1, 1))
@@ -409,7 +408,7 @@ def test_push_refuses_a_box_point_outside_the_ideal():
 def test_least_container_matches_brute_force():
     for dims in [(2, 3), (2, 2, 2), (3, 3), (1, 3)]:
         omitted = _omitted_bits(dims)
-        sc = complex_of_ideal(full_ideal(ChainProduct(dims)))
+        sc = complex_of_ideal(full_ideal(box_table(dims)))
         points = [tuple(x - 1 for x in lab) for lab in sc.labels]
         for facet in sc.facets:
             face = facet
@@ -429,7 +428,7 @@ def test_a_subface_lies_in_its_facet_and_one_neighbour():
     # on the facet's line of that class
     for dims in [(2, 3), (2, 2, 2), (3, 3), (1, 3), (3, 3, 4)]:
         omitted = _omitted_bits(dims)
-        points = list(full_ideal(ChainProduct(dims)))
+        points = list(full_ideal(box_table(dims)))
         facets = dict(zip(points, _facet_masks(dims, points)))
         for x, f in facets.items():
             for i, (bits, xi) in enumerate(zip(omitted, x)):
@@ -458,7 +457,7 @@ def test_planted_step_failure_is_reported(monkeypatch):
     assert rep.instances == 2 * len(failing) + verify.RANDOM_IDEAL_COUNT + 28
     assert rep.witnesses == [f"box {dims}: point {(0,) * (len(dims) - 1) + (1,)} has l(G(x)) < x"
                              for dims in failing][:MAX_WITNESSES]
-    state = ShellingState(full_ideal(ChainProduct((2, 3))))
+    state = ShellingState(full_ideal(box_table((2, 3))))
     assert state.push((0, 0)) and not state.push((1, 0))
     assert state.violation == ((0, 0), (1, 0)) and pushed(state) == {(0, 0)}
 
@@ -499,12 +498,12 @@ def test_h_from_f_matches_shelling_on_2x3():
     assert f == (1, 5, 9, 6)
     h = h_from_f(f, sc.dimension)
     assert h == (1, 2, 2, 1)
-    assert IntPolynomial(h) == shelling_h_polynomial(full_ideal(ChainProduct((2, 3))))
+    assert IntPolynomial(h) == shelling_h_polynomial(full_ideal(box_table((2, 3))))
 
 
 def test_f_h_round_trip():
     for dims in [(2, 3), (2, 2, 2), (4,)]:
-        for j in all_order_ideals(ChainProduct(dims)):
+        for j in all_order_ideals(box_table(dims)):
             sc = complex_of_ideal(j)
             f = f_vector(sc)
             h = h_from_f(f, sc.dimension)
@@ -514,18 +513,18 @@ def test_f_h_round_trip():
 def test_vd_simplex_and_trivial():
     assert vertex_decomposable_by_search(complex_from_sets([{1, 2, 3}]))
     assert vertex_decomposable_by_search(build_box_complex((1, 1)))
-    assert is_vertex_decomposable(full_ideal(ChainProduct((1, 1))))
-    assert is_vertex_decomposable(ideal_from_points(ChainProduct((3, 4)), [(0, 0)]))
+    assert is_vertex_decomposable(full_ideal(box_table((1, 1))))
+    assert is_vertex_decomposable(ideal_from_points(box_table((3, 4)), [(0, 0)]))
 
 
 def test_vd_all_ideals_of_2x2():
-    for j in all_order_ideals(ChainProduct((2, 2))):
+    for j in all_order_ideals(box_table((2, 2))):
         assert is_vertex_decomposable(j)
 
 
 def test_vd_refuses_the_empty_ideal():
     with pytest.raises(ValueError, match="empty ideal"):
-        is_vertex_decomposable(ideal_from_points(ChainProduct((2, 2)), []))
+        is_vertex_decomposable(ideal_from_points(box_table((2, 2)), []))
 
 
 def test_vd_rejects_disjoint_edges():
@@ -551,7 +550,7 @@ def test_vd_rejects_non_pure():
 def _vd_ideals():
     """Every ideal of the suite's boxes and every A3 and B3 interval ideal."""
     ideals = [j for dims in verify._boxes_up_to(verify.VD_MAX_VOLUME)
-              for j in all_order_ideals(ChainProduct(dims))]
+              for j in all_order_ideals(box_table(dims))]
     assert len(ideals) == 805
     for code in shared_standard_code("A", 3), shared_standard_code("B", 3):
         ideals += [interval_ideal(w, code) for w in range(code.poset.size)]
@@ -585,10 +584,10 @@ def test_corrupted_facet_rule_fails_the_vd_certificate():
     # one facet per column gives (0, 0) and (1, 0) the same facet, which
     # misses (2, 1): the recursion's first shedding vertex in every (2, 3)
     # ideal that reaches the second row, and not the class join at (1, 0)
-    ideals = list(all_order_ideals(ChainProduct((2, 3))))
+    ideals = list(all_order_ideals(box_table((2, 3))))
     with facet_rule(one_facet_per_column):
         verdicts = [is_vertex_decomposable(j) for j in ideals]
-        ideal = ideal_from_points(ChainProduct((2, 3)), [(1, 0)])
+        ideal = ideal_from_points(box_table((2, 3)), [(1, 0)])
         named = is_vertex_decomposable(ideal), vertex_decomposable_by_shedding(ideal)
         box_ideals = _vd_ideals()[:805]
         rejected = [not is_vertex_decomposable(j) for j in box_ideals]
@@ -623,12 +622,12 @@ def test_each_shedding_identity_is_checked(box, point, change):
     # is the facet {(1, 2), (2, 2)} of the origin of (1, 3); one change to one
     # facet breaks one identity of the recursion, and the changed facet is
     # no class join, so the certificate refuses the ideal below it
-    ideal = ideal_from_points(ChainProduct((2, 3)), [(1, 0)])
+    ideal = ideal_from_points(box_table((2, 3)), [(1, 0)])
     assert is_vertex_decomposable(ideal) and vertex_decomposable_by_shedding(ideal)
     with facet_rule(_one_facet_changed(box, point, change)):
-        ideal = ideal_from_points(ChainProduct((2, 3)), [(1, 0)])
+        ideal = ideal_from_points(box_table((2, 3)), [(1, 0)])
         assert not vertex_decomposable_by_shedding(ideal)
-        assert not is_vertex_decomposable(ideal_from_points(ChainProduct(box), [point]))
+        assert not is_vertex_decomposable(ideal_from_points(box_table(box), [point]))
         # the certificate reads the facets of the ideal's own box only: the
         # link's box (1, 3) enters through the class rule
         assert is_vertex_decomposable(ideal) == (box == (1, 3))
@@ -637,7 +636,7 @@ def test_each_shedding_identity_is_checked(box, point, change):
 
 
 def test_vd_certificate_and_box_walk_leave_no_cached_table():
-    ideal = full_ideal(ChainProduct((2, 2, 7)))
+    ideal = full_ideal(box_table((2, 2, 7)))
     before = box_table.cache_info().currsize
     assert is_vertex_decomposable(ideal)
     assert len(list(box_shelling_steps((3, 2, 7)))) == 42
@@ -653,7 +652,7 @@ def test_vd_certificate_needs_the_points_below():
     assert not vertex_decomposable_by_search(sc)
     assert _shed((2, 3), table.mask_of(points), {}) is False
     with pytest.raises(ValueError, match="not downward closed"):
-        OrderIdeal(ChainProduct((2, 3)), points)
+        OrderIdeal(table, table.mask_of(points))
 
 
 def test_planted_shedding_failure_is_reported(monkeypatch):
@@ -710,20 +709,20 @@ def test_flag_triangle_boundary_is_not():
 def test_flag_ideal_requires_01_box():
     for check in is_flag_ideal, is_flag_ideal_by_scan:
         with pytest.raises(ValueError, match="2-chains"):
-            check(full_ideal(ChainProduct((2, 3))))
+            check(full_ideal(box_table((2, 3))))
 
 
 @pytest.mark.parametrize("dims", [(2, 2, 2), (2, 2, 2, 2)])
 def test_flag_ideal_matches_the_point_scan_on_every_ideal(dims):
-    ideals = list(all_order_ideals(ChainProduct(dims)))
+    ideals = list(all_order_ideals(box_table(dims)))
     verdicts = [is_flag_ideal(j) for j in ideals]
     assert verdicts == [is_flag_ideal_by_scan(j) for j in ideals]
     assert True in verdicts and False in verdicts
 
 
 def test_flag_equivalence_on_2_cubed():
-    amb = ChainProduct((2, 2, 2))
-    for j in all_order_ideals(amb):
+    box = box_table((2, 2, 2))
+    for j in all_order_ideals(box):
         assert is_flag(complex_of_ideal(j)) == is_flag_ideal(j)
 
 
