@@ -665,8 +665,8 @@ class ShellingState:
     order ideal of a box complex: the complex route before its steps were
     kept per box, the reference its step memo is compared against.
 
-    `ShellingState(ideal)` reads strides from the ideal's box table and each pushed
-    point's facet mask from `simplicial._facet_masks`.
+    `ShellingState(ideal)` reads strides from the ideal's box table and each
+    pushed point's facet mask from `simplicial._facet_masks`.
     `push(point)` appends the facet of a zero-based point of the ideal and
     returns whether the order so far still shells, by
     `simplicial._shelling_step` (looked up at each push, so a planted rule
