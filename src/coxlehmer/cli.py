@@ -27,7 +27,7 @@ from pathlib import Path
 
 from . import intervals
 from .codes import dual_code, shared_standard_code
-from .coxeter import ENUMERATION_LIMIT, BruhatPoset, SizeLimitError, shared_poset
+from .coxeter import ENUMERATION_LIMIT, PER_ELEMENT_BYTES, BruhatPoset, SizeLimitError, shared_poset
 from .simplicial import ShellingFailure
 from .verify import SUITES, check_n, run_suite
 
@@ -43,7 +43,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "for finite Coxeter groups of types A, B, D, H3, I2(m).",
         epilog=f"Groups whose Bruhat downsets, elements and words would take more than "
                f"{ENUMERATION_LIMIT:,} bytes (|W|^2/16, plus 8 per one-line entry and per "
-               f"BFS word letter) are refused with exit status 2.")
+               f"BFS word letter, plus {PER_ELEMENT_BYTES:,} per element) are refused with "
+               f"exit status 2.")
     sub = p.add_subparsers(dest="command", required=True)
 
     def add_system(sp, with_element=True):

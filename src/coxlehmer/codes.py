@@ -49,14 +49,19 @@ class LehmerCode:
     def element(self, vec: tuple[int, ...]) -> int:
         return self.lookup[vec]
 
+    @property
+    def dims(self) -> tuple[int, ...]:
+        """The chain sizes of the code's box, each bound plus one."""
+        return tuple(b + 1 for b in self.bounds)
+
     def box_size(self) -> int:
-        return prod(b + 1 for b in self.bounds)
+        return prod(self.dims)
 
     @cached_property
     def box_index(self) -> list[int]:
         """Element -> lex position of its vector in the box's table, built on
         first use; a vector off the box gets the box size, one past the end."""
-        table = box_table(tuple(b + 1 for b in self.bounds))
+        table = box_table(self.dims)
         off = len(table.points)
         return [table.index.get(v, off) for v in self.vectors]
 
@@ -372,7 +377,7 @@ def verify_code(code: LehmerCode) -> Report:
 
     if rep.passed:
         lookup = {v: w for w, v in enumerate(code.vectors)}
-        for y in product(*(range(b + 1) for b in code.bounds)):
+        for y in product(*map(range, code.dims)):
             wy = lookup[y]
             for x in lower_covers(y):
                 rep.check(poset.leq(lookup[x], wy),

@@ -24,16 +24,20 @@ from math import factorial
 from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
-from .qpoly import ONE, IntPolynomial
+from .qpoly import IntPolynomial
 
 # the bytes an enumerated group may store: its downset bitsets, |W|^2 / 16,
-# its one-line elements, 8 bytes per entry, and its BFS words, 8 bytes per
-# letter at N / 2 letters a word, N = l(w0) the number of reflections.  That
-# is 37 MB for D6 (23,040 elements) but 6.5 GB for D7 and 8.3 GB for A8, and
-# 40.25 m^2 for I2(m), whose elements have 2m entries and N = m.  The limit
-# keeps A7, B6, D6 and I2(m) up to m = 2,582; it can rise once point queries
-# stop materializing every downset.
+# its one-line elements, 8 bytes per entry, its BFS words, 8 bytes per
+# letter at N / 2 letters a word, N = l(w0) the number of reflections, and
+# PER_ELEMENT_BYTES for the rest an element holds: its index entry, length,
+# multiplication row, covers and tuple headers (tracemalloc read 824-1,050
+# bytes past the other terms on a cold `code` for A6, B5, I2(500) and
+# I2(1000)).  That is 61 MB for D6 (23,040 elements) but 6.9 GB for D7 and
+# 8.7 GB for A8, and 40.25 m^2 + 2,048 m for I2(m), whose elements have 2m
+# entries and N = m.  The limit keeps A7, B6, D6 and I2(m) up to m = 2,557;
+# it can rise once point queries stop materializing every downset.
 ENUMERATION_LIMIT = 2 ** 28
+PER_ELEMENT_BYTES = 1024
 
 
 class SizeLimitError(RuntimeError):
@@ -134,7 +138,8 @@ class CoxeterSystem:
         self.reflections = reflections
         self.dihedral_m = dihedral_m
         self.render = render
-        need = order * order // 16 + 8 * order * len(identity) + 4 * order * reflections
+        need = (order * order // 16 + 8 * order * len(identity) + 4 * order * reflections
+                + PER_ELEMENT_BYTES * order)
         if need > ENUMERATION_LIMIT:  # before the relations, quadratic in m for I2(m)
             raise SizeLimitError(f"|{self.describe()}| = {order} needs {need:,} bytes, which "
                                  f"exceeds the enumeration limit of {ENUMERATION_LIMIT:,} bytes")
@@ -173,13 +178,19 @@ class CoxeterSystem:
             raise ValueError(f"unknown generator s{subscript}; valid: {valid}") from None
 
 
-def _chain_matrix(rank, bonds):
-    m = [[2] * rank for _ in range(rank)]
-    for i in range(rank):
-        m[i][i] = 1
-    for (i, j), v in bonds.items():
+def _chain_matrix(rank, start, bonds):
+    """The Coxeter matrix with a 3-bond between s_i and s_i+1 for each i >= start,
+    then `bonds`, {(i, j): m}, set over it."""
+    m = [[1 if i == j else 2 for j in range(rank)] for i in range(rank)]
+    for (i, j), v in [((i, i + 1), 3) for i in range(start, rank - 1)] + list(bonds.items()):
         m[i][j] = m[j][i] = v
     return tuple(tuple(row) for row in m)
+
+
+def _adjacent_swaps(n):
+    """The transpositions (i i+1) of 1..n, i = 1..n-1, in one-line notation."""
+    ident = tuple(range(1, n + 1))
+    return [ident[:i] + (i + 2, i + 1) + ident[i + 2:] for i in range(n - 1)]
 
 
 def build_system(label: str, rank: int | None = None, m: int | None = None) -> CoxeterSystem:
@@ -195,54 +206,29 @@ def build_system(label: str, rank: int | None = None, m: int | None = None) -> C
         if rank is None or rank < 1:
             raise ValueError(f"type A requires rank >= 1, got {rank}")
         n = rank + 1
-        ident = tuple(range(1, n + 1))
-        gens = []
-        for i in range(rank):
-            g = list(ident)
-            g[i], g[i + 1] = g[i + 1], g[i]
-            gens.append(tuple(g))
-        mat = _chain_matrix(rank, {(i, i + 1): 3 for i in range(rank - 1)})
-        return CoxeterSystem("A", rank, mat, range(1, rank + 1), ident, gens,
-                             _compose, factorial(n), n * rank // 2,
-                             render=_render_perm)
+        return CoxeterSystem("A", rank, _chain_matrix(rank, 0, {}), range(1, rank + 1),
+                             tuple(range(1, n + 1)), _adjacent_swaps(n),
+                             _compose, factorial(n), n * rank // 2, render=_render_perm)
     if label == "B":
         if rank is None or rank < 2:
             raise ValueError(f"type B requires rank >= 2, got {rank}")
         n = rank
-        ident = tuple(range(1, n + 1))
-        gens = [tuple([-1] + list(range(2, n + 1)))]
-        for i in range(1, n):
-            g = list(ident)
-            g[i - 1], g[i] = g[i], g[i - 1]
-            gens.append(tuple(g))
-        bonds = {(0, 1): 4}
-        bonds.update({(i, i + 1): 3 for i in range(1, n - 1)})
-        mat = _chain_matrix(rank, bonds)
-        return CoxeterSystem("B", rank, mat, range(1, rank + 1), ident, gens,
-                             _compose, 2 ** n * factorial(n), n * n,
+        gens = [(-1, *range(2, n + 1)), *_adjacent_swaps(n)]
+        return CoxeterSystem("B", rank, _chain_matrix(rank, 0, {(0, 1): 4}), range(1, rank + 1),
+                             tuple(range(1, n + 1)), gens, _compose, 2 ** n * factorial(n), n * n,
                              render=_render_signed)
     if label == "D":
         if rank is None or rank < 4:
             raise ValueError(f"type D requires rank >= 4, got {rank}")
         n = rank
-        ident = tuple(range(1, n + 1))
-        g0 = list(ident)
-        g0[0], g0[1] = -2, -1
-        gens = [tuple(g0)]
-        for i in range(1, n):
-            g = list(ident)
-            g[i - 1], g[i] = g[i], g[i - 1]
-            gens.append(tuple(g))
-        bonds = {(0, 2): 3, (1, 2): 3}
-        bonds.update({(i, i + 1): 3 for i in range(2, n - 1)})
-        mat = _chain_matrix(rank, bonds)
-        return CoxeterSystem("D", rank, mat, range(0, rank), ident, gens,
-                             _compose, 2 ** (n - 1) * factorial(n), n * (n - 1),
-                             render=_render_signed)
+        gens = [(-2, -1, *range(3, n + 1)), *_adjacent_swaps(n)]
+        return CoxeterSystem("D", rank, _chain_matrix(rank, 1, {(0, 2): 3}), range(0, rank),
+                             tuple(range(1, n + 1)), gens, _compose,
+                             2 ** (n - 1) * factorial(n), n * (n - 1), render=_render_signed)
     if label == "H3":
         if rank not in (None, 3):
             raise ValueError(f"type H3 has rank 3, got {rank}")
-        mat = _chain_matrix(3, {(0, 1): 3, (1, 2): 5})
+        mat = _chain_matrix(3, 0, {(1, 2): 5})
         roots, gens = _root_permutations(mat)
         return CoxeterSystem("H3", 3, mat, range(1, 4), tuple(range(1, len(roots) + 1)),
                              gens, _compose, 120, 15)
@@ -253,7 +239,7 @@ def build_system(label: str, rank: int | None = None, m: int | None = None) -> C
         # reflect in the simple roots 0 and m - 1, sending root k to
         # m - k and m - 2 - k (mod 2m); roots 0..m-1 are the positive ones
         gens = [tuple((c - k) % (2 * m) + 1 for k in range(2 * m)) for c in (m, m - 2)]
-        mat = _chain_matrix(2, {(0, 1): m})
+        mat = _chain_matrix(2, 0, {(0, 1): m})
         return CoxeterSystem("I2", 2, mat, range(1, 3), tuple(range(1, 2 * m + 1)), gens,
                              _compose, 2 * m, m, dihedral_m=m)
     raise ValueError(f"unknown type {label!r}; valid: A, B, D, H3, I2")
@@ -487,37 +473,29 @@ class BruhatPoset:
         return tuple(d - 1 for d in fac)
 
 
-def _div_q_analog(p: IntPolynomial, d: int) -> IntPolynomial | None:
-    """Exact quotient p / [d]_q, or None if the division is inexact."""
-    if p.degree < d - 1:
-        return None
-    rem = list(p.coeffs)
-    qdeg = p.degree - (d - 1)
-    quot = [0] * (qdeg + 1)
-    for i in range(qdeg, -1, -1):
-        c = rem[i + d - 1]
-        if c:
-            quot[i] = c
-            for j in range(d):
-                rem[i + j] -= c
-    if any(rem):
-        return None
-    return IntPolynomial(quot)
+def _factor_into_q_analogs(p: IntPolynomial, k: int) -> list[int] | None:
+    """The degrees 2 <= d_1 <= ... <= d_k with p = prod [d_i]_q, or None.
 
-
-def _factor_into_q_analogs(p: IntPolynomial, k: int, min_d: int = 2) -> list[int] | None:
-    if k == 0:
-        return [] if p == ONE else None
-    total = p(1)
-    for d in range(min_d, p.degree + 2):
-        if total % d:
-            continue
-        q = _div_q_analog(p, d)
-        if q is not None:
-            rest = _factor_into_q_analogs(q, k - 1, d)
-            if rest is not None:
-                return [d] + rest
-    return None
+    (1 - q)^k p = prod (1 - q^d_i), whose lowest term past the constant is
+    -c q^d for d the least d_i left: so one peel per factor takes that d,
+    divides by 1 - q^d (a running sum of stride d) and drops the top d
+    coefficients, which must be zero; what is left must be 1.  The
+    factorization is unique, so no other order of peels finds another."""
+    c = list(p.coeffs)
+    for _ in range(k):
+        c = [a - b for a, b in zip(c + [0], [0] + c)]
+    degrees = []
+    for _ in range(k):
+        d = next((i for i, a in enumerate(c) if i and a), 0)
+        if d < 2 or c[d] > 0:
+            return None
+        for i in range(d, len(c)):
+            c[i] += c[i - d]
+        if any(c[-d:]):
+            return None
+        del c[-d:]
+        degrees.append(d)
+    return degrees if c == [1] else None
 
 
 def system_key(label: str, rank: int | None = None,

@@ -42,7 +42,7 @@ def interval_ideal(w: int, code: LehmerCode) -> OrderIdeal:
     in a string of "0"s read in base 2 and checked once to be an ideal of
     the box, which a "1" in the slot past it (an off-box vector) fails."""
     poset = code.poset
-    box = box_table(tuple(b + 1 for b in code.bounds))
+    box = box_table(code.dims)
     members = bin(poset.downset(w))[:1:-1].encode().translate(_BIT_BYTES)
     buf = bytearray(b"0") * (len(box.points) + 1)
     for j in compress(code.box_index, members):

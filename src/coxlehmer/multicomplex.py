@@ -259,8 +259,7 @@ def all_order_ideals(box: _BoxTable) -> Iterator[OrderIdeal]:
     """Every nonempty order ideal of the box: each point in rank-then-lex
     order is taken (first) or left, and taken only over its lower covers."""
     order = box.rank_order(box.full)
-    below = [sum(1 << j - s for x, s in zip(p, box.strides) if x)
-             for j, p in enumerate(box.points)]
+    below = [box.covered(1 << j) for j in range(len(box.points))]
 
     def rec(i, chosen):
         if i == len(order):

@@ -92,29 +92,21 @@ def hasse_is_forest(covers: dict) -> bool:
 def chain_counts(covers: dict) -> tuple[int, ...]:
     """Counts of saturated chains by rank in the poset on 1..n with these
     upper covers: entry r counts chains of r+1 elements walking cover
-    edges; entry 0 is the number of elements."""
-    memo: dict = {}
-
-    def paths_from(x):
-        got = memo.get(x)
-        if got is None:
-            got = [1]
+    edges; entry 0 is the number of elements.  `paths` holds, per element,
+    the chains of the current rank that end at it; a chain has at most n
+    elements, so anything left after n ranks is a cycle (ValueError)."""
+    counts: list[int] = []
+    paths = dict.fromkeys(covers, 1)
+    while paths:
+        if len(counts) == len(covers):
+            raise ValueError(f"the covers have a cycle: {covers}")
+        counts.append(sum(paths.values()))
+        step: dict = {}
+        for x, c in paths.items():
             for y in covers[x]:
-                sub = paths_from(y)
-                while len(got) < len(sub) + 1:
-                    got.append(0)
-                for r, c in enumerate(sub):
-                    got[r + 1] += c
-            memo[x] = got
-        return got
-
-    total: list[int] = []
-    for x in covers:
-        for r, c in enumerate(paths_from(x)):
-            while len(total) < r + 1:
-                total.append(0)
-            total[r] += c
-    return tuple(total)
+                step[y] = step.get(y, 0) + c
+        paths = step
+    return tuple(counts)
 
 
 def chain_partition(w) -> tuple[int, ...]:

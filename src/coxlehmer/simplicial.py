@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import prod
+from operator import rshift
 from typing import Iterable, Sequence
 
 from .coxeter import _bits
@@ -88,23 +89,25 @@ class SimplicialComplex:
 
 
 @lru_cache(maxsize=None)
-def _omitted_bits(dims: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """The box complex's one facet rule.  Vertex (v, i), v one-based, is bit
-    offset_i + v - 1 with offset_i = d_1 + ... + d_{i-1}; the facet of a
-    zero-based point x is every vertex but (d_i - x_i, i) in each class i.
-    Entry [i][x] is the bit of the vertex class i omits at x_i = x."""
+def _classes(dims: tuple[int, ...]) -> tuple[tuple[int, int, int], ...]:
+    """The box complex's one facet rule, per coordinate class i: (its vertex
+    mask, top_i = offset_i + d_i, the box table's stride of coordinate i,
+    d_{i+1} ... d_n).  Vertex (v, i), v one-based, is bit offset_i + v - 1
+    with offset_i = d_1 + ... + d_{i-1}; the facet of a zero-based point x
+    is every vertex but (d_i - x_i, i) in each class i, bit top_i - 1 - x_i."""
     out, offset = [], 0
-    for d in dims:
-        out.append(tuple(1 << (offset + d - x - 1) for x in range(d)))
+    for i, d in enumerate(dims):
+        out.append((((1 << d) - 1) << offset, offset + d, prod(dims[i + 1:])))
         offset += d
     return tuple(out)
 
 
 def _facet_masks(dims: tuple[int, ...], points) -> list[int]:
-    """The facet mask of each zero-based point: all vertices but the omitted."""
-    omitted = _omitted_bits(dims)
+    """The facet mask of each zero-based point: all vertices but the omitted,
+    bit top_i - 1 - x_i of each class, (1 << top_i - 1) >> x_i."""
+    highs = [1 << top - 1 for _, top, _ in _classes(dims)]
     full = (1 << sum(dims)) - 1
-    return [full ^ sum(bits[x] for bits, x in zip(omitted, p)) for p in points]
+    return [full ^ sum(map(rshift, highs, p)) for p in points]
 
 
 def build_box_complex(dims: Sequence[int]) -> SimplicialComplex:
@@ -179,17 +182,6 @@ def verify_shelling(sc: SimplicialComplex, order: Sequence[int]) -> ShellingResu
     return ShellingResult(True,
                           restrictions=[sc._unpack(g) for g in restrictions],
                           h_vector=tuple(h_vector))
-
-
-@lru_cache(maxsize=None)
-def _classes(dims: tuple[int, ...]) -> tuple[tuple[int, int, int], ...]:
-    """Per coordinate class i: (its vertex mask, offset_i + d_i, the box
-    table's stride of coordinate i, d_{i+1} ... d_n)."""
-    out, offset = [], 0
-    for i, d in enumerate(dims):
-        out.append((((1 << d) - 1) << offset, offset + d, prod(dims[i + 1:])))
-        offset += d
-    return tuple(out)
 
 
 def _shelling_step(classes, lines: dict[int, int], facet: int) -> tuple[int, int]:

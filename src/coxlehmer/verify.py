@@ -71,7 +71,7 @@ def suite_codes(max_rank: int | None = None, **_) -> Report:
 
 def _code_boxes(max_rank: int | None) -> set[tuple[int, ...]]:
     """The distinct boxes of the capped systems' standard codes."""
-    return {tuple(b + 1 for b in codes_mod.shared_standard_code(label, rank, m).bounds)
+    return {codes_mod.shared_standard_code(label, rank, m).dims
             for label, rank, m in _cap_rank(CODE_SYSTEMS, max_rank)}
 
 

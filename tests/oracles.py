@@ -2,6 +2,88 @@
 
 Nothing in `coxlehmer` calls these; each is the slow or definitional
 version of something the library does another way.
+
+Ledger, one line per oracle: the `src/` path it checks; the test that
+compares them; the groups or boxes covered.
+
+- reflections: coxeter `CoxeterSystem.reflections` and the BFS covers;
+  test_coxeter::test_tables_match_compose_oracle; A1-A5, B2-B5, D4, D5, H3, I2(3..10).
+- product_code_by_combinations: codes `_product_code`;
+  test_codes::test_product_code_matches_the_combination_oracle; A1-A5, B2-B5, D4, D5, H3,
+  I2(3..10), and its three build errors on D4.
+- code_leq: intervals `code_meet`, and Bruhat order through the code;
+  test_intervals::test_code_order_refines_bruhat; A3 and H3.
+- is_order_ideal: multicomplex `OrderIdeal` closure and intervals `interval_ideal`;
+  test_multicomplex::test_closure_check_matches_the_tuple_oracle_on_every_subset;
+  every subset of (2, 3) and (2, 2, 2); every interval of A4, B3, D4, H3.
+- is_linear_extension: multicomplex `sample_linear_extensions`;
+  test_multicomplex::test_sampled_extensions_are_extensions_and_deterministic; (3, 3).
+- order_from_extension, extension_shellings: simplicial `verify_shelling`;
+  test_simplicial::test_walk_matches_verify_shelling_on_every_ideal; every ideal of
+  (2, 3), (2, 2, 2), (2, 2, 3), (3, 3), seeded ideals of (3, 3, 4) up to 9 points.
+- shellings_by_extension: no `src/` path; it checks the lattice pass, oracle against
+  oracle, in test_simplicial::test_lattice_matches_the_extension_walk_on_every_ideal;
+  the same four boxes and 38 of the 100 seed-2024 ideals of (3, 3, 4).
+- LatticeShellings, shelling_lattice: simplicial `box_shelling_steps`;
+  test_simplicial::test_lattice_verdict_is_the_per_point_verdict; the 159 ideals of
+  LEMMA_BOXES, every A3 interval and the B3 intervals up to 24 points.
+- maximalize, pure, vertex_decomposable_by_search: simplicial `join_certificate`;
+  test_simplicial::test_vd_certificate_matches_the_search; 877 ideals up to 64 facets.
+- vertex_decomposable_by_shedding (`_shed`, `_failing`): simplicial `join_certificate`;
+  test_simplicial::test_vd_certificate_matches_the_shedding_recursion; the 805 ideals
+  of the boxes up to volume 16 and the 578 intervals of the route systems.
+- facet_of, facet_vertices, complex_from_sets: simplicial `_facet_masks`;
+  test_simplicial::test_facet_rule_masks_unpack_to_facet_of; (2, 3), (2, 2, 2), (3, 3, 4),
+  (1, 3).
+- omitted_bits: simplicial `_classes`, the omitted-vertex rule;
+  test_simplicial::test_facet_rule_masks_unpack_to_facet_of; the same four boxes.
+- least_container: simplicial `_shelling_step`'s least container;
+  test_simplicial::test_least_container_matches_brute_force; every face of (2, 3),
+  (2, 2, 2), (3, 3), (1, 3).
+- interval_ideal_by_walk: intervals `interval_ideal`;
+  test_intervals::test_interval_ideal_matches_the_walk_on_every_element; every element of
+  the 19 code systems.
+- q_analog_product_by_multiplying: qpoly `q_analog_product`;
+  test_properties::test_running_sums_match_repeated_products; Hypothesis lists of n.
+- maxima_by_subsets: intervals `_maxima_polynomial`;
+  test_intervals::test_maxima_table_matches_the_subset_oracle; A1-A5, B2-B4, D4, H3,
+  I2(3..10), and seeded ideals of (3, 3, 4) in test_fuzz.
+- parabolic_decompose: coxeter `parabolic_elements`, `minimal_coset_reps`;
+  test_coxeter::test_parabolic_lengths_add_everywhere; A3 and B3.
+- quotient_factorization: codes `quotient_chain_code`;
+  test_codes::test_quotient_codes_match_the_factorization_oracle; A1-A6, B2-B5, I2(3..10).
+- palindromic_intervals_unfiltered: intervals `palindromic_intervals`;
+  test_intervals::test_palindromic_scan_matches_the_unfiltered_oracle; A1-A6, B2-B5,
+  D4-D6, H3, I2(3..10).
+- principal_set_by_popcount: intervals `principal_set`;
+  test_intervals::test_principal_set_matches_the_popcount_oracle; the 19 code systems,
+  the B3 and B4 variant codes and D6.
+- unimodal_set_by_orbits: intervals `unimodal_set`;
+  test_intervals::test_unimodal_set_matches_the_orbit_oracle; the same codes.
+- avoids_by_standardizing: schubert `avoids`;
+  test_schubert::test_avoids_matches_the_standardizing_oracle; six patterns up to 25314.
+- mat3_compose, reflection_matrix, BOND_VALUES, matrix_h3_system, affine_dihedral_system:
+  coxeter `_root_permutations`; test_coxeter::test_root_permutations_match_the_old_kernels;
+  H3, I2(3..10).
+- upper_covers, maxima_by_covers: multicomplex `_BoxTable` and `OrderIdeal.maxima`;
+  test_multicomplex::test_ideal_views_match_the_tuple_definitions; (2, 3), (2, 2, 2),
+  (3, 3), (1, 3), (2, 2, 3).
+- all_order_ideals_by_sets: multicomplex `all_order_ideals`;
+  test_multicomplex::test_all_order_ideals_match_the_set_oracle; eleven boxes, (2,) to
+  (2, 2, 2, 2), (4, 4) and (2, 8).
+- is_flag_ideal_by_scan: simplicial `is_flag_ideal`;
+  test_simplicial::test_flag_ideal_matches_the_point_scan_on_every_ideal; (2, 2, 2),
+  (2, 2, 2, 2).
+- maxima_polynomial_by_sums: intervals `_maxima_polynomial`;
+  test_intervals::test_bitmask_paths_match_the_tuple_paths_on_route_systems; every
+  element of the route systems, 40 sampled ones of A5, B4, D5.
+- ShellingState, pushed, rank_lex, push_all: simplicial `_walk` and the complex route;
+  test_simplicial::test_step_memo_route_fails_where_the_state_fails; every ideal of
+  (2, 3), (3, 3), (2, 2, 2), (3, 2, 2), (2, 2, 3), true and corrupted facet rules.
+- shelling_step_by_lookups, LookupShellingState: simplicial `_shelling_step`;
+  test_intervals::test_bitmask_paths_match_the_tuple_paths_on_route_systems; as above.
+- one_facet_per_column, facet_rule, step_rule: planted faults, not oracles; the
+  corrupted-rule tests in test_simplicial, test_intervals and test_cli.
 """
 
 import itertools
@@ -24,7 +106,6 @@ from coxlehmer.qpoly import IntPolynomial
 from coxlehmer.simplicial import (
     SimplicialComplex,
     _classes,
-    _omitted_bits,
     _put_on_lines,
     _shelling_step,
     complex_of_ideal,
@@ -347,7 +428,7 @@ def _failing(table, facets: list[int], i: int, sub_facets: list[int]) -> int:
     omit: v in F_x iff x_i >= 1, and then F_x - v in F_y, y = x - x_i e_i
     (bit j % stride), |F_y| = |F_x|, and F_x - v, bits above v shifted down,
     is the facet of x - e_i (bit j - stride) in d - e_i."""
-    v, s, out = _omitted_bits(table.dims)[i][0], table.strides[i], 0
+    v, s, out = omitted_bits(table.dims)[i][0], table.strides[i], 0
     for j in range(table.dims[i] * s):
         f, g = facets[j], facets[j % s]
         holds = (f & v and not f & ~v & ~g and (g & ~f).bit_count() == 1
@@ -634,9 +715,18 @@ def maxima_polynomial_by_sums(ideal) -> IntPolynomial:
                IntPolynomial())
 
 
+def omitted_bits(dims) -> tuple[tuple[int, ...], ...]:
+    """Entry [i][x]: the bit of the vertex that the facets with x_i = x omit
+    (zero-based x), by the class rule, which omits (d_i - x, i), bits
+    numbered along the vertex tuple (v, i), v = 1..d_i, class by class."""
+    vertices = [(v, i) for i, d in enumerate(dims) for v in range(1, d + 1)]
+    return tuple(tuple(1 << vertices.index((d - x, i)) for x in range(d))
+                 for i, d in enumerate(dims))
+
+
 def least_container(omitted, face: int) -> tuple[int, ...]:
     """The least zero-based box point whose facet contains the face mask,
-    for `omitted` the box's `_omitted_bits`: per class, the least
+    for `omitted` the box's `omitted_bits`: per class, the least
     coordinate whose omitted vertex avoids `face`."""
     least = []
     for bits in omitted:
@@ -715,7 +805,7 @@ class LookupShellingState:
     def __init__(self, ideal):
         self._table = ideal.box
         dims = self._table.dims
-        self._omitted = _omitted_bits(dims)
+        self._omitted = omitted_bits(dims)
         self._points = set(ideal)
         self._facets = set()
         self._h = [0] * (sum(dims) - len(dims) + 1)

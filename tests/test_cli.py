@@ -433,13 +433,13 @@ def test_size_limit_is_exit_2(capsys):
 
 
 @pytest.mark.parametrize("label, flag, size", [("D", "--rank", "7"), ("A", "--rank", "8"),
-                                               ("I2", "--m", "60000"), ("I2", "--m", "2583")],
-                         ids=["D-7", "A-8", "I2-60000", "I2-2583"])
+                                               ("I2", "--m", "60000"), ("I2", "--m", "2558")],
+                         ids=["D-7", "A-8", "I2-60000", "I2-2558"])
 def test_groups_above_the_limit_are_refused_before_enumeration(
         capsys, monkeypatch, label, flag, size):
     # their downsets alone would take 6.5 GB (D7) and 8.2 GB (A8), and
-    # I2(60000)'s 120,000 elements of 120,000 entries each 116 GB; I2(2583)
-    # is the first dihedral group past the limit, at 40.25 m^2 bytes; the BFS
+    # I2(60000)'s 120,000 elements of 120,000 entries each 116 GB; I2(2558)
+    # is the first dihedral group past the limit, at 40.25 m^2 + 2,048 m bytes; the BFS
     # reaches every element through the per-generator actions, and the
     # relation check composes s1 s2 m times, quadratic in m
     acted = []
@@ -464,16 +464,16 @@ def test_groups_above_the_limit_are_refused_before_enumeration(
     assert "enumeration limit" in err
 
 
-def test_i2_2582_is_the_largest_dihedral_group_under_the_limit(monkeypatch):
-    # 2m-entry elements, words of m/2 letters on average and the downsets:
-    # floor(m^2 / 4) + 40 m^2 bytes against 2^28
+def test_i2_2557_is_the_largest_dihedral_group_under_the_limit(monkeypatch):
+    # 2m-entry elements, words of m/2 letters on average, the downsets and
+    # 1,024 bytes per element: floor(m^2 / 4) + 40 m^2 + 2,048 m against 2^28
     checked = []
     monkeypatch.setattr(coxeter.CoxeterSystem, "_check_relations",
                         lambda system: checked.append(system.dihedral_m))
-    assert coxeter.build_system("I2", m=2582).order == 5164
-    with pytest.raises(coxeter.SizeLimitError, match="268,543,532 bytes"):
-        coxeter.build_system("I2", m=2583)
-    assert checked == [2582]
+    assert coxeter.build_system("I2", m=2557).order == 5114
+    with pytest.raises(coxeter.SizeLimitError, match="268,609,185 bytes"):
+        coxeter.build_system("I2", m=2558)
+    assert checked == [2557]
 
 
 def test_seed_reaches_the_forest_samples(capsys, monkeypatch):

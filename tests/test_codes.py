@@ -301,6 +301,7 @@ def test_code_d6_supported():
     p6 = shared_poset("D", 6)
     code = code_d(p6)
     assert code.bounds == (1, 3, 5, 7, 9, 5)
+    assert code.dims == (2, 4, 6, 8, 10, 6) and code.box_size() == p6.size
     assert p6.exponents() == (1, 3, 5, 5, 7, 9)
     assert verify_code(code).passed
 

@@ -1,4 +1,6 @@
 import cmath
+import hashlib
+import json
 
 import pytest
 
@@ -66,6 +68,15 @@ def test_coxeter_matrices():
     assert d.gen_subscripts == (0, 1, 2, 3)
     assert d.coxeter_matrix[0][2] == 3 and d.coxeter_matrix[1][2] == 3
     assert d.coxeter_matrix[0][1] == 2
+    # every admitted A1-A7, B2-B6 and D4-D6, plus H3 and I2(3..10), pinned:
+    # the BFS order, and so every element index, follows the generators
+    systems = ([("A", n, None) for n in range(1, 8)] + [("B", n, None) for n in range(2, 7)]
+               + [("D", n, None) for n in range(4, 7)] + [("H3", None, None)]
+               + [("I2", None, m) for m in range(3, 11)])
+    doc = [[s.coxeter_matrix, s.generators, s.gen_subscripts]
+           for s in (build_system(*key) for key in systems)]
+    assert hashlib.sha256(json.dumps(doc).encode()).hexdigest() == (
+        "117c860f5b71afe423e49c93a185b999549a7580fffbb909491edb1b6cb7acfc")
 
 
 def test_group_orders():

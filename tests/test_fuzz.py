@@ -110,3 +110,40 @@ def test_factorization_rejects_non_products():
     assert _factor_into_q_analogs(IntPolynomial([1, 1, 2]), 2) is None
     assert _factor_into_q_analogs(IntPolynomial([1, 2]), 1) is None
     assert _factor_into_q_analogs(IntPolynomial([1, 1, 1]), 2) is None
+    # (1 - q)^2 (1 + 2q) = 1 - 3q^2 + 2q^3: the first peel of 1 - q^2 leaves
+    # 2q^3 - 2q^4 past the quotient, so the division is inexact
+    assert _factor_into_q_analogs(IntPolynomial([1, 2]), 2) is None
+    for k in range(4):
+        assert _factor_into_q_analogs(IntPolynomial(), k) is None
+    # a [1]_q factor is no factor of degree >= 2: k of them are one too many
+    assert _factor_into_q_analogs(IntPolynomial([1]), 1) is None
+    assert _factor_into_q_analogs(q_analog_product((1, 3)), 2) is None
+    assert _factor_into_q_analogs(q_analog_product((2, 1, 4, 1)), 4) is None
+    assert _factor_into_q_analogs(q_analog_product((2, 1, 4, 1)), 2) == [2, 4]
+
+
+def test_factorization_of_arbitrary_polynomials():
+    # the peel returns degrees only for a true factorization into k q-integers
+    # of degree >= 2, and finds every product of k of them ([1]_q is 1)
+    rng = random.Random(2718)
+    found = 0
+    for _ in range(2000):
+        k = rng.randint(0, 6)
+        ns = sorted(rng.randint(1, 10) for _ in range(rng.randint(0, 7)))
+        poly = q_analog_product(ns)
+        kind = rng.randrange(3)
+        expected = [n for n in ns if n >= 2] if kind == 2 else None
+        if kind == 0:
+            poly = IntPolynomial(rng.randint(-2, 3) for _ in range(rng.randint(0, 14)))
+        elif kind == 1:  # a product with one coefficient moved, which no peel may accept
+            cs = list(poly.coeffs)
+            cs[rng.randrange(len(cs))] += rng.choice((-2, -1, 1, 2))
+            poly = IntPolynomial(cs)
+        got = _factor_into_q_analogs(poly, k)
+        if got is not None:
+            found += 1
+            assert len(got) == k and all(d >= 2 for d in got), (poly, k, got)
+            assert q_analog_product(got) == poly
+        if expected is not None:
+            assert got == (expected if len(expected) == k else None), (poly, k, got)
+    assert found > 50

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -22,6 +23,7 @@ from coxlehmer.schubert import (
     is_unimodal_permutation,
     partition_to_unimodal,
     perm_length,
+    random_forest_covers,
     smooth_exponents,
     smooth_permutations,
     unimodal_permutations,
@@ -83,10 +85,21 @@ def test_permutation_poset_longest():
     assert chain_counts(covers) == (3, 2, 1)
 
 
+def _chain_counts_by_subsets(n, rel, is_cover):
+    """Totally ordered subsets of 1..n that are saturated, counted by size
+    straight from the relation."""
+    counts = {}
+    for size in range(1, n + 1):
+        for sub in itertools.combinations(range(1, n + 1), size):
+            # order candidates bottom-up: more elements above means lower
+            chain = sorted(sub, key=lambda x: -sum((x, y) in rel for y in sub))
+            if all(is_cover(chain[i], chain[i + 1]) for i in range(len(chain) - 1)):
+                counts[size - 1] = counts.get(size - 1, 0) + 1
+    return tuple(counts.get(r, 0) for r in range(len(counts)))
+
+
 def test_chain_counts_against_brute_force():
-    # oracle: count totally ordered subsets that are saturated, straight
-    # from the relation, which is read off w: i below j when i < j but j
-    # comes first in w
+    # the relation is read off w: i below j when i < j but j comes first in w
     for w in itertools.permutations(range(1, 6)):
         n = len(w)
         rel = {(i, j) for i in w for j in w if i < j and w.index(j) < w.index(i)}
@@ -97,15 +110,23 @@ def test_chain_counts_against_brute_force():
 
         assert hasse_covers(w) == {a: [b for b in range(1, n + 1) if is_cover(a, b)]
                                    for a in range(1, n + 1)}
-        counts = {}
-        for size in range(1, n + 1):
-            for sub in itertools.combinations(range(1, n + 1), size):
-                # order candidates bottom-up: more elements above means lower
-                chain = sorted(sub, key=lambda x: -sum((x, y) in rel for y in sub))
-                if all(is_cover(chain[i], chain[i + 1]) for i in range(len(chain) - 1)):
-                    counts[size - 1] = counts.get(size - 1, 0) + 1
-        got = chain_counts(hasse_covers(w))
-        assert got == tuple(counts.get(r, 0) for r in range(len(got)))
+        assert chain_counts(hasse_covers(w)) == _chain_counts_by_subsets(n, rel, is_cover)
+    # seeded rooted forests: the relation is the closure of their covers
+    rng = random.Random(31)
+    for _ in range(20):
+        covers = random_forest_covers(rng.randint(2, 9), rng)
+        rel, stack = set(), [(a, b) for a, ups in covers.items() for b in ups]
+        while stack:
+            a, b = stack.pop()
+            if (a, b) not in rel:
+                rel.add((a, b))
+                stack.extend((a, c) for c in covers[b])
+        assert chain_counts(covers) == _chain_counts_by_subsets(
+            len(covers), rel, lambda a, b: b in covers[a]), covers
+    # a chain has at most n elements: cyclic covers are refused, not walked
+    for cyclic in ({1: [2], 2: [1]}, {1: [2], 2: [3], 3: [1], 4: [1]}, {1: [1]}):
+        with pytest.raises(ValueError, match="cycle"):
+            chain_counts(cyclic)
 
 
 def test_chain_partition_examples():

@@ -25,7 +25,6 @@ from coxlehmer.report import MAX_WITNESSES
 from coxlehmer.simplicial import (
     ShellingFailure,
     SimplicialComplex,
-    _omitted_bits,
     box_shelling_steps,
     build_box_complex,
     complex_of_ideal,
@@ -50,6 +49,7 @@ from oracles import (
     is_flag_ideal_by_scan,
     least_container,
     maximalize,
+    omitted_bits,
     one_facet_per_column,
     order_from_extension,
     push_all,
@@ -87,9 +87,12 @@ def test_facet_rule_masks_unpack_to_facet_of(dims):
     assert sc.facet_count == prod(dims)
     for k, label in enumerate(sc.labels):
         assert facet_vertices(sc, k) == facet_of(label, dims)
-    omitted = _omitted_bits(dims)
+    omitted = omitted_bits(dims)
     assert [len(bits) for bits in omitted] == list(dims)
     assert sum(b for bits in omitted for b in bits) == (1 << sum(dims)) - 1
+    # the library states the rule once, in `_classes`: bit top_i - 1 - x
+    assert tuple(tuple(1 << top - 1 - x for x in range(d))
+                 for (_, top, _), d in zip(simplicial._classes(dims), dims)) == omitted
 
 
 def test_facets_distinct_on_2x2():
@@ -407,7 +410,7 @@ def test_push_refuses_a_box_point_outside_the_ideal():
 
 def test_least_container_matches_brute_force():
     for dims in [(2, 3), (2, 2, 2), (3, 3), (1, 3)]:
-        omitted = _omitted_bits(dims)
+        omitted = omitted_bits(dims)
         sc = complex_of_ideal(full_ideal(box_table(dims)))
         points = [tuple(x - 1 for x in lab) for lab in sc.labels]
         for facet in sc.facets:
@@ -427,7 +430,7 @@ def test_a_subface_lies_in_its_facet_and_one_neighbour():
     # that trades v for the vertex the facet omits in v's class, which lies
     # on the facet's line of that class
     for dims in [(2, 3), (2, 2, 2), (3, 3), (1, 3), (3, 3, 4)]:
-        omitted = _omitted_bits(dims)
+        omitted = omitted_bits(dims)
         points = list(full_ideal(box_table(dims)))
         facets = dict(zip(points, _facet_masks(dims, points)))
         for x, f in facets.items():
