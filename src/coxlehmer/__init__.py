@@ -24,7 +24,7 @@ from .intervals import (
     unimodal_set,
 )
 from .multicomplex import OrderIdeal, box_table, ideal_from_points, is_m_sequence
-from .qpoly import IntPolynomial, q_analog
+from .qpoly import IntPolynomial
 from .simplicial import SimplicialComplex, build_box_complex, complex_of_ideal
 
 __version__ = "0.1.0"

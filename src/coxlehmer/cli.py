@@ -41,9 +41,10 @@ def build_parser() -> argparse.ArgumentParser:
         prog="coxlehmer",
         description="Lehmer codes, Bruhat intervals and their complexes "
                     "for finite Coxeter groups of types A, B, D, H3, I2(m).",
-        epilog=f"Groups whose Bruhat downsets, elements and words would take more than "
-               f"{ENUMERATION_LIMIT:,} bytes (|W|^2/16, plus 8 per one-line entry and per "
-               f"BFS word letter, plus {PER_ELEMENT_BYTES:,} per element) are refused with "
+        epilog=f"Groups whose enumeration and code would store more than "
+               f"{ENUMERATION_LIMIT:,} bytes (|W|^2/16 of Bruhat downsets, plus 8 per "
+               f"one-line entry and per BFS word letter, plus {PER_ELEMENT_BYTES:,} per "
+               f"element; the process's fixed costs are not counted) are refused with "
                f"exit status 2.")
     sub = p.add_subparsers(dest="command", required=True)
 

@@ -26,18 +26,21 @@ from typing import Callable, Iterable, Sequence
 
 from .qpoly import IntPolynomial
 
-# the bytes an enumerated group may store: its downset bitsets, |W|^2 / 16,
-# its one-line elements, 8 bytes per entry, its BFS words, 8 bytes per
-# letter at N / 2 letters a word, N = l(w0) the number of reflections, and
-# PER_ELEMENT_BYTES for the rest an element holds: its index entry, length,
-# multiplication row, covers and tuple headers (tracemalloc read 824-1,050
-# bytes past the other terms on a cold `code` for A6, B5, I2(500) and
-# I2(1000)).  That is 61 MB for D6 (23,040 elements) but 6.9 GB for D7 and
-# 8.7 GB for A8, and 40.25 m^2 + 2,048 m for I2(m), whose elements have 2m
-# entries and N = m.  The limit keeps A7, B6, D6 and I2(m) up to m = 2,557;
-# it can rise once point queries stop materializing every downset.
+# the bytes an enumerated group and its code may store, as tracemalloc
+# traces them from build_system through standard_code (a process's fixed
+# costs, such as the CLI's parser, are outside it): the downset bitsets,
+# |W|^2 / 16, the one-line elements, 8 bytes per entry, the BFS words, 8
+# bytes per letter at N / 2 letters a word, N = l(w0) the number of
+# reflections, and PER_ELEMENT_BYTES for the rest an element holds: its
+# index entry, length, multiplication row, covers, tuple headers and code.
+# The traced peak is 0.60-0.80 of the model on A5, A6, B4, B5, D5 and H3,
+# 0.93 on I2(200) and 0.9994 on I2(2555), the largest group admitted.
+# That is 62 MB for D6 (23,040 elements) but 6.9 GB for D7 and 8.7 GB for
+# A8, and 40.25 m^2 + 2,176 m for I2(m), whose elements have 2m entries and
+# N = m.  The limit keeps A7, B6, D6 and I2(m) up to m = 2,555; it can rise
+# once point queries stop materializing every downset.
 ENUMERATION_LIMIT = 2 ** 28
-PER_ELEMENT_BYTES = 1024
+PER_ELEMENT_BYTES = 1088
 
 
 class SizeLimitError(RuntimeError):
@@ -47,7 +50,7 @@ class SizeLimitError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# type-specific element kernels
+# the element kernel
 
 
 def _compose(a, b):
@@ -59,11 +62,7 @@ def _right_actions(system) -> list[Callable]:
     """e -> e g for each generator g.  Under `_compose` that moves the
     entries of e to the positions |g(x)| names and negates the slots where
     g is negative (Bjorner-Brenti, GTM 231, 8.1-8.2): one itemgetter call,
-    and a sign flip only for B's s1 and D's s0.  Any other kernel keeps
-    compose(e, g)."""
-    compose = system.compose
-    if compose is not _compose:
-        return [lambda e, g=g: compose(e, g) for g in system.generators]
+    and a sign flip only for B's s1 and D's s0."""
     actions = []
     for g in system.generators:
         # itemgetter of a single index returns the entry, not a tuple
@@ -125,21 +124,20 @@ def _root_permutations(matrix):
 class CoxeterSystem:
     """A finite Coxeter system with concrete, exactly-represented elements."""
 
-    def __init__(self, label, rank, matrix, gen_subscripts, identity, generators,
-                 compose, order, reflections, dihedral_m=None, render=None):
+    def __init__(self, label, matrix, gen_subscripts, generators, order, reflections,
+                 render=None):
         self.label = label
-        self.rank = rank
+        self.rank = len(matrix)
         self.coxeter_matrix = matrix
         self.gen_subscripts = tuple(gen_subscripts)
-        self.identity = identity
+        self.identity = tuple(range(1, len(generators[0]) + 1))
         self.generators = tuple(generators)
-        self.compose: Callable = compose
         self.order = order
         self.reflections = reflections
-        self.dihedral_m = dihedral_m
+        self.dihedral_m = matrix[0][1] if label == "I2" else None
         self.render = render
-        need = (order * order // 16 + 8 * order * len(identity) + 4 * order * reflections
-                + PER_ELEMENT_BYTES * order)
+        self.modelled_bytes = need = (order * order // 16 + 8 * order * len(self.identity)
+                                      + 4 * order * reflections + PER_ELEMENT_BYTES * order)
         if need > ENUMERATION_LIMIT:  # before the relations, quadratic in m for I2(m)
             raise SizeLimitError(f"|{self.describe()}| = {order} needs {need:,} bytes, which "
                                  f"exceeds the enumeration limit of {ENUMERATION_LIMIT:,} bytes")
@@ -150,11 +148,11 @@ class CoxeterSystem:
         for i in range(self.rank):
             for j in range(self.rank):
                 m = self.coxeter_matrix[i][j]
-                p = self.compose(self.generators[i], self.generators[j])
+                p = _compose(self.generators[i], self.generators[j])
                 acc = p
                 k = 1
                 while acc != self.identity:
-                    acc = self.compose(acc, p)
+                    acc = _compose(acc, p)
                     k += 1
                     if k > m:
                         break
@@ -206,32 +204,27 @@ def build_system(label: str, rank: int | None = None, m: int | None = None) -> C
         if rank is None or rank < 1:
             raise ValueError(f"type A requires rank >= 1, got {rank}")
         n = rank + 1
-        return CoxeterSystem("A", rank, _chain_matrix(rank, 0, {}), range(1, rank + 1),
-                             tuple(range(1, n + 1)), _adjacent_swaps(n),
-                             _compose, factorial(n), n * rank // 2, render=_render_perm)
+        return CoxeterSystem("A", _chain_matrix(rank, 0, {}), range(1, rank + 1),
+                             _adjacent_swaps(n), factorial(n), n * rank // 2, render=_render_perm)
     if label == "B":
         if rank is None or rank < 2:
             raise ValueError(f"type B requires rank >= 2, got {rank}")
         n = rank
         gens = [(-1, *range(2, n + 1)), *_adjacent_swaps(n)]
-        return CoxeterSystem("B", rank, _chain_matrix(rank, 0, {(0, 1): 4}), range(1, rank + 1),
-                             tuple(range(1, n + 1)), gens, _compose, 2 ** n * factorial(n), n * n,
-                             render=_render_signed)
+        return CoxeterSystem("B", _chain_matrix(rank, 0, {(0, 1): 4}), range(1, rank + 1),
+                             gens, 2 ** n * factorial(n), n * n, render=_render_signed)
     if label == "D":
         if rank is None or rank < 4:
             raise ValueError(f"type D requires rank >= 4, got {rank}")
         n = rank
         gens = [(-2, -1, *range(3, n + 1)), *_adjacent_swaps(n)]
-        return CoxeterSystem("D", rank, _chain_matrix(rank, 1, {(0, 2): 3}), range(0, rank),
-                             tuple(range(1, n + 1)), gens, _compose,
+        return CoxeterSystem("D", _chain_matrix(rank, 1, {(0, 2): 3}), range(0, rank), gens,
                              2 ** (n - 1) * factorial(n), n * (n - 1), render=_render_signed)
     if label == "H3":
         if rank not in (None, 3):
             raise ValueError(f"type H3 has rank 3, got {rank}")
         mat = _chain_matrix(3, 0, {(1, 2): 5})
-        roots, gens = _root_permutations(mat)
-        return CoxeterSystem("H3", 3, mat, range(1, 4), tuple(range(1, len(roots) + 1)),
-                             gens, _compose, 120, 15)
+        return CoxeterSystem("H3", mat, range(1, 4), _root_permutations(mat)[1], 120, 15)
     if label == "I2":
         if m is None or m < 3:
             raise ValueError(f"type I2(m) requires m >= 3, got {m}")
@@ -239,9 +232,7 @@ def build_system(label: str, rank: int | None = None, m: int | None = None) -> C
         # reflect in the simple roots 0 and m - 1, sending root k to
         # m - k and m - 2 - k (mod 2m); roots 0..m-1 are the positive ones
         gens = [tuple((c - k) % (2 * m) + 1 for k in range(2 * m)) for c in (m, m - 2)]
-        mat = _chain_matrix(2, 0, {(0, 1): m})
-        return CoxeterSystem("I2", 2, mat, range(1, 3), tuple(range(1, 2 * m + 1)), gens,
-                             _compose, 2 * m, m, dihedral_m=m)
+        return CoxeterSystem("I2", _chain_matrix(2, 0, {(0, 1): m}), range(1, 3), gens, 2 * m, m)
     raise ValueError(f"unknown type {label!r}; valid: A, B, D, H3, I2")
 
 
@@ -437,13 +428,8 @@ class BruhatPoset:
 
     def minimal_coset_reps(self, J: Iterable[int]) -> list[int]:
         """The quotient of W by W_J: elements with no left descent in J."""
-        Jt = tuple(J)
-        out = []
-        for w in range(self.size):
-            lw = self.length[w]
-            if all(self.length[self.left_mult[w][gi]] > lw for gi in Jt):
-                out.append(w)
-        return out
+        J = frozenset(J)
+        return [w for w in range(self.size) if not self.descents_left(w) & J]
 
     def generalized_quotient(self, V: Iterable[int]) -> list[int]:
         Vt = tuple(V)

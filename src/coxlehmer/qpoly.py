@@ -18,7 +18,7 @@ class IntPolynomial:
 
     >>> IntPolynomial([1, 2, 0, 0]).coeffs
     (1, 2)
-    >>> (q_analog(2) * q_analog(3)).coeffs
+    >>> (q_analog_product([2]) * q_analog_product([3])).coeffs
     (1, 2, 2, 1)
     """
 
@@ -57,12 +57,6 @@ class IntPolynomial:
             out[i] += c
         return IntPolynomial(out)
 
-    def __neg__(self) -> "IntPolynomial":
-        return IntPolynomial(-c for c in self.coeffs)
-
-    def __sub__(self, other: "IntPolynomial") -> "IntPolynomial":
-        return self + (-other)
-
     def __mul__(self, other):
         if isinstance(other, int):
             return IntPolynomial(c * other for c in self.coeffs)
@@ -74,12 +68,6 @@ class IntPolynomial:
         return IntPolynomial(out)
 
     __rmul__ = __mul__
-
-    def __call__(self, x: int) -> int:
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
 
     def text(self) -> str:
         """Render like "1 + 3*q + 5*q^2 + 4*q^3 + q^4"."""
@@ -109,27 +97,17 @@ class IntPolynomial:
         return f"IntPolynomial({self.text()!r})"
 
 
-def q_analog(n: int) -> IntPolynomial:
-    """The q-analog of n, the sum 1 + q + ... + q^(n-1).
+def q_analog_product(ns: Iterable[int]) -> IntPolynomial:
+    """prod [n]_q over ns (1 if empty), where [n]_q = 1 + q + ... + q^(n-1)
+    for n >= 1.  Times [n]_q, coefficient i is c_(i-n+1) + ... + c_i, a
+    running sum of c_i - c_(i-n): O(degree).
 
-    Defined for n >= 1 only.
-
-    >>> q_analog(4).coeffs
+    >>> q_analog_product([4]).coeffs
     (1, 1, 1, 1)
     """
-    return q_analog_product((n,))
-
-
-def q_analog_product(ns: Iterable[int]) -> IntPolynomial:
-    """prod [n]_q over ns (ONE if empty).  Times [n]_q, coefficient i is
-    c_(i-n+1) + ... + c_i, a running sum of c_i - c_(i-n): O(degree)."""
     coeffs = [1]
     for n in ns:
         if n < 1:
             raise ValueError(f"q-analog is defined for n >= 1, got {n}")
         coeffs = list(accumulate(map(sub, coeffs + [0] * (n - 1), [0] * n + coeffs)))
     return IntPolynomial(coeffs)
-
-
-ZERO = IntPolynomial()
-ONE = q_analog(1)

@@ -62,9 +62,10 @@ compares them; the groups or boxes covered.
   test_intervals::test_unimodal_set_matches_the_orbit_oracle; the same codes.
 - avoids_by_standardizing: schubert `avoids`;
   test_schubert::test_avoids_matches_the_standardizing_oracle; six patterns up to 25314.
-- mat3_compose, reflection_matrix, BOND_VALUES, matrix_h3_system, affine_dihedral_system:
-  coxeter `_root_permutations`; test_coxeter::test_root_permutations_match_the_old_kernels;
-  H3, I2(3..10).
+- kernel_tables, mat3_compose, reflection_matrix, BOND_VALUES, matrix_h3_tables,
+  affine_dihedral_tables: coxeter `_root_permutations` and the BFS through `_compose`;
+  the old H3 and I2 kernels run through `kernel_tables`, the BFS with compose(e, g);
+  test_coxeter::test_root_permutations_match_the_old_kernels; H3, I2(3..10).
 - upper_covers, maxima_by_covers: multicomplex `_BoxTable` and `OrderIdeal.maxima`;
   test_multicomplex::test_ideal_views_match_the_tuple_definitions; (2, 3), (2, 2, 2),
   (3, 3), (1, 3), (2, 2, 3).
@@ -92,7 +93,7 @@ from math import prod
 
 from coxlehmer import simplicial
 from coxlehmer.codes import CodeBuildError, _make_code
-from coxlehmer.coxeter import CoxeterSystem, SizeLimitError, _bits, build_system
+from coxlehmer.coxeter import SizeLimitError, _bits, build_system
 from coxlehmer.intervals import InvalidCodeImage
 from coxlehmer.multicomplex import (
     OrderIdeal,
@@ -625,25 +626,43 @@ def reflection_matrix(matrix_row, i):
     return tuple(cols[j][i] for i in range(rank) for j in range(rank))
 
 
-def matrix_h3_system() -> CoxeterSystem:
-    """H3 with 3x3 matrices over Z[phi] for elements."""
+def kernel_tables(identity, generators, compose):
+    """(elements, length, word, right_mult) of the group the generators
+    make under `compose`, by the BFS that `BruhatPoset` runs: e g is
+    compose(e, g), and indices are assigned in the order they are found."""
+    elements, index = [identity], {identity: 0}
+    length, word, right_mult = [0], [()], []
+    for u, eu in enumerate(elements):  # grows as new elements are found
+        row = []
+        for gi, g in enumerate(generators):
+            v = compose(eu, g)
+            j = index.get(v)
+            if j is None:
+                j = index[v] = len(elements)
+                elements.append(v)
+                length.append(length[u] + 1)
+                word.append(word[u] + (gi,))
+            row.append(j)
+        right_mult.append(row)
+    return elements, length, word, right_mult
+
+
+def matrix_h3_tables():
+    """H3's tables with 3x3 matrices over Z[phi] for elements."""
     mat = build_system("H3").coxeter_matrix
     ident = tuple((1, 0) if i == j else (0, 0) for i in range(3) for j in range(3))
-    gens = [reflection_matrix(mat[i], i) for i in range(3)]
-    return CoxeterSystem("H3", 3, mat, range(1, 4), ident, gens, mat3_compose, 120, 15)
+    return kernel_tables(ident, [reflection_matrix(mat[i], i) for i in range(3)], mat3_compose)
 
 
-def affine_dihedral_system(m: int) -> CoxeterSystem:
-    """I2(m) with affine maps (e, c): x -> e x + c of Z_m for elements."""
+def affine_dihedral_tables(m: int):
+    """I2(m)'s tables with affine maps (e, c): x -> e x + c of Z_m for elements."""
 
     def compose(a, b):
         e1, c1 = a
         e2, c2 = b
         return (e1 * e2, (e1 * c2 + c1) % m)
 
-    mat = build_system("I2", m=m).coxeter_matrix
-    return CoxeterSystem("I2", 2, mat, range(1, 3), (1, 0), [(-1, 0), (-1, 1)],
-                         compose, 2 * m, m, dihedral_m=m)
+    return kernel_tables((1, 0), [(-1, 0), (-1, 1)], compose)
 
 
 # The tuple paths that order ideals and shelling states took before they

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from coxlehmer import cli, codes, coxeter, schubert
+from coxlehmer.qpoly import q_analog_product
 from coxlehmer.report import Report
 
 
@@ -433,13 +434,13 @@ def test_size_limit_is_exit_2(capsys):
 
 
 @pytest.mark.parametrize("label, flag, size", [("D", "--rank", "7"), ("A", "--rank", "8"),
-                                               ("I2", "--m", "60000"), ("I2", "--m", "2558")],
-                         ids=["D-7", "A-8", "I2-60000", "I2-2558"])
+                                               ("I2", "--m", "60000"), ("I2", "--m", "2556")],
+                         ids=["D-7", "A-8", "I2-60000", "I2-2556"])
 def test_groups_above_the_limit_are_refused_before_enumeration(
         capsys, monkeypatch, label, flag, size):
     # their downsets alone would take 6.5 GB (D7) and 8.2 GB (A8), and
-    # I2(60000)'s 120,000 elements of 120,000 entries each 116 GB; I2(2558)
-    # is the first dihedral group past the limit, at 40.25 m^2 + 2,048 m bytes; the BFS
+    # I2(60000)'s 120,000 elements of 120,000 entries each 116 GB; I2(2556)
+    # is the first dihedral group past the limit, at 40.25 m^2 + 2,176 m bytes; the BFS
     # reaches every element through the per-generator actions, and the
     # relation check composes s1 s2 m times, quadratic in m
     acted = []
@@ -464,16 +465,18 @@ def test_groups_above_the_limit_are_refused_before_enumeration(
     assert "enumeration limit" in err
 
 
-def test_i2_2557_is_the_largest_dihedral_group_under_the_limit(monkeypatch):
+def test_i2_2555_is_the_largest_dihedral_group_under_the_limit(monkeypatch):
     # 2m-entry elements, words of m/2 letters on average, the downsets and
-    # 1,024 bytes per element: floor(m^2 / 4) + 40 m^2 + 2,048 m against 2^28
+    # PER_ELEMENT_BYTES per element: 40.25 m^2 + 2,176 m against 2^28
     checked = []
     monkeypatch.setattr(coxeter.CoxeterSystem, "_check_relations",
                         lambda system: checked.append(system.dihedral_m))
-    assert coxeter.build_system("I2", m=2557).order == 5114
-    with pytest.raises(coxeter.SizeLimitError, match="268,609,185 bytes"):
-        coxeter.build_system("I2", m=2558)
-    assert checked == [2557]
+    system = coxeter.build_system("I2", m=2555)
+    assert system.order == 5110
+    assert system.modelled_bytes == 268_312_686 <= coxeter.ENUMERATION_LIMIT
+    with pytest.raises(coxeter.SizeLimitError, match="268,520,580 bytes"):
+        coxeter.build_system("I2", m=2556)
+    assert checked == [2555]
 
 
 def test_seed_reaches_the_forest_samples(capsys, monkeypatch):
@@ -604,6 +607,29 @@ def test_classify_pal(capsys, name):
     code, out, _ = run(capsys, "classify", *_system_args(name), "--what", "pal")
     assert code == 0
     assert json.loads(out)["count"] == PAL_COUNTS[name]
+
+
+# principal elements and their distinct interval polynomials
+PRINCIPAL_COUNTS = {"D6": (377, 67)}
+
+
+@pytest.mark.parametrize("name", PRINCIPAL_COUNTS)
+def test_classify_principal(capsys, name):
+    code, out, _ = run(capsys, "classify", *_system_args(name), "--what", "principal")
+    doc = json.loads(out)
+    assert code == 0
+    assert (doc["count"], len(doc["polynomials"])) == PRINCIPAL_COUNTS[name]
+
+
+def test_d6_w0_on_every_route_is_the_group_polynomial(capsys):
+    # w0 = -1 in D6, so [e, w0] is the whole group: prod [e + 1]_q over the
+    # exponents 1, 3, 5, 7, 9, 5, with coefficients summing to |D6|
+    code, out, _ = run(capsys, "hpoly", "--type", "D", "--rank", "6",
+                       "--perm=-1,-2,-3,-4,-5,-6", "--route", "all", "--json")
+    doc = json.loads(out)
+    assert code == 0 and doc["agree"] is True
+    assert [sum(p) for p in doc["routes"].values()] == [23040] * 3
+    assert doc["routes"]["direct"] == q_analog_product([2, 4, 6, 8, 10, 6]).to_json()
 
 
 PARSER_RUNS = [

@@ -1,21 +1,24 @@
 import cmath
 import hashlib
 import json
+import tracemalloc
 
 import pytest
 
+from coxlehmer.codes import standard_code
 from coxlehmer.coxeter import (
     BruhatPoset,
     SizeLimitError,
+    _compose,
     _right_actions,
     _root_permutations,
     build_system,
     shared_poset,
 )
-from coxlehmer.qpoly import q_analog, q_analog_product
+from coxlehmer.qpoly import q_analog_product
 from oracles import (
-    affine_dihedral_system,
-    matrix_h3_system,
+    affine_dihedral_tables,
+    matrix_h3_tables,
     parabolic_decompose,
     quotient_factorization,
     reflections,
@@ -186,7 +189,7 @@ def test_gradedness_of_covers(b3):
 def test_poincare_whole_dihedral_group():
     for m in (3, 5, 8):
         p = BruhatPoset(build_system("I2", m=m))
-        assert p.group_poincare() == q_analog(2) * q_analog(m)
+        assert p.group_poincare() == q_analog_product([2, m])
 
 
 def test_exponents():
@@ -304,6 +307,21 @@ def test_size_model_counts_the_bfs_word_letters(label, rank, m):
     assert 2 * sum(map(len, poset.word)) == poset.size * poset.system.reflections
 
 
+@pytest.mark.parametrize("label, rank, m", [
+    ("A", 5, None), ("B", 4, None), ("D", 5, None), ("H3", None, None), ("I2", None, 200)])
+def test_traced_peak_stays_under_the_size_model(label, rank, m):
+    # the limit bounds what a group and its code store: the bytes
+    # tracemalloc sees from build_system through standard_code
+    tracemalloc.start()
+    try:
+        system = build_system(label, rank, m)
+        standard_code(BruhatPoset(system))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= system.modelled_bytes
+
+
 def test_render(a3, h3):
     w = a3.index[(3, 4, 1, 2)]
     assert a3.render(w) == "3412"
@@ -335,7 +353,7 @@ def test_d_length_closed_form():
 def test_h3_matrices_preserve_the_form():
     # the oracle's geometric representation fixes the doubled bilinear form
     # exactly, so its matrices are a faithful H3 to check the roots against
-    h3 = BruhatPoset(matrix_h3_system())
+    elements = matrix_h3_tables()[0]
     phi = (0, 1)
 
     def mul(x, y):
@@ -346,8 +364,7 @@ def test_h3_matrices_preserve_the_form():
     G = [[(2, 0), (-1, 0), (0, 0)],
          [(-1, 0), (2, 0), (0, -1)],
          [(0, 0), (0, -1), (2, 0)]]
-    for w in range(0, h3.size, 7):
-        M = h3.elements[w]
+    for M in elements[::7]:
         for i in range(3):
             for j in range(3):
                 acc = (0, 0)
@@ -365,12 +382,11 @@ ROOT_IDS = ["H3"] + [f"I2({m})" for m in range(3, 11)]
 @pytest.mark.parametrize("label,m", ROOT_GROUPS, ids=ROOT_IDS)
 def test_root_permutations_match_the_old_kernels(label, m):
     # BFS indices depend only on the group and its generator order, so the
-    # Z[phi] matrices and the affine dihedral maps give the same tables
+    # Z[phi] matrices and the affine dihedral maps give the same tables;
+    # BruhatPoset reads every other table off these three
     new = BruhatPoset(build_system(label, m=m))
-    old = BruhatPoset(matrix_h3_system() if label == "H3" else affine_dihedral_system(m))
-    for table in ("length", "word", "right_mult", "left_mult", "inverse",
-                  "covers_down", "by_length", "w0", "_down"):
-        assert getattr(new, table) == getattr(old, table), table
+    old = matrix_h3_tables() if label == "H3" else affine_dihedral_tables(m)
+    assert (new.length, new.word, new.right_mult) == old[1:]
 
 
 def _dihedral_positive(m):
@@ -478,22 +494,22 @@ ORACLE_IDS = [f"I2({m})" if label == "I2" else "H3" if label == "H3" else f"{lab
 def test_right_actions_match_compose(label, rank, m):
     # the BFS's position maps against the composition kernel itself
     p = BruhatPoset(build_system(label, rank, m))
-    compose, gens = p.system.compose, p.system.generators
+    gens = p.system.generators
     actions = _right_actions(p.system)
     assert len(actions) == len(gens)
     for e in p.elements:
-        assert [act(e) for act in actions] == [compose(e, g) for g in gens]
+        assert [act(e) for act in actions] == [_compose(e, g) for g in gens]
 
 
 @pytest.mark.parametrize("label,rank,m", ORACLE_GROUPS, ids=ORACLE_IDS)
 def test_tables_match_compose_oracle(label, rank, m):
     # slow reference: covers from every reflection times every element,
-    # products and left multiplication through system.compose on
+    # products and left multiplication through the kernel `_compose` on
     # canonical elements
     import random
 
     p = BruhatPoset(build_system(label, rank, m))
-    compose, elements, index = p.system.compose, p.elements, p.index
+    compose, elements, index = _compose, p.elements, p.index
     covers = [set() for _ in range(p.size)]
     for t in reflections(p):
         for u in range(p.size):

@@ -23,7 +23,7 @@ from coxlehmer.intervals import (
     unimodal_set,
 )
 from coxlehmer.multicomplex import box_table, full_ideal
-from coxlehmer.qpoly import IntPolynomial, q_analog, q_analog_product
+from coxlehmer.qpoly import IntPolynomial, q_analog_product
 from coxlehmer.simplicial import ShellingFailure, is_vertex_decomposable, shelling_h_polynomial
 from oracles import (
     LookupShellingState,
@@ -221,9 +221,9 @@ def test_routes_3412(a3, la3, monkeypatch):
 
 def test_maxima_route_matches_hand_expansion():
     # the inclusion-exclusion over {(1,0,2),(1,2,0),(0,2,2)} written out
-    two, three = q_analog(2), q_analog(3)
+    two, three = q_analog_product([2]), q_analog_product([3])
     byhand = (2 * (two * three) + three * three
-              - two - 2 * three + q_analog(1))
+              + -1 * two + -2 * three + q_analog_product([1]))
     assert byhand == IntPolynomial([1, 3, 5, 4, 1])
 
 

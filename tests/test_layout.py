@@ -1,9 +1,11 @@
 """The library keeps only what something in it reaches: every function,
-class and method defined in src/coxlehmer is named somewhere else in
-src/coxlehmer.  Reference implementations the tests need live in
-tests/oracles.py instead."""
+class, method and module-level name defined in src/coxlehmer is named
+somewhere else in src/coxlehmer.  Reference implementations the tests
+need live in tests/oracles.py instead, and src's doctests pass."""
 
 import ast
+import doctest
+import importlib
 import re
 from pathlib import Path
 
@@ -22,11 +24,17 @@ EXEMPT = {
 
 
 def _definitions(tree):
-    """(name, node, whether it is a method) of each module-level function
-    and class, and each method."""
+    """(name, node, whether it is a method) of each module-level function,
+    class and name bound by assignment, and each method."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             yield node.name, node, False
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for sub in ast.walk(target):
+                    if isinstance(sub, ast.Name):
+                        yield sub.id, node, False
         if isinstance(node, ast.ClassDef):
             for sub in node.body:
                 if isinstance(sub, ast.FunctionDef):
@@ -81,14 +89,16 @@ def test_exemptions_are_still_needed():
 
 def test_scan_sees_an_unreached_definition(tmp_path):
     (tmp_path / "a.py").write_text(
-        "def used():\n    return 1\n\n\n"
+        "LIMIT = 1\nSPARE, __version__ = LIMIT + 1, '0'\n\n\n"
+        "def used():\n    return LIMIT\n\n\n"
         "def unused():\n    return unused()\n\n\n"
         "class K:\n    def method(self):\n        return used()\n\n"
         "    def __len__(self):\n        return 0\n")
-    # a bare name `method` is a parameter, not a use of K.method
+    # a bare name `method` is a parameter, not a use of K.method; names
+    # bound by assignment count as definitions, dunders like __version__ aside
     (tmp_path / "b.py").write_text("from .a import K, unused\n\n\n"
                                    "def f(method):\n    return method\n\n\nk = f(K())\n")
-    assert unreached_names(tmp_path) == ["a.unused", "a.method"]
+    assert unreached_names(tmp_path) == ["a.SPARE", "a.unused", "a.method", "b.k"]
 
 
 def test_readme_layout_lists_src():
@@ -96,6 +106,16 @@ def test_readme_layout_lists_src():
     listed = re.findall(r"^  (\S+)", block, re.MULTILINE)
     on_disk = [p.name for p in SRC.iterdir() if p.is_file()]
     assert sorted(listed) == sorted(on_disk)
+
+
+def test_doctests_in_src_pass():
+    attempted = 0
+    for path in sorted(SRC.glob("*.py")):
+        name = "coxlehmer" if path.stem == "__init__" else f"coxlehmer.{path.stem}"
+        result = doctest.testmod(importlib.import_module(name))
+        assert result.failed == 0, path.name
+        attempted += result.attempted
+    assert attempted >= 1
 
 
 def newer_syntax(roots, version):

@@ -20,7 +20,7 @@ from coxlehmer.multicomplex import (
     random_order_ideals,
     sample_linear_extensions,
 )
-from coxlehmer.qpoly import IntPolynomial, q_analog
+from coxlehmer.qpoly import IntPolynomial, q_analog_product
 from oracles import (
     all_order_ideals_by_sets,
     is_linear_extension,
@@ -211,13 +211,13 @@ def test_maxima_hand_example():
 def test_f_polynomial():
     box = box_table((2, 3))
     assert ideal_from_points(box, [(0, 0)]).f_polynomial() == IntPolynomial([1])
-    assert full_ideal(box).f_polynomial() == q_analog(2) * q_analog(3)
+    assert full_ideal(box).f_polynomial() == q_analog_product([2, 3])
 
 
 def test_f_polynomial_counts_points():
     box = box_table((3, 3, 2))
     for j in random_order_ideals(box, 20, seed=5):
-        assert j.f_polynomial()(1) == len(j)
+        assert sum(j.f_polynomial().coeffs) == len(j)
 
 
 def test_is_m_sequence_basics():

@@ -14,7 +14,7 @@ from hypothesis import strategies as st  # noqa: E402
 from coxlehmer.coxeter import _bits  # noqa: E402
 from coxlehmer.intervals import _maxima_polynomial  # noqa: E402
 from coxlehmer.multicomplex import box_table, ideal_from_points  # noqa: E402
-from coxlehmer.qpoly import ONE, IntPolynomial, q_analog_product  # noqa: E402
+from coxlehmer.qpoly import IntPolynomial, q_analog_product  # noqa: E402
 from coxlehmer.simplicial import (  # noqa: E402
     complex_of_ideal,
     shelling_h_polynomial,
@@ -123,6 +123,6 @@ def test_running_sums_match_repeated_products(ns):
     got = _product_or_error(q_analog_product, ns)
     assert got == _product_or_error(q_analog_product_by_multiplying, ns)
     if not ns:
-        assert got == ONE
+        assert got == IntPolynomial([1])
     if any(n < 1 for n in ns):
         assert got == f"q-analog is defined for n >= 1, got {next(n for n in ns if n < 1)}"
