@@ -409,9 +409,9 @@ class BruhatPoset:
     # -- descents and parabolic machinery
 
     def descents_left(self, w: int) -> frozenset[int]:
-        lw = self.length[w]
-        return frozenset(gi for gi in range(self.system.rank)
-                         if self.length[self.left_mult[w][gi]] < lw)
+        length = self.length
+        lw = length[w]
+        return frozenset([gi for gi, v in enumerate(self.left_mult[w]) if length[v] < lw])
 
     def parabolic_elements(self, J: Iterable[int]) -> list[int]:
         Jt = tuple(J)
