@@ -1,13 +1,14 @@
 """Lehmer codes: rank-compatible bijections from a finite Coxeter group onto
 a product of chains whose inverse is monotone into Bruhat order.
 
-Every standard code multiplies out one saturated Bruhat chain per factor
-and reads the code vector off the factors: types A, B and I2(m) use the
-one-step parabolic quotients along the generator chain; type D uses the
-chains X_1, ..., X_{n-1}, Y_n generated by rule; H3 combines a generalized
-quotient with one long chain.  Codes are materialized as full two-way
-lookup tables, and `verify_code` re-checks bijectivity, rank compatibility
-and the cover-morphism property from the tables alone.
+Every standard code multiplies out one saturated Bruhat chain per factor,
+written as generator words, and reads the code vector off the factors:
+types A, B and I2(m) walk one reduced word per one-step parabolic quotient
+along the generator chain; type D uses the chains X_1, ..., X_{n-1}, Y_n
+generated by rule; H3 combines a generalized quotient with one long chain.
+Codes are materialized as full two-way lookup tables, and `verify_code`
+re-checks bijectivity, rank compatibility and the cover-morphism property
+from the tables and the Bruhat covers alone.
 """
 
 from __future__ import annotations
@@ -138,8 +139,9 @@ def _assert_saturated_chain(poset: BruhatPoset, elems, what: str) -> None:
             raise ChainVerificationError(
                 f"{what}: element {poset.render(w)} at position {k} has length "
                 f"{poset.length[w]}")
+    # the lengths go up by one, so a <= b means a is a lower cover of b
     for a, b in zip(elems, elems[1:]):
-        if not poset.leq(a, b):
+        if a not in poset.covers_down[b]:
             raise ChainVerificationError(
                 f"{what}: {poset.render(a)} not below {poset.render(b)}")
 
@@ -179,53 +181,62 @@ def _words_to_elements(poset: BruhatPoset, words, what: str):
 # quotient-factorization codes (types I2, A, B)
 
 
-def quotient_chain_code(poset: BruhatPoset, order, name: str) -> LehmerCode:
+def quotient_chain_code(poset: BruhatPoset, words, name: str) -> LehmerCode:
     """Code w -> lengths of the factors along a chain of parabolics.
 
     Factor i is the quotient of W_{J_i} by W_{J_{i-1}}, J_i the first i
-    generators of `order`.  Valid whenever every such quotient is a Bruhat
-    chain; each is verified during construction.
+    generators of the chain, given as the generator-subscript word whose
+    prefixes are its elements (Bjorner-Brenti, GTM 231, 2.4).  Each word
+    is walked from e one letter at a time, and every letter must add one
+    to the length.
     """
+    right_mult, length = poset.right_mult, poset.length
     factors = []
-    for i in range(1, len(order) + 1):
-        prev = frozenset(order[: i - 1])
-        par = poset.parabolic_elements(order[:i])
-        quot = [w for w in par if not (poset.descents_left(w) & prev)]
-        quot.sort(key=poset.length.__getitem__)
-        _assert_saturated_chain(poset, quot, f"{name}: quotient step {i}")
-        factors.append(_length_factor(poset, quot))
+    for i, word in enumerate(words, start=1):
+        what = f"{name}: quotient step {i}"
+        chain = [0]
+        for k, sub in enumerate(word, start=1):
+            x = right_mult[chain[-1]][poset.system.gen_index(sub)]
+            if length[x] != k:
+                raise ChainVerificationError(
+                    f"{what}: word {word} is not reduced at letter {k}, s{sub}")
+            chain.append(x)
+        _assert_saturated_chain(poset, chain, what)
+        factors.append(_length_factor(poset, chain))
     return _product_code(name, poset, factors)
 
 
 def code_i2(poset: BruhatPoset) -> LehmerCode:
+    """The I2(m) code: s1, then m - 1 letters alternating from s2."""
     if poset.system.label != "I2":
         raise ValueError(f"expected a dihedral system, got {poset.system.describe()}")
-    return quotient_chain_code(poset, (0, 1), f"LI2({poset.system.dihedral_m})")
+    m = poset.system.dihedral_m
+    return quotient_chain_code(poset, [(1,), tuple(2 - k % 2 for k in range(m - 1))],
+                               f"LI2({m})")
 
 
 def code_a(poset: BruhatPoset) -> LehmerCode:
+    """The type A code: factor i is a prefix of s_i ... s_1."""
     if poset.system.label != "A":
         raise ValueError(f"expected type A, got {poset.system.describe()}")
     n = poset.system.rank
-    return quotient_chain_code(poset, tuple(range(n)), f"LA{n}")
+    return quotient_chain_code(poset, [tuple(range(i, 0, -1)) for i in range(1, n + 1)],
+                               f"LA{n}")
 
 
 def code_b(poset: BruhatPoset, variant: bool = False) -> LehmerCode:
-    """The type B code, or (variant) the one from the reordered generator
-    chain s2, s1, s3, ..., s_n.  The variant exists for counterexample
-    hunting and is otherwise untuned.
+    """The type B code, factor i a prefix of s_i ... s_2 s_1 s_2 ... s_i, or
+    (variant) the one from the reordered generator chain s2, s1, s3, ...,
+    s_n, whose first two words are s2 and s1 s2 s1.  The variant exists for
+    counterexample hunting and is otherwise untuned.
     """
     if poset.system.label != "B":
         raise ValueError(f"expected type B, got {poset.system.describe()}")
     n = poset.system.rank
+    words = [(*range(i, 1, -1), 1, *range(2, i + 1)) for i in range(1, n + 1)]
     if variant:
-        code = quotient_chain_code(poset, (1, 0, *range(2, n)), f"LB{n}~")
-    else:
-        code = quotient_chain_code(poset, tuple(range(n)), f"LB{n}")
-    if code.bounds[-1] != 2 * n - 1:
-        raise ChainVerificationError(
-            f"{code.name}: maximal quotient has {code.bounds[-1] + 1} elements, expected {2 * n}")
-    return code
+        return quotient_chain_code(poset, [(2,), (1, 2, 1), *words[2:]], f"LB{n}~")
+    return quotient_chain_code(poset, words, f"LB{n}")
 
 
 # ---------------------------------------------------------------------------
@@ -379,8 +390,10 @@ def verify_code(code: LehmerCode) -> Report:
         lookup = {v: w for w, v in enumerate(code.vectors)}
         for y in product(*map(range, code.dims)):
             wy = lookup[y]
+            # ranks add, so x -> y maps to a relation only as a Bruhat cover
+            covers = poset.covers_down[wy]
             for x in lower_covers(y):
-                rep.check(poset.leq(lookup[x], wy),
+                rep.check(lookup[x] in covers,
                           lambda: f"cover {x} -> {y} maps to incomparable "
                                   f"{poset.render(lookup[x])}, {poset.render(wy)}")
     return rep
@@ -453,7 +466,8 @@ def verify_h3_quotients(poset: BruhatPoset) -> Report:
     weak = set(poset.weak_left_interval(z0))
     rep.check(yz == weak, "Y + Z is not the left weak interval below max Z")
 
-    par = poset.parabolic_elements((0, 1))
+    # W_{s1, s2}: every reduced word of its elements uses only s1 and s2
+    par = [w for w, wd in enumerate(poset.word) if set(wd) <= {0, 1}]
     s321 = poset.apply_word([2, 1, 0])
     cosets = {poset.mult(u, v) for u in par for v in (0, s321)}
     rep.check(yz == cosets, "Y + Z does not match the parabolic times {e, s3s2s1}")

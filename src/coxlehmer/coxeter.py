@@ -9,10 +9,10 @@ arithmetic is exact; equal tuples are equal group elements.
 
 Enumerating a system yields a BruhatPoset: every element indexed in BFS
 order, lengths, and the right multiplication table the BFS fills, moving
-entries by one position map per generator.  Inverses, left multiplication
-(both built on first use), products and Bruhat covers (by the lifting
-property) are all read off that table, and reachability bitsets answer
-u <= w in O(1).
+entries by one position map per generator.  Inverses (built on first use),
+products, left descents and Bruhat covers (by the lifting property) are
+all read off that table, and reachability bitsets hold every lower
+interval, so u <= w is one bit test.
 """
 
 from __future__ import annotations
@@ -33,12 +33,12 @@ from .qpoly import IntPolynomial
 # bytes per letter at N / 2 letters a word, N = l(w0) the number of
 # reflections, and PER_ELEMENT_BYTES for the rest an element holds: its
 # index entry, length, multiplication row, covers, tuple headers and code.
-# The traced peak is 0.60-0.80 of the model on A5, A6, B4, B5, D5 and H3,
-# 0.93 on I2(200) and 0.9994 on I2(2555), the largest group admitted.
 # That is 62 MB for D6 (23,040 elements) but 6.9 GB for D7 and 8.7 GB for
 # A8, and 40.25 m^2 + 2,176 m for I2(m), whose elements have 2m entries and
 # N = m.  The limit keeps A7, B6, D6 and I2(m) up to m = 2,555; it can rise
-# once point queries stop materializing every downset.
+# once point queries stop materializing every downset.  The traced peak is
+# 0.47-0.69 of the model on A5, A6, B4, B5, D5 and H3, 0.93 on A7, 0.94 on
+# B6, 0.92 on I2(200) and 0.9973 on I2(2555), the largest group admitted.
 ENUMERATION_LIMIT = 2 ** 28
 PER_ELEMENT_BYTES = 1088
 
@@ -275,9 +275,10 @@ class BruhatPoset:
     Elements are referred to by their BFS index; index 0 is the identity,
     and indices are length-graded.  `__init__` builds the element list,
     lengths, BFS words, the right multiplication table, Bruhat covers and
-    the downset bitsets; `inverse` and `left_mult` are built on first use.
-    `downset(w)` is a bitset over indices encoding {v : v <= w} in Bruhat
-    order, so comparisons and interval extraction are bit operations.
+    the downset bitsets; `inverse` is built on first use.  `downset(w)` is
+    a bitset over indices encoding {v : v <= w} in Bruhat order, so u <= w
+    is `downset(w) >> u & 1` and interval extraction is bit operations.
+    Left multiplication is read through the inverse: g u = (u^-1 g)^-1.
     """
 
     def __init__(self, system: CoxeterSystem):
@@ -355,12 +356,6 @@ class BruhatPoset:
     def inverse(self) -> list[int]:
         return [self.apply_word(wd[::-1]) for wd in self.word]
 
-    @cached_property
-    def left_mult(self) -> list[list[int]]:
-        # s u = (u^-1 s)^-1
-        inverse = self.inverse
-        return [[inverse[j] for j in self.right_mult[inverse[u]]] for u in range(self.size)]
-
     # -- element arithmetic by index
 
     def mult(self, a: int, b: int) -> int:
@@ -390,41 +385,29 @@ class BruhatPoset:
     def downset(self, w: int) -> int:
         return self._down[w]
 
-    def leq(self, u: int, w: int) -> bool:
-        return bool(self._down[w] >> u & 1)
-
     def weak_left_interval(self, w: int) -> list[int]:
         """The left weak interval [e, w], in index order: a search from w
         down the left weak covers, u to g u whenever that is shorter."""
+        inverse, right_mult, length = self.inverse, self.right_mult, self.length
         seen = {w}
         stack = [w]
         while stack:
             u = stack.pop()
-            for v in self.left_mult[u]:
-                if self.length[v] < self.length[u] and v not in seen:
-                    seen.add(v)
-                    stack.append(v)
+            for v in right_mult[inverse[u]]:  # u^-1 g, the inverse of g u
+                gu = inverse[v]
+                if length[gu] < length[u] and gu not in seen:
+                    seen.add(gu)
+                    stack.append(gu)
         return sorted(seen)
 
-    # -- descents and parabolic machinery
+    # -- descents and quotients
 
     def descents_left(self, w: int) -> frozenset[int]:
+        # the left descents of w are the right descents of its inverse
         length = self.length
         lw = length[w]
-        return frozenset([gi for gi, v in enumerate(self.left_mult[w]) if length[v] < lw])
-
-    def parabolic_elements(self, J: Iterable[int]) -> list[int]:
-        Jt = tuple(J)
-        seen = {0}
-        frontier = [0]
-        while frontier:
-            u = frontier.pop()
-            for gi in Jt:
-                v = self.right_mult[u][gi]
-                if v not in seen:
-                    seen.add(v)
-                    frontier.append(v)
-        return sorted(seen)
+        return frozenset([gi for gi, v in enumerate(self.right_mult[self.inverse[w]])
+                          if length[v] < lw])
 
     def minimal_coset_reps(self, J: Iterable[int]) -> list[int]:
         """The quotient of W by W_J: elements with no left descent in J."""

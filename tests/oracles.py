@@ -6,7 +6,8 @@ version of something the library does another way.
 Ledger, one line per oracle: the `src/` path it checks; the test that
 compares them; the groups or boxes covered.
 
-- reflections: coxeter `CoxeterSystem.reflections` and the BFS covers;
+- reflections, left_mult: coxeter `CoxeterSystem.reflections`, the BFS covers, and
+  `descents_left` and `weak_left_interval`, which left-multiply through `inverse`;
   test_coxeter::test_tables_match_compose_oracle; A1-A5, B2-B5, D4, D5, H3, I2(3..10).
 - product_code_by_combinations: codes `_product_code`;
   test_codes::test_product_code_matches_the_combination_oracle; A1-A5, B2-B5, D4, D5, H3,
@@ -48,10 +49,14 @@ compares them; the groups or boxes covered.
 - maxima_by_subsets: intervals `_maxima_polynomial`;
   test_intervals::test_maxima_table_matches_the_subset_oracle; A1-A5, B2-B4, D4, H3,
   I2(3..10), and seeded ideals of (3, 3, 4) in test_fuzz.
-- parabolic_decompose: coxeter `parabolic_elements`, `minimal_coset_reps`;
+- parabolic_decompose: coxeter `descents_left`, `minimal_coset_reps`;
   test_coxeter::test_parabolic_lengths_add_everywhere; A3 and B3.
-- quotient_factorization: codes `quotient_chain_code`;
-  test_codes::test_quotient_codes_match_the_factorization_oracle; A1-A6, B2-B5, I2(3..10).
+- parabolic_elements, the parabolic search the quotient codes once ran: codes
+  `d_chain_words`' first parts; test_codes::test_chain_first_parts_are_parabolic_quotients;
+  D4.
+- quotient_factorization: codes `quotient_chain_code` and the A, B and I2 chain words;
+  test_codes::test_quotient_codes_match_the_factorization_oracle; A1-A6, B2-B5 (both
+  codes), I2(3..10).
 - palindromic_intervals_unfiltered: intervals `palindromic_intervals`;
   test_intervals::test_palindromic_scan_matches_the_unfiltered_oracle; A1-A6, B2-B5,
   D4-D6, H3, I2(3..10).
@@ -93,7 +98,7 @@ from math import prod
 
 from coxlehmer import simplicial
 from coxlehmer.codes import CodeBuildError, _make_code
-from coxlehmer.coxeter import SizeLimitError, _bits, build_system
+from coxlehmer.coxeter import SizeLimitError, _bits, _compose, build_system
 from coxlehmer.intervals import InvalidCodeImage
 from coxlehmer.multicomplex import (
     OrderIdeal,
@@ -113,14 +118,20 @@ from coxlehmer.simplicial import (
 )
 
 
+def left_mult(poset, g, u: int) -> int:
+    """The index of g u, g a generator's one-line tuple, through the kernel."""
+    return poset.index[_compose(g, poset.elements[u])]
+
+
 def reflections(poset) -> list[int]:
     """Every conjugate of a simple reflection, closed under s t s."""
-    seen = set(poset.index[g] for g in poset.system.generators)
+    gens = poset.system.generators
+    seen = set(poset.index[g] for g in gens)
     frontier = list(seen)
     while frontier:
         t = frontier.pop()
-        for gi in range(poset.system.rank):
-            u = poset.left_mult[poset.right_mult[t][gi]][gi]
+        for gi, g in enumerate(gens):
+            u = left_mult(poset, g, poset.right_mult[t][gi])
             if u not in seen:
                 seen.add(u)
                 frontier.append(u)
@@ -516,19 +527,35 @@ def facet_vertices(sc, i: int) -> frozenset:
 def parabolic_decompose(poset, w: int, J) -> tuple[int, int]:
     """Split w = w_J * u with u the minimal coset representative: u has no
     left descent in J and lengths add."""
-    Jt = tuple(J)
+    gens = [poset.system.generators[gi] for gi in J]
     u = w
     moved = True
     while moved:
         moved = False
-        for gi in Jt:
-            v = poset.left_mult[u][gi]
+        for g in gens:
+            v = left_mult(poset, g, u)
             if poset.length[v] < poset.length[u]:
                 u = v
                 moved = True
     wj = poset.mult(w, poset.inverse[u])
     assert poset.length[wj] + poset.length[u] == poset.length[w]
     return wj, u
+
+
+def parabolic_elements(poset, J) -> list[int]:
+    """The parabolic subgroup W_J, in index order: a search from e along
+    right multiplication by the generators in J."""
+    Jt = tuple(J)
+    seen = {0}
+    frontier = [0]
+    while frontier:
+        u = frontier.pop()
+        for gi in Jt:
+            v = poset.right_mult[u][gi]
+            if v not in seen:
+                seen.add(v)
+                frontier.append(v)
+    return sorted(seen)
 
 
 def quotient_factorization(poset, w: int, gen_order=None) -> tuple[int, ...]:

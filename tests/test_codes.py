@@ -1,7 +1,10 @@
+import re
+
 import pytest
 
 from coxlehmer import codes as codes_mod
 from coxlehmer.codes import (
+    ChainVerificationError,
     CodeBuildError,
     LehmerCode,
     d_chain_words,
@@ -14,13 +17,14 @@ from coxlehmer.codes import (
     dual_code,
     enumerate_dihedral_codes,
     inversion_code,
+    quotient_chain_code,
     standard_code,
     verify_code,
     verify_d_factorization,
     verify_h3_quotients,
 )
 from coxlehmer.coxeter import BruhatPoset, build_system, shared_poset
-from oracles import product_code_by_combinations, quotient_factorization
+from oracles import parabolic_elements, product_code_by_combinations, quotient_factorization
 
 
 @pytest.fixture(scope="module")
@@ -90,7 +94,7 @@ def test_dihedral_codes_are_automorphism_twists():
                 if mask >> (l - 1) & 1:
                     a, b = levels[l]
                     f[a], f[b] = b, a
-            if all(p.leq(u, w) == p.leq(f[u], f[w])
+            if all((p.downset(w) >> u & 1) == (p.downset(f[w]) >> f[u] & 1)
                    for u in range(p.size) for w in range(p.size)):
                 autos.append(f)
         assert len(autos) == 2 ** (m - 1)
@@ -165,6 +169,16 @@ def test_quotient_codes_match_the_factorization_oracle(label, rank, m):
             lengths = tuple(poset.length[x]
                             for x in quotient_factorization(poset, w, order))
             assert code.of(w) == lengths, (code.name, poset.render(w))
+
+
+@pytest.mark.parametrize("label, rank, words, message", [
+    ("A", 3, [(1,), (1, 1)], "bad: quotient step 2: word (1, 1) is not reduced at letter 2, s1"),
+    ("B", 2, [(1,), (1, 2, 1, 2, 1)],
+     "bad: quotient step 2: word (1, 2, 1, 2, 1) is not reduced at letter 5, s1")],
+    ids=["A3", "B2"])
+def test_quotient_chain_code_refuses_a_word_that_is_not_reduced(label, rank, words, message):
+    with pytest.raises(ChainVerificationError, match=re.escape(message)):
+        quotient_chain_code(shared_poset(label, rank), words, "bad")
 
 
 PRODUCT_GROUPS = ([("A", n, None) for n in range(1, 6)]
@@ -271,7 +285,7 @@ def test_chain_first_parts_are_parabolic_quotients(d4):
     for i in range(2, n):
         words = chains[i - 1][: i + 1]
         got = {d4.apply_word([d4.system.gen_index(s) for s in w]) for w in words}
-        par = d4.parabolic_elements([d4.system.gen_index(s) for s in range(1, i + 1)])
+        par = parabolic_elements(d4, [d4.system.gen_index(s) for s in range(1, i + 1)])
         quot = {w for w in par
                 if not (d4.descents_left(w)
                         & {d4.system.gen_index(s) for s in range(1, i)})}

@@ -9,6 +9,7 @@ from coxlehmer.codes import standard_code
 from coxlehmer.coxeter import (
     BruhatPoset,
     SizeLimitError,
+    _bits,
     _compose,
     _right_actions,
     _root_permutations,
@@ -141,16 +142,16 @@ def test_size_limit():
 
 
 def test_bruhat_minimum(a3):
-    assert all(a3.leq(0, w) for w in range(a3.size))
-    assert all(a3.leq(w, a3.w0) for w in range(a3.size))
+    assert all(a3.downset(w) & 1 for w in range(a3.size))
+    assert all(a3.downset(a3.w0) >> w & 1 for w in range(a3.size))
 
 
 def test_bruhat_s3_example():
     p = BruhatPoset(build_system("A", 2))
     u = p.index[(1, 3, 2)]
     w = p.index[(2, 3, 1)]
-    assert p.leq(u, w)
-    assert not p.leq(w, u)
+    assert p.downset(w) >> u & 1
+    assert not p.downset(u) >> w & 1
 
 
 def test_interval_size_3412(a3):
@@ -161,7 +162,7 @@ def test_interval_size_3412(a3):
 def test_interval_poincare_3412(a3):
     w = a3.index[(3, 4, 1, 2)]
     assert a3.interval_poincare_coeffs(w) == (1, 3, 5, 4, 1)
-    lengths = [a3.length[z] for z in range(a3.size) if a3.leq(z, w)]
+    lengths = [a3.length[z] for z in range(a3.size) if a3.downset(w) >> z & 1]
     assert [lengths.count(k) for k in range(5)] == [1, 3, 5, 4, 1]
 
 
@@ -173,7 +174,7 @@ def test_subword_property_oracle(a3):
         for gi in a3.word[w]:
             reachable |= {a3.right_mult[u][gi] for u in reachable}
         for u in range(a3.size):
-            assert a3.leq(u, w) == (u in reachable), (u, w)
+            assert (a3.downset(w) >> u & 1) == (u in reachable), (u, w)
 
 
 def test_gradedness_of_covers(b3):
@@ -182,7 +183,8 @@ def test_gradedness_of_covers(b3):
     for w in range(b3.size):
         for u in b3.covers_down[w]:
             assert b3.length[w] == b3.length[u] + 1
-            between = [z for z in range(b3.size) if b3.leq(u, z) and b3.leq(z, w)]
+            between = [z for z in range(b3.size)
+                       if b3.downset(z) >> u & 1 and b3.downset(w) >> z & 1]
             assert between == [u, w]
 
 
@@ -283,7 +285,7 @@ def test_weak_left_interval():
 def test_weak_order_below_bruhat(b3):
     for w in range(0, b3.size, 7):
         for u in b3.weak_left_interval(w):
-            assert b3.leq(u, w)
+            assert b3.downset(w) >> u & 1
 
 
 def test_inverse_table(h3):
@@ -426,7 +428,7 @@ def test_dihedral_bruhat_is_by_length():
     for u in range(p.size):
         for w in range(p.size):
             expected = u == w or p.length[u] < p.length[w]
-            assert p.leq(u, w) == expected
+            assert (p.downset(w) >> u & 1) == expected
 
 
 def test_bruhat_dominance_oracle(a3):
@@ -443,7 +445,7 @@ def test_bruhat_dominance_oracle(a3):
 
     for u in range(a3.size):
         for w in range(a3.size):
-            assert a3.leq(u, w) == dominance_leq(a3.elements[u], a3.elements[w])
+            assert (a3.downset(w) >> u & 1) == dominance_leq(a3.elements[u], a3.elements[w])
 
 
 def test_weak_order_inversion_set_oracle(a3):
@@ -467,7 +469,7 @@ def test_subword_property_oracle_b3(b3):
         reachable = {0}
         for gi in b3.word[w]:
             reachable |= {b3.right_mult[x][gi] for x in reachable}
-        down = {u for u in range(b3.size) if b3.leq(u, w)}
+        down = {u for u in range(b3.size) if b3.downset(w) >> u & 1}
         assert down == reachable
 
 
@@ -518,8 +520,18 @@ def test_tables_match_compose_oracle(label, rank, m):
                 covers[w].add(u)
     assert [set(c) for c in p.covers_down] == covers
     assert all(len(c) == len(set(c)) for c in p.covers_down)
-    assert p.left_mult == [[index[compose(g, e)] for g in p.system.generators]
-                           for e in elements]
+    # the left side, g u through the kernel: left descents, and each left
+    # weak interval [e, w] as w joined to those of its left weak lower covers
+    weak_down = []
+    for w, e in enumerate(elements):
+        left = [index[compose(g, e)] for g in p.system.generators]
+        descents = [gi for gi, v in enumerate(left) if p.length[v] < p.length[w]]
+        assert p.descents_left(w) == frozenset(descents)
+        down = 1 << w
+        for gi in descents:
+            down |= weak_down[left[gi]]
+        weak_down.append(down)
+        assert p.weak_left_interval(w) == list(_bits(down))
     if p.size <= 120:
         pairs = [(a, b) for a in range(p.size) for b in range(p.size)]
     else:
