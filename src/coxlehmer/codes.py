@@ -1,14 +1,16 @@
 """Lehmer codes: rank-compatible bijections from a finite Coxeter group onto
 a product of chains whose inverse is monotone into Bruhat order.
 
-Every standard code multiplies out one saturated Bruhat chain per factor,
-written as generator words, and reads the code vector off the factors:
-types A, B and I2(m) walk one reduced word per one-step parabolic quotient
-along the generator chain; type D uses the chains X_1, ..., X_{n-1}, Y_n
-generated by rule; H3 combines a generalized quotient with one long chain.
-Codes are materialized as full two-way lookup tables, and `verify_code`
-re-checks bijectivity, rank compatibility and the cover-morphism property
-from the tables and the Bruhat covers alone.
+Every standard code comes from one table of generator words: each factor
+lists one or more saturated Bruhat chains, one word per element.  Types A,
+B and I2(m) give each one-step parabolic quotient along the generator chain
+the prefixes of one reduced word; type D lists the chains X_1, ..., X_{n-1},
+Y_n generated by rule; H3 lists a generalized quotient as two chains, then
+one long chain.  One walker reads every word along right multiplication,
+and the code vector of a product is read off its factors.  Codes are
+materialized as full two-way lookup tables, and `verify_code` re-checks
+bijectivity, rank compatibility and the cover-morphism property from the
+tables and the Bruhat covers alone.
 """
 
 from __future__ import annotations
@@ -124,26 +126,73 @@ def _product_code(name: str, poset: BruhatPoset, factors) -> LehmerCode:
     return _make_code(name, poset, bounds, vectors)
 
 
-def _length_factor(poset: BruhatPoset, chain) -> list:
-    """A chain as a one-coordinate factor: each element with its length."""
-    return [((poset.length[x],), x) for x in chain]
-
-
 # ---------------------------------------------------------------------------
-# chains
+# word tables
+#
+# A code's table lists its factors in product order; a factor lists one or
+# more saturated Bruhat chains, and a chain lists generator-subscript words,
+# one per element, from its least element up.
 
 
 def _assert_saturated_chain(poset: BruhatPoset, elems, what: str) -> None:
-    for k, w in enumerate(elems):
+    for k, w in enumerate(elems, start=poset.length[elems[0]]):
         if poset.length[w] != k:
             raise ChainVerificationError(
-                f"{what}: element {poset.render(w)} at position {k} has length "
-                f"{poset.length[w]}")
+                f"{what}: element {poset.render(w)} has length {poset.length[w]}, "
+                f"expected {k}")
     # the lengths go up by one, so a <= b means a is a lower cover of b
     for a, b in zip(elems, elems[1:]):
         if a not in poset.covers_down[b]:
             raise ChainVerificationError(
                 f"{what}: {poset.render(a)} not below {poset.render(b)}")
+
+
+def _walk(poset: BruhatPoset, name: str, table) -> list:
+    """The table with every word replaced by its element.
+
+    Each word is walked from e one letter at a time along right_mult, and
+    every letter must add one to the length; a word that extends the one
+    before it in its chain resumes from that word's element, so a chain of
+    prefixes walks each letter once.  Every chain must then be saturated.
+    """
+    right_mult, length, gen = poset.right_mult, poset.length, poset.system.gen_index
+    walked = []
+    for i, chains in enumerate(table, start=1):
+        what = f"{name}: factor {i}"
+        walked.append([])
+        for words in chains:
+            chain, prev, w = [], (), 0
+            for word in words:
+                if word[:len(prev)] != prev:
+                    prev, w = (), 0
+                for k, sub in enumerate(word[len(prev):], start=len(prev) + 1):
+                    w = right_mult[w][gen(sub)]
+                    if length[w] != k:
+                        raise ChainVerificationError(
+                            f"{what}: word {word} is not reduced at letter {k}, s{sub}")
+                chain.append(w)
+                prev = word
+            _assert_saturated_chain(poset, chain, what)
+            walked[-1].append(chain)
+    return walked
+
+
+def _factors(poset: BruhatPoset, walked) -> list:
+    """Each walked factor as (coordinates, element) pairs: the length in a
+    one-chain factor, (chain index, height in the chain) in one of several."""
+    return [[((poset.length[x],), x) for x in chains[0]] if len(chains) == 1
+            else [((j, h), x) for j, chain in enumerate(chains) for h, x in enumerate(chain)]
+            for chains in walked]
+
+
+def _table_code(poset: BruhatPoset, name: str, table) -> LehmerCode:
+    return _product_code(name, poset, _factors(poset, _walk(poset, name, table)))
+
+
+def _prefixes(word):
+    # made one at a time: I2(2555)'s quotient word has 3.3 million letters
+    # over all its prefixes
+    return (word[:i] for i in range(len(word) + 1))
 
 
 def d_chain_words(n: int) -> list[list[tuple[int, ...]]]:
@@ -166,19 +215,30 @@ def d_chain_words(n: int) -> list[list[tuple[int, ...]]]:
     return chains
 
 
-def _words_to_elements(poset: BruhatPoset, words, what: str):
-    sys = poset.system
-    elems = []
-    for word in words:
-        w = poset.apply_word([sys.gen_index(sub) for sub in word])
-        if poset.length[w] != len(word):
-            raise ChainVerificationError(f"{what}: word {word} is not reduced")
-        elems.append(w)
-    return elems
+def d_word_table(n: int) -> list:
+    """The type D table: each chain of `d_chain_words` a factor of its own."""
+    return [[words] for words in d_chain_words(n)]
+
+
+# The H3 table: the twelve-element generalized quotient by the long chain X,
+# split into chains Y and Z (Z starts at length 1), then X, the prefixes of
+# s3 s2 s3 s2 s1 s2 s3 s2 s3.
+H3_WORDS = [[[(), (2,), (2, 1), (3, 2, 1), (2, 3, 2, 1), (1, 2, 3, 2, 1)],
+             [(1,), (1, 2), (1, 2, 1), (1, 3, 2, 1), (2, 1, 3, 2, 1), (1, 2, 1, 3, 2, 1)]],
+            [list(_prefixes((3, 2, 3, 2, 1, 2, 3, 2, 3)))]]
 
 
 # ---------------------------------------------------------------------------
-# quotient-factorization codes (types I2, A, B)
+# the standard codes
+
+
+def _system(poset: BruhatPoset, label: str):
+    """The poset's Coxeter system, refused unless it has type `label`."""
+    system = poset.system
+    if system.label != label:
+        kind = "a dihedral system" if label == "I2" else f"type {label}"
+        raise ValueError(f"expected {kind}, got {system.describe()}")
+    return system
 
 
 def quotient_chain_code(poset: BruhatPoset, words, name: str) -> LehmerCode:
@@ -186,40 +246,21 @@ def quotient_chain_code(poset: BruhatPoset, words, name: str) -> LehmerCode:
 
     Factor i is the quotient of W_{J_i} by W_{J_{i-1}}, J_i the first i
     generators of the chain, given as the generator-subscript word whose
-    prefixes are its elements (Bjorner-Brenti, GTM 231, 2.4).  Each word
-    is walked from e one letter at a time, and every letter must add one
-    to the length.
+    prefixes are its elements (Bjorner-Brenti, GTM 231, 2.4).
     """
-    right_mult, length = poset.right_mult, poset.length
-    factors = []
-    for i, word in enumerate(words, start=1):
-        what = f"{name}: quotient step {i}"
-        chain = [0]
-        for k, sub in enumerate(word, start=1):
-            x = right_mult[chain[-1]][poset.system.gen_index(sub)]
-            if length[x] != k:
-                raise ChainVerificationError(
-                    f"{what}: word {word} is not reduced at letter {k}, s{sub}")
-            chain.append(x)
-        _assert_saturated_chain(poset, chain, what)
-        factors.append(_length_factor(poset, chain))
-    return _product_code(name, poset, factors)
+    return _table_code(poset, name, [[_prefixes(word)] for word in words])
 
 
 def code_i2(poset: BruhatPoset) -> LehmerCode:
     """The I2(m) code: s1, then m - 1 letters alternating from s2."""
-    if poset.system.label != "I2":
-        raise ValueError(f"expected a dihedral system, got {poset.system.describe()}")
-    m = poset.system.dihedral_m
+    m = _system(poset, "I2").dihedral_m
     return quotient_chain_code(poset, [(1,), tuple(2 - k % 2 for k in range(m - 1))],
                                f"LI2({m})")
 
 
 def code_a(poset: BruhatPoset) -> LehmerCode:
     """The type A code: factor i is a prefix of s_i ... s_1."""
-    if poset.system.label != "A":
-        raise ValueError(f"expected type A, got {poset.system.describe()}")
-    n = poset.system.rank
+    n = _system(poset, "A").rank
     return quotient_chain_code(poset, [tuple(range(i, 0, -1)) for i in range(1, n + 1)],
                                f"LA{n}")
 
@@ -230,87 +271,36 @@ def code_b(poset: BruhatPoset, variant: bool = False) -> LehmerCode:
     s_n, whose first two words are s2 and s1 s2 s1.  The variant exists for
     counterexample hunting and is otherwise untuned.
     """
-    if poset.system.label != "B":
-        raise ValueError(f"expected type B, got {poset.system.describe()}")
-    n = poset.system.rank
+    n = _system(poset, "B").rank
     words = [(*range(i, 1, -1), 1, *range(2, i + 1)) for i in range(1, n + 1)]
     if variant:
         return quotient_chain_code(poset, [(2,), (1, 2, 1), *words[2:]], f"LB{n}~")
     return quotient_chain_code(poset, words, f"LB{n}")
 
 
-# ---------------------------------------------------------------------------
-# permutation-level codes
-
-
-def inversion_code(perm: tuple[int, ...]) -> tuple[int, ...]:
-    """Entry k counts the values i < k placed to the right of k in one-line
-    notation.  Entry 1 is always 0; the tail reproduces the type A code of
-    the permutation.
-    """
-    n = len(perm)
-    pos = [0] * (n + 1)
-    for i, v in enumerate(perm):
-        pos[v] = i
-    return tuple(sum(1 for i in range(1, k) if pos[i] > pos[k]) for k in range(1, n + 1))
-
-
-# ---------------------------------------------------------------------------
-# chain-product codes (types D, H3)
-
-
-def _d_chains(poset: BruhatPoset):
-    """The elements of X_1, ..., X_{n-1}, Y_n, checked to be saturated
-    chains of sizes 2, 4, ..., 2(n-1) and n."""
-    n = poset.system.rank
-    chains = [_words_to_elements(poset, words, f"LD{n} chain {k}")
-              for k, words in enumerate(d_chain_words(n))]
-    for k, chain in enumerate(chains[:-1], start=1):
-        if len(chain) != 2 * k:
-            raise ChainVerificationError(f"LD{n}: |X_{k}| = {len(chain)}, expected {2 * k}")
-        _assert_saturated_chain(poset, chain, f"LD{n}: X_{k}")
-    if len(chains[-1]) != n:
-        raise ChainVerificationError(f"LD{n}: |Y_{n}| = {len(chains[-1])}, expected {n}")
-    _assert_saturated_chain(poset, chains[-1], f"LD{n}: Y_{n}")
-    return chains
-
-
 def code_d(poset: BruhatPoset) -> LehmerCode:
     """Type D code: w = x_1 ... x_{n-1} y with x_k in X_k and y in Y_n,
     coded by the lengths of the factors."""
-    if poset.system.label != "D":
-        raise ValueError(f"expected type D, got {poset.system.describe()}")
-    factors = [_length_factor(poset, chain) for chain in _d_chains(poset)]
-    return _product_code(f"LD{poset.system.rank}", poset, factors)
-
-
-def _h3_chains(poset: BruhatPoset):
-    # Y and Z split the generalized quotient by X
-    x_word = (3, 2, 3, 2, 1, 2, 3, 2, 3)
-    X = _words_to_elements(poset, [x_word[:i] for i in range(len(x_word) + 1)], "LH3: X")
-    Y = _words_to_elements(poset, [(), (2,), (2, 1), (3, 2, 1), (2, 3, 2, 1),
-                                   (1, 2, 3, 2, 1)], "LH3: Y")
-    Z = _words_to_elements(poset, [(1,), (1, 2), (1, 2, 1), (1, 3, 2, 1),
-                                   (2, 1, 3, 2, 1), (1, 2, 1, 3, 2, 1)], "LH3: Z")
-    _assert_saturated_chain(poset, X, "LH3: X")
-    _assert_saturated_chain(poset, Y, "LH3: Y")
-    # Z starts at length 1; e lies below its first element
-    _assert_saturated_chain(poset, [0, *Z], "LH3: Z")
-    return X, Y, Z
-
-
-def _h3_factors(poset: BruhatPoset, X, Y, Z) -> list:
-    head = ([((0, poset.length[y]), y) for y in Y]
-            + [((1, poset.length[z] - 1), z) for z in Z])
-    return [head, _length_factor(poset, X)]
+    n = _system(poset, "D").rank
+    return _table_code(poset, f"LD{n}", d_word_table(n))
 
 
 def code_h3(poset: BruhatPoset) -> LehmerCode:
     """The H3 code: factor w = u x with x in the long chain X and u in the
     twelve-element generalized quotient Y + Z."""
-    if poset.system.label != "H3":
-        raise ValueError(f"expected type H3, got {poset.system.describe()}")
-    return _product_code("LH3", poset, _h3_factors(poset, *_h3_chains(poset)))
+    _system(poset, "H3")
+    return _table_code(poset, "LH3", H3_WORDS)
+
+
+STANDARD_CODES = {"A": code_a, "B": code_b, "D": code_d, "H3": code_h3, "I2": code_i2}
+
+
+def standard_code(poset: BruhatPoset) -> LehmerCode:
+    """The shipped code for the poset's type."""
+    build = STANDARD_CODES.get(poset.system.label)
+    if build is None:
+        raise ValueError(f"no standard code for {poset.system.describe()}")
+    return build(poset)
 
 
 def shared_standard_code(label: str, rank: int | None = None,
@@ -330,20 +320,20 @@ def _shared_code(label, rank, m, variant) -> LehmerCode:
     return standard_code(poset)
 
 
-def standard_code(poset: BruhatPoset) -> LehmerCode:
-    """The shipped code for the poset's type."""
-    label = poset.system.label
-    if label == "A":
-        return code_a(poset)
-    if label == "B":
-        return code_b(poset)
-    if label == "D":
-        return code_d(poset)
-    if label == "H3":
-        return code_h3(poset)
-    if label == "I2":
-        return code_i2(poset)
-    raise ValueError(f"no standard code for {poset.system.describe()}")
+# ---------------------------------------------------------------------------
+# permutation-level codes
+
+
+def inversion_code(perm: tuple[int, ...]) -> tuple[int, ...]:
+    """Entry k counts the values i < k placed to the right of k in one-line
+    notation.  Entry 1 is always 0; the tail reproduces the type A code of
+    the permutation.
+    """
+    n = len(perm)
+    pos = [0] * (n + 1)
+    for i, v in enumerate(perm):
+        pos[v] = i
+    return tuple(sum(1 for i in range(1, k) if pos[i] > pos[k]) for k in range(1, n + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -402,10 +392,7 @@ def verify_code(code: LehmerCode) -> Report:
 def enumerate_dihedral_codes(poset: BruhatPoset) -> list[LehmerCode]:
     """All rank-compatible bijections onto {0,1} x {0..m-1} whose inverse is
     a poset morphism, found by exhausting the per-level choices."""
-    sys = poset.system
-    if sys.label != "I2":
-        raise ValueError(f"expected a dihedral system, got {sys.describe()}")
-    m = sys.dihedral_m
+    m = _system(poset, "I2").dihedral_m
     if m > DIHEDRAL_MAX_M:
         raise ValueError(f"exhaustive search supports m <= {DIHEDRAL_MAX_M}, got {m}")
     levels = [sorted(w for w in range(poset.size) if poset.length[w] == l)
@@ -436,7 +423,7 @@ def verify_d_factorization(poset: BruhatPoset) -> Report:
     into the maximal quotient gives exactly X_{n-1} Y_n."""
     n = poset.system.rank
     rep = Report(f"D{n} quotient recursion")
-    *_, x_last, y_n = _d_chains(poset)
+    *_, [x_last], [y_n] = _walk(poset, f"LD{n}", d_word_table(n))
     y_prev = y_n[: n - 1]
     quot = poset.minimal_coset_reps(range(n - 1))
     rep.check(len(quot) == 2 * n, f"maximal quotient has {len(quot)} elements")
@@ -456,8 +443,10 @@ def verify_h3_quotients(poset: BruhatPoset) -> Report:
     """The five descriptions of the twelve-element set behind the H3 code,
     and the chain factorization of the whole group."""
     rep = Report("H3 quotients")
-    X, Y, Z = _h3_chains(poset)
+    walked = _walk(poset, "LH3", H3_WORDS)
+    [[Y, Z], [X]] = walked
     x0, z0 = X[-1], Z[-1]
+    s321 = Y[3]  # the word s3 s2 s1
 
     rep.check(not set(Y) & set(Z), "Y and Z overlap")
     yz = set(Y) | set(Z)
@@ -468,7 +457,6 @@ def verify_h3_quotients(poset: BruhatPoset) -> Report:
 
     # W_{s1, s2}: every reduced word of its elements uses only s1 and s2
     par = [w for w, wd in enumerate(poset.word) if set(wd) <= {0, 1}]
-    s321 = poset.apply_word([2, 1, 0])
     cosets = {poset.mult(u, v) for u in par for v in (0, s321)}
     rep.check(yz == cosets, "Y + Z does not match the parabolic times {e, s3s2s1}")
 
@@ -486,7 +474,7 @@ def verify_h3_quotients(poset: BruhatPoset) -> Report:
 
     rep.check(len(yz) * len(X) == poset.size, f"|Y + Z| |X| = {len(yz) * len(X)}")
     try:
-        _product_code("LH3", poset, _h3_factors(poset, X, Y, Z))
+        _product_code("LH3", poset, _factors(poset, walked))
         failure = None
     except CodeBuildError as err:
         failure = err

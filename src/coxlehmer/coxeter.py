@@ -38,7 +38,7 @@ from .qpoly import IntPolynomial
 # N = m.  The limit keeps A7, B6, D6 and I2(m) up to m = 2,555; it can rise
 # once point queries stop materializing every downset.  The traced peak is
 # 0.47-0.69 of the model on A5, A6, B4, B5, D5 and H3, 0.93 on A7, 0.94 on
-# B6, 0.92 on I2(200) and 0.9973 on I2(2555), the largest group admitted.
+# B6, 0.92 on I2(200) and 0.9974 on I2(2555), the largest group admitted.
 ENUMERATION_LIMIT = 2 ** 28
 PER_ELEMENT_BYTES = 1088
 

@@ -9,9 +9,9 @@ compares them; the groups or boxes covered.
 - reflections, left_mult: coxeter `CoxeterSystem.reflections`, the BFS covers, and
   `descents_left` and `weak_left_interval`, which left-multiply through `inverse`;
   test_coxeter::test_tables_match_compose_oracle; A1-A5, B2-B5, D4, D5, H3, I2(3..10).
-- product_code_by_combinations: codes `_product_code`;
-  test_codes::test_product_code_matches_the_combination_oracle; A1-A5, B2-B5, D4, D5, H3,
-  I2(3..10), and its three build errors on D4.
+- product_code_by_combinations: codes `_product_code`, fed by the one word-table walker
+  `_walk`; test_codes::test_product_code_matches_the_combination_oracle; A1-A5, B2-B5,
+  D4, D5, H3, I2(3..10), and its three build errors on D4's walked table.
 - code_leq: intervals `code_meet`, and Bruhat order through the code;
   test_intervals::test_code_order_refines_bruhat; A3 and H3.
 - is_order_ideal: multicomplex `OrderIdeal` closure and intervals `interval_ideal`;
@@ -52,9 +52,10 @@ compares them; the groups or boxes covered.
 - parabolic_decompose: coxeter `descents_left`, `minimal_coset_reps`;
   test_coxeter::test_parabolic_lengths_add_everywhere; A3 and B3.
 - parabolic_elements, the parabolic search the quotient codes once ran: codes
-  `d_chain_words`' first parts; test_codes::test_chain_first_parts_are_parabolic_quotients;
-  D4.
-- quotient_factorization: codes `quotient_chain_code` and the A, B and I2 chain words;
+  `d_chain_words`' first parts, the one-step quotients each chain of D's word table opens
+  with; test_codes::test_chain_first_parts_are_parabolic_quotients; D4.
+- quotient_factorization: codes `quotient_chain_code`, the A, B and I2 word tables (the
+  prefixes of one word per factor) read by `_walk`;
   test_codes::test_quotient_codes_match_the_factorization_oracle; A1-A6, B2-B5 (both
   codes), I2(3..10).
 - palindromic_intervals_unfiltered: intervals `palindromic_intervals`;

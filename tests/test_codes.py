@@ -1,3 +1,4 @@
+import hashlib
 import re
 
 import pytest
@@ -24,6 +25,7 @@ from coxlehmer.codes import (
     verify_h3_quotients,
 )
 from coxlehmer.coxeter import BruhatPoset, build_system, shared_poset
+from coxlehmer.verify import CODE_SYSTEMS
 from oracles import parabolic_elements, product_code_by_combinations, quotient_factorization
 
 
@@ -172,13 +174,43 @@ def test_quotient_codes_match_the_factorization_oracle(label, rank, m):
 
 
 @pytest.mark.parametrize("label, rank, words, message", [
-    ("A", 3, [(1,), (1, 1)], "bad: quotient step 2: word (1, 1) is not reduced at letter 2, s1"),
+    ("A", 3, [(1,), (1, 1)], "bad: factor 2: word (1, 1) is not reduced at letter 2, s1"),
     ("B", 2, [(1,), (1, 2, 1, 2, 1)],
-     "bad: quotient step 2: word (1, 2, 1, 2, 1) is not reduced at letter 5, s1")],
+     "bad: factor 2: word (1, 2, 1, 2, 1) is not reduced at letter 5, s1")],
     ids=["A3", "B2"])
 def test_quotient_chain_code_refuses_a_word_that_is_not_reduced(label, rank, words, message):
     with pytest.raises(ChainVerificationError, match=re.escape(message)):
         quotient_chain_code(shared_poset(label, rank), words, "bad")
+
+
+def test_code_d_refuses_a_chain_word_that_is_not_reduced(monkeypatch, d4):
+    chains = d_chain_words(4)
+    chains[1][2] = (2, 2)  # X_2: e, s2, s2 s2, ...
+    monkeypatch.setattr(codes_mod, "d_chain_words", lambda n: chains)
+    with pytest.raises(ChainVerificationError, match=re.escape(
+            "LD4: factor 2: word (2, 2) is not reduced at letter 2, s2")):
+        code_d(d4)
+
+
+def test_code_h3_refuses_a_chain_word_that_is_not_reduced(monkeypatch, h3):
+    (y, z), (x,) = codes_mod.H3_WORDS
+    z = [(1, 3, 3, 1) if w == (1, 3, 2, 1) else w for w in z]
+    monkeypatch.setattr(codes_mod, "H3_WORDS", [[y, z], [x]])
+    with pytest.raises(ChainVerificationError, match=re.escape(
+            "LH3: factor 1: word (1, 3, 3, 1) is not reduced at letter 3, s3")):
+        code_h3(h3)
+
+
+@pytest.mark.parametrize("words, message", [
+    ([(), (2,), (0, 2, 1)], "LD4: factor 2: element 3 -2 -1 4 has length 3, expected 2"),
+    ([(), (2,), (0, 1)], "LD4: factor 2: 1 3 2 4 not below -1 -2 3 4")],
+    ids=["gap", "not a cover"])
+def test_code_d_refuses_a_chain_that_is_not_saturated(monkeypatch, d4, words, message):
+    chains = d_chain_words(4)
+    chains[1] = words
+    monkeypatch.setattr(codes_mod, "d_chain_words", lambda n: chains)
+    with pytest.raises(ChainVerificationError, match=re.escape(message)):
+        code_d(d4)
 
 
 PRODUCT_GROUPS = ([("A", n, None) for n in range(1, 6)]
@@ -226,8 +258,8 @@ def _corrupted(poset, factors, how):
 
 @pytest.mark.parametrize("how", ["factors twice", "do not add up", "no product reaches"])
 def test_product_code_errors_match_the_combination_oracle(d4, how):
-    factors = _corrupted(d4, [codes_mod._length_factor(d4, chain)
-                              for chain in codes_mod._d_chains(d4)], how)
+    walked = codes_mod._walk(d4, "LD4", codes_mod.d_word_table(4))
+    factors = _corrupted(d4, codes_mod._factors(d4, walked), how)
     messages = []
     for build in (codes_mod._product_code, product_code_by_combinations):
         with pytest.raises(CodeBuildError, match=how) as err:
@@ -373,6 +405,78 @@ def test_one_shared_poset_and_code_per_system():
     assert shared_poset("I2", None, 5) is shared_poset("I2", 2, 5)
     assert shared_standard_code("B", 3, variant=True).poset is shared_poset("B", 3)
     assert shared_standard_code("B", 3, variant=True) is not shared_standard_code("B", 3)
+
+
+# sha256 of repr((name, bounds, vectors)) and of repr(dual vectors) for each
+# (type, rank, m, variant); D5, D6 and the variant codes are pinned nowhere else
+CODE_DIGESTS = {
+    ("A", 1, None, False): ("c8dc402d4f09fa336a1a907a7268d073a6fb37a7d7f48c6c49e90c2c38ff2fed",
+                            "cde8a43d1e27e69a0ef66e61fcbfe02dec4893775b4d36e679382ff36d7b9ed6"),
+    ("A", 2, None, False): ("8ef1ca82ae942576b2b86ff732ed9541eced0d8075326087092cb5d9dbef212f",
+                            "d1924808b0219817fcf6c4565cb5fe100f137ef8cb21cac057783ad98568108b"),
+    ("A", 3, None, False): ("9ea5f7f581272594a1d93422f2e2b3489304a9253668f3cac5cd2eb47dd37f19",
+                            "00b82af71dc20ee5690e90edc172a2627abcd26e695010f7380d54738f02cd79"),
+    ("A", 4, None, False): ("518bdb543c912116afe6b74c1bee6fc368e9e46d8e7f2daf80fff2977d379cc5",
+                            "394971b0c2ec0f07a1211db7b7527aebadf645a336f206b6a44009d626623f98"),
+    ("A", 5, None, False): ("74cc86a78cf63039e851c796b9af8e8c51938b969467cadb558bffbdb0e3201e",
+                            "65dbbd28ca376c294c5e10d265203306ada442e9524cba511ccc88709bb62343"),
+    ("B", 2, None, False): ("999d804de62dcde5d197f59fba32b820b6a4a179dd446fe7d3a3cff7248fc3b9",
+                            "da6d6fc3561baf275b97253253999442cdbb648d51863a328192711eeed42009"),
+    ("B", 3, None, False): ("23f58adecd95a335f02c9bc3d06ac4508f7c5a2ea090cec98153fbc73dccc1fc",
+                            "b8fa3fffee53e860e95f7228b1dcaf091cc408ce72a99a1247210bc9a485b47c"),
+    ("B", 4, None, False): ("67d888935bfe928e2c4cfb8b5d6c8e6a4a6a40e7f941b367a904651626d63692",
+                            "5be30f9704f60a569c576565d2fc5425b3b8034832e2390ebf32087b92e827d9"),
+    ("D", 4, None, False): ("fd6fef5b30ff1174379069803612c2c2039c9a55175685f950d5eca201af78cb",
+                            "5067b7203cf349f5be859e320770c8eaa75e8ba5c3e04a35a5158c0ed1612279"),
+    ("D", 5, None, False): ("fa124def2174134c642bfe60983cd5740ff0868f35643638e09735d89f9f38c8",
+                            "000707126481fac3b5e3834eef3963fe1364754e6b2fe29e2ea690a6318c8ebd"),
+    ("H3", None, None, False): ("bc8c14046eacda12b70bc2760cc55bf61f417885eef4ede6ba2825bffa249cae",
+                                "90715268907824829ec4d7c79f5f64a7ced6caf52fa144543d1eff577aa136b0"),
+    ("I2", None, 3, False): ("15f913df42af6b2b46aaee04cdb8cfde813b382d16eecee7e9d5c47ff4d13d00",
+                             "d1924808b0219817fcf6c4565cb5fe100f137ef8cb21cac057783ad98568108b"),
+    ("I2", None, 4, False): ("ac3e21ec65c33e52aafbd0f05d2af2cd11d38708564ea40a5e6a46b8535bc488",
+                             "da6d6fc3561baf275b97253253999442cdbb648d51863a328192711eeed42009"),
+    ("I2", None, 5, False): ("03d4edd904fea0418bc91b918a2a0a6228344c4f5359ed33f965c4ad0b40c18e",
+                             "6aea866428f8b093cb9038bf2d611f9df496a5fe4de794bb1ff31cf1c843db2e"),
+    ("I2", None, 6, False): ("dc90303093d78e35458f70426405ef5ede4c381b79a240b7d07ca828753f6bf7",
+                             "59a8a6d71be01dea0d0ada20f63a9cf5c1eaf6a465ceb0a50eabd900ede0e1c3"),
+    ("I2", None, 7, False): ("d596af16cec761584988c61b2d7d092b5aeb9ffc66d7af2739d102496ef4c108",
+                             "b9ac5f0fe28287b857cfb5923f756e52441b04ed9b5219cb57f9baea15893e50"),
+    ("I2", None, 8, False): ("f43a5edd9ed83f701653bdbde8717a038afc2886f7db68513e1d4e079bffd2ed",
+                             "c88c6559bd2ccb0365ee6822dbc789747a4416eb8ef2f4505f38ccf212048c46"),
+    ("I2", None, 9, False): ("ffe870f2bad94f28d686da052b25fcec8f368a2045fffe3fb05ac521825916dc",
+                             "1f51bb102f4869507e231f6b73a4219204ba0cb172e5821257ed141643c7d651"),
+    ("I2", None, 10, False): ("ca7cb0333e93be84222889f1da20833c21922ee06338ba0ba0770dbf964044be",
+                              "4fc8c3287b29729ffd9b06320907b2a20a67d678ee8c6a51f2875c28d30c2447"),
+    ("B", 2, None, True): ("8399e3153a49da79594aa0e7226cf9f501a223bf44508039390bb049d504d30d",
+                           "d9975685cc1fc0ca4186d421139ef95612e0c8945912f267bd006e3da3c4f51a"),
+    ("B", 3, None, True): ("a085a36f0bb25f0839d63521b88e2e0c4f354d6832fb0251b5b91bae2f7ee4cf",
+                           "9f4d7f6f27b50fc76c22bc9596ec40c15b4370fa6521dff521c69ba33dda176c"),
+    ("B", 4, None, True): ("bae52da473a447ec4b8e03995caa466664ae1f313075c67cde39dbffac6659b5",
+                           "aa44b6900f9a710c594dcb63710909511d40e8d878f2d7f86fb1dd52fcff535e"),
+    ("A", 6, None, False): ("da0617659381db9699bd8c997e5b73985662bdad83260225aef187444596db96",
+                            "8f65fcdfa22a729e2c88bac1c85dbb8e1578bb29e840f7e72a7e64739f3aa036"),
+    ("B", 5, None, False): ("b14fe20184ac31c0e92963864d3ac96d58e3295f39ebdb9424e7bdcd6918be44",
+                            "3a3e5400c360ad8ea53f7cb2b66175942d75ba61154c4f140dacb1edf80aac5c"),
+    ("B", 5, None, True): ("9f511e3b3bca6fb38d251c0f909a2c4ea1e1d123c3f1586bcf5fd75082a88b7f",
+                           "adc58b6619c0cf4ea1400a222f280d8f8246937ec09dfbd23f6b3c738ed53ed3"),
+    ("D", 6, None, False): ("e80715b2e262849368bec4bf32717d2a06ca57f2dc13be1bc692d32339c58f14",
+                            "57308731690dfc90b84f6395509716f67f9a357e279f8764abb3af56148a435d"),
+}
+PINNED_CODES = ([(label, rank, m, False) for label, rank, m in CODE_SYSTEMS]
+                + [("B", rank, None, True) for label, rank, _ in CODE_SYSTEMS if label == "B"]
+                + [("A", 6, None, False), ("B", 5, None, False), ("B", 5, None, True),
+                   ("D", 6, None, False)])
+
+
+@pytest.mark.parametrize("label,rank,m,variant", PINNED_CODES,
+                         ids=[f"{label}{rank or ''}{f'({m})' if m else ''}{'~' * variant}"
+                              for label, rank, m, variant in PINNED_CODES])
+def test_code_tables_match_their_pinned_digests(label, rank, m, variant):
+    code = shared_standard_code(label, rank, m, variant=variant)
+    got = tuple(hashlib.sha256(repr(table).encode()).hexdigest()
+                for table in ((code.name, code.bounds, code.vectors), dual_code(code).vectors))
+    assert got == CODE_DIGESTS[label, rank, m, variant]
 
 
 # -- verification behaviour
