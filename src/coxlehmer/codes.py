@@ -292,12 +292,11 @@ def code_h3(poset: BruhatPoset) -> LehmerCode:
     return _table_code(poset, "LH3", H3_WORDS)
 
 
-STANDARD_CODES = {"A": code_a, "B": code_b, "D": code_d, "H3": code_h3, "I2": code_i2}
-
-
 def standard_code(poset: BruhatPoset) -> LehmerCode:
     """The shipped code for the poset's type."""
-    build = STANDARD_CODES.get(poset.system.label)
+    # read per call, so a builder rebound under its module name is the one called
+    build = {"A": code_a, "B": code_b, "D": code_d, "H3": code_h3,
+             "I2": code_i2}.get(poset.system.label)
     if build is None:
         raise ValueError(f"no standard code for {poset.system.describe()}")
     return build(poset)
