@@ -229,7 +229,7 @@ H3_WORDS = [[[(), (2,), (2, 1), (3, 2, 1), (2, 3, 2, 1), (1, 2, 3, 2, 1)],
 
 
 # ---------------------------------------------------------------------------
-# the standard codes
+# quotient-factorization codes (types I2, A, B)
 
 
 def _system(poset: BruhatPoset, label: str):
@@ -278,6 +278,26 @@ def code_b(poset: BruhatPoset, variant: bool = False) -> LehmerCode:
     return quotient_chain_code(poset, words, f"LB{n}")
 
 
+# ---------------------------------------------------------------------------
+# permutation-level codes
+
+
+def inversion_code(perm: tuple[int, ...]) -> tuple[int, ...]:
+    """Entry k counts the values i < k placed to the right of k in one-line
+    notation.  Entry 1 is always 0; the tail reproduces the type A code of
+    the permutation.
+    """
+    n = len(perm)
+    pos = [0] * (n + 1)
+    for i, v in enumerate(perm):
+        pos[v] = i
+    return tuple(sum(1 for i in range(1, k) if pos[i] > pos[k]) for k in range(1, n + 1))
+
+
+# ---------------------------------------------------------------------------
+# chain-product codes (types D, H3)
+
+
 def code_d(poset: BruhatPoset) -> LehmerCode:
     """Type D code: w = x_1 ... x_{n-1} y with x_k in X_k and y in Y_n,
     coded by the lengths of the factors."""
@@ -290,16 +310,6 @@ def code_h3(poset: BruhatPoset) -> LehmerCode:
     twelve-element generalized quotient Y + Z."""
     _system(poset, "H3")
     return _table_code(poset, "LH3", H3_WORDS)
-
-
-def standard_code(poset: BruhatPoset) -> LehmerCode:
-    """The shipped code for the poset's type."""
-    # read per call, so a builder rebound under its module name is the one called
-    build = {"A": code_a, "B": code_b, "D": code_d, "H3": code_h3,
-             "I2": code_i2}.get(poset.system.label)
-    if build is None:
-        raise ValueError(f"no standard code for {poset.system.describe()}")
-    return build(poset)
 
 
 def shared_standard_code(label: str, rank: int | None = None,
@@ -319,20 +329,14 @@ def _shared_code(label, rank, m, variant) -> LehmerCode:
     return standard_code(poset)
 
 
-# ---------------------------------------------------------------------------
-# permutation-level codes
-
-
-def inversion_code(perm: tuple[int, ...]) -> tuple[int, ...]:
-    """Entry k counts the values i < k placed to the right of k in one-line
-    notation.  Entry 1 is always 0; the tail reproduces the type A code of
-    the permutation.
-    """
-    n = len(perm)
-    pos = [0] * (n + 1)
-    for i, v in enumerate(perm):
-        pos[v] = i
-    return tuple(sum(1 for i in range(1, k) if pos[i] > pos[k]) for k in range(1, n + 1))
+def standard_code(poset: BruhatPoset) -> LehmerCode:
+    """The shipped code for the poset's type."""
+    # read per call, so a builder rebound under its module name is the one called
+    build = {"A": code_a, "B": code_b, "D": code_d, "H3": code_h3,
+             "I2": code_i2}.get(poset.system.label)
+    if build is None:
+        raise ValueError(f"no standard code for {poset.system.describe()}")
+    return build(poset)
 
 
 # ---------------------------------------------------------------------------
