@@ -101,6 +101,8 @@ def _get_poset(args) -> BruhatPoset:
         raise CLIError("type I2 needs --m")
     if label in ("A", "B", "D") and rank is None:
         raise CLIError(f"type {label} needs --rank")
+    if args.code == "variant" and label != "B":
+        raise CLIError("only type B has a variant code")
     return shared_poset(label, rank, m)
 
 

@@ -7,21 +7,21 @@ computes the interval's rank generating function three independent ways
 (direct summation, the h-vector of the attached complex's rank-then-lex
 shelling read off the box table's memo of shelling steps, inclusion-
 exclusion over the ideal's maxima with its terms grouped by the meets of
-their code vectors), and classifies elements whose intervals are full boxes
-(principal) or lexicographically minimal in their coordinate orbit
-(unimodal).
+their code vectors, each meet one AND of unary-coded points and each box
+polynomial one packed int), and classifies elements whose intervals are
+full boxes (principal) or lexicographically minimal in their coordinate
+orbit (unimodal).
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import compress
 from math import prod
 
 from .codes import LehmerCode
 from .coxeter import BruhatPoset
 from .multicomplex import OrderIdeal, box_table, meet
-from .qpoly import IntPolynomial, q_analog_product
+from .qpoly import IntPolynomial
 from .simplicial import SimplicialComplex, build_box_complex, complex_of_ideal, shelling_h_polynomial
 
 ROUTES = ("direct", "complex", "maxima")
@@ -68,12 +68,6 @@ def interval_complex(w: int, code: LehmerCode) -> SimplicialComplex:
 # the three Poincare routes
 
 
-@lru_cache(maxsize=None)
-def _box_poly(dims: tuple[int, ...]) -> IntPolynomial:
-    """prod [d]_q over `dims`, the box's f-polynomial, once per sorted dims."""
-    return q_analog_product(dims)
-
-
 def _maxima_polynomial(ideal: OrderIdeal) -> IntPolynomial:
     """The ideal's rank generating function by inclusion-exclusion over its
     maxima, terms of equal meet collected (Mobius inversion on the
@@ -82,24 +76,20 @@ def _maxima_polynomial(ideal: OrderIdeal) -> IntPolynomial:
     c [box below m]; adding the box below x subtracts its intersection with
     that union, the same sum over the meets of m and x.  The work is k
     times the number of distinct meets, at most k |ideal| for k maxima.
-    Box products, symmetric in m, are read per sorted m into one list."""
-    table: dict[tuple[int, ...], int] = {}
+    Points are keyed by their unary codes, so a meet is one AND; the
+    answer is one multiply-add of the packed box polynomial per nonzero
+    entry, unpacked once (`_BoxTable.unary`, `box_poly`, `unpack`)."""
+    box = ideal.box
+    unary, box_poly = box.unary, box.box_poly
+    table: dict[int, int] = {}
     get = table.get
     for x in ideal.maxima():
+        u = unary(x)
         for m, c in list(table.items()):
-            y = meet(m, x)
+            y = m & u
             table[y] = get(y, 0) - c
-        table[x] = get(x, 0) + 1
-    shapes: dict[tuple[int, ...], int] = {}
-    for m, c in table.items():
-        key = tuple(sorted(m))
-        shapes[key] = shapes.get(key, 0) + c
-    coeffs = [0] * (sum(ideal.box.dims) - len(ideal.box.dims) + 1)
-    for m, c in shapes.items():
-        if c:
-            for r, a in enumerate(_box_poly(tuple(v + 1 for v in m)).coeffs):
-                coeffs[r] += c * a
-    return IntPolynomial(coeffs)
+        table[u] = get(u, 0) + 1
+    return box.unpack(sum(c * box_poly(m) for m, c in table.items() if c))
 
 
 def interval_poincare(w: int, code: LehmerCode, route: str = "direct") -> IntPolynomial:

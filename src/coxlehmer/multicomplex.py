@@ -8,7 +8,9 @@ boundary only.  A box, the product of chains of sizes `dims`, is one
 the table's `covered` shift, one per coordinate class, gives its closure
 check, its maxima and the closure of a point set, and rank-then-lex order
 reads the box's rank masks; the table also keeps the memo of shelling
-steps.  Includes the Macaulay growth test for f-vectors of multicomplexes,
+steps and, for the maxima route, the memos of unary point codes and
+packed box polynomials, each filled on first use and bounded by |box|.
+Includes the Macaulay growth test for f-vectors of multicomplexes,
 the enumeration of a box's ideals, and exhaustive, counted or seeded-random
 linear extensions, which walk the mask of what is left of an ideal and read
 its minimal points off it by one shifted AND per class.
@@ -48,7 +50,12 @@ class _BoxTable:
     steps, not facets: the memo grows as `simplicial._walk` walks ideals,
     `lines` (as `_shelling_step` reads it), the masks of the points `walked`
     and of the `failing` ones, l(G(x)) != x, and `by_size[k]`, those with
-    |G(x)| = k.  Nothing here holds a mask per point (|box|^2 bits)."""
+    |G(x)| = k.  Nothing here holds a mask per point (|box|^2 bits).
+
+    Two more memos serve the maxima route, filled on first use, so a query
+    on a large box builds only what it reads: `unary_codes`, one code per
+    point asked for (`unary`), and `box_polys`, one packed polynomial per
+    distinct code asked for (`box_poly`); each holds at most |box| ints."""
 
     def __init__(self, dims: tuple[int, ...]):
         if not dims or any(d < 1 for d in dims):
@@ -70,6 +77,10 @@ class _BoxTable:
             levels, block = grown, block * d
         self.levels = levels
         self.lines, self.walked, self.failing, self.by_size = {}, 0, 0, {}
+        offsets = itertools.accumulate((d - 1 for d in dims[:-1]), initial=0)
+        self.fields = tuple((o, (1 << d - 1) - 1) for o, d in zip(offsets, dims))
+        self.width = len(self.points).bit_length()
+        self.unary_codes, self.box_polys = {}, {}
 
     def mask_of(self, points: Iterable[tuple[int, ...]]) -> int:
         """The mask of the given points (ValueError outside the box)."""
@@ -100,6 +111,39 @@ class _BoxTable:
     def rank_order(self, mask: int) -> list[int]:
         """The mask's bit positions in rank-then-lex order of their points."""
         return [j for level in self.levels for j in _bits(mask & level)]
+
+    def unary(self, point: tuple[int, ...]) -> int:
+        """The point's unary code: coordinate i as x_i ones in a field of
+        d_i - 1 bits (`fields`), so the meet of two points is the AND of
+        their codes."""
+        code = self.unary_codes.get(point)
+        if code is None:
+            code = self.unary_codes[point] = sum(
+                ((1 << x) - 1) << o for x, (o, _) in zip(point, self.fields))
+        return code
+
+    def box_poly(self, code: int) -> int:
+        """prod [x_i + 1]_q, the box below the point of unary code `code`,
+        packed with coefficient r in bits r * `width`: the product of the
+        geometric series (2^((x_i + 1) w) - 1) / (2^w - 1).  Its coefficients,
+        and those of an ideal's polynomial summed from such terms, count
+        box points, at most |box| < 2^width, so no field carries."""
+        packed = self.box_polys.get(code)
+        if packed is None:
+            w = self.width
+            field = (1 << w) - 1
+            packed = self.box_polys[code] = prod(
+                ((1 << ((code >> o & f).bit_count() + 1) * w) - 1) // field
+                for o, f in self.fields)
+        return packed
+
+    def unpack(self, packed: int) -> IntPolynomial:
+        """A polynomial packed as `box_poly` packs, every coefficient in
+        0..2^width - 1, read one field per degree up to its top nonzero
+        field."""
+        w = self.width
+        field, top = (1 << w) - 1, -(-packed.bit_length() // w)
+        return IntPolynomial(packed >> r * w & field for r in range(top))
 
 
 box_table = lru_cache(maxsize=None)(_BoxTable)  # one shared table per box dims

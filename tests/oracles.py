@@ -81,9 +81,12 @@ compares them; the groups or boxes covered.
 - is_flag_ideal_by_scan: simplicial `is_flag_ideal`;
   test_simplicial::test_flag_ideal_matches_the_point_scan_on_every_ideal; (2, 2, 2),
   (2, 2, 2, 2).
-- maxima_polynomial_by_sums: intervals `_maxima_polynomial`;
-  test_intervals::test_bitmask_paths_match_the_tuple_paths_on_route_systems; every
-  element of the route systems, 40 sampled ones of A5, B4, D5.
+- maxima_polynomial_by_sums: intervals `_maxima_polynomial`, the tuple meets and
+  IntPolynomial sums the unary codes and packed box polynomials replaced;
+  test_intervals::test_bitmask_paths_match_the_tuple_paths_on_route_systems, every
+  element of the route systems, 40 sampled ones of A5, B4, D5;
+  test_intervals::test_maxima_route_matches_the_tuple_sums_on_every_small_ideal, the
+  805 ideals of the boxes up to volume 16 and every ideal of (1, 3) and (2, 1, 3).
 - ShellingState, pushed, rank_lex, push_all: simplicial `_walk` and the complex route;
   test_simplicial::test_step_memo_route_fails_where_the_state_fails; every ideal of
   (2, 3), (3, 3), (2, 2, 2), (3, 2, 2), (2, 2, 3), true and corrupted facet rules.

@@ -288,6 +288,24 @@ def test_stray_system_option_is_refused(capsys, argv, message):
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["code", "--type", "A", "--rank", "3", "--word", "s1"],
+    ["hpoly", "--type", "D", "--rank", "4", "--word", "s1"],
+    ["classify", "--type", "H3"],
+    ["complex", "--type", "A", "--rank", "3", "--word", "s1"],
+    ["complex", "--type", "A", "--rank", "3"],
+], ids=["code", "hpoly", "classify", "complex-element", "complex-group"])
+def test_variant_code_is_refused_outside_type_b_before_any_group_is_built(
+        capsys, monkeypatch, argv):
+    def refuse(*args):
+        raise AssertionError(f"group {args} built for a refused --code")
+
+    monkeypatch.setattr(cli, "shared_poset", refuse)
+    code, out, err = run(capsys, *argv, "--code", "variant")
+    assert code == 2 and out == ""
+    assert err == "error: only type B has a variant code\n"
+
+
 def test_h3_accepts_its_rank(capsys):
     code, out, _ = run(capsys, "code", "--type", "H3", "--rank", "3", "--word", "s1")
     assert code == 0 and "= (1, 0, 0)" in out

@@ -22,7 +22,7 @@ from coxlehmer.intervals import (
     principal_set,
     unimodal_set,
 )
-from coxlehmer.multicomplex import box_table, full_ideal
+from coxlehmer.multicomplex import all_order_ideals, box_table, full_ideal
 from coxlehmer.qpoly import IntPolynomial, q_analog_product
 from coxlehmer.simplicial import ShellingFailure, is_vertex_decomposable, shelling_h_polynomial
 from oracles import (
@@ -254,6 +254,17 @@ def test_maxima_table_matches_the_subset_oracle(label, rank, m):
     for w in range(code.poset.size):
         ideal = interval_ideal(w, code)
         assert _maxima_polynomial(ideal) == maxima_by_subsets(ideal), code.poset.render(w)
+
+
+def test_maxima_route_matches_the_tuple_sums_on_every_small_ideal():
+    # the 805 ideals of the boxes up to volume 16, whose f-polynomials are
+    # the answer, plus boxes with a side of 1 (a zero-width unary field)
+    boxes = verify._boxes_up_to(16) + [(1, 3), (2, 1, 3)]
+    ideals = [j for dims in boxes for j in all_order_ideals(box_table(dims))]
+    assert len(ideals) == 805 + 3 + 9
+    for ideal in ideals:
+        assert (_maxima_polynomial(ideal) == maxima_polynomial_by_sums(ideal)
+                == ideal.f_polynomial()), (ideal.box.dims, ideal.to_json())
 
 
 SWEEP_SYSTEMS = [("A", 5, None), ("B", 4, None), ("D", 4, None), ("H3", None, None)]

@@ -197,6 +197,18 @@ def test_meet_properties_inside_ideal():
                 assert meet(meet(x, y), z) == meet(x, meet(y, z))
 
 
+@pytest.mark.parametrize("dims", [(2, 3, 4), (1, 3), (3, 3, 4)])
+def test_unary_codes_meet_by_and_and_pack_their_box_polynomials(dims):
+    # a side of 1 is a zero-width field, coded 0 and read back as [1]_q
+    box = _BoxTable(dims)
+    for x in box.points:
+        for y in box.points:
+            assert box.unary(x) & box.unary(y) == box.unary(meet(x, y)), (x, y)
+        packed = box.box_poly(box.unary(x))
+        assert box.unpack(packed) == q_analog_product(v + 1 for v in x), x
+    assert len(box.unary_codes) == len(box.box_polys) == len(box.points)
+
+
 def test_maxima_of_full_box():
     box = box_table((2, 3))
     assert full_ideal(box).maxima() == {(1, 2)}
