@@ -285,13 +285,15 @@ def code_b(poset: BruhatPoset, variant: bool = False) -> LehmerCode:
 def inversion_code(perm: tuple[int, ...]) -> tuple[int, ...]:
     """Entry k counts the values i < k placed to the right of k in one-line
     notation.  Entry 1 is always 0; the tail reproduces the type A code of
-    the permutation.
+    the permutation.  One right-to-left scan: entry v is the popcount, below
+    bit v, of the mask of values already passed.
     """
-    n = len(perm)
-    pos = [0] * (n + 1)
-    for i, v in enumerate(perm):
-        pos[v] = i
-    return tuple(sum(1 for i in range(1, k) if pos[i] > pos[k]) for k in range(1, n + 1))
+    code = [0] * len(perm)
+    passed = 0
+    for v in reversed(perm):
+        code[v - 1] = (passed & ((1 << v) - 1)).bit_count()
+        passed |= 1 << v
+    return tuple(code)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,10 @@
 """Smooth permutations and the combinatorics of their Poincare polynomials.
 
 Everything here speaks plain one-line permutations (tuples over 1..n).
+`avoids` is the definition of pattern avoidance, a scan of every
+k-subsequence; `avoiders` lists a class level by level, inserting n into
+the avoiders of 1..n-1 and testing only the occurrences that use n, and
+serves the smooth permutations and the catalan suite's 312-avoiders.
 A permutation w gives a poset on [n] whose comparability graph is the
 permutation graph of w; for smooth w (avoiding 3412 and 4231) the counts of
 saturated chains by rank assemble into a partition whose dual lists the
@@ -49,8 +53,32 @@ def is_smooth(w) -> bool:
     return all(avoids(w, p) for p in SMOOTH_PATTERNS)
 
 
+def avoiders(n, patterns) -> list[tuple[int, ...]]:
+    """The permutations of 1..n that avoid every pattern, in lex order.
+
+    Deleting m from an avoider of 1..m leaves an avoider of 1..m-1, so each
+    level inserts m at every position of each avoider below it and tests
+    only the occurrences that use m.  Being the largest value, m can only
+    play a pattern's largest entry k: with j = pattern.index(k), that is j
+    values left of m and k-1-j right of it standardizing like the pattern
+    with k deleted.
+    """
+    cuts = []
+    for p in patterns:
+        j = p.index(len(p))
+        cuts.append((j, len(p) - 1 - j, _argsort(p[:j] + p[j + 1:])))
+    level = [()]
+    for m in range(1, n + 1):
+        level = [w[:i] + (m,) + w[i:] for w in level for i in range(m)
+                 if not any(_argsort(a + b) == order
+                            for j, r, order in cuts
+                            for a in itertools.combinations(w[:i], j)
+                            for b in itertools.combinations(w[i:], r))]
+    return sorted(level)
+
+
 def smooth_permutations(n):
-    return [w for w in itertools.permutations(range(1, n + 1)) if is_smooth(w)]
+    return avoiders(n, SMOOTH_PATTERNS)
 
 
 # ---------------------------------------------------------------------------
@@ -225,12 +253,13 @@ def verify_catalan_equivalence(n: int) -> Report:
         raise ValueError(f"supported range is 2..{CATALAN_MAX_N}, got {n}")
     rep = Report(f"catalan classification in S_{n}")
     poset = shared_poset("A", n - 1)
+    avoiders312 = set(avoiders(n, ((3, 1, 2),)))
     count = 0
     for perm in itertools.permutations(range(1, n + 1)):
         code = inversion_code(perm)
         principal = intervals.is_principal(poset, poset.index[perm], code)
         lazy = is_lazy_fubini_word(code)
-        av312 = avoids(perm, (3, 1, 2))
+        av312 = perm in avoiders312
         rep.check(principal == lazy == av312,
                   lambda: f"{perm}: principal={principal} lazy={lazy} 312-avoiding={av312}")
         if principal:
@@ -260,8 +289,8 @@ def verify_unimodal_equivalence(n: int) -> Report:
                              and all(a <= b for a, b in zip(vec, vec[1:])))
         unimodal = is_unimodal_permutation(perm)
         rep.check(lexmin == increasing_fubini == unimodal,
-                  f"{perm}: lexmin={lexmin} incr-fubini={increasing_fubini} "
-                  f"unimodal={unimodal}")
+                  lambda: f"{perm}: lexmin={lexmin} incr-fubini={increasing_fubini} "
+                          f"unimodal={unimodal}")
         count += unimodal
     rep.check(count == 2 ** (n - 1), f"found {count} unimodal permutations")
     return rep
@@ -273,17 +302,17 @@ def check_tail_partition(u) -> Report:
     n = len(u)
     rep = Report(f"tail partition of {u}")
     lam = unimodal_to_partition(u)
-    rep.check(lam == chain_partition(u),
-              f"tail partition {lam} != chain partition {chain_partition(u)}")
-    rep.check(partition_to_unimodal(lam, n) == u,
-              f"partition {lam} maps back to {partition_to_unimodal(lam, n)}")
+    chain = chain_partition(u)
+    rep.check(lam == chain, lambda: f"tail partition {lam} != chain partition {chain}")
+    back = partition_to_unimodal(lam, n)
+    rep.check(back == u, lambda: f"partition {lam} maps back to {back}")
     code = inversion_code(u)
     if lam == (0,):
-        rep.check(code == (0,) * n, f"identity code {code} not all zero")
+        rep.check(code == (0,) * n, lambda: f"identity code {code} not all zero")
     else:
         dual = dual_partition(lam)
         expected = (0,) * u[-1] + dual
-        rep.check(code == expected, f"code {code} != zero-padded dual {expected}")
+        rep.check(code == expected, lambda: f"code {code} != zero-padded dual {expected}")
     return rep
 
 
@@ -331,7 +360,7 @@ def verify_smooth_factorization(n: int) -> Report:
         expected = (IntPolynomial([1]) if exps == (0,)
                     else q_analog_product(e + 1 for e in exps))
         rep.check(_interval_poly(poset, perm) == expected,
-                  f"{perm}: interval poly differs from exponent product {exps}")
+                  lambda: f"{perm}: interval poly differs from exponent product {exps}")
     return rep
 
 
@@ -375,16 +404,17 @@ def verify_forest_chain_counts(n: int, seed: int = 2024) -> Report:
     rep = Report("forest chain counts decrease strictly")
     for perm in smooth_permutations(n):
         covers = hasse_covers(perm)
-        if not rep.check(hasse_is_forest(covers), f"{perm}: Hasse diagram is not a forest"):
+        if not rep.check(hasse_is_forest(covers),
+                         lambda: f"{perm}: Hasse diagram is not a forest"):
             continue
         rho = chain_counts(covers)
         rep.check(all(rho[i] > rho[i + 1] for i in range(len(rho) - 1)),
-                  f"{perm}: counts {rho} not strictly decreasing")
+                  lambda: f"{perm}: counts {rho} not strictly decreasing")
     rng = random.Random(seed)
     for _ in range(FOREST_SAMPLES):
         size = rng.randint(2, 12)
         covers = random_forest_covers(size, rng)
         rho = chain_counts(covers)
         rep.check(all(rho[i] > rho[i + 1] for i in range(len(rho) - 1)),
-                  f"random rooted forest {covers}: counts {rho}")
+                  lambda: f"random rooted forest {covers}: counts {rho}")
     return rep

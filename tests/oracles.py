@@ -68,6 +68,10 @@ compares them; the groups or boxes covered.
   test_intervals::test_unimodal_set_matches_the_orbit_oracle; the same codes.
 - avoids_by_standardizing: schubert `avoids`;
   test_schubert::test_avoids_matches_the_standardizing_oracle; six patterns up to 25314.
+- avoiders_by_scan: schubert `avoiders`, the insertion generator behind
+  `smooth_permutations` and the catalan suite's 312-avoiders;
+  test_schubert::test_avoiders_match_the_scan_oracle; 312 and SMOOTH_PATTERNS on S_0..S_7,
+  the six `avoids` patterns, 1 and {21, 3412} on S_0..S_6.
 - kernel_tables, mat3_compose, reflection_matrix, BOND_VALUES, matrix_h3_tables,
   affine_dihedral_tables: coxeter `_root_permutations` and the BFS through `_compose`;
   the old H3 and I2 kernels run through `kernel_tables`, the BFS with compose(e, g);
@@ -113,6 +117,7 @@ from coxlehmer.multicomplex import (
     meet,
 )
 from coxlehmer.qpoly import IntPolynomial
+from coxlehmer.schubert import avoids
 from coxlehmer.simplicial import (
     SimplicialComplex,
     _classes,
@@ -617,6 +622,13 @@ def avoids_by_standardizing(w, pattern) -> bool:
         if tuple(order.index(v) + 1 for v in vals) == tuple(pattern):
             return False
     return True
+
+
+def avoiders_by_scan(n, patterns) -> list[tuple[int, ...]]:
+    """The permutations of 1..n, in lex order, that `avoids` clears of every
+    pattern: each one scanned over all its k-subsequences."""
+    return [w for w in itertools.permutations(range(1, n + 1))
+            if all(avoids(w, p) for p in patterns)]
 
 
 # The element kernels H3 and I2(m) had before they permuted their roots:

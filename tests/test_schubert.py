@@ -8,6 +8,8 @@ from coxlehmer.codes import inversion_code
 from coxlehmer.coxeter import shared_poset
 from coxlehmer.qpoly import IntPolynomial, q_analog_product
 from coxlehmer.schubert import (
+    SMOOTH_PATTERNS,
+    avoiders,
     avoids,
     catalan,
     chain_counts,
@@ -35,7 +37,9 @@ from coxlehmer.schubert import (
     verify_tail_partitions,
     verify_unimodal_equivalence,
 )
-from oracles import avoids_by_standardizing
+from oracles import avoiders_by_scan, avoids_by_standardizing
+
+AVOIDS_PATTERNS = [(1, 2), (2, 1), (3, 1, 2), (3, 4, 1, 2), (4, 2, 3, 1), (2, 5, 3, 1, 4)]
 
 
 def test_avoids_basics():
@@ -56,13 +60,29 @@ def test_avoids_by_brute_subsequences():
         assert avoids(w, pat) == (not hit)
 
 
-@pytest.mark.parametrize("pattern", [(1, 2), (2, 1), (3, 1, 2), (3, 4, 1, 2), (4, 2, 3, 1),
-                                     (2, 5, 3, 1, 4)])
+@pytest.mark.parametrize("pattern", AVOIDS_PATTERNS)
 def test_avoids_matches_the_standardizing_oracle(pattern):
     # S_0 .. S_7, so every pattern also meets permutations shorter than it
     for n in range(8):
         for w in itertools.permutations(range(1, n + 1)):
             assert avoids(w, pattern) == avoids_by_standardizing(w, pattern)
+
+
+@pytest.mark.parametrize("patterns, top", [
+    (((3, 1, 2),), 7), (SMOOTH_PATTERNS, 7),
+    *(((p,), 6) for p in AVOIDS_PATTERNS),
+    (((1,),), 6), (((2, 1), (3, 4, 1, 2)), 6),
+])
+def test_avoiders_match_the_scan_oracle(patterns, top):
+    # (1,) has no avoider past S_0; {21, 3412} leaves only the identity
+    for n in range(top + 1):
+        assert avoiders(n, patterns) == avoiders_by_scan(n, patterns), n
+
+
+def test_avoider_counts_through_s8():
+    assert [len(avoiders(n, ((3, 1, 2),))) for n in range(9)] == [catalan(n) for n in range(9)]
+    assert ([len(smooth_permutations(n)) for n in range(9)]
+            == [1, 1, 2, 6, 22, 88, 366, 1552, 6652])
 
 
 def test_smooth_counts():
