@@ -28,6 +28,7 @@ from pathlib import Path
 from . import intervals
 from .codes import dual_code, shared_standard_code
 from .coxeter import ENUMERATION_LIMIT, PER_ELEMENT_BYTES, BruhatPoset, SizeLimitError, shared_poset
+from .schubert import smooth_permutations
 from .simplicial import ShellingFailure
 from .verify import SUITES, check_n, run_suite
 
@@ -217,7 +218,6 @@ def cmd_complex(args) -> int:
 
 def cmd_classify(args) -> int:
     poset = _get_poset(args)
-    code = _get_code(args)
     doc = {"system": poset.system.describe()}
     if args.what == "pal":
         polys = intervals.palindromic_intervals(poset)
@@ -225,12 +225,11 @@ def cmd_classify(args) -> int:
     elif args.what == "smooth":
         if poset.system.label != "A":
             raise CLIError("--what smooth applies to type A only")
-        from .schubert import smooth_permutations
-
         perms = smooth_permutations(poset.system.rank + 1)
         polys = intervals.interval_polynomials(poset, (poset.index[p] for p in perms))
         doc.update({"class": "smooth", "count": len(perms)})
     else:
+        code = _get_code(args)
         elems = (intervals.principal_set(code) if args.what == "principal"
                  else intervals.unimodal_set(code))
         polys = intervals.interval_polynomials(poset, elems)

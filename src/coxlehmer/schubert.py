@@ -4,7 +4,8 @@ Everything here speaks plain one-line permutations (tuples over 1..n).
 `avoids` is the definition of pattern avoidance, a scan of every
 k-subsequence; `avoiders` lists a class level by level, inserting n into
 the avoiders of 1..n-1 and testing only the occurrences that use n, and
-serves the smooth permutations and the catalan suite's 312-avoiders.
+serves the smooth and unimodal permutations and the catalan suite's
+312-avoiders.
 A permutation w gives a poset on [n] whose comparability graph is the
 permutation graph of w; for smooth w (avoiding 3412 and 4231) the counts of
 saturated chains by rank assemble into a partition whose dual lists the
@@ -27,10 +28,8 @@ from .qpoly import IntPolynomial, q_analog_product
 from .report import Report
 
 SMOOTH_PATTERNS = ((3, 4, 1, 2), (4, 2, 3, 1))
-
-
-def perm_length(w):
-    return sum(1 for i in range(len(w)) for j in range(i + 1, len(w)) if w[i] > w[j])
+# a permutation rises to n and then falls exactly when it avoids 213 and 312
+UNIMODAL_PATTERNS = ((2, 1, 3), (3, 1, 2))
 
 
 def identity_perm(n):
@@ -148,7 +147,7 @@ def chain_partition(w) -> tuple[int, ...]:
     lam = tuple(rho[r] for r in range(len(rho) - 1, 0, -1))
     if any(a > b for a, b in zip(lam, lam[1:])):
         raise AssertionError(f"chain counts of {w} are not strictly decreasing: {rho}")
-    if sum(lam) != perm_length(w):
+    if sum(lam) != sum(inversion_code(w)):
         raise AssertionError(f"chain counts of {w} do not partition its length")
     return lam
 
@@ -200,13 +199,7 @@ def is_unimodal_permutation(w) -> bool:
 
 
 def unimodal_permutations(n) -> list[tuple[int, ...]]:
-    out = []
-    values = list(range(1, n))
-    for mask in range(2 ** (n - 1)):
-        tail = [values[i] for i in range(n - 1) if mask >> i & 1]
-        head = [v for v in values if v not in tail]
-        out.append(tuple(head + [n] + sorted(tail, reverse=True)))
-    return sorted(out)
+    return avoiders(n, UNIMODAL_PATTERNS)
 
 
 def unimodal_to_partition(u) -> tuple[int, ...]:

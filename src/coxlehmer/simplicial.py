@@ -4,7 +4,7 @@ A `SimplicialComplex` is given its distinct maximal faces and keeps them in
 the order given.  Houses the complex of an order ideal of a product of
 chains (`complex_of_ideal`, one facet per point, per the displayed union of
 punctured coordinate classes; the full box's complex is the full ideal's),
-the generic shelling check with restriction sets for any facet order
+the generic shelling check and h-vector for any facet order
 (`verify_shelling`, the reference the tests compare against), one shelling
 step rule for ideal complexes (`_shelling_step`, which reads the earlier
 facets by coordinate line, O(rank) per step), one walk that runs it over
@@ -63,9 +63,6 @@ class SimplicialComplex:
 
     def is_pure(self) -> bool:
         return len({m.bit_count() for m in self.facets}) == 1
-
-    def _unpack(self, mask: int) -> frozenset:
-        return frozenset(self.vertices[b] for b in _bits(mask))
 
     def active_vertex_mask(self) -> int:
         m = 0
@@ -132,11 +129,10 @@ def complex_of_ideal(ideal: OrderIdeal) -> SimplicialComplex:
 
 
 class ShellingResult:
-    __slots__ = ("ok", "restrictions", "h_vector", "violation")
+    __slots__ = ("ok", "h_vector", "violation")
 
-    def __init__(self, ok, restrictions=None, h_vector=None, violation=None):
+    def __init__(self, ok, h_vector=None, violation=None):
         self.ok = ok
-        self.restrictions = restrictions
         self.h_vector = h_vector
         self.violation = violation
 
@@ -147,9 +143,9 @@ class ShellingResult:
 def verify_shelling(sc: SimplicialComplex, order: Sequence[int]) -> ShellingResult:
     """Check a facet order against the shelling condition.
 
-    On success returns the restriction sets (new faces' minimal vertices)
-    and the h-vector counting restriction sizes.  On failure reports the
-    first offending pair of positions.
+    On success returns the h-vector: h_k counts the steps whose new faces'
+    least vertex set, the restriction, has k vertices.  On failure reports
+    the first offending pair of positions.
     """
     if not sc.is_pure():
         raise ValueError("shelling verification requires a pure complex")
@@ -162,7 +158,7 @@ def verify_shelling(sc: SimplicialComplex, order: Sequence[int]) -> ShellingResu
     # gj collects the vertices v with F_j minus v inside some earlier facet;
     # the order shells iff every earlier facet misses at least one such v
     seen_subfaces = set()
-    restrictions = []
+    h_vector = [0] * (d1 + 1)
     for j, fj in enumerate(seq):
         gj = 0
         bits = [1 << b for b in _bits(fj)]
@@ -172,16 +168,10 @@ def verify_shelling(sc: SimplicialComplex, order: Sequence[int]) -> ShellingResu
         for i in range(j):
             if gj & ~seq[i] == 0:  # every candidate vertex already in F_i
                 return ShellingResult(False, violation=(order[i], order[j]))
-        restrictions.append(gj)
+        h_vector[gj.bit_count()] += 1
         for bit in bits:
             seen_subfaces.add(fj ^ bit)
-
-    h_vector = [0] * (d1 + 1)
-    for gj in restrictions:
-        h_vector[gj.bit_count()] += 1
-    return ShellingResult(True,
-                          restrictions=[sc._unpack(g) for g in restrictions],
-                          h_vector=tuple(h_vector))
+    return ShellingResult(True, h_vector=tuple(h_vector))
 
 
 def _shelling_step(classes, lines: dict[int, int], facet: int) -> tuple[int, int]:

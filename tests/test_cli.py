@@ -132,6 +132,21 @@ def test_classify_smooth(capsys):
     assert len(doc["polynomials"]) == 8  # distinct Poincare polynomials
 
 
+@pytest.mark.parametrize("argv", [
+    ("--type", "B", "--rank", "3", "--what", "pal"),
+    ("--type", "B", "--rank", "3", "--what", "pal", "--code", "dual"),
+    ("--type", "A", "--rank", "3", "--what", "smooth"),
+])
+def test_classify_pal_and_smooth_build_no_code(capsys, monkeypatch, argv):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a code was built")
+
+    monkeypatch.setattr(cli, "shared_standard_code", refuse)
+    code, out, err = run(capsys, "classify", *argv)
+    assert code == 0, err
+    assert json.loads(out)["count"] > 0
+
+
 def test_classify_smooth_needs_type_a(capsys):
     code, _, err = run(capsys, "classify", "--type", "B", "--rank", "3",
                        "--what", "smooth")

@@ -7,6 +7,8 @@ import ast
 import doctest
 import importlib
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "coxlehmer"
@@ -85,6 +87,17 @@ def test_exemptions_are_still_needed():
     tracing = (SRC.parent.parent / "perfbench" / "tracing.py").read_text()
     for name in EXEMPT:
         assert f'"{name}"' in tracing, name
+
+
+def test_the_benchmark_tracer_still_installs():
+    # install raises on the first name it wraps that src no longer binds;
+    # it rebinds module attributes, so it runs in a child process
+    root = SRC.parent.parent
+    script = ("import sys; sys.path[:0] = sys.argv[1:3]; import tracing; "
+              "tracing.install(tracing.Tracer())")
+    done = subprocess.run([sys.executable, "-B", "-c", script, str(root / "src"),
+                           str(root / "perfbench")], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 def test_scan_sees_an_unreached_definition(tmp_path):

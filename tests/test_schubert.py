@@ -9,6 +9,7 @@ from coxlehmer.coxeter import shared_poset
 from coxlehmer.qpoly import IntPolynomial, q_analog_product
 from coxlehmer.schubert import (
     SMOOTH_PATTERNS,
+    UNIMODAL_PATTERNS,
     avoiders,
     avoids,
     catalan,
@@ -24,7 +25,6 @@ from coxlehmer.schubert import (
     is_smooth,
     is_unimodal_permutation,
     partition_to_unimodal,
-    perm_length,
     random_forest_covers,
     smooth_exponents,
     smooth_permutations,
@@ -71,7 +71,7 @@ def test_avoids_matches_the_standardizing_oracle(pattern):
 @pytest.mark.parametrize("patterns, top", [
     (((3, 1, 2),), 7), (SMOOTH_PATTERNS, 7),
     *(((p,), 6) for p in AVOIDS_PATTERNS),
-    (((1,),), 6), (((2, 1), (3, 4, 1, 2)), 6),
+    (((1,),), 6), (((2, 1), (3, 4, 1, 2)), 6), (UNIMODAL_PATTERNS, 7),
 ])
 def test_avoiders_match_the_scan_oracle(patterns, top):
     # (1,) has no avoider past S_0; {21, 3412} leaves only the identity
@@ -219,10 +219,10 @@ def test_unimodal_permutations():
     assert is_unimodal_permutation((1, 2, 3, 4))
     assert is_unimodal_permutation((1, 3, 4, 2))
     assert not is_unimodal_permutation((3, 1, 4, 2))
-    u4 = unimodal_permutations(4)
-    assert len(u4) == 8
-    assert u4 == sorted(w for w in itertools.permutations(range(1, 5))
-                        if is_unimodal_permutation(w))
+    assert len(unimodal_permutations(4)) == 8
+    for n in range(1, 9):
+        assert unimodal_permutations(n) == [w for w in itertools.permutations(range(1, n + 1))
+                                            if is_unimodal_permutation(w)], n
 
 
 def test_unimodal_partition_bijection():
@@ -234,7 +234,7 @@ def test_unimodal_partition_bijection():
 def test_partition_to_unimodal_example():
     u = partition_to_unimodal((2, 3), 4)
     assert u == (3, 4, 2, 1)
-    assert perm_length(u) == 5
+    assert sum(inversion_code(u)) == 5
     assert is_unimodal_permutation(u)
 
 
@@ -250,7 +250,7 @@ def test_lambda_roundtrip_up_to_8():
         for u in unimodal_permutations(n):
             lam = unimodal_to_partition(u)
             assert partition_to_unimodal(lam, n) == u
-            assert sum(lam) == perm_length(u) or lam == (0,)
+            assert sum(lam) == sum(inversion_code(u)) or lam == (0,)
 
 
 def test_tail_partition_checks():
