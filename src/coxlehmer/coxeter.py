@@ -125,7 +125,7 @@ class CoxeterSystem:
     """A finite Coxeter system with concrete, exactly-represented elements."""
 
     def __init__(self, label, matrix, gen_subscripts, generators, order, reflections,
-                 render=None):
+                 modelled_bytes, render=None):
         self.label = label
         self.rank = len(matrix)
         self.coxeter_matrix = matrix
@@ -134,13 +134,9 @@ class CoxeterSystem:
         self.generators = tuple(generators)
         self.order = order
         self.reflections = reflections
+        self.modelled_bytes = modelled_bytes
         self.dihedral_m = matrix[0][1] if label == "I2" else None
         self.render = render
-        self.modelled_bytes = need = (order * order // 16 + 8 * order * len(self.identity)
-                                      + 4 * order * reflections + PER_ELEMENT_BYTES * order)
-        if need > ENUMERATION_LIMIT:  # before the relations, quadratic in m for I2(m)
-            raise SizeLimitError(f"|{self.describe()}| = {order} needs {need:,} bytes, which "
-                                 f"exceeds the enumeration limit of {ENUMERATION_LIMIT:,} bytes")
         self._check_relations()
 
     def _check_relations(self):
@@ -162,11 +158,7 @@ class CoxeterSystem:
                         f"s{self.gen_subscripts[j]}) has order {k}, expected {m}")
 
     def describe(self) -> str:
-        if self.label == "I2":
-            return f"I2({self.dihedral_m})"
-        if self.label == "H3":
-            return "H3"
-        return f"{self.label}{self.rank}"
+        return _name(self.label, self.rank, self.dihedral_m)
 
     def gen_index(self, subscript: int) -> int:
         try:
@@ -200,40 +192,74 @@ def build_system(label: str, rank: int | None = None, m: int | None = None) -> C
     s2 and s3.
     """
     label = label.upper()
+    # the size first, from |W|, the entries of an element and N alone: the
+    # Coxeter matrix has rank^2 entries and I2(m)'s generators 2m each
     if label == "A":
         if rank is None or rank < 1:
             raise ValueError(f"type A requires rank >= 1, got {rank}")
-        n = rank + 1
-        return CoxeterSystem("A", _chain_matrix(rank, 0, {}), range(1, rank + 1),
-                             _adjacent_swaps(n), factorial(n), n * rank // 2, render=_render_perm)
-    if label == "B":
+        order, entries, reflections = factorial(rank + 1), rank + 1, (rank + 1) * rank // 2
+    elif label == "B":
         if rank is None or rank < 2:
             raise ValueError(f"type B requires rank >= 2, got {rank}")
-        n = rank
-        gens = [(-1, *range(2, n + 1)), *_adjacent_swaps(n)]
-        return CoxeterSystem("B", _chain_matrix(rank, 0, {(0, 1): 4}), range(1, rank + 1),
-                             gens, 2 ** n * factorial(n), n * n, render=_render_signed)
-    if label == "D":
+        order, entries, reflections = 2 ** rank * factorial(rank), rank, rank * rank
+    elif label == "D":
         if rank is None or rank < 4:
             raise ValueError(f"type D requires rank >= 4, got {rank}")
-        n = rank
-        gens = [(-2, -1, *range(3, n + 1)), *_adjacent_swaps(n)]
-        return CoxeterSystem("D", _chain_matrix(rank, 1, {(0, 2): 3}), range(0, rank), gens,
-                             2 ** (n - 1) * factorial(n), n * (n - 1), render=_render_signed)
-    if label == "H3":
+        order, entries, reflections = 2 ** (rank - 1) * factorial(rank), rank, rank * (rank - 1)
+    elif label == "H3":
         if rank not in (None, 3):
             raise ValueError(f"type H3 has rank 3, got {rank}")
-        mat = _chain_matrix(3, 0, {(1, 2): 5})
-        return CoxeterSystem("H3", mat, range(1, 4), _root_permutations(mat)[1], 120, 15)
-    if label == "I2":
+        rank, order, entries, reflections = 3, 120, 30, 15
+    elif label == "I2":
         if m is None or m < 3:
             raise ValueError(f"type I2(m) requires m >= 3, got {m}")
+        rank, order, entries, reflections = 2, 2 * m, 2 * m, m
+    else:
+        raise ValueError(f"unknown type {label!r}; valid: A, B, D, H3, I2")
+    need = _modelled_bytes(_name(label, rank, m), order, entries, reflections)
+
+    subscripts, render = range(1, rank + 1), _render_signed
+    if label == "A":
+        matrix, gens, render = _chain_matrix(rank, 0, {}), _adjacent_swaps(rank + 1), _render_perm
+    elif label == "B":
+        matrix = _chain_matrix(rank, 0, {(0, 1): 4})
+        gens = [(-1, *range(2, rank + 1)), *_adjacent_swaps(rank)]
+    elif label == "D":
+        matrix, subscripts = _chain_matrix(rank, 1, {(0, 2): 3}), range(0, rank)
+        gens = [(-2, -1, *range(3, rank + 1)), *_adjacent_swaps(rank)]
+    elif label == "H3":
+        matrix, render = _chain_matrix(3, 0, {(1, 2): 5}), None
+        gens = _root_permutations(matrix)[1]
+    else:
         # the 2m roots of the 2m-gon, root k at angle k pi / m: s1 and s2
         # reflect in the simple roots 0 and m - 1, sending root k to
         # m - k and m - 2 - k (mod 2m); roots 0..m-1 are the positive ones
+        matrix, render = _chain_matrix(2, 0, {(0, 1): m}), None
         gens = [tuple((c - k) % (2 * m) + 1 for k in range(2 * m)) for c in (m, m - 2)]
-        return CoxeterSystem("I2", _chain_matrix(2, 0, {(0, 1): m}), range(1, 3), gens, 2 * m, m)
-    raise ValueError(f"unknown type {label!r}; valid: A, B, D, H3, I2")
+    return CoxeterSystem(label, matrix, subscripts, gens, order, reflections, need, render)
+
+
+def _name(label, rank, m) -> str:
+    return {"I2": f"I2({m})", "H3": "H3"}.get(label, f"{label}{rank}")
+
+
+def _modelled_bytes(name, order, entries, reflections) -> int:
+    """The bytes the model above gives a group of `order` elements with
+    `entries` one-line entries each and N = `reflections`; SizeLimitError
+    past ENUMERATION_LIMIT."""
+    need = (order * order // 16 + 8 * order * entries + 4 * order * reflections
+            + PER_ELEMENT_BYTES * order)
+    if need > ENUMERATION_LIMIT:
+        raise SizeLimitError(f"|{name}| = {_bounded(order)} needs {_bounded(need, ',')} bytes, "
+                             f"which exceeds the enumeration limit of {ENUMERATION_LIMIT:,} bytes")
+    return need
+
+
+def _bounded(n: int, spec: str = "") -> str:
+    """n in full below 2^64, else the power of two it reaches, so that a
+    refusal stays one short line at any size (str(n) itself refuses past
+    4,300 digits)."""
+    return format(n, spec) if n.bit_length() <= 64 else f"at least 2^{n.bit_length() - 1:,}"
 
 
 def _render_perm(p):

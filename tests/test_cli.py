@@ -2,13 +2,14 @@ import io
 import json
 import os
 import re
+import resource
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
 from coxlehmer import cli, codes, coxeter, schubert
-from coxlehmer.qpoly import q_analog_product
 from coxlehmer.report import Report
 
 
@@ -498,6 +499,32 @@ def test_groups_above_the_limit_are_refused_before_enumeration(
     assert "enumeration limit" in err
 
 
+# the Coxeter matrix alone holds rank^2 entries, and each I2(m) generator 2m;
+# |A1500| has 4,118 digits and the bytes it would need over 8,000, past the
+# 4,300 digits that str() of an int converts
+HUGE_GROUPS = {"A-100000": ("A", "--rank", "100000"), "B-30000": ("B", "--rank", "30000"),
+               "D-30000": ("D", "--rank", "30000"), "I2-1e9": ("I2", "--m", "1000000000"),
+               "A-1500": ("A", "--rank", "1500")}
+
+
+@pytest.mark.parametrize("label, flag, size", HUGE_GROUPS.values(), ids=HUGE_GROUPS)
+def test_huge_groups_are_refused_in_one_short_line_before_anything_is_built(label, flag, size):
+    # a child capped at 512 MB of address space, so that building the
+    # generators or the matrix first dies with a MemoryError
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+    src = Path(cli.__file__).resolve().parent.parent
+    done = subprocess.run([sys.executable, "-B", "-m", "coxlehmer.cli", "code", "--type", label,
+                           flag, size, "--word", "s1"], capture_output=True, text=True,
+                          timeout=5, preexec_fn=cap, env={**os.environ, "PYTHONPATH": str(src)})
+    assert done.returncode == 2 and done.stdout == ""
+    err = done.stderr
+    assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 300
+    name = f"I2({size})" if label == "I2" else f"{label}{size}"
+    assert f"|{name}|" in err and "enumeration limit" in err
+
+
 def test_i2_2555_is_the_largest_dihedral_group_under_the_limit(monkeypatch):
     # 2m-entry elements, words of m/2 letters on average, the downsets and
     # PER_ELEMENT_BYTES per element: 40.25 m^2 + 2,176 m against 2^28
@@ -640,29 +667,6 @@ def test_classify_pal(capsys, name):
     code, out, _ = run(capsys, "classify", *_system_args(name), "--what", "pal")
     assert code == 0
     assert json.loads(out)["count"] == PAL_COUNTS[name]
-
-
-# principal elements and their distinct interval polynomials
-PRINCIPAL_COUNTS = {"D6": (377, 67)}
-
-
-@pytest.mark.parametrize("name", PRINCIPAL_COUNTS)
-def test_classify_principal(capsys, name):
-    code, out, _ = run(capsys, "classify", *_system_args(name), "--what", "principal")
-    doc = json.loads(out)
-    assert code == 0
-    assert (doc["count"], len(doc["polynomials"])) == PRINCIPAL_COUNTS[name]
-
-
-def test_d6_w0_on_every_route_is_the_group_polynomial(capsys):
-    # w0 = -1 in D6, so [e, w0] is the whole group: prod [e + 1]_q over the
-    # exponents 1, 3, 5, 7, 9, 5, with coefficients summing to |D6|
-    code, out, _ = run(capsys, "hpoly", "--type", "D", "--rank", "6",
-                       "--perm=-1,-2,-3,-4,-5,-6", "--route", "all", "--json")
-    doc = json.loads(out)
-    assert code == 0 and doc["agree"] is True
-    assert [sum(p) for p in doc["routes"].values()] == [23040] * 3
-    assert doc["routes"]["direct"] == q_analog_product([2, 4, 6, 8, 10, 6]).to_json()
 
 
 PARSER_RUNS = [

@@ -161,6 +161,13 @@ def test_chain_partition_rejects_non_smooth():
         chain_partition((3, 4, 1, 2))
 
 
+def test_chain_partition_rejects_counts_that_miss_the_length(monkeypatch):
+    # 21 has length 1; chain counts (3, 2) would read off the partition (2,)
+    monkeypatch.setattr(schubert, "chain_counts", lambda covers: (3, 2))
+    with pytest.raises(AssertionError, match="do not partition its length"):
+        chain_partition((2, 1))
+
+
 def test_dual_partition():
     assert dual_partition((0,)) == (0,)
     assert dual_partition((1, 2, 3)) == (1, 2, 3)
