@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from coxlehmer import cli, codes, coxeter, schubert
+from coxlehmer.qpoly import q_analog_product
 from coxlehmer.report import Report
 
 
@@ -667,6 +668,29 @@ def test_classify_pal(capsys, name):
     code, out, _ = run(capsys, "classify", *_system_args(name), "--what", "pal")
     assert code == 0
     assert json.loads(out)["count"] == PAL_COUNTS[name]
+
+
+# principal elements and their distinct interval polynomials
+PRINCIPAL_COUNTS = {"D6": (377, 67)}
+
+
+@pytest.mark.parametrize("name", PRINCIPAL_COUNTS)
+def test_classify_principal(capsys, name):
+    code, out, _ = run(capsys, "classify", *_system_args(name), "--what", "principal")
+    doc = json.loads(out)
+    assert code == 0
+    assert (doc["count"], len(doc["polynomials"])) == PRINCIPAL_COUNTS[name]
+
+
+def test_d6_w0_on_every_route_is_the_group_polynomial(capsys):
+    # w0 = -1 in D6, so [e, w0] is the whole group: prod [e + 1]_q over the
+    # exponents 1, 3, 5, 7, 9, 5, with coefficients summing to |D6|
+    code, out, _ = run(capsys, "hpoly", "--type", "D", "--rank", "6",
+                       "--perm=-1,-2,-3,-4,-5,-6", "--route", "all", "--json")
+    doc = json.loads(out)
+    assert code == 0 and doc["agree"] is True
+    assert [sum(p) for p in doc["routes"].values()] == [23040] * 3
+    assert doc["routes"]["direct"] == q_analog_product([2, 4, 6, 8, 10, 6]).to_json()
 
 
 PARSER_RUNS = [
