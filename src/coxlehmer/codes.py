@@ -324,11 +324,7 @@ def shared_standard_code(label: str, rank: int | None = None,
 @lru_cache(maxsize=None)
 def _shared_code(label, rank, m, variant) -> LehmerCode:
     poset = shared_poset(label, rank, m)
-    if variant:
-        if label != "B":
-            raise ValueError("only type B has a variant code")
-        return code_b(poset, variant=True)
-    return standard_code(poset)
+    return code_b(poset, variant=True) if variant else standard_code(poset)
 
 
 def standard_code(poset: BruhatPoset) -> LehmerCode:

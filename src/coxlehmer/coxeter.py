@@ -140,9 +140,10 @@ class CoxeterSystem:
         self._check_relations()
 
     def _check_relations(self):
-        # (s_i s_j)^m(i,j) = e for every pair; catches kernel mistakes early
+        # (s_i s_j)^m(i,j) = e for each unordered pair (s_j s_i, the inverse,
+        # has the same order); catches kernel mistakes early
         for i in range(self.rank):
-            for j in range(self.rank):
+            for j in range(i, self.rank):
                 m = self.coxeter_matrix[i][j]
                 p = _compose(self.generators[i], self.generators[j])
                 acc = p

@@ -162,10 +162,6 @@ class OrderIdeal:
             raise ValueError("point set is not downward closed")
         self.box, self.mask = box, mask
 
-    def __contains__(self, point) -> bool:
-        j = self.box.index.get(tuple(point))
-        return j is not None and bool(self.mask >> j & 1)
-
     def __len__(self) -> int:
         return self.mask.bit_count()
 

@@ -3,7 +3,8 @@
 Coefficients are arbitrary-precision ints stored densely from the constant
 term up, with trailing zeros trimmed, so structural equality is polynomial
 equality.  These carry every generating function in the package: q-analogs,
-Poincare polynomials of intervals, f- and h-polynomials.
+Poincare polynomials of intervals, f- and h-polynomials.  The class has no
+arithmetic: products of q-integers are `q_analog_product`'s running sums.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ class IntPolynomial:
 
     >>> IntPolynomial([1, 2, 0, 0]).coeffs
     (1, 2)
-    >>> (q_analog_product([2]) * q_analog_product([3])).coeffs
+    >>> q_analog_product([2, 3]).coeffs
     (1, 2, 2, 1)
     """
 
@@ -36,9 +37,6 @@ class IntPolynomial:
         """Degree of the polynomial; the zero polynomial has degree -1."""
         return len(self.coeffs) - 1
 
-    def coeff(self, i: int) -> int:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
-
     def __eq__(self, other) -> bool:
         return isinstance(other, IntPolynomial) and self.coeffs == other.coeffs
 
@@ -47,27 +45,6 @@ class IntPolynomial:
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
-
-    def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return IntPolynomial(out)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return IntPolynomial(c * other for c in self.coeffs)
-        out = [0] * (len(self.coeffs) + len(other.coeffs))
-        for i, c in enumerate(self.coeffs):
-            if c:
-                for j, d in enumerate(other.coeffs):
-                    out[i + j] += c * d
-        return IntPolynomial(out)
-
-    __rmul__ = __mul__
 
     def text(self) -> str:
         """Render like "1 + 3*q + 5*q^2 + 4*q^3 + q^4"."""

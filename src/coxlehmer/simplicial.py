@@ -26,7 +26,7 @@ zero-based and are shifted here, at the boundary.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import prod
+from math import comb, prod
 from operator import rshift
 from typing import Iterable, Sequence
 
@@ -309,12 +309,12 @@ def f_from_h(h: Sequence[int], dim: int) -> tuple[int, ...]:
 
 
 def _transform(v: Sequence[int], dim: int, c: int) -> tuple[int, ...]:
-    """The coefficients of sum_i v_i (x + c)^(d+1-i), from x^(d+1) down."""
-    d1, total, power = dim + 1, IntPolynomial([]), IntPolynomial([1])
-    for i in range(d1, -1, -1):  # from the top down
-        total = total + power * (v[i] if i < len(v) else 0)
-        power = power * IntPolynomial([c, 1])
-    return tuple(total.coeff(d1 - j) for j in range(d1 + 1))
+    """The coefficients of sum_i v_i (x + c)^(d+1-i), from x^(d+1) down:
+    entry j is sum_(i <= j) C(d+1-i, j-i) c^(j-i) v_i (Stanley, Combinatorics
+    and Commutative Algebra, II.2).  Entries of v past d + 1 are ignored."""
+    d1 = dim + 1
+    return tuple(sum(comb(d1 - i, j - i) * c ** (j - i) * v[i]
+                     for i in range(min(j + 1, len(v)))) for j in range(d1 + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -353,10 +353,8 @@ def join_certificate(dims: tuple[int, ...], points: Sequence[tuple[int, ...]]) -
     in the box d - e_i (Provan & Billera, Math. Oper. Res. 5 (1980); Bjorner
     & Wachs, Trans. AMS 348 (1996), 11).  So the complex is vertex
     decomposable if every point of I passes."""
-    classes, offset = [], 0
-    for d in dims:
-        classes.append([_class_facet(d, a) << offset for a in range(d)])
-        offset += d
+    classes = [[_class_facet(d, a) << top - d for a in range(d)]
+               for d, (_, top, _) in zip(dims, _classes(dims))]
     bad = [k for k in range(2, max(dims) + 1) if not _sheds(k, 1 << k - 1)]
     return [facet == sum(c[xi] for c, xi in zip(classes, x))
             and not any(d - xi < k <= d for k in bad for d, xi in zip(dims, x))

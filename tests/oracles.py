@@ -44,8 +44,14 @@ compares them; the groups or boxes covered.
 - interval_ideal_by_walk: intervals `interval_ideal`;
   test_intervals::test_interval_ideal_matches_the_walk_on_every_element; every element of
   the 19 code systems.
+- sum_of_products: no `src/` path; the schoolbook products and sums that the four
+  polynomial oracles below and test_qpoly's and test_intervals' hand expansions share.
 - q_analog_product_by_multiplying: qpoly `q_analog_product`;
   test_properties::test_running_sums_match_repeated_products; Hypothesis lists of n.
+- transform_by_powers: simplicial `_transform` behind `h_from_f` and `f_from_h`, the
+  powers of (x + c) it once multiplied out;
+  test_properties::test_fh_transforms_match_the_powers_of_x_plus_c; Hypothesis vectors
+  of length 1-12, dim from len - 3 (at least -1) to len + 1.
 - maxima_by_subsets: intervals `_maxima_polynomial`;
   test_intervals::test_maxima_table_matches_the_subset_oracle; A1-A5, B2-B4, D4, H3,
   I2(3..10), and seeded ideals of (3, 3, 4) in test_fuzz.
@@ -86,7 +92,7 @@ compares them; the groups or boxes covered.
   test_simplicial::test_flag_ideal_matches_the_point_scan_on_every_ideal; (2, 2, 2),
   (2, 2, 2, 2).
 - maxima_polynomial_by_sums: intervals `_maxima_polynomial`, the tuple meets and
-  IntPolynomial sums the unary codes and packed box polynomials replaced;
+  coefficient-list sums the unary codes and packed box polynomials replaced;
   test_intervals::test_bitmask_paths_match_the_tuple_paths_on_route_systems, every
   element of the route systems, 40 sampled ones of A5, B4, D5;
   test_intervals::test_maxima_route_matches_the_tuple_sums_on_every_small_ideal, the
@@ -495,15 +501,42 @@ def interval_ideal_by_walk(w: int, code) -> OrderIdeal:
                                f"{poset.render(w)} is not an order ideal") from None
 
 
+def sum_of_products(terms) -> IntPolynomial:
+    """sum c * p_1 * ... * p_k over the terms (c, [p_1, ..., p_k]), each p a
+    coefficient list from the constant term up, multiplied out schoolbook."""
+    total = []
+    for c, factors in terms:
+        term = [c]
+        for p in factors:
+            out = [0] * (len(term) + len(p) - 1)
+            for i, a in enumerate(term):
+                for j, b in enumerate(p):
+                    out[i + j] += a * b
+            term = out
+        total += [0] * (len(term) - len(total))
+        for i, a in enumerate(term):
+            total[i] += a
+    return IntPolynomial(total)
+
+
 def q_analog_product_by_multiplying(ns) -> IntPolynomial:
-    """`qpoly.q_analog_product` as repeated IntPolynomial products with
-    [n]_q = 1 + q + ... + q^(n-1), one polynomial per factor."""
-    p = IntPolynomial([1])
+    """`qpoly.q_analog_product` as repeated products with
+    [n]_q = 1 + q + ... + q^(n-1), one coefficient list per factor."""
+    ns = list(ns)
     for n in ns:
         if n < 1:
             raise ValueError(f"q-analog is defined for n >= 1, got {n}")
-        p = p * IntPolynomial([1] * n)
-    return p
+    return sum_of_products([(1, [[1] * n for n in ns])])
+
+
+def transform_by_powers(v, dim: int, c: int) -> tuple[int, ...]:
+    """simplicial `_transform` as the polynomial it reads: sum_i v_i (x + c)^(d+1-i),
+    each power multiplied out, its coefficients from x^(d+1) down; entries of
+    v past d + 1 are ignored."""
+    d1 = dim + 1
+    cs = sum_of_products((v[i] if i < len(v) else 0, [[c, 1]] * (d1 - i))
+                         for i in range(d1 + 1)).coeffs
+    return tuple(cs[d1 - j] if d1 - j < len(cs) else 0 for j in range(d1 + 1))
 
 
 def maxima_by_subsets(ideal) -> IntPolynomial:
@@ -522,10 +555,7 @@ def maxima_by_subsets(ideal) -> IntPolynomial:
             rec(j + 1, m, size + 1)
 
     rec(0, None, 0)
-    total = IntPolynomial()
-    for m, c in signs.items():
-        total = total + c * q_analog_product_by_multiplying(x + 1 for x in m)
-    return total
+    return sum_of_products((c, [[1] * (x + 1) for x in m]) for m, c in signs.items())
 
 
 def facet_vertices(sc, i: int) -> frozenset:
@@ -711,7 +741,7 @@ def affine_dihedral_tables(m: int):
 # The tuple paths that order ideals and shelling states took before they
 # became bitmasks over the box table: maxima by upper-cover lookups, the
 # enumeration of a box's ideals and the flag test of a 0/1-box ideal over
-# point sets, the maxima polynomial as a sum of IntPolynomials, and the
+# point sets, the maxima polynomial as a sum of coefficient lists, and the
 # shelling step that looks each codim-1 subface of the new facet up among
 # the earlier facets.  `is_order_ideal` above is the tuple closure check.
 
@@ -765,16 +795,14 @@ def is_flag_ideal_by_scan(ideal) -> bool:
 
 def maxima_polynomial_by_sums(ideal) -> IntPolynomial:
     """`intervals._maxima_polynomial` over `maxima_by_covers`, the boxes'
-    q-analog products multiplied out and summed as IntPolynomials."""
+    q-analog products multiplied out and summed as coefficient lists."""
     table = {}
     for x in maxima_by_covers(ideal):
         for m, c in list(table.items()):
             y = meet(m, x)
             table[y] = table.get(y, 0) - c
         table[x] = table.get(x, 0) + 1
-    return sum((c * q_analog_product_by_multiplying(v + 1 for v in m)
-                for m, c in table.items() if c),
-               IntPolynomial())
+    return sum_of_products((c, [[1] * (v + 1) for v in m]) for m, c in table.items())
 
 
 def omitted_bits(dims) -> tuple[tuple[int, ...], ...]:

@@ -1,5 +1,5 @@
 """The pinned CLI outputs, one row per command: every suite's check count
-and the outputs the paper's claims are pinned by, up to A7 and B6.
+and the outputs the paper's claims are pinned by, up to A7, B6 and I2(2555).
 
     PYTHONPATH=src python -S tests/pins.py
 
@@ -16,6 +16,7 @@ are imported, so a third-party import on any pinned path fails here.
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import sys
@@ -39,6 +40,12 @@ def checks(doc):
 
 def code_and_length(doc):
     return doc["code"], doc["length"]
+
+
+def digest(doc):
+    """sha256 of the document re-serialized with sorted keys, as `code
+    --dump-table` prints it."""
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
 
 
 ROWS = [
@@ -159,6 +166,19 @@ LARGE_ROWS = [
     ("code-b6-variant", ["code", "--type", "B", "--rank", "6", "--perm=2,-5,1,-6,3,-4",
                          "--code", "variant", "--json"], 0,
      code_and_length, ([1, 0, 0, 7, 6, 9], 23)),
+    # the whole A7, B6 and B6 variant tables, one digest each: every vector of the
+    # 40,320 and 46,080 elements, where the rows above pin one element's
+    ("code-a7-table", ["code", "--type", "A", "--rank", "7", "--dump-table"], 0, digest,
+     "1c303a80f87bea036704d9478ae0a85dda4486e502a738b5374e08f012046e9d"),
+    ("code-b6-table", ["code", "--type", "B", "--rank", "6", "--dump-table"], 0, digest,
+     "f01165cfe343ad986988b58c8630851ce077f2508d2d50cf282821ad40c1d598"),
+    ("code-b6-variant-table", ["code", "--type", "B", "--rank", "6", "--code", "variant",
+                               "--dump-table"], 0, digest,
+     "f5df87b91cb25b38835bd2c03c21009dfaeab7add3531a02767385e80bed731d"),
+    # I2(2555), the largest admitted group: its 5,110 elements' code table, with the
+    # relation check, the downsets and the covers of the largest enumeration
+    ("code-i2-2555-table", ["code", "--type", "I2", "--m", "2555", "--dump-table"], 0, digest,
+     "46d4d66ad95faa89b61e25a1491a20a6571847673d1db627ac80bbca036da9dd"),
 ]
 
 

@@ -407,6 +407,11 @@ def test_one_shared_poset_and_code_per_system():
     assert shared_standard_code("B", 3, variant=True) is not shared_standard_code("B", 3)
 
 
+def test_a_variant_code_outside_type_b_is_refused():
+    with pytest.raises(ValueError, match="expected type B, got A3"):
+        shared_standard_code("A", 3, variant=True)
+
+
 # sha256 of repr((name, bounds, vectors)) and of repr(dual vectors) for each
 # (type, rank, m, variant); D5, D6 and the variant codes are pinned nowhere else
 CODE_DIGESTS = {

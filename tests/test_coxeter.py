@@ -8,6 +8,7 @@ import pytest
 from coxlehmer.codes import standard_code
 from coxlehmer.coxeter import (
     BruhatPoset,
+    CoxeterSystem,
     SizeLimitError,
     _bits,
     _compose,
@@ -81,6 +82,19 @@ def test_coxeter_matrices():
            for s in (build_system(*key) for key in systems)]
     assert hashlib.sha256(json.dumps(doc).encode()).hexdigest() == (
         "117c860f5b71afe423e49c93a185b999549a7580fffbb909491edb1b6cb7acfc")
+
+
+def test_relations_that_do_not_hold_are_refused():
+    # A3's generators with the bond (s1, s2) set to 4: s1 s2 has order 3
+    a = build_system("A", 3)
+    matrix = [list(row) for row in a.coxeter_matrix]
+    matrix[0][1] = matrix[1][0] = 4
+    with pytest.raises(AssertionError, match=r"A3: \(s1 s2\) has order 3, expected 4"):
+        CoxeterSystem("A", matrix, a.gen_subscripts, a.generators, a.order, a.reflections,
+                      a.modelled_bytes)
+    # a lone generator that is a 3-cycle, not an involution: only the diagonal sees it
+    with pytest.raises(AssertionError, match=r"A1: \(s1 s1\) has order .*, expected 1"):
+        CoxeterSystem("A", [[1]], [1], [(2, 3, 1)], 2, 1, 0)
 
 
 def test_group_orders():

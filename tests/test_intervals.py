@@ -42,6 +42,7 @@ from oracles import (
     pushed,
     rank_lex,
     step_rule,
+    sum_of_products,
     unimodal_set_by_orbits,
     upper_covers,
     vertex_decomposable_by_search,
@@ -221,9 +222,9 @@ def test_routes_3412(a3, la3, monkeypatch):
 
 def test_maxima_route_matches_hand_expansion():
     # the inclusion-exclusion over {(1,0,2),(1,2,0),(0,2,2)} written out
-    two, three = q_analog_product([2]), q_analog_product([3])
-    byhand = (2 * (two * three) + three * three
-              + -1 * two + -2 * three + q_analog_product([1]))
+    two, three = [1, 1], [1, 1, 1]
+    byhand = sum_of_products([(2, [two, three]), (1, [three, three]),
+                              (-1, [two]), (-2, [three]), (1, [])])
     assert byhand == IntPolynomial([1, 3, 5, 4, 1])
 
 

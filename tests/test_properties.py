@@ -1,7 +1,8 @@
 """Property tests: the incremental shelling state, the lattice pass and the
 generic shelling check against each other and against the definition, and
 the `complex` and `maxima` routes' polynomials against the ideal's rank
-counts, on drawn boxes, ideals and facet orders."""
+counts, on drawn boxes, ideals and facet orders; the q-analog products and
+the f/h transforms against their multiplied-out references."""
 
 from math import prod
 
@@ -17,6 +18,8 @@ from coxlehmer.multicomplex import box_table, ideal_from_points  # noqa: E402
 from coxlehmer.qpoly import IntPolynomial, q_analog_product  # noqa: E402
 from coxlehmer.simplicial import (  # noqa: E402
     complex_of_ideal,
+    f_from_h,
+    h_from_f,
     shelling_h_polynomial,
     verify_shelling,
 )
@@ -27,6 +30,7 @@ from oracles import (  # noqa: E402
     order_from_extension,
     q_analog_product_by_multiplying,
     shelling_lattice,
+    transform_by_powers,
 )
 from test_fuzz import brute_shelling_ok  # noqa: E402
 
@@ -126,3 +130,28 @@ def test_running_sums_match_repeated_products(ns):
         assert got == IntPolynomial([1])
     if any(n < 1 for n in ns):
         assert got == f"q-analog is defined for n >= 1, got {next(n for n in ns if n < 1)}"
+
+
+@st.composite
+def vectors_and_dims(draw):
+    """An integer vector of length 1-12 and a dim from len - 3 (floored at
+    -1) to len + 1, so the vector is longer than, as long as or shorter than
+    the dim + 2 entries the transforms read."""
+    v = draw(st.lists(st.integers(), min_size=1, max_size=12))
+    return v, draw(st.integers(max(len(v) - 3, -1), len(v) + 1))
+
+
+@PROPERTY_SETTINGS
+@given(vectors_and_dims())
+@example(([1], -1))
+@example(([1, 3, 3], 1))
+@example(([1, 5, 9, 6, 7, 8], 1))
+def test_fh_transforms_match_the_powers_of_x_plus_c(case):
+    v, dim = case
+    h, f = h_from_f(v, dim), f_from_h(v, dim)
+    assert h == transform_by_powers(v, dim, -1)
+    assert f == transform_by_powers(v, dim, 1)
+    # both give dim + 2 entries: v cut there or padded with zeros, back again
+    kept = tuple(v[:dim + 2]) + (0,) * (dim + 2 - len(v))
+    assert len(h) == len(f) == dim + 2
+    assert f_from_h(h, dim) == h_from_f(f, dim) == kept
