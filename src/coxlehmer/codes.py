@@ -279,24 +279,6 @@ def code_b(poset: BruhatPoset, variant: bool = False) -> LehmerCode:
 
 
 # ---------------------------------------------------------------------------
-# permutation-level codes
-
-
-def inversion_code(perm: tuple[int, ...]) -> tuple[int, ...]:
-    """Entry k counts the values i < k placed to the right of k in one-line
-    notation.  Entry 1 is always 0; the tail reproduces the type A code of
-    the permutation.  One right-to-left scan: entry v is the popcount, below
-    bit v, of the mask of values already passed.
-    """
-    code = [0] * len(perm)
-    passed = 0
-    for v in reversed(perm):
-        code[v - 1] = (passed & ((1 << v) - 1)).bit_count()
-        passed |= 1 << v
-    return tuple(code)
-
-
-# ---------------------------------------------------------------------------
 # chain-product codes (types D, H3)
 
 

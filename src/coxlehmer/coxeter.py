@@ -1,15 +1,17 @@
 """Finite Coxeter systems: exact element arithmetic and Bruhat combinatorics.
 
-Every system is realized by one-line signed permutations composed by
-`_compose`: type A permutes 1..n, types B and D are signed permutations of
-1..n, and H3 and I2(m) permute their root systems (the 30 roots of H3, with
-coefficients in Z[phi] for phi the golden ratio, and the 2m roots of the
-2m-gon), on which every finite Coxeter group acts faithfully.  All
-arithmetic is exact; equal tuples are equal group elements.
+Every system is realized by one-line signed permutations, whose product
+`_compose` defines: type A permutes 1..n, types B and D are signed
+permutations of 1..n, and H3 and I2(m) permute their root systems (the 30
+roots of H3, with coefficients in Z[phi] for phi the golden ratio, and the
+2m roots of the 2m-gon), on which every finite Coxeter group acts
+faithfully.  All arithmetic is exact; equal tuples are equal group elements.
 
 Enumerating a system yields a BruhatPoset: every element indexed in BFS
-order, lengths, and the right multiplication table the BFS fills, moving
-entries by one position map per generator.  Inverses (built on first use),
+order, lengths, and the right multiplication table the BFS fills, applying
+each generator as one position map (`_right_actions`, which agrees with
+`_compose`); `_compose` itself runs only in the check of the Coxeter
+relations.  Inverses (built on first use),
 products, left descents and Bruhat covers (by the lifting property) are
 all read off that table, and reachability bitsets hold every lower
 interval, so u <= w is one bit test.
@@ -146,17 +148,14 @@ class CoxeterSystem:
             for j in range(i, self.rank):
                 m = self.coxeter_matrix[i][j]
                 p = _compose(self.generators[i], self.generators[j])
-                acc = p
-                k = 1
-                while acc != self.identity:
-                    acc = _compose(acc, p)
-                    k += 1
-                    if k > m:
-                        break
+                acc, k = p, 1
+                while acc != self.identity and k <= m:
+                    acc, k = _compose(acc, p), k + 1
                 if k != m:
+                    order = f"greater than {m}" if k > m else k
                     raise AssertionError(
                         f"{self.describe()}: (s{self.gen_subscripts[i]} "
-                        f"s{self.gen_subscripts[j]}) has order {k}, expected {m}")
+                        f"s{self.gen_subscripts[j]}) has order {order}, expected {m}")
 
     def describe(self) -> str:
         return _name(self.label, self.rank, self.dihedral_m)
@@ -275,13 +274,6 @@ def _render_signed(p):
 
 # ---------------------------------------------------------------------------
 # enumerated groups
-
-
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def _downsets(covers_down: list[list[int]]) -> list[int]:

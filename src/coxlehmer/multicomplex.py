@@ -13,7 +13,9 @@ packed box polynomials, each filled on first use and bounded by |box|.
 Includes the Macaulay growth test for f-vectors of multicomplexes,
 the enumeration of a box's ideals, and exhaustive, counted or seeded-random
 linear extensions, which walk the mask of what is left of an ideal and read
-its minimal points off it by one shifted AND per class.
+its minimal points off it by one shifted AND per class.  `_bits`, which
+lists the set bits of a mask, reads these masks and the complexes' bitset
+facets in `simplicial`.
 """
 
 from __future__ import annotations
@@ -24,8 +26,15 @@ from functools import lru_cache
 from math import comb, prod
 from typing import Iterable, Iterator
 
-from .coxeter import _bits
 from .qpoly import IntPolynomial
+
+
+def _bits(mask: int):
+    """The positions of the set bits of `mask`, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def lower_covers(point):

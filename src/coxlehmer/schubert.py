@@ -1,18 +1,20 @@
 """Smooth permutations and the combinatorics of their Poincare polynomials.
 
 Everything here speaks plain one-line permutations (tuples over 1..n).
-`avoids` is the definition of pattern avoidance, a scan of every
-k-subsequence; `avoiders` lists a class level by level, inserting n into
-the avoiders of 1..n-1 and testing only the occurrences that use n, and
-serves the smooth and unimodal permutations and the catalan suite's
+`inversion_code` reads a permutation's code, whose tail is the type A
+Lehmer code.  `avoids` is the definition of pattern avoidance, a scan of
+every k-subsequence; `avoiders` lists a class level by level, inserting n
+into the avoiders of 1..n-1 and testing only the occurrences that use n,
+and serves the smooth and unimodal permutations and the catalan suite's
 312-avoiders.
 A permutation w gives a poset on [n] whose comparability graph is the
 permutation graph of w; for smooth w (avoiding 3412 and 4231) the counts of
 saturated chains by rank assemble into a partition whose dual lists the
 factorization exponents of the interval below w.  Unimodal permutations,
 lazy Fubini words and partitions into distinct parts tie the classes
-together; the verify_* routines check those equivalences exhaustively
-against the enumerated Bruhat order.
+together.  The checks here read permutations only; the catalan, unimodal
+and smooth suites in `verify` check the equivalences against the
+enumerated Bruhat order.
 """
 
 from __future__ import annotations
@@ -21,10 +23,6 @@ import itertools
 import random
 from math import comb
 
-from . import intervals
-from .codes import inversion_code, shared_standard_code
-from .coxeter import shared_poset
-from .qpoly import IntPolynomial, q_analog_product
 from .report import Report
 
 SMOOTH_PATTERNS = ((3, 4, 1, 2), (4, 2, 3, 1))
@@ -34,6 +32,20 @@ UNIMODAL_PATTERNS = ((2, 1, 3), (3, 1, 2))
 
 def identity_perm(n):
     return tuple(range(1, n + 1))
+
+
+def inversion_code(perm: tuple[int, ...]) -> tuple[int, ...]:
+    """Entry k counts the values i < k placed to the right of k in one-line
+    notation.  Entry 1 is always 0; the tail reproduces the type A code of
+    the permutation.  One right-to-left scan: entry v is the popcount, below
+    bit v, of the mask of values already passed.
+    """
+    code = [0] * len(perm)
+    passed = 0
+    for v in reversed(perm):
+        code[v - 1] = (passed & ((1 << v) - 1)).bit_count()
+        passed |= 1 << v
+    return tuple(code)
 
 
 def _argsort(seq) -> list[int]:
@@ -227,66 +239,7 @@ def partition_to_unimodal(lam, n) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# exhaustive verifications against the Bruhat order
-
-# the largest n each exhaustive verifier accepts; S_9 (362,880 elements)
-# lies above coxeter.ENUMERATION_LIMIT
-CATALAN_MAX_N = 8
-UNIMODAL_MAX_N = 8
-SMOOTH_MAX_N = 6
-
-
-def _interval_poly(poset, perm) -> IntPolynomial:
-    return IntPolynomial(poset.interval_poincare_coeffs(poset.index[perm]))
-
-
-def verify_catalan_equivalence(n: int) -> Report:
-    """Principal = lazy-Fubini code = 312-avoiding, element by element."""
-    if not 2 <= n <= CATALAN_MAX_N:
-        raise ValueError(f"supported range is 2..{CATALAN_MAX_N}, got {n}")
-    rep = Report(f"catalan classification in S_{n}")
-    poset = shared_poset("A", n - 1)
-    avoiders312 = set(avoiders(n, ((3, 1, 2),)))
-    count = 0
-    for perm in itertools.permutations(range(1, n + 1)):
-        code = inversion_code(perm)
-        principal = intervals.is_principal(poset, poset.index[perm], code)
-        lazy = is_lazy_fubini_word(code)
-        av312 = perm in avoiders312
-        rep.check(principal == lazy == av312,
-                  lambda: f"{perm}: principal={principal} lazy={lazy} 312-avoiding={av312}")
-        if principal:
-            count += 1
-            rep.check(_interval_poly(poset, perm) == q_analog_product(x + 1 for x in code),
-                      lambda: f"{perm}: interval does not factor over its code")
-    rep.check(count == catalan(n), f"found {count} principal elements, expected C_{n}")
-    rep.note(f"{count} principal elements")
-    return rep
-
-
-def verify_unimodal_equivalence(n: int) -> Report:
-    """Lex-minimal principal = weakly increasing Fubini code = unimodal."""
-    if not 2 <= n <= UNIMODAL_MAX_N:
-        raise ValueError(f"supported range is 2..{UNIMODAL_MAX_N}, got {n}")
-    rep = Report(f"unimodal classification in S_{n}")
-    code = shared_standard_code("A", n - 1)
-    poset = code.poset
-    lexmins = set(intervals.unimodal_set(code))
-    count = 0
-    for perm in itertools.permutations(range(1, n + 1)):
-        w = poset.index[perm]
-        lexmin = w in lexmins
-        # the inversion code of perm: a leading 0, then the type A code
-        vec = (0,) + code.of(w)
-        increasing_fubini = (is_fubini_word(vec)
-                             and all(a <= b for a, b in zip(vec, vec[1:])))
-        unimodal = is_unimodal_permutation(perm)
-        rep.check(lexmin == increasing_fubini == unimodal,
-                  lambda: f"{perm}: lexmin={lexmin} incr-fubini={increasing_fubini} "
-                          f"unimodal={unimodal}")
-        count += unimodal
-    rep.check(count == 2 ** (n - 1), f"found {count} unimodal permutations")
-    return rep
+# tail partitions and forest chain counts
 
 
 def check_tail_partition(u) -> Report:
@@ -313,47 +266,6 @@ def verify_tail_partitions(n: int) -> Report:
     rep = Report(f"tail partitions of unimodal permutations in S_{n}")
     for u in unimodal_permutations(n):
         rep.merge(check_tail_partition(u))
-    return rep
-
-
-EXPECTED_SMOOTH_POLYS_S4 = (
-    (1,), (2,), (2, 2), (2, 3), (2, 2, 2), (2, 2, 3), (2, 3, 3), (2, 3, 4),
-)
-
-
-def verify_smooth_classification(n: int) -> Report:
-    """Poincare polynomials of smooth and of unimodal permutations coincide
-    as sets of cardinality 2^(n-1)."""
-    if not 2 <= n <= SMOOTH_MAX_N:
-        raise ValueError(f"supported range is 2..{SMOOTH_MAX_N}, got {n}")
-    rep = Report(f"smooth Poincare classification in S_{n}")
-    poset = shared_poset("A", n - 1)
-    smooth_polys = intervals.interval_polynomials(
-        poset, (poset.index[p] for p in smooth_permutations(n)))
-    unimodal_polys = intervals.interval_polynomials(
-        poset, (poset.index[u] for u in unimodal_permutations(n)))
-    rep.check(smooth_polys == unimodal_polys,
-              f"{len(smooth_polys)} smooth vs {len(unimodal_polys)} unimodal polynomials")
-    rep.check(len(smooth_polys) == 2 ** (n - 1),
-              f"{len(smooth_polys)} distinct polynomials, expected {2 ** (n - 1)}")
-    if n == 4:
-        expected = {q_analog_product(f) for f in EXPECTED_SMOOTH_POLYS_S4}
-        rep.check(smooth_polys == expected, "explicit S_4 polynomial list differs")
-    rep.note(f"{len(smooth_polys)} polynomials")
-    return rep
-
-
-def verify_smooth_factorization(n: int) -> Report:
-    """Interval polynomials of smooth permutations factor over their
-    exponents from the chain partition."""
-    rep = Report(f"smooth interval factorization in S_{n}")
-    poset = shared_poset("A", n - 1)
-    for perm in smooth_permutations(n):
-        exps = smooth_exponents(perm)
-        expected = (IntPolynomial([1]) if exps == (0,)
-                    else q_analog_product(e + 1 for e in exps))
-        rep.check(_interval_poly(poset, perm) == expected,
-                  lambda: f"{perm}: interval poly differs from exponent product {exps}")
     return rep
 
 

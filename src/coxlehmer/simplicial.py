@@ -30,8 +30,7 @@ from math import comb, prod
 from operator import rshift
 from typing import Iterable, Sequence
 
-from .coxeter import _bits
-from .multicomplex import OrderIdeal, _BoxTable, box_table, full_ideal
+from .multicomplex import OrderIdeal, _BoxTable, _bits, box_table, full_ideal
 from .qpoly import IntPolynomial
 
 

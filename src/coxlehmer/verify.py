@@ -1,11 +1,13 @@
 """Verification suites: each re-checks one family of structural claims at
 desk scale and returns a Report.  The CLI exposes them under `verify`; the
-acceptance tests call them directly.
+acceptance tests call them directly.  The Schubert suites (catalan,
+unimodal, smooth) are here too: they read each enumerated S_k against the
+permutation combinatorics of `schubert`, which imports no group module.
 """
 
 from __future__ import annotations
 
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement, permutations, product
 from math import prod
 
 from . import codes as codes_mod
@@ -216,31 +218,103 @@ def _capped_n(n: int, max_rank: int | None) -> int:
     return n if max_rank is None else min(n, max_rank + 1)
 
 
+def _sizes(least: int, n: int) -> range:
+    """The k = least..n whose S_k a type-A suite reads.  S_n is enumerated
+    first, so an n past the enumeration limit is refused (SizeLimitError)
+    before any check runs."""
+    if n >= least:
+        shared_poset("A", n - 1)
+    return range(least, n + 1)
+
+
 def suite_catalan(n: int = 7, max_rank: int | None = None, **_) -> Report:
+    """Principal = lazy-Fubini code = 312-avoiding, element by element in
+    each S_k, and each principal interval factors over its code."""
     n = _capped_n(n, max_rank)
     rep = Report("catalan classification")
-    for k in range(2, n + 1):
-        rep.merge(schubert.verify_catalan_equivalence(k))
+    for k in _sizes(2, n):
+        poset = shared_poset("A", k - 1)
+        avoiders312 = set(schubert.avoiders(k, ((3, 1, 2),)))
+        count = 0
+        for perm in permutations(range(1, k + 1)):
+            w, code = poset.index[perm], schubert.inversion_code(perm)
+            principal = intervals.is_principal(poset, w, code)
+            lazy = schubert.is_lazy_fubini_word(code)
+            av312 = perm in avoiders312
+            rep.check(principal == lazy == av312,
+                      lambda: f"{perm}: principal={principal} lazy={lazy} 312-avoiding={av312}")
+            if principal:
+                count += 1
+                rep.check(IntPolynomial(poset.interval_poincare_coeffs(w))
+                          == q_analog_product(x + 1 for x in code),
+                          lambda: f"{perm}: interval does not factor over its code")
+        rep.check(count == schubert.catalan(k),
+                  f"S_{k}: found {count} principal elements, expected C_{k}")
+        rep.note(f"catalan classification in S_{k}: {count} principal elements")
     return rep
 
 
 def suite_unimodal(n: int = 5, max_rank: int | None = None, seed: int = 2024,
                    **_) -> Report:
+    """Lex-minimal principal = weakly increasing Fubini code = unimodal in
+    each S_k, then the tail partitions and the forest chain counts."""
     n = _capped_n(n, max_rank)
     rep = Report("unimodal classification")
-    for k in range(2, n + 1):
-        rep.merge(schubert.verify_unimodal_equivalence(k))
+    for k in _sizes(2, n):
+        code = codes_mod.shared_standard_code("A", k - 1)
+        lexmins = set(intervals.unimodal_set(code))
+        count = 0
+        for perm in permutations(range(1, k + 1)):
+            w = code.poset.index[perm]
+            lexmin = w in lexmins
+            # the inversion code of perm: a leading 0, then the type A code
+            vec = (0,) + code.of(w)
+            increasing_fubini = (schubert.is_fubini_word(vec)
+                                 and all(a <= b for a, b in zip(vec, vec[1:])))
+            unimodal = schubert.is_unimodal_permutation(perm)
+            rep.check(lexmin == increasing_fubini == unimodal,
+                      lambda: f"{perm}: lexmin={lexmin} incr-fubini={increasing_fubini} "
+                              f"unimodal={unimodal}")
+            count += unimodal
+        rep.check(count == 2 ** (k - 1), f"S_{k}: found {count} unimodal permutations")
     rep.merge(schubert.verify_tail_partitions(min(n + 1, 6)))
     rep.merge(schubert.verify_forest_chain_counts(min(n, 5), seed))
     return rep
 
 
+EXPECTED_SMOOTH_POLYS_S4 = (
+    (1,), (2,), (2, 2), (2, 3), (2, 2, 2), (2, 2, 3), (2, 3, 3), (2, 3, 4),
+)
+
+
 def suite_smooth(n: int = 6, max_rank: int | None = None, **_) -> Report:
+    """Poincare polynomials of smooth and of unimodal permutations coincide
+    as sets of 2^(k-1) in each S_k, and the intervals below the smooth
+    permutations of S_min(n,5) factor over the exponents of their chain
+    partitions."""
     n = _capped_n(n, max_rank)
     rep = Report("smooth classification")
-    for k in range(3, n + 1):
-        rep.merge(schubert.verify_smooth_classification(k))
-    rep.merge(schubert.verify_smooth_factorization(min(n, 5)))
+    for k in _sizes(3, n):
+        poset = shared_poset("A", k - 1)
+        smooth_polys = intervals.interval_polynomials(
+            poset, (poset.index[p] for p in schubert.smooth_permutations(k)))
+        unimodal_polys = intervals.interval_polynomials(
+            poset, (poset.index[u] for u in schubert.unimodal_permutations(k)))
+        size = len(smooth_polys)
+        rep.check(smooth_polys == unimodal_polys,
+                  f"S_{k}: {size} smooth vs {len(unimodal_polys)} unimodal polynomials")
+        rep.check(size == 2 ** (k - 1),
+                  f"S_{k}: {size} distinct polynomials, expected {2 ** (k - 1)}")
+        if k == 4:
+            expected = {q_analog_product(f) for f in EXPECTED_SMOOTH_POLYS_S4}
+            rep.check(smooth_polys == expected, "explicit S_4 polynomial list differs")
+        rep.note(f"smooth Poincare classification in S_{k}: {size} polynomials")
+    poset = shared_poset("A", min(n, 5) - 1)
+    for perm in schubert.smooth_permutations(min(n, 5)):
+        exps = schubert.smooth_exponents(perm)
+        rep.check(IntPolynomial(poset.interval_poincare_coeffs(poset.index[perm]))
+                  == q_analog_product(e + 1 for e in exps),
+                  lambda: f"{perm}: interval poly differs from exponent product {exps}")
     return rep
 
 
@@ -365,14 +439,11 @@ SUITES = {
 }
 
 
-# (least, greatest) n each suite taking one runs at without an error, the
-# greatest the bound of the schubert verifier it calls; catalan below 2 runs
-# nothing, which the CLI refuses as a report with 0 checks
-N_RANGES = {
-    "catalan": (None, schubert.CATALAN_MAX_N),
-    "unimodal": (0, schubert.UNIMODAL_MAX_N),
-    "smooth": (2, schubert.SMOOTH_MAX_N),
-}
+# (least, greatest) n the CLI runs each suite that takes one at.  S_9
+# (362,880 elements) lies above coxeter.ENUMERATION_LIMIT; smooth stays at
+# S_6, where its checks have always stopped; catalan below 2 runs nothing,
+# which the CLI refuses as a report with 0 checks
+N_RANGES = {"catalan": (None, 8), "unimodal": (0, 8), "smooth": (2, 6)}
 
 
 def check_n(name: str, n: int, max_rank: int | None = None) -> None:

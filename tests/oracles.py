@@ -112,10 +112,11 @@ from math import prod
 
 from coxlehmer import simplicial
 from coxlehmer.codes import CodeBuildError, _make_code
-from coxlehmer.coxeter import SizeLimitError, _bits, _compose, build_system
+from coxlehmer.coxeter import SizeLimitError, _compose, build_system
 from coxlehmer.intervals import InvalidCodeImage
 from coxlehmer.multicomplex import (
     OrderIdeal,
+    _bits,
     _BoxTable,
     box_table,
     linear_extensions,

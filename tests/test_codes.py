@@ -17,7 +17,6 @@ from coxlehmer.codes import (
     code_i2,
     dual_code,
     enumerate_dihedral_codes,
-    inversion_code,
     quotient_chain_code,
     standard_code,
     verify_code,
@@ -25,6 +24,7 @@ from coxlehmer.codes import (
     verify_h3_quotients,
 )
 from coxlehmer.coxeter import BruhatPoset, build_system, shared_poset
+from coxlehmer.schubert import inversion_code
 from coxlehmer.verify import CODE_SYSTEMS
 from oracles import parabolic_elements, product_code_by_combinations, quotient_factorization
 

@@ -6,8 +6,8 @@ from math import prod
 import pytest
 
 from coxlehmer import intervals, simplicial, verify
-from coxlehmer.codes import dual_code, inversion_code, shared_standard_code
-from coxlehmer.coxeter import _bits, shared_poset
+from coxlehmer.codes import dual_code, shared_standard_code
+from coxlehmer.coxeter import shared_poset
 from coxlehmer.intervals import (
     InvalidCodeImage,
     _maxima_polynomial,
@@ -22,8 +22,9 @@ from coxlehmer.intervals import (
     principal_set,
     unimodal_set,
 )
-from coxlehmer.multicomplex import all_order_ideals, box_table, full_ideal
+from coxlehmer.multicomplex import _bits, all_order_ideals, box_table, full_ideal
 from coxlehmer.qpoly import IntPolynomial, q_analog_product
+from coxlehmer.schubert import inversion_code
 from coxlehmer.simplicial import ShellingFailure, is_vertex_decomposable, shelling_h_polynomial
 from oracles import (
     LookupShellingState,

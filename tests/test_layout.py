@@ -1,7 +1,8 @@
 """The library keeps only what something in it reaches: every function,
 class, method and module-level name defined in src/coxlehmer is named
 somewhere else in src/coxlehmer.  Reference implementations the tests
-need live in tests/oracles.py instead, and src's doctests pass."""
+need live in tests/oracles.py instead, and src's doctests pass.  Each
+module imports only the modules MAY_IMPORT lists for it."""
 
 import ast
 import doctest
@@ -112,6 +113,49 @@ def test_scan_sees_an_unreached_definition(tmp_path):
     (tmp_path / "b.py").write_text("from .a import K, unused\n\n\n"
                                    "def f(method):\n    return method\n\n\nk = f(K())\n")
     assert unreached_names(tmp_path) == ["a.SPARE", "a.unused", "a.method", "b.k"]
+
+
+# module -> the modules of src/coxlehmer it may import.  The permutation
+# layer (schubert) and the box layer (multicomplex, simplicial) import no
+# group module; verify, cli and __init__ may import every module before them.
+MAY_IMPORT = {
+    "report": set(),
+    "qpoly": set(),
+    "schubert": {"report"},
+    "multicomplex": {"qpoly"},
+    "simplicial": {"multicomplex", "qpoly"},
+    "coxeter": {"qpoly"},
+    "codes": {"coxeter", "multicomplex", "report"},
+    "intervals": {"codes", "coxeter", "multicomplex", "qpoly", "simplicial"},
+}
+MAY_IMPORT["verify"] = set(MAY_IMPORT)
+MAY_IMPORT["cli"] = set(MAY_IMPORT)
+MAY_IMPORT["__init__"] = set(MAY_IMPORT)
+
+
+def extra_imports(src=SRC, table=MAY_IMPORT):
+    """"module -> imported" for each relative import in src that the table
+    does not allow, a module missing from the table allowing none."""
+    out = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                names = [node.module.split(".")[0]] if node.module else [a.name for a in node.names]
+                out += [f"{path.stem} -> {name}" for name in names
+                        if name not in table.get(path.stem, ())]
+    return out
+
+
+def test_modules_import_only_the_layers_below_them():
+    assert extra_imports() == []
+    assert sorted(p.stem for p in SRC.glob("*.py")) == sorted(MAY_IMPORT)
+
+
+def test_import_scan_sees_each_extra_edge(tmp_path):
+    (tmp_path / "low.py").write_text("from . import high as h, mid\nfrom .mid import f\n")
+    (tmp_path / "mid.py").write_text("import os\nfrom .low import g\n")
+    table = {"low": {"mid"}, "mid": set()}
+    assert extra_imports(tmp_path, table) == ["low -> high", "mid -> low"]
 
 
 def test_readme_layout_lists_src():

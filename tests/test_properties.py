@@ -12,9 +12,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from coxlehmer.coxeter import _bits  # noqa: E402
 from coxlehmer.intervals import _maxima_polynomial  # noqa: E402
-from coxlehmer.multicomplex import box_table, ideal_from_points  # noqa: E402
+from coxlehmer.multicomplex import _bits, box_table, ideal_from_points  # noqa: E402
 from coxlehmer.qpoly import IntPolynomial, q_analog_product  # noqa: E402
 from coxlehmer.simplicial import (  # noqa: E402
     complex_of_ideal,

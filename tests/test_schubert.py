@@ -4,8 +4,7 @@ import random
 import pytest
 
 from coxlehmer import intervals, schubert
-from coxlehmer.codes import inversion_code
-from coxlehmer.coxeter import shared_poset
+from coxlehmer.coxeter import SizeLimitError, shared_poset
 from coxlehmer.qpoly import IntPolynomial, q_analog_product
 from coxlehmer.schubert import (
     SMOOTH_PATTERNS,
@@ -20,6 +19,7 @@ from coxlehmer.schubert import (
     hasse_covers,
     hasse_is_forest,
     identity_perm,
+    inversion_code,
     is_fubini_word,
     is_lazy_fubini_word,
     is_smooth,
@@ -30,13 +30,10 @@ from coxlehmer.schubert import (
     smooth_permutations,
     unimodal_permutations,
     unimodal_to_partition,
-    verify_catalan_equivalence,
     verify_forest_chain_counts,
-    verify_smooth_classification,
-    verify_smooth_factorization,
     verify_tail_partitions,
-    verify_unimodal_equivalence,
 )
+from coxlehmer.verify import run_suite, suite_catalan, suite_smooth, suite_unimodal
 from oracles import avoiders_by_scan, avoids_by_standardizing
 
 AVOIDS_PATTERNS = [(1, 2), (2, 1), (3, 1, 2), (3, 4, 1, 2), (4, 2, 3, 1), (2, 5, 3, 1, 4)]
@@ -275,37 +272,62 @@ def test_tail_partition_checks_the_round_trip(monkeypatch):
 
 
 def test_catalan_equivalence():
-    for n in (3, 4, 5):
-        rep = verify_catalan_equivalence(n)
-        assert rep.passed, rep.witnesses
-    with pytest.raises(ValueError, match="2..8"):
-        verify_catalan_equivalence(9)
+    rep = suite_catalan(n=5)
+    assert rep.passed, rep.witnesses
+    assert rep.notes[-1] == "catalan classification in S_5: 42 principal elements"
+    # S_9 is refused by the enumeration limit before any check runs
+    with pytest.raises(SizeLimitError, match="exceeds the enumeration limit"):
+        run_suite("catalan", n=9)
+
+
+def test_catalan_suite_fails_on_a_planted_fault(monkeypatch):
+    # each of the three sides is checked: S_2 and S_3 have 2 + 5 principal elements
+    with monkeypatch.context() as m:
+        m.setattr(schubert, "is_lazy_fubini_word", lambda code: False)
+        rep = suite_catalan(n=3)
+    assert rep.failures == 7
+    assert rep.witnesses[0] == "(1, 2): principal=True lazy=False 312-avoiding=True"
+    with monkeypatch.context() as m:
+        m.setattr(schubert, "avoiders", lambda n, patterns: [])
+        rep = suite_catalan(n=3)
+    assert rep.failures == 7
+    assert rep.witnesses[-1] == "(3, 2, 1): principal=True lazy=True 312-avoiding=False"
 
 
 def test_unimodal_equivalence():
-    for n in (3, 4, 5):
-        rep = verify_unimodal_equivalence(n)
-        assert rep.passed, rep.witnesses
+    rep = suite_unimodal(n=5)
+    assert rep.passed, rep.witnesses
 
 
 def test_unimodal_equivalence_reads_the_shared_unimodal_set(monkeypatch):
     # the lex-minimal side is intervals.unimodal_set, the rule classify runs
     monkeypatch.setattr(intervals, "unimodal_set", lambda code: [])
-    rep = verify_unimodal_equivalence(4)
+    rep = suite_unimodal(n=4)
     assert not rep.passed
-    assert rep.failures == 8  # each unimodal permutation loses its lexmin side
+    # each unimodal permutation of S_2, S_3 and S_4 loses its lexmin side
+    assert rep.failures == 2 + 4 + 8
 
 
 def test_smooth_classification_small():
-    rep3 = verify_smooth_classification(3)
-    assert rep3.passed
-    rep4 = verify_smooth_classification(4)
-    assert rep4.passed, rep4.witnesses
+    rep = suite_smooth(n=4)
+    assert rep.passed, rep.witnesses
+    assert rep.notes == ["smooth Poincare classification in S_3: 4 polynomials",
+                         "smooth Poincare classification in S_4: 8 polynomials"]
 
 
 def test_smooth_factorization_s5():
-    rep = verify_smooth_factorization(5)
+    rep = suite_smooth(n=5)
     assert rep.passed, rep.witnesses
+
+
+def test_smooth_suite_fails_on_a_planted_fault(monkeypatch):
+    # without the last unimodal permutation, its polynomial is missing in every S_k
+    real = schubert.unimodal_permutations
+    monkeypatch.setattr(schubert, "unimodal_permutations", lambda n: real(n)[:-1])
+    rep = suite_smooth(n=4)
+    assert rep.failures == 2
+    assert rep.witnesses == ["S_3: 4 smooth vs 3 unimodal polynomials",
+                             "S_4: 8 smooth vs 7 unimodal polynomials"]
 
 
 def test_smooth_exponents_match_interval():
