@@ -30,7 +30,7 @@ from .codes import dual_code, shared_standard_code
 from .coxeter import ENUMERATION_LIMIT, PER_ELEMENT_BYTES, BruhatPoset, SizeLimitError, shared_poset
 from .schubert import smooth_permutations
 from .simplicial import ShellingFailure
-from .verify import SUITES, check_n, run_suite
+from .verify import SUITES, run_suite
 
 
 class CLIError(Exception):
@@ -242,14 +242,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.max_rank is not None and args.max_rank < 1:
-        raise CLIError(f"--max-rank takes a rank of at least 1, got {args.max_rank}")
-    opts = {"seed": args.seed, "max_rank": args.max_rank}
-    if args.n is not None:
-        check_n(args.suite, args.n, args.max_rank)
-        opts["n"] = args.n
     started = time.monotonic()
-    report = run_suite(args.suite, **opts)
+    report = run_suite(args.suite, n=args.n, max_rank=args.max_rank, seed=args.seed)
     seconds = round(time.monotonic() - started, 3)
     if not report.instances:
         raise CLIError(f"suite {args.suite} ran 0 checks, so it verified nothing")

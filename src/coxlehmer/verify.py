@@ -1,8 +1,8 @@
 """Verification suites: each re-checks one family of structural claims at
-desk scale and returns a Report.  The CLI exposes them under `verify`; the
-acceptance tests call them directly.  The Schubert suites (catalan,
-unimodal, smooth) are here too: they read each enumerated S_k against the
-permutation combinatorics of `schubert`, which imports no group module.
+desk scale and returns a Report.  Each suite's reach is stated once, in
+`SYSTEMS` (the systems it reads) or `N_RANGES` (the n of a Schubert suite,
+which reads each enumerated S_k up to n against `schubert`).  `run_suite`,
+which the CLI's `verify` and the tests call, alone reads --max-rank and --n.
 """
 
 from __future__ import annotations
@@ -34,8 +34,6 @@ H3_UNIMODAL_TRIPLES = frozenset({
     (0, 1, 1), (0, 0, 1), (0, 0, 0),
 })
 
-H3_SYSTEMS = [("H3", None, None)]
-
 CODE_SYSTEMS = (
     [("A", n, None) for n in range(1, 6)]
     + [("B", n, None) for n in range(2, 5)]
@@ -45,24 +43,16 @@ CODE_SYSTEMS = (
 )
 
 
-def _cap_rank(systems, max_rank):
-    if max_rank is None:
-        return list(systems)
-    return [(label, rank, m) for label, rank, m in systems
-            if (rank or (3 if label == "H3" else 2)) <= max_rank]
-
-
-def suite_codes(max_rank: int | None = None, **_) -> Report:
+def suite_codes(*, systems, **_) -> Report:
     """Validity of every shipped code and its dual, plus the dihedral count."""
     rep = Report("codes")
-    systems = _cap_rank(CODE_SYSTEMS, max_rank)
     for label, rank, m in systems:
         code = codes_mod.shared_standard_code(label, rank, m)
         sub = codes_mod.verify_code(code)
         sub.merge(codes_mod.verify_code(codes_mod.dual_code(code)))
         rep.merge(sub)
-    dihedral = _cap_rank([("I2", None, m) for m in (3, 4, 5)], max_rank)
-    for _, _, m in dihedral:
+    dihedral = [m for label, _, m in systems if label == "I2" and m <= 5]
+    for m in dihedral:
         found = codes_mod.enumerate_dihedral_codes(shared_poset("I2", None, m))
         rep.check(len(found) == 2 ** (m - 1),
                   f"I2({m}): found {len(found)} codes, expected {2 ** (m - 1)}")
@@ -71,10 +61,10 @@ def suite_codes(max_rank: int | None = None, **_) -> Report:
     return rep
 
 
-def _code_boxes(max_rank: int | None) -> set[tuple[int, ...]]:
-    """The distinct boxes of the capped systems' standard codes."""
+def _code_boxes(systems) -> set[tuple[int, ...]]:
+    """The distinct boxes of the systems' standard codes."""
     return {codes_mod.shared_standard_code(label, rank, m).dims
-            for label, rank, m in _cap_rank(CODE_SYSTEMS, max_rank)}
+            for label, rank, m in systems}
 
 
 RANDOM_IDEAL_COUNT = 100
@@ -82,7 +72,7 @@ RANDOM_IDEAL_COUNT = 100
 VD_MAX_VOLUME = 16
 
 
-def suite_shellings(seed: int = 2024, max_rank: int | None = None, **_) -> Report:
+def suite_shellings(*, systems, seed: int, **_) -> Report:
     """Every linear extension of every order ideal of a box shells its
     complex, with the ideal's rank counts for h-vector, and the f/h
     transform agrees.  The step at a point x minimal outside an ideal does
@@ -90,12 +80,12 @@ def suite_shellings(seed: int = 2024, max_rank: int | None = None, **_) -> Repor
     certifies both: l(G(x)) = x and |G(x)| = |x|.  The two facts pin G(x)
     to its closed form, the top x_i vertices of each class i: l(G(x)) = x
     puts those in G(x), and |G(x)| = |x| leaves room for nothing else.
-    That runs on each distinct box of the standard codes, whose lower
+    That runs on each distinct box of the systems' standard codes, whose lower
     intervals are order ideals of it, and on the boxes of the f/h ideals,
     stopping at a box's first failing point; the seed draws only the
     random ideals."""
     rep = Report("shellings")
-    boxes = _code_boxes(max_rank) | {(2, 3), (2, 2, 2), (3, 3, 4)}
+    boxes = _code_boxes(systems) | {(2, 3), (2, 2, 2), (3, 3, 4)}
     points = 0
     for dims in sorted(boxes):
         for x, least_is_x, g in box_shelling_steps(dims):
@@ -123,18 +113,17 @@ def _boxes_up_to(volume: int) -> list[tuple[int, ...]]:
                   if prod(b) <= volume)
 
 
-def suite_vd(max_rank: int | None = None, **_) -> Report:
+def suite_vd(*, systems, **_) -> Report:
     """The join-lemma certificate on every ideal of the boxes up to
-    VD_MAX_VOLUME and at every point of the code boxes, which certifies
-    their every ideal, each lower interval of each code among them."""
+    VD_MAX_VOLUME and at every point of the systems' code boxes, which
+    certifies their every ideal, each lower interval of each code among them."""
     rep = Report("vertex decomposability")
     boxes = _boxes_up_to(VD_MAX_VOLUME)
     for dims in boxes:
         for ideal in all_order_ideals(box_table(dims)):
             rep.check(is_vertex_decomposable(ideal),
                       lambda: f"box {dims}: ideal {ideal.to_json()} not vertex decomposable")
-    box_ideals, systems = rep.instances, _cap_rank(CODE_SYSTEMS, max_rank)
-    code_boxes = sorted(_code_boxes(max_rank))
+    box_ideals, code_boxes = rep.instances, sorted(_code_boxes(systems))
     for dims in code_boxes:
         points = list(product(*map(range, dims)))
         for x, ok in zip(points, join_certificate(dims, points)):
@@ -164,13 +153,12 @@ ROUTE_SYSTEMS = (
 )
 
 
-def suite_routes(max_rank: int | None = None, **_) -> Report:
+def suite_routes(*, systems, **_) -> Report:
     """The three interval Poincare routes agree everywhere, including the
-    worked S4 example with its maxima and meets when rank 3 is in reach."""
+    worked S4 example with its maxima and meets when A3 is in `systems`."""
     rep = Report("route agreement")
-    systems = _cap_rank(ROUTE_SYSTEMS, max_rank)
 
-    if _cap_rank([("A", 3, None)], max_rank):  # the worked S4 example
+    if ("A", 3, None) in systems:  # the worked S4 example
         a3 = shared_poset("A", 3)
         la3 = codes_mod.shared_standard_code("A", 3)
         w = a3.index[(3, 4, 1, 2)]
@@ -213,26 +201,11 @@ def _check_route(rep: Report, w: int, code, route: str, expected: IntPolynomial)
                                        f"{route} route {why}")
 
 
-def _capped_n(n: int, max_rank: int | None) -> int:
-    """The size bound a type-A suite runs at: n, lowered to max_rank + 1."""
-    return n if max_rank is None else min(n, max_rank + 1)
-
-
-def _sizes(least: int, n: int) -> range:
-    """The k = least..n whose S_k a type-A suite reads.  S_n is enumerated
-    first, so an n past the enumeration limit is refused (SizeLimitError)
-    before any check runs."""
-    if n >= least:
-        shared_poset("A", n - 1)
-    return range(least, n + 1)
-
-
-def suite_catalan(n: int = 7, max_rank: int | None = None, **_) -> Report:
+def suite_catalan(*, n: int, **_) -> Report:
     """Principal = lazy-Fubini code = 312-avoiding, element by element in
     each S_k, and each principal interval factors over its code."""
-    n = _capped_n(n, max_rank)
     rep = Report("catalan classification")
-    for k in _sizes(2, n):
+    for k in range(2, n + 1):
         poset = shared_poset("A", k - 1)
         avoiders312 = set(schubert.avoiders(k, ((3, 1, 2),)))
         count = 0
@@ -254,13 +227,11 @@ def suite_catalan(n: int = 7, max_rank: int | None = None, **_) -> Report:
     return rep
 
 
-def suite_unimodal(n: int = 5, max_rank: int | None = None, seed: int = 2024,
-                   **_) -> Report:
+def suite_unimodal(*, n: int, seed: int, **_) -> Report:
     """Lex-minimal principal = weakly increasing Fubini code = unimodal in
     each S_k, then the tail partitions and the forest chain counts."""
-    n = _capped_n(n, max_rank)
     rep = Report("unimodal classification")
-    for k in _sizes(2, n):
+    for k in range(2, n + 1):
         code = codes_mod.shared_standard_code("A", k - 1)
         lexmins = set(intervals.unimodal_set(code))
         count = 0
@@ -287,14 +258,13 @@ EXPECTED_SMOOTH_POLYS_S4 = (
 )
 
 
-def suite_smooth(n: int = 6, max_rank: int | None = None, **_) -> Report:
+def suite_smooth(*, n: int, **_) -> Report:
     """Poincare polynomials of smooth and of unimodal permutations coincide
     as sets of 2^(k-1) in each S_k, and the intervals below the smooth
     permutations of S_min(n,5) factor over the exponents of their chain
     partitions."""
-    n = _capped_n(n, max_rank)
     rep = Report("smooth classification")
-    for k in _sizes(3, n):
+    for k in range(3, n + 1):
         poset = shared_poset("A", k - 1)
         smooth_polys = intervals.interval_polynomials(
             poset, (poset.index[p] for p in schubert.smooth_permutations(k)))
@@ -318,32 +288,31 @@ def suite_smooth(n: int = 6, max_rank: int | None = None, **_) -> Report:
     return rep
 
 
-def suite_h3_unimodal(max_rank: int | None = None, **_) -> Report:
+def suite_h3_unimodal(*, systems, **_) -> Report:
     """The 17 unimodal code triples and the palindromic classification."""
     rep = Report("H3 unimodal classification")
-    if not _cap_rank(H3_SYSTEMS, max_rank):
-        return rep
-    poset = shared_poset("H3")
-    code = codes_mod.shared_standard_code("H3")
-    uni = intervals.unimodal_set(code)
-    rep.check(len(uni) == 17, f"|unimodal| = {len(uni)}")
-    triples = {code.of(w) for w in uni}
-    rep.check(triples == H3_UNIMODAL_TRIPLES,
-              f"triples differ: extra {sorted(triples - H3_UNIMODAL_TRIPLES)}, "
-              f"missing {sorted(H3_UNIMODAL_TRIPLES - triples)}")
-    pal = intervals.palindromic_intervals(poset)
-    uni_polys = intervals.interval_polynomials(poset, uni)
-    pr_polys = intervals.interval_polynomials(poset, intervals.principal_set(code))
-    rep.check(pal == uni_polys, "palindromic set differs from unimodal polynomials")
-    rep.check(uni_polys == pr_polys, "unimodal and principal polynomials differ")
-    rep.note(f"{len(uni)} unimodal code triples; {len(pal)} palindromic polynomials")
+    for label, rank, m in systems:
+        poset = shared_poset(label, rank, m)
+        code = codes_mod.shared_standard_code(label, rank, m)
+        uni = intervals.unimodal_set(code)
+        rep.check(len(uni) == 17, f"|unimodal| = {len(uni)}")
+        triples = {code.of(w) for w in uni}
+        rep.check(triples == H3_UNIMODAL_TRIPLES,
+                  f"triples differ: extra {sorted(triples - H3_UNIMODAL_TRIPLES)}, "
+                  f"missing {sorted(H3_UNIMODAL_TRIPLES - triples)}")
+        pal = intervals.palindromic_intervals(poset)
+        uni_polys = intervals.interval_polynomials(poset, uni)
+        pr_polys = intervals.interval_polynomials(poset, intervals.principal_set(code))
+        rep.check(pal == uni_polys, "palindromic set differs from unimodal polynomials")
+        rep.check(uni_polys == pr_polys, "unimodal and principal polynomials differ")
+        rep.note(f"{len(uni)} unimodal code triples; {len(pal)} palindromic polynomials")
     return rep
 
 
-def suite_d_factorization(max_rank: int | None = None, **_) -> Report:
+def suite_d_factorization(*, systems, **_) -> Report:
     """Type D chain structure: quotient recursion and bijective factorization."""
     rep = Report("D factorization")
-    for _, n, _ in _cap_rank([("D", 4, None), ("D", 5, None)], max_rank):
+    for _, n, _ in systems:
         poset = shared_poset("D", n)
         rep.merge(codes_mod.verify_d_factorization(poset))
         code = codes_mod.shared_standard_code("D", n)  # build aborts on failure
@@ -355,10 +324,11 @@ def suite_d_factorization(max_rank: int | None = None, **_) -> Report:
     return rep
 
 
-def suite_h3_quotients(max_rank: int | None = None, **_) -> Report:
-    if not _cap_rank(H3_SYSTEMS, max_rank):
-        return Report("H3 quotients")
-    return codes_mod.verify_h3_quotients(shared_poset("H3"))
+def suite_h3_quotients(*, systems, **_) -> Report:
+    rep = Report("H3 quotients")
+    for label, rank, m in systems:  # H3 itself, or nothing below rank 3
+        rep = codes_mod.verify_h3_quotients(shared_poset(label, rank, m))
+    return rep
 
 
 # (type, rank, whether the type B variant code is used, whether |Pal| > |U|
@@ -367,13 +337,13 @@ STRICT_INCLUSIONS = (("B", 3, False, True), ("B", 3, True, False), ("B", 4, True
                      ("D", 4, False, False), ("D", 5, False, True))
 
 
-def suite_strict_inclusions(max_rank: int | None = None, **_) -> Report:
+def suite_strict_inclusions(*, systems, **_) -> Report:
     """Palindromic counts against unimodal counts for both B codes and D;
-    a check runs only if its system is within `max_rank`."""
+    a row runs only if its system is among `systems`."""
     rep = Report("palindromic strict inclusions")
     pal: dict[tuple[str, int], int] = {}
     for label, rank, variant, strict in STRICT_INCLUSIONS:
-        if not _cap_rank([(label, rank, None)], max_rank):
+        if (label, rank, None) not in systems:
             continue
         if (label, rank) not in pal:
             pal[label, rank] = len(intervals.palindromic_intervals(shared_poset(label, rank)))
@@ -385,14 +355,10 @@ def suite_strict_inclusions(max_rank: int | None = None, **_) -> Report:
     return rep
 
 
-MSEQUENCE_SYSTEMS = (("A", 4, None), ("B", 3, None), ("D", 4, None),
-                     ("H3", None, None), ("I2", None, 8))
-
-
-def suite_msequence(max_rank: int | None = None, **_) -> Report:
+def suite_msequence(*, systems, **_) -> Report:
     """Interval rank counts satisfy the Macaulay growth bound everywhere."""
     rep = Report("interval M-sequences")
-    for label, rank, m in _cap_rank(MSEQUENCE_SYSTEMS, max_rank):
+    for label, rank, m in systems:
         poset = shared_poset(label, rank, m)
         for w in range(poset.size):
             rep.check(is_m_sequence(poset.interval_poincare_coeffs(w)),
@@ -400,11 +366,11 @@ def suite_msequence(max_rank: int | None = None, **_) -> Report:
     return rep
 
 
-def suite_exponents(max_rank: int | None = None, **_) -> Report:
+def suite_exponents(*, systems, **_) -> Report:
     """The group Poincare polynomial factors over the standard exponents,
     each type's invariant degrees minus one, exactly."""
     rep = Report("exponent products")
-    for label, rank, m in _cap_rank(CODE_SYSTEMS, max_rank):
+    for label, rank, m in systems:
         if label == "A":
             exps = tuple(range(1, rank + 1))
         elif label == "B":
@@ -439,36 +405,59 @@ SUITES = {
 }
 
 
-# (least, greatest) n the CLI runs each suite that takes one at.  S_9
-# (362,880 elements) lies above coxeter.ENUMERATION_LIMIT; smooth stays at
-# S_6, where its checks have always stopped; catalan below 2 runs nothing,
-# which the CLI refuses as a report with 0 checks
-N_RANGES = {"catalan": (None, 8), "unimodal": (0, 8), "smooth": (2, 6)}
+# suite -> the (label, rank, m) systems it reads; flag reads boxes only
+SYSTEMS = {
+    **dict.fromkeys(("codes", "shellings", "vd", "exponents"), CODE_SYSTEMS),
+    "flag": (),
+    "routes": ROUTE_SYSTEMS,
+    "h3-unimodal": (("H3", None, None),),
+    "h3-quotients": (("H3", None, None),),
+    "d-factorization": (("D", 4, None), ("D", 5, None)),
+    "strict-inclusions": tuple(dict.fromkeys((t, r, None) for t, r, _, _ in STRICT_INCLUSIONS)),
+    "msequence": (("A", 4, None), ("B", 3, None), ("D", 4, None), ("H3", None, None),
+                  ("I2", None, 8)),
+}
+
+# suite -> the (least, default, greatest) n it runs at.  S_9 (362,880
+# elements) lies above coxeter.ENUMERATION_LIMIT; smooth stays at S_6, where
+# its checks have always stopped, and reads S_2 at least; catalan below 2
+# runs nothing, which the CLI refuses as a report with 0 checks
+N_RANGES = {"catalan": (None, 7, 8), "unimodal": (0, 5, 8), "smooth": (2, 6, 6)}
 
 
-def check_n(name: str, n: int, max_rank: int | None = None) -> None:
-    """Refuse, before any suite runs, an n that suite `name` does not take or
-    that a suite it reaches cannot run at; "all" reaches each of N_RANGES."""
-    if name in SUITES and name not in N_RANGES:
+def _scope(key: str, n: int | None, max_rank: int | None) -> dict:
+    """The arguments suite `key` runs with: its systems up to max_rank (H3
+    counts as rank 3 and I2(m) as rank 2), or its n, the default if None,
+    lowered to max_rank + 1 and refused outside its range."""
+    if key in SYSTEMS:
+        return {"systems": [(label, rank, m) for label, rank, m in SYSTEMS[key]
+                            if max_rank is None
+                            or (rank or (3 if label == "H3" else 2)) <= max_rank]}
+    least, default, greatest = N_RANGES[key]
+    got = default if n is None else n
+    if max_rank is not None:
+        got = min(got, max_rank + 1)
+    if got > greatest or least is not None and got < least:
+        span = f"up to {greatest}" if least is None else f"from {least} to {greatest}"
+        capped = f" (--n {n} capped by --max-rank {max_rank})" if got != n else ""
+        raise ValueError(f"suite {key} takes --n {span}, got {got}{capped}")
+    return {"n": got}
+
+
+def run_suite(name: str, n: int | None = None, max_rank: int | None = None,
+              seed: int = 2024) -> Report:
+    """Run suite `name`, or every suite for "all", in one report.  A bad
+    max_rank, name or n raises ValueError before any suite runs."""
+    if max_rank is not None and max_rank < 1:
+        raise ValueError(f"--max-rank takes a rank of at least 1, got {max_rank}")
+    if name != "all" and name not in SUITES:
+        raise ValueError(f"unknown suite {name!r}; valid: {', '.join([*SUITES, 'all'])}")
+    if n is not None and name in SYSTEMS:
         raise ValueError(f"suite {name} takes no --n")
-    got = _capped_n(n, max_rank)
-    for key in N_RANGES if name == "all" else N_RANGES.keys() & {name}:
-        lo, hi = N_RANGES[key]
-        if got > hi or lo is not None and got < lo:
-            span = f"up to {hi}" if lo is None else f"from {lo} to {hi}"
-            capped = f" (--n {n} capped by --max-rank {max_rank})" if got != n else ""
-            raise ValueError(f"suite {key} takes --n {span}, got {got}{capped}")
-
-
-def run_suite(name: str, **opts) -> Report:
-    if name == "all":
-        rep = Report("all")
-        for key in SUITES:
-            rep.merge(run_suite(key, **opts))
-        return rep
-    try:
-        fn = SUITES[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown suite {name!r}; valid: {', '.join([*SUITES, 'all'])}") from None
-    return fn(**opts)
+    scopes = {key: _scope(key, n, max_rank) for key in (SUITES if name == "all" else [name])}
+    if name != "all":
+        return SUITES[name](seed=seed, **scopes[name])
+    rep = Report("all")
+    for key, scope in scopes.items():
+        rep.merge(SUITES[key](seed=seed, **scope))
+    return rep

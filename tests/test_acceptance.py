@@ -1,7 +1,9 @@
 """Acceptance suite: one test per criterion, exact equality throughout.
 
 Each test prints a single PASS line with its runtime (visible with
-pytest -rA); any assertion failure marks the criterion FAILED.
+pytest -rA); any assertion failure marks the criterion FAILED.  Each suite
+runs through `run_suite`, and its check count is pinned, so a suite that
+checks nothing fails its criterion.
 """
 
 import time
@@ -16,21 +18,7 @@ from coxlehmer.coxeter import shared_poset
 from coxlehmer.intervals import code_meet, interval_ideal, interval_poincare
 from coxlehmer.qpoly import IntPolynomial
 from coxlehmer.schubert import catalan
-from coxlehmer.verify import (
-    CODE_SYSTEMS,
-    VD_MAX_VOLUME,
-    suite_catalan,
-    suite_d_factorization,
-    suite_exponents,
-    suite_flag,
-    suite_h3_unimodal,
-    suite_h3_quotients,
-    suite_msequence,
-    suite_shellings,
-    suite_smooth,
-    suite_strict_inclusions,
-    suite_vd,
-)
+from coxlehmer.verify import CODE_SYSTEMS, VD_MAX_VOLUME, run_suite
 
 
 class _Stopwatch:
@@ -88,26 +76,29 @@ def test_criterion_03_code_validity():
 
 def test_criterion_04_catalan_classification():
     with _Stopwatch(4, "principal = lazy Fubini = 312-avoiding, n = 2..7"):
-        rep = suite_catalan(n=7)
+        rep = run_suite("catalan", n=7)
         assert rep.passed, rep.witnesses
+        assert rep.instances == 6542
         assert [catalan(n) for n in range(2, 8)] == [2, 5, 14, 42, 132, 429]
 
 
 def test_criterion_05_smooth_classification():
     with _Stopwatch(5, "smooth = unimodal Poincare sets, n = 3..6"):
-        rep = suite_smooth(n=6)
+        rep = run_suite("smooth", n=6)
         assert rep.passed, rep.witnesses
+        assert rep.instances == 97
 
 
 def test_criterion_06_h3_unimodal():
     with _Stopwatch(6, "17 unimodal triples and palindromic equalities in H3"):
-        rep = suite_h3_unimodal()
+        rep = run_suite("h3-unimodal")
         assert rep.passed, rep.witnesses
+        assert rep.instances == 4
 
 
 def test_criterion_07_shellings():
     with _Stopwatch(7, "per-point shelling lemma on every code box; f/h on 128 ideals"):
-        rep = suite_shellings(seed=2024)
+        rep = run_suite("shellings", seed=2024)
         assert rep.passed, rep.witnesses
         assert rep.failures == 0
         # one check per point of the 19 distinct boxes of the standard codes
@@ -124,7 +115,7 @@ def test_criterion_07_shellings():
 def test_criterion_08_vertex_decomposability():
     with _Stopwatch(8, "join lemma on box ideals up to volume 16 and every code box point"):
         assert VD_MAX_VOLUME == 16
-        rep = suite_vd()
+        rep = run_suite("vd")
         assert rep.passed, rep.witnesses
         assert rep.failures == 0
         # one certificate per ideal of the 30 boxes up to volume 16 and one
@@ -140,26 +131,30 @@ def test_criterion_08_vertex_decomposability():
 
 def test_criterion_09_flag_equivalence():
     with _Stopwatch(9, "complex flag iff ideal flag over 0/1 boxes"):
-        rep = suite_flag()
+        rep = run_suite("flag")
         assert rep.passed, rep.witnesses
+        assert rep.instances == 186
 
 
 def test_criterion_10_m_sequences():
     with _Stopwatch(10, "interval rank counts pass the Macaulay test"):
-        rep = suite_msequence()
+        rep = run_suite("msequence")
         assert rep.passed, rep.witnesses
+        assert rep.instances == 496
 
 
 def test_criterion_11_d_structure():
     with _Stopwatch(11, "type D quotient recursion and chain factorization"):
-        rep = suite_d_factorization()
+        rep = run_suite("d-factorization")
         assert rep.passed, rep.witnesses
+        assert rep.instances == 12
 
 
 def test_criterion_12_h3_structure():
     with _Stopwatch(12, "H3 five-set equality and chain factorization"):
-        rep = suite_h3_quotients()
+        rep = run_suite("h3-quotients")
         assert rep.passed, rep.witnesses
+        assert rep.instances == 11
 
 
 def test_criterion_13_dihedral_code_count():
@@ -171,12 +166,14 @@ def test_criterion_13_dihedral_code_count():
 
 def test_criterion_14_strict_inclusions():
     with _Stopwatch(14, "palindromic versus unimodal counts in B3, B4, D4, D5"):
-        rep = suite_strict_inclusions()
+        rep = run_suite("strict-inclusions")
         assert rep.passed, rep.witnesses
+        assert rep.instances == 5
 
 
 def test_criterion_15_exponent_products():
     with _Stopwatch(15, "group Poincare polynomials factor over the exponents"):
-        rep = suite_exponents()
+        rep = run_suite("exponents")
         assert rep.passed, rep.witnesses
+        assert rep.instances == 38
         assert shared_poset("H3").exponents() == (1, 5, 9)

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from coxlehmer import cli, codes, coxeter, schubert
+from coxlehmer import cli, codes, coxeter, schubert, verify
 from coxlehmer.qpoly import q_analog_product
 from coxlehmer.report import Report
 
@@ -220,6 +220,7 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
         return rep
 
     monkeypatch.setitem(cli.SUITES, "failing", failing)
+    monkeypatch.setitem(verify.SYSTEMS, "failing", ())
     code, out, _ = run(capsys, "verify", "failing")
     assert code == 1
     assert "FAIL" in out
@@ -247,7 +248,7 @@ def test_verify_never_passes_vacuously(capsys, argv, message):
     assert len(err.strip().splitlines()) == 1
 
 
-@pytest.mark.parametrize("argv, message", [
+REFUSALS = [
     (["catalan", "--n", "12"], "suite catalan takes --n up to 8, got 12"),
     (["unimodal", "--n", "99"], "suite unimodal takes --n from 0 to 8, got 99"),
     (["smooth", "--n", "1"], "suite smooth takes --n from 2 to 6, got 1"),
@@ -261,14 +262,39 @@ def test_verify_never_passes_vacuously(capsys, argv, message):
     (["codes", "--max-rank", "-1"], "--max-rank takes a rank of at least 1, got -1"),
     # --max-rank is checked before it caps --n
     (["smooth", "--n", "5", "--max-rank", "0"], "--max-rank takes a rank of at least 1, got 0"),
-])
-def test_out_of_range_n_is_refused_before_any_suite_runs(capsys, monkeypatch, argv, message):
+]
+
+
+def _record_suites(monkeypatch):
+    """Replace every suite by one that records its name; returns the record."""
     ran = []
-    for key in list(cli.SUITES):
-        monkeypatch.setitem(cli.SUITES, key, lambda key=key, **_: ran.append(key) or Report(key))
+    for key in list(verify.SUITES):
+        monkeypatch.setitem(verify.SUITES, key, lambda key=key, **_: ran.append(key) or Report(key))
+    return ran
+
+
+@pytest.mark.parametrize("argv, message", REFUSALS)
+def test_out_of_range_n_is_refused_before_any_suite_runs(capsys, monkeypatch, argv, message):
+    ran = _record_suites(monkeypatch)
     code, out, err = run(capsys, "verify", *argv)
     assert code == 2 and out == "" and ran == []
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv, message", REFUSALS)
+def test_run_suite_refuses_what_the_cli_refuses(monkeypatch, argv, message):
+    # the library gives the same refusal, before any suite runs
+    ran = _record_suites(monkeypatch)
+    args = cli.build_parser().parse_args(["verify", *argv])
+    with pytest.raises(ValueError) as exc:
+        verify.run_suite(args.suite, n=args.n, max_rank=args.max_rank, seed=args.seed)
+    assert str(exc.value) == message and ran == []
+
+
+def test_every_suite_declares_exactly_one_scope():
+    # the systems a suite reads, or the n range of a type A suite; never both
+    assert not verify.SYSTEMS.keys() & verify.N_RANGES.keys()
+    assert verify.SYSTEMS.keys() | verify.N_RANGES.keys() == verify.SUITES.keys()
 
 
 @pytest.mark.parametrize("argv", [
@@ -415,6 +441,17 @@ def test_verify_vd_max_rank_keeps_the_boxes_and_caps_the_intervals(capsys):
     # two per element of A1, A2 and I2(3..8); the worked S4 example's 5
     # checks only from rank 3
     ("routes", 2, 2 * (2 + 6 + 66)), ("routes", 3, 537),
+    # ranks 1 to 5; the type A suites read S_k up to k = rank + 1
+    *[(suite, rank, checks) for suite, row in {
+        "codes": (16, 865, 2479, 9293, 39409),
+        "shellings": (180, 278, 470, 1166, 3806),
+        "vd": (807, 911, 1103, 1799, 4439),
+        "flag": (186,) * 5,
+        "catalan": (5, 17, 56, 219, 1072),
+        "unimodal": (69, 96, 177, 478, 478),
+        "smooth": (2, 8, 27, 95, 97),
+        "all": (1271, 2547, 5264, 14952, 51214),
+    }.items() for rank, checks in enumerate(row, start=1)],
 ])
 def test_verify_max_rank_caps_the_fixed_system_suites(capsys, suite, max_rank, checks):
     code, out, err = run(capsys, "verify", suite, "--max-rank", str(max_rank), "--json")

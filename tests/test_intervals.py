@@ -651,7 +651,7 @@ def _origin_only(*_):
 
 def test_planted_step_failure_is_a_failed_route_check():
     with step_rule(_origin_only):
-        rep = verify.suite_routes(max_rank=3)
+        rep = verify.run_suite("routes", max_rank=3)
     assert not rep.passed
     # the complex route fails on every interval but {e}: 3412 and the
     # non-identity elements of A1, A2, A3, B3, H3 and I2(3..8); the worked
@@ -663,7 +663,7 @@ def test_planted_step_failure_is_a_failed_route_check():
         "routes LA2: A2 213: complex route failed: rank order failed to shell the complex at point (1, 0)",
     ]
     # the tables walked under the planted rule are gone with it
-    assert verify.suite_routes(max_rank=3).passed
+    assert verify.run_suite("routes", max_rank=3).passed
 
 
 def test_interval_ideal_refuses_a_code_vector_off_the_box(a3, la3):

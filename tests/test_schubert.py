@@ -4,7 +4,7 @@ import random
 import pytest
 
 from coxlehmer import intervals, schubert
-from coxlehmer.coxeter import SizeLimitError, shared_poset
+from coxlehmer.coxeter import shared_poset
 from coxlehmer.qpoly import IntPolynomial, q_analog_product
 from coxlehmer.schubert import (
     SMOOTH_PATTERNS,
@@ -33,7 +33,7 @@ from coxlehmer.schubert import (
     verify_forest_chain_counts,
     verify_tail_partitions,
 )
-from coxlehmer.verify import run_suite, suite_catalan, suite_smooth, suite_unimodal
+from coxlehmer.verify import run_suite
 from oracles import avoiders_by_scan, avoids_by_standardizing
 
 AVOIDS_PATTERNS = [(1, 2), (2, 1), (3, 1, 2), (3, 4, 1, 2), (4, 2, 3, 1), (2, 5, 3, 1, 4)]
@@ -272,11 +272,11 @@ def test_tail_partition_checks_the_round_trip(monkeypatch):
 
 
 def test_catalan_equivalence():
-    rep = suite_catalan(n=5)
+    rep = run_suite("catalan", n=5)
     assert rep.passed, rep.witnesses
     assert rep.notes[-1] == "catalan classification in S_5: 42 principal elements"
-    # S_9 is refused by the enumeration limit before any check runs
-    with pytest.raises(SizeLimitError, match="exceeds the enumeration limit"):
+    # S_9 lies past the enumeration limit, so N_RANGES refuses n = 9 before any check runs
+    with pytest.raises(ValueError, match="^suite catalan takes --n up to 8, got 9$"):
         run_suite("catalan", n=9)
 
 
@@ -284,39 +284,39 @@ def test_catalan_suite_fails_on_a_planted_fault(monkeypatch):
     # each of the three sides is checked: S_2 and S_3 have 2 + 5 principal elements
     with monkeypatch.context() as m:
         m.setattr(schubert, "is_lazy_fubini_word", lambda code: False)
-        rep = suite_catalan(n=3)
+        rep = run_suite("catalan", n=3)
     assert rep.failures == 7
     assert rep.witnesses[0] == "(1, 2): principal=True lazy=False 312-avoiding=True"
     with monkeypatch.context() as m:
         m.setattr(schubert, "avoiders", lambda n, patterns: [])
-        rep = suite_catalan(n=3)
+        rep = run_suite("catalan", n=3)
     assert rep.failures == 7
     assert rep.witnesses[-1] == "(3, 2, 1): principal=True lazy=True 312-avoiding=False"
 
 
 def test_unimodal_equivalence():
-    rep = suite_unimodal(n=5)
+    rep = run_suite("unimodal", n=5)
     assert rep.passed, rep.witnesses
 
 
 def test_unimodal_equivalence_reads_the_shared_unimodal_set(monkeypatch):
     # the lex-minimal side is intervals.unimodal_set, the rule classify runs
     monkeypatch.setattr(intervals, "unimodal_set", lambda code: [])
-    rep = suite_unimodal(n=4)
+    rep = run_suite("unimodal", n=4)
     assert not rep.passed
     # each unimodal permutation of S_2, S_3 and S_4 loses its lexmin side
     assert rep.failures == 2 + 4 + 8
 
 
 def test_smooth_classification_small():
-    rep = suite_smooth(n=4)
+    rep = run_suite("smooth", n=4)
     assert rep.passed, rep.witnesses
     assert rep.notes == ["smooth Poincare classification in S_3: 4 polynomials",
                          "smooth Poincare classification in S_4: 8 polynomials"]
 
 
 def test_smooth_factorization_s5():
-    rep = suite_smooth(n=5)
+    rep = run_suite("smooth", n=5)
     assert rep.passed, rep.witnesses
 
 
@@ -324,7 +324,7 @@ def test_smooth_suite_fails_on_a_planted_fault(monkeypatch):
     # without the last unimodal permutation, its polynomial is missing in every S_k
     real = schubert.unimodal_permutations
     monkeypatch.setattr(schubert, "unimodal_permutations", lambda n: real(n)[:-1])
-    rep = suite_smooth(n=4)
+    rep = run_suite("smooth", n=4)
     assert rep.failures == 2
     assert rep.witnesses == ["S_3: 4 smooth vs 3 unimodal polynomials",
                              "S_4: 8 smooth vs 7 unimodal polynomials"]

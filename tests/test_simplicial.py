@@ -286,7 +286,7 @@ def test_corrupted_facet_rule_fails_both():
         states = [push_all(ShellingState(ideal), rank_lex(ideal)) for ideal in ideals]
         # the shellings suite's per-point check
         steps = list(box_shelling_steps((2, 3)))
-        rep = verify.suite_shellings(seed=2024)
+        rep = verify.run_suite("shellings", seed=2024)
     assert [(f.ok, f.h_vectors, f.extensions) for f in lattice] == oracle
     # an ideal reaching the second row holds two points with one facet
     assert [ok for ok, _, _ in oracle] == [all(p[0] == 0 for p in j) for j in ideals]
@@ -448,7 +448,7 @@ def test_planted_step_failure_is_reported(monkeypatch):
         return 0, 0  # G empty, the least container at lex position 0
 
     monkeypatch.setattr(simplicial, "_shelling_step", failing_step)
-    rep = verify.suite_shellings(seed=2024)
+    rep = verify.run_suite("shellings", seed=2024)
     assert not rep.passed
     # one failure per box with at least two points, at its second point in
     # rank-lex order, then the box stops; the f/h checks all pass
@@ -474,7 +474,7 @@ def test_planted_g_size_failure_is_reported(monkeypatch):
         return g | 1 << facet.bit_length(), least
 
     monkeypatch.setattr(simplicial, "_shelling_step", grown_step)
-    rep = verify.suite_shellings(seed=2024)
+    rep = verify.run_suite("shellings", seed=2024)
     assert rep.failures == 19
     assert rep.instances == 19 + verify.RANDOM_IDEAL_COUNT + 28
     assert rep.witnesses[:3] == ["box (2,): point (0,) has |G(x)| = 1, not 0",
@@ -665,7 +665,7 @@ def test_planted_shedding_failure_is_reported(monkeypatch):
     assert all(sheds(d, 1 << d - 1) for d in range(1, 12))
     assert not any(sheds(d, 1) for d in range(2, 12))
     monkeypatch.setattr(simplicial, "_sheds", lambda d, v: sheds(d, 1))
-    rep = verify.suite_vd()
+    rep = verify.run_suite("vd")
     boxes = verify._boxes_up_to(verify.VD_MAX_VOLUME)
     assert rep.instances == 4439
     assert rep.failures == 4439 - len(boxes) - 17 == 4392
@@ -677,7 +677,7 @@ def test_planted_shedding_failure_is_reported(monkeypatch):
     # box points with x_i >= 1 in a class of 9 or 10 vertices, in the boxes
     # (2, 6, 10) of H3, (2, 9) of I2(9) and (2, 10) of I2(10)
     monkeypatch.setattr(simplicial, "_sheds", lambda d, v: sheds(d, 1 if d > 8 else v))
-    rep = verify.suite_vd()
+    rep = verify.run_suite("vd")
     assert rep.failures == sum(range(8, 16)) + 2 * 6 * 9 + 2 * 8 + 2 * 9 == 92 + 142
     assert rep.witnesses[0] == ("box (9,): ideal [[0], [1], [2], [3], [4], [5], [6], [7], [8]] "
                                 "not vertex decomposable")
@@ -687,7 +687,7 @@ def test_changed_code_box_facet_is_reported():
     # one facet of the H3 box changed, no box up to volume 16 touched: the
     # one failure is that point's
     with facet_rule(_one_facet_changed((2, 6, 10), (1, 2, 3), lambda m: m ^ 1)):
-        rep = verify.suite_vd()
+        rep = verify.run_suite("vd")
     assert (rep.instances, rep.failures) == (4439, 1)
     assert rep.witnesses == ["box (2, 6, 10): point (1, 2, 3) fails the join lemma"]
 
