@@ -13,8 +13,10 @@ each generator as one position map (`_right_actions`, which agrees with
 `_compose`); `_compose` itself runs only in the check of the Coxeter
 relations.  Inverses (built on first use),
 products, left descents and Bruhat covers (by the lifting property) are
-all read off that table, and reachability bitsets hold every lower
-interval, so u <= w is one bit test.
+all read off that table.  Reachability bitsets hold every lower interval,
+so u <= w is one bit test: Bruhat order is graded by length and W has as
+many odd-length elements as even-length ones, so only the even-length
+downsets are stored, and an odd-length one is one OR over its lower covers.
 """
 
 from __future__ import annotations
@@ -31,16 +33,17 @@ from .qpoly import IntPolynomial
 # the bytes an enumerated group and its code may store, as tracemalloc
 # traces them from build_system through standard_code (a process's fixed
 # costs, such as the CLI's parser, are outside it): the downset bitsets,
-# |W|^2 / 16, the one-line elements, 8 bytes per entry, the BFS words, 8
+# |W|^2 / 16, an upper bound about twice what the even-length store holds,
+# the one-line elements, 8 bytes per entry, the BFS words, 8
 # bytes per letter at N / 2 letters a word, N = l(w0) the number of
 # reflections, and PER_ELEMENT_BYTES for the rest an element holds: its
 # index entry, length, multiplication row, covers, tuple headers and code.
 # That is 62 MB for D6 (23,040 elements) but 6.9 GB for D7 and 8.7 GB for
 # A8, and 40.25 m^2 + 2,176 m for I2(m), whose elements have 2m entries and
 # N = m.  The limit keeps A7, B6, D6 and I2(m) up to m = 2,555; it can rise
-# once point queries stop materializing every downset.  The traced peak is
-# 0.47-0.69 of the model on A5, A6, B4, B5, D5 and H3, 0.93 on A7, 0.94 on
-# B6, 0.92 on I2(200) and 0.9974 on I2(2555), the largest group admitted.
+# once the model is re-derived for what is stored.  The traced peak is
+# 0.54-0.61 of the model on A5, A6, B4, B5, D5, H3 and D6, 0.57 on A7, 0.59
+# on B6, 0.91 on I2(200) and 0.994 on I2(2555), the largest group admitted.
 ENUMERATION_LIMIT = 2 ** 28
 PER_ELEMENT_BYTES = 1088
 
@@ -276,15 +279,23 @@ def _render_signed(p):
 # enumerated groups
 
 
-def _downsets(covers_down: list[list[int]]) -> list[int]:
+def _downsets(covers_down: list[list[int]], starts: list[int]) -> list[int]:
     """Reachability bitsets of a cover relation on length-graded indices,
-    where every lower cover of w has a smaller index than w."""
-    down: list[int] = []
-    for w, lows in enumerate(covers_down):
-        m = 1 << w
-        for u in lows:
-            m |= down[u]
-        down.append(m)
+    level l the range starts[l] .. starts[l + 1] - 1 and every lower cover
+    on the level below: the bitset of each even-level index, and 0 for each
+    odd-level one.  A level is built from the one below it, so an odd level
+    is held only until the even level above it is built."""
+    down = [0] * len(covers_down)
+    odd: dict[int, int] = {}
+    for level, (start, end) in enumerate(zip(starts, starts[1:])):
+        below, into = (down, odd) if level % 2 else (odd, down)
+        if level % 2:
+            odd.clear()
+        for w in range(start, end):
+            m = 1 << w
+            for u in covers_down[w]:
+                m |= below[u]
+            into[w] = m
     return down
 
 
@@ -297,6 +308,9 @@ class BruhatPoset:
     the downset bitsets; `inverse` is built on first use.  `downset(w)` is
     a bitset over indices encoding {v : v <= w} in Bruhat order, so u <= w
     is `downset(w) >> u & 1` and interval extraction is bit operations.
+    `_down` stores it for the even-length elements only, and 0 for the
+    odd-length ones, whose lower covers all have even length: their
+    downset costs one OR over those covers' stored sets.
     Left multiplication is read through the inverse: g u = (u^-1 g)^-1.
     """
 
@@ -369,7 +383,7 @@ class BruhatPoset:
                     lows.append(vs)
             covers_down.append(lows)
         self.covers_down = covers_down
-        self._down = _downsets(covers_down)
+        self._down = _downsets(covers_down, starts)
 
     @cached_property
     def inverse(self) -> list[int]:
@@ -402,7 +416,14 @@ class BruhatPoset:
     # -- orders
 
     def downset(self, w: int) -> int:
-        return self._down[w]
+        d = self._down[w]
+        if d:
+            return d
+        # odd length: w's bit and the stored downsets of its lower covers
+        d = 1 << w
+        for u in self.covers_down[w]:
+            d |= self._down[u]
+        return d
 
     def weak_left_interval(self, w: int) -> list[int]:
         """The left weak interval [e, w], in index order: a search from w
@@ -449,7 +470,7 @@ class BruhatPoset:
 
     def interval_poincare_coeffs(self, w: int) -> tuple[int, ...]:
         """Coefficients of the rank generating function of {v : v <= w}."""
-        d = self._down[w]
+        d = self.downset(w)
         return tuple((d & mask).bit_count() for mask in self.by_length[: self.length[w] + 1])
 
     def exponents(self) -> tuple[int, ...]:

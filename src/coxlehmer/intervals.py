@@ -92,16 +92,19 @@ def _maxima_polynomial(ideal: OrderIdeal) -> IntPolynomial:
     return box.unpack(sum(c * box_poly(m) for m, c in table.items() if c))
 
 
-def interval_poincare(w: int, code: LehmerCode, route: str = "direct") -> IntPolynomial:
+def interval_poincare(w: int, code: LehmerCode | BruhatPoset,
+                      route: str = "direct") -> IntPolynomial:
     """Rank generating function of {v : v <= w} by the chosen route.
 
     "direct" sums q^length over the interval; "complex" reads the h-vector
     off a shelling of the interval's complex; "maxima" runs
     inclusion-exclusion over the ideal's maximal points, with meets taken
     componentwise and the terms grouped by meet (`_maxima_polynomial`).
+    The direct route reads no code, so it also takes the poset itself.
     """
     if route == "direct":
-        return IntPolynomial(code.poset.interval_poincare_coeffs(w))
+        poset = code if isinstance(code, BruhatPoset) else code.poset
+        return IntPolynomial(poset.interval_poincare_coeffs(w))
     if route == "complex":
         return shelling_h_polynomial(interval_ideal(w, code))
     if route == "maxima":
@@ -160,15 +163,19 @@ def unimodal_set(code: LehmerCode) -> list[int]:
 def palindromic_intervals(poset: BruhatPoset) -> set[IntPolynomial]:
     """Distinct palindromic rank generating functions of lower intervals.
 
-    Rank 1 of [e, w] holds its atoms, the generators in w's support, read off
-    the downset by an O(1) AND with the small mask of the length-1 indices;
-    rank l(w) - 1 holds w's lower covers.  An element whose two counts differ
-    is skipped, and every survivor has all its coefficients checked.
+    Rank 1 of [e, w] holds its atoms, the generators in w's support: its
+    BFS parent's support, the parent being its first lower cover, and its
+    last letter.  Rank l(w) - 1 holds w's lower covers.  An element whose
+    two counts differ is skipped without reading its downset, and every
+    survivor has all its coefficients checked.
     """
     out = set()
-    atoms, covers_down = poset.by_length[1], poset.covers_down
+    covers_down, word = poset.covers_down, poset.word
+    support = [0]  # the generators of each element's words, as a bitmask
+    for w in range(1, poset.size):
+        support.append(support[covers_down[w][0]] | 1 << word[w][-1])
     for w in range(poset.size):
-        if (poset.downset(w) & atoms).bit_count() != len(covers_down[w]):
+        if support[w].bit_count() != len(covers_down[w]):
             continue
         cs = poset.interval_poincare_coeffs(w)
         if cs == cs[::-1]:

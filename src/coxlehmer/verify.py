@@ -447,7 +447,8 @@ def _scope(key: str, n: int | None, max_rank: int | None) -> dict:
 def run_suite(name: str, n: int | None = None, max_rank: int | None = None,
               seed: int = 2024) -> Report:
     """Run suite `name`, or every suite for "all", in one report.  A bad
-    max_rank, name or n raises ValueError before any suite runs."""
+    max_rank, name or n raises ValueError before any suite runs, and so
+    does a report of 0 checks after, since it verified nothing."""
     if max_rank is not None and max_rank < 1:
         raise ValueError(f"--max-rank takes a rank of at least 1, got {max_rank}")
     if name != "all" and name not in SUITES:
@@ -456,8 +457,11 @@ def run_suite(name: str, n: int | None = None, max_rank: int | None = None,
         raise ValueError(f"suite {name} takes no --n")
     scopes = {key: _scope(key, n, max_rank) for key in (SUITES if name == "all" else [name])}
     if name != "all":
-        return SUITES[name](seed=seed, **scopes[name])
-    rep = Report("all")
-    for key, scope in scopes.items():
-        rep.merge(SUITES[key](seed=seed, **scope))
+        rep = SUITES[name](seed=seed, **scopes[name])
+    else:
+        rep = Report("all")
+        for key, scope in scopes.items():
+            rep.merge(SUITES[key](seed=seed, **scope))
+    if not rep.instances:
+        raise ValueError(f"suite {name} ran 0 checks, so it verified nothing")
     return rep

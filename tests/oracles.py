@@ -6,6 +6,10 @@ version of something the library does another way.
 Ledger, one line per oracle: the `src/` path it checks; the test that
 compares them; the groups or boxes covered.
 
+- downsets_whole_group: coxeter `_downsets` and `BruhatPoset.downset`, which store the
+  even-length downsets and rebuild an odd-length one from its lower covers;
+  test_coxeter::test_downsets_match_the_whole_group_oracle; A1-A5, B2-B5, D4, D5, H3,
+  I2(3..10); test_coxeter::test_even_length_downsets_take_half_the_bytes; A5, B5, D5.
 - reflections, left_mult: coxeter `CoxeterSystem.reflections`, the BFS covers, and
   `descents_left` and `weak_left_interval`, which left-multiply through `inverse`;
   test_coxeter::test_tables_match_compose_oracle; A1-A5, B2-B5, D4, D5, H3, I2(3..10).
@@ -132,6 +136,19 @@ from coxlehmer.simplicial import (
     _shelling_step,
     complex_of_ideal,
 )
+
+
+def downsets_whole_group(covers_down) -> list[int]:
+    """Every element's reachability bitset, one |W|-bit int each, the store
+    `BruhatPoset` held before it kept even lengths only: indices are
+    length-graded, so every lower cover of w is built before w."""
+    down: list[int] = []
+    for w, lows in enumerate(covers_down):
+        m = 1 << w
+        for u in lows:
+            m |= down[u]
+        down.append(m)
+    return down
 
 
 def left_mult(poset, g, u: int) -> int:

@@ -103,7 +103,7 @@ ROWS = [
     # elements whose lower covers match their code's nonzero entries
     ("classify-d6-principal", ["classify", "--type", "D", "--rank", "6", "--what", "principal"],
      0, lambda d: (d["count"], len(d["polynomials"])), (377, 67)),
-    # D6's palindromic scan, atoms read off the downset: 85 distinct palindromic polynomials
+    # D6's palindromic scan, atoms read off the BFS parents: 85 distinct palindromic polynomials
     ("classify-d6-pal", ["classify", "--type", "D", "--rank", "6", "--what", "pal"], 0,
      lambda d: d["count"], 85),
     # [e, w0] in A5, the routes sweep's largest interval: the step memo walks all

@@ -248,6 +248,16 @@ def test_verify_never_passes_vacuously(capsys, argv, message):
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("name, n, max_rank", [
+    ("catalan", 1, None), ("catalan", -3, None), ("d-factorization", None, 3),
+])
+def test_run_suite_refuses_a_report_of_0_checks(name, n, max_rank):
+    # a library caller gets the CLI's refusal, not a pass that checked nothing
+    with pytest.raises(ValueError) as exc:
+        verify.run_suite(name, n=n, max_rank=max_rank)
+    assert str(exc.value) == f"suite {name} ran 0 checks, so it verified nothing"
+
+
 REFUSALS = [
     (["catalan", "--n", "12"], "suite catalan takes --n up to 8, got 12"),
     (["unimodal", "--n", "99"], "suite unimodal takes --n from 0 to 8, got 99"),

@@ -1,6 +1,7 @@
 import cmath
 import hashlib
 import json
+import sys
 import tracemalloc
 
 import pytest
@@ -20,6 +21,7 @@ from coxlehmer.multicomplex import _bits
 from coxlehmer.qpoly import q_analog_product
 from oracles import (
     affine_dihedral_tables,
+    downsets_whole_group,
     matrix_h3_tables,
     parabolic_decompose,
     quotient_factorization,
@@ -507,6 +509,24 @@ ORACLE_GROUPS = ([("A", r, None) for r in range(1, 6)]
 # instead of the collection of this module
 ORACLE_IDS = [f"I2({m})" if label == "I2" else "H3" if label == "H3" else f"{label}{rank}"
               for label, rank, m in ORACLE_GROUPS]
+
+
+@pytest.mark.parametrize("label,rank,m", ORACLE_GROUPS, ids=ORACLE_IDS)
+def test_downsets_match_the_whole_group_oracle(label, rank, m):
+    # only even lengths are stored; an odd one, w0's too when l(w0) is odd
+    # (A1, A2, A5, B3, B5, H3, I2(odd m)), is w's bit OR'd with its covers' sets
+    p = shared_poset(label, rank, m)
+    assert [p.downset(w) for w in range(p.size)] == downsets_whole_group(p.covers_down)
+    assert [d == 0 for d in p._down] == [n % 2 == 1 for n in p.length]
+
+
+@pytest.mark.parametrize("label,rank", [("A", 5), ("B", 5), ("D", 5)])
+def test_even_length_downsets_take_half_the_bytes(label, rank):
+    # W has as many odd-length elements as even-length ones; 0.50 on all three
+    p = shared_poset(label, rank)
+    stored = sum(sys.getsizeof(d) for d in p._down if d)
+    whole = sum(sys.getsizeof(d) for d in downsets_whole_group(p.covers_down))
+    assert stored <= 0.55 * whole
 
 
 @pytest.mark.parametrize("label,rank,m", ORACLE_GROUPS, ids=ORACLE_IDS)

@@ -419,13 +419,14 @@ def test_palindromic_scan_matches_the_unfiltered_oracle(label, rank, m):
 def test_rank_one_and_corank_one_counts(label, rank, m):
     # the two counts the palindromic pre-filter compares: the atoms of
     # [e, w] are the generators in w's support, its coatoms w's lower covers
-    # the scan reads the first as the atoms in w's downset
+    # the scan reads the first off w's BFS parent, its first lower cover
     poset = shared_poset(label, rank, m)
     atoms = sum(1 << poset.index[g] for g in poset.system.generators)
     assert atoms == poset.by_length[1]
     for w in range(1, poset.size):
         cs = poset.interval_poincare_coeffs(w)
         assert cs[1] == len(set(poset.word[w])) == (poset.downset(w) & atoms).bit_count()
+        assert set(poset.word[w]) == set(poset.word[poset.covers_down[w][0]] + poset.word[w][-1:])
         assert cs[poset.length[w] - 1] == len(poset.covers_down[w])
 
 

@@ -7,6 +7,7 @@ module imports only the modules MAY_IMPORT lists for it."""
 import ast
 import doctest
 import importlib
+import json
 import re
 import subprocess
 import sys
@@ -90,15 +91,34 @@ def test_exemptions_are_still_needed():
         assert f'"{name}"' in tracing, name
 
 
+TRACED_QUERY = """
+import sys
+sys.path[:0] = sys.argv[1:3]
+import tracing
+tracer = tracing.Tracer()
+tracing.install(tracer)
+from coxlehmer import cli, coxeter
+assert cli.main(["hpoly", "--type", "A", "--rank", "3", "--perm", "3412", "--json"]) == 0
+poset = coxeter.shared_poset("A", 3)
+counts = tracer.counts
+stored = sum((d.bit_length() + 7) // 8 for d in poset._down if d)
+assert counts["coxeter.enumerations"] == 1, counts
+assert counts["coxeter.covers"] == sum(map(len, poset.covers_down)), counts
+assert counts["coxeter.downset_bytes"] == stored > 0, (counts, stored)
+assert counts["intervals.route_calls"] == 3, counts
+"""
+
+
 def test_the_benchmark_tracer_still_installs():
     # install raises on the first name it wraps that src no longer binds;
-    # it rebinds module attributes, so it runs in a child process
+    # a traced query then reads the poset attributes its enumeration span
+    # counts, so renaming one fails here and not only in a traced benchmark
+    # run; it rebinds module attributes, so it runs in a child process
     root = SRC.parent.parent
-    script = ("import sys; sys.path[:0] = sys.argv[1:3]; import tracing; "
-              "tracing.install(tracing.Tracer())")
-    done = subprocess.run([sys.executable, "-B", "-c", script, str(root / "src"),
+    done = subprocess.run([sys.executable, "-B", "-c", TRACED_QUERY, str(root / "src"),
                            str(root / "perfbench")], capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["routes"]["direct"] == [1, 3, 5, 4, 1]
 
 
 def test_scan_sees_an_unreached_definition(tmp_path):
