@@ -26,8 +26,8 @@ import time
 from pathlib import Path
 
 from . import intervals
-from .codes import dual_code, shared_standard_code
-from .coxeter import ENUMERATION_LIMIT, PER_ELEMENT_BYTES, BruhatPoset, SizeLimitError, shared_poset
+from .codes import _shared_code
+from .coxeter import ENUMERATION_LIMIT, BruhatPoset, SizeLimitError, shared_poset, system_key
 from .schubert import smooth_permutations
 from .simplicial import ShellingFailure
 from .verify import SUITES, run_suite
@@ -43,10 +43,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Lehmer codes, Bruhat intervals and their complexes "
                     "for finite Coxeter groups of types A, B, D, H3, I2(m).",
         epilog=f"Groups whose enumeration and code would store more than "
-               f"{ENUMERATION_LIMIT:,} bytes (|W|^2/16 of Bruhat downsets, plus 8 per "
-               f"one-line entry and per BFS word letter, plus {PER_ELEMENT_BYTES:,} per "
-               f"element; the process's fixed costs are not counted) are refused with "
-               f"exit status 2.")
+               f"ENUMERATION_LIMIT = {ENUMERATION_LIMIT:,} bytes are refused with exit "
+               f"status 2; the README's enumeration-limit paragraph states the model.")
     sub = p.add_subparsers(dest="command", required=True)
 
     def add_system(sp, with_element=True):
@@ -108,11 +106,7 @@ def _get_poset(args) -> BruhatPoset:
 
 
 def _get_code(args):
-    variant = args.code == "variant"
-    code = shared_standard_code(args.label, args.rank, args.m, variant=variant)
-    if args.code == "dual":
-        code = dual_code(code)
-    return code
+    return _shared_code(*system_key(args.label, args.rank, args.m), args.code)
 
 
 def _parse_word(poset: BruhatPoset, text: str) -> int:

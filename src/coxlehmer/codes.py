@@ -300,13 +300,17 @@ def shared_standard_code(label: str, rank: int | None = None,
                          m: int | None = None, variant: bool = False) -> LehmerCode:
     """The process-wide standard (or type B variant) code over the shared
     poset, built once per system however its arguments are spelled."""
-    return _shared_code(*system_key(label, rank, m), bool(variant))
+    return _shared_code(*system_key(label, rank, m), "variant" if variant else "standard")
 
 
 @lru_cache(maxsize=None)
-def _shared_code(label, rank, m, variant) -> LehmerCode:
+def _shared_code(label, rank, m, name) -> LehmerCode:
+    """The code the CLI's --code `name` selects for a system_key, built once:
+    "standard", "variant" (type B) or "dual" (of the shared standard code)."""
+    if name == "dual":  # looked up per call, so a rebound dual_code is the one called
+        return dual_code(_shared_code(label, rank, m, "standard"))
     poset = shared_poset(label, rank, m)
-    return code_b(poset, variant=True) if variant else standard_code(poset)
+    return code_b(poset, variant=True) if name == "variant" else standard_code(poset)
 
 
 def standard_code(poset: BruhatPoset) -> LehmerCode:

@@ -12,18 +12,16 @@ permutation graph of w; for smooth w (avoiding 3412 and 4231) the counts of
 saturated chains by rank assemble into a partition whose dual lists the
 factorization exponents of the interval below w.  Unimodal permutations,
 lazy Fubini words and partitions into distinct parts tie the classes
-together.  The checks here read permutations only; the catalan, unimodal
-and smooth suites in `verify` check the equivalences against the
-enumerated Bruhat order.
+together.  Nothing here checks a claim and nothing here imports the rest
+of the package: the catalan, unimodal and smooth suites in `verify` check
+the equivalences against the enumerated Bruhat order, and the unimodal
+suite checks the tail partitions and the forest chain counts.
 """
 
 from __future__ import annotations
 
 import itertools
-import random
 from math import comb
-
-from .report import Report
 
 SMOOTH_PATTERNS = ((3, 4, 1, 2), (4, 2, 3, 1))
 # a permutation rises to n and then falls exactly when it avoids 213 and 312
@@ -237,89 +235,3 @@ def partition_to_unimodal(lam, n) -> tuple[int, ...]:
     head = sorted(set(range(1, n + 1)) - set(tail))
     return tuple(head + tail)
 
-
-# ---------------------------------------------------------------------------
-# tail partitions and forest chain counts
-
-
-def check_tail_partition(u) -> Report:
-    """For one unimodal permutation: the tail partition equals the chain
-    partition, and the code is its dual padded with zeros."""
-    n = len(u)
-    rep = Report(f"tail partition of {u}")
-    lam = unimodal_to_partition(u)
-    chain = chain_partition(u)
-    rep.check(lam == chain, lambda: f"tail partition {lam} != chain partition {chain}")
-    back = partition_to_unimodal(lam, n)
-    rep.check(back == u, lambda: f"partition {lam} maps back to {back}")
-    code = inversion_code(u)
-    if lam == (0,):
-        rep.check(code == (0,) * n, lambda: f"identity code {code} not all zero")
-    else:
-        dual = dual_partition(lam)
-        expected = (0,) * u[-1] + dual
-        rep.check(code == expected, lambda: f"code {code} != zero-padded dual {expected}")
-    return rep
-
-
-def verify_tail_partitions(n: int) -> Report:
-    rep = Report(f"tail partitions of unimodal permutations in S_{n}")
-    for u in unimodal_permutations(n):
-        rep.merge(check_tail_partition(u))
-    return rep
-
-
-def random_forest_covers(size: int, rng: random.Random) -> dict:
-    """Random forest on 1..size with each component oriented consistently
-    toward or away from its root.
-
-    Arbitrary acyclic orientations do not keep the chain counts monotone (a
-    node with several lower covers and several upper covers multiplies the
-    paths through it); consistently rooted components do.
-    """
-    parent = {}
-    for child in range(2, size + 1):
-        if rng.random() < 0.85:
-            parent[child] = rng.randrange(1, child)
-
-    def rep_of(x):
-        while x in parent:
-            x = parent[x]
-        return x
-
-    flip = {}
-    covers: dict = {i: [] for i in range(1, size + 1)}
-    for child, par in parent.items():
-        root = rep_of(child)
-        if root not in flip:
-            flip[root] = rng.random() < 0.5
-        if flip[root]:
-            covers[par].append(child)
-        else:
-            covers[child].append(par)
-    return covers
-
-
-FOREST_SAMPLES = 50
-
-
-def verify_forest_chain_counts(n: int, seed: int = 2024) -> Report:
-    """Strict decrease of chain counts: every smooth permutation's poset,
-    plus seeded random rooted forests."""
-    rep = Report("forest chain counts decrease strictly")
-    for perm in smooth_permutations(n):
-        covers = hasse_covers(perm)
-        if not rep.check(hasse_is_forest(covers),
-                         lambda: f"{perm}: Hasse diagram is not a forest"):
-            continue
-        rho = chain_counts(covers)
-        rep.check(all(rho[i] > rho[i + 1] for i in range(len(rho) - 1)),
-                  lambda: f"{perm}: counts {rho} not strictly decreasing")
-    rng = random.Random(seed)
-    for _ in range(FOREST_SAMPLES):
-        size = rng.randint(2, 12)
-        covers = random_forest_covers(size, rng)
-        rho = chain_counts(covers)
-        rep.check(all(rho[i] > rho[i + 1] for i in range(len(rho) - 1)),
-                  lambda: f"random rooted forest {covers}: counts {rho}")
-    return rep

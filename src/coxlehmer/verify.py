@@ -7,6 +7,7 @@ which the CLI's `verify` and the tests call, alone reads --max-rank and --n.
 
 from __future__ import annotations
 
+import random
 from itertools import combinations_with_replacement, permutations, product
 from math import prod
 
@@ -227,9 +228,49 @@ def suite_catalan(*, n: int, **_) -> Report:
     return rep
 
 
+# the seeded rooted forests the unimodal suite draws, beyond the smooth
+# permutations' Hasse diagrams
+FOREST_SAMPLES = 50
+
+
+def random_forest_covers(size: int, rng: random.Random) -> dict:
+    """Random forest on 1..size with each component oriented consistently
+    toward or away from its root.
+
+    Arbitrary acyclic orientations do not keep the chain counts monotone (a
+    node with several lower covers and several upper covers multiplies the
+    paths through it); consistently rooted components do.
+    """
+    parent = {}
+    for child in range(2, size + 1):
+        if rng.random() < 0.85:
+            parent[child] = rng.randrange(1, child)
+
+    def rep_of(x):
+        while x in parent:
+            x = parent[x]
+        return x
+
+    flip = {}
+    covers: dict = {i: [] for i in range(1, size + 1)}
+    for child, par in parent.items():
+        root = rep_of(child)
+        if root not in flip:
+            flip[root] = rng.random() < 0.5
+        if flip[root]:
+            covers[par].append(child)
+        else:
+            covers[child].append(par)
+    return covers
+
+
 def suite_unimodal(*, n: int, seed: int, **_) -> Report:
     """Lex-minimal principal = weakly increasing Fubini code = unimodal in
-    each S_k, then the tail partitions and the forest chain counts."""
+    each S_k.  Then each unimodal u of S_min(n+1,6) has its tail partition
+    as chain partition, mapping back to u, and its code is that partition's
+    dual padded with zeros; and the chain counts decrease strictly on the
+    Hasse forest of each smooth permutation of S_min(n,5) and on
+    FOREST_SAMPLES rooted forests drawn from the seed."""
     rep = Report("unimodal classification")
     for k in range(2, n + 1):
         code = codes_mod.shared_standard_code("A", k - 1)
@@ -248,8 +289,31 @@ def suite_unimodal(*, n: int, seed: int, **_) -> Report:
                               f"unimodal={unimodal}")
             count += unimodal
         rep.check(count == 2 ** (k - 1), f"S_{k}: found {count} unimodal permutations")
-    rep.merge(schubert.verify_tail_partitions(min(n + 1, 6)))
-    rep.merge(schubert.verify_forest_chain_counts(min(n, 5), seed))
+
+    tail = min(n + 1, 6)
+    for u in schubert.unimodal_permutations(tail):
+        lam, chain = schubert.unimodal_to_partition(u), schubert.chain_partition(u)
+        rep.check(lam == chain, lambda: f"{u}: tail partition {lam} != chain partition {chain}")
+        back = schubert.partition_to_unimodal(lam, tail)
+        rep.check(back == u, lambda: f"{u}: partition {lam} maps back to {back}")
+        inversions = schubert.inversion_code(u)
+        padded = (0,) * tail if lam == (0,) else (0,) * u[-1] + schubert.dual_partition(lam)
+        rep.check(inversions == padded,
+                  lambda: f"{u}: code {inversions} != zero-padded dual {padded}")
+
+    for perm in schubert.smooth_permutations(min(n, 5)):
+        covers = schubert.hasse_covers(perm)
+        if rep.check(schubert.hasse_is_forest(covers),
+                     lambda: f"{perm}: Hasse diagram is not a forest"):
+            rho = schubert.chain_counts(covers)
+            rep.check(all(a > b for a, b in zip(rho, rho[1:])),
+                      lambda: f"{perm}: counts {rho} not strictly decreasing")
+    rng = random.Random(seed)
+    for _ in range(FOREST_SAMPLES):
+        covers = random_forest_covers(rng.randint(2, 12), rng)
+        rho = schubert.chain_counts(covers)
+        rep.check(all(a > b for a, b in zip(rho, rho[1:])),
+                  lambda: f"random rooted forest {covers}: counts {rho}")
     return rep
 
 
@@ -327,7 +391,7 @@ def suite_d_factorization(*, systems, **_) -> Report:
 def suite_h3_quotients(*, systems, **_) -> Report:
     rep = Report("H3 quotients")
     for label, rank, m in systems:  # H3 itself, or nothing below rank 3
-        rep = codes_mod.verify_h3_quotients(shared_poset(label, rank, m))
+        rep.merge(codes_mod.verify_h3_quotients(shared_poset(label, rank, m)))
     return rep
 
 

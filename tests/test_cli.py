@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import random
 import re
 import resource
 import subprocess
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from coxlehmer import cli, codes, coxeter, schubert, verify
+from coxlehmer import cli, codes, coxeter, verify
 from coxlehmer.qpoly import q_analog_product
 from coxlehmer.report import Report
 
@@ -143,7 +144,7 @@ def test_classify_pal_and_smooth_build_no_code(capsys, monkeypatch, argv):
     def refuse(*args, **kwargs):
         raise AssertionError("a code was built")
 
-    monkeypatch.setattr(cli, "shared_standard_code", refuse)
+    monkeypatch.setattr(cli, "_shared_code", refuse)
     code, out, err = run(capsys, "classify", *argv)
     assert code == 0, err
     assert json.loads(out)["count"] > 0
@@ -588,18 +589,42 @@ def test_i2_2555_is_the_largest_dihedral_group_under_the_limit(monkeypatch):
 
 
 def test_seed_reaches_the_forest_samples(capsys, monkeypatch):
-    seeds = []
+    # the suite draws its forests from random.Random(--seed), and only there
+    drawn, real = [], verify.random_forest_covers
 
-    def recorder(n, seed=None):
-        seeds.append(seed)
-        rep = Report("forest chain counts")
-        rep.check(True)
-        return rep
+    def recorder(size, rng):
+        drawn.append(real(size, rng))
+        return drawn[-1]
 
-    monkeypatch.setattr(schubert, "verify_forest_chain_counts", recorder)
-    code, _, _ = run(capsys, "verify", "unimodal", "--n", "3", "--seed", "7")
-    assert code == 0
-    assert seeds == [7]
+    def draws(seed):
+        drawn.clear()
+        assert run(capsys, "verify", "unimodal", "--n", "3", "--seed", str(seed))[0] == 0
+        return list(drawn)
+
+    monkeypatch.setattr(verify, "random_forest_covers", recorder)
+    rng, seven = random.Random(7), draws(7)
+    assert seven == [real(rng.randint(2, 12), rng) for _ in range(verify.FOREST_SAMPLES)]
+    assert len(draws(8)) == verify.FOREST_SAMPLES and drawn != seven
+
+
+def test_h3_quotients_adds_up_each_system():
+    h3 = ("H3", None, None)
+    assert verify.suite_h3_quotients(systems=[h3]).instances == 11
+    rep = verify.suite_h3_quotients(systems=[h3, h3])
+    assert rep.passed and rep.instances == 22
+    assert verify.run_suite("h3-quotients").instances == 11
+
+
+def test_warm_dual_code_queries_build_one_dual_table(capsys, monkeypatch):
+    codes._shared_code.cache_clear()
+    built, real = [], codes.dual_code
+    monkeypatch.setattr(codes, "dual_code", lambda code: built.append(code) or real(code))
+    argv = ["code", "--type", "D", "--rank", "4", "--code", "dual", "--word", "s1 s2", "--json"]
+    first, second = run(capsys, *argv), run(capsys, *argv)
+    assert first == second and first[0] == 0
+    assert json.loads(first[1])["code_name"] == "dual(LD4)"
+    # one dual table, built from the shared standard code
+    assert len(built) == 1 and built[0] is codes.shared_standard_code("D", 4)
 
 
 def test_leading_minus_perm_d4(capsys):

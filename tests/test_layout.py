@@ -135,13 +135,14 @@ def test_scan_sees_an_unreached_definition(tmp_path):
     assert unreached_names(tmp_path) == ["a.SPARE", "a.unused", "a.method", "b.k"]
 
 
-# module -> the modules of src/coxlehmer it may import.  The permutation
-# layer (schubert) and the box layer (multicomplex, simplicial) import no
-# group module; verify, cli and __init__ may import every module before them.
+# module -> the modules of src/coxlehmer it may import, as the README's
+# "Layers" table states it.  The permutation layer (schubert) imports
+# nothing and the box layer (multicomplex, simplicial) no group module;
+# verify, cli and __init__ may import every module before them.
 MAY_IMPORT = {
     "report": set(),
     "qpoly": set(),
-    "schubert": {"report"},
+    "schubert": set(),
     "multicomplex": {"qpoly"},
     "simplicial": {"multicomplex", "qpoly"},
     "coxeter": {"qpoly"},
@@ -169,6 +170,39 @@ def extra_imports(src=SRC, table=MAY_IMPORT):
 def test_modules_import_only_the_layers_below_them():
     assert extra_imports() == []
     assert sorted(p.stem for p in SRC.glob("*.py")) == sorted(MAY_IMPORT)
+
+
+def readme_layers(text):
+    """The README's "Layers" table as module -> the modules it may import:
+    "nothing", a list of modules, or every module of the rows above and the
+    ones before it in its own row."""
+    table, above = {}, []
+    section = text.split("\nLayers.", 1)[1].split("\n## ", 1)[0]
+    for cells in re.findall(r"^\| (`.+?) \| (.+?) \|$", section, re.MULTILINE):
+        row = re.findall(r"`(\w+)`", cells[0])
+        for k, module in enumerate(row):
+            if cells[1] == "nothing":
+                table[module] = set()
+            elif cells[1].startswith("any module above"):
+                table[module] = set(above + row[:k])
+            else:
+                table[module] = set(re.findall(r"`(\w+)`", cells[1]))
+        above += row
+    return table
+
+
+def test_readme_layers_table_states_may_import():
+    assert readme_layers(README.read_text()) == MAY_IMPORT
+
+
+def test_readme_layers_check_sees_a_changed_row():
+    text = README.read_text()
+    for row, planted in [("| `schubert` | nothing |", "| `schubert` | `report` |"),
+                         ("| `coxeter` | `qpoly` |", "| `coxeter` | `qpoly`, `codes` |"),
+                         ("| `report`, `qpoly` |", "| `report` |")]:
+        assert row in text
+        changed = readme_layers(text.replace(row, planted))
+        assert changed != MAY_IMPORT, planted
 
 
 def test_import_scan_sees_each_extra_edge(tmp_path):

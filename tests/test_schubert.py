@@ -14,7 +14,6 @@ from coxlehmer.schubert import (
     catalan,
     chain_counts,
     chain_partition,
-    check_tail_partition,
     dual_partition,
     hasse_covers,
     hasse_is_forest,
@@ -25,15 +24,12 @@ from coxlehmer.schubert import (
     is_smooth,
     is_unimodal_permutation,
     partition_to_unimodal,
-    random_forest_covers,
     smooth_exponents,
     smooth_permutations,
     unimodal_permutations,
     unimodal_to_partition,
-    verify_forest_chain_counts,
-    verify_tail_partitions,
 )
-from coxlehmer.verify import run_suite
+from coxlehmer.verify import FOREST_SAMPLES, random_forest_covers, run_suite
 from oracles import avoiders_by_scan, avoids_by_standardizing
 
 AVOIDS_PATTERNS = [(1, 2), (2, 1), (3, 1, 2), (3, 4, 1, 2), (4, 2, 3, 1), (2, 5, 3, 1, 4)]
@@ -258,17 +254,26 @@ def test_lambda_roundtrip_up_to_8():
 
 
 def test_tail_partition_checks():
-    assert check_tail_partition((3, 4, 2, 1)).passed
-    for n in (5, 6):
-        rep = verify_tail_partitions(n)
+    # the unimodal suite at n reads the tail partitions of S_(n+1): S_4,
+    # which holds (3, 4, 2, 1), then S_5 and S_6, three checks per unimodal
+    # permutation; before them, one check per element of S_2..S_n and one
+    # count per S_k, and after them two per smooth permutation of S_n
+    for n, checks in ((3, (2 + 6) + 2 + 3 * 8 + 2 * 6 + FOREST_SAMPLES),
+                      (4, (2 + 6 + 24) + 3 + 3 * 16 + 2 * 22 + FOREST_SAMPLES),
+                      (5, (2 + 6 + 24 + 120) + 4 + 3 * 32 + 2 * 88 + FOREST_SAMPLES)):
+        rep = run_suite("unimodal", n=n)
         assert rep.passed, rep.witnesses
+        assert rep.instances == checks
 
 
 def test_tail_partition_checks_the_round_trip(monkeypatch):
-    monkeypatch.setattr(schubert, "partition_to_unimodal", lambda lam, n: identity_perm(n))
-    rep = check_tail_partition((3, 4, 2, 1))
+    # a round trip broken at (3, 4, 2, 1) alone fails exactly its one check
+    real = schubert.partition_to_unimodal
+    monkeypatch.setattr(schubert, "partition_to_unimodal", lambda lam, n: identity_perm(n)
+                        if (lam, n) == ((2, 3), 4) else real(lam, n))
+    rep = run_suite("unimodal", n=3)
     assert rep.failures == 1
-    assert rep.witnesses == ["partition (2, 3) maps back to (1, 2, 3, 4)"]
+    assert rep.witnesses == ["(3, 4, 2, 1): partition (2, 3) maps back to (1, 2, 3, 4)"]
 
 
 def test_catalan_equivalence():
@@ -349,11 +354,21 @@ def test_padded_dual_is_fubini():
             assert is_fubini_word((0,) + lam)
 
 
-def test_forest_chain_counts():
-    rep = verify_forest_chain_counts(5)
+def test_forest_chain_counts(monkeypatch):
+    rep = run_suite("unimodal", n=5)
     assert rep.passed, rep.witnesses
     assert hasse_is_forest(hasse_covers((2, 1, 4, 3)))
     assert not hasse_is_forest(hasse_covers((3, 4, 1, 2)))
+    # counts that do not decrease fail the empty permutation of S_0 and every
+    # sampled forest; at n = 0 the tail partitions read only the identity of
+    # S_1, which calls no chain_counts
+    monkeypatch.setattr(schubert, "chain_counts", lambda covers: (1, 1))
+    rep = run_suite("unimodal", n=0)
+    assert rep.instances == 3 + 2 + FOREST_SAMPLES
+    assert rep.failures == 1 + FOREST_SAMPLES
+    assert rep.witnesses[0] == "(): counts (1, 1) not strictly decreasing"
+    assert rep.witnesses[1].startswith("random rooted forest {1: ")
+    assert rep.witnesses[1].endswith("}: counts (1, 1)")
 
 
 def test_mixed_orientation_star_breaks_monotonicity():
