@@ -8,17 +8,21 @@ the prefixes of one reduced word; type D lists the chains X_1, ..., X_{n-1},
 Y_n generated by rule; H3 lists a generalized quotient as two chains, then
 one long chain.  One walker reads every word along right multiplication,
 and the code vector of a product is read off its factors.  Codes are
-materialized as full two-way lookup tables, and `verify_code` re-checks
-bijectivity, rank compatibility and the cover-morphism property from the
-tables and the Bruhat covers alone.
+materialized as two flat arrays, the vectors end to end and the element at
+each box position, and `verify_code` re-checks bijectivity, rank
+compatibility and the cover-morphism property from the vectors and the
+Bruhat covers alone.
 """
 
 from __future__ import annotations
 
+from array import array
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product
 from math import prod
+from operator import mul
 
 from .coxeter import BruhatPoset, shared_poset, system_key
 from .multicomplex import box_table, lower_covers
@@ -36,21 +40,65 @@ class CodeBuildError(RuntimeError):
     """A code construction failed its built-in bijectivity or length checks."""
 
 
+# lookup's entry at a box point that no element's vector names
+_NO_ELEMENT = 0xFFFFFFFF
+
+
+class _Vectors(Sequence):
+    """A code's vectors in element order, read-only."""
+
+    def __init__(self, code: LehmerCode):
+        self._code = code
+
+    def __len__(self) -> int:
+        return len(self._code.flat) // len(self._code.bounds)
+
+    def __getitem__(self, w: int) -> tuple[int, ...]:
+        return self._code.of(w)
+
+    def __iter__(self) -> Iterator[tuple[int, ...]]:
+        return zip(*[iter(self._code.flat)] * len(self._code.bounds))
+
+
 @dataclass
 class LehmerCode:
-    """A materialized code: element index -> vector and back."""
+    """A materialized code: element index -> vector and back.
+
+    The vectors lie end to end in `flat`, len(bounds) entries an element,
+    and `lookup` holds the element at each point of the box, indexed by the
+    point's mixed-radix value over `dims` (its rank in lex order), or
+    _NO_ELEMENT where there is none."""
 
     name: str
     poset: BruhatPoset
     bounds: tuple[int, ...]
-    vectors: list[tuple[int, ...]]
-    lookup: dict[tuple[int, ...], int]
+    flat: array
+    lookup: array
+
+    @property
+    def vectors(self) -> _Vectors:
+        return _Vectors(self)
 
     def of(self, w: int) -> tuple[int, ...]:
-        return self.vectors[w]
+        k = len(self.bounds)
+        if not 0 <= w < len(self.flat) // k:
+            raise IndexError(f"no element {w} in a code of {len(self.flat) // k}")
+        return tuple(self.flat[k * w:k * w + k])
 
     def element(self, vec: tuple[int, ...]) -> int:
-        return self.lookup[vec]
+        """The element whose vector is `vec`; KeyError for a vector that no
+        element has, one off the box or of another length among them."""
+        if len(vec) == len(self.bounds):
+            p = 0
+            for x, b in zip(vec, self.bounds):
+                if not 0 <= x <= b:
+                    break
+                p = p * (b + 1) + x
+            else:
+                w = self.lookup[p]
+                if w != _NO_ELEMENT:
+                    return w
+        raise KeyError(vec)
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -72,19 +120,11 @@ class LehmerCode:
         return {self.poset.render(w): list(v) for w, v in enumerate(self.vectors)}
 
 
-def _make_code(name: str, poset: BruhatPoset, bounds, vectors) -> LehmerCode:
-    lookup = {}
-    for w, v in enumerate(vectors):
-        if v in lookup:
-            raise CodeBuildError(
-                f"{name}: elements {poset.render(lookup[v])} and {poset.render(w)} "
-                f"both map to {v}")
-        lookup[v] = w
-    code = LehmerCode(name, poset, tuple(bounds), list(vectors), lookup)
-    if len(lookup) != code.box_size():
-        raise CodeBuildError(f"{name}: table covers {len(lookup)} of "
-                             f"{code.box_size()} codomain points")
-    return code
+def _make_code(name: str, poset: BruhatPoset, vectors) -> LehmerCode:
+    """The code of `vectors`, one tuple per element: the product code of
+    one factor, which lists each vector with its element, and checked as
+    every product code is."""
+    return _product_code(name, poset, [list(zip(vectors, range(poset.size)))])
 
 
 def _product_code(name: str, poset: BruhatPoset, factors) -> LehmerCode:
@@ -98,32 +138,69 @@ def _product_code(name: str, poset: BruhatPoset, factors) -> LehmerCode:
 
     Products come in itertools.product order, depth first: a prefix over
     the factors but the last is multiplied out once and meets every
-    element of the last factor.
+    element of the last factor.  A vector is written as packed bytes and
+    its box position as a sum, each factor's coordinates adding their
+    share; the build also aborts unless every point of the box is the
+    vector of exactly one element.
     """
-    length, mult = poset.length, poset.mult
-    *head, last = factors
-    vectors = [None] * poset.size
-    stack = [(0, 0, 0, ())]  # (factors used, prefix, its length sum, its coordinates)
+    length, right_mult, word = poset.length, poset.right_mult, poset.word
+    bounds = [max(column) for factor in factors
+              for column in zip(*(coords for coords, _ in factor))]
+    dims = [b + 1 for b in bounds]
+    # a coordinate's weight in a box position is the product of the chain
+    # sizes after it
+    strides = iter([prod(dims[i + 1:]) for i in range(len(dims))])
+    # each entry as (coordinates packed, their share of the position, element,
+    # its word): u x is u times the letters of x's word, each word read once
+    packed = []
+    for factor in factors:
+        share = [next(strides) for _ in factor[0][0]]
+        packed.append([(array("H", coords).tobytes(), sum(map(mul, coords, share)), x, word[x])
+                       for coords, x in factor])
+    *head, last = packed
+    step = sum(len(entries[0][0]) for entries in packed)  # the bytes of a vector
+    # written through a memoryview, whose slice assignment costs less than
+    # a bytearray's, and with no object per element left behind
+    vectors = memoryview(bytearray(step * poset.size))
+    lookup = array("I", [_NO_ELEMENT]) * prod(dims)
+    reached = bytearray(poset.size)
+    # (factors used, prefix, its length sum, its coordinates, their position share)
+    stack = [(0, 0, 0, b"", 0)]
     while stack:
-        k, u, before, vec = stack.pop()
+        k, u, before, vec, pos = stack.pop()
         if k < len(head):  # pushed in reverse, so they pop in factor order
-            stack.extend((k + 1, mult(u, x), before + length[x], vec + coords)
-                         for coords, x in reversed(head[k]))
+            for coords, p, x, letters in reversed(head[k]):
+                ux = u
+                for g in letters:
+                    ux = right_mult[ux][g]
+                stack.append((k + 1, ux, before + length[x], vec + coords, pos + p))
             continue
-        for coords, x in last:
-            w = mult(u, x)
+        for coords, p, x, letters in last:
+            w = u
+            for g in letters:
+                w = right_mult[w][g]
             if before + length[x] != length[w]:
                 raise CodeBuildError(f"{name}: factor lengths do not add up for "
                                      f"{poset.render(w)}")
-            if vectors[w] is not None:
+            if reached[w]:
                 raise CodeBuildError(f"{name}: {poset.render(w)} factors twice")
-            vectors[w] = vec + coords
-    if None in vectors:
+            reached[w] = 1
+            q = pos + p
+            if lookup[q] != _NO_ELEMENT:
+                raise CodeBuildError(
+                    f"{name}: elements {poset.render(lookup[q])} and {poset.render(w)} "
+                    f"both map to {tuple(array('H', vec + coords))}")
+            lookup[q] = w
+            vectors[step * w:step * w + step] = vec + coords
+    if 0 in reached:
         raise CodeBuildError(f"{name}: no product reaches "
-                             f"{poset.render(vectors.index(None))}")
-    bounds = [max(column) for factor in factors
-              for column in zip(*(coords for coords, _ in factor))]
-    return _make_code(name, poset, bounds, vectors)
+                             f"{poset.render(reached.index(0))}")
+    if len(lookup) != poset.size:
+        raise CodeBuildError(f"{name}: table covers {poset.size} of "
+                             f"{len(lookup)} codomain points")
+    flat = array("H")
+    flat.frombytes(vectors)
+    return LehmerCode(name, poset, tuple(bounds), flat, lookup)
 
 
 # ---------------------------------------------------------------------------
@@ -329,9 +406,14 @@ def standard_code(poset: BruhatPoset) -> LehmerCode:
 
 def dual_code(code: LehmerCode) -> LehmerCode:
     """The code w -> L(w^{-1})."""
-    poset = code.poset
-    vectors = [code.vectors[poset.inverse[w]] for w in range(poset.size)]
-    return _make_code(f"dual({code.name})", poset, code.bounds, vectors)
+    # w's vector is w^-1's in `code`, so the element at each box point is
+    # the inverse of code's: inversion is a bijection, and so is the result
+    inverse, step = code.poset.inverse, code.flat.itemsize * len(code.bounds)
+    raw = code.flat.tobytes()
+    flat = array("H")
+    flat.frombytes(b"".join([raw[step * u:step * u + step] for u in inverse]))
+    return LehmerCode(f"dual({code.name})", code.poset, code.bounds, flat,
+                      array("I", map(inverse.__getitem__, code.lookup)))
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +477,7 @@ def enumerate_dihedral_codes(poset: BruhatPoset) -> list[LehmerCode]:
                 a, b = b, a
             vectors[a] = (0, l)
             vectors[b] = (1, l - 1)
-        candidate = _make_code(f"LI2({m})#{mask}", poset, (1, m - 1), vectors)
+        candidate = _make_code(f"LI2({m})#{mask}", poset, vectors)
         if verify_code(candidate).passed:
             found.append(candidate)
     return found

@@ -8,7 +8,8 @@ roots of H3, with coefficients in Z[phi] for phi the golden ratio, and the
 faithfully.  All arithmetic is exact; equal tuples are equal group elements.
 
 Enumerating a system yields a BruhatPoset: every element indexed in BFS
-order, lengths, and the right multiplication table the BFS fills, applying
+order, lengths, the last letter of each BFS word (a word is read off the
+BFS parents), and the right multiplication table the BFS fills, applying
 each generator as one position map (`_right_actions`, which agrees with
 `_compose`); `_compose` itself runs only in the check of the Coxeter
 relations.  Inverses (built on first use),
@@ -23,10 +24,10 @@ from __future__ import annotations
 
 import gc
 from bisect import bisect_left
+from collections.abc import Callable, Iterable, Sequence
 from functools import cached_property, lru_cache
 from math import factorial
 from operator import itemgetter
-from typing import Callable, Iterable, Sequence
 
 from .qpoly import IntPolynomial
 
@@ -36,14 +37,18 @@ from .qpoly import IntPolynomial
 # |W|^2 / 16, an upper bound about twice what the even-length store holds,
 # the one-line elements, 8 bytes per entry, the BFS words, 8
 # bytes per letter at N / 2 letters a word, N = l(w0) the number of
-# reflections, and PER_ELEMENT_BYTES for the rest an element holds: its
-# index entry, length, multiplication row, covers, tuple headers and code.
-# That is 62 MB for D6 (23,040 elements) but 6.9 GB for D7 and 8.7 GB for
-# A8, and 40.25 m^2 + 2,176 m for I2(m), whose elements have 2m entries and
-# N = m.  The limit keeps A7, B6, D6 and I2(m) up to m = 2,555; it can rise
-# once the model is re-derived for what is stored.  The traced peak is
-# 0.54-0.61 of the model on A5, A6, B4, B5, D5, H3 and D6, 0.57 on A7, 0.59
-# on B6, 0.91 on I2(200) and 0.994 on I2(2555), the largest group admitted.
+# reflections, and PER_ELEMENT_BYTES for the rest an element holds.  The
+# letters are budgeted but no longer stored: past its downset and its
+# one-line tuple, an element holds one byte, its word's last letter, an
+# index entry and a length, its multiplication row and lower covers as
+# tuples, and in its code a 2-byte entry per coordinate and a 4-byte
+# lookup entry.  That is 62 MB for D6 (23,040 elements) but 6.9 GB for D7
+# and 8.7 GB for A8, and 40.25 m^2 + 2,176 m for I2(m), whose elements have
+# 2m entries and N = m.  The limit keeps A7, B6, D6 and I2(m) up to m =
+# 2,555; it can rise once the model is re-derived for what is stored.  The
+# traced peak is 0.43-0.51 of the model on A5, A6, B4, B5, D5, H3 and D6,
+# 0.52 on A7 and B6, 0.82 on I2(200) and 0.90 on I2(2555), the largest
+# group admitted.
 ENUMERATION_LIMIT = 2 ** 28
 PER_ELEMENT_BYTES = 1088
 
@@ -279,7 +284,7 @@ def _render_signed(p):
 # enumerated groups
 
 
-def _downsets(covers_down: list[list[int]], starts: list[int]) -> list[int]:
+def _downsets(covers_down: list[tuple[int, ...]], starts: list[int]) -> list[int]:
     """Reachability bitsets of a cover relation on length-graded indices,
     level l the range starts[l] .. starts[l + 1] - 1 and every lower cover
     on the level below: the bitset of each even-level index, and 0 for each
@@ -299,15 +304,40 @@ def _downsets(covers_down: list[list[int]], starts: list[int]) -> list[int]:
     return down
 
 
+class _Words(Sequence):
+    """The BFS words, read-only: word[w] is read off w's BFS parents,
+    each one letter shorter, so that only the last letters are stored."""
+
+    def __init__(self, last: bytes, right_mult: list[tuple[int, ...]]):
+        self._last = last
+        self._right_mult = right_mult
+
+    def __len__(self) -> int:
+        return len(self._last)
+
+    def __getitem__(self, w: int) -> tuple[int, ...]:
+        last, right_mult = self._last, self._right_mult
+        if not 0 <= w < len(last):
+            raise IndexError(f"no element {w} in a group of {len(last)}")
+        letters = []
+        while w:
+            s = last[w]
+            letters.append(s)
+            w = right_mult[w][s]
+        return tuple(reversed(letters))
+
+
 class BruhatPoset:
     """A fully enumerated finite Coxeter group with its orders materialized.
 
     Elements are referred to by their BFS index; index 0 is the identity,
     and indices are length-graded.  `__init__` builds the element list,
-    lengths, BFS words, the right multiplication table, Bruhat covers and
-    the downset bitsets; `inverse` is built on first use.  `downset(w)` is
-    a bitset over indices encoding {v : v <= w} in Bruhat order, so u <= w
-    is `downset(w) >> u & 1` and interval extraction is bit operations.
+    lengths, the last letter of each BFS word (`last`; `word[w]` walks the
+    BFS parents for the rest), the right multiplication table, Bruhat
+    covers and the downset bitsets; `inverse` is built on first use.
+    `downset(w)` is a bitset over indices encoding {v : v <= w} in Bruhat
+    order, so u <= w is `downset(w) >> u & 1` and interval extraction is
+    bit operations.
     `_down` stores it for the even-length elements only, and 0 for the
     odd-length ones, whose lower covers all have even length: their
     downset costs one OR over those covers' stored sets.
@@ -334,8 +364,8 @@ class BruhatPoset:
         elements = [system.identity]
         index = {system.identity: 0}
         length = [0]
-        word: list[tuple[int, ...]] = [()]
-        right_mult: list[list[int]] = []
+        last = bytearray(1)  # the identity has no last letter
+        right_mult: list[tuple[int, ...]] = []
         for u, eu in enumerate(elements):  # grows as new elements are found
             row = []
             for gi, act in actions:
@@ -345,9 +375,9 @@ class BruhatPoset:
                     j = index[v] = len(elements)
                     elements.append(v)
                     length.append(length[u] + 1)
-                    word.append(word[u] + (gi,))
+                    last.append(gi)
                 row.append(j)
-            right_mult.append(row)
+            right_mult.append(tuple(row))
         if len(elements) != system.order:
             raise AssertionError(
                 f"enumerated {len(elements)} elements, classification says {system.order}")
@@ -356,7 +386,8 @@ class BruhatPoset:
         self.elements = elements
         self.index = index
         self.length = length
-        self.word = word
+        self.last = bytes(last)
+        self.word = _Words(self.last, right_mult)
         self.right_mult = right_mult
 
         # level l is the index range starts[l] .. starts[l + 1] - 1
@@ -372,22 +403,32 @@ class BruhatPoset:
         # every vs where v is a lower cover of ws and vs > v.  Take s the
         # last letter of w's BFS word, so ws is its BFS parent and its
         # covers are already known.
-        covers_down: list[list[int]] = [[]]
+        covers_down: list[tuple[int, ...]] = [()]
         for w in range(1, self.size):
-            s = word[w][-1]
+            s = last[w]
             ws = right_mult[w][s]
             lows = [ws]
             for v in covers_down[ws]:
                 vs = right_mult[v][s]
                 if length[vs] > length[v]:
                     lows.append(vs)
-            covers_down.append(lows)
+            covers_down.append(tuple(lows))
         self.covers_down = covers_down
         self._down = _downsets(covers_down, starts)
 
     @cached_property
     def inverse(self) -> list[int]:
-        return [self.apply_word(wd[::-1]) for wd in self.word]
+        # the letters met walking w's BFS parents up to e are w's word
+        # reversed, which spells w^-1
+        right_mult, last = self.right_mult, self.last
+        out = []
+        for w in range(self.size):
+            v = 0
+            while w:
+                s = last[w]
+                v, w = right_mult[v][s], right_mult[w][s]
+            out.append(v)
+        return out
 
     # -- element arithmetic by index
 

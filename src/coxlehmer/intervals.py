@@ -149,11 +149,12 @@ def unimodal_set(code: LehmerCode) -> list[int]:
     principal codes with the same multiset of entries, so the least code
     per sorted entry tuple is kept."""
     pr = principal_set(code)
+    vecs = [code.of(w) for w in pr]
     least: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for vec in sorted(code.of(w) for w in pr):
+    for vec in sorted(vecs):
         least.setdefault(tuple(sorted(vec)), vec)
     keep = set(least.values())
-    return [w for w in pr if code.of(w) in keep]
+    return [w for w, vec in zip(pr, vecs) if vec in keep]
 
 
 # ---------------------------------------------------------------------------
@@ -170,10 +171,10 @@ def palindromic_intervals(poset: BruhatPoset) -> set[IntPolynomial]:
     survivor has all its coefficients checked.
     """
     out = set()
-    covers_down, word = poset.covers_down, poset.word
+    covers_down, last = poset.covers_down, poset.last
     support = [0]  # the generators of each element's words, as a bitmask
     for w in range(1, poset.size):
-        support.append(support[covers_down[w][0]] | 1 << word[w][-1])
+        support.append(support[covers_down[w][0]] | 1 << last[w])
     for w in range(poset.size):
         if support[w].bit_count() != len(covers_down[w]):
             continue

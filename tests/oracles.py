@@ -10,6 +10,11 @@ compares them; the groups or boxes covered.
   even-length downsets and rebuild an odd-length one from its lower covers;
   test_coxeter::test_downsets_match_the_whole_group_oracle; A1-A5, B2-B5, D4, D5, H3,
   I2(3..10); test_coxeter::test_even_length_downsets_take_half_the_bytes; A5, B5, D5.
+- tuple_poset_tables, tuple_code_tables: coxeter `BruhatPoset`'s last-letter store, its
+  `word` view, tuple rows and covers and `inverse`, and codes `LehmerCode`'s flat
+  vectors and array lookup, `_product_code` and `dual_code`;
+  test_codes::test_flat_tables_match_the_tuple_tables; A1-A5, B2-B5 (both codes), D4, D5,
+  H3, I2(3..10); test_codes::test_flat_tables_take_under_0_6_of_the_tuple_bytes; D5.
 - reflections, left_mult: coxeter `CoxeterSystem.reflections`, the BFS covers, and
   `descents_left` and `weak_left_interval`, which left-multiply through `inverse`;
   test_coxeter::test_tables_match_compose_oracle; A1-A5, B2-B5, D4, D5, H3, I2(3..10).
@@ -108,15 +113,18 @@ compares them; the groups or boxes covered.
   test_intervals::test_bitmask_paths_match_the_tuple_paths_on_route_systems; as above.
 - one_facet_per_column, facet_rule, step_rule: planted faults, not oracles; the
   corrupted-rule tests in test_simplicial, test_intervals and test_cli.
+- planted_code: a planted fault, not an oracle; the corrupted-code tests in test_codes
+  and test_intervals.
 """
 
 import itertools
+from array import array
 from contextlib import contextmanager
 from math import prod
 
 from coxlehmer import simplicial
-from coxlehmer.codes import CodeBuildError, _make_code
-from coxlehmer.coxeter import SizeLimitError, _compose, build_system
+from coxlehmer.codes import _NO_ELEMENT, CodeBuildError, LehmerCode, _product_code
+from coxlehmer.coxeter import SizeLimitError, _compose, _right_actions, build_system
 from coxlehmer.intervals import InvalidCodeImage
 from coxlehmer.multicomplex import (
     OrderIdeal,
@@ -151,6 +159,67 @@ def downsets_whole_group(covers_down) -> list[int]:
     return down
 
 
+def tuple_poset_tables(system):
+    """(elements, index, length, word, right_mult, covers_down) as
+    `BruhatPoset` stored them before it kept one last letter per element and
+    tuple rows: the same BFS and lifting step, with a word tuple per element
+    and lists for the multiplication rows and the lower covers."""
+    actions = list(enumerate(_right_actions(system)))
+    elements, index = [system.identity], {system.identity: 0}
+    length, word, right_mult = [0], [()], []
+    for u, eu in enumerate(elements):  # grows as new elements are found
+        row = []
+        for gi, act in actions:
+            v = act(eu)
+            j = index.get(v)
+            if j is None:
+                j = index[v] = len(elements)
+                elements.append(v)
+                length.append(length[u] + 1)
+                word.append(word[u] + (gi,))
+            row.append(j)
+        right_mult.append(row)
+    covers_down = [[]]
+    for w in range(1, len(elements)):
+        s = word[w][-1]
+        ws = right_mult[w][s]
+        lows = [ws]
+        for v in covers_down[ws]:
+            vs = right_mult[v][s]
+            if length[vs] > length[v]:
+                lows.append(vs)
+        covers_down.append(lows)
+    return elements, index, length, word, right_mult, covers_down
+
+
+def tuple_code_tables(tables, factors):
+    """(vectors, lookup, dual vectors) as `LehmerCode` stored them before the
+    flat arrays: a list of vector tuples and a dict back, built by the
+    product walk with each factor element multiplied in through its word
+    tuple, and the dual's vectors read through inverses that apply each word
+    reversed; `tables` are `tuple_poset_tables`."""
+    _, _, length, word, right_mult, _ = tables
+
+    def apply(u, letters):
+        for gi in letters:
+            u = right_mult[u][gi]
+        return u
+
+    *head, last = factors
+    vectors = [None] * len(word)
+    stack = [(0, 0, ())]
+    while stack:
+        k, u, vec = stack.pop()
+        if k < len(head):
+            stack.extend((k + 1, apply(u, word[x]), vec + coords)
+                         for coords, x in reversed(head[k]))
+            continue
+        for coords, x in last:
+            vectors[apply(u, word[x])] = vec + coords
+    lookup = {v: w for w, v in enumerate(vectors)}
+    return vectors, lookup, [vectors[apply(0, wd[::-1])] for wd in word]
+
+
 def left_mult(poset, g, u: int) -> int:
     """The index of g u, g a generator's one-line tuple, through the kernel."""
     return poset.index[_compose(g, poset.elements[u])]
@@ -174,7 +243,9 @@ def reflections(poset) -> list[int]:
 def product_code_by_combinations(name, poset, factors):
     """`codes._product_code` one itertools.product combination at a time,
     each product multiplied out from the identity, with the same checks
-    and messages."""
+    and messages; the vectors are then made a code as `_make_code` makes
+    one, the product code of one factor.  `_product_code` is the function
+    bound here at import, since the tests put this oracle in its place."""
     length = poset.length
     vectors = [None] * poset.size
     for combo in itertools.product(*factors):
@@ -193,9 +264,7 @@ def product_code_by_combinations(name, poset, factors):
     if None in vectors:
         raise CodeBuildError(f"{name}: no product reaches "
                              f"{poset.render(vectors.index(None))}")
-    bounds = [max(column) for factor in factors
-              for column in zip(*(coords for coords, _ in factor))]
-    return _make_code(name, poset, bounds, vectors)
+    return _product_code(name, poset, [list(zip(vectors, range(poset.size)))])
 
 
 def code_leq(u: int, v: int, code) -> bool:
@@ -962,6 +1031,22 @@ def push_all(state, order):
 
 
 _true_facet_masks = simplicial._facet_masks
+
+
+def planted_code(name, poset, bounds, vectors):
+    """A `LehmerCode` with the given vectors and none of `_product_code`'s
+    checks, for planted faults: a vector off the box gets no lookup entry,
+    and of two equal vectors the later element is looked up."""
+    dims = [b + 1 for b in bounds]
+    lookup = array("I", [_NO_ELEMENT]) * prod(dims)
+    for w, v in enumerate(vectors):
+        if len(v) == len(dims) and all(0 <= x < d for x, d in zip(v, dims)):
+            p = 0
+            for x, d in zip(v, dims):
+                p = p * d + x
+            lookup[p] = w
+    return LehmerCode(name, poset, tuple(bounds),
+                      array("H", itertools.chain.from_iterable(vectors)), lookup)
 
 
 def one_facet_per_column(dims, points):

@@ -1,5 +1,8 @@
+import gc
 import hashlib
 import re
+import sys
+import tracemalloc
 
 import pytest
 
@@ -7,7 +10,6 @@ from coxlehmer import codes as codes_mod
 from coxlehmer.codes import (
     ChainVerificationError,
     CodeBuildError,
-    LehmerCode,
     d_chain_words,
     shared_standard_code,
     code_a,
@@ -26,7 +28,14 @@ from coxlehmer.codes import (
 from coxlehmer.coxeter import BruhatPoset, build_system, shared_poset
 from coxlehmer.schubert import inversion_code
 from coxlehmer.verify import CODE_SYSTEMS
-from oracles import parabolic_elements, product_code_by_combinations, quotient_factorization
+from oracles import (
+    parabolic_elements,
+    planted_code,
+    product_code_by_combinations,
+    quotient_factorization,
+    tuple_code_tables,
+    tuple_poset_tables,
+)
 
 
 @pytest.fixture(scope="module")
@@ -241,7 +250,7 @@ def test_product_code_matches_the_combination_oracle(monkeypatch, label, rank, m
     slow = build()
     assert len(calls) == (2 if label == "B" else 1)
     for a, b in zip(fast, slow, strict=True):
-        assert (a.name, a.bounds, a.vectors) == (b.name, b.bounds, b.vectors)
+        assert (a.name, a.bounds, list(a.vectors)) == (b.name, b.bounds, list(b.vectors))
 
 
 def _corrupted(poset, factors, how):
@@ -268,12 +277,100 @@ def test_product_code_errors_match_the_combination_oracle(d4, how):
     assert messages[0] == messages[1]
 
 
+@pytest.mark.parametrize("label,rank,m", PRODUCT_GROUPS)
+def test_flat_tables_match_the_tuple_tables(monkeypatch, label, rank, m):
+    # the last-letter store, the tuple rows and the flat code arrays against
+    # the tuple tables they replaced, from the same BFS and the same factors
+    poset = BruhatPoset(build_system(label, rank, m))
+    tables = tuple_poset_tables(poset.system)
+    *_, word, right_mult, covers_down = tables
+    assert list(poset.word) == word
+    assert list(map(list, poset.right_mult)) == right_mult
+    assert list(map(list, poset.covers_down)) == covers_down
+    factors = []
+    product_code = codes_mod._product_code
+
+    def recording(name, p, fs):
+        factors.append(fs)
+        return product_code(name, p, fs)
+
+    monkeypatch.setattr(codes_mod, "_product_code", recording)
+    built = [standard_code(poset)] + ([code_b(poset, variant=True)] if label == "B" else [])
+    everyone = list(range(poset.size))
+    for code, fs in zip(built, factors, strict=True):
+        vectors, lookup, dual_vectors = tuple_code_tables(tables, fs)
+        assert {v: code.element(v) for v in lookup} == lookup
+        for new, old in ((code, vectors), (dual_code(code), dual_vectors)):
+            assert list(new.vectors) == old
+            assert [new.element(new.of(w)) for w in everyone] == everyone
+
+
+def _traced_bytes(build):
+    """What `build` returns and the bytes tracemalloc sees it hold.  A full
+    collection empties the interpreter's free lists before and after, so
+    every object counted is a traced allocation still alive."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        kept = build()
+        gc.collect()
+        return kept, tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+
+
+def _alike_bytes(elements, index, length, *_):
+    return (sys.getsizeof(elements) + sum(map(sys.getsizeof, elements))
+            + sys.getsizeof(index) + sys.getsizeof(length))
+
+
+def test_flat_tables_take_under_0_6_of_the_tuple_bytes():
+    # D5's poset and code against the tuple tables, both without what they
+    # hold alike (the elements, the index and the lengths) and the poset
+    # without its downsets; the ratio reads 0.47, and 0.73 with the word
+    # tuples back or 0.76 with a dict from vector tuples back
+    system = build_system("D", 5)
+    (poset, code), new = _traced_bytes(lambda: (p := BruhatPoset(system), standard_code(p)))
+    vectors = list(code.vectors)
+    (tables, *_), old = _traced_bytes(lambda: (tuple_poset_tables(system), list(vectors),
+                                               {v: w for w, v in enumerate(vectors)}))
+    downsets = sum(map(sys.getsizeof, [poset._down, poset.by_length, *poset.by_length]))
+    downsets += sum(sys.getsizeof(d) for d in poset._down if d)
+    new -= _alike_bytes(poset.elements, poset.index, poset.length) + downsets
+    old -= _alike_bytes(*tables)
+    assert new <= 0.6 * old, (new, old)
+
+
+def test_a_shared_vector_or_an_uncovered_box_point_is_refused(a3):
+    # the lookup is one element per box point: two on one point, or a box
+    # (2, 3, 5) of 30 points over 24 elements, fails the build
+    vectors = list(code_a(a3).vectors)
+    s1, s3 = a3.index[(2, 1, 3, 4)], a3.index[(1, 2, 4, 3)]
+    shared = vectors[:s3] + [vectors[s1]] + vectors[s3 + 1:]
+    with pytest.raises(CodeBuildError,
+                       match=re.escape("LA3: elements 2134 and 1243 both map to (1, 0, 0)")):
+        codes_mod._make_code("LA3", a3, shared)
+    with pytest.raises(CodeBuildError, match="LA3: table covers 24 of 30 codomain points"):
+        codes_mod._make_code("LA3", a3, vectors[:a3.w0] + [(1, 2, 4)])
+
+
+@pytest.mark.parametrize("vec", [(0, -1, 0), (0, 3, 0), (0, 0), (0, 0, 0, 0)],
+                         ids=["negative", "past-its-bound", "too-short", "too-long"])
+def test_a_vector_off_the_box_names_no_element(a3, vec):
+    # LA3's box is {0,1} x {0,1,2} x {0,...,3}: read as a box position,
+    # (0, 3, 0) would alias (1, 0, 0) and (0, 0, 0, 0) the identity
+    code = code_a(a3)
+    assert code.element((1, 0, 0)) == a3.index[(2, 1, 3, 4)]
+    with pytest.raises(KeyError):
+        code.element(vec)
+
+
 def test_code_b_variant(b3):
     code = code_b(b3, variant=True)
     assert code.name.endswith("~")
     assert code.bounds == (1, 3, 5)
     assert verify_code(code).passed
-    assert code.vectors != code_b(b3).vectors
+    assert list(code.vectors) != list(code_b(b3).vectors)
 
 
 # -- type D
@@ -373,7 +470,7 @@ def test_verify_h3_quotients(h3):
 
 def test_dual_is_involution(a3):
     code = code_a(a3)
-    assert dual_code(dual_code(code)).vectors == code.vectors
+    assert list(dual_code(dual_code(code)).vectors) == list(code.vectors)
 
 
 def test_dual_code_valid(a3, b3):
@@ -480,7 +577,8 @@ PINNED_CODES = ([(label, rank, m, False) for label, rank, m in CODE_SYSTEMS]
 def test_code_tables_match_their_pinned_digests(label, rank, m, variant):
     code = shared_standard_code(label, rank, m, variant=variant)
     got = tuple(hashlib.sha256(repr(table).encode()).hexdigest()
-                for table in ((code.name, code.bounds, code.vectors), dual_code(code).vectors))
+                for table in ((code.name, code.bounds, list(code.vectors)),
+                              list(dual_code(code).vectors)))
     assert got == CODE_DIGESTS[label, rank, m, variant]
 
 
@@ -493,8 +591,7 @@ def test_verify_code_negative_control(a3):
     s3 = a3.index[(1, 2, 4, 3)]
     vectors = list(code.vectors)
     vectors[s1], vectors[s3] = vectors[s3], vectors[s1]
-    bad = LehmerCode("corrupted", a3, code.bounds, vectors,
-                     {v: w for w, v in enumerate(vectors)})
+    bad = planted_code("corrupted", a3, code.bounds, vectors)
     rep = verify_code(bad)
     assert not rep.passed
     assert rep.failures > 0
@@ -510,8 +607,7 @@ def test_verify_code_renders_its_witnesses_on_failure(a3):
                            (s1, s3, "maps to incomparable")]:
         vectors = list(code.vectors)
         vectors[a], vectors[b] = vectors[b], vectors[a]
-        bad = LehmerCode("corrupted", a3, code.bounds, vectors,
-                         {v: w for w, v in enumerate(vectors)})
+        bad = planted_code("corrupted", a3, code.bounds, vectors)
         rep = verify_code(bad)
         assert any(expected in w for w in rep.witnesses), rep.witnesses
 

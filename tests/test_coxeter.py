@@ -322,7 +322,9 @@ def test_reflection_count_equals_longest_length(a3, b3, h3):
     ("A", 1, None), ("A", 5, None), ("B", 2, None), ("B", 4, None), ("D", 4, None),
     ("D", 5, None), ("H3", None, None), ("I2", None, 3), ("I2", None, 8)])
 def test_size_model_counts_the_bfs_word_letters(label, rank, m):
-    # the enumeration limit budgets |W| N / 2 word letters for N = l(w0)
+    # the enumeration limit still budgets |W| N / 2 word letters for N =
+    # l(w0), 8 bytes each, though a poset stores only each word's last
+    # letter and `word` reads the rest off the BFS parents
     poset = shared_poset(label, rank, m)
     assert poset.system.reflections == poset.length[poset.w0]
     assert 2 * sum(map(len, poset.word)) == poset.size * poset.system.reflections
@@ -407,7 +409,7 @@ def test_root_permutations_match_the_old_kernels(label, m):
     # BruhatPoset reads every other table off these three
     new = BruhatPoset(build_system(label, m=m))
     old = matrix_h3_tables() if label == "H3" else affine_dihedral_tables(m)
-    assert (new.length, new.word, new.right_mult) == old[1:]
+    assert (new.length, list(new.word), list(map(list, new.right_mult))) == old[1:]
 
 
 def _dihedral_positive(m):

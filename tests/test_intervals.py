@@ -38,6 +38,7 @@ from oracles import (
     maxima_polynomial_by_sums,
     one_facet_per_column,
     palindromic_intervals_unfiltered,
+    planted_code,
     principal_set_by_popcount,
     push_all,
     pushed,
@@ -97,14 +98,11 @@ def test_interval_ideal_of_top_is_box(a3, la3):
 
 
 def test_interval_ideal_detects_corruption(a3, la3):
-    from coxlehmer.codes import LehmerCode
-
     s1 = a3.index[(2, 1, 3, 4)]
     s3 = a3.index[(1, 2, 4, 3)]
     vectors = list(la3.vectors)
     vectors[s1], vectors[s3] = vectors[s3], vectors[s1]
-    bad = LehmerCode("bad", a3, la3.bounds, vectors,
-                     {v: w for w, v in enumerate(vectors)})
+    bad = planted_code("bad", a3, la3.bounds, vectors)
     w = a3.index[(2, 3, 1, 4)]  # s1 s2: its interval sees only one swapped element
     with pytest.raises(InvalidCodeImage):
         interval_ideal(w, bad)
@@ -146,11 +144,9 @@ def test_interval_ideal_in_a_box_larger_than_the_group(a3, la3):
     # LA3's vectors in the box (2,3,5), with w0 sent to the corner (1,2,4):
     # box position 29, past a buffer sized by |W| = 24, and without (1,2,3)
     # below it, so [e, w0] alone is not an ideal
-    from coxlehmer.codes import LehmerCode
-
     vectors = list(la3.vectors)
     vectors[a3.w0] = (1, 2, 4)
-    big = LehmerCode("big", a3, (1, 2, 4), vectors, {v: w for w, v in enumerate(vectors)})
+    big = planted_code("big", a3, (1, 2, 4), vectors)
     assert big.box_index[a3.w0] == 29
     ok = [_matches_the_walk(w, big) for w in range(a3.size)]
     assert ok.count(False) == 1 and not ok[a3.w0]
@@ -161,8 +157,6 @@ def test_every_equal_length_swap_is_caught(a3, la3):
     # swapping the vectors of two elements of equal length keeps every rank
     # count, so only the closure check can see it; in LA3 each of the 41
     # swaps breaks some interval, and interval_ideal raises exactly there
-    from coxlehmer.codes import LehmerCode
-
     box = box_table(tuple(b + 1 for b in la3.bounds))
     swaps = [(u, v) for u in range(a3.size) for v in range(u + 1, a3.size)
              if a3.length[u] == a3.length[v]]
@@ -170,8 +164,7 @@ def test_every_equal_length_swap_is_caught(a3, la3):
     for u, v in swaps:
         vectors = list(la3.vectors)
         vectors[u], vectors[v] = vectors[v], vectors[u]
-        bad = LehmerCode("bad", a3, la3.bounds, vectors,
-                         {x: w for w, x in enumerate(vectors)})
+        bad = planted_code("bad", a3, la3.bounds, vectors)
         caught = 0
         for w in range(a3.size):
             pts = {bad.of(x) for x in _bits(a3.downset(w))}
@@ -668,12 +661,10 @@ def test_planted_step_failure_is_a_failed_route_check():
 
 
 def test_interval_ideal_refuses_a_code_vector_off_the_box(a3, la3):
-    from coxlehmer.codes import LehmerCode
-
     s2 = a3.index[(1, 3, 2, 4)]
     vectors = list(la3.vectors)
     vectors[s2] = (0, 3, 0)  # coordinate 1 of LA3 runs 0..2
-    bad = LehmerCode("bad", a3, la3.bounds, vectors, {v: w for w, v in enumerate(vectors)})
+    bad = planted_code("bad", a3, la3.bounds, vectors)
     assert bad.box_index[s2] == 24
     with pytest.raises(InvalidCodeImage):
         interval_ideal(s2, bad)
