@@ -9,9 +9,9 @@ Y_n generated by rule; H3 lists a generalized quotient as two chains, then
 one long chain.  One walker reads every word along right multiplication,
 and the code vector of a product is read off its factors.  Codes are
 materialized as two flat arrays, the vectors end to end and the element at
-each box position, and `verify_code` re-checks bijectivity, rank
-compatibility and the cover-morphism property from the vectors and the
-Bruhat covers alone.
+each box position (`multicomplex.strides`), and `verify_code` re-checks
+bijectivity, rank compatibility and the cover-morphism property from those
+two arrays and the Bruhat covers alone.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from math import prod
 from operator import mul
 
 from .coxeter import BruhatPoset, shared_poset, system_key
-from .multicomplex import box_table, lower_covers
+from .multicomplex import strides
 from .report import Report
 
 # the exhaustive dihedral search tries 2^(m-1) level choices
@@ -66,8 +66,8 @@ class LehmerCode:
 
     The vectors lie end to end in `flat`, len(bounds) entries an element,
     and `lookup` holds the element at each point of the box, indexed by the
-    point's mixed-radix value over `dims` (its rank in lex order), or
-    _NO_ELEMENT where there is none."""
+    point's box position (`multicomplex.strides`, its rank in lex order),
+    or _NO_ELEMENT where there is none."""
 
     name: str
     poset: BruhatPoset
@@ -88,16 +88,10 @@ class LehmerCode:
     def element(self, vec: tuple[int, ...]) -> int:
         """The element whose vector is `vec`; KeyError for a vector that no
         element has, one off the box or of another length among them."""
-        if len(vec) == len(self.bounds):
-            p = 0
-            for x, b in zip(vec, self.bounds):
-                if not 0 <= x <= b:
-                    break
-                p = p * (b + 1) + x
-            else:
-                w = self.lookup[p]
-                if w != _NO_ELEMENT:
-                    return w
+        if len(vec) == len(self.bounds) and all(0 <= x <= b for x, b in zip(vec, self.bounds)):
+            w = self.lookup[sum(map(mul, vec, strides(self.dims)))]
+            if w != _NO_ELEMENT:
+                return w
         raise KeyError(vec)
 
     @property
@@ -110,11 +104,13 @@ class LehmerCode:
 
     @cached_property
     def box_index(self) -> list[int]:
-        """Element -> lex position of its vector in the box's table, built on
-        first use; a vector off the box gets the box size, one past the end."""
-        table = box_table(self.dims)
-        off = len(table.points)
-        return [table.index.get(v, off) for v in self.vectors]
+        """Element -> box position of its vector, `lookup` inverted on first
+        use; an element at no position gets the box size, one past the end."""
+        index = [len(self.lookup)] * len(self.vectors)
+        for j, w in enumerate(self.lookup):
+            if w != _NO_ELEMENT:
+                index[w] = j
+        return index
 
     def to_json(self) -> dict:
         return {self.poset.render(w): list(v) for w, v in enumerate(self.vectors)}
@@ -147,14 +143,12 @@ def _product_code(name: str, poset: BruhatPoset, factors) -> LehmerCode:
     bounds = [max(column) for factor in factors
               for column in zip(*(coords for coords, _ in factor))]
     dims = [b + 1 for b in bounds]
-    # a coordinate's weight in a box position is the product of the chain
-    # sizes after it
-    strides = iter([prod(dims[i + 1:]) for i in range(len(dims))])
+    weights = iter(strides(dims))
     # each entry as (coordinates packed, their share of the position, element,
     # its word): u x is u times the letters of x's word, each word read once
     packed = []
     for factor in factors:
-        share = [next(strides) for _ in factor[0][0]]
+        share = [next(weights) for _ in factor[0][0]]
         packed.append([(array("H", coords).tobytes(), sum(map(mul, coords, share)), x, word[x])
                        for coords, x in factor])
     *head, last = packed
@@ -428,33 +422,36 @@ def verify_code(code: LehmerCode) -> Report:
     inverse maps every cover of the product of chains to a Bruhat relation.
     Covers suffice for (c) by transitivity.
     """
-    poset = code.poset
+    poset, bounds, lookup = code.poset, code.bounds, code.lookup
     rep = Report(f"code {code.name}")
 
     rep.check(len(code.vectors) == poset.size, "table misses elements")
-    rep.check(sorted(code.bounds) == sorted(poset.exponents()),
-              f"bounds {code.bounds} are not the exponents")
-    seen = set()
+    rep.check(sorted(bounds) == sorted(poset.exponents()),
+              f"bounds {bounds} are not the exponents")
+    # a vector in the box is at a new position, where `lookup` gives w back
+    steps, seen = strides(code.dims), bytearray(code.box_size())
     for w, v in enumerate(code.vectors):
-        ok = (len(v) == len(code.bounds)
-              and all(0 <= x <= b for x, b in zip(v, code.bounds))
-              and v not in seen)
-        seen.add(v)
+        ok = all(0 <= x <= b for x, b in zip(v, bounds))
+        if ok:
+            q = sum(map(mul, v, steps))
+            ok = not seen[q] and lookup[q] == w
+            seen[q] = 1
         rep.check(ok, lambda: f"bijectivity fails at {poset.render(w)} -> {v}")
         rep.check(sum(v) == poset.length[w],
                   lambda: f"rank mismatch at {poset.render(w)}: {v} vs length {poset.length[w]}")
-    rep.check(len(seen) == code.box_size(), "table does not cover the codomain")
+    rep.check(0 not in seen, "table does not cover the codomain")
 
     if rep.passed:
-        lookup = {v: w for w, v in enumerate(code.vectors)}
-        for y in product(*map(range, code.dims)):
-            wy = lookup[y]
+        # lookup inverts the vectors; y's lower cover in coordinate i is at q - s_i
+        for q, y in enumerate(product(*map(range, code.dims))):
+            wy = lookup[q]
             # ranks add, so x -> y maps to a relation only as a Bruhat cover
             covers = poset.covers_down[wy]
-            for x in lower_covers(y):
-                rep.check(lookup[x] in covers,
-                          lambda: f"cover {x} -> {y} maps to incomparable "
-                                  f"{poset.render(lookup[x])}, {poset.render(wy)}")
+            for x, s in zip(y, steps):
+                if x:
+                    rep.check(lookup[q - s] in covers,
+                              lambda: f"cover {code.of(lookup[q - s])} -> {y} maps to incomparable "
+                                      f"{poset.render(lookup[q - s])}, {poset.render(wy)}")
     return rep
 
 

@@ -2,15 +2,15 @@
 
 A valid code turns the interval below w into an order ideal of the product
 of chains, a bitmask over the box written by one scatter of the downset
-through the code's `box_index` and checked once for closure.  This module
-computes the interval's rank generating function three independent ways
-(direct summation, the h-vector of the attached complex's rank-then-lex
-shelling read off the box table's memo of shelling steps, inclusion-
-exclusion over the ideal's maxima with its terms grouped by the meets of
-their code vectors, each meet one AND of unary-coded points and each box
-polynomial one packed int), and classifies elements whose intervals are
-full boxes (principal) or lexicographically minimal in their coordinate
-orbit (unimodal).
+through `box_index` (`lookup` inverted) and checked once for closure.  This
+module computes the interval's rank generating function three independent
+ways (direct summation, the h-vector of the attached complex's
+rank-then-lex shelling read off the box table's memo of shelling steps,
+inclusion-exclusion over the ideal's maxima with its terms grouped by the
+meets of their code vectors, each meet one AND of unary-coded points and
+each box polynomial one packed int), and classifies elements whose
+intervals are full boxes (principal) or lexicographically minimal in their
+coordinate orbit (unimodal).
 """
 
 from __future__ import annotations
@@ -38,9 +38,9 @@ class InvalidCodeImage(RuntimeError):
 
 def interval_ideal(w: int, code: LehmerCode) -> OrderIdeal:
     """The code image of {v : v <= w}: the downset's bits select box
-    positions through the code's `box_index` (`compress`), each set to "1"
-    in a string of "0"s read in base 2 and checked once to be an ideal of
-    the box, which a "1" in the slot past it (an off-box vector) fails."""
+    positions through `box_index`, the code's `lookup` inverted (`compress`),
+    each set to "1" in a string of "0"s read in base 2 and checked once to be
+    an ideal of the box, which a "1" in the slot past it (no position) fails."""
     poset = code.poset
     box = box_table(code.dims)
     members = bin(poset.downset(w))[:1:-1].encode().translate(_BIT_BYTES)

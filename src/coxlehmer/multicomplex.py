@@ -2,20 +2,21 @@
 
 Points are stored zero-based, so the rank of a point is the plain sum of its
 entries; the one-based view used by the facet construction shifts at that
-boundary only.  A box, the product of chains of sizes `dims`, is one
-`box_table(dims)`, shared per dims, which numbers its points in lex
-(mixed-radix) order.  An `OrderIdeal` is that table and a bitmask over it:
-the table's `covered` shift, one per coordinate class, gives its closure
-check, its maxima and the closure of a point set, and rank-then-lex order
-reads the box's rank masks; the table also keeps the memo of shelling
-steps and, for the maxima route, the memos of unary point codes and
-packed box polynomials, each filled on first use and bounded by |box|.
-Includes the Macaulay growth test for f-vectors of multicomplexes,
-the enumeration of a box's ideals, and exhaustive, counted or seeded-random
-linear extensions, which walk the mask of what is left of an ideal and read
-its minimal points off it by one shifted AND per class.  `_bits`, which
-lists the set bits of a mask, reads these masks and the complexes' bitset
-facets in `simplicial`.
+boundary only.  A box, the product of chains of sizes `dims`, numbers its
+points in lex (mixed-radix) order, a point's position its dot product with
+`strides(dims)`: the one numbering, which the codes' `lookup` reads too.
+An `OrderIdeal` is the box's shared `box_table(dims)` and a bitmask over
+it: the table's `covered` shift, one per coordinate class, gives its
+closure check, its maxima and the closure of a point set, and rank-then-lex
+order reads the box's rank masks; the table also keeps the memo of shelling
+steps and, for the maxima route, the memos of unary point codes and packed
+box polynomials, each filled on first use and bounded by |box|.  Includes
+the Macaulay growth test for f-vectors of multicomplexes, the enumeration
+of a box's ideals, and exhaustive, counted or seeded-random linear
+extensions, which walk the mask of what is left of an ideal and read its
+minimal points off it by one shifted AND per class.  `_bits`, which lists
+the set bits of a mask, reads these masks and the complexes' bitset facets
+in `simplicial`.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import itertools
 import random
 from functools import lru_cache
 from math import comb, prod
+from operator import mul
 from typing import Iterable, Iterator
 
 from .qpoly import IntPolynomial
@@ -37,10 +39,10 @@ def _bits(mask: int):
         mask ^= low
 
 
-def lower_covers(point):
-    for i, x in enumerate(point):
-        if x:
-            yield point[:i] + (x - 1,) + point[i + 1 :]
+def strides(dims: tuple[int, ...]) -> tuple[int, ...]:
+    """Each coordinate's weight in a lex box position, the product of the
+    chain sizes after it: the position of x is sum x_i strides[i]."""
+    return tuple(prod(dims[i + 1:]) for i in range(len(dims)))
 
 
 def meet(x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...]:
@@ -53,13 +55,16 @@ class _BoxTable:
     (points 0..d_i - 1), which numbers its points in lex (mixed-radix)
     order so that a set of points is a bitmask.
 
-    Bit j is `points[j]`, and `index` inverts that.  A step down in
-    coordinate i moves `strides[i]` bits, `nonzero[i]` marks the points whose
-    coordinate i is positive and `levels[r]` those of rank r.  It keeps
-    steps, not facets: the memo grows as `simplicial._walk` walks ideals,
-    `lines` (as `_shelling_step` reads it), the masks of the points `walked`
-    and of the `failing` ones, l(G(x)) != x, and `by_size[k]`, those with
-    |G(x)| = k.  Nothing here holds a mask per point (|box|^2 bits).
+    Bit j is `points[j]`, the point at position j, and `mask_of` encodes
+    points by `strides`.  A step down in coordinate i moves `strides[i]`
+    bits, `nonzero[i]` marks the points whose coordinate i is positive and
+    `levels[r]` those of rank r.  `points` is the decoder from position to
+    point that ideals, maxima and extensions read; nothing maps a point
+    back.  The table keeps steps, not facets: the memo grows as
+    `simplicial._walk` walks ideals, `lines` (as `_shelling_step` reads
+    it), the masks of the points `walked` and of the `failing` ones,
+    l(G(x)) != x, and `by_size[k]`, those with |G(x)| = k.  Nothing here
+    holds a mask per point (|box|^2 bits).
 
     Two more memos serve the maxima route, filled on first use, so a query
     on a large box builds only what it reads: `unary_codes`, one code per
@@ -71,9 +76,8 @@ class _BoxTable:
             raise ValueError(f"chain sizes must be >= 1, got {dims}")
         self.dims = dims
         self.points = list(itertools.product(*map(range, dims)))
-        self.index = {p: j for j, p in enumerate(self.points)}
         self.full = (1 << len(self.points)) - 1
-        self.strides = tuple(prod(dims[i + 1:]) for i in range(len(dims)))
+        self.strides = strides(dims)
         # coordinate i is 0 on the first stride bits of every period d * stride
         self.nonzero = tuple(self.full ^ ((1 << s) - 1) * (self.full // ((1 << d * s) - 1))
                              for d, s in zip(dims, self.strides))
@@ -93,12 +97,11 @@ class _BoxTable:
 
     def mask_of(self, points: Iterable[tuple[int, ...]]) -> int:
         """The mask of the given points (ValueError outside the box)."""
-        index, mask = self.index, 0
+        dims, steps, mask = self.dims, self.strides, 0
         for p in points:
-            j = index.get(tuple(p))
-            if j is None:
-                raise ValueError(f"point {tuple(p)} outside ambient {self.dims}")
-            mask |= 1 << j
+            if len(p) != len(dims) or not all(0 <= x < d for x, d in zip(p, dims)):
+                raise ValueError(f"point {tuple(p)} outside ambient {dims}")
+            mask |= 1 << sum(map(mul, p, steps))
         return mask
 
     def minimal(self, mask: int) -> int:

@@ -26,11 +26,11 @@ zero-based and are shifted here, at the boundary.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import comb, prod
+from math import comb
 from operator import rshift
 from typing import Iterable, Sequence
 
-from .multicomplex import OrderIdeal, _BoxTable, _bits, box_table, full_ideal
+from .multicomplex import OrderIdeal, _BoxTable, _bits, box_table, full_ideal, strides
 from .qpoly import IntPolynomial
 
 
@@ -87,13 +87,13 @@ class SimplicialComplex:
 @lru_cache(maxsize=None)
 def _classes(dims: tuple[int, ...]) -> tuple[tuple[int, int, int], ...]:
     """The box complex's one facet rule, per coordinate class i: (its vertex
-    mask, top_i = offset_i + d_i, the box table's stride of coordinate i,
-    d_{i+1} ... d_n).  Vertex (v, i), v one-based, is bit offset_i + v - 1
+    mask, top_i = offset_i + d_i, coordinate i's stride in a box position,
+    `strides(dims)[i]`).  Vertex (v, i), v one-based, is bit offset_i + v - 1
     with offset_i = d_1 + ... + d_{i-1}; the facet of a zero-based point x
     is every vertex but (d_i - x_i, i) in each class i, bit top_i - 1 - x_i."""
     out, offset = [], 0
-    for i, d in enumerate(dims):
-        out.append((((1 << d) - 1) << offset, offset + d, prod(dims[i + 1:])))
+    for d, s in zip(dims, strides(dims)):
+        out.append((((1 << d) - 1) << offset, offset + d, s))
         offset += d
     return tuple(out)
 

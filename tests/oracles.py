@@ -115,6 +115,15 @@ compares them; the groups or boxes covered.
   corrupted-rule tests in test_simplicial, test_intervals and test_cli.
 - planted_code: a planted fault, not an oracle; the corrupted-code tests in test_codes
   and test_intervals.
+- lower_covers: no `src/` path since `verify_code` reads covers by stride; the tuple
+  covers the oracles above and below, and the multicomplex tests, step down by.
+- box_index_by_table, verify_code_by_tuples: codes `LehmerCode.box_index`, `lookup`
+  inverted, and `verify_code`, which read box positions by `strides`, against the dict
+  from point tuples back to positions and the set and dict of vector tuples they
+  replaced; test_codes::test_the_box_table_and_the_code_share_one_numbering, every
+  shipped code and its dual up to D5, H3 and I2(3..10);
+  test_codes::test_verify_code_renders_its_witnesses_on_failure and
+  test_verify_code_negative_control, the planted codes whose vectors are at fault.
 """
 
 import itertools
@@ -132,10 +141,11 @@ from coxlehmer.multicomplex import (
     _BoxTable,
     box_table,
     linear_extensions,
-    lower_covers,
     meet,
+    strides,
 )
 from coxlehmer.qpoly import IntPolynomial
+from coxlehmer.report import Report
 from coxlehmer.schubert import avoids
 from coxlehmer.simplicial import (
     SimplicialComplex,
@@ -272,6 +282,13 @@ def code_leq(u: int, v: int, code) -> bool:
     return all(a <= b for a, b in zip(code.of(u), code.of(v)))
 
 
+def lower_covers(point):
+    """The points one step below `point` in a product of chains."""
+    for i, x in enumerate(point):
+        if x:
+            yield point[:i] + (x - 1,) + point[i + 1 :]
+
+
 def is_order_ideal(box, points) -> bool:
     """Whether the points lie in the box and hold each other's lower covers."""
     pts = frozenset(tuple(p) for p in points)
@@ -380,8 +397,9 @@ def shelling_lattice(ideal) -> LatticeShellings:
     dims, classes = table.dims, _classes(table.dims)
     lex = ideal.rank_order()
     pts = [table.points[j] for j in lex]
-    index = {j: i for i, j in enumerate(lex)}  # lex index -> position in pts
-    below = [sum(1 << index[table.index[q]] for q in lower_covers(p)) for p in pts]
+    index = {j: i for i, j in enumerate(lex)}  # box position -> position in pts
+    below = [sum(1 << index[j - s] for x, s in zip(p, table.strides) if x)
+             for j, p in zip(lex, pts)]
     above: list[list[int]] = [[] for _ in pts]
     for y, m in enumerate(below):
         for x in _bits(m):
@@ -959,9 +977,13 @@ class ShellingState:
         """Append the facet of `point`.  On failure the state is unchanged
         and `violation` names the earlier point whose facet contains G."""
         table, done = self._table, self._done
-        j = table.index.get(point)
-        if j is None or not self._mask >> j & 1:
+        try:
+            bit = table.mask_of([point])
+        except ValueError:
+            bit = 0
+        if not self._mask & bit:
             raise ValueError(f"point {point} has no facet in this complex")
+        j = bit.bit_length() - 1
         if done[j] or not all(done[j - s] for x, s in zip(point, table.strides) if x):
             raise ValueError(f"point {point} is not minimal outside the prefix")
         facet = simplicial._facet_masks(table.dims, [point])[0]
@@ -1041,12 +1063,51 @@ def planted_code(name, poset, bounds, vectors):
     lookup = array("I", [_NO_ELEMENT]) * prod(dims)
     for w, v in enumerate(vectors):
         if len(v) == len(dims) and all(0 <= x < d for x, d in zip(v, dims)):
-            p = 0
-            for x, d in zip(v, dims):
-                p = p * d + x
-            lookup[p] = w
+            lookup[sum(x * s for x, s in zip(v, strides(dims)))] = w
     return LehmerCode(name, poset, tuple(bounds),
                       array("H", itertools.chain.from_iterable(vectors)), lookup)
+
+
+def box_index_by_table(code) -> list[int]:
+    """`LehmerCode.box_index` through a dict from each box point's tuple to
+    its position in the box table: element -> position of its vector, the
+    box size for a vector off the box."""
+    points = box_table(code.dims).points
+    index = {p: j for j, p in enumerate(points)}
+    return [index.get(v, len(points)) for v in code.vectors]
+
+
+def verify_code_by_tuples(code) -> Report:
+    """`codes.verify_code` over a set and a dict of vector tuples: the same
+    checks, in the same order, with the same witnesses, read from the
+    vectors alone (it never reads `lookup`)."""
+    poset = code.poset
+    rep = Report(f"code {code.name}")
+
+    rep.check(len(code.vectors) == poset.size, "table misses elements")
+    rep.check(sorted(code.bounds) == sorted(poset.exponents()),
+              f"bounds {code.bounds} are not the exponents")
+    seen = set()
+    for w, v in enumerate(code.vectors):
+        ok = (len(v) == len(code.bounds)
+              and all(0 <= x <= b for x, b in zip(v, code.bounds))
+              and v not in seen)
+        seen.add(v)
+        rep.check(ok, lambda: f"bijectivity fails at {poset.render(w)} -> {v}")
+        rep.check(sum(v) == poset.length[w],
+                  lambda: f"rank mismatch at {poset.render(w)}: {v} vs length {poset.length[w]}")
+    rep.check(len(seen) == code.box_size(), "table does not cover the codomain")
+
+    if rep.passed:
+        lookup = {v: w for w, v in enumerate(code.vectors)}
+        for y in itertools.product(*map(range, code.dims)):
+            wy = lookup[y]
+            covers = poset.covers_down[wy]
+            for x in lower_covers(y):
+                rep.check(lookup[x] in covers,
+                          lambda: f"cover {x} -> {y} maps to incomparable "
+                                  f"{poset.render(lookup[x])}, {poset.render(wy)}")
+    return rep
 
 
 def one_facet_per_column(dims, points):

@@ -3,6 +3,7 @@ import hashlib
 import re
 import sys
 import tracemalloc
+from array import array
 
 import pytest
 
@@ -10,6 +11,7 @@ from coxlehmer import codes as codes_mod
 from coxlehmer.codes import (
     ChainVerificationError,
     CodeBuildError,
+    LehmerCode,
     d_chain_words,
     shared_standard_code,
     code_a,
@@ -26,15 +28,18 @@ from coxlehmer.codes import (
     verify_h3_quotients,
 )
 from coxlehmer.coxeter import BruhatPoset, build_system, shared_poset
+from coxlehmer.multicomplex import box_table
 from coxlehmer.schubert import inversion_code
 from coxlehmer.verify import CODE_SYSTEMS
 from oracles import (
+    box_index_by_table,
     parabolic_elements,
     planted_code,
     product_code_by_combinations,
     quotient_factorization,
     tuple_code_tables,
     tuple_poset_tables,
+    verify_code_by_tuples,
 )
 
 
@@ -565,15 +570,19 @@ CODE_DIGESTS = {
     ("D", 6, None, False): ("e80715b2e262849368bec4bf32717d2a06ca57f2dc13be1bc692d32339c58f14",
                             "57308731690dfc90b84f6395509716f67f9a357e279f8764abb3af56148a435d"),
 }
-PINNED_CODES = ([(label, rank, m, False) for label, rank, m in CODE_SYSTEMS]
-                + [("B", rank, None, True) for label, rank, _ in CODE_SYSTEMS if label == "B"]
-                + [("A", 6, None, False), ("B", 5, None, False), ("B", 5, None, True),
-                   ("D", 6, None, False)])
+# the codes the verify suites check, the B variants with them: up to D5
+SHIPPED_CODES = ([(label, rank, m, False) for label, rank, m in CODE_SYSTEMS]
+                 + [("B", rank, None, True) for label, rank, _ in CODE_SYSTEMS if label == "B"])
+PINNED_CODES = SHIPPED_CODES + [("A", 6, None, False), ("B", 5, None, False),
+                                ("B", 5, None, True), ("D", 6, None, False)]
 
 
-@pytest.mark.parametrize("label,rank,m,variant", PINNED_CODES,
-                         ids=[f"{label}{rank or ''}{f'({m})' if m else ''}{'~' * variant}"
-                              for label, rank, m, variant in PINNED_CODES])
+def _code_ids(codes):
+    return [f"{label}{rank or ''}{f'({m})' if m else ''}{'~' * variant}"
+            for label, rank, m, variant in codes]
+
+
+@pytest.mark.parametrize("label,rank,m,variant", PINNED_CODES, ids=_code_ids(PINNED_CODES))
 def test_code_tables_match_their_pinned_digests(label, rank, m, variant):
     code = shared_standard_code(label, rank, m, variant=variant)
     got = tuple(hashlib.sha256(repr(table).encode()).hexdigest()
@@ -585,6 +594,16 @@ def test_code_tables_match_their_pinned_digests(label, rank, m, variant):
 # -- verification behaviour
 
 
+def _same_verdicts(code):
+    """verify_code's report, checked against the tuple oracle's, and
+    box_index checked against the tuple dict's."""
+    new, old = verify_code(code), verify_code_by_tuples(code)
+    assert (new.instances, new.failures, new.witnesses) == (old.instances, old.failures,
+                                                            old.witnesses)
+    assert code.box_index == box_index_by_table(code)
+    return new
+
+
 def test_verify_code_negative_control(a3):
     code = code_a(a3)
     s1 = a3.index[(2, 1, 3, 4)]
@@ -592,7 +611,7 @@ def test_verify_code_negative_control(a3):
     vectors = list(code.vectors)
     vectors[s1], vectors[s3] = vectors[s3], vectors[s1]
     bad = planted_code("corrupted", a3, code.bounds, vectors)
-    rep = verify_code(bad)
+    rep = _same_verdicts(bad)
     assert not rep.passed
     assert rep.failures > 0
     assert rep.witnesses
@@ -608,7 +627,7 @@ def test_verify_code_renders_its_witnesses_on_failure(a3):
         vectors = list(code.vectors)
         vectors[a], vectors[b] = vectors[b], vectors[a]
         bad = planted_code("corrupted", a3, code.bounds, vectors)
-        rep = verify_code(bad)
+        rep = _same_verdicts(bad)
         assert any(expected in w for w in rep.witnesses), rep.witnesses
 
 
@@ -616,6 +635,42 @@ def test_verify_code_checks_every_box_cover(a3):
     # three table-wide checks, two per element, and one per cover of the
     # box {0,1} x {0,1,2} x {0,...,3}: 1*3*4 + 2*2*4 + 3*2*3 = 46
     assert verify_code(code_a(a3)).instances == 3 + 2 * a3.size + 46
+
+
+def test_verify_code_reads_the_lookup(a3):
+    # LA3 with the lookup entries of s1 and s3 swapped and the vectors left
+    # intact: element(of(s1)) is s3, so the tables are no bijection.  The
+    # tuple check reads the vectors alone and passes them with all 97 of
+    # its checks; the lookup test sits in the bijectivity check, which fails
+    # at s1 and s3 and adds no check: 3 + 2|W| checks, as on any table that
+    # fails before the box covers
+    code = code_a(a3)
+    s1, s3 = a3.index[(2, 1, 3, 4)], a3.index[(1, 2, 4, 3)]
+    lookup = array("I", code.lookup)
+    p1, p3 = lookup.index(s1), lookup.index(s3)
+    lookup[p1], lookup[p3] = s3, s1
+    bad = LehmerCode("corrupted", a3, code.bounds, code.flat, lookup)
+    assert bad.element(bad.of(s1)) == s3 and bad.element(bad.of(s3)) == s1
+    old = verify_code_by_tuples(bad)
+    assert old.passed and old.instances == 3 + 2 * a3.size + 46
+    rep = verify_code(bad)
+    assert (rep.instances, rep.failures) == (3 + 2 * a3.size, 2)
+    assert sorted(rep.witnesses) == ["bijectivity fails at 1243 -> (0, 0, 1)",
+                                     "bijectivity fails at 2134 -> (1, 0, 0)"]
+
+
+@pytest.mark.parametrize("label,rank,m,variant", SHIPPED_CODES, ids=_code_ids(SHIPPED_CODES))
+def test_the_box_table_and_the_code_share_one_numbering(label, rank, m, variant):
+    # position j is one point for the box table and for the code's lookup,
+    # box_index is lookup inverted, and both it and verify_code, which read
+    # positions, agree with the tuple set and dicts they replaced
+    code = shared_standard_code(label, rank, m, variant=variant)
+    for c in (code, dual_code(code)):
+        points, lookup, index = box_table(c.dims).points, c.lookup, c.box_index
+        assert all(points[j] == c.of(w) for j, w in enumerate(lookup))
+        assert all(index[w] == j for j, w in enumerate(lookup))
+        assert len(index) == len(lookup) == c.poset.size
+        assert _same_verdicts(c).passed
 
 
 def test_sum_of_code_is_length_everywhere(a4, b3, d4, h3):
