@@ -13,7 +13,10 @@ All JSON output uses exact integers.
 
 `main` may be called any number of times in one process: the argument
 parser is built by the first call and reused, since parse_args keeps no
-state between calls (each gets a fresh namespace and the defaults).
+state between calls (each gets a fresh namespace and the defaults).  A
+call that names a verb is parsed once, by that verb's own parser; the top
+parser reads only --help, a missing verb and an unknown verb.  So an
+unrecognized argument after a verb is reported with the verb's usage line.
 """
 
 from __future__ import annotations
@@ -37,15 +40,33 @@ class CLIError(Exception):
     """Usage-level problem; reported on stderr with exit status 2."""
 
 
+class _TopParser(argparse.ArgumentParser):
+    """Hands a known verb's arguments straight to that verb's parser, one
+    pass where the subparser action would parse them a second time."""
+
+    verbs: dict[str, argparse.ArgumentParser]  # build_parser sets it
+
+    def parse_args(self, args=None, namespace=None):
+        args = sys.argv[1:] if args is None else list(args)
+        verb = self.verbs.get(args[0]) if args else None
+        if verb is None:
+            return super().parse_args(args, namespace)
+        namespace = verb.parse_args(args[1:], namespace)
+        namespace.command = args[0]
+        return namespace
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _TopParser(
         prog="coxlehmer",
         description="Lehmer codes, Bruhat intervals and their complexes "
                     "for finite Coxeter groups of types A, B, D, H3, I2(m).",
         epilog=f"Groups whose enumeration and code would store more than "
                f"ENUMERATION_LIMIT = {ENUMERATION_LIMIT:,} bytes are refused with exit "
                f"status 2; the README's enumeration-limit paragraph states the model.")
-    sub = p.add_subparsers(dest="command", required=True)
+    sub = p.add_subparsers(dest="command", required=True,
+                           parser_class=argparse.ArgumentParser)
+    p.verbs = sub.choices
 
     def add_system(sp, with_element=True):
         sp.add_argument("--type", dest="label", required=True,

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from array import array
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product
 from math import prod
@@ -60,7 +59,6 @@ class _Vectors(Sequence):
         return zip(*[iter(self._code.flat)] * len(self._code.bounds))
 
 
-@dataclass
 class LehmerCode:
     """A materialized code: element index -> vector and back.
 
@@ -69,11 +67,13 @@ class LehmerCode:
     point's box position (`multicomplex.strides`, its rank in lex order),
     or _NO_ELEMENT where there is none."""
 
-    name: str
-    poset: BruhatPoset
-    bounds: tuple[int, ...]
-    flat: array
-    lookup: array
+    def __init__(self, name: str, poset: BruhatPoset, bounds: tuple[int, ...],
+                 flat: array, lookup: array):
+        self.name = name
+        self.poset = poset
+        self.bounds = bounds
+        self.flat = flat
+        self.lookup = lookup
 
     @property
     def vectors(self) -> _Vectors:

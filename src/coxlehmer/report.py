@@ -2,19 +2,19 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable
 
 MAX_WITNESSES = 10
 
 
-@dataclass
 class Report:
-    name: str
-    instances: int = 0
-    failures: int = 0
-    witnesses: list[str] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
+    def __init__(self, name: str, instances: int = 0, failures: int = 0,
+                 witnesses: list[str] | None = None, notes: list[str] | None = None):
+        self.name = name
+        self.instances = instances
+        self.failures = failures
+        self.witnesses = [] if witnesses is None else witnesses
+        self.notes = [] if notes is None else notes
 
     @property
     def passed(self) -> bool:

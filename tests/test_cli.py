@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import os
@@ -770,12 +771,13 @@ PARSER_RUNS = [
     ("hpoly", *A3, "--perm", "3412"),
     ("hpoly", *A3, "--perm", "3412", "--route", "fast"),
     ("code", *A3, "--perm", "3412", "--json"),
+    ("code", *A3, "--perm", "3412", "--bogus"),
 ]
 
 
 def _outcome(capsys, argv):
     try:
-        status = cli.main(list(argv))
+        status = cli.main(None if argv is None else list(argv))
     except SystemExit as exc:
         status = f"SystemExit {exc.code}"
     out = capsys.readouterr()
@@ -799,3 +801,32 @@ def test_main_builds_one_parser_that_keeps_no_state(capsys, monkeypatch):
     assert [line.split()[0] for line in warm[1][1].splitlines()] == ["direct", "complex", "maxima"]
     assert warm[2][0] == "SystemExit 2" and "invalid choice" in warm[2][2]
     assert warm[3][0] == 0 and json.loads(warm[3][1])["code"] == [0, 2, 2]
+    # the verb's own parser reports an unrecognized argument, with its usage
+    assert warm[4][0] == "SystemExit 2" and warm[4][1] == ""
+    assert warm[4][2].startswith("usage: coxlehmer code [-h] --type ")
+    assert warm[4][2].endswith("coxlehmer code: error: unrecognized arguments: --bogus\n")
+
+
+def test_a_warm_verb_query_is_parsed_once(monkeypatch):
+    argv = ["code", *A3, "--perm", "3412", "--json"]
+    assert cli.main(argv) == 0  # the parser is built
+    calls = []
+    parse = argparse.ArgumentParser.parse_known_args
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args",
+                        lambda self, *a, **k: calls.append(self.prog) or parse(self, *a, **k))
+    assert cli.main(argv) == 0
+    assert calls == ["coxlehmer code"]
+
+
+@pytest.mark.parametrize("argv, status, stream, text", [
+    (["code", *A3, "--perm", "3412", "--json"], 0, "out", '"code": [0, 2, 2]'),
+    (["code", *A3, "stray"], "SystemExit 2", "err",
+     "coxlehmer code: error: unrecognized arguments: stray"),
+    ([], "SystemExit 2", "err", "the following arguments are required: command"),
+])
+def test_main_reads_sys_argv_when_given_none(capsys, monkeypatch, argv, status, stream, text):
+    # the console script calls main() with no arguments
+    monkeypatch.setattr(sys, "argv", ["coxlehmer", *argv])
+    got, out, err = _outcome(capsys, None)
+    assert got == status
+    assert text in (out if stream == "out" else err)

@@ -106,6 +106,10 @@ assert counts["coxeter.enumerations"] == 1, counts
 assert counts["coxeter.covers"] == sum(map(len, poset.covers_down)), counts
 assert counts["coxeter.downset_bytes"] == stored > 0, (counts, stored)
 assert counts["intervals.route_calls"] == 3, counts
+for _ in range(2):  # warm queries, on the parser the cold one built
+    assert cli.main(["code", "--type", "A", "--rank", "3", "--perm", "3412", "--json"]) == 0
+parses = [s for s in tracer.spans if s[0] == "cli.parse"]
+assert len(parses) == 1 + 3, parses  # build_parser, then one parse per call
 """
 
 
@@ -118,7 +122,37 @@ def test_the_benchmark_tracer_still_installs():
     done = subprocess.run([sys.executable, "-B", "-c", TRACED_QUERY, str(root / "src"),
                            str(root / "perfbench")], capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
-    assert json.loads(done.stdout)["routes"]["direct"] == [1, 3, 5, 4, 1]
+    cold, *warm = map(json.loads, done.stdout.splitlines())
+    assert cold["routes"]["direct"] == [1, 3, 5, 4, 1]
+    assert [doc["code"] for doc in warm] == [[0, 2, 2]] * 2
+
+
+# the stdlib modules the CLI imports itself; what they load in turn is the
+# interpreter's choice, and what importing coxlehmer.cli loads past them
+# is the package's
+CLI_STDLIB = ("argparse", "array", "bisect", "collections.abc", "functools", "gc",
+              "itertools", "json", "math", "operator", "os", "pathlib", "random", "time",
+              "typing")
+IMPORT_WEIGHT = """
+import importlib, json, sys
+sys.path.insert(0, sys.argv[1])
+for name in sys.argv[2:]:
+    importlib.import_module(name)
+before = set(sys.modules)
+import coxlehmer.cli
+print(json.dumps(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_importing_the_cli_loads_no_dataclasses():
+    # dataclasses brings inspect, ast, dis and tokenize, about 10 ms and
+    # 1 MB that every process would pay before reading a group
+    done = subprocess.run([sys.executable, "-S", "-B", "-c", IMPORT_WEIGHT, str(SRC.parent),
+                           *CLI_STDLIB], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    loaded = json.loads(done.stdout)
+    assert "coxlehmer.codes" in loaded and "coxlehmer.report" in loaded
+    assert "dataclasses" not in loaded and "inspect" not in loaded, loaded
 
 
 def test_scan_sees_an_unreached_definition(tmp_path):
